@@ -33,6 +33,7 @@ from .config_io import (
     save_json,
     save_market_csv,
     save_plan_csv,
+    save_sweep_csv,
 )
 from .model import DispatchPlan, ValidationError
 from .qp import SolverSettings
@@ -226,13 +227,7 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files: dict[str, Path] = {}
-    rows = [",".join(sw.CSV_FIELDS)]
-    for p in sw.points:
-        d = p.to_dict()
-        rows.append(",".join(format(d.get(k, float("nan")), ".17g")
-                             if isinstance(d.get(k), float) else str(d.get(k, ""))
-                             for k in sw.CSV_FIELDS))
-    (out / "sweep.csv").write_text("\n".join(rows) + "\n")
+    save_sweep_csv(out / "sweep.csv", sw)
     files["sweep.csv"] = out / "sweep.csv"
     save_json(out / "sweep.json", sw.to_dict())
     files["sweep.json"] = out / "sweep.json"

@@ -31,7 +31,7 @@ from .model import (
     TradeCaps,
     VppConfig,
 )
-from .scenarios import RevenueBreakdown, SynthSpec
+from .scenarios import RevenueBreakdown, SweepResult, SynthSpec
 
 
 class ConfigError(ValueError):
@@ -242,33 +242,43 @@ def save_market_csv(path, data: MarketData) -> None:
 
 
 def load_market_csv(path) -> MarketData:
+    return MarketData(**_load_hourly_csv(path, MARKET_COLUMNS, "data"))
+
+
+def _load_hourly_csv(path, columns: tuple[str, ...], what: str) -> dict[str, np.ndarray]:
+    """Read a CSV with header `columns` ("hour" first) as float columns.
+
+    Blank lines are skipped.  Every other row needs one field per column and
+    an hour counting 1..T, and at least one such row must follow the header.
+    The hour column is dropped from the result.
+    """
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read data {path}: {exc.strerror or exc}") from None
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
     reader = csv.reader(text.splitlines())
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ConfigError(f"{path}: empty file") from None
-    if tuple(h.strip() for h in header) != MARKET_COLUMNS:
-        raise ConfigError(f"{path}:1: header must be {','.join(MARKET_COLUMNS)}")
-    cols: dict[str, list[float]] = {c: [] for c in MARKET_COLUMNS[1:]}
+    header = next(reader, None)
+    if header is None:
+        raise ConfigError(f"{path}: empty file")
+    if tuple(h.strip() for h in header) != columns:
+        raise ConfigError(f"{path}:1: header must be {','.join(columns)}")
+    cols: dict[str, list[float]] = {c: [] for c in columns[1:]}
+    hours = 0
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
-        if len(row) != len(MARKET_COLUMNS):
-            raise ConfigError(f"{path}:{lineno}: expected {len(MARKET_COLUMNS)} fields, got {len(row)}")
-        hour = _parse_float("hour", row[0].strip(), f"{path}:{lineno}")
-        expect = len(cols["pi_g"]) + 1
-        if hour != expect:
-            raise ConfigError(f"{path}:{lineno}: hour column must count 1..T, expected {expect}")
-        for name, raw in zip(MARKET_COLUMNS[1:], row[1:]):
-            cols[name].append(_parse_float(name, raw.strip(), f"{path}:{lineno}"))
-    if not cols["pi_g"]:
+        where = f"{path}:{lineno}"
+        if len(row) != len(columns):
+            raise ConfigError(f"{where}: expected {len(columns)} fields, got {len(row)}")
+        hours += 1
+        if _parse_float("hour", row[0].strip(), where) != hours:
+            raise ConfigError(f"{where}: hour column must count 1..T, expected {hours}")
+        for name, raw in zip(columns[1:], row[1:]):
+            cols[name].append(_parse_float(name, raw.strip(), where))
+    if not hours:
         raise ConfigError(f"{path}: no data rows")
-    return MarketData(**{k: np.array(v) for k, v in cols.items()})
+    return {k: np.array(v) for k, v in cols.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -286,25 +296,7 @@ def save_plan_csv(path, plan: DispatchPlan) -> None:
 
 def load_plan_csv(path) -> dict[str, np.ndarray]:
     """Read a plan CSV back as column arrays (hour column dropped)."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read plan {path}: {exc.strerror or exc}") from None
-    reader = csv.reader(text.splitlines())
-    header = next(reader, None)
-    expect = ("hour", *DispatchPlan.CSV_COLUMNS)
-    if header is None or tuple(h.strip() for h in header) != expect:
-        raise ConfigError(f"{path}:1: header must be {','.join(expect)}")
-    cols: dict[str, list[float]] = {c: [] for c in DispatchPlan.CSV_COLUMNS}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(expect):
-            raise ConfigError(f"{path}:{lineno}: expected {len(expect)} fields, got {len(row)}")
-        for name, raw in zip(DispatchPlan.CSV_COLUMNS, row[1:]):
-            cols[name].append(_parse_float(name, raw.strip(), f"{path}:{lineno}"))
-    return {k: np.array(v) for k, v in cols.items()}
+    return _load_hourly_csv(path, ("hour", *DispatchPlan.CSV_COLUMNS), "plan")
 
 
 DUAL_COLUMNS = ("hour", "lambda_g", "lambda_r", "lambda_c", "omega", "mu", "delta")
@@ -327,24 +319,17 @@ def save_duals_csv(path, duals: NamedDuals) -> None:
 
 
 def load_duals_csv(path) -> dict[str, np.ndarray]:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read duals {path}: {exc.strerror or exc}") from None
-    reader = csv.reader(text.splitlines())
-    header = next(reader, None)
-    if header is None or tuple(h.strip() for h in header) != DUAL_COLUMNS:
-        raise ConfigError(f"{path}:1: header must be {','.join(DUAL_COLUMNS)}")
-    cols: dict[str, list[float]] = {c: [] for c in DUAL_COLUMNS[1:]}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(DUAL_COLUMNS):
-            raise ConfigError(f"{path}:{lineno}: expected {len(DUAL_COLUMNS)} fields, got {len(row)}")
-        for name, raw in zip(DUAL_COLUMNS[1:], row[1:]):
-            cols[name].append(_parse_float(name, raw.strip(), f"{path}:{lineno}"))
-    return {k: np.array(v) for k, v in cols.items()}
+    return _load_hourly_csv(path, DUAL_COLUMNS, "duals")
+
+
+def save_sweep_csv(path, sweep: SweepResult) -> None:
+    """One row per sweep point; cells a failed point lacks stay empty."""
+    rows = [",".join(sweep.CSV_FIELDS)]
+    for point in sweep.points:
+        d = point.to_dict()
+        cells = (d.get(k, "") for k in sweep.CSV_FIELDS)
+        rows.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in cells))
+    Path(path).write_text("\n".join(rows) + "\n")
 
 
 def _jsonable(obj):

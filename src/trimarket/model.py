@@ -344,11 +344,6 @@ class VariableLayout:
     def n(self) -> int:
         return 13 * self.horizon
 
-    def index(self, role: str, t: int) -> int:
-        if not 0 <= t < self.horizon:
-            raise IndexError(f"hour index {t} outside [0, {self.horizon})")
-        return 13 * t + _ROLE_POS[role]
-
     def indices(self, role: str) -> np.ndarray:
         """All indices of one role, in hour order."""
         return np.arange(_ROLE_POS[role], self.n, 13)

@@ -57,7 +57,7 @@ class TestNamedDuals:
         _, p = build(cfg, data)
         from trimarket.qp import SolverSettings
 
-        sol = solve_qp(p, SolverSettings(max_iter=1, polish=False))
+        sol = solve_qp(p, SolverSettings(max_iter=1))
         with pytest.raises(ValueError, match="optimal"):
             named_duals(p, sol)
 

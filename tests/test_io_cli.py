@@ -150,6 +150,32 @@ class TestResultFiles:
         np.testing.assert_array_equal(back["lambda_g"], d.lambda_g)
         assert back["mu"][0] == d.mu and back["delta"][0] == d.delta
 
+    @pytest.mark.parametrize("kind", ["market", "plan", "duals"])
+    def test_hourly_readers_share_checks(self, tmp_path, kind):
+        from trimarket.analysis import named_duals
+
+        cfg, data = hand_case()
+        _, p, sol = solve(cfg, data)
+        save, loader, value = {
+            "market": (save_market_csv, load_market_csv, data),
+            "plan": (save_plan_csv, load_plan_csv, recover_plan(sol.x, p.layout)),
+            "duals": (save_duals_csv, load_duals_csv, named_duals(p, sol)),
+        }[kind]
+        f = tmp_path / "r.csv"
+        save(f, value)
+        header, row = f.read_text().splitlines()
+        n_fields = len(header.split(","))
+        for text, match in (
+            ("", "empty file"),
+            (header + "\n", "no data rows"),
+            ("hour,x\n" + row + "\n", "header must be"),
+            (header + "\n" + row + ",1\n", rf"r\.csv:2: expected {n_fields} fields"),
+            (header + "\n2" + row[1:] + "\n", r"r\.csv:2: hour column must count 1\.\.T"),
+        ):
+            f.write_text(text)
+            with pytest.raises(ConfigError, match=match):
+                loader(f)
+
     def test_json_handles_numpy_and_non_finite(self, tmp_path):
         f = tmp_path / "x.json"
         save_json(f, {"a": np.float64(1.5), "b": np.inf, "c": [np.int64(2)], "d": np.nan})
@@ -284,6 +310,19 @@ class TestCli:
         assert main(["check", *base, "--run", str(run)]) == 3
         out = capsys.readouterr().out
         assert "CHECK FAILED" in out
+
+    def test_check_rejects_header_only_duals(self, workdir, capsys):
+        run = workdir / "run"
+        base = [
+            "--config", str(workdir / "model.cfg"),
+            "--data", str(workdir / "market.csv"),
+        ]
+        assert main(["solve", *base, "--out", str(run), "--no-plots", "--properties", "none"]) == 0
+        header = (run / "duals.csv").read_text().splitlines()[0]
+        (run / "duals.csv").write_text(header + "\n")
+        capsys.readouterr()
+        assert main(["check", *base, "--run", str(run)]) == 1
+        assert "duals.csv: no data rows" in capsys.readouterr().err
 
     def test_data_length_mismatch(self, workdir, capsys):
         bad = synth_data(SynthSpec(horizon=25))

@@ -107,7 +107,7 @@ class TestRunScenario:
 
     def test_iteration_limit_raises_solve_failure(self, base_cfg, base_data):
         with pytest.raises(SolveFailure):
-            run_scenario(base_cfg, base_data, settings=SolverSettings(max_iter=2, polish=False))
+            run_scenario(base_cfg, base_data, settings=SolverSettings(max_iter=2))
 
 
 def _tiny_sweep_cfg():

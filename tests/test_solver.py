@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from trimarket.qp import (
     ITERATION_LIMIT,
     OPTIMAL,
     SolverSettings,
+    _presolve,
     diagnose_infeasibility,
     kkt_residuals,
     solve_qp,
@@ -78,7 +81,7 @@ class TestSolverBehaviour:
     def test_iteration_limit_status(self):
         cfg, data = random_instance(5, horizon=3)
         _, p = build(cfg, data)
-        sol = solve_qp(p, SolverSettings(max_iter=1, polish=False))
+        sol = solve_qp(p, SolverSettings(max_iter=1))
         assert sol.status == ITERATION_LIMIT
 
     def test_settings_validated(self):
@@ -105,6 +108,41 @@ class TestSolverBehaviour:
         assert sol.status == OPTIMAL
         for role in ("p_c", "p_d", "q"):
             np.testing.assert_allclose(p.layout.gather(sol.x, role), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("max_iter", [3, 5, 8, 200])
+    def test_optimal_means_verified(self, max_iter):
+        # every return path of solve_qp: an "optimal" point passes the KKT
+        # check at the tolerances scaled as the stopping test scales them,
+        # anything else is a certified failure status
+        s = SolverSettings(max_iter=max_iter)
+        for seed in range(50):
+            cfg, data = random_instance(seed)
+            _, p, sol = solve(cfg, data, s)
+            if sol.status != OPTIMAL:
+                assert sol.status in (INFEASIBLE, ITERATION_LIMIT)
+                continue
+            pre = _presolve(p)
+            scale_p = 1.0 + max(np.max(np.abs(pre.b_ext), initial=0.0),
+                                np.max(np.abs(pre.coup_rhs), initial=0.0))
+            scale_d = 1.0 + np.max(np.abs(pre.c), initial=0.0)
+            res = kkt_residuals(p, sol)
+            assert res.primal_inf <= s.tol_primal * scale_p, seed
+            assert res.dual_inf <= s.tol_dual * scale_d, seed
+            assert res.comp_gap <= s.tol_gap * (1.0 + abs(sol.objective)), seed
+
+    def test_every_variable_pinned(self):
+        # presolve pins everything, so no inequality reaches the solver: the
+        # finisher's polish is the whole solve, and its point is verified too
+        _, p, sol = solve(*hand_case())
+        x = sol.x
+        pinned = dataclasses.replace(p, lb=x.copy(), ub=x.copy(), coup_rhs=p.coup @ x)
+        res = solve_qp(pinned)
+        assert res.status == OPTIMAL and res.iterations == 0
+        np.testing.assert_allclose(res.x, x, atol=1e-12)
+        off = dataclasses.replace(pinned, lb=x + 1.0, ub=x + 1.0, coup_rhs=p.coup @ (x + 1.0))
+        res = solve_qp(off)
+        assert res.status == INFEASIBLE
+        assert res.message == "equality-constrained solve failed"
 
     def test_degenerate_coupling_rows(self):
         # r = 0 and alpha = 0 zero out both coupling rows
@@ -150,6 +188,26 @@ class TestInfeasibility:
         _, p, sol = solve(cfg, data)
         assert sol.status == INFEASIBLE
         assert "quota" in sol.message
+
+    def test_infeasible_solve_probes_full_problem_once(self, monkeypatch):
+        import trimarket.qp as qp
+
+        coupling_rows = []
+        real = qp.linprog
+
+        def counting(*args, **kwargs):
+            a_ub = kwargs["A_ub"]
+            coupling_rows.append(0 if a_ub is None else a_ub.shape[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qp, "linprog", counting)
+        cfg, data = self._rec_starved()
+        _, p, sol = solve(cfg, data)
+        assert sol.message == (
+            "infeasible: REC retirement floor conflicts with certificate supply and caps"
+        )
+        # the full-problem probe, then dropping the floor restores feasibility
+        assert coupling_rows == [2, 1]
 
     def test_diagnose_on_feasible_problem(self):
         cfg, data = hand_case()
