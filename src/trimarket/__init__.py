@@ -51,6 +51,7 @@ from .analysis import (
     envelope_check,
     named_duals,
     rps_priority_check,
+    solve_for_param,
 )
 from .scenarios import (
     InfeasibleError,
@@ -85,7 +86,7 @@ __all__ = [
     "AffineReport", "CaseTable", "NamedDuals", "PropertyReport",
     "affine_sensitivity", "classify_cer_trading", "classify_rec_trading",
     "check_no_simultaneous_flow", "core_reports", "envelope_check", "named_duals",
-    "rps_priority_check",
+    "rps_priority_check", "solve_for_param",
     "InfeasibleError", "InventoryMatrixResult", "RevenueBreakdown", "ScenarioResult",
     "SolveFailure", "SweepResult", "SynthSpec", "inventory_matrix",
     "parameter_sweep", "run_scenario", "synth_data",

@@ -476,23 +476,27 @@ def _active_fingerprint(p: QpProblem, x: np.ndarray) -> bytes:
     return np.packbits(np.concatenate([lo, up, cact])).tobytes()
 
 
-def _solve_for_param(
-    model: ValidatedModel, param: str, value: float, settings: SolverSettings
+def solve_for_param(
+    model: ValidatedModel, param: str, value: float, settings: SolverSettings | None = None
 ) -> tuple[QpProblem, Solution]:
-    if param == "alpha":
-        cfg = model.config.with_policy(alpha=float(value))
-    elif param == "r":
-        cfg = model.config.with_policy(r=float(value))
+    """Solve the model with ``param`` ("r", "alpha" or "quota") moved to ``value``.
+
+    r and alpha must stay in [0, 1]; the solution is returned whatever its status.
+    """
+    quota = None
+    if param == "quota":
+        quota = float(value)
+    elif param in ("r", "alpha"):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{param}={value:.6g} leaves the domain [0, 1]")
+        cfg = model.config.with_policy(**{param: float(value)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModelWarning)
+            model = validate_config(cfg, model.data)
     else:
-        raise ValueError(f"unknown parameter {param!r}; expected 'alpha' or 'r'")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ModelWarning)
-        revalidated = validate_config(cfg, model.data)
-    problem = assemble_qp(revalidated)
-    sol = solve_qp(problem, settings)
-    if sol.status != OPTIMAL:
-        raise RuntimeError(f"solve at {param}={value:.6g} failed: {sol.status}; {sol.message}")
-    return problem, sol
+        raise ValueError(f"unknown parameter {param!r}; expected 'alpha', 'r' or 'quota'")
+    problem = assemble_qp(model, quota_override=quota)
+    return problem, solve_qp(problem, settings or SolverSettings())
 
 
 DESIGNATED_ROLES = {"alpha": ("g", "C"), "r": ("R", "p_c")}
@@ -518,7 +522,6 @@ def affine_sensitivity(
         raise ValueError("grid must be one-dimensional with at least 3 points")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    settings = settings or SolverSettings()
     if param not in DESIGNATED_ROLES:
         raise ValueError(f"unknown parameter {param!r}; expected 'alpha' or 'r'")
     roles = DESIGNATED_ROLES[param]
@@ -526,7 +529,9 @@ def affine_sensitivity(
     xs, prints, mults = [], [], []
     intern: dict[bytes, int] = {}
     for v in grid:
-        problem, sol = _solve_for_param(model, param, v, settings)
+        problem, sol = solve_for_param(model, param, v, settings)
+        if sol.status != OPTIMAL:
+            raise RuntimeError(f"solve at {param}={v:.6g} failed: {sol.status}; {sol.message}")
         xs.append(sol.x)
         key = _active_fingerprint(problem, sol.x)
         prints.append(intern.setdefault(key, len(intern)))
@@ -596,47 +601,43 @@ def _max_second_diff(v: np.ndarray, rows: np.ndarray) -> float:
 
 def envelope_check(
     model: ValidatedModel,
-    step: float = 1.0,
-    target: str = "quota",
-    settings: SolverSettings | None = None,
+    base: tuple[QpProblem, Solution],
+    shifted: tuple[QpProblem, Solution],
+    step: float,
+    target: str,
 ) -> PropertyReport:
     """Finite-difference profit slope against the coupling multiplier.
 
+    ``base`` is the solved model and ``shifted`` the same model solved
+    with the target moved up by `step` (see ``solve_for_param``).
     target="quota": raising the quota ceiling by `step` must raise optimal
     profit by delta per unit.  target="rps": raising the requirement level
     by `step` must change profit by -mu * sum(P_c + L) per unit.  When the
-    active set changes across the step the slope spans two regions and the
-    check is reported as skipped rather than asserted.
+    shifted solve is not optimal, or the active set changes across the
+    step so that the slope spans two regions, the check is reported as
+    skipped rather than asserted.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    settings = settings or SolverSettings()
-    base_problem = assemble_qp(model)
-    base = solve_qp(base_problem, settings)
-    if base.status != OPTIMAL:
-        raise RuntimeError(f"base solve failed: {base.status}; {base.message}")
-    duals = named_duals(base_problem, base)
+    base_problem, base_sol = base
+    shifted_problem, shifted_sol = shifted
+    duals = named_duals(base_problem, base_sol)
 
     if target == "quota":
         prop_id = "quota_envelope_slope"
         expected = duals.delta
-        shifted_problem = assemble_qp(model, quota_override=model.quota + step)
-        shifted = solve_qp(shifted_problem, settings)
     elif target == "rps":
         prop_id = "rps_envelope_slope"
-        r2 = model.config.policy.r + step
-        if r2 > 1.0:
-            raise ValueError(f"rps step leaves the domain: r+step={r2:.6g} > 1")
-        p_c = base_problem.layout.gather(base.x, "p_c")
+        p_c = base_problem.layout.gather(base_sol.x, "p_c")
         expected = -duals.mu * float(np.sum(p_c) + np.sum(model.data.l))
-        shifted_problem, shifted = _solve_for_param(model, "r", r2, settings)
     else:
         raise ValueError(f"unknown envelope target {target!r}; expected 'quota' or 'rps'")
 
-    if shifted.status != OPTIMAL:
-        raise RuntimeError(f"shifted solve failed: {shifted.status}; {shifted.message}")
-    if _active_fingerprint(base_problem, base.x) != _active_fingerprint(
-        shifted_problem, shifted.x
+    if shifted_sol.status != OPTIMAL:
+        note = f"shifted solve status {shifted_sol.status} ({shifted_sol.message})"
+        return PropertyReport(prop_id, True, skipped=True, note=note)
+    if _active_fingerprint(base_problem, base_sol.x) != _active_fingerprint(
+        shifted_problem, shifted_sol.x
     ):
         return PropertyReport(
             prop_id,
@@ -645,7 +646,7 @@ def envelope_check(
             note=f"active set changed across the step ({target} step {step:.6g}); slope spans regions",
         )
 
-    slope = (shifted.objective - base.objective) / step
+    slope = (shifted_sol.objective - base_sol.objective) / step
     gap = abs(slope - expected)
     ok = gap <= 1e-4 * (1.0 + abs(expected))
     return PropertyReport(
@@ -663,37 +664,30 @@ def envelope_check(
 
 def rps_priority_check(
     model: ValidatedModel,
-    dr: float = 0.01,
-    settings: SolverSettings | None = None,
+    base: tuple[QpProblem, Solution],
+    shifted: tuple[QpProblem, Solution],
+    dr: float,
 ) -> PropertyReport:
     """A small RPS increase must be met by retiring more, not charging less.
 
-    Applies when both storage efficiencies are 1, the RPS floor binds
-    (mu above threshold), and at every hour the price geometry favors
-    retirement: (pi_G - min pi_G) + r * min pi_R > (pi_R - min pi_R).
+    ``base`` is the solved model, ``shifted`` the same model solved at
+    r + dr.  Applies when both storage efficiencies are 1, the RPS floor
+    binds (mu above threshold), and at every hour the price geometry
+    favors retirement: (pi_G - min pi_G) + r * min pi_R > (pi_R - min pi_R).
     The claim is asserted on horizon aggregates: total retirement grows by
-    at least dr * sum(P_c + L) while total charging does not shrink.
+    at least dr * sum(P_c + L) while total charging does not shrink.  A
+    shifted solve that is not optimal makes the report skipped.
     """
     if dr <= 0:
         raise ValueError("dr must be positive")
     ess = model.config.ess
     if not (ess.eta_c == 1.0 and ess.eta_d == 1.0):
         return PropertyReport(
-            "rps_increment_priority",
-            True,
-            skipped=True,
-            note="needs unit charge/discharge efficiencies",
+            "rps_increment_priority", True, skipped=True, note="needs unit charge/discharge efficiencies"
         )
     r = model.config.policy.r
-    if r + dr > 1.0:
-        raise ValueError(f"increment leaves the domain: r+dr={r + dr:.6g} > 1")
-    settings = settings or SolverSettings()
-
-    base_problem = assemble_qp(model)
-    base = solve_qp(base_problem, settings)
-    if base.status != OPTIMAL:
-        raise RuntimeError(f"base solve failed: {base.status}; {base.message}")
-    duals = named_duals(base_problem, base)
+    base_problem, base_sol = base
+    duals = named_duals(base_problem, base_sol)
     if duals.mu <= MULT_EPS:
         return PropertyReport(
             "rps_increment_priority", True, skipped=True, note="RPS multiplier is zero at the base point"
@@ -712,10 +706,13 @@ def rps_priority_check(
             note=f"retirement favored at only {k}/{len(favored)} hours; aggregate claim not asserted",
         )
 
-    _, shifted = _solve_for_param(model, "r", r + dr, settings)
+    shifted_sol = shifted[1]
+    if shifted_sol.status != OPTIMAL:
+        note = f"shifted solve status {shifted_sol.status} ({shifted_sol.message})"
+        return PropertyReport("rps_increment_priority", True, skipped=True, note=note)
     lay = base_problem.layout
-    pc1, pc2 = lay.gather(base.x, "p_c"), lay.gather(shifted.x, "p_c")
-    r01, r02 = lay.gather(base.x, "r0"), lay.gather(shifted.x, "r0")
+    pc1, pc2 = lay.gather(base_sol.x, "p_c"), lay.gather(shifted_sol.x, "p_c")
+    r01, r02 = lay.gather(base_sol.x, "r0"), lay.gather(shifted_sol.x, "r0")
     d_pc = float(np.sum(pc2) - np.sum(pc1))
     d_r0 = float(np.sum(r02) - np.sum(r01))
     need = dr * float(np.sum(pc1) + np.sum(model.data.l))

@@ -5,7 +5,8 @@ Subcommands:
     solve             solve one schedule; write plan, duals, revenue, checks, charts
     inventory-matrix  solve the four inventory on/off combinations and compare
     sweep             re-solve along a policy parameter grid
-    check             re-solve and verify a previously written run directory
+    check             re-solve and verify a previously written run directory,
+                      and recompute the SHA-256 of every file its manifest lists
 
 Exit codes: 0 success, 1 usage or input error, 2 infeasible model,
 3 verification failure in ``check``.
@@ -14,6 +15,7 @@ Exit codes: 0 success, 1 usage or input error, 2 infeasible model,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from . import __version__
 from .config_io import (
     ConfigError,
     breakdown_payload,
+    file_sha256,
     load_config,
     load_duals_csv,
     load_market_csv,
@@ -246,6 +249,30 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _manifest_holds(run_dir: Path) -> bool:
+    """Recompute every SHA-256 listed in the run's manifest.json."""
+    path = run_dir / "manifest.json"
+    if not path.is_file():
+        print("[fail] manifest.json is missing")
+        return False
+    try:
+        listed = dict(json.loads(path.read_text())["files"])
+    except (ValueError, KeyError, TypeError):
+        print("[fail] manifest.json holds no readable file list")
+        return False
+    ok = True
+    for name, digest in sorted(listed.items()):
+        if not (run_dir / name).is_file():
+            print(f"[fail] {name} is listed in manifest.json but missing")
+            ok = False
+        elif file_sha256(run_dir / name) != digest:
+            print(f"[fail] {name} does not match its SHA-256 in manifest.json")
+            ok = False
+    if ok:
+        print(f"[ok] all {len(listed)} files match manifest.json")
+    return ok
+
+
 def _cmd_check(args) -> int:
     cfg, _, data = _load_inputs(args)
     run_dir = Path(args.run)
@@ -280,6 +307,9 @@ def _cmd_check(args) -> int:
             else:
                 print(f"[fail] {name} deviates by {dev:.3e} relative")
                 ok = False
+
+    if not _manifest_holds(run_dir):
+        ok = False
 
     failing = [r.prop_id for r in res.reports if not r.holds]
     if failing:

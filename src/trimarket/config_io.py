@@ -379,6 +379,7 @@ def file_sha256(path) -> str:
 
 
 def manifest_payload(version: str, command: str, files: dict[str, Path]) -> dict:
+    """Hash every written file; ``files`` keys are paths relative to the output directory."""
     return {
         "tool": "trimarket",
         "version": version,

@@ -33,6 +33,7 @@ from .analysis import (
     envelope_check,
     named_duals,
     rps_priority_check,
+    solve_for_param,
 )
 from .model import (
     DispatchPlan,
@@ -40,6 +41,7 @@ from .model import (
     ModelWarning,
     QpProblem,
     ValidatedModel,
+    ValidationError,
     VppConfig,
     assemble_qp,
     recover_plan,
@@ -238,7 +240,9 @@ def run_scenario(
 
     properties: "none" skips the check suite, "core" runs every check
     that needs no extra solve, "full" adds the envelope slopes and the
-    RPS increment priority check (three more solves).
+    RPS increment priority check.  Full mode solves two more problems,
+    quota + 1 and r + 0.01, once each; the RPS slope and the priority
+    check share the r + 0.01 solution, and every check reuses the base.
     """
     if properties not in ("none", "core", "full"):
         raise ValueError(f"unknown properties mode {properties!r}")
@@ -252,21 +256,16 @@ def run_scenario(
     if properties in ("core", "full"):
         tables, reports = core_reports(problem, sol, plan, model)
     if properties == "full":
-        reports.append(envelope_check(model, step=1.0, target="quota", settings=settings))
+        quota = solve_for_param(model, "quota", model.quota + 1.0, settings)
+        reports.append(envelope_check(model, (problem, sol), quota, 1.0, "quota"))
         if cfg.policy.r + 0.01 <= 1.0:
-            reports.append(envelope_check(model, step=0.01, target="rps", settings=settings))
-            reports.append(rps_priority_check(model, dr=0.01, settings=settings))
+            rps = solve_for_param(model, "r", cfg.policy.r + 0.01, settings)
+            reports.append(envelope_check(model, (problem, sol), rps, 0.01, "rps"))
+            reports.append(rps_priority_check(model, (problem, sol), rps, 0.01))
         else:
-            reports.append(
-                PropertyReport(
-                    "rps_envelope_slope", True, skipped=True, note="no headroom above the RPS level"
-                )
-            )
-            reports.append(
-                PropertyReport(
-                    "rps_increment_priority", True, skipped=True, note="no headroom above the RPS level"
-                )
-            )
+            note = "no headroom above the RPS level"
+            for prop_id in ("rps_envelope_slope", "rps_increment_priority"):
+                reports.append(PropertyReport(prop_id, True, skipped=True, note=note))
 
     return ScenarioResult(model, problem, sol, plan, duals, breakdown, tables, reports)
 
@@ -355,16 +354,19 @@ def inventory_matrix(
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One grid point; a failed point carries no revenue and no multipliers."""
+
     value: float
     status: str
     breakdown: RevenueBreakdown | None
-    mu: float
-    delta: float
+    mu: float | None
+    delta: float | None
     message: str = ""
 
     def to_dict(self) -> dict:
-        d = {"value": self.value, "status": self.status, "mu": self.mu, "delta": self.delta}
-        d.update(self.breakdown.to_dict() if self.breakdown else {})
+        d = {"value": self.value, "status": self.status}
+        if self.breakdown:
+            d.update(mu=self.mu, delta=self.delta, **self.breakdown.to_dict())
         if self.message:
             d["message"] = self.message
         return d
@@ -404,7 +406,7 @@ def _sweep_one(cfg: VppConfig, data: MarketData, param: str, value: float,
     try:
         model, problem, sol, plan = _solved(varied, data, settings)
     except SolveFailure as exc:
-        return SweepPoint(float(value), exc.status, None, 0.0, 0.0, message=str(exc))
+        return SweepPoint(float(value), exc.status, None, None, None, message=str(exc))
     duals = named_duals(problem, sol)
     return SweepPoint(
         float(value),
@@ -433,10 +435,9 @@ def parameter_sweep(
     grid = [float(v) for v in np.asarray(grid, dtype=float).ravel()]
     if not grid:
         raise ValueError("sweep grid is empty")
-    lo, hi = (0.0, 1.0)
     for v in grid:
-        if not (lo <= v <= hi):
-            raise ValueError(f"{param}={v:.6g} outside [{lo:.6g}, {hi:.6g}]")
+        if not (0.0 <= v <= 1.0):
+            raise ValidationError(f"{param}={v:.6g} outside [0, 1]")
     settings = settings or SolverSettings()
 
     workers = _worker_count(len(grid))

@@ -259,11 +259,12 @@ def sweep_charts(sweep: SweepResult) -> dict[str, str]:
 
 
 def save_charts(out_dir, charts: dict[str, str]) -> dict[str, Path]:
+    """Write each chart to ``out_dir``; keys are paths relative to its parent."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = {}
     for name, svg in charts.items():
         p = out_dir / f"{name}.svg"
         p.write_text(svg)
-        written[f"{name}.svg"] = p
+        written[f"{out_dir.name}/{name}.svg"] = p
     return written

@@ -13,6 +13,7 @@ from trimarket.analysis import (
     envelope_check,
     named_duals,
     rps_priority_check,
+    solve_for_param,
 )
 from trimarket.model import MarketData, default_config, recover_plan, validate_config
 from trimarket.qp import solve_qp
@@ -235,19 +236,15 @@ class TestAffineSensitivity:
 
 class TestExtraSolveChecks:
     def test_quota_envelope_on_small_instance(self):
-        cfg, data = rec_priority_case()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            model = validate_config(cfg, data)
-        rep = envelope_check(model, step=1.0, target="quota")
+        model, p, sol = solve(*rec_priority_case())
+        shifted = solve_for_param(model, "quota", model.quota + 1.0)
+        rep = envelope_check(model, (p, sol), shifted, 1.0, "quota")
         assert rep.holds
 
     def test_priority_check_asserts_with_flat_certificate_prices(self):
-        cfg, data = rec_priority_case()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            model = validate_config(cfg, data)
-        rep = rps_priority_check(model)
+        model, p, sol = solve(*rec_priority_case())
+        shifted = solve_for_param(model, "r", model.config.policy.r + 0.01)
+        rep = rps_priority_check(model, (p, sol), shifted, 0.01)
         assert not rep.skipped
         assert rep.holds
 
@@ -258,4 +255,4 @@ class TestExtraSolveChecks:
             warnings.simplefilter("ignore")
             model = validate_config(cfg, data)
         with pytest.raises(ValueError, match="domain"):
-            rps_priority_check(model, dr=0.01)
+            solve_for_param(model, "r", 0.995 + 0.01)

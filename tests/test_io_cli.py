@@ -302,6 +302,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "CHECK PASSED" in out
 
+        breakdown = (run / "breakdown.json").read_text()
+        (run / "breakdown.json").write_text(breakdown.replace('"status"', '"status" '))
+        assert main(["check", *base, "--run", str(run), "--strict"]) == 3
+        out = capsys.readouterr().out
+        assert "[fail] breakdown.json" in out and "CHECK FAILED" in out
+        (run / "breakdown.json").write_text(breakdown)
+        (run / "manifest.json").rename(run / "kept.json")
+        assert main(["check", *base, "--run", str(run)]) == 3
+        assert "[fail] manifest.json" in capsys.readouterr().out
+        (run / "kept.json").rename(run / "manifest.json")
+
         plan = (run / "plan.csv").read_text().splitlines()
         cells = plan[5].split(",")
         cells[1] = format(float(cells[1]) + 25.0, ".17g")
@@ -356,18 +367,24 @@ class TestCli:
         payload = json.loads((out / "sweep.json").read_text())
         assert payload["param"] == "alpha"
 
-    def test_sweep_bad_grid(self, workdir, capsys):
+    @pytest.mark.parametrize(
+        "grid, message",
+        [("1:0:5", "grid needs hi > lo"), ("0,0.3,2", "r=2 outside [0, 1]")],
+        ids=["1:0:5", "0,0.3,2"],
+    )
+    def test_sweep_bad_grid(self, workdir, capsys, grid, message):
         rc = main(
             [
                 "sweep",
                 "--config", str(workdir / "model.cfg"),
                 "--data", str(workdir / "market.csv"),
                 "--param", "r",
-                "--grid", "1:0:5",
+                "--grid", grid,
                 "--out", str(workdir / "x"),
             ]
         )
         assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_matrix_output(self, workdir, capsys):
         out = workdir / "mx"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import trimarket.analysis
+import trimarket.scenarios
 from trimarket.model import (
     EssParams,
     InventoryParams,
@@ -109,6 +111,29 @@ class TestRunScenario:
         with pytest.raises(SolveFailure):
             run_scenario(base_cfg, base_data, settings=SolverSettings(max_iter=2))
 
+    def test_full_mode_solves_each_problem_once(self, base_cfg, base_data, monkeypatch):
+        seen = []
+        for module in (trimarket.scenarios, trimarket.analysis):
+            def counted(problem, settings=None, _orig=module.solve_qp):
+                arrays = (problem.h_diag, problem.f, problem.a_eq.data, problem.a_eq.indices,
+                          problem.b_eq, problem.lb, problem.ub, problem.coup.data, problem.coup_rhs)
+                seen.append(b"".join(a.tobytes() for a in arrays))
+                return _orig(problem, settings)
+
+            monkeypatch.setattr(module, "solve_qp", counted)
+        run_scenario(base_cfg, base_data, properties="full")
+        assert len(seen) == 3
+        assert len(set(seen)) == 3
+
+    def test_full_mode_skips_checks_when_shifted_solve_fails(self):
+        # r = 0.5 is the highest feasible RPS level, so r + 0.01 is infeasible
+        cfg, data = _tiny_sweep_cfg()
+        res = run_scenario(cfg.with_policy(r=0.5), data, properties="full")
+        by_id = {r.prop_id: r for r in res.reports}
+        for prop_id in ("rps_envelope_slope", "rps_increment_priority"):
+            assert by_id[prop_id].skipped
+            assert "infeasible" in by_id[prop_id].note
+
 
 def _tiny_sweep_cfg():
     # three flat hours with half the load coverable by RES certificates:
@@ -141,6 +166,9 @@ class TestParameterSweep:
         assert sw.points[2].breakdown is None
         assert "retirement floor" in sw.points[2].message
         assert np.isnan(sw.profits()[2])
+        assert sw.points[2].mu is None and sw.points[2].delta is None
+        failed = sw.to_dict()["points"][2]
+        assert "mu" not in failed and "delta" not in failed
 
     def test_grid_validation(self, base_cfg, base_data):
         with pytest.raises(ValueError, match="empty"):
