@@ -192,6 +192,12 @@ def _biconditional_report(
         return PropertyReport(
             prop_id, True, skipped=True, note="trade cap unbounded; biconditional not applicable"
         )
+    if cap == 0.0:
+        # no hour can trade strictly inside a zero cap, yet the multiplier
+        # may still be positive through the other certificate sources
+        return PropertyReport(
+            prop_id, True, skipped=True, note="trade cap is 0; biconditional not applicable"
+        )
     slack = cap - np.abs(trade)
     has_slack = bool(np.any(slack > IDENT_RTOL * cap))
     positive = mult > MULT_EPS

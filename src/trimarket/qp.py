@@ -16,6 +16,15 @@ multipliers, a point is stationary when, componentwise,
 so for example the retirement floor's multiplier prices REC retirement and
 the quota ceiling's multiplier prices allowance headroom, both >= 0.
 
+Each interior-point iteration solves one bordered KKT system.  Its sparsity
+pattern is fixed for the whole solve and built once; an iteration only
+writes the diagonal (barrier terms and a static regularization) and factors
+the result with diagonal pivots in a symmetric minimum-degree order, which
+the quasi-definite matrix admits at a fraction of the fill of partial
+pivoting.  Every direction is refined against the unregularized matrix; when
+the refinement cannot reach its tolerance with a finite step, that
+iteration is refactored with partial pivoting and the direction redone.
+
 The interior-point iteration is followed by an active-set "polish": once the
 active set is identified, one sparse quasi-definite solve plus iterative
 refinement produces primal/dual values accurate to near machine precision,
@@ -35,7 +44,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import null_space
-from scipy.optimize import linprog
 from scipy.sparse.linalg import splu
 
 from .model import QpProblem
@@ -359,15 +367,44 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
 
 
 # static diagonal shifts: the interior-point KKT matrix is factored with
-# _KKT_REG (bumped 100x per failed factorization) so curvature-free
-# directions stay solvable; the polish uses _POLISH_EPS both for its
-# quasi-definite system and for its pull toward the hint iterate
+# +_KKT_REG on its primal diagonal and -_KKT_REG on its dual diagonal
+# (bumped 100x per failed factorization), which keeps curvature-free
+# directions solvable and makes the matrix quasi-definite, so it can be
+# factored with diagonal pivots in a symmetric fill-reducing order; the
+# polish uses _POLISH_EPS both for its quasi-definite system and for its
+# pull toward the hint iterate
 _KKT_REG = 1e-9
 _POLISH_EPS = 1e-10
 
 
-def _factor(k_mat: sp.csc_matrix):
+def _factor(k_mat: sp.csc_matrix, static: bool = False):
+    """Sparse LU of a KKT matrix; every factorization goes through splu here.
+
+    static=True pivots on the diagonal (unless a pivot is exactly zero) in a
+    minimum-degree order of A + A', which a quasi-definite matrix admits
+    and which keeps its fill a fraction of partial pivoting's.  The default
+    is COLAMD with partial pivoting: more fill, but it copes with any
+    conditioning.
+    """
+    if static:
+        return splu(k_mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True))
     return splu(k_mat, permc_spec="COLAMD")
+
+
+def _refined_solve(lu, k_mat: sp.csc_matrix, vec: np.ndarray, tol: float):
+    """lu.solve(vec) plus up to three refinement steps against k_mat.
+
+    Returns the step and whether its residual reached tol; a step with a
+    NaN or infinite residual never does.
+    """
+    step = lu.solve(vec)
+    for _ in range(3):
+        err = vec - k_mat @ step
+        if np.max(np.abs(err), initial=0.0) <= tol:
+            return step, True
+        step += lu.solve(err)
+    return step, bool(np.max(np.abs(vec - k_mat @ step), initial=0.0) <= tol)
 
 
 def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
@@ -421,6 +458,28 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
     zu = np.full(n_u, z0)
     zc = np.full(n_c, z0)
 
+    # Bordered augmented system [[D1, G'], [G, -D2]] with G = [A; C].  Its
+    # pattern, with an explicit entry on every diagonal, is built once; each
+    # iteration only writes the diagonal.  k_reg shares the pattern and holds
+    # the statically regularized copy that gets factored, while every
+    # direction is refined against k_true so barrier ill-conditioning cannot
+    # leak into the equality rows.
+    g = sp.vstack([a, cp])
+    k_true = sp.bmat([[sp.identity(n), g.T], [g, sp.identity(m + n_c)]], format="csc")
+    cols = np.repeat(np.arange(n + m + n_c), np.diff(k_true.indptr))
+    diag_pos = np.nonzero(k_true.indices == cols)[0]  # one entry per column
+    k_reg = sp.csc_matrix((k_true.data.copy(), k_true.indices, k_true.indptr), shape=k_true.shape)
+    reg_sign = np.concatenate([np.ones(n), -np.ones(m + n_c)])
+
+    def factor_kkt(static: bool):
+        for bump in range(4):
+            k_reg.data[diag_pos] = k_true.data[diag_pos] + _KKT_REG * (100.0 ** bump) * reg_sign
+            try:
+                return _factor(k_reg, static)
+            except RuntimeError:
+                continue
+        return None
+
     scale_p, scale_d = _scales(pre)
     mu0 = (sl @ zl + su @ zu + sc @ zc) / m_comp
     best: tuple | None = None
@@ -464,36 +523,23 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
             message = "diverging iterates"
             break
 
-        # bordered augmented system; only the diagonals change per iteration.
-        # Factor a statically regularized copy, but refine each direction
-        # against the true matrix so barrier ill-conditioning cannot leak
-        # into the equality rows.
         # clamp slack denominators: an underflowed slack must read as a huge
         # but finite diagonal entry, not an inf that poisons the factorization
         sl_d = np.maximum(sl, 1e-280)
         su_d = np.maximum(su, 1e-280)
         d1 = q + _scatter(zl / sl_d, lo, n) + _scatter(zu / su_d, up, n)
-        blocks = [
-            [sp.diags(d1), a.T, cp.T if n_c else None],
-            [a, None, None],
-            [cp if n_c else None, None, sp.diags(-(sc / np.maximum(zc, 1e-280))) if n_c else None],
-        ]
-        if n_c == 0:
-            blocks = [row[:2] for row in blocks[:2]]
-        k_true = sp.bmat(blocks, format="csc")
-        reg_sign = np.concatenate([np.ones(n), -np.ones(m), -np.ones(n_c)])
-        lu = None
-        for bump in range(4):
-            try:
-                lu = _factor((k_true + sp.diags(_KKT_REG * (100.0 ** bump) * reg_sign)).tocsc())
-                break
-            except RuntimeError:
-                continue
+        k_true.data[diag_pos] = np.concatenate([d1, np.zeros(m), -(sc / np.maximum(zc, 1e-280))])
+        static = True
+        lu = factor_kkt(static)
+        if lu is None:
+            static = False
+            lu = factor_kkt(static)
         if lu is None:
             message = "KKT factorization failed"
             break
 
         def solve_direction(rc_l, rc_u, rc_c):
+            nonlocal lu, static
             gl = (rc_l - zl * rp_l) / sl_d
             gu = (rc_u + zu * rp_u) / su_d
             rhs_x = -rd + _scatter(gl, lo, n) - _scatter(gu, up, n)
@@ -501,13 +547,18 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
             if n_c:
                 parts.append(-rp_c - rc_c / np.maximum(zc, 1e-280))
             vec = np.concatenate(parts)
-            step = lu.solve(vec)
-            v_scale = 1.0 + float(np.max(np.abs(vec), initial=0.0))
-            for _ in range(3):
-                err = vec - k_true @ step
-                if np.max(np.abs(err), initial=0.0) <= 1e-11 * v_scale:
-                    break
-                step += lu.solve(err)
+            tol = 1e-11 * (1.0 + float(np.max(np.abs(vec), initial=0.0)))
+            step, met = _refined_solve(lu, k_true, vec, tol)
+            if static and not met:
+                # diagonal pivots lost the accuracy refinement needs (the
+                # barrier diagonal can span tens of orders of magnitude):
+                # refactor with partial pivoting for the rest of this
+                # iteration and redo the direction
+                static = False
+                partial = factor_kkt(static)
+                if partial is not None:
+                    lu = partial
+                    step, _ = _refined_solve(lu, k_true, vec, tol)
             dx = step[:n]
             dy = -step[n : n + m]
             dzc = step[n + m :] if n_c else np.zeros(0)
@@ -526,7 +577,9 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
             + (su + ap * aff[6]) @ (zu + ad * aff[3])
             + (sc + ap * aff[7]) @ (zc + ad * aff[4])
         ) / m_comp
-        sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-8, 0.9999))
+        # capping the ratio at 1 before cubing gives the same sigma without
+        # overflowing when mu has collapsed on an infeasible problem
+        sigma = float(np.clip(min(max(mu_aff, 0.0) / mu, 1.0) ** 3, 1e-8, 0.9999))
 
         tau = 0.9995 if gap <= 1e-3 * (1.0 + abs(obj_min)) else 0.995
 
@@ -701,7 +754,7 @@ def _polish(p: QpProblem, pre: _Presolved, act_l, act_u, act_c, hint) -> Solutio
             z += lu.solve(resid)
         xh, wh = z[:n], z[n:]
         resid = true_target - np.concatenate([pre.q * xh + a_bar.T @ wh, a_bar @ xh])
-        if np.max(np.abs(resid), initial=0.0) > 1e-9 * scale:
+        if not (np.max(np.abs(resid), initial=0.0) <= 1e-9 * scale):  # NaN fails too
             return None
 
         v = -wh  # multipliers in the residual convention of kkt_residuals
@@ -751,6 +804,17 @@ def _polish(p: QpProblem, pre: _Presolved, act_l, act_u, act_c, hint) -> Solutio
 
 # ---------------------------------------------------------------------------
 # Feasibility probes
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first call.
+
+    Only the feasibility probes and the oracle need it, and importing
+    scipy.optimize up front would add about 0.2 s to every start.
+    """
+    from scipy.optimize import linprog as highs_linprog
+
+    return highs_linprog(*args, **kwargs)
 
 
 def _feasibility_probe(p: QpProblem, drop_coupling: tuple[int, ...] = ()) -> str:

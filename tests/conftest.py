@@ -1,8 +1,22 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import trimarket
 from trimarket.model import default_config
 from trimarket.scenarios import SynthSpec, run_scenario, synth_data
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _child_pythonpath():
+    # tests that start `python -m trimarket.cli` need the package under test
+    # importable in the child, also when only pytest's pythonpath found it
+    src = str(Path(trimarket.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -429,3 +429,13 @@ class TestCli:
         )
         assert out.returncode == 0
         assert __version__ in out.stdout
+
+    def test_cli_import_leaves_scipy_optimize_out(self):
+        # only the LP probes and the oracle need it; they import it on use
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, trimarket.cli; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"

@@ -125,6 +125,23 @@ class TestRunScenario:
         assert len(seen) == 3
         assert len(set(seen)) == 3
 
+    @pytest.mark.parametrize("c_cap", [np.inf, 0.0])
+    def test_zero_trade_cap_skips_multiplier_slack_biconditional(self, c_cap):
+        # the REC cap is 0, so no hour trades strictly inside it, while the
+        # binding floor gives mu > 0 through own renewables
+        cfg, data = _tiny_sweep_cfg()
+        res = run_scenario(cfg.with_policy(r=0.5).with_caps(c_cap=c_cap), data,
+                           properties="core")
+        assert res.duals.mu > 0
+        assert [r.prop_id for r in res.reports if not r.holds] == []
+        by_id = {r.prop_id: r for r in res.reports}
+        zero_cap = ["rps_multiplier_iff_rec_trade_slack"]
+        if c_cap == 0.0:
+            zero_cap.append("cer_multiplier_iff_trade_slack")
+        for prop_id in zero_cap:
+            assert by_id[prop_id].skipped
+            assert "trade cap is 0" in by_id[prop_id].note
+
     def test_full_mode_skips_checks_when_shifted_solve_fails(self):
         # r = 0.5 is the highest feasible RPS level, so r + 0.01 is infeasible
         cfg, data = _tiny_sweep_cfg()

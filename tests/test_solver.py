@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from trimarket.model import InventoryParams, TradeCaps, assemble_qp, recover_plan
+import trimarket.qp as qp
+from trimarket.model import InventoryParams, TradeCaps, assemble_qp, default_config, recover_plan
 from trimarket.qp import (
     INFEASIBLE,
     ITERATION_LIMIT,
@@ -14,6 +15,7 @@ from trimarket.qp import (
     kkt_residuals,
     solve_qp,
 )
+from trimarket.scenarios import SynthSpec, synth_data
 
 from _instances import build, hand_case, random_instance, solve
 
@@ -190,8 +192,6 @@ class TestInfeasibility:
         assert "quota" in sol.message
 
     def test_infeasible_solve_probes_full_problem_once(self, monkeypatch):
-        import trimarket.qp as qp
-
         coupling_rows = []
         real = qp.linprog
 
@@ -213,3 +213,83 @@ class TestInfeasibility:
         cfg, data = hand_case()
         _, p = build(cfg, data)
         assert diagnose_infeasibility(p) == "problem is feasible"
+
+
+STATIC_PIVOT = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True))
+PARTIAL_PIVOT = dict(permc_spec="COLAMD")
+
+
+def _phase_recorder(monkeypatch, module, attr):
+    """Record each call of module.attr with its kwargs and the solve phase.
+
+    The phase is "ipm" until the finisher's polish starts, "polish" after;
+    clearing the returned list starts a new solve.
+    """
+    calls = []
+    real_polish, real = qp._polish, getattr(module, attr)
+
+    def polish(*args, **kwargs):
+        calls.append(("polish starts", kwargs))
+        return real_polish(*args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        polishing = any(ph == "polish starts" for ph, _ in calls)
+        calls.append(("polish" if polishing else "ipm", kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qp, "_polish", polish)
+    monkeypatch.setattr(module, attr, recorded)
+    return calls
+
+
+def _synth_week():
+    _, p = build(default_config(168), synth_data(SynthSpec(horizon=168)))
+    return p
+
+
+class TestKktFactorization:
+    def test_interior_point_uses_static_symmetric_pivots(self, monkeypatch):
+        calls = _phase_recorder(monkeypatch, qp, "splu")
+        sol = solve_qp(_synth_week())
+        assert sol.status == OPTIMAL and sol.iterations == 10
+        # one factorization per iteration that takes a step, none falls back
+        assert [kw for ph, kw in calls if ph == "ipm"] == [STATIC_PIVOT] * 9
+        # the active-set polish keeps partial pivoting
+        assert [kw for ph, kw in calls if ph == "polish"] == [PARTIAL_PIVOT]
+
+    def test_partial_pivot_fallback_keeps_solve_optimal(self, monkeypatch):
+        # the barrier diagonal spans so many orders of magnitude that the
+        # static factor cannot refine one direction to tolerance
+        calls = _phase_recorder(monkeypatch, qp, "splu")
+        _, p = build(*random_instance(18))
+        sol = solve_qp(p)
+        assert sol.status == OPTIMAL
+        ipm = [kw for ph, kw in calls if ph == "ipm"]
+        assert ipm[0] == STATIC_PIVOT
+        assert PARTIAL_PIVOT in ipm
+
+    def test_kkt_pattern_built_once_per_solve(self, monkeypatch):
+        calls = _phase_recorder(monkeypatch, qp.sp, "bmat")
+        iterations = set()
+        for p in (build(*hand_case())[1], _synth_week(), build(*random_instance(18))[1]):
+            calls.clear()
+            sol = solve_qp(p)
+            assert sol.status == OPTIMAL
+            iterations.add(sol.iterations)
+            assert sum(ph == "ipm" for ph, _ in calls) == 1
+        assert len(iterations) == 3
+
+    def test_polish_rejects_non_finite_solve(self, monkeypatch):
+        class NanFactor:
+            def solve(self, rhs):
+                return np.full_like(rhs, np.nan)
+
+        monkeypatch.setattr(qp, "_factor", lambda k_mat, static=False: NanFactor())
+        _, p = build(*hand_case())
+        pre = _presolve(p)
+        n_l, n_u, n_c = len(pre.lo_idx), len(pre.up_idx), pre.coup.shape[0]
+        hint = (np.zeros(p.n), np.zeros(pre.a_ext.shape[0]), np.zeros(n_l), np.zeros(n_u),
+                np.zeros(n_c))
+        act = [np.zeros(k, dtype=bool) for k in (n_l, n_u, n_c)]
+        assert qp._polish(p, pre, *act, hint) is None
