@@ -113,7 +113,7 @@ def _settings(args) -> SolverSettings:
     if args.tol is not None:
         if args.tol <= 0:
             raise ConfigError("--tol must be positive")
-        kw = {"tol_primal": args.tol, "tol_dual": args.tol, "tol_gap": args.tol}
+        kw = {"tol": args.tol}
     if args.max_iter is not None:
         if args.max_iter < 1:
             raise ConfigError("--max-iter must be at least 1")

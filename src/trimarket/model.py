@@ -24,6 +24,9 @@ Positive trade quantities are sales.  Withdraw/deposit pairs are encoded as a
 single net flow ``x``; the sign split recovers the physical pair and makes the
 "no simultaneous withdraw and deposit" restriction hold by construction.
 Storage states are cyclic: the level before hour 1 equals the level at hour T.
+The state of charge follows ``q_t = q_{t-1} + eta_c*p_c_t - p_d_t/eta_d``:
+charging stores only a fraction ``eta_c`` of the power drawn, and
+discharging ``p_d`` takes ``p_d/eta_d`` out of storage.
 """
 
 from __future__ import annotations
@@ -462,8 +465,8 @@ def assemble_qp(model: ValidatedModel, *, quota_override: float | None = None) -
     for t in range(T):
         tp = (t - 1) % T  # cyclic predecessor
         r_ess = 6 * t + _EQ_POS["ess_dyn"]
-        put(r_ess, idx["p_c"][t], 1.0 / cfg.ess.eta_c)
-        put(r_ess, idx["p_d"][t], -cfg.ess.eta_d)
+        put(r_ess, idx["p_c"][t], cfg.ess.eta_c)
+        put(r_ess, idx["p_d"][t], -1.0 / cfg.ess.eta_d)
         put(r_ess, idx["q"][t], -1.0)
         put(r_ess, idx["q"][tp], 1.0)
 

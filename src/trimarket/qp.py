@@ -18,12 +18,14 @@ the quota ceiling's multiplier prices allowance headroom, both >= 0.
 
 Each interior-point iteration solves one bordered KKT system.  Its sparsity
 pattern is fixed for the whole solve and built once; an iteration only
-writes the diagonal (barrier terms and a static regularization) and factors
-the result with diagonal pivots in a symmetric minimum-degree order, which
-the quasi-definite matrix admits at a fraction of the fill of partial
-pivoting.  Every direction is refined against the unregularized matrix; when
-the refinement cannot reach its tolerance with a finite step, that
-iteration is refactored with partial pivoting and the direction redone.
+writes the diagonal (barrier terms plus one fixed regularizing shift) and
+factors the result with diagonal pivots in a symmetric minimum-degree
+order, which the quasi-definite matrix admits at a fraction of the fill of
+partial pivoting.  Every direction is refined against the unregularized
+matrix; when that factorization fails, or the refinement cannot reach its
+tolerance with a finite step, the iteration is refactored with partial
+pivoting and the direction redone.  The polish refines its solve with the
+same routine.
 
 The interior-point iteration is followed by an active-set "polish": once the
 active set is identified, one sparse quasi-definite solve plus iterative
@@ -67,17 +69,19 @@ ITERATION_LIMIT = "iteration_limit"
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Interior-point tolerances and iteration limits."""
+    """Interior-point tolerance and iteration limit.
 
-    tol_primal: float = 1e-8
-    tol_dual: float = 1e-8
-    tol_gap: float = 1e-8
+    tol bounds the primal residual, the dual residual and the
+    complementarity gap alike, each relative to the problem scale that
+    the stopping test applies to it.
+    """
+
+    tol: float = 1e-8
     max_iter: int = 200
 
     def __post_init__(self):
-        for name in ("tol_primal", "tol_dual", "tol_gap"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        if self.tol <= 0:
+            raise ValueError("tol must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -195,6 +199,11 @@ class _InfeasibleProblem(Exception):
     pass
 
 
+def _selector(idx: np.ndarray, n: int) -> sp.csr_matrix:
+    """Rows of the n x n identity picked by idx: one row per variable."""
+    return sp.csr_matrix((np.ones(len(idx)), (np.arange(len(idx)), idx)), shape=(len(idx), n))
+
+
 @dataclass
 class _Presolved:
     """Minimization-form data after pinning fixed variables.
@@ -270,31 +279,19 @@ def _presolve(p: QpProblem) -> _Presolved:
     for j in pin_idx:  # pinned vars leave the box constraints entirely
         lb[j], ub[j] = -np.inf, np.inf
 
-    m = p.m_eq
-    if len(pin_idx):
-        pin_mat = sp.coo_matrix(
-            (np.ones(len(pin_idx)), (np.arange(len(pin_idx)), pin_idx)), shape=(len(pin_idx), n)
-        )
-        a_ext = sp.vstack([p.a_eq, pin_mat]).tocsr()
-        b_ext = np.concatenate([p.b_eq, pin_val])
-    else:
-        a_ext = p.a_eq
-        b_ext = p.b_eq
-
-    kept = coup[keep_rows, :] if keep_rows else sp.csr_matrix((0, n))
     return _Presolved(
         q=-p.h_diag,
         c=-p.f,
-        a_ext=a_ext,
-        b_ext=b_ext,
-        m_orig=m,
+        a_ext=sp.vstack([p.a_eq, _selector(pin_idx, n)]).tocsr(),
+        b_ext=np.concatenate([p.b_eq, pin_val]),
+        m_orig=p.m_eq,
         pin_idx=pin_idx,
         lo_idx=np.nonzero(np.isfinite(lb))[0],
         up_idx=np.nonzero(np.isfinite(ub))[0],
         lb=lb,
         ub=ub,
-        coup=kept.tocsr(),
-        coup_rhs=p.coup_rhs[keep_rows] if keep_rows else np.zeros(0),
+        coup=coup[keep_rows, :],
+        coup_rhs=p.coup_rhs[keep_rows],
         keep_rows=keep_rows,
         dropped_rows=dropped_rows,
     )
@@ -310,8 +307,7 @@ def _finalize(p: QpProblem, pre: _Presolved, x, y_ext, zl_part, zu_part, zc_part
 
     pin_duals = dict(zip(pre.pin_idx.tolist(), y_ext[pre.m_orig:].tolist()))
     coupling = np.zeros(2)
-    if len(pre.keep_rows):
-        coupling[pre.keep_rows] = np.maximum(zc_part, 0.0)
+    coupling[pre.keep_rows] = np.maximum(zc_part, 0.0)
 
     handled = set()
     coup = p.coup.tocsr()
@@ -367,14 +363,20 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
 
 
 # static diagonal shifts: the interior-point KKT matrix is factored with
-# +_KKT_REG on its primal diagonal and -_KKT_REG on its dual diagonal
-# (bumped 100x per failed factorization), which keeps curvature-free
-# directions solvable and makes the matrix quasi-definite, so it can be
-# factored with diagonal pivots in a symmetric fill-reducing order; the
-# polish uses _POLISH_EPS both for its quasi-definite system and for its
-# pull toward the hint iterate
+# +_KKT_REG on its primal diagonal and -_KKT_REG on its dual diagonal, one
+# fixed shift per iteration, which keeps curvature-free directions solvable
+# and makes the matrix quasi-definite, so it can be factored with diagonal
+# pivots in a symmetric fill-reducing order; the polish uses _POLISH_EPS
+# both for its quasi-definite system and for its pull toward the hint
+# iterate.  Refinement against the unshifted matrix removes the shift's
+# error from every solve.
 _KKT_REG = 1e-9
 _POLISH_EPS = 1e-10
+
+# what splu raises when it cannot factor: RuntimeError for an exactly
+# singular matrix; MemoryError, or SystemError once SuperLU's own allocator
+# gives up ("Can't expand MemType 1"), when the fill exceeds the memory
+_FACTOR_ERRORS = (RuntimeError, MemoryError, SystemError)
 
 
 def _factor(k_mat: sp.csc_matrix, static: bool = False):
@@ -392,19 +394,23 @@ def _factor(k_mat: sp.csc_matrix, static: bool = False):
     return splu(k_mat, permc_spec="COLAMD")
 
 
-def _refined_solve(lu, k_mat: sp.csc_matrix, vec: np.ndarray, tol: float):
-    """lu.solve(vec) plus up to three refinement steps against k_mat.
+def _refined_solve(lu, k_mat: sp.csc_matrix, vec: np.ndarray, tol: float, step=None):
+    """Solve k_mat z = vec with the factor lu of a shifted copy of k_mat.
 
-    Returns the step and whether its residual reached tol; a step with a
-    NaN or infinite residual never does.
+    Starts from `step` (default lu.solve(vec)) and adds up to three
+    refinement steps against k_mat, stopping once the residual's max norm
+    is at most tol.  Returns the step and that norm; a step that is not
+    finite has a NaN or infinite norm, which no tolerance accepts.
     """
-    step = lu.solve(vec)
+    if step is None:
+        step = lu.solve(vec)
     for _ in range(3):
         err = vec - k_mat @ step
-        if np.max(np.abs(err), initial=0.0) <= tol:
-            return step, True
+        norm = float(np.max(np.abs(err), initial=0.0))
+        if norm <= tol:
+            return step, norm
         step += lu.solve(err)
-    return step, bool(np.max(np.abs(vec - k_mat @ step), initial=0.0) <= tol)
+    return step, float(np.max(np.abs(vec - k_mat @ step), initial=0.0))
 
 
 def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
@@ -446,13 +452,12 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
     up_only = np.isfinite(pre.ub) & ~np.isfinite(pre.lb)
     x[lo_only] = pre.lb[lo_only] + 1.0 + 0.1 * np.abs(pre.lb[lo_only])
     x[up_only] = pre.ub[up_only] - 1.0 - 0.1 * np.abs(pre.ub[up_only])
-    if len(pre.pin_idx):
-        x[pre.pin_idx] = b[pre.m_orig:]
+    x[pre.pin_idx] = b[pre.m_orig:]
 
     y = np.zeros(m)
     sl = np.maximum(x[lo] - lb_l, 1.0)
     su = np.maximum(ub_u - x[up], 1.0)
-    sc = np.maximum(d - cp @ x, 1.0) if n_c else np.zeros(0)
+    sc = np.maximum(d - cp @ x, 1.0)
     z0 = max(1.0, 0.1 * float(np.max(np.abs(c), initial=1.0)))
     zl = np.full(n_l, z0)
     zu = np.full(n_u, z0)
@@ -471,15 +476,6 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
     k_reg = sp.csc_matrix((k_true.data.copy(), k_true.indices, k_true.indptr), shape=k_true.shape)
     reg_sign = np.concatenate([np.ones(n), -np.ones(m + n_c)])
 
-    def factor_kkt(static: bool):
-        for bump in range(4):
-            k_reg.data[diag_pos] = k_true.data[diag_pos] + _KKT_REG * (100.0 ** bump) * reg_sign
-            try:
-                return _factor(k_reg, static)
-            except RuntimeError:
-                continue
-        return None
-
     scale_p, scale_d = _scales(pre)
     mu0 = (sl @ zl + su @ zu + sc @ zc) / m_comp
     best: tuple | None = None
@@ -487,13 +483,11 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
     converged, message = False, ""
     it = 0
     for it in range(1, s.max_iter + 1):
-        rd = q * x + c - a.T @ y - _scatter(zl, lo, n) + _scatter(zu, up, n)
-        if n_c:
-            rd += cp.T @ zc
+        rd = q * x + c - a.T @ y - _scatter(zl, lo, n) + _scatter(zu, up, n) + cp.T @ zc
         rp_eq = a @ x - b
         rp_l = x[lo] - sl - lb_l
         rp_u = x[up] + su - ub_u
-        rp_c = (cp @ x + sc - d) if n_c else np.zeros(0)
+        rp_c = cp @ x + sc - d
         gap = float(sl @ zl + su @ zu + sc @ zc)
         mu = gap / m_comp
 
@@ -513,9 +507,9 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
             best = (max(merit), (x.copy(), y.copy(), zl.copy(), zu.copy(), zc.copy()))
 
         if (
-            primal_inf <= s.tol_primal * scale_p
-            and dual_inf <= s.tol_dual * scale_d
-            and gap <= s.tol_gap * (1.0 + abs(obj_min))
+            primal_inf <= s.tol * scale_p
+            and dual_inf <= s.tol * scale_d
+            and gap <= s.tol * (1.0 + abs(obj_min))
         ):
             converged = True
             break
@@ -529,88 +523,93 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
         su_d = np.maximum(su, 1e-280)
         d1 = q + _scatter(zl / sl_d, lo, n) + _scatter(zu / su_d, up, n)
         k_true.data[diag_pos] = np.concatenate([d1, np.zeros(m), -(sc / np.maximum(zc, 1e-280))])
+        k_reg.data[diag_pos] = k_true.data[diag_pos] + _KKT_REG * reg_sign
         static = True
-        lu = factor_kkt(static)
-        if lu is None:
-            static = False
-            lu = factor_kkt(static)
-        if lu is None:
-            message = "KKT factorization failed"
-            break
+        try:
+            lu = _factor(k_reg, static)
+        except _FACTOR_ERRORS:
+            lu = None
 
         def solve_direction(rc_l, rc_u, rc_c):
             nonlocal lu, static
             gl = (rc_l - zl * rp_l) / sl_d
             gu = (rc_u + zu * rp_u) / su_d
             rhs_x = -rd + _scatter(gl, lo, n) - _scatter(gu, up, n)
-            parts = [rhs_x, -rp_eq]
-            if n_c:
-                parts.append(-rp_c - rc_c / np.maximum(zc, 1e-280))
-            vec = np.concatenate(parts)
+            vec = np.concatenate([rhs_x, -rp_eq, -rp_c - rc_c / np.maximum(zc, 1e-280)])
             tol = 1e-11 * (1.0 + float(np.max(np.abs(vec), initial=0.0)))
-            step, met = _refined_solve(lu, k_true, vec, tol)
-            if static and not met:
-                # diagonal pivots lost the accuracy refinement needs (the
-                # barrier diagonal can span tens of orders of magnitude):
-                # refactor with partial pivoting for the rest of this
-                # iteration and redo the direction
+            err = np.inf
+            if lu is not None:
+                step, err = _refined_solve(lu, k_true, vec, tol)
+            if static and not err <= tol:
+                # diagonal pivots failed to factor, or lost the accuracy
+                # refinement needs (the barrier diagonal can span tens of
+                # orders of magnitude): refactor with partial pivoting for
+                # the rest of this iteration and redo the direction; if
+                # that raises too, the loop stops below
                 static = False
-                partial = factor_kkt(static)
-                if partial is not None:
-                    lu = partial
-                    step, _ = _refined_solve(lu, k_true, vec, tol)
+                lu = _factor(k_reg)
+                step, _ = _refined_solve(lu, k_true, vec, tol)
             dx = step[:n]
             dy = -step[n : n + m]
-            dzc = step[n + m :] if n_c else np.zeros(0)
+            dzc = step[n + m :]
             dsl = dx[lo] + rp_l
             dsu = -dx[up] - rp_u
-            dsc = (-(cp @ dx) - rp_c) if n_c else np.zeros(0)
+            dsc = -(cp @ dx) - rp_c
             dzl = (rc_l - zl * dsl) / sl_d
             dzu = (rc_u - zu * dsu) / su_d
             return dx, dy, dzl, dzu, dzc, dsl, dsu, dsc
 
-        aff = solve_direction(-sl * zl, -su * zu, -sc * zc)
-        ap = min(1.0, _max_step(sl, aff[5]), _max_step(su, aff[6]), _max_step(sc, aff[7]))
-        ad = min(1.0, _max_step(zl, aff[2]), _max_step(zu, aff[3]), _max_step(zc, aff[4]))
-        mu_aff = (
-            (sl + ap * aff[5]) @ (zl + ad * aff[2])
-            + (su + ap * aff[6]) @ (zu + ad * aff[3])
-            + (sc + ap * aff[7]) @ (zc + ad * aff[4])
-        ) / m_comp
-        # capping the ratio at 1 before cubing gives the same sigma without
-        # overflowing when mu has collapsed on an infeasible problem
-        sigma = float(np.clip(min(max(mu_aff, 0.0) / mu, 1.0) ** 3, 1e-8, 0.9999))
-
-        tau = 0.9995 if gap <= 1e-3 * (1.0 + abs(obj_min)) else 0.995
-
-        def clipped_step(direction):
-            dxx, dyy, dzl_, dzu_, dzc_, dsl_, dsu_, dsc_ = direction
-            a_p = min(1.0, tau * _max_step(sl, dsl_), tau * _max_step(su, dsu_), tau * _max_step(sc, dsc_))
-            a_d = min(1.0, tau * _max_step(zl, dzl_), tau * _max_step(zu, dzu_), tau * _max_step(zc, dzc_))
-            nxt = (
-                (sl + a_p * dsl_) @ (zl + a_d * dzl_)
-                + (su + a_p * dsu_) @ (zu + a_d * dzu_)
-                + (sc + a_p * dsc_) @ (zc + a_d * dzc_)
+        def newton_step():
+            # Mehrotra predictor-corrector, with a centered fallback
+            aff = solve_direction(-sl * zl, -su * zu, -sc * zc)
+            ap = min(1.0, _max_step(sl, aff[5]), _max_step(su, aff[6]), _max_step(sc, aff[7]))
+            ad = min(1.0, _max_step(zl, aff[2]), _max_step(zu, aff[3]), _max_step(zc, aff[4]))
+            mu_aff = (
+                (sl + ap * aff[5]) @ (zl + ad * aff[2])
+                + (su + ap * aff[6]) @ (zu + ad * aff[3])
+                + (sc + ap * aff[7]) @ (zc + ad * aff[4])
             ) / m_comp
-            return a_p, a_d, nxt
+            # capping the ratio at 1 before cubing gives the same sigma without
+            # overflowing when mu has collapsed on an infeasible problem
+            sigma = float(np.clip(min(max(mu_aff, 0.0) / mu, 1.0) ** 3, 1e-8, 0.9999))
 
-        combined = solve_direction(
-            sigma * mu - sl * zl - aff[5] * aff[2],
-            sigma * mu - su * zu - aff[6] * aff[3],
-            sigma * mu - sc * zc - aff[7] * aff[4],
-        )
-        ap, ad, mu_next = clipped_step(combined)
-        direction = combined
-        if not (mu_next <= 0.95 * mu) or min(ap, ad) < 1e-10:
-            # second-order correction overshoots near a degenerate face;
-            # retry with a strongly centered first-order direction
-            sigma_c = max(sigma, 0.5)
-            centered = solve_direction(
-                sigma_c * mu - sl * zl, sigma_c * mu - su * zu, sigma_c * mu - sc * zc
+            tau = 0.9995 if gap <= 1e-3 * (1.0 + abs(obj_min)) else 0.995
+
+            def clipped_step(direction):
+                dxx, dyy, dzl_, dzu_, dzc_, dsl_, dsu_, dsc_ = direction
+                a_p = min(1.0, tau * _max_step(sl, dsl_), tau * _max_step(su, dsu_), tau * _max_step(sc, dsc_))
+                a_d = min(1.0, tau * _max_step(zl, dzl_), tau * _max_step(zu, dzu_), tau * _max_step(zc, dzc_))
+                nxt = (
+                    (sl + a_p * dsl_) @ (zl + a_d * dzl_)
+                    + (su + a_p * dsu_) @ (zu + a_d * dzu_)
+                    + (sc + a_p * dsc_) @ (zc + a_d * dzc_)
+                ) / m_comp
+                return a_p, a_d, nxt
+
+            combined = solve_direction(
+                sigma * mu - sl * zl - aff[5] * aff[2],
+                sigma * mu - su * zu - aff[6] * aff[3],
+                sigma * mu - sc * zc - aff[7] * aff[4],
             )
-            ap2, ad2, mu_next2 = clipped_step(centered)
-            if mu_next2 < mu_next:
-                direction, ap, ad, mu_next = centered, ap2, ad2, mu_next2
+            ap, ad, mu_next = clipped_step(combined)
+            direction = combined
+            if not (mu_next <= 0.95 * mu) or min(ap, ad) < 1e-10:
+                # second-order correction overshoots near a degenerate face;
+                # retry with a strongly centered first-order direction
+                sigma_c = max(sigma, 0.5)
+                centered = solve_direction(
+                    sigma_c * mu - sl * zl, sigma_c * mu - su * zu, sigma_c * mu - sc * zc
+                )
+                ap2, ad2, mu_next2 = clipped_step(centered)
+                if mu_next2 < mu_next:
+                    direction, ap, ad, mu_next = centered, ap2, ad2, mu_next2
+            return direction, ap, ad
+
+        try:
+            direction, ap, ad = newton_step()
+        except _FACTOR_ERRORS:
+            message = "KKT factorization failed"
+            break
         dx, dy, dzl, dzu, dzc, dsl, dsu, dsc = direction
         x += ap * dx
         sl += ap * dsl
@@ -661,6 +660,9 @@ def _finish(p: QpProblem, pre: _Presolved, s: SolverSettings, point, slacks, ite
     sol = _polish(p, pre, zl / scale_d > sl / scale_x, zu / scale_d > su / scale_x,
                   zc / scale_d > sc / scale_x, point)
     if converged and not _meets_tolerances(sol, s, scale_p, scale_d):
+        # no corpus solve reaches this, but it answers when the polish
+        # cannot factor its matrix, e.g. when SuperLU runs out of memory
+        # on a year-long horizon
         sol = _finalize(p, pre, *point)
     if _meets_tolerances(sol, s, scale_p, scale_d):
         return replace(sol, iterations=iterations)
@@ -682,9 +684,9 @@ def _meets_tolerances(sol: Solution | None, s: SolverSettings, scale_p: float,
         return False
     r = sol.residuals
     return (
-        r.primal_inf <= s.tol_primal * scale_p
-        and r.dual_inf <= s.tol_dual * scale_d
-        and r.comp_gap <= s.tol_gap * (1.0 + abs(sol.objective))
+        r.primal_inf <= s.tol * scale_p
+        and r.dual_inf <= s.tol * scale_d
+        and r.comp_gap <= s.tol * (1.0 + abs(sol.objective))
     )
 
 
@@ -709,53 +711,28 @@ def _polish(p: QpProblem, pre: _Presolved, act_l, act_u, act_c, hint) -> Solutio
         lo_act = pre.lo_idx[act_l]
         up_act = pre.up_idx[act_u]
         c_act_idx = np.nonzero(act_c)[0]
-        rows = [pre.a_ext]
-        rhs = [pre.b_ext]
+        a_bar = sp.vstack([pre.a_ext, _selector(lo_act, n), _selector(up_act, n),
+                           pre.coup[c_act_idx, :]]).tocsr()
+        r_bar = np.concatenate([pre.b_ext, pre.lb[lo_act], pre.ub[up_act], pre.coup_rhs[c_act_idx]])
         # stationarity convention: contributions -y, -zl, +zu, +zc, so the
         # stacked hint multiplier is w = (-y, -zl, +zu, +zc) on active rows
-        w_hint = [-y_hint]
-        if len(lo_act):
-            rows.append(sp.coo_matrix(
-                (np.ones(len(lo_act)), (np.arange(len(lo_act)), lo_act)), shape=(len(lo_act), n)))
-            rhs.append(pre.lb[lo_act])
-            w_hint.append(-zl_hint[act_l])
-        if len(up_act):
-            rows.append(sp.coo_matrix(
-                (np.ones(len(up_act)), (np.arange(len(up_act)), up_act)), shape=(len(up_act), n)))
-            rhs.append(pre.ub[up_act])
-            w_hint.append(zu_hint[act_u])
-        if len(c_act_idx):
-            rows.append(pre.coup[c_act_idx, :])
-            rhs.append(pre.coup_rhs[c_act_idx])
-            w_hint.append(zc_hint[c_act_idx])
-        a_bar = sp.vstack(rows).tocsr()
-        r_bar = np.concatenate(rhs)
+        w_hint = np.concatenate([-y_hint, -zl_hint[act_l], zu_hint[act_u], zc_hint[c_act_idx]])
         m_bar = a_bar.shape[0]
 
-        k_mat = sp.bmat(
-            [[sp.diags(pre.q + _POLISH_EPS), a_bar.T],
-             [a_bar, -_POLISH_EPS * sp.identity(m_bar)]],
-            format="csc",
-        )
+        k_true = sp.bmat([[sp.diags(pre.q), a_bar.T], [a_bar, None]], format="csc")
+        shift = _POLISH_EPS * np.concatenate([np.ones(n), -np.ones(m_bar)])
         try:
-            lu = _factor(k_mat)
-        except RuntimeError:
+            lu = _factor(k_true + sp.diags(shift))
+        except _FACTOR_ERRORS:
             return None
 
         true_target = np.concatenate([-pre.c, r_bar])
-        biased = true_target + _POLISH_EPS * np.concatenate([x_hint, -np.concatenate(w_hint)])
-        z = lu.solve(biased)
+        biased = true_target + _POLISH_EPS * np.concatenate([x_hint, -w_hint])
         scale = 1.0 + float(np.max(np.abs(true_target), initial=0.0))
-        for _r in range(5):
-            xh, wh = z[:n], z[n:]
-            resid = true_target - np.concatenate([pre.q * xh + a_bar.T @ wh, a_bar @ xh])
-            if np.max(np.abs(resid), initial=0.0) <= 1e-12 * scale:
-                break
-            z += lu.solve(resid)
-        xh, wh = z[:n], z[n:]
-        resid = true_target - np.concatenate([pre.q * xh + a_bar.T @ wh, a_bar @ xh])
-        if not (np.max(np.abs(resid), initial=0.0) <= 1e-9 * scale):  # NaN fails too
+        z, err = _refined_solve(lu, k_true, true_target, 1e-12 * scale, lu.solve(biased))
+        if not err <= 1e-9 * scale:  # NaN fails too
             return None
+        xh, wh = z[:n], z[n:]
 
         v = -wh  # multipliers in the residual convention of kkt_residuals
         ofs = pre.a_ext.shape[0]
@@ -782,9 +759,7 @@ def _polish(p: QpProblem, pre: _Presolved, act_l, act_u, act_c, hint) -> Solutio
         lo_all, up_all = pre.lo_idx, pre.up_idx
         if np.any(pre.lb[lo_all] - xh[lo_all] > feas_tol) or np.any(xh[up_all] - pre.ub[up_all] > feas_tol):
             return None
-        if pre.coup.shape[0] and np.any(
-            pre.coup @ xh - pre.coup_rhs > feas_tol * (1.0 + np.abs(pre.coup_rhs))
-        ):
+        if np.any(pre.coup @ xh - pre.coup_rhs > feas_tol * (1.0 + np.abs(pre.coup_rhs))):
             return None
 
         # exact complementarity: snap active primals, keep inactive duals at zero

@@ -1,0 +1,124 @@
+"""Differential corpus for solve_qp: dump one tree's answers, compare two dumps.
+
+    python tests/solver_corpus.py dump OUT.json
+    python tests/solver_corpus.py compare A.json B.json
+
+``dump`` solves 2426 problems with the ``trimarket`` package found on the
+import path (set ``PYTHONPATH`` to pick a checkout) and writes, per solve,
+the status, iteration count, message, objective and primal vector.  The
+corpus is ``random_instance`` seeds 0-599 x {default, ``r_min=0.95``} x
+``max_iter`` {200, 8}, plus 26 synth-data solves at T=168-672: default,
+uncapped, r = 0.995, an unmeetable REC floor, and two with lossy storage.
+It takes about 40 s on a 2-core VM.
+
+``compare`` prints the status, iteration, message and objective (1e-8
+relative) mismatch counts and the largest |dx| over solves with the same
+status, for all solves and for the lossless-storage ones (eta_c = eta_d =
+1) alone.  Not collected by pytest (the file name does not match test_*).
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import warnings
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+
+def _synth_cases():
+    from trimarket.model import EssParams, default_config
+    from trimarket.scenarios import SynthSpec, synth_data
+
+    def case(name, seed, horizon=168, tweak=lambda cfg: cfg):
+        cfg = tweak(default_config(horizon))
+        return name, cfg, synth_data(SynthSpec(seed=seed, horizon=horizon))
+
+    def lossy(cfg):
+        return type(cfg)(**{**cfg.__dict__, "ess": EssParams(40.0, 40.0, 80.0, 0.95, 0.9)})
+
+    cases = [case(f"synth168/{s}", s) for s in range(1, 13)]
+    cases += [case(f"synth336/{s}", s, 336) for s in (1, 2, 3, 4)]
+    cases += [case("synth672/7", 7, 672)]
+    for s in (7, 8):
+        cases.append(case(f"uncapped/{s}", s, tweak=lambda c: c.with_caps(
+            g_cap=float("inf"), r_cap=float("inf"), c_cap=float("inf"))))
+    for s in (7, 8, 2007):
+        cases.append(case(f"r0995/{s}", s, tweak=lambda c: c.with_policy(r=0.995)))
+    for s in (7, 8):
+        cases.append(case(f"rec_floor_unmeetable/{s}", s, tweak=lambda c: c.with_inventories(
+            rec=False, cer=True).with_caps(r_cap=0.0).with_policy(r=1.0)))
+    for s in (7, 8):
+        cases.append(case(f"lossy/{s}", s, tweak=lossy))
+    return cases
+
+
+def _record(cfg, problem, settings):
+    from trimarket.qp import solve_qp
+
+    sol = solve_qp(problem, settings)
+    return {
+        "status": sol.status,
+        "iterations": sol.iterations,
+        "message": sol.message,
+        "objective": sol.objective,
+        "x": sol.x.tolist(),
+        "lossless": cfg.ess.eta_c == 1.0 and cfg.ess.eta_d == 1.0,
+    }
+
+
+def dump(out: str) -> None:
+    from _instances import build, random_instance
+    from trimarket.qp import SolverSettings
+
+    records = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for seed in range(600):
+            for r_min in (0.0, 0.95):
+                cfg, data = random_instance(seed, r_min=r_min)
+                _, problem = build(cfg, data)
+                for max_iter in (200, 8):
+                    key = f"random/{seed}/r_min={r_min}/max_iter={max_iter}"
+                    records[key] = _record(cfg, problem, SolverSettings(max_iter=max_iter))
+        for name, cfg, data in _synth_cases():
+            _, problem = build(cfg, data)
+            records[name] = _record(cfg, problem, SolverSettings())
+    Path(out).write_text(json.dumps(records))
+    print(f"{len(records)} solves written to {out}")
+
+
+def _same_objective(a: float, b: float) -> bool:
+    if a != a or b != b:  # NaN objective on every non-optimal status
+        return a != a and b != b
+    return abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b))
+
+
+def compare(path_a: str, path_b: str) -> None:
+    a = json.loads(Path(path_a).read_text())
+    b = json.loads(Path(path_b).read_text())
+    if a.keys() != b.keys():
+        sys.exit(f"the dumps hold different solves ({len(a)} vs {len(b)})")
+    for label, keys in (("all", list(a)), ("lossless", [k for k in a if a[k]["lossless"]])):
+        counts = dict.fromkeys(("status", "iterations", "message", "objective"), 0)
+        max_dx = 0.0
+        for k in keys:
+            ra, rb = a[k], b[k]
+            for field in ("status", "iterations", "message"):
+                counts[field] += ra[field] != rb[field]
+            counts["objective"] += not _same_objective(ra["objective"], rb["objective"])
+            if ra["status"] == rb["status"]:
+                dx = max((abs(u - v) for u, v in zip(ra["x"], rb["x"])), default=0.0)
+                max_dx = max(max_dx, dx)
+        mism = ", ".join(f"{n} {c}" for n, c in counts.items())
+        print(f"{label}: {len(keys)} solves; mismatches: {mism}; max |dx| {max_dx:.3g}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 3 and sys.argv[1] == "dump":
+        dump(sys.argv[2])
+    elif len(sys.argv) == 4 and sys.argv[1] == "compare":
+        compare(sys.argv[2], sys.argv[3])
+    else:
+        sys.exit(__doc__)

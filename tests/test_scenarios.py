@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from trimarket.model import (
     TgParams,
     TradeCaps,
     VppConfig,
+    default_config,
 )
 from trimarket.qp import SolverSettings
 from trimarket.scenarios import (
@@ -150,6 +153,21 @@ class TestRunScenario:
         for prop_id in ("rps_envelope_slope", "rps_increment_priority"):
             assert by_id[prop_id].skipped
             assert "infeasible" in by_id[prop_id].note
+
+    @pytest.mark.parametrize("r", [0.9, 0.995])
+    def test_lossy_storage_loses_energy(self, r):
+        # q_t = q_{t-1} + eta_c*p_c - p_d/eta_d: over the cyclic horizon the
+        # stored energy balances, and losses can only cost profit
+        data = synth_data(SynthSpec(seed=8))
+        lossless = default_config(168).with_policy(r=r)
+        lossy = dataclasses.replace(lossless,
+                                    ess=EssParams(40.0, 40.0, 80.0, eta_c=0.95, eta_d=0.9))
+        base = run_scenario(lossless, data, properties="none")
+        res = run_scenario(lossy, data, properties="core")
+        assert res.profit < base.profit
+        stored = 0.95 * res.plan.p_c.sum()
+        assert stored == pytest.approx(res.plan.p_d.sum() / 0.9, rel=1e-6)
+        assert [rep.prop_id for rep in res.reports if not rep.holds] == []
 
 
 def _tiny_sweep_cfg():

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import trimarket.qp as qp
-from trimarket.model import InventoryParams, TradeCaps, assemble_qp, default_config, recover_plan
+from trimarket.model import (
+    EssParams,
+    InventoryParams,
+    TradeCaps,
+    assemble_qp,
+    default_config,
+    recover_plan,
+)
 from trimarket.qp import (
     INFEASIBLE,
     ITERATION_LIMIT,
@@ -13,6 +20,7 @@ from trimarket.qp import (
     _presolve,
     diagnose_infeasibility,
     kkt_residuals,
+    oracle_solve,
     solve_qp,
 )
 from trimarket.scenarios import SynthSpec, synth_data
@@ -87,8 +95,8 @@ class TestSolverBehaviour:
         assert sol.status == ITERATION_LIMIT
 
     def test_settings_validated(self):
-        with pytest.raises(ValueError, match="tol_primal"):
-            SolverSettings(tol_primal=0.0)
+        with pytest.raises(ValueError, match="tol"):
+            SolverSettings(tol=0.0)
         with pytest.raises(ValueError, match="max_iter"):
             SolverSettings(max_iter=0)
 
@@ -128,9 +136,9 @@ class TestSolverBehaviour:
                                 np.max(np.abs(pre.coup_rhs), initial=0.0))
             scale_d = 1.0 + np.max(np.abs(pre.c), initial=0.0)
             res = kkt_residuals(p, sol)
-            assert res.primal_inf <= s.tol_primal * scale_p, seed
-            assert res.dual_inf <= s.tol_dual * scale_d, seed
-            assert res.comp_gap <= s.tol_gap * (1.0 + abs(sol.objective)), seed
+            assert res.primal_inf <= s.tol * scale_p, seed
+            assert res.dual_inf <= s.tol * scale_d, seed
+            assert res.comp_gap <= s.tol * (1.0 + abs(sol.objective)), seed
 
     def test_every_variable_pinned(self):
         # presolve pins everything, so no inequality reaches the solver: the
@@ -293,3 +301,73 @@ class TestKktFactorization:
                 np.zeros(n_c))
         act = [np.zeros(k, dtype=bool) for k in (n_l, n_u, n_c)]
         assert qp._polish(p, pre, *act, hint) is None
+
+    def test_static_factor_error_falls_back_in_same_iteration(self, monkeypatch):
+        real, failed = qp.splu, []
+
+        def first_static_raises(*args, **kwargs):
+            if kwargs == STATIC_PIVOT and not failed:
+                failed.append(True)
+                raise RuntimeError("Factor is exactly singular")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qp, "splu", first_static_raises)
+        calls = _phase_recorder(monkeypatch, qp, "splu")
+        sol = solve_qp(_synth_week())
+        assert sol.status == OPTIMAL and sol.iterations == 10
+        # partial pivoting follows the failed static factor within the same
+        # iteration; the next iteration starts with static pivots again
+        ipm = [kw for ph, kw in calls if ph == "ipm"]
+        assert ipm == [STATIC_PIVOT, PARTIAL_PIVOT] + [STATIC_PIVOT] * 8
+
+    @pytest.mark.parametrize("error", [MemoryError, SystemError])
+    def test_polish_out_of_memory_falls_back_to_converged_iterate(self, monkeypatch, error):
+        # SuperLU out of memory raises MemoryError, or SystemError once its
+        # own allocator gives up; the polish is the only partial-pivot
+        # factorization on this problem
+        real, failed = qp.splu, []
+
+        def colamd_fails(*args, **kwargs):
+            if kwargs.get("permc_spec") == "COLAMD":
+                failed.append(True)
+                raise error("Can't expand MemType 1")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qp, "splu", colamd_fails)
+        sol = solve_qp(_synth_week())
+        assert failed == [True]
+        assert sol.status == OPTIMAL and sol.iterations == 10
+
+    @pytest.mark.parametrize("error", [MemoryError, SystemError])
+    def test_factor_out_of_memory_is_a_status(self, monkeypatch, error):
+        def always_fails(*args, **kwargs):
+            raise error("Can't expand MemType 1")
+
+        monkeypatch.setattr(qp, "splu", always_fails)
+        _, p = build(*hand_case())
+        sol = solve_qp(p)
+        assert sol.status == ITERATION_LIMIT
+        assert sol.message == "KKT factorization failed"
+
+    def test_interior_point_without_coupling_rows_matches_oracle(self):
+        # alpha = 0 and a retirement floor at its box minimum (r0 capped at
+        # r * load): presolve pins both coupling rows away, so the
+        # interior-point method runs with no coupling block at all.  Free
+        # certificates and an idle ESS keep the floor's multiplier at zero,
+        # which is what _finalize gives a dropped row that is not plain.
+        cfg, data = hand_case()
+        cfg = dataclasses.replace(cfg, ess=EssParams(0.0, 0.0, 0.0)).with_policy(alpha=0.0)
+        data = dataclasses.replace(data, pi_r=np.array([0.0]))
+        _, p = build(cfg, data)
+        ub = p.ub.copy()
+        ub[p.layout.indices("r0")] = cfg.policy.r * data.l
+        p = dataclasses.replace(p, ub=ub)
+        pre = _presolve(p)
+        assert pre.coup.shape[0] == 0 and pre.dropped_rows == [0, 1]
+        sol = solve_qp(p)
+        ref = oracle_solve(p)
+        assert sol.status == ref.status == OPTIMAL and sol.iterations > 0
+        # the optimal face is not a point (free certificates), so compare
+        # the objective and the coupling multipliers, not x
+        assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
+        np.testing.assert_allclose(sol.ineq_duals.coupling, ref.ineq_duals.coupling, atol=1e-6)
