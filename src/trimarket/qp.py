@@ -16,16 +16,24 @@ multipliers, a point is stationary when, componentwise,
 so for example the retirement floor's multiplier prices REC retirement and
 the quota ceiling's multiplier prices allowance headroom, both >= 0.
 
-Each interior-point iteration solves one bordered KKT system.  Its sparsity
-pattern is fixed for the whole solve and built once; an iteration only
-writes the diagonal (barrier terms plus one fixed regularizing shift) and
-factors the result with diagonal pivots in a symmetric minimum-degree
-order, which the quasi-definite matrix admits at a fraction of the fill of
-partial pivoting.  Every direction is refined against the unregularized
-matrix; when that factorization fails, or the refinement cannot reach its
-tolerance with a finite step, the iteration is refactored with partial
-pivoting and the direction redone.  The polish refines its solve with the
-same routine.
+Internally, after presolve, every inequality sits in one block
+g x + w = h with one slack vector w >= 0 and one multiplier vector z >= 0
+(the textbook form of Wright, Primal-Dual Interior-Point Methods, 1997):
+the finite lower bounds as rows -x_j <= -lb_j, then the finite upper
+bounds, then the coupling rows.  The iteration, the polish and the map
+back to (zl, zu, zc) all work on that one block.
+
+Each interior-point iteration solves one bordered KKT system: the bound
+rows of the block fold into its primal diagonal and the coupling rows stay
+bordered.  Its sparsity pattern is fixed for the whole solve and built
+once; an iteration only writes the diagonal (barrier terms plus one fixed
+regularizing shift) and factors the result with diagonal pivots in a
+symmetric minimum-degree order, which the quasi-definite matrix admits at
+a fraction of the fill of partial pivoting.  Every direction is refined
+against the unregularized matrix; when that factorization fails, or the
+refinement cannot reach its tolerance with a finite step, the iteration is
+refactored with partial pivoting and the direction redone.  The polish
+refines its solve with the same routine.
 
 The interior-point iteration is followed by an active-set "polish": once the
 active set is identified, one sparse quasi-definite solve plus iterative
@@ -211,7 +219,11 @@ class _Presolved:
     Variables with lb == ub, and variables forced to a bound by a coupling
     row whose right-hand side equals the row's minimum over the box, are
     re-expressed as appended equality rows so the barrier only ever sees
-    strictly widenable intervals.
+    strictly widenable intervals.  Every remaining inequality sits in one
+    block g x <= h, read by the solver as g x + w = h with one slack w >= 0
+    and one multiplier z >= 0 per row: first -x_j <= -lb_j for each
+    variable in lo_idx, then x_j <= ub_j for each in up_idx, then the kept
+    coupling rows.
     """
 
     q: np.ndarray              # diagonal of the (PSD) minimization Hessian
@@ -224,8 +236,9 @@ class _Presolved:
     up_idx: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    coup: sp.csr_matrix        # kept coupling rows
-    coup_rhs: np.ndarray
+    g: sp.csr_matrix           # inequality block: lower bounds, upper bounds, coupling
+    h: np.ndarray
+    coup_rhs: np.ndarray       # right-hand sides of the kept coupling rows
     keep_rows: list[int]
     dropped_rows: list[int]    # coupling rows absorbed into pins
 
@@ -278,6 +291,8 @@ def _presolve(p: QpProblem) -> _Presolved:
     pin_val = np.array([pins[j] for j in pin_idx])
     for j in pin_idx:  # pinned vars leave the box constraints entirely
         lb[j], ub[j] = -np.inf, np.inf
+    lo_idx = np.nonzero(np.isfinite(lb))[0]
+    up_idx = np.nonzero(np.isfinite(ub))[0]
 
     return _Presolved(
         q=-p.h_diag,
@@ -286,53 +301,52 @@ def _presolve(p: QpProblem) -> _Presolved:
         b_ext=np.concatenate([p.b_eq, pin_val]),
         m_orig=p.m_eq,
         pin_idx=pin_idx,
-        lo_idx=np.nonzero(np.isfinite(lb))[0],
-        up_idx=np.nonzero(np.isfinite(ub))[0],
+        lo_idx=lo_idx,
+        up_idx=up_idx,
         lb=lb,
         ub=ub,
-        coup=coup[keep_rows, :],
+        g=sp.vstack([-_selector(lo_idx, n), _selector(up_idx, n), coup[keep_rows, :]]).tocsr(),
+        h=np.concatenate([-lb[lo_idx], ub[up_idx], p.coup_rhs[keep_rows]]),
         coup_rhs=p.coup_rhs[keep_rows],
         keep_rows=keep_rows,
         dropped_rows=dropped_rows,
     )
 
 
-def _finalize(p: QpProblem, pre: _Presolved, x, y_ext, zl_part, zu_part, zc_part) -> Solution:
-    """Map presolved-space duals back to the original constraint families."""
-    n = p.n
-    zl = np.zeros(n)
-    zu = np.zeros(n)
-    zl[pre.lo_idx] = np.maximum(zl_part, 0.0)
-    zu[pre.up_idx] = np.maximum(zu_part, 0.0)
+def _finalize(p: QpProblem, pre: _Presolved, x, y_ext, z) -> Solution:
+    """Map presolved-space duals back to the original constraint families.
 
-    pin_duals = dict(zip(pre.pin_idx.tolist(), y_ext[pre.m_orig:].tolist()))
+    y_ext holds one dual per row of a_ext and z one multiplier per row of
+    the inequality block g.
+    """
+    n_l = len(pre.lo_idx)
+    n_b = n_l + len(pre.up_idx)
+    z = np.maximum(z, 0.0)
+    zl = np.zeros(p.n)
+    zu = np.zeros(p.n)
     coupling = np.zeros(2)
-    coupling[pre.keep_rows] = np.maximum(zc_part, 0.0)
+    zl[pre.lo_idx] = z[:n_l]
+    zu[pre.up_idx] = z[n_l:n_b]
+    coupling[pre.keep_rows] = z[n_b:]
 
-    handled = set()
+    # zl - zu of each pinned variable, first from its pin row's dual alone
+    w = np.zeros(p.n)
+    w[pre.pin_idx] = y_ext[pre.m_orig:]
     coup = p.coup.tocsr()
     for k in pre.dropped_rows:
-        # a dropped row holds with equality; recover the smallest nonnegative
-        # row multiplier consistent with stationarity of its pinned variables
-        row = coup.getrow(k)
-        plain = all(
-            v == 1.0 and np.isfinite(p.lb[j]) and not np.isfinite(p.ub[j])
-            for j, v in zip(row.indices, row.data)
-        )
-        if plain:
-            need = max([0.0] + [-pin_duals.get(int(j), 0.0) for j in row.indices])
-            coupling[k] = need
-            for j in row.indices:
-                zl[j] = max(need + pin_duals.get(int(j), 0.0), 0.0)
-                handled.add(int(j))
-        # else: leave the multiplier at zero; residuals will report the gap
-
-    for j, w in pin_duals.items():
-        if j in handled:
-            continue
-        # fixed interval: the signed multiplier splits across the two sides
-        zl[j] = max(w, 0.0)
-        zu[j] = max(-w, 0.0)
+        # a dropped row holds with equality; its multiplier zeta enters
+        # stationarity as v_j * zeta on each of its variables.  Take the
+        # smallest zeta >= 0 that leaves every variable with lb < ub priced
+        # on the side of the bound the row pinned it to: w_j + v_j * zeta
+        # >= 0 at a lower bound (v_j > 0), <= 0 at an upper one (v_j < 0)
+        cols = coup.indices[coup.indptr[k] : coup.indptr[k + 1]]
+        vals = coup.data[coup.indptr[k] : coup.indptr[k + 1]]
+        free = (p.lb[cols] < p.ub[cols]) & (vals != 0)
+        coupling[k] = float(np.max(-w[cols[free]] / vals[free], initial=0.0))
+        w[cols] += vals * coupling[k]
+    # a pinned variable's signed multiplier splits across the two sides
+    zl[pre.pin_idx] = np.maximum(w[pre.pin_idx], 0.0)
+    zu[pre.pin_idx] = np.maximum(-w[pre.pin_idx], 0.0)
 
     lam = -y_ext[: pre.m_orig]
     sol = Solution(
@@ -347,12 +361,6 @@ def _finalize(p: QpProblem, pre: _Presolved, x, y_ext, zl_part, zu_part, zc_part
 
 # ---------------------------------------------------------------------------
 # Mehrotra predictor-corrector
-
-
-def _scatter(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros(n)
-    out[idx] = values
-    return out
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -430,19 +438,16 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
     n = p.n
     q, c = pre.q, pre.c
     a, b = pre.a_ext, pre.b_ext
-    cp, d = pre.coup, pre.coup_rhs
-    lo, up = pre.lo_idx, pre.up_idx
-    lb_l, ub_u = pre.lb[lo], pre.ub[up]
-    n_l, n_u, n_c = len(lo), len(up), cp.shape[0]
-    m = a.shape[0]
-    m_comp = n_l + n_u + n_c
+    g, h = pre.g, pre.h
+    m, m_comp = a.shape[0], g.shape[0]
+    n_b = len(pre.lo_idx) + len(pre.up_idx)  # bound rows lead the block
 
     if m_comp == 0:
         # every variable pinned or free: the polish from the zero point with
         # nothing active is the one equality-constrained solve
         none = np.zeros(0)
-        return _finish(p, pre, s, (np.zeros(n), np.zeros(m), none, none, none), (none, none, none),
-                       0, False, "equality-constrained solve failed")
+        return _finish(p, pre, s, (np.zeros(n), np.zeros(m), none), none, 0, False,
+                       "equality-constrained solve failed")
 
     # strictly interior start; x need not satisfy the equalities
     x = np.zeros(n)
@@ -455,48 +460,47 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
     x[pre.pin_idx] = b[pre.m_orig:]
 
     y = np.zeros(m)
-    sl = np.maximum(x[lo] - lb_l, 1.0)
-    su = np.maximum(ub_u - x[up], 1.0)
-    sc = np.maximum(d - cp @ x, 1.0)
-    z0 = max(1.0, 0.1 * float(np.max(np.abs(c), initial=1.0)))
-    zl = np.full(n_l, z0)
-    zu = np.full(n_u, z0)
-    zc = np.full(n_c, z0)
+    w = np.maximum(h - g @ x, 1.0)
+    z = np.full(m_comp, max(1.0, 0.1 * float(np.max(np.abs(c), initial=1.0))))
 
-    # Bordered augmented system [[D1, G'], [G, -D2]] with G = [A; C].  Its
-    # pattern, with an explicit entry on every diagonal, is built once; each
-    # iteration only writes the diagonal.  k_reg shares the pattern and holds
-    # the statically regularized copy that gets factored, while every
-    # direction is refined against k_true so barrier ill-conditioning cannot
-    # leak into the equality rows.
-    g = sp.vstack([a, cp])
-    k_true = sp.bmat([[sp.identity(n), g.T], [g, sp.identity(m + n_c)]], format="csc")
-    cols = np.repeat(np.arange(n + m + n_c), np.diff(k_true.indptr))
+    # Bordered augmented system [[D1, G'], [G, -D2]] with G = [A; C], where
+    # C holds the coupling rows of the inequality block; its bound rows are
+    # folded into the primal diagonal D1.  The pattern, with an explicit
+    # entry on every diagonal, is built once; each iteration only writes the
+    # diagonal.  k_reg shares the pattern and holds the statically
+    # regularized copy that gets factored, while every direction is refined
+    # against k_true so barrier ill-conditioning cannot leak into the
+    # equality rows.
+    bound_var = np.concatenate([pre.lo_idx, pre.up_idx])  # variable of each bound row
+    gb_t = g[:n_b].T.tocsr()
+    gm = sp.vstack([a, g[n_b:]])
+    k_true = sp.bmat([[sp.identity(n), gm.T], [gm, sp.identity(gm.shape[0])]], format="csc")
+    cols = np.repeat(np.arange(k_true.shape[0]), np.diff(k_true.indptr))
     diag_pos = np.nonzero(k_true.indices == cols)[0]  # one entry per column
     k_reg = sp.csc_matrix((k_true.data.copy(), k_true.indices, k_true.indptr), shape=k_true.shape)
-    reg_sign = np.concatenate([np.ones(n), -np.ones(m + n_c)])
+    reg_sign = np.concatenate([np.ones(n), -np.ones(gm.shape[0])])
 
+    # complementarity sums are np.sum(w * z), not w @ z: a 1-D product of
+    # more than about 10,000 elements goes to the BLAS ddot, which in
+    # OpenBLAS spins up a second thread and doubles the CPU time of a
+    # T=672 solve without saving wall time
     scale_p, scale_d = _scales(pre)
-    mu0 = (sl @ zl + su @ zu + sc @ zc) / m_comp
+    mu0 = float(np.sum(w * z)) / m_comp
     best: tuple | None = None
 
     converged, message = False, ""
     it = 0
     for it in range(1, s.max_iter + 1):
-        rd = q * x + c - a.T @ y - _scatter(zl, lo, n) + _scatter(zu, up, n) + cp.T @ zc
+        rd = q * x + c - a.T @ y + g.T @ z
         rp_eq = a @ x - b
-        rp_l = x[lo] - sl - lb_l
-        rp_u = x[up] + su - ub_u
-        rp_c = cp @ x + sc - d
-        gap = float(sl @ zl + su @ zu + sc @ zc)
+        rp_in = g @ x + w - h
+        gap = float(np.sum(w * z))
         mu = gap / m_comp
 
         obj_min = float(0.5 * (q * x) @ x + c @ x)
         primal_inf = max(
             float(np.max(np.abs(rp_eq), initial=0.0)),
-            float(np.max(np.abs(rp_l), initial=0.0)),
-            float(np.max(np.abs(rp_u), initial=0.0)),
-            float(np.max(np.abs(rp_c), initial=0.0)),
+            float(np.max(np.abs(rp_in), initial=0.0)),
         )
         dual_inf = float(np.max(np.abs(rd), initial=0.0))
         if not np.isfinite(mu) or not np.all(np.isfinite(x)):
@@ -504,7 +508,7 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
             break
         merit = (primal_inf / scale_p, dual_inf / scale_d, gap / (1.0 + abs(obj_min)))
         if best is None or max(merit) < best[0]:
-            best = (max(merit), (x.copy(), y.copy(), zl.copy(), zu.copy(), zc.copy()))
+            best = (max(merit), (x.copy(), y.copy(), z.copy()))
 
         if (
             primal_inf <= s.tol * scale_p
@@ -516,13 +520,19 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
         if mu > 1e10 * (1.0 + mu0) or np.max(np.abs(x)) > 1e13:
             message = "diverging iterates"
             break
+        if not mu > 0.0:
+            # every slack-multiplier product underflowed: no centering
+            # target is left (seen on infeasible problems only)
+            message = "complementarity collapsed to zero"
+            break
 
-        # clamp slack denominators: an underflowed slack must read as a huge
-        # but finite diagonal entry, not an inf that poisons the factorization
-        sl_d = np.maximum(sl, 1e-280)
-        su_d = np.maximum(su, 1e-280)
-        d1 = q + _scatter(zl / sl_d, lo, n) + _scatter(zu / su_d, up, n)
-        k_true.data[diag_pos] = np.concatenate([d1, np.zeros(m), -(sc / np.maximum(zc, 1e-280))])
+        # clamp denominators: an underflowed slack or coupling multiplier
+        # must read as a huge but finite diagonal entry, not an inf that
+        # poisons the factorization
+        w_b = np.maximum(w[:n_b], 1e-280)
+        z_c = np.maximum(z[n_b:], 1e-280)
+        d1 = q + np.bincount(bound_var, z[:n_b] / w_b, minlength=n)
+        k_true.data[diag_pos] = np.concatenate([d1, np.zeros(m), -(w[n_b:] / z_c)])
         k_reg.data[diag_pos] = k_true.data[diag_pos] + _KKT_REG * reg_sign
         static = True
         try:
@@ -530,12 +540,12 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
         except _FACTOR_ERRORS:
             lu = None
 
-        def solve_direction(rc_l, rc_u, rc_c):
+        def solve_direction(rc):
+            # Newton direction whose linearized complementarity change
+            # z*dw + w*dz equals rc
             nonlocal lu, static
-            gl = (rc_l - zl * rp_l) / sl_d
-            gu = (rc_u + zu * rp_u) / su_d
-            rhs_x = -rd + _scatter(gl, lo, n) - _scatter(gu, up, n)
-            vec = np.concatenate([rhs_x, -rp_eq, -rp_c - rc_c / np.maximum(zc, 1e-280)])
+            rhs_x = -rd - gb_t @ ((rc[:n_b] + z[:n_b] * rp_in[:n_b]) / w_b)
+            vec = np.concatenate([rhs_x, -rp_eq, -rp_in[n_b:] - rc[n_b:] / z_c])
             tol = 1e-11 * (1.0 + float(np.max(np.abs(vec), initial=0.0)))
             err = np.inf
             if lu is not None:
@@ -550,25 +560,16 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
                 lu = _factor(k_reg)
                 step, _ = _refined_solve(lu, k_true, vec, tol)
             dx = step[:n]
-            dy = -step[n : n + m]
-            dzc = step[n + m :]
-            dsl = dx[lo] + rp_l
-            dsu = -dx[up] - rp_u
-            dsc = -(cp @ dx) - rp_c
-            dzl = (rc_l - zl * dsl) / sl_d
-            dzu = (rc_u - zu * dsu) / su_d
-            return dx, dy, dzl, dzu, dzc, dsl, dsu, dsc
+            dw = -(g @ dx) - rp_in
+            dz = np.concatenate([(rc[:n_b] - z[:n_b] * dw[:n_b]) / w_b, step[n + m :]])
+            return dx, -step[n : n + m], dz, dw
 
         def newton_step():
             # Mehrotra predictor-corrector, with a centered fallback
-            aff = solve_direction(-sl * zl, -su * zu, -sc * zc)
-            ap = min(1.0, _max_step(sl, aff[5]), _max_step(su, aff[6]), _max_step(sc, aff[7]))
-            ad = min(1.0, _max_step(zl, aff[2]), _max_step(zu, aff[3]), _max_step(zc, aff[4]))
-            mu_aff = (
-                (sl + ap * aff[5]) @ (zl + ad * aff[2])
-                + (su + ap * aff[6]) @ (zu + ad * aff[3])
-                + (sc + ap * aff[7]) @ (zc + ad * aff[4])
-            ) / m_comp
+            aff = solve_direction(-w * z)
+            ap = min(1.0, _max_step(w, aff[3]))
+            ad = min(1.0, _max_step(z, aff[2]))
+            mu_aff = float(np.sum((w + ap * aff[3]) * (z + ad * aff[2]))) / m_comp
             # capping the ratio at 1 before cubing gives the same sigma without
             # overflowing when mu has collapsed on an infeasible problem
             sigma = float(np.clip(min(max(mu_aff, 0.0) / mu, 1.0) ** 3, 1e-8, 0.9999))
@@ -576,30 +577,18 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
             tau = 0.9995 if gap <= 1e-3 * (1.0 + abs(obj_min)) else 0.995
 
             def clipped_step(direction):
-                dxx, dyy, dzl_, dzu_, dzc_, dsl_, dsu_, dsc_ = direction
-                a_p = min(1.0, tau * _max_step(sl, dsl_), tau * _max_step(su, dsu_), tau * _max_step(sc, dsc_))
-                a_d = min(1.0, tau * _max_step(zl, dzl_), tau * _max_step(zu, dzu_), tau * _max_step(zc, dzc_))
-                nxt = (
-                    (sl + a_p * dsl_) @ (zl + a_d * dzl_)
-                    + (su + a_p * dsu_) @ (zu + a_d * dzu_)
-                    + (sc + a_p * dsc_) @ (zc + a_d * dzc_)
-                ) / m_comp
-                return a_p, a_d, nxt
+                _, _, dz_, dw_ = direction
+                a_p = min(1.0, tau * _max_step(w, dw_))
+                a_d = min(1.0, tau * _max_step(z, dz_))
+                return a_p, a_d, float(np.sum((w + a_p * dw_) * (z + a_d * dz_))) / m_comp
 
-            combined = solve_direction(
-                sigma * mu - sl * zl - aff[5] * aff[2],
-                sigma * mu - su * zu - aff[6] * aff[3],
-                sigma * mu - sc * zc - aff[7] * aff[4],
-            )
+            combined = solve_direction(sigma * mu - w * z - aff[3] * aff[2])
             ap, ad, mu_next = clipped_step(combined)
             direction = combined
             if not (mu_next <= 0.95 * mu) or min(ap, ad) < 1e-10:
                 # second-order correction overshoots near a degenerate face;
                 # retry with a strongly centered first-order direction
-                sigma_c = max(sigma, 0.5)
-                centered = solve_direction(
-                    sigma_c * mu - sl * zl, sigma_c * mu - su * zu, sigma_c * mu - sc * zc
-                )
+                centered = solve_direction(max(sigma, 0.5) * mu - w * z)
                 ap2, ad2, mu_next2 = clipped_step(centered)
                 if mu_next2 < mu_next:
                     direction, ap, ad, mu_next = centered, ap2, ad2, mu_next2
@@ -610,18 +599,14 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
         except _FACTOR_ERRORS:
             message = "KKT factorization failed"
             break
-        dx, dy, dzl, dzu, dzc, dsl, dsu, dsc = direction
+        dx, dy, dz, dw = direction
         x += ap * dx
-        sl += ap * dsl
-        su += ap * dsu
-        sc += ap * dsc
+        w += ap * dw
         y += ad * dy
-        zl += ad * dzl
-        zu += ad * dzu
-        zc += ad * dzc
+        z += ad * dz
 
     if converged:
-        point = (x, y, zl, zu, zc)
+        point = (x, y, z)
     elif best is not None:
         # Rescue: the best-merit iterate may sit at the optimum with only
         # complementarity unresolved (degenerate face).  Its duals are paired
@@ -631,7 +616,7 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
         point = best[1]
     else:
         return _unsolved(p, it, message)
-    return _finish(p, pre, s, point, (sl, su, sc), it, converged, message)
+    return _finish(p, pre, s, point, w, it, converged, message)
 
 
 def _scales(pre: _Presolved) -> tuple[float, float]:
@@ -643,22 +628,20 @@ def _scales(pre: _Presolved) -> tuple[float, float]:
     return scale_p, 1.0 + float(np.max(np.abs(pre.c), initial=0.0))
 
 
-def _finish(p: QpProblem, pre: _Presolved, s: SolverSettings, point, slacks, iterations: int,
+def _finish(p: QpProblem, pre: _Presolved, s: SolverSettings, point, w, iterations: int,
             converged: bool, message: str) -> Solution:
     """The one exit of solve_qp after presolve.
 
-    `point` is an iterate (x, y, zl, zu, zc) and `slacks` the (sl, su, sc)
-    used to predict its active set.  The polish runs once on that set; if
-    it fails and the interior-point method converged, the iterate itself is
-    the candidate.  The candidate is returned as "optimal" only if it meets
-    the tolerances; otherwise the LP probe decides the status.
+    `point` is an iterate (x, y, z) and `w` the slacks of the inequality
+    block used to predict its active set.  The polish runs once on that
+    set; if it fails and the interior-point method converged, the iterate
+    itself is the candidate.  The candidate is returned as "optimal" only
+    if it meets the tolerances; otherwise the LP probe decides the status.
     """
-    x, _, zl, zu, zc = point
-    sl, su, sc = slacks
+    x, _, z = point
     scale_p, scale_d = _scales(pre)
     scale_x = 1.0 + float(np.max(np.abs(x), initial=0.0))
-    sol = _polish(p, pre, zl / scale_d > sl / scale_x, zu / scale_d > su / scale_x,
-                  zc / scale_d > sc / scale_x, point)
+    sol = _polish(p, pre, z / scale_d > w / scale_x, point)
     if converged and not _meets_tolerances(sol, s, scale_p, scale_d):
         # no corpus solve reaches this, but it answers when the polish
         # cannot factor its matrix, e.g. when SuperLU runs out of memory
@@ -670,10 +653,13 @@ def _finish(p: QpProblem, pre: _Presolved, s: SolverSettings, point, slacks, ite
 
 
 def _unsolved(p: QpProblem, iterations: int, message: str) -> Solution:
-    """Non-optimal exit: the LP probe tells "infeasible" from "iteration_limit"."""
+    """Non-optimal exit: the LP probe tells "infeasible" from "iteration_limit".
+
+    An infeasible problem always carries the probes' diagnosis; `message`,
+    why the iteration stopped, only explains an iteration limit.
+    """
     if _feasibility_probe(p) == INFEASIBLE:
-        return _empty_solution(p, INFEASIBLE, message=message or _name_conflict(p),
-                               iterations=iterations)
+        return _empty_solution(p, INFEASIBLE, message=_name_conflict(p), iterations=iterations)
     return _empty_solution(p, ITERATION_LIMIT, message=message or "tolerances not reached",
                            iterations=iterations)
 
@@ -690,33 +676,30 @@ def _meets_tolerances(sol: Solution | None, s: SolverSettings, scale_p: float,
     )
 
 
-def _polish(p: QpProblem, pre: _Presolved, act_l, act_u, act_c, hint) -> Solution | None:
+def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
     """Quasi-definite solve on the predicted active set, then verify.
 
-    `hint` is an interior-point iterate (x, y, zl, zu, zc); the regularized
-    system is biased toward it so that on a degenerate optimal face the
-    solve selects a sign-feasible multiplier set instead of the minimal-norm
-    one.  When an active bound still gets a negative multiplier, the row is
-    released and the system re-solved, crossover-style.  Returns None when
-    no sign- and bound-feasible point emerges.
+    `act` marks the active rows of the inequality block and `hint` is an
+    interior-point iterate (x, y, z); the regularized system is biased
+    toward it so that on a degenerate optimal face the solve selects a
+    sign-feasible multiplier set instead of the minimal-norm one.  When an
+    active row still gets a negative multiplier, it is released and the
+    system re-solved, crossover-style.  Returns None when no sign- and
+    bound-feasible point emerges.
     """
-    n = p.n
-    act_l = np.array(act_l, dtype=bool, copy=True)
-    act_u = np.array(act_u, dtype=bool, copy=True)
-    act_c = np.array(act_c, dtype=bool, copy=True)
+    n, m = p.n, pre.a_ext.shape[0]
+    n_l = len(pre.lo_idx)
+    n_b = n_l + len(pre.up_idx)
+    act = np.array(act, dtype=bool, copy=True)
     dual_tol = 1e-7 * (1.0 + float(np.max(np.abs(pre.c), initial=0.0)))
-    x_hint, y_hint, zl_hint, zu_hint, zc_hint = hint
+    x_hint, y_hint, z_hint = hint
 
     for _ in range(8):
-        lo_act = pre.lo_idx[act_l]
-        up_act = pre.up_idx[act_u]
-        c_act_idx = np.nonzero(act_c)[0]
-        a_bar = sp.vstack([pre.a_ext, _selector(lo_act, n), _selector(up_act, n),
-                           pre.coup[c_act_idx, :]]).tocsr()
-        r_bar = np.concatenate([pre.b_ext, pre.lb[lo_act], pre.ub[up_act], pre.coup_rhs[c_act_idx]])
-        # stationarity convention: contributions -y, -zl, +zu, +zc, so the
-        # stacked hint multiplier is w = (-y, -zl, +zu, +zc) on active rows
-        w_hint = np.concatenate([-y_hint, -zl_hint[act_l], zu_hint[act_u], zc_hint[c_act_idx]])
+        rows = np.nonzero(act)[0]
+        a_bar = sp.vstack([pre.a_ext, pre.g[rows]]).tocsr()
+        # stationarity convention: equality rows contribute -y and active
+        # inequality rows +z, so the stacked hint multiplier is (-y, z)
+        u_hint = np.concatenate([-y_hint, z_hint[rows]])
         m_bar = a_bar.shape[0]
 
         k_true = sp.bmat([[sp.diags(pre.q), a_bar.T], [a_bar, None]], format="csc")
@@ -726,53 +709,35 @@ def _polish(p: QpProblem, pre: _Presolved, act_l, act_u, act_c, hint) -> Solutio
         except _FACTOR_ERRORS:
             return None
 
-        true_target = np.concatenate([-pre.c, r_bar])
-        biased = true_target + _POLISH_EPS * np.concatenate([x_hint, -w_hint])
+        true_target = np.concatenate([-pre.c, pre.b_ext, pre.h[rows]])
+        biased = true_target + _POLISH_EPS * np.concatenate([x_hint, -u_hint])
         scale = 1.0 + float(np.max(np.abs(true_target), initial=0.0))
-        z, err = _refined_solve(lu, k_true, true_target, 1e-12 * scale, lu.solve(biased))
+        step, err = _refined_solve(lu, k_true, true_target, 1e-12 * scale, lu.solve(biased))
         if not err <= 1e-9 * scale:  # NaN fails too
             return None
-        xh, wh = z[:n], z[n:]
+        xh, z_act = step[:n], step[n + m :]
 
-        v = -wh  # multipliers in the residual convention of kkt_residuals
-        ofs = pre.a_ext.shape[0]
-        v_eq = v[:ofs]
-        zl_act = v[ofs : ofs + len(lo_act)]          # enter stationarity as +zl
-        ofs += len(lo_act)
-        zu_act = -v[ofs : ofs + len(up_act)]
-        ofs += len(up_act)
-        zc_act = -v[ofs:]
-
-        bad_l = zl_act < -dual_tol
-        bad_u = zu_act < -dual_tol
-        bad_c = zc_act < -dual_tol
-        if bad_l.any() or bad_u.any() or bad_c.any():
+        bad = z_act < -dual_tol
+        if bad.any():
             # release the offending rows and try again
-            keep = np.nonzero(act_l)[0]
-            act_l[keep[bad_l]] = False
-            keep = np.nonzero(act_u)[0]
-            act_u[keep[bad_u]] = False
-            act_c[c_act_idx[bad_c]] = False
+            act[rows[bad]] = False
             continue
 
         feas_tol = 1e-7 * (1.0 + float(np.max(np.abs(xh), initial=0.0)))
-        lo_all, up_all = pre.lo_idx, pre.up_idx
-        if np.any(pre.lb[lo_all] - xh[lo_all] > feas_tol) or np.any(xh[up_all] - pre.ub[up_all] > feas_tol):
+        viol = pre.g @ xh - pre.h
+        if np.any(viol[:n_b] > feas_tol):
             return None
-        if np.any(pre.coup @ xh - pre.coup_rhs > feas_tol * (1.0 + np.abs(pre.coup_rhs))):
+        if np.any(viol[n_b:] > feas_tol * (1.0 + np.abs(pre.h[n_b:]))):
             return None
 
         # exact complementarity: snap active primals, keep inactive duals at zero
-        xh = xh.copy()
+        lo_act = pre.lo_idx[act[:n_l]]
+        up_act = pre.up_idx[act[n_l:n_b]]
         xh[lo_act] = pre.lb[lo_act]
         xh[up_act] = pre.ub[up_act]
-        zl_full = np.zeros(len(lo_all))
-        zu_full = np.zeros(len(up_all))
-        zl_full[np.nonzero(act_l)[0]] = np.maximum(zl_act, 0.0)
-        zu_full[np.nonzero(act_u)[0]] = np.maximum(zu_act, 0.0)
-        zc_full = np.zeros(pre.coup.shape[0])
-        zc_full[c_act_idx] = np.maximum(zc_act, 0.0)
-        return _finalize(p, pre, xh, v_eq, zl_full, zu_full, zc_full)
+        z = np.zeros(len(act))
+        z[rows] = z_act
+        return _finalize(p, pre, xh, -step[n : n + m], z)
 
     return None
 

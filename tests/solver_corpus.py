@@ -5,7 +5,9 @@
 
 ``dump`` solves 2426 problems with the ``trimarket`` package found on the
 import path (set ``PYTHONPATH`` to pick a checkout) and writes, per solve,
-the status, iteration count, message, objective and primal vector.  The
+the status, iteration count, message, objective and primal vector, and
+how many ``qp.splu`` calls it made with each ``permc_spec`` (the wrapper
+needs nothing from the solver but that module attribute).  The
 corpus is ``random_instance`` seeds 0-599 x {default, ``r_min=0.95``} x
 ``max_iter`` {200, 8}, plus 26 synth-data solves at T=168-672: default,
 uncapped, r = 0.995, an unmeetable REC floor, and two with lossy storage.
@@ -14,7 +16,10 @@ It takes about 40 s on a 2-core VM.
 ``compare`` prints the status, iteration, message and objective (1e-8
 relative) mismatch counts and the largest |dx| over solves with the same
 status, for all solves and for the lossless-storage ones (eta_c = eta_d =
-1) alone.  Not collected by pytest (the file name does not match test_*).
+1) alone.  It also prints both trees' totals of partial-pivot (COLAMD)
+factorizations, the interior-point fallbacks plus the polish, and the
+number of solves whose count changed.  Not collected by pytest (the file
+name does not match test_*).
 """
 
 from __future__ import annotations
@@ -54,9 +59,10 @@ def _synth_cases():
     return cases
 
 
-def _record(cfg, problem, settings):
+def _record(cfg, problem, settings, factors):
     from trimarket.qp import solve_qp
 
+    factors.clear()
     sol = solve_qp(problem, settings)
     return {
         "status": sol.status,
@@ -65,13 +71,28 @@ def _record(cfg, problem, settings):
         "objective": sol.objective,
         "x": sol.x.tolist(),
         "lossless": cfg.ess.eta_c == 1.0 and cfg.ess.eta_d == 1.0,
+        "splu": dict(factors),
     }
 
 
-def dump(out: str) -> None:
-    from _instances import build, random_instance
-    from trimarket.qp import SolverSettings
+def _count_factors(qp) -> dict:
+    """Wrap qp.splu so that each call counts under its permc_spec."""
+    factors, real = {}, qp.splu
 
+    def counted(*args, **kwargs):
+        spec = kwargs.get("permc_spec", "COLAMD")
+        factors[spec] = factors.get(spec, 0) + 1
+        return real(*args, **kwargs)
+
+    qp.splu = counted
+    return factors
+
+
+def dump(out: str) -> None:
+    import trimarket.qp as qp
+    from _instances import build, random_instance
+
+    factors = _count_factors(qp)
     records = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -81,10 +102,10 @@ def dump(out: str) -> None:
                 _, problem = build(cfg, data)
                 for max_iter in (200, 8):
                     key = f"random/{seed}/r_min={r_min}/max_iter={max_iter}"
-                    records[key] = _record(cfg, problem, SolverSettings(max_iter=max_iter))
+                    records[key] = _record(cfg, problem, qp.SolverSettings(max_iter=max_iter), factors)
         for name, cfg, data in _synth_cases():
             _, problem = build(cfg, data)
-            records[name] = _record(cfg, problem, SolverSettings())
+            records[name] = _record(cfg, problem, qp.SolverSettings(), factors)
     Path(out).write_text(json.dumps(records))
     print(f"{len(records)} solves written to {out}")
 
@@ -113,6 +134,11 @@ def compare(path_a: str, path_b: str) -> None:
                 max_dx = max(max_dx, dx)
         mism = ", ".join(f"{n} {c}" for n, c in counts.items())
         print(f"{label}: {len(keys)} solves; mismatches: {mism}; max |dx| {max_dx:.3g}")
+    partial_a = [a[k]["splu"].get("COLAMD", 0) for k in a]
+    partial_b = [b[k]["splu"].get("COLAMD", 0) for k in a]
+    changed = sum(u != v for u, v in zip(partial_a, partial_b))
+    print(f"partial-pivot factorizations: {sum(partial_a)} vs {sum(partial_b)}; "
+          f"{changed} solves changed count")
 
 
 if __name__ == "__main__":

@@ -152,7 +152,7 @@ class TestSolverBehaviour:
         off = dataclasses.replace(pinned, lb=x + 1.0, ub=x + 1.0, coup_rhs=p.coup @ (x + 1.0))
         res = solve_qp(off)
         assert res.status == INFEASIBLE
-        assert res.message == "equality-constrained solve failed"
+        assert res.message == "infeasible: balance equations conflict with variable bounds"
 
     def test_degenerate_coupling_rows(self):
         # r = 0 and alpha = 0 zero out both coupling rows
@@ -296,11 +296,10 @@ class TestKktFactorization:
         monkeypatch.setattr(qp, "_factor", lambda k_mat, static=False: NanFactor())
         _, p = build(*hand_case())
         pre = _presolve(p)
-        n_l, n_u, n_c = len(pre.lo_idx), len(pre.up_idx), pre.coup.shape[0]
-        hint = (np.zeros(p.n), np.zeros(pre.a_ext.shape[0]), np.zeros(n_l), np.zeros(n_u),
-                np.zeros(n_c))
-        act = [np.zeros(k, dtype=bool) for k in (n_l, n_u, n_c)]
-        assert qp._polish(p, pre, *act, hint) is None
+        m_in = pre.g.shape[0]
+        hint = (np.zeros(p.n), np.zeros(pre.a_ext.shape[0]), np.zeros(m_in))
+        act = np.zeros(m_in, dtype=bool)
+        assert qp._polish(p, pre, act, hint) is None
 
     def test_static_factor_error_falls_back_in_same_iteration(self, monkeypatch):
         real, failed = qp.splu, []
@@ -353,8 +352,7 @@ class TestKktFactorization:
         # alpha = 0 and a retirement floor at its box minimum (r0 capped at
         # r * load): presolve pins both coupling rows away, so the
         # interior-point method runs with no coupling block at all.  Free
-        # certificates and an idle ESS keep the floor's multiplier at zero,
-        # which is what _finalize gives a dropped row that is not plain.
+        # certificates and an idle ESS keep the floor's multiplier at zero.
         cfg, data = hand_case()
         cfg = dataclasses.replace(cfg, ess=EssParams(0.0, 0.0, 0.0)).with_policy(alpha=0.0)
         data = dataclasses.replace(data, pi_r=np.array([0.0]))
@@ -363,7 +361,8 @@ class TestKktFactorization:
         ub[p.layout.indices("r0")] = cfg.policy.r * data.l
         p = dataclasses.replace(p, ub=ub)
         pre = _presolve(p)
-        assert pre.coup.shape[0] == 0 and pre.dropped_rows == [0, 1]
+        assert pre.g.shape[0] == len(pre.lo_idx) + len(pre.up_idx)
+        assert pre.dropped_rows == [0, 1]
         sol = solve_qp(p)
         ref = oracle_solve(p)
         assert sol.status == ref.status == OPTIMAL and sol.iterations > 0
@@ -371,3 +370,28 @@ class TestKktFactorization:
         # the objective and the coupling multipliers, not x
         assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
         np.testing.assert_allclose(sol.ineq_duals.coupling, ref.ineq_duals.coupling, atol=1e-6)
+
+    def test_dropped_coupling_row_gets_its_multiplier(self):
+        # the retirement floor at its box minimum (r0 capped at r * load)
+        # pins p_c at 0 and r0 at its cap; the floor prices both pinned
+        # variables, so its multiplier must be recovered from their pin
+        # duals or they carry it as wrong-side bound multipliers
+        cfg, data = hand_case()
+        cfg = cfg.with_policy(alpha=0.0)
+        _, p = build(cfg, data)
+        ub = p.ub.copy()
+        ub[p.layout.indices("r0")] = cfg.policy.r * data.l
+        p = dataclasses.replace(p, ub=ub)
+        pre = _presolve(p)
+        assert pre.dropped_rows == [0, 1]
+        sol = solve_qp(p)
+        ref = oracle_solve(p)
+        assert sol.status == ref.status == OPTIMAL
+        assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
+        tol, (scale_p, scale_d) = SolverSettings().tol, qp._scales(pre)
+        res = kkt_residuals(p, sol)
+        assert res.primal_inf <= tol * scale_p and res.dual_inf <= tol * scale_d
+        assert res.comp_gap <= tol * (1.0 + abs(sol.objective))
+        # the idle ESS leaves the floor's multiplier on a degenerate range
+        # (the oracle picks 20, this recovery 40.6): only its sign is fixed
+        assert np.all(sol.ineq_duals.coupling >= 0.0)
