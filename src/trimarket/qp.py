@@ -45,6 +45,15 @@ converged iterate itself if the polish fails, and returns "optimal" only
 when the candidate passes kkt_residuals at the solver tolerances.  Anything
 else is settled by an LP feasibility probe as "infeasible" or
 "iteration_limit".
+
+On an infeasible problem the primal residual stops falling after a few
+iterations while mu grows without bound or collapses to zero.  The first
+time the residual has stalled (still above tolerance and less than 10%
+below its value five iterations earlier) the same probe runs once, early;
+if it finds the problem infeasible the solve ends there with the usual
+diagnosis, and otherwise the iteration goes on unchanged, so the probe
+never alters a feasible answer (detect, then certify: Banjac et al. 2019,
+Infeasibility detection in the ADMM for convex optimization).
 """
 
 from __future__ import annotations
@@ -263,6 +272,9 @@ def _presolve(p: QpProblem) -> _Presolved:
         cols, vals = row.indices, row.data
         lo_val = 0.0
         achievable = True
+        # an explicit zero coefficient leaves its variable out of the row
+        nz = vals != 0
+        cols, vals = cols[nz], vals[nz]
         for j, v in zip(cols, vals):
             bnd = lb[j] if v > 0 else ub[j]
             if not np.isfinite(bnd):
@@ -367,7 +379,9 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     neg = dv < 0
     if not np.any(neg):
         return np.inf
-    return float(np.min(-v[neg] / dv[neg]))
+    # a tiny direction entry overflows to an infinite, harmless, step bound
+    with np.errstate(over="ignore", divide="ignore"):
+        return float(np.min(-v[neg] / dv[neg]))
 
 
 # static diagonal shifts: the interior-point KKT matrix is factored with
@@ -380,6 +394,12 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
 # error from every solve.
 _KKT_REG = 1e-9
 _POLISH_EPS = 1e-10
+
+# stall exit (module docstring): the primal residual has stalled when it is
+# above tolerance and at least _STALL_RATIO of its value _STALL_WINDOW
+# iterations earlier
+_STALL_WINDOW = 5
+_STALL_RATIO = 0.9
 
 # what splu raises when it cannot factor: RuntimeError for an exactly
 # singular matrix; MemoryError, or SystemError once SuperLU's own allocator
@@ -427,7 +447,8 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
     Returns a Solution with status "optimal", "infeasible" or
     "iteration_limit".  Deterministic: identical inputs produce identical
     iterates.  Infeasibility is certified with an LP feasibility probe
-    rather than inferred from divergence alone.
+    rather than inferred from divergence alone; a stalled primal residual
+    runs that probe early, once, and ends the solve if it says infeasible.
     """
     s = settings if settings is not None else SolverSettings()
     try:
@@ -487,6 +508,8 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
     scale_p, scale_d = _scales(pre)
     mu0 = float(np.sum(w * z)) / m_comp
     best: tuple | None = None
+    primal_hist: list[float] = []
+    probed = False
 
     converged, message = False, ""
     it = 0
@@ -525,6 +548,16 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
             # target is left (seen on infeasible problems only)
             message = "complementarity collapsed to zero"
             break
+        primal_hist.append(primal_inf)
+        if (
+            not probed
+            and len(primal_hist) > _STALL_WINDOW
+            and primal_inf > s.tol * scale_p
+            and primal_inf >= _STALL_RATIO * primal_hist[-1 - _STALL_WINDOW]
+        ):
+            probed = True
+            if _feasibility_probe(p) == INFEASIBLE:
+                return _unsolved(p, it, "", verdict=INFEASIBLE)
 
         # clamp denominators: an underflowed slack or coupling multiplier
         # must read as a huge but finite diagonal entry, not an inf that
@@ -652,13 +685,19 @@ def _finish(p: QpProblem, pre: _Presolved, s: SolverSettings, point, w, iteratio
     return _unsolved(p, iterations, message)
 
 
-def _unsolved(p: QpProblem, iterations: int, message: str) -> Solution:
+def _unsolved(p: QpProblem, iterations: int, message: str,
+              verdict: str | None = None) -> Solution:
     """Non-optimal exit: the LP probe tells "infeasible" from "iteration_limit".
 
-    An infeasible problem always carries the probes' diagnosis; `message`,
-    why the iteration stopped, only explains an iteration limit.
+    `verdict` is the full-problem probe's answer when the caller already
+    has it (the stall exit of solve_qp), so the problem is not probed
+    twice; otherwise the probe runs here.  An infeasible problem always
+    carries the relaxation probes' diagnosis; `message`, why the iteration
+    stopped, only explains an iteration limit.
     """
-    if _feasibility_probe(p) == INFEASIBLE:
+    if verdict is None:
+        verdict = _feasibility_probe(p)
+    if verdict == INFEASIBLE:
         return _empty_solution(p, INFEASIBLE, message=_name_conflict(p), iterations=iterations)
     return _empty_solution(p, ITERATION_LIMIT, message=message or "tolerances not reached",
                            iterations=iterations)

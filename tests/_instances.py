@@ -60,6 +60,27 @@ def hand_case():
     return cfg, data
 
 
+def no_supply_case():
+    """Load to serve with every source and market closed: infeasible.
+
+    The primal residual freezes after a few interior-point iterations
+    while mu falls toward zero (and, left alone, underflows to exactly
+    zero), the stall shape with a collapsing rather than growing mu.
+    """
+    zero = np.zeros(1)
+    cfg = VppConfig(
+        horizon=1,
+        tg=TgParams(a=1.0, b=0.0, g_min=0.0, g_max=0.0, k=0.9),
+        ess=EssParams(0.0, 0.0, 0.0),
+        rec_inventory=InventoryParams.disabled(),
+        cer_inventory=InventoryParams.disabled(),
+        policy=PolicyParams(r=0.0, alpha=0.0),
+        caps=TradeCaps(0.0, 0.0, 0.0),
+    )
+    data = MarketData(pi_g=zero, pi_r=zero, pi_c=zero, e=zero, l=np.array([5.0]))
+    return cfg, data
+
+
 def random_instance(seed, *, horizon=None, price_floor=0.0, r_min=0.0):
     """Small random instance; horizons stay oracle-checkable (n <= 39)."""
     rng = np.random.default_rng(seed)

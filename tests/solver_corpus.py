@@ -5,9 +5,10 @@
 
 ``dump`` solves 2426 problems with the ``trimarket`` package found on the
 import path (set ``PYTHONPATH`` to pick a checkout) and writes, per solve,
-the status, iteration count, message, objective and primal vector, and
-how many ``qp.splu`` calls it made with each ``permc_spec`` (the wrapper
-needs nothing from the solver but that module attribute).  The
+the status, iteration count, message, objective and primal vector, how
+many ``qp.splu`` calls it made with each ``permc_spec`` and how many
+``qp.linprog`` probes it ran (the wrappers need nothing from the solver
+but those module attributes).  The
 corpus is ``random_instance`` seeds 0-599 x {default, ``r_min=0.95``} x
 ``max_iter`` {200, 8}, plus 26 synth-data solves at T=168-672: default,
 uncapped, r = 0.995, an unmeetable REC floor, and two with lossy storage.
@@ -16,10 +17,12 @@ It takes about 40 s on a 2-core VM.
 ``compare`` prints the status, iteration, message and objective (1e-8
 relative) mismatch counts and the largest |dx| over solves with the same
 status, for all solves and for the lossless-storage ones (eta_c = eta_d =
-1) alone.  It also prints both trees' totals of partial-pivot (COLAMD)
-factorizations, the interior-point fallbacks plus the polish, and the
-number of solves whose count changed.  Not collected by pytest (the file
-name does not match test_*).
+1) alone.  Then, for each tree, the iteration and probe totals by status
+and the total factorizations, and the number of solves whose iteration
+count changed, by status.  Last come both trees' totals of partial-pivot
+(COLAMD) factorizations, the interior-point fallbacks plus the polish,
+and the number of solves whose count changed.  Not collected by pytest
+(the file name does not match test_*).
 """
 
 from __future__ import annotations
@@ -59,10 +62,11 @@ def _synth_cases():
     return cases
 
 
-def _record(cfg, problem, settings, factors):
+def _record(cfg, problem, settings, factors, probes):
     from trimarket.qp import solve_qp
 
     factors.clear()
+    probes.clear()
     sol = solve_qp(problem, settings)
     return {
         "status": sol.status,
@@ -72,27 +76,29 @@ def _record(cfg, problem, settings, factors):
         "x": sol.x.tolist(),
         "lossless": cfg.ess.eta_c == 1.0 and cfg.ess.eta_d == 1.0,
         "splu": dict(factors),
+        "linprog": probes.get("linprog", 0),
     }
 
 
-def _count_factors(qp) -> dict:
-    """Wrap qp.splu so that each call counts under its permc_spec."""
-    factors, real = {}, qp.splu
+def _count_calls(qp, name, key=None) -> dict:
+    """Wrap qp.<name> so that each call counts under key(kwargs), or name."""
+    counts, real = {}, getattr(qp, name)
 
     def counted(*args, **kwargs):
-        spec = kwargs.get("permc_spec", "COLAMD")
-        factors[spec] = factors.get(spec, 0) + 1
+        k = key(kwargs) if key else name
+        counts[k] = counts.get(k, 0) + 1
         return real(*args, **kwargs)
 
-    qp.splu = counted
-    return factors
+    setattr(qp, name, counted)
+    return counts
 
 
 def dump(out: str) -> None:
     import trimarket.qp as qp
     from _instances import build, random_instance
 
-    factors = _count_factors(qp)
+    factors = _count_calls(qp, "splu", lambda kwargs: kwargs.get("permc_spec", "COLAMD"))
+    probes = _count_calls(qp, "linprog")
     records = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -102,10 +108,11 @@ def dump(out: str) -> None:
                 _, problem = build(cfg, data)
                 for max_iter in (200, 8):
                     key = f"random/{seed}/r_min={r_min}/max_iter={max_iter}"
-                    records[key] = _record(cfg, problem, qp.SolverSettings(max_iter=max_iter), factors)
+                    records[key] = _record(cfg, problem, qp.SolverSettings(max_iter=max_iter),
+                                           factors, probes)
         for name, cfg, data in _synth_cases():
             _, problem = build(cfg, data)
-            records[name] = _record(cfg, problem, qp.SolverSettings(), factors)
+            records[name] = _record(cfg, problem, qp.SolverSettings(), factors, probes)
     Path(out).write_text(json.dumps(records))
     print(f"{len(records)} solves written to {out}")
 
@@ -134,6 +141,22 @@ def compare(path_a: str, path_b: str) -> None:
                 max_dx = max(max_dx, dx)
         mism = ", ".join(f"{n} {c}" for n, c in counts.items())
         print(f"{label}: {len(keys)} solves; mismatches: {mism}; max |dx| {max_dx:.3g}")
+    for label, d in (("A", a), ("B", b)):
+        by_status = {}
+        for r in d.values():
+            it, pr = by_status.get(r["status"], (0, 0))
+            by_status[r["status"]] = (it + r["iterations"], pr + r["linprog"])
+        totals = "; ".join(f"{st} {it} iterations, {pr} probes"
+                           for st, (it, pr) in sorted(by_status.items()))
+        factored = sum(sum(r["splu"].values()) for r in d.values())
+        print(f"{label}: {totals}; {factored} factorizations")
+    changed_by_status = {}
+    for k in a:
+        if a[k]["iterations"] != b[k]["iterations"]:
+            st = a[k]["status"] if a[k]["status"] == b[k]["status"] else "status changed"
+            changed_by_status[st] = changed_by_status.get(st, 0) + 1
+    changed = ", ".join(f"{st} {n}" for st, n in sorted(changed_by_status.items())) or "none"
+    print(f"solves whose iterations changed: {changed}")
     partial_a = [a[k]["splu"].get("COLAMD", 0) for k in a]
     partial_b = [b[k]["splu"].get("COLAMD", 0) for k in a]
     changed = sum(u != v for u, v in zip(partial_a, partial_b))

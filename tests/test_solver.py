@@ -25,7 +25,7 @@ from trimarket.qp import (
 )
 from trimarket.scenarios import SynthSpec, synth_data
 
-from _instances import build, hand_case, random_instance, solve
+from _instances import build, hand_case, no_supply_case, random_instance, solve
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +154,22 @@ class TestSolverBehaviour:
         assert res.status == INFEASIBLE
         assert res.message == "infeasible: balance equations conflict with variable bounds"
 
+    def test_zero_coefficient_not_pinned_by_dropped_row(self):
+        # r = 0 writes an explicit zero for p_c in the retirement row; with
+        # r0 capped at 0 presolve drops that row, which must pin r0 alone
+        # and leave p_c free
+        cfg, data = hand_case()
+        cfg = cfg.with_policy(r=0.0, alpha=0.0)
+        _, p = build(cfg, data)
+        ub = p.ub.copy()
+        ub[p.layout.indices("r0")] = 0.0
+        p = dataclasses.replace(p, ub=ub)
+        sol = solve_qp(p)
+        ref = oracle_solve(p)
+        assert sol.status == ref.status == OPTIMAL
+        assert sol.objective == pytest.approx(700.0, abs=1e-6)
+        assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
+
     def test_degenerate_coupling_rows(self):
         # r = 0 and alpha = 0 zero out both coupling rows
         cfg, data = hand_case()
@@ -217,6 +233,52 @@ class TestInfeasibility:
         # the full-problem probe, then dropping the floor restores feasibility
         assert coupling_rows == [2, 1]
 
+    def test_stalled_infeasible_week_ends_early(self, monkeypatch):
+        # the primal residual freezes within a few iterations, so the stall
+        # probe settles the status long before the 200-iteration limit
+        factors = _phase_recorder(monkeypatch, qp, "splu")
+        sol = solve_qp(_infeasible_week())
+        assert sol.status == INFEASIBLE
+        assert sol.message == (
+            "infeasible: REC retirement floor conflicts with certificate supply and caps"
+        )
+        assert sol.iterations <= 15
+        # every factorization is an interior-point one: no polish runs
+        assert len(factors) <= 20 and all(ph == "ipm" for ph, _ in factors)
+
+    def test_stall_with_collapsing_mu_ends_early(self):
+        # here mu falls toward zero instead of growing; the primal residual
+        # stalls all the same
+        _, p = build(*no_supply_case())
+        sol = solve_qp(p)
+        assert sol.status == INFEASIBLE
+        assert sol.message == "infeasible: balance equations conflict with variable bounds"
+        assert sol.iterations <= 15
+
+    def test_feasible_stall_verdict_keeps_iterating(self, monkeypatch):
+        # a stall probe that does not answer "infeasible" leaves the
+        # iteration to run on; the probe runs once per solve, and the exit
+        # after the iteration limit probes again and names the conflict
+        calls, real = [], qp._feasibility_probe
+
+        def first_says_feasible(p, drop_coupling=()):
+            calls.append(drop_coupling)
+            return "feasible" if len(calls) == 1 else real(p, drop_coupling)
+
+        monkeypatch.setattr(qp, "_feasibility_probe", first_says_feasible)
+        sol = solve_qp(_infeasible_week(), SolverSettings(max_iter=30))
+        assert sol.status == INFEASIBLE and sol.iterations == 30
+        assert sol.message == (
+            "infeasible: REC retirement floor conflicts with certificate supply and caps"
+        )
+        assert calls == [(), (), (0,)]
+
+    @pytest.mark.parametrize("horizon", [168, 672])
+    def test_feasible_solve_runs_no_probe(self, monkeypatch, horizon):
+        monkeypatch.setattr(qp, "linprog", lambda *a, **k: pytest.fail("probe on a feasible solve"))
+        _, p = build(default_config(horizon), synth_data(SynthSpec(horizon=horizon)))
+        assert solve_qp(p).status == OPTIMAL
+
     def test_diagnose_on_feasible_problem(self):
         cfg, data = hand_case()
         _, p = build(cfg, data)
@@ -253,6 +315,15 @@ def _phase_recorder(monkeypatch, module, attr):
 
 def _synth_week():
     _, p = build(default_config(168), synth_data(SynthSpec(horizon=168)))
+    return p
+
+
+def _infeasible_week():
+    """Synth T=168, seed 7, with the REC floor unmeetable: full retirement,
+    no REC inventory and the certificate market closed."""
+    cfg = default_config(168).with_inventories(rec=False, cer=True)
+    cfg = cfg.with_caps(r_cap=0.0).with_policy(r=1.0)
+    _, p = build(cfg, synth_data(SynthSpec(seed=7, horizon=168)))
     return p
 
 
