@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage or input error, 2 infeasible model,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -160,7 +161,10 @@ def _load_inputs(args):
 def _cmd_gen_data(args) -> int:
     cfg, synth = load_config(args.config)
     if args.seed is not None:
-        synth = type(synth)(**{**synth.__dict__, "seed": args.seed})
+        try:
+            synth = dataclasses.replace(synth, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
     data = synth_data(synth)
     save_market_csv(args.out, data)
     print(f"wrote {args.out}: {cfg.horizon} hours, seed {synth.seed}")

@@ -1,11 +1,14 @@
 """Config files, market-data CSV, and result serialization.
 
 The config format is deliberately dumb: one ``section.key = value`` pair
-per line, ``#`` comments, no nesting.  Every parse error carries the file
-name and line number.  Floats accept ``inf`` so trade caps can be
-uncapped in a file.  All writers emit deterministic bytes for a given
-input (17 significant digits, sorted JSON keys, no timestamps), so a
-re-run with the same seed produces byte-identical artifacts.
+per line, ``#`` comments, no nesting.  The parameter dataclasses are its
+schema: each field of TgParams, EssParams, InventoryParams, PolicyParams,
+TradeCaps and SynthSpec is one key, optional exactly when the field has a
+default.  Parse errors carry the file name, syntax errors also the line.
+Floats accept ``inf`` so trade caps can be uncapped in a file.  All writers
+emit deterministic bytes for a given input (17 significant digits, sorted
+JSON keys, no timestamps), so a re-run with the same seed produces
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,22 +48,31 @@ _BOOL_WORDS = {
     "false": False, "no": False, "off": False, "0": False,
 }
 
-#: required float keys grouped the way VppConfig nests them
-_FLOAT_KEYS = (
-    "tg.a", "tg.b", "tg.g_min", "tg.g_max", "tg.k",
-    "ess.p_c_max", "ess.p_d_max", "ess.q_max",
-    "rec_inventory.w_max", "rec_inventory.d_max", "rec_inventory.i_max",
-    "cer_inventory.w_max", "cer_inventory.d_max", "cer_inventory.i_max",
-    "policy.r", "policy.alpha",
+#: (section, dataclass, comment lines written above it), in file order.
+#: Each dataclass field is one ``section.field`` key, required exactly when
+#: the field has no default; the annotation picks the value type.
+#: ``synth.horizon`` is no key: it comes from ``horizon.T``.
+_SECTIONS = (
+    ("tg", TgParams, ("# thermal generator: cost a*g^2 + b*g, output in [g_min, g_max],",
+                      "# k tCO2 emitted per MWh")),
+    ("ess", EssParams, ()),
+    ("rec_inventory", InventoryParams, ()),
+    ("cer_inventory", InventoryParams, ()),
+    ("policy", PolicyParams, ()),
+    ("caps", TradeCaps, ("# per-hour trade caps; inf disables a cap",)),
+    ("synth", SynthSpec, ("# synthetic market data generator",)),
 )
-_OPT_FLOAT_KEYS = ("ess.eta_c", "ess.eta_d", "caps.g_cap", "caps.r_cap", "caps.c_cap")
-_BOOL_KEYS = ("rec_inventory.enabled", "cer_inventory.enabled")
-_SYNTH_FLOAT_KEYS = tuple(
-    f"synth.{f.name}" for f in dataclasses.fields(SynthSpec) if f.name not in ("seed", "horizon")
-)
-_ALL_KEYS = (
-    frozenset(_FLOAT_KEYS) | frozenset(_OPT_FLOAT_KEYS) | frozenset(_BOOL_KEYS)
-    | frozenset(_SYNTH_FLOAT_KEYS) | {"horizon.T", "synth.seed"}
+
+
+def _section_keys(section: str, cls) -> list[tuple[str, dataclasses.Field]]:
+    return [(f"{section}.{f.name}", f) for f in dataclasses.fields(cls) if f.name != "horizon"]
+
+
+_FIELDS = {key: f for section, cls, _ in _SECTIONS for key, f in _section_keys(section, cls)}
+#: every key a config may hold, and the ones it must hold
+CONFIG_KEYS = frozenset({"horizon.T", *_FIELDS})
+REQUIRED_KEYS = frozenset(
+    {"horizon.T", *(k for k, f in _FIELDS.items() if f.default is dataclasses.MISSING)}
 )
 
 
@@ -70,6 +81,20 @@ def _parse_float(key: str, raw: str, where: str) -> float:
         return float(raw)
     except ValueError:
         raise ConfigError(f"{where}: {key} needs a number, got {raw!r}") from None
+
+
+def _parse_value(key: str, kind: str, raw: str, where: str):
+    """Parse ``raw`` as the annotation ``kind`` names: "bool", "int" or "float"."""
+    if kind == "bool":
+        if raw.lower() not in _BOOL_WORDS:
+            raise ConfigError(f"{where}: {key} needs true/false, got {raw!r}")
+        return _BOOL_WORDS[raw.lower()]
+    if kind == "int":
+        try:
+            return int(raw)
+        except ValueError:
+            raise ConfigError(f"{where}: {key} needs an integer, got {raw!r}") from None
+    return _parse_float(key, raw, where)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> tuple[VppConfig, SynthSpec]:
@@ -84,7 +109,7 @@ def parse_config_text(text: str, source: str = "<config>") -> tuple[VppConfig, S
             raise ConfigError(f"{where}: expected 'key = value', got {line.strip()!r}")
         key, _, raw = body.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _ALL_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{where}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{where}: duplicate key {key!r}")
@@ -92,68 +117,23 @@ def parse_config_text(text: str, source: str = "<config>") -> tuple[VppConfig, S
             raise ConfigError(f"{where}: {key} has no value")
         values[key] = raw
 
-    missing = [k for k in ("horizon.T", *_FLOAT_KEYS) if k not in values]
+    missing = REQUIRED_KEYS - values.keys()
     if missing:
         raise ConfigError(f"{source}: missing required keys: {', '.join(sorted(missing))}")
 
-    def fnum(key: str, default: float | None = None) -> float:
-        if key not in values:
-            return default  # type: ignore[return-value]
-        return _parse_float(key, values[key], source)
-
-    def fbool(key: str, default: bool) -> bool:
-        if key not in values:
-            return default
-        word = values[key].lower()
-        if word not in _BOOL_WORDS:
-            raise ConfigError(f"{source}: {key} needs true/false, got {values[key]!r}")
-        return _BOOL_WORDS[word]
-
-    def fint(key: str, default: int | None = None) -> int:
-        if key not in values:
-            return default  # type: ignore[return-value]
-        raw = values[key]
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{source}: {key} needs an integer, got {raw!r}") from None
-
-    horizon = fint("horizon.T")
-    cfg = VppConfig(
-        horizon=horizon,
-        tg=TgParams(
-            a=fnum("tg.a"), b=fnum("tg.b"), g_min=fnum("tg.g_min"),
-            g_max=fnum("tg.g_max"), k=fnum("tg.k"),
-        ),
-        ess=EssParams(
-            p_c_max=fnum("ess.p_c_max"), p_d_max=fnum("ess.p_d_max"),
-            q_max=fnum("ess.q_max"),
-            eta_c=fnum("ess.eta_c", 1.0), eta_d=fnum("ess.eta_d", 1.0),
-        ),
-        rec_inventory=InventoryParams(
-            w_max=fnum("rec_inventory.w_max"), d_max=fnum("rec_inventory.d_max"),
-            i_max=fnum("rec_inventory.i_max"),
-            enabled=fbool("rec_inventory.enabled", True),
-        ),
-        cer_inventory=InventoryParams(
-            w_max=fnum("cer_inventory.w_max"), d_max=fnum("cer_inventory.d_max"),
-            i_max=fnum("cer_inventory.i_max"),
-            enabled=fbool("cer_inventory.enabled", True),
-        ),
-        policy=PolicyParams(r=fnum("policy.r"), alpha=fnum("policy.alpha")),
-        caps=TradeCaps(
-            g_cap=fnum("caps.g_cap", math.inf),
-            r_cap=fnum("caps.r_cap", math.inf),
-            c_cap=fnum("caps.c_cap", math.inf),
-        ),
-    )
-
-    synth_kwargs = {"seed": fint("synth.seed", 7), "horizon": horizon}
-    for key in _SYNTH_FLOAT_KEYS:
-        if key in values:
-            synth_kwargs[key.split(".", 1)[1]] = fnum(key)
+    horizon = _parse_value("horizon.T", "int", values["horizon.T"], source)
+    kwargs = {
+        section: {
+            f.name: _parse_value(key, f.type, values[key], source)
+            for key, f in _section_keys(section, cls) if key in values
+        }
+        for section, cls, _ in _SECTIONS
+    }
+    cfg = VppConfig(horizon=horizon, **{
+        section: cls(**kwargs[section]) for section, cls, _ in _SECTIONS if cls is not SynthSpec
+    })
     try:
-        synth = SynthSpec(**synth_kwargs)
+        synth = SynthSpec(horizon=horizon, **kwargs["synth"])
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from None
     return cfg, synth
@@ -174,50 +154,18 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+#: how config_text writes a field of each annotated type other than float
+_RENDER = {"bool": lambda v: "true" if v else "false", "int": str}
+
+
 def config_text(cfg: VppConfig, synth: SynthSpec | None = None) -> str:
     """Render a config back to text; parses to an equal config."""
-    lines = [
-        "# virtual power plant scheduling configuration",
-        "",
-        f"horizon.T = {cfg.horizon}",
-        "",
-        "# thermal generator: cost a*g^2 + b*g, output in [g_min, g_max],",
-        "# k tCO2 emitted per MWh",
-        f"tg.a = {_fmt(cfg.tg.a)}",
-        f"tg.b = {_fmt(cfg.tg.b)}",
-        f"tg.g_min = {_fmt(cfg.tg.g_min)}",
-        f"tg.g_max = {_fmt(cfg.tg.g_max)}",
-        f"tg.k = {_fmt(cfg.tg.k)}",
-        "",
-        f"ess.p_c_max = {_fmt(cfg.ess.p_c_max)}",
-        f"ess.p_d_max = {_fmt(cfg.ess.p_d_max)}",
-        f"ess.q_max = {_fmt(cfg.ess.q_max)}",
-        f"ess.eta_c = {_fmt(cfg.ess.eta_c)}",
-        f"ess.eta_d = {_fmt(cfg.ess.eta_d)}",
-        "",
-    ]
-    for name, inv in (("rec_inventory", cfg.rec_inventory), ("cer_inventory", cfg.cer_inventory)):
-        lines += [
-            f"{name}.enabled = {'true' if inv.enabled else 'false'}",
-            f"{name}.w_max = {_fmt(inv.w_max)}",
-            f"{name}.d_max = {_fmt(inv.d_max)}",
-            f"{name}.i_max = {_fmt(inv.i_max)}",
-            "",
-        ]
-    lines += [
-        f"policy.r = {_fmt(cfg.policy.r)}",
-        f"policy.alpha = {_fmt(cfg.policy.alpha)}",
-        "",
-        "# per-hour trade caps; inf disables a cap",
-        f"caps.g_cap = {_fmt(cfg.caps.g_cap)}",
-        f"caps.r_cap = {_fmt(cfg.caps.r_cap)}",
-        f"caps.c_cap = {_fmt(cfg.caps.c_cap)}",
-    ]
-    if synth is not None:
-        lines += ["", "# synthetic market data generator", f"synth.seed = {synth.seed}"]
-        for key in _SYNTH_FLOAT_KEYS:
-            field = key.split(".", 1)[1]
-            lines.append(f"{key} = {_fmt(getattr(synth, field))}")
+    lines = ["# virtual power plant scheduling configuration", "", f"horizon.T = {cfg.horizon}"]
+    for section, cls, comments in _SECTIONS if synth is not None else _SECTIONS[:-1]:
+        obj = synth if cls is SynthSpec else getattr(cfg, section)
+        lines += ["", *comments]
+        lines += [f"{key} = {_RENDER.get(f.type, _fmt)(getattr(obj, f.name))}"
+                  for key, f in _section_keys(section, cls)]
     return "\n".join(lines) + "\n"
 
 
@@ -232,17 +180,21 @@ MARKET_COLUMNS = ("hour", "pi_g", "pi_r", "pi_c", "e", "l")
 
 
 def save_market_csv(path, data: MarketData) -> None:
-    rows = [",".join(MARKET_COLUMNS)]
-    for t in range(len(data.pi_g)):
-        rows.append(
-            f"{t + 1},{_fmt(data.pi_g[t])},{_fmt(data.pi_r[t])},"
-            f"{_fmt(data.pi_c[t])},{_fmt(data.e[t])},{_fmt(data.l[t])}"
-        )
-    Path(path).write_text("\n".join(rows) + "\n")
+    _save_hourly_csv(path, {c: getattr(data, c) for c in MARKET_COLUMNS[1:]})
 
 
 def load_market_csv(path) -> MarketData:
     return MarketData(**_load_hourly_csv(path, MARKET_COLUMNS, "data"))
+
+
+def _save_hourly_csv(path, columns: dict[str, np.ndarray | float]) -> None:
+    """Write `columns` after an "hour" column counting 1..T, as
+    `_load_hourly_csv` reads them.  A scalar column repeats on every row."""
+    T = max(np.size(v) for v in columns.values())
+    cols = [np.broadcast_to(v, (T,)).tolist() for v in columns.values()]
+    rows = [",".join(("hour", *columns))]
+    rows += [",".join((str(t), *map(_fmt, row))) for t, row in enumerate(zip(*cols), start=1)]
+    Path(path).write_text("\n".join(rows) + "\n")
 
 
 def _load_hourly_csv(path, columns: tuple[str, ...], what: str) -> dict[str, np.ndarray]:
@@ -286,12 +238,7 @@ def _load_hourly_csv(path, columns: tuple[str, ...], what: str) -> dict[str, np.
 
 
 def save_plan_csv(path, plan: DispatchPlan) -> None:
-    rows = ["hour," + ",".join(DispatchPlan.CSV_COLUMNS)]
-    for t in range(plan.horizon):
-        cells = [str(t + 1)]
-        cells += [_fmt(getattr(plan, col)[t]) for col in DispatchPlan.CSV_COLUMNS]
-        rows.append(",".join(cells))
-    Path(path).write_text("\n".join(rows) + "\n")
+    _save_hourly_csv(path, {c: getattr(plan, c) for c in DispatchPlan.CSV_COLUMNS})
 
 
 def load_plan_csv(path) -> dict[str, np.ndarray]:
@@ -303,19 +250,9 @@ DUAL_COLUMNS = ("hour", "lambda_g", "lambda_r", "lambda_c", "omega", "mu", "delt
 
 
 def save_duals_csv(path, duals: NamedDuals) -> None:
-    """Hourly balance prices plus the two horizon-wide multipliers.
-
-    mu and delta are scalars; they repeat on every row so the file stays
-    rectangular.
-    """
-    rows = [",".join(DUAL_COLUMNS)]
-    for t in range(len(duals.lambda_g)):
-        rows.append(
-            f"{t + 1},{_fmt(duals.lambda_g[t])},{_fmt(duals.lambda_r[t])},"
-            f"{_fmt(duals.lambda_c[t])},{_fmt(duals.omega[t])},"
-            f"{_fmt(duals.mu)},{_fmt(duals.delta)}"
-        )
-    Path(path).write_text("\n".join(rows) + "\n")
+    """Hourly balance prices; the horizon-wide scalars mu and delta repeat
+    on every row so the file stays rectangular."""
+    _save_hourly_csv(path, {c: getattr(duals, c) for c in DUAL_COLUMNS[1:]})
 
 
 def load_duals_csv(path) -> dict[str, np.ndarray]:

@@ -220,7 +220,7 @@ def _as_series(name: str, values, horizon: int) -> np.ndarray:
 
 
 def _check_nonneg(name: str, value: float) -> None:
-    if value < 0:
+    if not value >= 0:  # also rejects NaN
         raise ValidationError(f"{name} must be >= 0, got {value}")
 
 
@@ -267,6 +267,9 @@ def validate_config(cfg: VppConfig, data: MarketData) -> ValidatedModel:
         raise ValidationError(f"horizon must be a positive integer, got {T!r}")
 
     tg = cfg.tg
+    for name in ("a", "b", "g_min", "g_max", "k"):
+        if not math.isfinite(getattr(tg, name)):
+            raise ValidationError(f"tg.{name} must be finite, got {getattr(tg, name)}")
     if tg.a <= 0:
         raise ValidationError(f"tg.a must be > 0 (strictly concave profit in g), got {tg.a}")
     if not (0 <= tg.g_min <= tg.g_max):
@@ -299,8 +302,7 @@ def validate_config(cfg: VppConfig, data: MarketData) -> ValidatedModel:
         raise ValidationError(f"policy.alpha must lie in [0, 1], got {pol.alpha}")
 
     for name, v in (("caps.g_cap", cfg.caps.g_cap), ("caps.r_cap", cfg.caps.r_cap), ("caps.c_cap", cfg.caps.c_cap)):
-        if math.isfinite(v):
-            _check_nonneg(name, v)
+        _check_nonneg(name, v)  # +inf means uncapped
 
     series = {
         name: _as_series(name, getattr(data, name), T)

@@ -255,7 +255,8 @@ class _Presolved:
 def _presolve(p: QpProblem) -> _Presolved:
     n = p.n
     lb, ub = p.lb.copy(), p.ub.copy()
-    bad = lb > ub + 1e-12 * (1.0 + np.abs(lb))
+    with np.errstate(invalid="ignore"):  # inf - inf when lb = +inf and ub = -inf
+        bad = (lb == np.inf) | (ub == -np.inf) | (lb > ub + 1e-12 * (1.0 + np.abs(lb)))
     if np.any(bad):
         j = int(np.argmax(bad))
         raise _InfeasibleProblem(f"empty bound interval on variable {j}: [{lb[j]}, {ub[j]}]")

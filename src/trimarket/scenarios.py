@@ -104,6 +104,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         for name in ("wind_noise", "pv_noise", "load_noise"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")

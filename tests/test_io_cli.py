@@ -10,6 +10,8 @@ import pytest
 from trimarket import __version__
 from trimarket.cli import main
 from trimarket.config_io import (
+    CONFIG_KEYS,
+    REQUIRED_KEYS,
     ConfigError,
     config_text,
     load_config,
@@ -23,7 +25,7 @@ from trimarket.config_io import (
     save_market_csv,
     save_plan_csv,
 )
-from trimarket.model import default_config, recover_plan
+from trimarket.model import TradeCaps, default_config, recover_plan
 from trimarket.scenarios import SynthSpec, synth_data
 from trimarket.svg import render_bar_chart, render_line_chart, run_charts
 
@@ -32,6 +34,31 @@ from _instances import hand_case, solve
 
 # ---------------------------------------------------------------------------
 # Config format
+
+#: the config keys and the required ones, as the file format fixes them
+ACCEPTED = [
+    "horizon.T",
+    "tg.a", "tg.b", "tg.g_min", "tg.g_max", "tg.k",
+    "ess.p_c_max", "ess.p_d_max", "ess.q_max", "ess.eta_c", "ess.eta_d",
+    "rec_inventory.w_max", "rec_inventory.d_max", "rec_inventory.i_max", "rec_inventory.enabled",
+    "cer_inventory.w_max", "cer_inventory.d_max", "cer_inventory.i_max", "cer_inventory.enabled",
+    "policy.r", "policy.alpha",
+    "caps.g_cap", "caps.r_cap", "caps.c_cap",
+    "synth.seed", "synth.wind_base", "synth.wind_amplitude", "synth.wind_phase",
+    "synth.wind_noise", "synth.pv_peak", "synth.pv_noise", "synth.load_base",
+    "synth.load_morning", "synth.load_evening", "synth.load_noise", "synth.price_offpeak",
+    "synth.price_mid", "synth.price_peak", "synth.rec_price_lo", "synth.rec_price_hi",
+    "synth.cer_price_lo", "synth.cer_price_hi",
+]
+REQUIRED = [
+    "horizon.T",
+    "tg.a", "tg.b", "tg.g_min", "tg.g_max", "tg.k",
+    "ess.p_c_max", "ess.p_d_max", "ess.q_max",
+    "rec_inventory.w_max", "rec_inventory.d_max", "rec_inventory.i_max",
+    "cer_inventory.w_max", "cer_inventory.d_max", "cer_inventory.i_max",
+    "policy.r", "policy.alpha",
+]
+
 
 
 class TestConfigFormat:
@@ -87,6 +114,38 @@ class TestConfigFormat:
         cfg, synth = load_config(bundled)
         assert cfg == default_config(168)
         assert synth == SynthSpec()
+
+
+    def test_bundled_defaults_are_written_by_config_text(self):
+        import trimarket
+
+        bundled = Path(trimarket.__file__).parent / "data" / "defaults.cfg"
+        assert bundled.read_text() == config_text(default_config(168), SynthSpec())
+
+    def test_key_sets_pinned(self):
+        assert (len(ACCEPTED), len(REQUIRED)) == (42, 17)
+        assert CONFIG_KEYS == set(ACCEPTED)
+        assert REQUIRED_KEYS == set(REQUIRED)
+        text = config_text(default_config(4), SynthSpec(horizon=4))
+        written = [line.split(" = ")[0] for line in text.splitlines() if " = " in line]
+        assert sorted(written) == sorted(ACCEPTED)
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("", source="cfg")
+        assert str(err.value) == "cfg: missing required keys: " + ", ".join(sorted(REQUIRED))
+
+    def test_required_keys_alone_take_the_defaults(self):
+        text = config_text(default_config(4))
+        kept = [line for line in text.splitlines() if line.split(" = ")[0] in REQUIRED]
+        cfg, synth = parse_config_text("\n".join(kept))
+        assert cfg.caps == TradeCaps(np.inf, np.inf, np.inf)
+        assert (cfg.ess.eta_c, cfg.ess.eta_d) == (1.0, 1.0)
+        assert cfg.rec_inventory.enabled and cfg.cer_inventory.enabled
+        assert synth == SynthSpec(horizon=4)
+
+    def test_negative_synth_seed(self):
+        text = config_text(default_config(4), SynthSpec(horizon=4))
+        with pytest.raises(ConfigError, match="^cfg: seed must be nonnegative$"):
+            parse_config_text(text.replace("synth.seed = 7", "synth.seed = -1"), source="cfg")
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +301,22 @@ class TestCli:
             ["gen-data", "--config", str(workdir / "model.cfg"), "--out", str(out), "--seed", "9"]
         ) == 0
         assert out.read_bytes() != base
+
+    def test_gen_data_negative_seed(self, workdir, capsys):
+        out = workdir / "gen.csv"
+        rc = main(["gen-data", "--config", str(workdir / "model.cfg"), "--out", str(out),
+                   "--seed", "-1"])
+        assert rc == 1
+        assert "error: --seed: seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_parameter_exits_one(self, workdir, capsys):
+        cfg = workdir / "model.cfg"
+        cfg.write_text(cfg.read_text().replace("caps.g_cap = 400", "caps.g_cap = -inf"))
+        rc = main(["solve", "--config", str(cfg), "--data", str(workdir / "market.csv"),
+                   "--out", str(workdir / "run"), "--properties", "none", "--no-plots"])
+        assert rc == 1
+        assert "error: caps.g_cap must be >= 0, got -inf" in capsys.readouterr().err
 
     def test_solve_writes_artifacts(self, workdir, capsys):
         run = workdir / "run"

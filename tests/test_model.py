@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,34 @@ class TestValidation:
         bad = EssParams(p_c_max=10, p_d_max=10, q_max=10, eta_c=0.0)
         with pytest.raises(ValidationError, match="eta_c"):
             validate_config(type(cfg)(**{**cfg.__dict__, "ess": bad}), data)
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("caps.g_cap", -np.inf, "caps.g_cap must be >= 0"),
+        ("caps.r_cap", np.nan, "caps.r_cap must be >= 0"),
+        ("ess.p_c_max", np.nan, "ess.p_c_max must be >= 0"),
+        ("rec_inventory.i_max", np.nan, "rec_inventory.i_max must be >= 0"),
+        ("tg.a", np.inf, "tg.a must be finite"),
+        ("tg.b", np.inf, "tg.b must be finite"),
+        ("tg.g_min", np.nan, "tg.g_min must be finite"),
+        ("tg.g_max", np.inf, "tg.g_max must be finite"),
+        ("tg.k", np.nan, "tg.k must be finite"),
+    ])
+    def test_non_finite_parameters_rejected(self, key, value, match):
+        cfg, data = hand_case()
+        section, name = key.split(".")
+        part = dataclasses.replace(getattr(cfg, section), **{name: value})
+        with pytest.raises(ValidationError, match=match):
+            validate_config(dataclasses.replace(cfg, **{section: part}), data)
+
+    def test_infinite_limits_mean_unlimited(self):
+        cfg, data = hand_case()
+        inf = np.inf
+        cfg = dataclasses.replace(
+            cfg.with_caps(g_cap=inf, r_cap=inf, c_cap=inf),
+            ess=EssParams(p_c_max=inf, p_d_max=inf, q_max=inf),
+            rec_inventory=dataclasses.replace(cfg.rec_inventory, w_max=inf, d_max=inf, i_max=inf),
+        )
+        assert validate_config(cfg, data).config.ess.q_max == inf
 
     def test_disabled_inventory_normalised_to_zero_caps(self):
         cfg, data = hand_case()

@@ -170,6 +170,17 @@ class TestSolverBehaviour:
         assert sol.objective == pytest.approx(700.0, abs=1e-6)
         assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
 
+    @pytest.mark.parametrize("lo, hi", [(np.inf, -np.inf), (np.inf, np.inf), (-np.inf, -np.inf)])
+    def test_infinite_empty_box_is_infeasible(self, lo, hi):
+        # a box with lb = +inf or ub = -inf holds no point, although the
+        # tolerance of the lb > ub test is inf - inf there
+        _, p = build(*hand_case())
+        lb, ub = p.lb.copy(), p.ub.copy()
+        lb[p.layout.indices("G")], ub[p.layout.indices("G")] = lo, hi
+        sol = solve_qp(dataclasses.replace(p, lb=lb, ub=ub))
+        assert sol.status == INFEASIBLE
+        assert "empty bound interval" in sol.message
+
     def test_degenerate_coupling_rows(self):
         # r = 0 and alpha = 0 zero out both coupling rows
         cfg, data = hand_case()
