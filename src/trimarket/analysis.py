@@ -24,7 +24,9 @@ files and re-read by the CLI.
 
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,7 @@ from .model import (
     ModelWarning,
     QpProblem,
     ValidatedModel,
+    ValidationError,
     assemble_qp,
     validate_config,
     variable_layout,
@@ -482,6 +485,27 @@ def _active_fingerprint(p: QpProblem, x: np.ndarray) -> bytes:
     return np.packbits(np.concatenate([lo, up, cact])).tobytes()
 
 
+def _moved(model: ValidatedModel, param: str, value: float) -> tuple[ValidatedModel, float | None]:
+    """The model with ``param`` moved to ``value``, and its quota override."""
+    if param == "quota":
+        return model, float(value)
+    if param not in ("r", "alpha"):
+        raise ValueError(f"unknown parameter {param!r}; expected 'alpha', 'r' or 'quota'")
+    if not 0.0 <= value <= 1.0:
+        raise ValidationError(f"{param}={value:.6g} outside [0, 1]")
+    cfg = model.config.with_policy(**{param: float(value)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelWarning)
+        return validate_config(cfg, model.data), None
+
+
+def _solve_moved(moved: tuple[ValidatedModel, float | None],
+                 settings: SolverSettings | None) -> tuple[QpProblem, Solution]:
+    model, quota = moved
+    problem = assemble_qp(model, quota_override=quota)
+    return problem, solve_qp(problem, settings or SolverSettings())
+
+
 def solve_for_param(
     model: ValidatedModel, param: str, value: float, settings: SolverSettings | None = None
 ) -> tuple[QpProblem, Solution]:
@@ -489,20 +513,22 @@ def solve_for_param(
 
     r and alpha must stay in [0, 1]; the solution is returned whatever its status.
     """
-    quota = None
-    if param == "quota":
-        quota = float(value)
-    elif param in ("r", "alpha"):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{param}={value:.6g} leaves the domain [0, 1]")
-        cfg = model.config.with_policy(**{param: float(value)})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ModelWarning)
-            model = validate_config(cfg, model.data)
-    else:
-        raise ValueError(f"unknown parameter {param!r}; expected 'alpha', 'r' or 'quota'")
-    problem = assemble_qp(model, quota_override=quota)
-    return problem, solve_qp(problem, settings or SolverSettings())
+    return _solve_moved(_moved(model, param, value), settings)
+
+
+def solve_grid(
+    model: ValidatedModel, param: str, grid, settings: SolverSettings | None = None
+) -> list[tuple[QpProblem, Solution]]:
+    """``solve_for_param`` at every grid value, in grid order.
+
+    Every value is moved and validated before the first solve, so a bad
+    value fails fast; the solves run on up to four threads, at most one
+    per CPU.
+    """
+    moved = [_moved(model, param, v) for v in grid]
+    workers = min(4, os.cpu_count() or 1, len(moved))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda m: _solve_moved(m, settings), moved))
 
 
 DESIGNATED_ROLES = {"alpha": ("g", "C"), "r": ("R", "p_c")}
@@ -534,8 +560,7 @@ def affine_sensitivity(
 
     xs, prints, mults = [], [], []
     intern: dict[bytes, int] = {}
-    for v in grid:
-        problem, sol = solve_for_param(model, param, v, settings)
+    for v, (problem, sol) in zip(grid, solve_grid(model, param, grid, settings)):
         if sol.status != OPTIMAL:
             raise RuntimeError(f"solve at {param}={v:.6g} failed: {sol.status}; {sol.message}")
         xs.append(sol.x)

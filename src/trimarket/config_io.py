@@ -4,11 +4,11 @@ The config format is deliberately dumb: one ``section.key = value`` pair
 per line, ``#`` comments, no nesting.  The parameter dataclasses are its
 schema: each field of TgParams, EssParams, InventoryParams, PolicyParams,
 TradeCaps and SynthSpec is one key, optional exactly when the field has a
-default.  Parse errors carry the file name, syntax errors also the line.
-Floats accept ``inf`` so trade caps can be uncapped in a file.  All writers
-emit deterministic bytes for a given input (17 significant digits, sorted
-JSON keys, no timestamps), so a re-run with the same seed produces
-byte-identical artifacts.
+default.  Parse errors carry the file name; an error about one key also
+carries its line.  Floats accept ``inf`` so trade caps can be uncapped in a
+file.  All writers emit deterministic bytes for a given input (17
+significant digits, sorted JSON keys, no timestamps), so a re-run with the
+same seed produces byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def _parse_value(key: str, kind: str, raw: str, where: str):
 
 def parse_config_text(text: str, source: str = "<config>") -> tuple[VppConfig, SynthSpec]:
     """Parse config text into a model config plus synthetic-data knobs."""
-    values: dict[str, str] = {}
+    values: dict[str, tuple[str, str]] = {}  # key -> (raw value, "file:line")
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -115,16 +115,16 @@ def parse_config_text(text: str, source: str = "<config>") -> tuple[VppConfig, S
             raise ConfigError(f"{where}: duplicate key {key!r}")
         if not raw:
             raise ConfigError(f"{where}: {key} has no value")
-        values[key] = raw
+        values[key] = (raw, where)
 
     missing = REQUIRED_KEYS - values.keys()
     if missing:
         raise ConfigError(f"{source}: missing required keys: {', '.join(sorted(missing))}")
 
-    horizon = _parse_value("horizon.T", "int", values["horizon.T"], source)
+    horizon = _parse_value("horizon.T", "int", *values["horizon.T"])
     kwargs = {
         section: {
-            f.name: _parse_value(key, f.type, values[key], source)
+            f.name: _parse_value(key, f.type, *values[key])
             for key, f in _section_keys(section, cls) if key in values
         }
         for section, cls, _ in _SECTIONS

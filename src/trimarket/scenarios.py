@@ -18,10 +18,9 @@ cost, and both inventories earn strictly positive arbitrage profit.
 
 from __future__ import annotations
 
-import os
+import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .analysis import (
     named_duals,
     rps_priority_check,
     solve_for_param,
+    solve_grid,
 )
 from .model import (
     DispatchPlan,
@@ -41,16 +41,12 @@ from .model import (
     ModelWarning,
     QpProblem,
     ValidatedModel,
-    ValidationError,
     VppConfig,
     assemble_qp,
     recover_plan,
     validate_config,
 )
 from .qp import INFEASIBLE, OPTIMAL, SolverSettings, Solution, solve_qp
-
-#: environment variable capping sweep/matrix worker threads
-THREADS_ENV = "TRIMARKET_THREADS"
 
 
 class SolveFailure(RuntimeError):
@@ -106,7 +102,10 @@ class SynthSpec:
             raise ValueError("horizon must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        for name in ("wind_noise", "pv_noise", "load_noise"):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        for name in ("wind_noise", "pv_noise", "load_noise", "price_offpeak", "price_mid", "price_peak"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if not (0 <= self.rec_price_lo <= self.rec_price_hi):
@@ -217,10 +216,14 @@ class ScenarioResult:
         return self.solution.objective
 
 
-def _solved(cfg: VppConfig, data: MarketData, settings: SolverSettings):
+def _validated(cfg: VppConfig, data: MarketData) -> ValidatedModel:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelWarning)
-        model = validate_config(cfg, data)
+        return validate_config(cfg, data)
+
+
+def _solved(cfg: VppConfig, data: MarketData, settings: SolverSettings):
+    model = _validated(cfg, data)
     problem = assemble_qp(model)
     sol = solve_qp(problem, settings)
     if sol.status == INFEASIBLE:
@@ -393,32 +396,6 @@ class SweepResult:
         }
 
 
-def _worker_count(n_jobs: int) -> int:
-    cap = os.environ.get(THREADS_ENV, "")
-    try:
-        limit = max(1, int(cap)) if cap else min(4, os.cpu_count() or 1)
-    except ValueError:
-        limit = 1
-    return max(1, min(limit, n_jobs))
-
-
-def _sweep_one(cfg: VppConfig, data: MarketData, param: str, value: float,
-               settings: SolverSettings) -> SweepPoint:
-    varied = cfg.with_policy(**{("alpha" if param == "alpha" else "r"): float(value)})
-    try:
-        model, problem, sol, plan = _solved(varied, data, settings)
-    except SolveFailure as exc:
-        return SweepPoint(float(value), exc.status, None, None, None, message=str(exc))
-    duals = named_duals(problem, sol)
-    return SweepPoint(
-        float(value),
-        OPTIMAL,
-        RevenueBreakdown.from_plan(plan, data, varied),
-        duals.mu,
-        duals.delta,
-    )
-
-
 def parameter_sweep(
     cfg: VppConfig,
     data: MarketData,
@@ -429,26 +406,24 @@ def parameter_sweep(
     """Re-solve along a policy-parameter grid; one row per grid value.
 
     Failed points are recorded with their status and the sweep moves on.
-    Worker threads are capped by the TRIMARKET_THREADS environment
-    variable; results are assembled in grid order regardless.
+    The points are solved by ``solve_grid``.
     """
     if param not in ("r", "alpha"):
         raise ValueError(f"unknown sweep parameter {param!r}")
     grid = [float(v) for v in np.asarray(grid, dtype=float).ravel()]
     if not grid:
         raise ValueError("sweep grid is empty")
-    for v in grid:
-        if not (0.0 <= v <= 1.0):
-            raise ValidationError(f"{param}={v:.6g} outside [0, 1]")
-    settings = settings or SolverSettings()
+    model = _validated(cfg, data)
 
-    workers = _worker_count(len(grid))
-    if workers == 1:
-        points = [_sweep_one(cfg, data, param, v, settings) for v in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(lambda v: _sweep_one(cfg, data, param, v, settings), grid))
-
+    points = []
+    for v, (problem, sol) in zip(grid, solve_grid(model, param, grid, settings)):
+        if sol.status != OPTIMAL:
+            points.append(SweepPoint(v, sol.status, None, None, None, message=sol.message or sol.status))
+            continue
+        plan = recover_plan(sol.x, problem.layout, eta_c=cfg.ess.eta_c, eta_d=cfg.ess.eta_d)
+        breakdown = RevenueBreakdown.from_plan(plan, data, cfg)
+        duals = named_duals(problem, sol)
+        points.append(SweepPoint(v, OPTIMAL, breakdown, duals.mu, duals.delta))
     return SweepResult(param=param, points=points, breakpoints=_trend_breaks(grid, points))
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import trimarket.analysis
 from trimarket.analysis import (
     DESIGNATED_ROLES,
     MULT_EPS,
@@ -15,7 +16,13 @@ from trimarket.analysis import (
     rps_priority_check,
     solve_for_param,
 )
-from trimarket.model import MarketData, default_config, recover_plan, validate_config
+from trimarket.model import (
+    MarketData,
+    ValidationError,
+    default_config,
+    recover_plan,
+    validate_config,
+)
 from trimarket.qp import solve_qp
 from trimarket.scenarios import SynthSpec, synth_data
 
@@ -233,6 +240,16 @@ class TestAffineSensitivity:
         with pytest.raises(ValueError, match="param"):
             affine_sensitivity(model, "k", np.array([0.1, 0.2, 0.3]))
 
+    def test_out_of_domain_value_fails_before_any_solve(self, monkeypatch):
+        model, _ = build(*hand_case())
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the whole grid was checked")
+
+        monkeypatch.setattr(trimarket.analysis, "solve_qp", no_solve)
+        with pytest.raises(ValidationError, match=r"r=1.05 outside \[0, 1\]"):
+            affine_sensitivity(model, "r", np.array([0.9, 0.95, 1.05]))
+
 
 class TestExtraSolveChecks:
     def test_quota_envelope_on_small_instance(self):
@@ -254,5 +271,5 @@ class TestExtraSolveChecks:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             model = validate_config(cfg, data)
-        with pytest.raises(ValueError, match="domain"):
+        with pytest.raises(ValueError, match="outside"):
             solve_for_param(model, "r", 0.995 + 0.01)

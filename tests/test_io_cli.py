@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -79,8 +80,19 @@ class TestConfigFormat:
 
     def test_bad_number(self):
         text = config_text(default_config(4)).replace("tg.a = 1", "tg.a = fast")
-        with pytest.raises(ConfigError, match="tg.a needs a number"):
+        with pytest.raises(ConfigError, match=r"^cfg:7: tg\.a needs a number, got 'fast'$"):
             parse_config_text(text, source="cfg")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("horizon.T = 4", "horizon.T = 4.5", "cfg:3: horizon.T needs an integer, got '4.5'"),
+        ("rec_inventory.enabled = true", "rec_inventory.enabled = maybe",
+         "cfg:22: rec_inventory.enabled needs true/false, got 'maybe'"),
+    ], ids=["int", "bool"])
+    def test_value_errors_report_line(self, old, new, message):
+        text = config_text(default_config(4)).replace(old, new)
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text, source="cfg")
+        assert str(err.value) == message
 
     def test_missing_required_keys_listed(self):
         with pytest.raises(ConfigError, match="missing required keys.*policy.r"):
@@ -310,6 +322,21 @@ class TestCli:
         assert "error: --seed: seed must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("synth.wind_noise = nan", "wind_noise must be finite, got nan"),
+        ("synth.price_peak = -5", "price_peak must be nonnegative"),
+    ], ids=["nan-noise", "negative-price"])
+    def test_gen_data_rejects_bad_synth_knob(self, workdir, capsys, line, message):
+        cfg = workdir / "model.cfg"
+        key = line.split(" = ")[0]
+        text = "\n".join(line if row.startswith(key + " ") else row
+                         for row in cfg.read_text().splitlines())
+        cfg.write_text(text + "\n")
+        out = workdir / "gen.csv"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_parameter_exits_one(self, workdir, capsys):
         cfg = workdir / "model.cfg"
         cfg.write_text(cfg.read_text().replace("caps.g_cap = 400", "caps.g_cap = -inf"))
@@ -460,6 +487,47 @@ class TestCli:
         )
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+    def test_sweep_with_no_solved_point_exits_two(self, workdir, capsys):
+        text = (workdir / "model.cfg").read_text()
+        text = text.replace("caps.r_cap = 400", "caps.r_cap = 0")
+        text = text.replace("rec_inventory.enabled = true", "rec_inventory.enabled = false")
+        (workdir / "hard.cfg").write_text(text)
+        out = workdir / "sw"
+        rc = main(["sweep", "--config", str(workdir / "hard.cfg"),
+                   "--data", str(workdir / "market.csv"),
+                   "--param", "r", "--grid", "0.99,1", "--out", str(out)])
+        assert rc == 2
+        assert "no sweep point solved" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["files"]) == ["sweep.csv", "sweep.json"]
+
+    @pytest.mark.parametrize("extra, rc, message", [
+        (["--tol", "0"], 1, "error: --tol must be positive"),
+        (["--max-iter", "1"], 1, "solver failed: tolerances not reached"),
+    ], ids=["tol-0", "max-iter-1"])
+    def test_solver_setting_errors(self, workdir, capsys, extra, rc, message):
+        assert main(["solve", "--config", str(workdir / "model.cfg"),
+                     "--data", str(workdir / "market.csv"),
+                     "--out", str(workdir / "x"), "--no-plots", *extra]) == rc
+        assert message in capsys.readouterr().err
+
+    def test_solve_with_tolerance_override(self, workdir, capsys):
+        rc = main(["solve", "--config", str(workdir / "model.cfg"),
+                   "--data", str(workdir / "market.csv"), "--out", str(workdir / "x"),
+                   "--tol", "1e-6", "--properties", "none", "--no-plots"])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("status optimal,")
+
+    def test_matrix_chart_in_manifest(self, workdir, capsys):
+        out = workdir / "mx"
+        rc = main(["inventory-matrix", "--config", str(workdir / "model.cfg"),
+                   "--data", str(workdir / "market.csv"), "--out", str(out)])
+        assert rc == 0
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        chart = "charts/inventory_comparison.svg"
+        assert chart in files
+        assert files[chart] == hashlib.sha256((out / chart).read_bytes()).hexdigest()
 
     def test_matrix_output(self, workdir, capsys):
         out = workdir / "mx"

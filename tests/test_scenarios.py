@@ -5,6 +5,7 @@ import pytest
 
 import trimarket.analysis
 import trimarket.scenarios
+from trimarket.analysis import solve_for_param
 from trimarket.model import (
     EssParams,
     InventoryParams,
@@ -14,6 +15,8 @@ from trimarket.model import (
     TradeCaps,
     VppConfig,
     default_config,
+    recover_plan,
+    validate_config,
 )
 from trimarket.qp import SolverSettings
 from trimarket.scenarios import (
@@ -28,7 +31,7 @@ from trimarket.scenarios import (
     synth_data,
 )
 
-from _instances import hand_case
+from _instances import hand_case, rec_priority_case
 
 
 class TestSynthData:
@@ -73,6 +76,22 @@ class TestSynthData:
             SynthSpec(wind_noise=-1.0)
         with pytest.raises(ValueError, match="REC price range"):
             SynthSpec(rec_price_lo=30.0, rec_price_hi=12.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("wind_noise", np.nan, "wind_noise must be finite"),
+        ("load_noise", np.inf, "load_noise must be finite"),
+        ("wind_base", np.nan, "wind_base must be finite"),
+        ("pv_peak", -np.inf, "pv_peak must be finite"),
+        ("rec_price_hi", np.inf, "rec_price_hi must be finite"),
+        ("cer_price_lo", np.nan, "cer_price_lo must be finite"),
+        ("price_offpeak", -1.0, "price_offpeak must be nonnegative"),
+        ("price_mid", -1.0, "price_mid must be nonnegative"),
+        ("price_peak", -5.0, "price_peak must be nonnegative"),
+        ("price_peak", np.nan, "price_peak must be finite"),
+    ])
+    def test_synth_spec_rejects_non_finite_and_negative_prices(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SynthSpec(**{field: value})
 
 
 class TestRevenueBreakdown:
@@ -154,6 +173,16 @@ class TestRunScenario:
             assert by_id[prop_id].skipped
             assert "infeasible" in by_id[prop_id].note
 
+    def test_full_mode_skips_rps_checks_without_headroom(self):
+        # r + 0.01 would leave [0, 1], so the shifted RPS solve never runs
+        cfg, data = rec_priority_case()
+        res = run_scenario(cfg.with_policy(r=0.995), data, properties="full")
+        by_id = {r.prop_id: r for r in res.reports}
+        for prop_id in ("rps_envelope_slope", "rps_increment_priority"):
+            assert by_id[prop_id].skipped and by_id[prop_id].holds
+            assert by_id[prop_id].note == "no headroom above the RPS level"
+        assert not by_id["quota_envelope_slope"].skipped
+
     @pytest.mark.parametrize("r", [0.9, 0.995])
     def test_lossy_storage_loses_energy(self, r):
         # q_t = q_{t-1} + eta_c*p_c - p_d/eta_d: over the cyclic horizon the
@@ -213,22 +242,22 @@ class TestParameterSweep:
         with pytest.raises(ValueError, match="sweep parameter"):
             parameter_sweep(base_cfg, base_data, "beta", [0.1])
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
+    def test_thread_count_does_not_change_results(self):
+        # the pooled grid gives, bit for bit, what solve_for_param gives
+        # at each value alone
         cfg, data = _tiny_sweep_cfg()
-        grid = [0.0, 0.1, 0.2, 0.3, 0.4]
-        monkeypatch.setenv("TRIMARKET_THREADS", "3")
-        a = parameter_sweep(cfg, data, "r", grid)
-        monkeypatch.setenv("TRIMARKET_THREADS", "1")
-        b = parameter_sweep(cfg, data, "r", grid)
-        for pa, pb in zip(a.points, b.points):
-            assert pa.status == pb.status
-            assert pa.breakdown.profit == pb.breakdown.profit
-
-    def test_garbled_thread_env_falls_back(self, monkeypatch):
-        cfg, data = _tiny_sweep_cfg()
-        monkeypatch.setenv("TRIMARKET_THREADS", "many")
-        sw = parameter_sweep(cfg, data, "r", [0.0, 0.2])
-        assert [p.status for p in sw.points] == ["optimal", "optimal"]
+        grid = [0.0, 0.1, 0.2, 0.3, 0.4, 0.6]
+        sw = parameter_sweep(cfg, data, "r", grid)
+        model = validate_config(cfg, data)
+        for v, point in zip(grid, sw.points):
+            problem, sol = solve_for_param(model, "r", v)
+            assert point.status == sol.status
+            if sol.status == "optimal":
+                plan = recover_plan(sol.x, problem.layout, eta_c=cfg.ess.eta_c, eta_d=cfg.ess.eta_d)
+                assert point.breakdown.profit == RevenueBreakdown.from_plan(plan, data, cfg).profit
+            else:
+                assert point.breakdown is None and point.message == sol.message
+        assert sw.points[-1].status == "infeasible"
 
     def test_trend_change_flagged_at_cap_saturation(self, base_cfg, base_data):
         # the 400-unit CER trade cap saturates the best sale day once the
