@@ -9,7 +9,9 @@ Subcommands:
                       and recompute the SHA-256 of every file its manifest lists
 
 Exit codes: 0 success, 1 usage or input error, 2 infeasible model,
-3 verification failure in ``check``.
+3 verification failure in ``check``.  A legal but unusual model input
+(a ``ModelWarning``) prints one ``warning: <message>`` line on stderr and
+leaves the exit code as it is.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +43,7 @@ from .config_io import (
     save_plan_csv,
     save_sweep_csv,
 )
-from .model import DispatchPlan, ValidationError
+from .model import DispatchPlan, ModelWarning, ValidationError
 from .qp import SolverSettings
 from .scenarios import (
     InfeasibleError,
@@ -327,6 +331,28 @@ def _cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+@contextmanager
+def _model_warnings_on_stderr():
+    """Print each distinct ModelWarning once, as ``warning: <message>`` on stderr.
+
+    Other warnings go to the handler that was in place.
+    """
+    seen = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", ModelWarning)
+        show = warnings.showwarning
+
+        def shown(message, category, *args, **kwargs):
+            if not issubclass(category, ModelWarning):
+                show(message, category, *args, **kwargs)
+            elif str(message) not in seen:
+                seen.add(str(message))
+                print(f"warning: {message}", file=sys.stderr)
+
+        warnings.showwarning = shown
+        yield
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
@@ -337,7 +363,8 @@ def main(argv=None) -> int:
         "check": _cmd_check,
     }
     try:
-        return handlers[args.command](args)
+        with _model_warnings_on_stderr():
+            return handlers[args.command](args)
     except InfeasibleError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INFEASIBLE

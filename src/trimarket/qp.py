@@ -29,11 +29,15 @@ bordered.  Its sparsity pattern is fixed for the whole solve and built
 once; an iteration only writes the diagonal (barrier terms plus one fixed
 regularizing shift) and factors the result with diagonal pivots in a
 symmetric minimum-degree order, which the quasi-definite matrix admits at
-a fraction of the fill of partial pivoting.  Every direction is refined
-against the unregularized matrix; when that factorization fails, or the
-refinement cannot reach its tolerance with a finite step, the iteration is
-refactored with partial pivoting and the direction redone.  The polish
-refines its solve with the same routine.
+a fraction of the fill of partial pivoting.  The order is computed once
+per solve, by its first such factorization; every later iteration writes
+its diagonal straight into a copy of the pattern permuted into that order
+and factors the copy without ordering again, the way OSQP reuses the
+symbolic work on its fixed KKT pattern (Stellato et al. 2020, section 5).
+Every direction is refined against the unregularized matrix; when that
+factorization fails, or the refinement cannot reach its tolerance with a
+finite step, the iteration is refactored with partial pivoting and the
+direction redone.  The polish refines its solve with the same routine.
 
 The interior-point iteration is followed by an active-set "polish": once the
 active set is identified, one sparse quasi-definite solve plus iterative
@@ -408,19 +412,86 @@ _STALL_RATIO = 0.9
 _FACTOR_ERRORS = (RuntimeError, MemoryError, SystemError)
 
 
-def _factor(k_mat: sp.csc_matrix, static: bool = False):
+def _factor(k_mat: sp.csc_matrix, permc_spec: str = "COLAMD"):
     """Sparse LU of a KKT matrix; every factorization goes through splu here.
 
-    static=True pivots on the diagonal (unless a pivot is exactly zero) in a
-    minimum-degree order of A + A', which a quasi-definite matrix admits
-    and which keeps its fill a fraction of partial pivoting's.  The default
-    is COLAMD with partial pivoting: more fill, but it copes with any
-    conditioning.
+    The default, COLAMD with partial pivoting, copes with any conditioning
+    at the cost of more fill.  Any other ordering pivots on the diagonal
+    (unless a pivot is exactly zero) under symmetric permutations, which a
+    quasi-definite matrix admits at a fraction of partial pivoting's fill:
+    "MMD_AT_PLUS_A" computes a minimum-degree order of A + A', and
+    "NATURAL" factors a matrix already permuted into such an order, so an
+    interior-point solve computes its ordering once (see _Kkt).
     """
-    if static:
-        return splu(k_mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options=dict(SymmetricMode=True))
-    return splu(k_mat, permc_spec="COLAMD")
+    if permc_spec == "COLAMD":
+        return splu(k_mat, permc_spec="COLAMD")
+    return splu(k_mat, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True))
+
+
+class _Permuted:
+    """The factor of K[perm][:, perm], solving systems in K itself."""
+
+    def __init__(self, lu, perm: np.ndarray):
+        self.lu, self.perm = lu, perm
+
+    def solve(self, vec: np.ndarray) -> np.ndarray:
+        step = np.empty_like(vec)
+        step[self.perm] = self.lu.solve(vec[self.perm])
+        return step
+
+
+class _Kkt:
+    """The bordered KKT matrix [[D1, G'], [G, -D2]] of one interior-point solve.
+
+    Its pattern, with an explicit entry on every diagonal, is built once;
+    an iteration only writes the diagonal.  k_true is the unshifted matrix
+    every direction is refined against, so barrier ill-conditioning cannot
+    leak into the equality rows, and k_reg the copy with the static shift
+    that gets factored.  The first static factor computes a fill-reducing
+    order; from then on k_reg is also kept permuted into that order, and
+    every later static factor takes the permuted copy as it stands.
+    """
+
+    def __init__(self, n: int, gm: sp.csr_matrix):
+        self.k_true = sp.bmat([[sp.identity(n), gm.T], [gm, sp.identity(gm.shape[0])]],
+                              format="csc")
+        cols = np.repeat(np.arange(self.k_true.shape[1]), np.diff(self.k_true.indptr))
+        self.diag_pos = np.nonzero(self.k_true.indices == cols)[0]  # one entry per column
+        self.k_reg = sp.csc_matrix((self.k_true.data.copy(), self.k_true.indices,
+                                    self.k_true.indptr), shape=self.k_true.shape)
+        self.shift = _KKT_REG * np.concatenate([np.ones(n), -np.ones(gm.shape[0])])
+        self.perm: np.ndarray | None = None  # the ordering, once computed
+        self.k_perm: sp.csc_matrix | None = None  # k_reg[perm][:, perm]
+        self.perm_diag_pos: np.ndarray | None = None  # k_reg's diagonal in k_perm.data
+
+    def set_diagonal(self, diag: np.ndarray) -> None:
+        self.k_true.data[self.diag_pos] = diag
+        self.k_reg.data[self.diag_pos] = diag + self.shift
+        if self.perm is not None:
+            self.k_perm.data[self.perm_diag_pos] = self.k_reg.data[self.diag_pos]
+
+    def static_factor(self):
+        """Factor k_reg with diagonal pivots; the factor solves in k_reg's order."""
+        if self.perm is not None:
+            return _Permuted(_factor(self.k_perm, "NATURAL"), self.perm)
+        lu = _factor(self.k_reg, "MMD_AT_PLUS_A")
+        # SuperLU moves column j to position perm_c[j]; the matrix it
+        # factored is k_reg[perm][:, perm] with perm the inverse of perm_c
+        self._permute(np.asarray(lu.perm_c))
+        return lu
+
+    def _permute(self, perm_c: np.ndarray) -> None:
+        k = self.k_reg
+        rows = perm_c[k.indices]
+        cols = perm_c[np.repeat(np.arange(k.shape[1]), np.diff(k.indptr))]
+        order = np.lexsort((rows, cols))  # column by column, rows ascending
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=k.shape[1]))])
+        self.k_perm = sp.csc_matrix((k.data[order], rows[order], indptr), shape=k.shape)
+        where = np.empty_like(order)
+        where[order] = np.arange(len(order))
+        self.perm_diag_pos = where[self.diag_pos]
+        self.perm = np.argsort(perm_c)
 
 
 def _refined_solve(lu, k_mat: sp.csc_matrix, vec: np.ndarray, tol: float, step=None):
@@ -485,22 +556,11 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
     w = np.maximum(h - g @ x, 1.0)
     z = np.full(m_comp, max(1.0, 0.1 * float(np.max(np.abs(c), initial=1.0))))
 
-    # Bordered augmented system [[D1, G'], [G, -D2]] with G = [A; C], where
-    # C holds the coupling rows of the inequality block; its bound rows are
-    # folded into the primal diagonal D1.  The pattern, with an explicit
-    # entry on every diagonal, is built once; each iteration only writes the
-    # diagonal.  k_reg shares the pattern and holds the statically
-    # regularized copy that gets factored, while every direction is refined
-    # against k_true so barrier ill-conditioning cannot leak into the
-    # equality rows.
+    # the bound rows of the inequality block fold into the primal diagonal
+    # D1 of the KKT matrix; its coupling rows stay bordered next to A
     bound_var = np.concatenate([pre.lo_idx, pre.up_idx])  # variable of each bound row
     gb_t = g[:n_b].T.tocsr()
-    gm = sp.vstack([a, g[n_b:]])
-    k_true = sp.bmat([[sp.identity(n), gm.T], [gm, sp.identity(gm.shape[0])]], format="csc")
-    cols = np.repeat(np.arange(k_true.shape[0]), np.diff(k_true.indptr))
-    diag_pos = np.nonzero(k_true.indices == cols)[0]  # one entry per column
-    k_reg = sp.csc_matrix((k_true.data.copy(), k_true.indices, k_true.indptr), shape=k_true.shape)
-    reg_sign = np.concatenate([np.ones(n), -np.ones(gm.shape[0])])
+    kkt = _Kkt(n, sp.vstack([a, g[n_b:]]))
 
     # complementarity sums are np.sum(w * z), not w @ z: a 1-D product of
     # more than about 10,000 elements goes to the BLAS ddot, which in
@@ -566,11 +626,10 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
         w_b = np.maximum(w[:n_b], 1e-280)
         z_c = np.maximum(z[n_b:], 1e-280)
         d1 = q + np.bincount(bound_var, z[:n_b] / w_b, minlength=n)
-        k_true.data[diag_pos] = np.concatenate([d1, np.zeros(m), -(w[n_b:] / z_c)])
-        k_reg.data[diag_pos] = k_true.data[diag_pos] + _KKT_REG * reg_sign
+        kkt.set_diagonal(np.concatenate([d1, np.zeros(m), -(w[n_b:] / z_c)]))
         static = True
         try:
-            lu = _factor(k_reg, static)
+            lu = kkt.static_factor()
         except _FACTOR_ERRORS:
             lu = None
 
@@ -583,7 +642,7 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
             tol = 1e-11 * (1.0 + float(np.max(np.abs(vec), initial=0.0)))
             err = np.inf
             if lu is not None:
-                step, err = _refined_solve(lu, k_true, vec, tol)
+                step, err = _refined_solve(lu, kkt.k_true, vec, tol)
             if static and not err <= tol:
                 # diagonal pivots failed to factor, or lost the accuracy
                 # refinement needs (the barrier diagonal can span tens of
@@ -591,8 +650,8 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
                 # the rest of this iteration and redo the direction; if
                 # that raises too, the loop stops below
                 static = False
-                lu = _factor(k_reg)
-                step, _ = _refined_solve(lu, k_true, vec, tol)
+                lu = _factor(kkt.k_reg)
+                step, _ = _refined_solve(lu, kkt.k_true, vec, tol)
             dx = step[:n]
             dw = -(g @ dx) - rp_in
             dz = np.concatenate([(rc[:n_b] - z[:n_b] * dw[:n_b]) / w_b, step[n + m :]])

@@ -19,7 +19,6 @@ cost, and both inventories earn strictly positive arbitrage profit.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -38,7 +37,6 @@ from .analysis import (
 from .model import (
     DispatchPlan,
     MarketData,
-    ModelWarning,
     QpProblem,
     ValidatedModel,
     VppConfig,
@@ -216,14 +214,8 @@ class ScenarioResult:
         return self.solution.objective
 
 
-def _validated(cfg: VppConfig, data: MarketData) -> ValidatedModel:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ModelWarning)
-        return validate_config(cfg, data)
-
-
 def _solved(cfg: VppConfig, data: MarketData, settings: SolverSettings):
-    model = _validated(cfg, data)
+    model = validate_config(cfg, data)
     problem = assemble_qp(model)
     sol = solve_qp(problem, settings)
     if sol.status == INFEASIBLE:
@@ -413,7 +405,7 @@ def parameter_sweep(
     grid = [float(v) for v in np.asarray(grid, dtype=float).ravel()]
     if not grid:
         raise ValueError("sweep grid is empty")
-    model = _validated(cfg, data)
+    model = validate_config(cfg, data)
 
     points = []
     for v, (problem, sol) in zip(grid, solve_grid(model, param, grid, settings)):

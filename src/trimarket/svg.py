@@ -259,9 +259,13 @@ def sweep_charts(sweep: SweepResult) -> dict[str, str]:
 
 
 def save_charts(out_dir, charts: dict[str, str]) -> dict[str, Path]:
-    """Write each chart to ``out_dir``; keys are paths relative to its parent."""
+    """Write each chart to ``out_dir``; keys are paths relative to its parent.
+
+    ``out_dir`` is created only when there is a chart to write.
+    """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if charts:
+        out_dir.mkdir(parents=True, exist_ok=True)
     written = {}
     for name, svg in charts.items():
         p = out_dir / f"{name}.svg"

@@ -18,11 +18,15 @@ It takes about 40 s on a 2-core VM.
 relative) mismatch counts and the largest |dx| over solves with the same
 status, for all solves and for the lossless-storage ones (eta_c = eta_d =
 1) alone.  Then, for each tree, the iteration and probe totals by status
-and the total factorizations, and the number of solves whose iteration
-count changed, by status.  Last come both trees' totals of partial-pivot
-(COLAMD) factorizations, the interior-point fallbacks plus the polish,
-and the number of solves whose count changed.  Not collected by pytest
-(the file name does not match test_*).
+and the total factorizations; the static-pivot factorizations that
+computed a fill-reducing ordering (``MMD_AT_PLUS_A``) and those that
+reused one (``NATURAL``); and the number of solves that computed more
+than one ordering, which is 0 unless a solve's first static factor
+raised.  Then the number of solves whose iteration count changed, by
+status.  Last come both trees' totals of partial-pivot (COLAMD)
+factorizations, the interior-point fallbacks plus the polish, and the
+number of solves whose count changed.  Not collected by pytest (the file
+name does not match test_*).
 """
 
 from __future__ import annotations
@@ -150,6 +154,10 @@ def compare(path_a: str, path_b: str) -> None:
                            for st, (it, pr) in sorted(by_status.items()))
         factored = sum(sum(r["splu"].values()) for r in d.values())
         print(f"{label}: {totals}; {factored} factorizations")
+        orderings = [r["splu"].get("MMD_AT_PLUS_A", 0) for r in d.values()]
+        natural = sum(r["splu"].get("NATURAL", 0) for r in d.values())
+        print(f"{label}: {sum(orderings)} MMD_AT_PLUS_A and {natural} NATURAL factorizations; "
+              f"{sum(n > 1 for n in orderings)} solves computed more than one ordering")
     changed_by_status = {}
     for k in a:
         if a[k]["iterations"] != b[k]["iterations"]:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -488,6 +489,32 @@ class TestCli:
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
 
+    def test_model_warning_printed_once(self, workdir, capsys):
+        text = (workdir / "model.cfg").read_text()
+        (workdir / "k.cfg").write_text(re.sub(r"(?m)^tg\.k = .*$", "tg.k = 0.5", text))
+        warning = "warning: CE factor k=0.5 outside the usual [0.8, 0.9] range\n"
+        inputs = ["--config", str(workdir / "k.cfg"), "--data", str(workdir / "market.csv"),
+                  "--no-plots"]
+        assert main(["solve", *inputs, "--out", str(workdir / "s")]) == 0
+        assert capsys.readouterr().err == warning
+        # the four inventory cells validate four configs with the same warning
+        assert main(["inventory-matrix", *inputs, "--out", str(workdir / "m")]) == 0
+        assert capsys.readouterr().err == warning
+        # the moved sweep points stay quiet: no "policy.r = 0" for r = 0
+        assert main(["sweep", *inputs, "--param", "r", "--grid", "0,0.5",
+                     "--out", str(workdir / "w")]) == 0
+        assert capsys.readouterr().err == warning
+
+    def test_bundled_config_prints_no_warning(self, tmp_path, capsys):
+        import trimarket
+
+        bundled = Path(trimarket.__file__).parent / "data" / "defaults.cfg"
+        market = tmp_path / "market.csv"
+        assert main(["gen-data", "--config", str(bundled), "--out", str(market)]) == 0
+        assert main(["solve", "--config", str(bundled), "--data", str(market),
+                     "--properties", "full", "--out", str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_sweep_with_no_solved_point_exits_two(self, workdir, capsys):
         text = (workdir / "model.cfg").read_text()
         text = text.replace("caps.r_cap = 400", "caps.r_cap = 0")
@@ -501,6 +528,7 @@ class TestCli:
         assert "no sweep point solved" in capsys.readouterr().err
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(manifest["files"]) == ["sweep.csv", "sweep.json"]
+        assert not (out / "charts").exists()
 
     @pytest.mark.parametrize("extra, rc, message", [
         (["--tol", "0"], 1, "error: --tol must be positive"),

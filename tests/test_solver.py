@@ -296,8 +296,11 @@ class TestInfeasibility:
         assert diagnose_infeasibility(p) == "problem is feasible"
 
 
-STATIC_PIVOT = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options=dict(SymmetricMode=True))
+# a static factor pivots on the diagonal; the first of a solve computes
+# the ordering, every later one takes the matrix permuted into it
+STATIC_ORDERING = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
+STATIC_NATURAL = dict(STATIC_ORDERING, permc_spec="NATURAL")
 PARTIAL_PIVOT = dict(permc_spec="COLAMD")
 
 
@@ -343,21 +346,23 @@ class TestKktFactorization:
         calls = _phase_recorder(monkeypatch, qp, "splu")
         sol = solve_qp(_synth_week())
         assert sol.status == OPTIMAL and sol.iterations == 10
-        # one factorization per iteration that takes a step, none falls back
-        assert [kw for ph, kw in calls if ph == "ipm"] == [STATIC_PIVOT] * 9
+        # one factorization per iteration that takes a step, none falls back;
+        # only the first computes an ordering
+        assert [kw for ph, kw in calls if ph == "ipm"] == [STATIC_ORDERING] + [STATIC_NATURAL] * 8
         # the active-set polish keeps partial pivoting
         assert [kw for ph, kw in calls if ph == "polish"] == [PARTIAL_PIVOT]
 
     def test_partial_pivot_fallback_keeps_solve_optimal(self, monkeypatch):
         # the barrier diagonal spans so many orders of magnitude that the
-        # static factor cannot refine one direction to tolerance
+        # static factor cannot refine one direction to tolerance; the
+        # partial-pivot refactor follows in the same (last) iteration
         calls = _phase_recorder(monkeypatch, qp, "splu")
-        _, p = build(*random_instance(18))
+        _, p = build(*random_instance(324))
         sol = solve_qp(p)
-        assert sol.status == OPTIMAL
+        assert sol.status == OPTIMAL and sol.iterations == 9
         ipm = [kw for ph, kw in calls if ph == "ipm"]
-        assert ipm[0] == STATIC_PIVOT
-        assert PARTIAL_PIVOT in ipm
+        assert ipm == [STATIC_ORDERING] + [STATIC_NATURAL] * 7 + [PARTIAL_PIVOT]
+        assert [kw for ph, kw in calls if ph == "polish"] == [PARTIAL_PIVOT]
 
     def test_kkt_pattern_built_once_per_solve(self, monkeypatch):
         calls = _phase_recorder(monkeypatch, qp.sp, "bmat")
@@ -369,6 +374,38 @@ class TestKktFactorization:
             iterations.add(sol.iterations)
             assert sum(ph == "ipm" for ph, _ in calls) == 1
         assert len(iterations) == 3
+
+    def test_one_ordering_per_solve(self, monkeypatch):
+        calls = _phase_recorder(monkeypatch, qp, "splu")
+        for p in (build(*hand_case())[1], _synth_week(), build(*random_instance(18))[1]):
+            calls.clear()
+            assert solve_qp(p).status == OPTIMAL
+            factors = [kw for ph, kw in calls if ph != "polish starts"]
+            assert factors[0] == STATIC_ORDERING
+            assert factors.count(STATIC_ORDERING) == 1
+            assert all(kw in (STATIC_NATURAL, PARTIAL_PIVOT) for kw in factors[1:])
+
+    def test_reordered_factor_solves_like_a_fresh_ordering(self, monkeypatch):
+        # replay every iteration's diagonal of a real solve: the factor taken
+        # in the first iteration's ordering solves as a freshly ordered one
+        diagonals, real = [], qp._Kkt.set_diagonal
+
+        def recorded(kkt, diag):
+            diagonals.append((kkt, diag.copy()))
+            real(kkt, diag)
+
+        monkeypatch.setattr(qp._Kkt, "set_diagonal", recorded)
+        assert solve_qp(_synth_week()).status == OPTIMAL
+        assert len(diagonals) == 9
+        kkt = diagonals[0][0]
+        rhs = np.random.default_rng(0).standard_normal(kkt.k_reg.shape[0])
+        for _, diag in diagonals[1:]:
+            real(kkt, diag)
+            reordered = kkt.static_factor()
+            fresh = qp._factor(kkt.k_reg, "MMD_AT_PLUS_A")
+            want = fresh.solve(rhs)
+            assert np.max(np.abs(reordered.solve(rhs) - want)) <= 1e-12 * np.max(np.abs(want))
+            assert reordered.lu.L.nnz + reordered.lu.U.nnz <= fresh.L.nnz + fresh.U.nnz
 
     def test_polish_rejects_non_finite_solve(self, monkeypatch):
         class NanFactor:
@@ -387,7 +424,7 @@ class TestKktFactorization:
         real, failed = qp.splu, []
 
         def first_static_raises(*args, **kwargs):
-            if kwargs == STATIC_PIVOT and not failed:
+            if kwargs == STATIC_ORDERING and not failed:
                 failed.append(True)
                 raise RuntimeError("Factor is exactly singular")
             return real(*args, **kwargs)
@@ -397,9 +434,10 @@ class TestKktFactorization:
         sol = solve_qp(_synth_week())
         assert sol.status == OPTIMAL and sol.iterations == 10
         # partial pivoting follows the failed static factor within the same
-        # iteration; the next iteration starts with static pivots again
+        # iteration; no ordering exists yet, so the next iteration computes
+        # it and every later one reuses it
         ipm = [kw for ph, kw in calls if ph == "ipm"]
-        assert ipm == [STATIC_PIVOT, PARTIAL_PIVOT] + [STATIC_PIVOT] * 8
+        assert ipm == [STATIC_ORDERING, PARTIAL_PIVOT, STATIC_ORDERING] + [STATIC_NATURAL] * 7
 
     @pytest.mark.parametrize("error", [MemoryError, SystemError])
     def test_polish_out_of_memory_falls_back_to_converged_iterate(self, monkeypatch, error):
