@@ -24,9 +24,25 @@ Positive trade quantities are sales.  Withdraw/deposit pairs are encoded as a
 single net flow ``x``; the sign split recovers the physical pair and makes the
 "no simultaneous withdraw and deposit" restriction hold by construction.
 Storage states are cyclic: the level before hour 1 equals the level at hour T.
-The state of charge follows ``q_t = q_{t-1} + eta_c*p_c_t - p_d_t/eta_d``:
-charging stores only a fraction ``eta_c`` of the power drawn, and
+Charging stores only a fraction ``eta_c`` of the power drawn, and
 discharging ``p_d`` takes ``p_d/eta_d`` out of storage.
+
+The profit is ``sum_t pi_g*G + pi_r*R + pi_c*C - a*g^2 - b*g``.  Every hour t
+has the same six equality rows, with t-1 the cyclic predecessor::
+
+    ess_dyn   eta_c*p_c_t - p_d_t/eta_d - q_t + q_{t-1}  = 0
+    rec_inv   -x_r_t - i_r_t + i_r_{t-1}                 = 0
+    cer_inv   -x_c_t - i_c_t + i_c_{t-1}                 = 0
+    elec_bal  g_t + p_d_t - p_c_t - G_t                  = l_t - e_t
+    rec_bal   x_r_t - R_t - r0_t                         = -e_t
+    cer_bal   C_t + k*g_t - x_c_t - c0_t                 = 0
+
+and two coupling rows sum over the horizon::
+
+    rps       sum_t (r*p_c_t - r0_t)  <= -r * sum_t l_t
+    quota     sum_t c0_t              <= g_max*k*T*alpha
+
+``assemble_qp`` builds the equality rows from one table of these terms.
 """
 
 from __future__ import annotations
@@ -68,8 +84,6 @@ _ROLE_POS = {name: k for k, name in enumerate(ROLES)}
 #: Per-hour ordering of the 6 equality-row kinds.
 EQ_KINDS = ("ess_dyn", "rec_inv", "cer_inv", "elec_bal", "rec_bal", "cer_bal")
 _EQ_POS = {name: k for k, name in enumerate(EQ_KINDS)}
-
-COUPLING_ROWS = ("rps", "quota")
 
 
 class ModelWarning(UserWarning):
@@ -431,6 +445,22 @@ class QpProblem:
         return float(0.5 * np.dot(self.h_diag, x * x) + np.dot(self.f, x))
 
 
+def _stencil(terms, row_pos: dict[str, int], row_step: int, shape: tuple[int, int]) -> sp.csr_matrix:
+    """Sparse matrix holding every (row, role, offset, coefficient) term at each hour.
+
+    At hour t a term lands in row ``row_step*t + row_pos[row]`` and column
+    ``13*((t + offset) % T) + position(role)``: offset -1 is the cyclic
+    predecessor hour, and ``row_step`` 0 sums a term over the horizon into
+    one row.  Terms that meet in one entry are added.
+    """
+    T = shape[1] // 13
+    rows, roles, offsets, coefs = zip(*terms)
+    t = np.arange(T)[:, None]
+    r = row_step * t + [row_pos[row] for row in rows]
+    c = 13 * ((t + offsets) % T) + [_ROLE_POS[role] for role in roles]
+    return sp.csr_matrix((np.tile(coefs, T), (r.ravel(), c.ravel())), shape=shape)
+
+
 def assemble_qp(model: ValidatedModel, *, quota_override: float | None = None) -> QpProblem:
     """Build the concave QP from a validated model.
 
@@ -443,110 +473,83 @@ def assemble_qp(model: ValidatedModel, *, quota_override: float | None = None) -
     T = cfg.horizon
     layout = variable_layout(T)
     n = layout.n
+    caps, rec, cer = cfg.caps, cfg.rec_inventory, cfg.cer_inventory
 
-    idx = {role: layout.indices(role) for role in ROLES}
+    # objective: one column of the T x 13 (hour, role) grid per priced role
+    h_diag = np.zeros((T, 13))
+    h_diag[:, _ROLE_POS["g"]] = -2.0 * cfg.tg.a
+    f = np.zeros((T, 13))
+    for role, coef in (
+        ("g", -cfg.tg.b),
+        ("G", data.pi_g),
+        ("R", data.pi_r),
+        ("C", data.pi_c),
+    ):
+        f[:, _ROLE_POS[role]] = coef
 
-    # objective
-    h_diag = np.zeros(n)
-    h_diag[idx["g"]] = -2.0 * cfg.tg.a
-    f = np.zeros(n)
-    f[idx["g"]] = -cfg.tg.b
-    f[idx["G"]] = data.pi_g
-    f[idx["R"]] = data.pi_r
-    f[idx["C"]] = data.pi_c
+    # equality rows, 6 per hour: (row kind, role, hour offset, coefficient)
+    eq_terms = (
+        ("ess_dyn", "p_c", 0, cfg.ess.eta_c),
+        ("ess_dyn", "p_d", 0, -1.0 / cfg.ess.eta_d),
+        ("ess_dyn", "q", 0, -1.0),
+        ("ess_dyn", "q", -1, 1.0),
+        ("rec_inv", "x_r", 0, -1.0),
+        ("rec_inv", "i_r", 0, -1.0),
+        ("rec_inv", "i_r", -1, 1.0),
+        ("cer_inv", "x_c", 0, -1.0),
+        ("cer_inv", "i_c", 0, -1.0),
+        ("cer_inv", "i_c", -1, 1.0),
+        ("elec_bal", "g", 0, 1.0),
+        ("elec_bal", "p_d", 0, 1.0),
+        ("elec_bal", "p_c", 0, -1.0),
+        ("elec_bal", "G", 0, -1.0),
+        ("rec_bal", "x_r", 0, 1.0),
+        ("rec_bal", "R", 0, -1.0),
+        ("rec_bal", "r0", 0, -1.0),
+        ("cer_bal", "C", 0, 1.0),
+        ("cer_bal", "g", 0, cfg.tg.k),
+        ("cer_bal", "x_c", 0, -1.0),
+        ("cer_bal", "c0", 0, -1.0),
+    )
+    a_eq = _stencil(eq_terms, _EQ_POS, 6, (6 * T, n))
+    b_eq = np.zeros((T, 6))
+    b_eq[:, _EQ_POS["elec_bal"]] = data.l - data.e
+    b_eq[:, _EQ_POS["rec_bal"]] = -data.e
 
-    # equality rows, 6 per hour
-    rows, cols, vals = [], [], []
-    b_eq = np.zeros(6 * T)
+    # variable boxes, one (lower, upper) pair per role
+    box = {
+        "g": (cfg.tg.g_min, cfg.tg.g_max),
+        "G": (-caps.g_cap, caps.g_cap),
+        "R": (-caps.r_cap, caps.r_cap),
+        "C": (-caps.c_cap, caps.c_cap),
+        "p_c": (0.0, cfg.ess.p_c_max),
+        "p_d": (0.0, cfg.ess.p_d_max),
+        "q": (0.0, cfg.ess.q_max),
+        "x_r": (-rec.d_max, rec.w_max),
+        "i_r": (0.0, rec.i_max),
+        "r0": (0.0, np.inf),
+        "x_c": (-cer.d_max, cer.w_max),
+        "i_c": (0.0, cer.i_max),
+        "c0": (0.0, np.inf),
+    }
+    lb = np.tile([box[role][0] for role in ROLES], T)
+    ub = np.tile([box[role][1] for role in ROLES], T)
 
-    def put(row, col, val):
-        rows.append(row)
-        cols.append(col)
-        vals.append(val)
-
-    for t in range(T):
-        tp = (t - 1) % T  # cyclic predecessor
-        r_ess = 6 * t + _EQ_POS["ess_dyn"]
-        put(r_ess, idx["p_c"][t], cfg.ess.eta_c)
-        put(r_ess, idx["p_d"][t], -1.0 / cfg.ess.eta_d)
-        put(r_ess, idx["q"][t], -1.0)
-        put(r_ess, idx["q"][tp], 1.0)
-
-        r_rec = 6 * t + _EQ_POS["rec_inv"]
-        put(r_rec, idx["x_r"][t], -1.0)
-        put(r_rec, idx["i_r"][t], -1.0)
-        put(r_rec, idx["i_r"][tp], 1.0)
-
-        r_cer = 6 * t + _EQ_POS["cer_inv"]
-        put(r_cer, idx["x_c"][t], -1.0)
-        put(r_cer, idx["i_c"][t], -1.0)
-        put(r_cer, idx["i_c"][tp], 1.0)
-
-        r_bal = 6 * t + _EQ_POS["elec_bal"]
-        put(r_bal, idx["g"][t], 1.0)
-        put(r_bal, idx["p_d"][t], 1.0)
-        put(r_bal, idx["p_c"][t], -1.0)
-        put(r_bal, idx["G"][t], -1.0)
-        b_eq[r_bal] = data.l[t] - data.e[t]
-
-        r_rb = 6 * t + _EQ_POS["rec_bal"]
-        put(r_rb, idx["x_r"][t], 1.0)
-        put(r_rb, idx["R"][t], -1.0)
-        put(r_rb, idx["r0"][t], -1.0)
-        b_eq[r_rb] = -data.e[t]
-
-        r_cb = 6 * t + _EQ_POS["cer_bal"]
-        put(r_cb, idx["C"][t], 1.0)
-        put(r_cb, idx["g"][t], cfg.tg.k)
-        put(r_cb, idx["x_c"][t], -1.0)
-        put(r_cb, idx["c0"][t], -1.0)
-
-    a_eq = sp.coo_matrix((vals, (rows, cols)), shape=(6 * T, n)).tocsr()
-    a_eq.sum_duplicates()
-
-    # variable boxes
-    lb = np.full(n, -np.inf)
-    ub = np.full(n, np.inf)
-
-    def box(role, lo, hi):
-        lb[idx[role]] = lo
-        ub[idx[role]] = hi
-
-    box("g", cfg.tg.g_min, cfg.tg.g_max)
-    box("G", -cfg.caps.g_cap, cfg.caps.g_cap)
-    box("R", -cfg.caps.r_cap, cfg.caps.r_cap)
-    box("C", -cfg.caps.c_cap, cfg.caps.c_cap)
-    box("p_c", 0.0, cfg.ess.p_c_max)
-    box("p_d", 0.0, cfg.ess.p_d_max)
-    box("q", 0.0, cfg.ess.q_max)
-    box("x_r", -cfg.rec_inventory.d_max, cfg.rec_inventory.w_max)
-    box("i_r", 0.0, cfg.rec_inventory.i_max)
-    box("r0", 0.0, np.inf)
-    box("x_c", -cfg.cer_inventory.d_max, cfg.cer_inventory.w_max)
-    box("i_c", 0.0, cfg.cer_inventory.i_max)
-    box("c0", 0.0, np.inf)
-
-    # coupling rows: RPS retirement floor and quota ceiling
-    c_rows, c_cols, c_vals = [], [], []
-    for t in range(T):
-        c_rows.append(0)
-        c_cols.append(idx["p_c"][t])
-        c_vals.append(cfg.policy.r)
-        c_rows.append(0)
-        c_cols.append(idx["r0"][t])
-        c_vals.append(-1.0)
-        c_rows.append(1)
-        c_cols.append(idx["c0"][t])
-        c_vals.append(1.0)
-    coup = sp.coo_matrix((c_vals, (c_rows, c_cols)), shape=(2, n)).tocsr()
+    # coupling rows over the horizon: RPS retirement floor and quota ceiling
+    coup_terms = (
+        ("rps", "p_c", 0, cfg.policy.r),
+        ("rps", "r0", 0, -1.0),
+        ("quota", "c0", 0, 1.0),
+    )
+    coup = _stencil(coup_terms, {"rps": 0, "quota": 1}, 0, (2, n))
     quota = model.quota if quota_override is None else float(quota_override)
     coup_rhs = np.array([-cfg.policy.r * float(np.sum(data.l)), quota])
 
     return QpProblem(
-        h_diag=h_diag,
-        f=f,
+        h_diag=h_diag.ravel(),
+        f=f.ravel(),
         a_eq=a_eq,
-        b_eq=b_eq,
+        b_eq=b_eq.ravel(),
         lb=lb,
         ub=ub,
         coup=coup,

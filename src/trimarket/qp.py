@@ -265,29 +265,21 @@ def _presolve(p: QpProblem) -> _Presolved:
         j = int(np.argmax(bad))
         raise _InfeasibleProblem(f"empty bound interval on variable {j}: [{lb[j]}, {ub[j]}]")
 
-    pins: dict[int, float] = {}
-    fixed = np.isfinite(lb) & (lb == ub)
-    for j in np.nonzero(fixed)[0]:
-        pins[int(j)] = float(lb[j])
+    pinned = np.isfinite(lb) & (lb == ub)
+    pin = np.where(pinned, lb, 0.0)
 
     keep_rows, dropped_rows = [], []
     coup = p.coup.tocsr()
     for k in range(coup.shape[0]):
-        row = coup.getrow(k)
-        cols, vals = row.indices, row.data
-        lo_val = 0.0
-        achievable = True
+        cols = coup.indices[coup.indptr[k] : coup.indptr[k + 1]]
+        vals = coup.data[coup.indptr[k] : coup.indptr[k + 1]]
         # an explicit zero coefficient leaves its variable out of the row
-        nz = vals != 0
-        cols, vals = cols[nz], vals[nz]
-        for j, v in zip(cols, vals):
-            bnd = lb[j] if v > 0 else ub[j]
-            if not np.isfinite(bnd):
-                achievable = False
-                break
-            lo_val += v * bnd
+        cols, vals = cols[vals != 0], vals[vals != 0]
+        bnd = np.where(vals > 0, lb[cols], ub[cols])  # the bound that minimizes the row
+        achievable = bool(np.all(np.isfinite(bnd)))
+        lo_val = sum((vals * bnd).tolist(), 0.0) if achievable else 0.0  # in column order
         rhs = p.coup_rhs[k]
-        tol = 1e-9 * (1.0 + abs(rhs) + (abs(lo_val) if achievable else 0.0))
+        tol = 1e-9 * (1.0 + abs(rhs) + abs(lo_val))
         if achievable and rhs < lo_val - tol:
             raise _InfeasibleProblem(
                 f"coupling row {k} requires value below its box minimum ({rhs} < {lo_val})"
@@ -295,19 +287,18 @@ def _presolve(p: QpProblem) -> _Presolved:
         if achievable and rhs <= lo_val + tol:
             # the row can only hold with every participating variable at the
             # bound that minimizes it; pin them and drop the row
-            for j, v in zip(cols, vals):
-                val = float(lb[j] if v > 0 else ub[j])
-                if j in pins and pins[j] != val:
-                    raise _InfeasibleProblem(f"conflicting pins on variable {j}")
-                pins[int(j)] = val
+            clash = pinned[cols] & (pin[cols] != bnd)
+            if np.any(clash):
+                raise _InfeasibleProblem(f"conflicting pins on variable {cols[np.argmax(clash)]}")
+            pinned[cols] = True
+            pin[cols] = bnd
             dropped_rows.append(k)
         else:
             keep_rows.append(k)
 
-    pin_idx = np.array(sorted(pins), dtype=int)
-    pin_val = np.array([pins[j] for j in pin_idx])
-    for j in pin_idx:  # pinned vars leave the box constraints entirely
-        lb[j], ub[j] = -np.inf, np.inf
+    pin_idx = np.nonzero(pinned)[0]
+    pin_val = pin[pin_idx]
+    lb[pin_idx], ub[pin_idx] = -np.inf, np.inf  # pinned vars leave the box constraints entirely
     lo_idx = np.nonzero(np.isfinite(lb))[0]
     up_idx = np.nonzero(np.isfinite(ub))[0]
 
@@ -922,35 +913,16 @@ def oracle_solve(p: QpProblem, max_iter: int = 2000) -> Solution:
     c = -p.f
 
     # inequality stack: finite bounds as one row per side, then coupling rows
-    g_rows: list[np.ndarray] = []
-    h_vals: list[float] = []
-    kinds: list[tuple[str, int]] = []
-    for j in range(n):
-        if np.isfinite(p.lb[j]):
-            row = np.zeros(n)
-            row[j] = -1.0
-            g_rows.append(row)
-            h_vals.append(-p.lb[j])
-            kinds.append(("lo", j))
-    for j in range(n):
-        if np.isfinite(p.ub[j]):
-            row = np.zeros(n)
-            row[j] = 1.0
-            g_rows.append(row)
-            h_vals.append(p.ub[j])
-            kinds.append(("up", j))
-    coup = p.coup.toarray()
-    for k in range(coup.shape[0]):
-        g_rows.append(coup[k])
-        h_vals.append(p.coup_rhs[k])
-        kinds.append(("coup", k))
-    g_mat = np.array(g_rows) if g_rows else np.zeros((0, n))
-    h_vec = np.array(h_vals)
+    lo = np.nonzero(np.isfinite(p.lb))[0]
+    up = np.nonzero(np.isfinite(p.ub))[0]
+    eye = np.eye(n)
+    g_mat = np.vstack([0.0 - eye[lo], eye[up], p.coup.toarray()])
+    h_vec = np.concatenate([-p.lb[lo], p.ub[up], p.coup_rhs])
 
     start = linprog(
         c=np.zeros(n),
-        A_ub=g_mat if len(g_mat) else None,
-        b_ub=h_vec if len(h_vec) else None,
+        A_ub=g_mat,
+        b_ub=h_vec,
         A_eq=a_eq,
         b_eq=b_eq,
         bounds=[(None, None)] * n,
@@ -971,8 +943,8 @@ def oracle_solve(p: QpProblem, max_iter: int = 2000) -> Solution:
     it = 0
     for it in range(1, max_iter + 1):
         grad = q * x + c
-        a_bar = np.vstack([a_eq] + [g_mat[i] for i in work]) if work else a_eq
-        null = null_space(a_bar) if a_bar.size else np.eye(n)
+        a_bar = np.vstack([a_eq, g_mat[work]])
+        null = null_space(a_bar)
 
         ray = False
         if null.shape[1] == 0:
@@ -996,21 +968,17 @@ def oracle_solve(p: QpProblem, max_iter: int = 2000) -> Solution:
                 d = null @ (evecs @ dz)
 
         if not ray and np.max(np.abs(d), initial=0.0) <= 1e-10 * (1.0 + np.max(np.abs(x))):
-            duals, *_ = np.linalg.lstsq(
-                np.vstack([a_eq] + [g_mat[i] for i in work]).T if work else a_eq.T,
-                -grad,
-                rcond=None,
-            )
+            duals, *_ = np.linalg.lstsq(a_bar.T, -grad, rcond=None)
             nu = duals[len(a_eq):]
             neg = np.nonzero(nu < -1e-8 * grad_scale)[0]
             if len(neg) == 0:
-                return _oracle_solution(p, x, duals[: len(a_eq)], work, nu, kinds, g_mat, it)
+                return _oracle_solution(p, x, duals[: len(a_eq)], work, nu, lo, up, it)
             drop = int(neg[0]) if bland else int(np.argmin(nu))
             work.pop(drop)
             continue
 
-        g_d = g_mat @ d if len(g_mat) else np.zeros(0)
-        slack = np.maximum(h_vec - g_mat @ x, 0.0) if len(g_mat) else np.zeros(0)
+        g_d = g_mat @ d
+        slack = np.maximum(h_vec - g_mat @ x, 0.0)
         cand = [
             i for i in range(len(g_mat))
             if i not in work and g_d[i] > 1e-11 * (1.0 + np.abs(g_d).max())
@@ -1040,26 +1008,19 @@ def oracle_solve(p: QpProblem, max_iter: int = 2000) -> Solution:
     raise RuntimeError(f"active-set iteration cap {max_iter} reached")
 
 
-def _oracle_solution(p, x, y_ls, work, nu, kinds, g_mat, iterations) -> Solution:
-    n = p.n
-    zl = np.zeros(n)
-    zu = np.zeros(n)
-    zc = np.zeros(2)
-    for w_idx, mult in zip(work, nu):
-        kind, j = kinds[w_idx]
-        mult = max(float(mult), 0.0)
-        if kind == "lo":
-            zl[j] = mult
-        elif kind == "up":
-            zu[j] = mult
-        else:
-            zc[j] = mult
+def _oracle_solution(p, x, y_ls, work, nu, lo, up, iterations) -> Solution:
+    # multipliers of the inequality stack: lower bounds, upper bounds, coupling rows
+    z = np.zeros(len(lo) + len(up) + len(p.coup_rhs))
+    z[work] = np.maximum(nu, 0.0)
+    zl, zu = np.zeros(p.n), np.zeros(p.n)
+    zl[lo] = z[: len(lo)]
+    zu[up] = z[len(lo) : len(lo) + len(up)]
     sol = Solution(
         status=OPTIMAL,
         x=x.copy(),
         objective=p.objective(x),
         eq_duals=np.asarray(y_ls, dtype=float),
-        ineq_duals=IneqDuals(lower=zl, upper=zu, coupling=zc),
+        ineq_duals=IneqDuals(lower=zl, upper=zu, coupling=z[len(lo) + len(up) :]),
         iterations=iterations,
         residuals=None,
     )

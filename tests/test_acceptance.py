@@ -23,7 +23,7 @@ from _instances import (
 )
 from trimarket.analysis import affine_sensitivity, named_duals
 from trimarket.config_io import save_config
-from trimarket.model import MarketData, default_config, validate_config
+from trimarket.model import MarketData, ModelWarning, default_config, validate_config
 from trimarket.qp import OPTIMAL, kkt_residuals, oracle_solve, solve_qp
 from trimarket.scenarios import (
     InfeasibleError,
@@ -174,23 +174,30 @@ def test_c04_capped_trading_case_structure(verdict, base_cfg, base_data):
         "cer_multiplier_iff_trade_slack",
         "cer_no_slack_trade_with_zero_multiplier",
     )
-    for name, cfg, data in corpus:
-        try:
-            result = run_scenario(cfg, data, properties="core")
-        except InfeasibleError:
-            continue
-        checked += 1
-        reports = _report_map(result)
-        for pid in structural:
-            rep = reports[pid]
-            if not rep.holds:
-                bad.append(f"{name}:{pid}")
-            finite = np.isfinite(cfg.caps.r_cap if pid.startswith(("rps", "rec")) else cfg.caps.c_cap)
-            if finite and rep.skipped:
-                bad.append(f"{name}:{pid}:skipped")
-        for market in ("rec", "cer"):
-            if result.case_tables[market].counts()[1] != 0:
-                bad.append(f"{name}:{market}:case1")
+    # the corpus uses r = 0 and hourly certificate prices on purpose
+    with pytest.warns(ModelWarning) as caught:
+        for name, cfg, data in corpus:
+            try:
+                result = run_scenario(cfg, data, properties="core")
+            except InfeasibleError:
+                continue
+            checked += 1
+            reports = _report_map(result)
+            for pid in structural:
+                rep = reports[pid]
+                if not rep.holds:
+                    bad.append(f"{name}:{pid}")
+                finite = np.isfinite(cfg.caps.r_cap if pid.startswith(("rps", "rec")) else cfg.caps.c_cap)
+                if finite and rep.skipped:
+                    bad.append(f"{name}:{pid}:skipped")
+            for market in ("rec", "cer"):
+                if result.case_tables[market].counts()[1] != 0:
+                    bad.append(f"{name}:{market}:case1")
+    assert sorted({str(w.message) for w in caught}) == [
+        "pi_c is not constant within each 24 h block",
+        "pi_r is not constant within each 24 h block",
+        "policy.r = 0: RPS constraint is degenerate",
+    ]
     ok = checked >= 12 and not bad
     verdict(
         4,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from trimarket.analysis import (
     solve_for_param,
 )
 from trimarket.model import (
+    EssParams,
     MarketData,
     ValidationError,
     default_config,
@@ -173,6 +176,47 @@ class TestPropertyReports:
         assert rep.holds
 
 
+_REC = (rec_sale_capped_case, classify_rec_trading, "mu", "R",
+        "rps_multiplier_iff_rec_trade_slack", "rec_no_slack_trade_with_zero_multiplier")
+_CER = (cer_sale_capped_case, classify_cer_trading, "delta", "C",
+        "cer_multiplier_iff_trade_slack", "cer_no_slack_trade_with_zero_multiplier")
+
+
+@pytest.mark.parametrize("market", [_REC, _CER], ids=["rec", "cer"])
+class TestFailingWitnesses:
+    """Doctored plans and multipliers drive the classifiers' failing branches.
+
+    Both cases trade at the cap every hour with a zero multiplier (REC cap
+    50, CER cap 10); each doctored copy breaks one side of the
+    multiplier/slack link.
+    """
+
+    def test_positive_multiplier_without_slack_hour(self, market):
+        case, classify, mult, _, iff_id, _ = market
+        model, p, sol, plan = _scenario(case)
+        duals = dataclasses.replace(named_duals(p, sol), **{mult: 5.0})
+        table, reports = classify(plan, duals, model)
+        rep = _by_id(reports)[iff_id]
+        assert not rep.holds and rep.residual == 5.0
+        assert rep.witness == f"positive multiplier but no slack hour; {mult}=5, max slack 0 at hour 1"
+        assert table.counts() == {1: 0, 2: 0, 3: 0, 4: 6}
+
+    def test_slack_hour_with_zero_multiplier(self, market):
+        case, classify, mult, trade, iff_id, case1_id = market
+        model, p, sol, plan = _scenario(case)
+        duals = named_duals(p, sol)
+        assert getattr(duals, mult) == 0.0
+        series = getattr(plan, trade).copy()
+        series[2] -= 6.0  # hour 3 trades 6 below the cap
+        table, reports = classify(dataclasses.replace(plan, **{trade: series}), duals, model)
+        rep = _by_id(reports)
+        assert not rep[iff_id].holds
+        assert rep[iff_id].witness == f"slack hour but zero multiplier; {mult}=0, max slack 6 at hour 3"
+        assert not rep[case1_id].holds and rep[case1_id].residual == 1.0
+        assert rep[case1_id].witness == "slack trade with zero multiplier at hour 3 (1 hours total)"
+        assert table.counts() == {1: 1, 2: 0, 3: 5, 4: 0}
+
+
 def _jittered_data(T=168):
     base = synth_data(SynthSpec(horizon=T))
     t = np.arange(T)
@@ -240,6 +284,15 @@ class TestAffineSensitivity:
         with pytest.raises(ValueError, match="param"):
             affine_sensitivity(model, "k", np.array([0.1, 0.2, 0.3]))
 
+    def test_segment_with_zero_multiplier_is_not_checked(self):
+        # the quota stays slack over this alpha range: one active set, no price
+        model, _ = build(*cer_sale_capped_case())
+        rep = affine_sensitivity(model, "alpha", np.array([0.2, 0.3, 0.4]))
+        assert rep.breakpoints == [] and list(rep.multipliers) == [0.0, 0.0, 0.0]
+        assert rep.segments == [{"start": 0, "stop": 2, "checked": False, "holds": True,
+                                 "note": "multiplier not positive throughout"}]
+        assert rep.holds and rep.to_report().skipped
+
     def test_out_of_domain_value_fails_before_any_solve(self, monkeypatch):
         model, _ = build(*hand_case())
 
@@ -273,3 +326,53 @@ class TestExtraSolveChecks:
             model = validate_config(cfg, data)
         with pytest.raises(ValueError, match="outside"):
             solve_for_param(model, "r", 0.995 + 0.01)
+
+    def test_envelope_skips_when_the_active_set_changes(self):
+        # the quota binds at 30 and goes slack at 130
+        model, _ = build(*cer_sale_capped_case())
+        base = solve_for_param(model, "quota", 30.0)
+        shifted = solve_for_param(model, "quota", 130.0)
+        assert named_duals(*base).delta > MULT_EPS and named_duals(*shifted).delta == 0.0
+        rep = envelope_check(model, base, shifted, 100.0, "quota")
+        assert rep.skipped and rep.holds
+        assert rep.note == "active set changed across the step (quota step 100); slope spans regions"
+
+    def test_priority_check_skips_lossy_storage(self):
+        cfg, data = rec_priority_case()
+        lossy = dataclasses.replace(cfg, ess=EssParams(40.0, 40.0, 80.0, eta_c=0.9))
+        model, p, sol = solve(lossy, data)
+        rep = rps_priority_check(model, (p, sol), (p, sol), 0.01)
+        assert rep.skipped and rep.note == "needs unit charge/discharge efficiencies"
+
+    def test_priority_check_skips_zero_multiplier(self):
+        model, p, sol = solve(*rec_sale_capped_case())
+        assert named_duals(p, sol).mu == 0.0
+        rep = rps_priority_check(model, (p, sol), (p, sol), 0.01)
+        assert rep.skipped and rep.note == "RPS multiplier is zero at the base point"
+
+    def test_priority_check_skips_when_one_hour_favors_buying(self):
+        # one dear REC hour makes retiring there costlier than what it earns
+        cfg, data = rec_priority_case()
+        pi_r = data.pi_r.copy()
+        pi_r[0] += 500.0
+        model, p, sol = solve(cfg, dataclasses.replace(data, pi_r=pi_r))
+        assert named_duals(p, sol).mu > MULT_EPS
+        rep = rps_priority_check(model, (p, sol), (p, sol), 0.01)
+        assert rep.skipped
+        assert rep.note == "retirement favored at only 23/24 hours; aggregate claim not asserted"
+
+    def test_priority_check_witnesses(self):
+        model, p, sol = solve(*rec_priority_case())
+        # an unchanged schedule retires nothing more
+        need = 0.01 * float(np.sum(p.layout.gather(sol.x, "p_c")) + np.sum(model.data.l))
+        rep = rps_priority_check(model, (p, sol), (p, sol), 0.01)
+        assert not rep.holds and rep.residual == pytest.approx(need)
+        assert rep.witness == f"retirement grew 0 < required {need:.6g}"
+        # a schedule that stops charging fails on the charging side first
+        x = sol.x.copy()
+        x[p.layout.indices("p_c")] = 0.0
+        charged = float(np.sum(p.layout.gather(sol.x, "p_c")))
+        assert charged > 0.0
+        rep = rps_priority_check(model, (p, sol), (p, dataclasses.replace(sol, x=x)), 0.01)
+        assert not rep.holds
+        assert rep.witness == f"charging shrank by {charged:.6g}"

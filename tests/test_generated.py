@@ -1,10 +1,16 @@
-"""Generated differential tests: solve_qp against the reference oracle.
+"""Generated tests: the assembled rows, and solve_qp against the oracle.
 
-Draws tiny degenerate instances (T <= 3): certificate prices tied across
-hours, zero trade caps, a unit with g_max = 0, alpha = 0, r in {0, 0.5,
-1}, lossy or zero-size storage and disabled inventories.  The draws lean
-toward feasible instances, since those exercise the solver's optimal
-path; infeasible ones still come up often.
+The assembly test draws horizons up to 30 hours with lossy storage,
+assorted CE factors and trade caps, disabled inventories and quota
+overrides, and evaluates every row of the assembled program at a random
+point against the model's equations written out per role series.
+
+The differential test draws tiny degenerate instances (T <= 3):
+certificate prices tied across hours, zero trade caps, a unit with
+g_max = 0, alpha = 0, r in {0, 0.5, 1}, lossy or zero-size storage and
+disabled inventories.  The draws lean toward feasible instances, since
+those exercise the solver's optimal path; infeasible ones still come up
+often.
 """
 
 import math
@@ -16,6 +22,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from trimarket.model import (  # noqa: E402
+    EQ_KINDS,
+    ROLES,
     EssParams,
     InventoryParams,
     MarketData,
@@ -23,6 +31,7 @@ from trimarket.model import (  # noqa: E402
     TgParams,
     TradeCaps,
     VppConfig,
+    assemble_qp,
 )
 from trimarket.qp import INFEASIBLE, OPTIMAL, oracle_solve, solve_qp  # noqa: E402
 
@@ -76,3 +85,93 @@ def test_agrees_with_oracle(case):
         assert abs(sol.objective - ref.objective) <= 1e-8 * max(1.0, abs(ref.objective))
     if sol.status == INFEASIBLE:
         assert sol.message.startswith("infeasible:"), sol.message
+
+
+_three_caps = st.sampled_from([0.0, 50.0, math.inf])
+
+
+@st.composite
+def assembly_cases(draw):
+    T = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def inventory():
+        caps = [float(v) for v in rng.uniform(0, 300, 3)]
+        return InventoryParams(*caps, enabled=draw(st.booleans()))
+
+    g_max = float(rng.uniform(0, 100))
+    cfg = VppConfig(
+        horizon=T,
+        tg=TgParams(a=float(rng.uniform(0.1, 3)), b=float(rng.uniform(0, 100)),
+                    g_min=float(rng.uniform(0, g_max)), g_max=g_max,
+                    k=draw(st.sampled_from([0.0, 0.5, 0.85, 1.2]))),
+        ess=EssParams(*(float(v) for v in rng.uniform(0, 80, 3)),
+                      eta_c=draw(st.sampled_from([1.0, 0.9])),
+                      eta_d=draw(st.sampled_from([1.0, 0.8]))),
+        rec_inventory=inventory(),
+        cer_inventory=inventory(),
+        policy=PolicyParams(r=float(rng.uniform(0, 1)), alpha=float(rng.uniform(0, 1))),
+        caps=TradeCaps(g_cap=draw(_three_caps), r_cap=draw(_three_caps), c_cap=draw(_three_caps)),
+    )
+    data = MarketData(*(rng.uniform(0, 150, T) for _ in range(5)))
+    quota = draw(st.sampled_from([None, 0.0, 123.5]))
+    x = rng.normal(0, 50, 13 * T)
+    return cfg, data, quota, x
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(assembly_cases())
+def test_assembled_rows_are_the_model_equations(case):
+    cfg, data, quota, x = case
+    model, _ = build(cfg, data)
+    p = assemble_qp(model, quota_override=quota)
+    T, tg, ess = cfg.horizon, cfg.tg, cfg.ess
+    v = dict(zip(ROLES, x.reshape(T, 13).T))
+    prev = {role: np.roll(v[role], 1) for role in ("q", "i_r", "i_c")}  # cyclic hour t-1
+    l, e = data.l, data.e
+
+    rows = {
+        "ess_dyn": ess.eta_c * v["p_c"] - v["p_d"] / ess.eta_d - v["q"] + prev["q"],
+        "rec_inv": -v["x_r"] - v["i_r"] + prev["i_r"],
+        "cer_inv": -v["x_c"] - v["i_c"] + prev["i_c"],
+        "elec_bal": v["g"] + v["p_d"] - v["p_c"] - v["G"] - (l - e),
+        "rec_bal": v["x_r"] - v["R"] - v["r0"] + e,
+        "cer_bal": v["C"] + tg.k * v["g"] - v["x_c"] - v["c0"],
+    }
+    got = (p.a_eq @ x - p.b_eq).reshape(T, 6)
+    for pos, kind in enumerate(EQ_KINDS):
+        np.testing.assert_allclose(got[:, pos], rows[kind], rtol=0, atol=1e-9, err_msg=kind)
+
+    r = cfg.policy.r
+    cap = tg.g_max * tg.k * T * cfg.policy.alpha if quota is None else quota
+    np.testing.assert_allclose(
+        p.coup @ x - p.coup_rhs,
+        [r * v["p_c"].sum() - v["r0"].sum() + r * l.sum(), v["c0"].sum() - cap],
+        rtol=1e-12, atol=1e-9,
+    )
+
+    profit = (data.pi_g @ v["G"] + data.pi_r @ v["R"] + data.pi_c @ v["C"]
+              - tg.a * v["g"] @ v["g"] - tg.b * v["g"].sum())
+    assert p.objective(x) == pytest.approx(profit, rel=1e-12, abs=1e-9)
+
+    rec = cfg.rec_inventory if cfg.rec_inventory.enabled else InventoryParams.disabled()
+    cer = cfg.cer_inventory if cfg.cer_inventory.enabled else InventoryParams.disabled()
+    caps = cfg.caps
+    box = {
+        "g": (tg.g_min, tg.g_max),
+        "G": (-caps.g_cap, caps.g_cap),
+        "R": (-caps.r_cap, caps.r_cap),
+        "C": (-caps.c_cap, caps.c_cap),
+        "p_c": (0.0, ess.p_c_max),
+        "p_d": (0.0, ess.p_d_max),
+        "q": (0.0, ess.q_max),
+        "x_r": (-rec.d_max, rec.w_max),
+        "i_r": (0.0, rec.i_max),
+        "r0": (0.0, math.inf),
+        "x_c": (-cer.d_max, cer.w_max),
+        "i_c": (0.0, cer.i_max),
+        "c0": (0.0, math.inf),
+    }
+    lb, ub = p.lb.reshape(T, 13), p.ub.reshape(T, 13)
+    for pos, role in enumerate(ROLES):
+        assert (lb[:, pos] == box[role][0]).all() and (ub[:, pos] == box[role][1]).all(), role

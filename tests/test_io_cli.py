@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import re
@@ -9,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import trimarket.analysis
 from trimarket import __version__
+from trimarket.analysis import PropertyReport
 from trimarket.cli import main
 from trimarket.config_io import (
     CONFIG_KEYS,
@@ -425,6 +428,53 @@ class TestCli:
         out = capsys.readouterr().out
         assert "CHECK FAILED" in out
 
+    @staticmethod
+    def _rewrite_cell(path, row, col, value):
+        lines = path.read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[col] = value(cells[col])
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("tamper, line", [
+        (lambda run: (run / "manifest.json").write_text("{not json"),
+         "[fail] manifest.json holds no readable file list"),
+        (lambda run: (run / "manifest.json").write_text('{"tool": "trimarket"}'),
+         "[fail] manifest.json holds no readable file list"),
+        (lambda run: (run / "breakdown.json").unlink(),
+         "[fail] breakdown.json is listed in manifest.json but missing"),
+        (lambda run: (run / "plan.csv").write_text(
+            "\n".join((run / "plan.csv").read_text().splitlines()[:-1]) + "\n"),
+         "[fail] plan.csv column g: 23 rows, expected 24"),
+        (lambda run: TestCli._rewrite_cell(run / "duals.csv", 1, 5, lambda v: repr(float(v) + 1.0)),
+         "[fail] mu deviates by "),
+    ], ids=["manifest-not-json", "manifest-without-files", "listed-file-missing",
+            "plan-row-count", "mu-mismatch"])
+    def test_check_failure_paths(self, workdir, capsys, tamper, line):
+        run = workdir / "run"
+        base = ["--config", str(workdir / "model.cfg"), "--data", str(workdir / "market.csv")]
+        assert main(["solve", *base, "--out", str(run), "--no-plots"]) == 0
+        tamper(run)
+        capsys.readouterr()
+        assert main(["check", *base, "--run", str(run)]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert any(row.startswith(line) for row in out), out
+        assert out[-1] == "CHECK FAILED"
+
+    def test_check_fails_on_failing_structural_check(self, workdir, capsys, monkeypatch):
+        run = workdir / "run"
+        base = ["--config", str(workdir / "model.cfg"), "--data", str(workdir / "market.csv")]
+        assert main(["solve", *base, "--out", str(run), "--no-plots"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(
+            trimarket.analysis, "check_no_simultaneous_flow",
+            lambda *args: PropertyReport("ess_no_simultaneous_flow", False, witness="doctored"),
+        )
+        assert main(["check", *base, "--run", str(run)]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == ["[fail] structural checks failing: ess_no_simultaneous_flow",
+                            "CHECK FAILED"]
+
     def test_check_rejects_header_only_duals(self, workdir, capsys):
         run = workdir / "run"
         base = [
@@ -470,10 +520,34 @@ class TestCli:
         payload = json.loads((out / "sweep.json").read_text())
         assert payload["param"] == "alpha"
 
+    def test_sweep_prints_trend_changes(self, workdir, capsys):
+        # a 10-unit CER cap saturates as the quota grows, kinking rev_c
+        text = (workdir / "model.cfg").read_text()
+        (workdir / "cap.cfg").write_text(text.replace("caps.c_cap = 400", "caps.c_cap = 10"))
+        out = workdir / "sw"
+        assert main(["sweep", "--config", str(workdir / "cap.cfg"),
+                     "--data", str(workdir / "market.csv"), "--param", "alpha",
+                     "--grid", "0:1:6", "--out", str(out), "--no-plots"]) == 0
+        breaks = json.loads((out / "sweep.json").read_text())["breakpoints"]
+        assert breaks["rev_c"]
+        head, trend = capsys.readouterr().out.splitlines()
+        assert head == "swept alpha over 6 points, 6 optimal"
+        assert trend.startswith("trend changes: {")
+        assert ast.literal_eval(trend.removeprefix("trend changes: ")) == {
+            k: v for k, v in breaks.items() if v
+        }
+
     @pytest.mark.parametrize(
         "grid, message",
-        [("1:0:5", "grid needs hi > lo"), ("0,0.3,2", "r=2 outside [0, 1]")],
-        ids=["1:0:5", "0,0.3,2"],
+        [
+            ("1:0:5", "grid needs hi > lo"),
+            ("0,0.3,2", "r=2 outside [0, 1]"),
+            ("0:1", "grid '0:1' must be lo:hi:n"),
+            ("a:1:3", "grid 'a:1:3' must be lo:hi:n with numeric parts"),
+            ("0,x", "grid '0,x' is not a comma-separated number list"),
+            (" , ", "grid is empty"),
+        ],
+        ids=["1:0:5", "0,0.3,2", "0:1", "a:1:3", "0,x", "empty"],
     )
     def test_sweep_bad_grid(self, workdir, capsys, grid, message):
         rc = main(
@@ -557,20 +631,31 @@ class TestCli:
         assert chart in files
         assert files[chart] == hashlib.sha256((out / chart).read_bytes()).hexdigest()
 
-    def test_matrix_output(self, workdir, capsys):
+    def _matrix_improvements(self, workdir, cfg="model.cfg", data="market.csv"):
         out = workdir / "mx"
-        rc = main(
-            [
-                "inventory-matrix",
-                "--config", str(workdir / "model.cfg"),
-                "--data", str(workdir / "market.csv"),
-                "--out", str(out),
-                "--no-plots",
-            ]
-        )
+        rc = main(["inventory-matrix", "--config", str(workdir / cfg),
+                   "--data", str(workdir / data), "--out", str(out), "--no-plots"])
         assert rc == 0
-        payload = json.loads((out / "matrix.json").read_text())
-        assert payload["improvements_pct"]["both"] > 0
+        return json.loads((out / "matrix.json").read_text())["improvements_pct"]
+
+    def test_matrix_output(self, workdir, capsys):
+        # certificate prices are constant within each day, so over one day
+        # the inventories have nothing to carry: every cell earns the same
+        pct = self._matrix_improvements(workdir)
+        assert sorted(pct) == ["both", "cer_only", "none", "rec_only"]
+        for cell, value in pct.items():
+            assert abs(value) <= 1e-9, (cell, value)
+
+    def test_matrix_output_over_two_days(self, workdir, capsys):
+        # two price days give the inventories something to carry
+        synth = SynthSpec(horizon=48)
+        save_config(workdir / "two_days.cfg", default_config(48), synth)
+        save_market_csv(workdir / "two_days.csv", synth_data(synth))
+        pct = self._matrix_improvements(workdir, "two_days.cfg", "two_days.csv")
+        assert pct["none"] == 0.0
+        assert pct["cer_only"] > 0.1 and pct["rec_only"] > 1.0 and pct["both"] > 1.0
+        # either inventory alone is a restriction of having both
+        assert pct["both"] >= max(pct["cer_only"], pct["rec_only"]) - 1e-9
 
     def test_infeasible_exit_code(self, workdir, capsys):
         text = (workdir / "model.cfg").read_text()

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import trimarket.qp as qp
 from trimarket.model import (
@@ -180,6 +181,19 @@ class TestSolverBehaviour:
         sol = solve_qp(dataclasses.replace(p, lb=lb, ub=ub))
         assert sol.status == INFEASIBLE
         assert "empty bound interval" in sol.message
+
+    def test_presolve_rejects_unmeetable_coupling_rows(self):
+        # a quota below its row's box minimum, then two rows that each hold
+        # only at one end of the TG output's box [0, 80]
+        _, p = build(*hand_case())
+        sol = solve_qp(dataclasses.replace(p, coup_rhs=np.array([p.coup_rhs[0], -1.0])))
+        assert sol.status == INFEASIBLE
+        assert sol.message == "coupling row 1 requires value below its box minimum (-1.0 < 0.0)"
+        g = p.layout.indices("g")[0]
+        coup = sp.csr_matrix(([1.0, -1.0], ([0, 1], [g, g])), shape=(2, p.n))
+        sol = solve_qp(dataclasses.replace(p, coup=coup, coup_rhs=np.array([0.0, -80.0])))
+        assert sol.status == INFEASIBLE
+        assert sol.message == f"conflicting pins on variable {g}"
 
     def test_degenerate_coupling_rows(self):
         # r = 0 and alpha = 0 zero out both coupling rows
@@ -412,7 +426,7 @@ class TestKktFactorization:
             def solve(self, rhs):
                 return np.full_like(rhs, np.nan)
 
-        monkeypatch.setattr(qp, "_factor", lambda k_mat, static=False: NanFactor())
+        monkeypatch.setattr(qp, "_factor", lambda k_mat, permc_spec="COLAMD": NanFactor())
         _, p = build(*hand_case())
         pre = _presolve(p)
         m_in = pre.g.shape[0]
