@@ -299,11 +299,11 @@ def _cmd_check(args) -> int:
             continue
         scale = 1.0 + float(np.max(np.abs(fresh)))
         worst = max(worst, float(np.max(np.abs(saved[col] - fresh))) / scale)
-    if worst <= rtol:
-        print(f"[ok] plan matches re-solve (max relative deviation {worst:.3e})")
-    else:
+    if worst > rtol:
         print(f"[fail] plan deviates from re-solve by {worst:.3e} relative (limit {rtol:.0e})")
         ok = False
+    elif ok:  # every column was compared
+        print(f"[ok] plan matches re-solve (max relative deviation {worst:.3e})")
 
     duals_path = run_dir / "duals.csv"
     if duals_path.exists():

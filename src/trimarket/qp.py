@@ -40,15 +40,16 @@ finite step, the iteration is refactored with partial pivoting and the
 direction redone.  The polish refines its solve with the same routine.
 
 The interior-point iteration is followed by an active-set "polish": once the
-active set is identified, one sparse quasi-definite solve plus iterative
-refinement produces primal/dual values accurate to near machine precision,
-which downstream sensitivity checks rely on.  Every solve that gets past
-presolve leaves through one finisher: it polishes the last iterate (or,
-when the iteration stopped short, the best one), falls back to the
-converged iterate itself if the polish fails, and returns "optimal" only
-when the candidate passes kkt_residuals at the solver tolerances.  Anything
-else is settled by an LP feasibility probe as "infeasible" or
-"iteration_limit".
+active set is identified, each active bound fixes its variable, and one
+sparse quasi-definite solve in the free variables plus iterative refinement
+produces primal/dual values accurate to near machine precision, which
+downstream sensitivity checks rely on.  Every solve that gets past presolve
+leaves through one finisher, the only place a point is judged: it polishes
+the last iterate (or, when the iteration stopped short, the best one),
+falls back to the iterate itself, if it converged, whenever the polished
+point fails, and returns "optimal" only when the candidate passes
+kkt_residuals at the solver tolerances.  Anything else is settled by an LP feasibility
+probe as "infeasible" or "iteration_limit".
 
 On an infeasible problem the primal residual stops falling after a few
 iterations while mu grows without bound or collapses to zero.  The first
@@ -202,7 +203,7 @@ def kkt_residuals(p: QpProblem, sol: Solution) -> Residuals:
     viol = [np.max(np.abs(r_eq), initial=0.0), np.max(r_coup, initial=0.0)]
     viol.append(np.max(p.lb[lo] - x[lo], initial=0.0))
     viol.append(np.max(x[hi] - p.ub[hi], initial=0.0))
-    primal_inf = float(max(0.0, *viol))
+    primal_inf = float(np.max(viol))  # NaN propagates, as in dual_inf and comp_gap
 
     gap = float(
         zl[lo] @ np.maximum(x[lo] - p.lb[lo], 0.0)
@@ -517,7 +518,7 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
     try:
         pre = _presolve(p)
     except _InfeasibleProblem as exc:
-        return _empty_solution(p, INFEASIBLE, message=str(exc))
+        return _empty_solution(p, INFEASIBLE, message=f"infeasible: {exc}")
 
     n = p.n
     q, c = pre.q, pre.c
@@ -718,18 +719,19 @@ def _finish(p: QpProblem, pre: _Presolved, s: SolverSettings, point, w, iteratio
 
     `point` is an iterate (x, y, z) and `w` the slacks of the inequality
     block used to predict its active set.  The polish runs once on that
-    set; if it fails and the interior-point method converged, the iterate
-    itself is the candidate.  The candidate is returned as "optimal" only
-    if it meets the tolerances; otherwise the LP probe decides the status.
+    set; if its point fails the tolerances, or it gives none, and the
+    interior-point method converged, the iterate itself is the candidate.
+    The candidate is returned as "optimal" only if it meets the
+    tolerances; otherwise the LP probe decides the status.
     """
     x, _, z = point
     scale_p, scale_d = _scales(pre)
     scale_x = 1.0 + float(np.max(np.abs(x), initial=0.0))
     sol = _polish(p, pre, z / scale_d > w / scale_x, point)
     if converged and not _meets_tolerances(sol, s, scale_p, scale_d):
-        # no corpus solve reaches this, but it answers when the polish
-        # cannot factor its matrix, e.g. when SuperLU runs out of memory
-        # on a year-long horizon
+        # the polished point is off (e.g. a free variable left its box),
+        # or there is none (its factor raised, or its release rounds did
+        # not settle): the converged iterate answers
         sol = _finalize(p, pre, *point)
     if _meets_tolerances(sol, s, scale_p, scale_d):
         return replace(sol, iterations=iterations)
@@ -767,67 +769,62 @@ def _meets_tolerances(sol: Solution | None, s: SolverSettings, scale_p: float,
 
 
 def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
-    """Quasi-definite solve on the predicted active set, then verify.
+    """Quasi-definite solve on the predicted active set, unverified.
 
     `act` marks the active rows of the inequality block and `hint` is an
-    interior-point iterate (x, y, z); the regularized system is biased
-    toward it so that on a degenerate optimal face the solve selects a
-    sign-feasible multiplier set instead of the minimal-norm one.  When an
-    active row still gets a negative multiplier, it is released and the
-    system re-solved, crossover-style.  Returns None when no sign- and
-    bound-feasible point emerges.
+    interior-point iterate (x, y, z).  An active bound row fixes its
+    variable at the bound and reads its multiplier off that column of
+    stationarity, so the system keeps only the free variables, the rows of
+    a_ext and the active coupling rows (bounds in reduced space: Nocedal &
+    Wright 2006, ch. 16).  The regularized system is biased toward the hint
+    so that on a degenerate optimal face the solve selects a sign-feasible
+    multiplier set instead of the minimal-norm one.  An active row that
+    still gets a negative multiplier is released and the system re-solved,
+    crossover-style.  Returns the KKT point for the finisher to verify, or
+    None when the factorization raises or 8 rounds leave a negative one.
     """
-    n, m = p.n, pre.a_ext.shape[0]
-    n_l = len(pre.lo_idx)
-    n_b = n_l + len(pre.up_idx)
+    m = pre.a_ext.shape[0]
+    n_b = len(pre.lo_idx) + len(pre.up_idx)
     act = np.array(act, dtype=bool, copy=True)
     dual_tol = 1e-7 * (1.0 + float(np.max(np.abs(pre.c), initial=0.0)))
     x_hint, y_hint, z_hint = hint
 
     for _ in range(8):
-        rows = np.nonzero(act)[0]
-        a_bar = sp.vstack([pre.a_ext, pre.g[rows]]).tocsr()
+        fixed = np.nonzero(act[:n_b])[0]
+        coup = n_b + np.nonzero(act[n_b:])[0]
+        g_fix, g_coup = pre.g[fixed], pre.g[coup]
+        x = g_fix.T @ pre.h[fixed]  # each row is -e_j or +e_j: x_j at its bound
+        free = np.ones(p.n, dtype=bool)
+        free[g_fix.indices] = False
+        n_f = int(free.sum())
+        a_bar = sp.vstack([pre.a_ext, g_coup], format="csc")[:, free]
         # stationarity convention: equality rows contribute -y and active
-        # inequality rows +z, so the stacked hint multiplier is (-y, z)
-        u_hint = np.concatenate([-y_hint, z_hint[rows]])
-        m_bar = a_bar.shape[0]
+        # coupling rows +z, so the stacked hint multiplier is (-y, z)
+        u_hint = np.concatenate([-y_hint, z_hint[coup]])
 
-        k_true = sp.bmat([[sp.diags(pre.q), a_bar.T], [a_bar, None]], format="csc")
-        shift = _POLISH_EPS * np.concatenate([np.ones(n), -np.ones(m_bar)])
+        k_true = sp.bmat([[sp.diags(pre.q[free]), a_bar.T], [a_bar, None]], format="csc")
+        shift = _POLISH_EPS * np.concatenate([np.ones(n_f), -np.ones(a_bar.shape[0])])
         try:
             lu = _factor(k_true + sp.diags(shift))
         except _FACTOR_ERRORS:
             return None
 
-        true_target = np.concatenate([-pre.c, pre.b_ext, pre.h[rows]])
-        biased = true_target + _POLISH_EPS * np.concatenate([x_hint, -u_hint])
+        # the fixed columns move to the right-hand side
+        true_target = np.concatenate([-pre.c[free], pre.b_ext - pre.a_ext @ x,
+                                      pre.h[coup] - g_coup @ x])
+        biased = true_target + _POLISH_EPS * np.concatenate([x_hint[free], -u_hint])
         scale = 1.0 + float(np.max(np.abs(true_target), initial=0.0))
-        step, err = _refined_solve(lu, k_true, true_target, 1e-12 * scale, lu.solve(biased))
-        if not err <= 1e-9 * scale:  # NaN fails too
-            return None
-        xh, z_act = step[:n], step[n + m :]
-
-        bad = z_act < -dual_tol
-        if bad.any():
-            # release the offending rows and try again
-            act[rows[bad]] = False
-            continue
-
-        feas_tol = 1e-7 * (1.0 + float(np.max(np.abs(xh), initial=0.0)))
-        viol = pre.g @ xh - pre.h
-        if np.any(viol[:n_b] > feas_tol):
-            return None
-        if np.any(viol[n_b:] > feas_tol * (1.0 + np.abs(pre.h[n_b:]))):
-            return None
-
-        # exact complementarity: snap active primals, keep inactive duals at zero
-        lo_act = pre.lo_idx[act[:n_l]]
-        up_act = pre.up_idx[act[n_l:n_b]]
-        xh[lo_act] = pre.lb[lo_act]
-        xh[up_act] = pre.ub[up_act]
+        step, _ = _refined_solve(lu, k_true, true_target, 1e-12 * scale, lu.solve(biased))
+        x[free] = step[:n_f]
+        y = -step[n_f : n_f + m]
         z = np.zeros(len(act))
-        z[rows] = z_act
-        return _finalize(p, pre, xh, -step[n : n + m], z)
+        z[coup] = step[n_f + m :]
+        z[fixed] = g_fix @ (pre.a_ext.T @ y - g_coup.T @ z[coup] - pre.q * x - pre.c)
+
+        bad = act & (z < -dual_tol)
+        if not bad.any():
+            return _finalize(p, pre, x, y, z)
+        act[bad] = False  # release the offending rows and try again
 
     return None
 

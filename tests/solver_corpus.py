@@ -5,10 +5,11 @@
 
 ``dump`` solves 2426 problems with the ``trimarket`` package found on the
 import path (set ``PYTHONPATH`` to pick a checkout) and writes, per solve,
-the status, iteration count, message, objective and primal vector, how
-many ``qp.splu`` calls it made with each ``permc_spec`` and how many
-``qp.linprog`` probes it ran (the wrappers need nothing from the solver
-but those module attributes).  The
+the status, iteration count, message, objective and primal vector, the
+primal residual (``residuals.primal_inf``) of an optimal answer, how many
+``qp.splu`` calls it made with each ``permc_spec`` and their total L+U
+fill, and how many ``qp.linprog`` probes it ran (the wrappers need nothing
+from the solver but those module attributes).  The
 corpus is ``random_instance`` seeds 0-599 x {default, ``r_min=0.95``} x
 ``max_iter`` {200, 8}, plus 26 synth-data solves at T=168-672: default,
 uncapped, r = 0.995, an unmeetable REC floor, and two with lossy storage.
@@ -17,16 +18,18 @@ It takes about 40 s on a 2-core VM.
 ``compare`` prints the status, iteration, message and objective (1e-8
 relative) mismatch counts and the largest |dx| over solves with the same
 status, for all solves and for the lossless-storage ones (eta_c = eta_d =
-1) alone.  Then, for each tree, the iteration and probe totals by status
-and the total factorizations; the static-pivot factorizations that
-computed a fill-reducing ordering (``MMD_AT_PLUS_A``) and those that
-reused one (``NATURAL``); and the number of solves that computed more
-than one ordering, which is 0 unless a solve's first static factor
-raised.  Then the number of solves whose iteration count changed, by
-status.  Last come both trees' totals of partial-pivot (COLAMD)
-factorizations, the interior-point fallbacks plus the polish, and the
-number of solves whose count changed.  Not collected by pytest (the file
-name does not match test_*).
+1) alone, then each status transition from A to B with its count.  Then,
+for each tree, the iteration and probe totals by status and the total
+factorizations; the static-pivot factorizations that computed a
+fill-reducing ordering (``MMD_AT_PLUS_A``) and those that reused one
+(``NATURAL``); the number of solves that computed more than one ordering,
+which is 0 unless a solve's first static factor raised; the L+U fill of
+all partial-pivot (COLAMD) factors; and the largest primal residual of an
+optimal answer.  Then the number of solves whose iteration count changed,
+by status.  Last come both trees' totals of partial-pivot factorizations,
+the interior-point fallbacks plus the polish, and the number of solves
+whose count changed.  Not collected by pytest (the file name does not
+match test_*).
 """
 
 from __future__ import annotations
@@ -66,11 +69,11 @@ def _synth_cases():
     return cases
 
 
-def _record(cfg, problem, settings, factors, probes):
+def _record(cfg, problem, settings, factors, fill, probes):
     from trimarket.qp import solve_qp
 
-    factors.clear()
-    probes.clear()
+    for counts in (factors, fill, probes):
+        counts.clear()
     sol = solve_qp(problem, settings)
     return {
         "status": sol.status,
@@ -79,19 +82,28 @@ def _record(cfg, problem, settings, factors, probes):
         "objective": sol.objective,
         "x": sol.x.tolist(),
         "lossless": cfg.ess.eta_c == 1.0 and cfg.ess.eta_d == 1.0,
+        "primal_inf": sol.residuals.primal_inf if sol.status == "optimal" else None,
         "splu": dict(factors),
+        "fill": dict(fill),
         "linprog": probes.get("linprog", 0),
     }
 
 
-def _count_calls(qp, name, key=None) -> dict:
-    """Wrap qp.<name> so that each call counts under key(kwargs), or name."""
+def _count_calls(qp, name, key=None, fill=None) -> dict:
+    """Wrap qp.<name> so that each call counts under key(kwargs), or name.
+
+    With a `fill` dict, each returned factor's L+U nonzeros add up there
+    under the same key.
+    """
     counts, real = {}, getattr(qp, name)
 
     def counted(*args, **kwargs):
         k = key(kwargs) if key else name
         counts[k] = counts.get(k, 0) + 1
-        return real(*args, **kwargs)
+        out = real(*args, **kwargs)
+        if fill is not None:
+            fill[k] = fill.get(k, 0) + out.L.nnz + out.U.nnz
+        return out
 
     setattr(qp, name, counted)
     return counts
@@ -101,7 +113,8 @@ def dump(out: str) -> None:
     import trimarket.qp as qp
     from _instances import build, random_instance
 
-    factors = _count_calls(qp, "splu", lambda kwargs: kwargs.get("permc_spec", "COLAMD"))
+    fill = {}
+    factors = _count_calls(qp, "splu", lambda kwargs: kwargs.get("permc_spec", "COLAMD"), fill)
     probes = _count_calls(qp, "linprog")
     records = {}
     with warnings.catch_warnings():
@@ -113,10 +126,10 @@ def dump(out: str) -> None:
                 for max_iter in (200, 8):
                     key = f"random/{seed}/r_min={r_min}/max_iter={max_iter}"
                     records[key] = _record(cfg, problem, qp.SolverSettings(max_iter=max_iter),
-                                           factors, probes)
+                                           factors, fill, probes)
         for name, cfg, data in _synth_cases():
             _, problem = build(cfg, data)
-            records[name] = _record(cfg, problem, qp.SolverSettings(), factors, probes)
+            records[name] = _record(cfg, problem, qp.SolverSettings(), factors, fill, probes)
     Path(out).write_text(json.dumps(records))
     print(f"{len(records)} solves written to {out}")
 
@@ -145,6 +158,13 @@ def compare(path_a: str, path_b: str) -> None:
                 max_dx = max(max_dx, dx)
         mism = ", ".join(f"{n} {c}" for n, c in counts.items())
         print(f"{label}: {len(keys)} solves; mismatches: {mism}; max |dx| {max_dx:.3g}")
+    transitions = {}
+    for k in a:
+        if a[k]["status"] != b[k]["status"]:
+            t = f"{a[k]['status']} -> {b[k]['status']}"
+            transitions[t] = transitions.get(t, 0) + 1
+    print("status transitions: "
+          + (", ".join(f"{t}: {n}" for t, n in sorted(transitions.items())) or "none"))
     for label, d in (("A", a), ("B", b)):
         by_status = {}
         for r in d.values():
@@ -158,6 +178,9 @@ def compare(path_a: str, path_b: str) -> None:
         natural = sum(r["splu"].get("NATURAL", 0) for r in d.values())
         print(f"{label}: {sum(orderings)} MMD_AT_PLUS_A and {natural} NATURAL factorizations; "
               f"{sum(n > 1 for n in orderings)} solves computed more than one ordering")
+        colamd_fill = sum(r["fill"].get("COLAMD", 0) for r in d.values())
+        worst = max((r["primal_inf"] for r in d.values() if r["status"] == "optimal"), default=0.0)
+        print(f"{label}: COLAMD L+U fill {colamd_fill}; largest optimal primal residual {worst:.3g}")
     changed_by_status = {}
     for k in a:
         if a[k]["iterations"] != b[k]["iterations"]:

@@ -461,6 +461,19 @@ class TestCli:
         assert any(row.startswith(line) for row in out), out
         assert out[-1] == "CHECK FAILED"
 
+    def test_check_short_plan_is_not_reported_as_matching(self, workdir, capsys):
+        # every plan.csv column is one row short, so none is compared
+        run = workdir / "run"
+        base = ["--config", str(workdir / "model.cfg"), "--data", str(workdir / "market.csv")]
+        assert main(["solve", *base, "--out", str(run), "--no-plots"]) == 0
+        rows = (run / "plan.csv").read_text().splitlines()
+        (run / "plan.csv").write_text("\n".join(rows[:-1]) + "\n")
+        capsys.readouterr()
+        assert main(["check", *base, "--run", str(run)]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert not any(row.startswith("[ok] plan") for row in out), out
+        assert out[-1] == "CHECK FAILED"
+
     def test_check_fails_on_failing_structural_check(self, workdir, capsys, monkeypatch):
         run = workdir / "run"
         base = ["--config", str(workdir / "model.cfg"), "--data", str(workdir / "market.csv")]
