@@ -499,21 +499,24 @@ def _moved(model: ValidatedModel, param: str, value: float) -> tuple[ValidatedMo
         return validate_config(cfg, model.data), None
 
 
-def _solve_moved(moved: tuple[ValidatedModel, float | None],
-                 settings: SolverSettings | None) -> tuple[QpProblem, Solution]:
+def _solve_moved(moved: tuple[ValidatedModel, float | None], settings: SolverSettings | None,
+                 start: Solution | None = None) -> tuple[QpProblem, Solution]:
     model, quota = moved
     problem = assemble_qp(model, quota_override=quota)
-    return problem, solve_qp(problem, settings or SolverSettings())
+    return problem, solve_qp(problem, settings or SolverSettings(), start=start)
 
 
 def solve_for_param(
-    model: ValidatedModel, param: str, value: float, settings: SolverSettings | None = None
+    model: ValidatedModel, param: str, value: float, settings: SolverSettings | None = None,
+    start: Solution | None = None,
 ) -> tuple[QpProblem, Solution]:
     """Solve the model with ``param`` ("r", "alpha" or "quota") moved to ``value``.
 
-    r and alpha must stay in [0, 1]; the solution is returned whatever its status.
+    r and alpha must stay in [0, 1]; the solution is returned whatever its
+    status.  ``start``, an optimal solution of a neighbouring problem such
+    as the unmoved model, warm-starts the solve (see ``solve_qp``).
     """
-    return _solve_moved(_moved(model, param, value), settings)
+    return _solve_moved(_moved(model, param, value), settings, start)
 
 
 def solve_grid(

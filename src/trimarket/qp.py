@@ -44,12 +44,22 @@ active set is identified, each active bound fixes its variable, and one
 sparse quasi-definite solve in the free variables plus iterative refinement
 produces primal/dual values accurate to near machine precision, which
 downstream sensitivity checks rely on.  Every solve that gets past presolve
-leaves through one finisher, the only place a point is judged: it polishes
-the last iterate (or, when the iteration stopped short, the best one),
-falls back to the iterate itself, if it converged, whenever the polished
-point fails, and returns "optimal" only when the candidate passes
-kkt_residuals at the solver tolerances.  Anything else is settled by an LP feasibility
-probe as "infeasible" or "iteration_limit".
+and is not answered by its start (below) leaves through one finisher: it
+polishes the last iterate (or, when the iteration stopped short, the best
+one), falls back to the iterate itself, if it converged, whenever the
+polished point fails, and returns "optimal" only when the candidate passes
+kkt_residuals at the solver tolerances, the one test every optimal answer
+passes.  Anything else is settled by an LP feasibility probe as
+"infeasible" or "iteration_limit".
+
+A solve may be given the optimal solution of a neighbouring problem as a
+start.  Its active set, predicted by the finisher's rule, is polished on
+the new problem first, and the point is returned only if it passes the
+same test; otherwise the solve runs as it would without a start.  Inside
+one active set the solution is affine in the right-hand side, so a small
+move of a quota or a floor usually keeps the set (Bemporad, Morari, Dua &
+Pistikopoulos 2002, The explicit linear quadratic regulator for
+constrained systems).
 
 On an infeasible problem the primal residual stops falling after a few
 iterations while mu grows without bound or collapses to zero.  The first
@@ -141,7 +151,8 @@ class Solution:
     tolerances, each scaled by the problem data as the interior-point
     stopping test scales it; every return path checks this.  On
     "infeasible" and "iteration_limit" the vectors are zero and message
-    says why.
+    says why.  An optimal answer with iterations == 0 from a solve given
+    a start came from the start's active set (see solve_qp).
     """
 
     status: str
@@ -505,7 +516,8 @@ def _refined_solve(lu, k_mat: sp.csc_matrix, vec: np.ndarray, tol: float, step=N
     return step, float(np.max(np.abs(vec - k_mat @ step), initial=0.0))
 
 
-def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
+def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
+             start: Solution | None = None) -> Solution:
     """Solve the concave QP to the requested tolerances.
 
     Returns a Solution with status "optimal", "infeasible" or
@@ -513,12 +525,22 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None) -> Solution:
     iterates.  Infeasibility is certified with an LP feasibility probe
     rather than inferred from divergence alone; a stalled primal residual
     runs that probe early, once, and ends the solve if it says infeasible.
+
+    `start`, optional, is an optimal Solution of a problem of p's size,
+    such as a neighbour with one right-hand side moved.  Its active set is
+    polished on p first and, if that point meets the tolerances, returned
+    with iterations == 0; otherwise the solve runs exactly as without a
+    start (active-set warm start: Nocedal & Wright 2006, ch. 16).
     """
     s = settings if settings is not None else SolverSettings()
     try:
         pre = _presolve(p)
     except _InfeasibleProblem as exc:
         return _empty_solution(p, INFEASIBLE, message=f"infeasible: {exc}")
+    if start is not None:
+        warm = _warm(p, pre, s, start)
+        if warm is not None:
+            return warm
 
     n = p.n
     q, c = pre.q, pre.c
@@ -724,10 +746,8 @@ def _finish(p: QpProblem, pre: _Presolved, s: SolverSettings, point, w, iteratio
     The candidate is returned as "optimal" only if it meets the
     tolerances; otherwise the LP probe decides the status.
     """
-    x, _, z = point
     scale_p, scale_d = _scales(pre)
-    scale_x = 1.0 + float(np.max(np.abs(x), initial=0.0))
-    sol = _polish(p, pre, z / scale_d > w / scale_x, point)
+    sol = _polish(p, pre, _active(pre, point[0], point[2], w), point)
     if converged and not _meets_tolerances(sol, s, scale_p, scale_d):
         # the polished point is off (e.g. a free variable left its box),
         # or there is none (its factor raised, or its release rounds did
@@ -736,6 +756,43 @@ def _finish(p: QpProblem, pre: _Presolved, s: SolverSettings, point, w, iteratio
     if _meets_tolerances(sol, s, scale_p, scale_d):
         return replace(sol, iterations=iterations)
     return _unsolved(p, iterations, message)
+
+
+def _active(pre: _Presolved, x: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows of the inequality block predicted active at multipliers z, slacks w."""
+    scale_x = 1.0 + float(np.max(np.abs(x), initial=0.0))
+    return z / _scales(pre)[1] > w / scale_x
+
+
+def _presolved_point(pre: _Presolved, sol: Solution):
+    """sol's (x, y, z) in pre's coordinates, from its named fields.
+
+    The presolve of sol's own problem may have pinned other variables:
+    a pin row's dual is its variable's signed bound multiplier.
+    """
+    d = sol.ineq_duals
+    y = np.concatenate([-sol.eq_duals, (d.lower - d.upper)[pre.pin_idx]])
+    z = np.concatenate([d.lower[pre.lo_idx], d.upper[pre.up_idx], d.coupling[pre.keep_rows]])
+    return sol.x, y, z
+
+
+def _warm(p: QpProblem, pre: _Presolved, s: SolverSettings, start: Solution) -> Solution | None:
+    """The polish of p on start's active set, if it meets the tolerances.
+
+    A row that start's point violates in p has a negative slack, which
+    predicts it active.  None when start is not an optimal Solution of a
+    problem of p's size, or its polished point fails the tolerances.
+    """
+    d = start.ineq_duals
+    sizes = (start.x.shape, start.eq_duals.shape, d.lower.shape, d.upper.shape,
+             d.coupling.shape)
+    if start.status != OPTIMAL or sizes != ((p.n,), (p.m_eq,), (p.n,), (p.n,), (2,)):
+        return None
+    x, y, z = _presolved_point(pre, start)
+    sol = _polish(p, pre, _active(pre, x, z, pre.h - pre.g @ x), (x, y, z))
+    if _meets_tolerances(sol, s, *_scales(pre)):
+        return replace(sol, iterations=0)
+    return None
 
 
 def _unsolved(p: QpProblem, iterations: int, message: str,
@@ -780,14 +837,25 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
     so that on a degenerate optimal face the solve selects a sign-feasible
     multiplier set instead of the minimal-norm one.  An active row that
     still gets a negative multiplier is released and the system re-solved,
-    crossover-style.  Returns the KKT point for the finisher to verify, or
-    None when the factorization raises or 8 rounds leave a negative one.
+    crossover-style.  A variable marked active at both of its bounds keeps
+    only the side with the larger hint multiplier.  Returns the KKT point
+    for the caller to verify, or None when the factorization raises or 8
+    rounds leave a negative one.
     """
     m = pre.a_ext.shape[0]
     n_b = len(pre.lo_idx) + len(pre.up_idx)
     act = np.array(act, dtype=bool, copy=True)
     dual_tol = 1e-7 * (1.0 + float(np.max(np.abs(pre.c), initial=0.0)))
     x_hint, y_hint, z_hint = hint
+    # a variable predicted active at both bounds keeps the side with the
+    # larger hint multiplier: fixing both would put it at lb_j + ub_j
+    _, lo_row, up_row = np.intersect1d(pre.lo_idx, pre.up_idx, assume_unique=True,
+                                       return_indices=True)
+    up_row += len(pre.lo_idx)
+    both = act[lo_row] & act[up_row]
+    lower_wins = z_hint[lo_row] >= z_hint[up_row]
+    act[up_row[both & lower_wins]] = False
+    act[lo_row[both & ~lower_wins]] = False
 
     for _ in range(8):
         fixed = np.nonzero(act[:n_b])[0]
@@ -814,7 +882,10 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
                                       pre.h[coup] - g_coup @ x])
         biased = true_target + _POLISH_EPS * np.concatenate([x_hint[free], -u_hint])
         scale = 1.0 + float(np.max(np.abs(true_target), initial=0.0))
-        step, _ = _refined_solve(lu, k_true, true_target, 1e-12 * scale, lu.solve(biased))
+        # the bias leaves about _POLISH_EPS * |solution - hint| in the first
+        # solve; a hint from a neighbouring problem (a warm start) left 1e-11
+        # in the equality rows of a week, which 1e-12 * scale accepted
+        step, _ = _refined_solve(lu, k_true, true_target, 1e-14 * scale, lu.solve(biased))
         x[free] = step[:n_f]
         y = -step[n_f : n_f + m]
         z = np.zeros(len(act))

@@ -240,6 +240,9 @@ def run_scenario(
     RPS increment priority check.  Full mode solves two more problems,
     quota + 1 and r + 0.01, once each; the RPS slope and the priority
     check share the r + 0.01 solution, and every check reuses the base.
+    Both are warm-started from the base solution: its active set, polished
+    on the shifted problem, answers when it meets the solver tolerances,
+    and otherwise the shifted problem is solved cold.
     """
     if properties not in ("none", "core", "full"):
         raise ValueError(f"unknown properties mode {properties!r}")
@@ -253,10 +256,10 @@ def run_scenario(
     if properties in ("core", "full"):
         tables, reports = core_reports(problem, sol, plan, model)
     if properties == "full":
-        quota = solve_for_param(model, "quota", model.quota + 1.0, settings)
+        quota = solve_for_param(model, "quota", model.quota + 1.0, settings, start=sol)
         reports.append(envelope_check(model, (problem, sol), quota, 1.0, "quota"))
         if cfg.policy.r + 0.01 <= 1.0:
-            rps = solve_for_param(model, "r", cfg.policy.r + 0.01, settings)
+            rps = solve_for_param(model, "r", cfg.policy.r + 0.01, settings, start=sol)
             reports.append(envelope_check(model, (problem, sol), rps, 0.01, "rps"))
             reports.append(rps_priority_check(model, (problem, sol), rps, 0.01))
         else:

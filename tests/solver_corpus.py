@@ -13,7 +13,12 @@ from the solver but those module attributes).  The
 corpus is ``random_instance`` seeds 0-599 x {default, ``r_min=0.95``} x
 ``max_iter`` {200, 8}, plus 26 synth-data solves at T=168-672: default,
 uncapped, r = 0.995, an unmeetable REC floor, and two with lossy storage.
-It takes about 40 s on a 2-core VM.
+For each synth case with an optimal answer it also solves the neighbours
+``run_scenario`` solves in full mode (quota + 1, and r + 0.01 where r
+leaves room), once warm-started from that answer and once cold, and
+records under ``neighbours`` whether the warm solve was answered from the
+start's active set (``iterations == 0``) and its objective minus the cold
+one.  It takes about 40 s on a 2-core VM.
 
 ``compare`` prints the status, iteration, message and objective (1e-8
 relative) mismatch counts and the largest |dx| over solves with the same
@@ -26,9 +31,10 @@ fill-reducing ordering (``MMD_AT_PLUS_A``) and those that reused one
 which is 0 unless a solve's first static factor raised; the L+U fill of
 all partial-pivot (COLAMD) factors; and the largest primal residual of an
 optimal answer.  Then the number of solves whose iteration count changed,
-by status.  Last come both trees' totals of partial-pivot factorizations,
-the interior-point fallbacks plus the polish, and the number of solves
-whose count changed.  Not collected by pytest (the file name does not
+by status, and both trees' totals of partial-pivot factorizations, the
+interior-point fallbacks plus the polish, and the number of solves whose
+count changed.  Last, per tree, how many neighbour solves were answered
+warm and the largest warm-minus-cold objective gap among those.  Not collected by pytest (the file name does not
 match test_*).
 """
 
@@ -75,7 +81,7 @@ def _record(cfg, problem, settings, factors, fill, probes):
     for counts in (factors, fill, probes):
         counts.clear()
     sol = solve_qp(problem, settings)
-    return {
+    return sol, {
         "status": sol.status,
         "iterations": sol.iterations,
         "message": sol.message,
@@ -87,6 +93,22 @@ def _record(cfg, problem, settings, factors, fill, probes):
         "fill": dict(fill),
         "linprog": probes.get("linprog", 0),
     }
+
+
+def _neighbours(model, base) -> dict:
+    """run_scenario's neighbour solves of an optimal base, warm against cold."""
+    from trimarket.analysis import solve_for_param
+
+    moves = {"quota": model.quota + 1.0}
+    if model.config.policy.r + 0.01 <= 1.0:
+        moves["r"] = model.config.policy.r + 0.01
+    out = {}
+    for param, value in moves.items():
+        _, warm = solve_for_param(model, param, value, start=base)
+        _, cold = solve_for_param(model, param, value)
+        out[param] = {"warm": warm.status == "optimal" and warm.iterations == 0,
+                      "gap": warm.objective - cold.objective}
+    return out
 
 
 def _count_calls(qp, name, key=None, fill=None) -> dict:
@@ -125,11 +147,13 @@ def dump(out: str) -> None:
                 _, problem = build(cfg, data)
                 for max_iter in (200, 8):
                     key = f"random/{seed}/r_min={r_min}/max_iter={max_iter}"
-                    records[key] = _record(cfg, problem, qp.SolverSettings(max_iter=max_iter),
-                                           factors, fill, probes)
+                    _, records[key] = _record(cfg, problem, qp.SolverSettings(max_iter=max_iter),
+                                              factors, fill, probes)
         for name, cfg, data in _synth_cases():
-            _, problem = build(cfg, data)
-            records[name] = _record(cfg, problem, qp.SolverSettings(), factors, fill, probes)
+            model, problem = build(cfg, data)
+            sol, records[name] = _record(cfg, problem, qp.SolverSettings(), factors, fill, probes)
+            if sol.status == "optimal":
+                records[name]["neighbours"] = _neighbours(model, sol)
     Path(out).write_text(json.dumps(records))
     print(f"{len(records)} solves written to {out}")
 
@@ -193,6 +217,15 @@ def compare(path_a: str, path_b: str) -> None:
     changed = sum(u != v for u, v in zip(partial_a, partial_b))
     print(f"partial-pivot factorizations: {sum(partial_a)} vs {sum(partial_b)}; "
           f"{changed} solves changed count")
+    for label, d in (("A", a), ("B", b)):
+        solves = [n for r in d.values() for n in r.get("neighbours", {}).values()]
+        if not solves:
+            print(f"{label}: no neighbour solves recorded")
+            continue
+        warm = sum(n["warm"] for n in solves)
+        gap = max((abs(n["gap"]) for n in solves if n["warm"]), default=0.0)
+        print(f"{label}: {warm} of {len(solves)} neighbour solves answered warm; "
+              f"largest |warm - cold| objective gap among them {gap:.3g}")
 
 
 if __name__ == "__main__":

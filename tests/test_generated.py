@@ -11,15 +11,21 @@ g_max = 0, alpha = 0, r in {0, 0.5, 1}, lossy or zero-size storage and
 disabled inventories.  The draws lean toward feasible instances, since
 those exercise the solver's optimal path; infeasible ones still come up
 often.
+
+The warm-start test nudges the coupling right-hand sides of a small
+random instance and solves it from the unnudged solution, which is how
+`run_scenario` solves its neighbouring problems; most draws are answered
+from the start's active set, and the rest fall back to the cold solve.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from trimarket.model import (  # noqa: E402
     EQ_KINDS,
@@ -35,7 +41,7 @@ from trimarket.model import (  # noqa: E402
 )
 from trimarket.qp import INFEASIBLE, OPTIMAL, oracle_solve, solve_qp  # noqa: E402
 
-from _instances import build, no_supply_case  # noqa: E402
+from _instances import build, no_supply_case, random_instance  # noqa: E402
 
 
 # a trade cap of inf or 50 leaves the market open, which keeps most draws
@@ -85,6 +91,24 @@ def test_agrees_with_oracle(case):
         assert abs(sol.objective - ref.objective) <= 1e-8 * max(1.0, abs(ref.objective))
     if sol.status == INFEASIBLE:
         assert sol.message.startswith("infeasible:"), sol.message
+
+
+_nudge = st.sampled_from([-5.0, -0.5, 0.0, 0.5, 5.0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 599), st.sampled_from([0.0, 0.95]), _nudge, _nudge)
+def test_warm_start_from_unnudged_solution_agrees_with_oracle(seed, r_min, rps, quota):
+    _, p = build(*random_instance(seed, r_min=r_min))
+    base = solve_qp(p)
+    assume(base.status == OPTIMAL)
+    nudged = dataclasses.replace(p, coup_rhs=p.coup_rhs + np.array([rps, quota]))
+    sol = solve_qp(nudged, start=base)
+    ref = oracle_solve(nudged)
+    assert sol.status == ref.status
+    if sol.status == OPTIMAL:
+        assert abs(sol.objective - ref.objective) <= 1e-8 * max(1.0, abs(ref.objective))
 
 
 _three_caps = st.sampled_from([0.0, 50.0, math.inf])

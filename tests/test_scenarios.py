@@ -134,18 +134,33 @@ class TestRunScenario:
             run_scenario(base_cfg, base_data, settings=SolverSettings(max_iter=2))
 
     def test_full_mode_solves_each_problem_once(self, base_cfg, base_data, monkeypatch):
-        seen = []
+        seen, solutions = [], []
         for module in (trimarket.scenarios, trimarket.analysis):
-            def counted(problem, settings=None, _orig=module.solve_qp):
+            def counted(problem, settings=None, _orig=module.solve_qp, **kwargs):
                 arrays = (problem.h_diag, problem.f, problem.a_eq.data, problem.a_eq.indices,
                           problem.b_eq, problem.lb, problem.ub, problem.coup.data, problem.coup_rhs)
                 seen.append(b"".join(a.tobytes() for a in arrays))
-                return _orig(problem, settings)
+                solutions.append(_orig(problem, settings, **kwargs))
+                return solutions[-1]
 
             monkeypatch.setattr(module, "solve_qp", counted)
         run_scenario(base_cfg, base_data, properties="full")
         assert len(seen) == 3
         assert len(set(seen)) == 3
+        # both neighbours are answered from the base solution's active set
+        assert [sol.iterations for sol in solutions[1:]] == [0, 0]
+
+    def test_infeasible_neighbour_with_start_keeps_its_diagnosis(self):
+        # r = 0.5 is the highest feasible RPS level of this instance
+        cfg, data = _tiny_sweep_cfg()
+        model = validate_config(cfg.with_policy(r=0.5), data)
+        _, base = solve_for_param(model, "r", 0.5)
+        assert base.status == "optimal"
+        _, warm = solve_for_param(model, "r", 0.51, start=base)
+        _, cold = solve_for_param(model, "r", 0.51)
+        assert warm.status == "infeasible"
+        assert warm.message == cold.message
+        assert warm.message.startswith("infeasible: REC retirement floor")
 
     @pytest.mark.parametrize("c_cap", [np.inf, 0.0])
     def test_zero_trade_cap_skips_multiplier_slack_biconditional(self, c_cap):

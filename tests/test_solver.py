@@ -24,6 +24,7 @@ from trimarket.qp import (
     oracle_solve,
     solve_qp,
 )
+from trimarket.analysis import solve_for_param
 from trimarket.scenarios import SynthSpec, synth_data
 
 from _instances import build, hand_case, no_supply_case, random_instance, solve
@@ -574,3 +575,76 @@ class TestKktFactorization:
         # the idle ESS leaves the floor's multiplier on a degenerate range
         # (the oracle picks 20, this recovery 40.6): only its sign is fixed
         assert np.all(sol.ineq_duals.coupling >= 0.0)
+
+
+def test_polish_keeps_one_bound_per_variable(monkeypatch):
+    # the thermal unit of the hand case sits at a raised lower bound; a
+    # predicted set that also marks its upper bound active must not fix
+    # it at lb + ub (90, outside [10, 80]) but keep the side with the
+    # larger hint multiplier, here the lower one, in the first round:
+    # one factorization, no release of the wrong side
+    _, p = build(*hand_case())
+    lb = p.lb.copy()
+    j = int(p.layout.indices("g")[0])
+    lb[j] = 10.0
+    p = dataclasses.replace(p, lb=lb)
+    sol = solve_qp(p)
+    assert sol.status == OPTIMAL and sol.x[j] == pytest.approx(10.0)
+    pre = _presolve(p)
+    x, y, z = qp._presolved_point(pre, sol)
+    act = qp._active(pre, x, z, pre.h - pre.g @ x)
+    lo_row = int(np.searchsorted(pre.lo_idx, j))
+    up_row = len(pre.lo_idx) + int(np.searchsorted(pre.up_idx, j))
+    assert act[lo_row] and not act[up_row]
+    act[up_row] = True
+    factors, real = [], qp._factor
+    monkeypatch.setattr(qp, "_factor", lambda *args: factors.append(1) or real(*args))
+    polished = qp._polish(p, pre, act, (x, y, z))
+    assert polished is not None and len(factors) == 1
+    assert np.all(polished.x >= p.lb - 1e-9) and np.all(polished.x <= p.ub + 1e-9)
+    assert polished.x[j] == pytest.approx(10.0)
+    assert polished.objective == pytest.approx(sol.objective, rel=1e-12)
+
+
+@pytest.fixture(scope="module", params=[168, 672])
+def synth_base(request):
+    model, p = build(default_config(request.param),
+                     synth_data(SynthSpec(seed=7, horizon=request.param)))
+    return model, solve_qp(p)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("param, step", [("quota", 1.0), ("r", 0.01)])
+    def test_neighbour_answered_from_base_active_set(self, synth_base, param, step):
+        model, base = synth_base
+        value = (model.quota if param == "quota" else model.config.policy.r) + step
+        p, warm = solve_for_param(model, param, value, start=base)
+        _, cold = solve_for_param(model, param, value)
+        assert warm.status == cold.status == OPTIMAL
+        assert warm.iterations == 0 and cold.iterations > 0
+        assert abs(warm.objective - cold.objective) <= 1e-9 * abs(cold.objective)
+        tol, (scale_p, scale_d) = SolverSettings().tol, qp._scales(_presolve(p))
+        res = kkt_residuals(p, warm)
+        assert res.primal_inf <= tol * scale_p and res.dual_inf <= tol * scale_d
+        assert res.comp_gap <= tol * (1.0 + abs(warm.objective))
+
+    @pytest.mark.parametrize("start", ["not optimal", "wrong length", "far problem"])
+    def test_unusable_start_gives_the_cold_solution(self, start):
+        model, p = build(default_config(168), synth_data(SynthSpec(seed=7, horizon=168)))
+        base = solve_qp(p)
+        if start == "not optimal":
+            kwargs = dict(start=dataclasses.replace(base, status=ITERATION_LIMIT))
+            moved = ("quota", model.quota + 1.0)
+        elif start == "wrong length":
+            kwargs = dict(start=dataclasses.replace(base, x=base.x[:-13]))
+            moved = ("quota", model.quota + 1.0)
+        else:
+            assert model.config.policy.r == 0.9
+            kwargs = dict(start=base)
+            moved = ("r", 0.0)
+        _, warm = solve_for_param(model, *moved, **kwargs)
+        _, cold = solve_for_param(model, *moved)
+        assert (warm.status, warm.iterations, warm.message) == (
+            cold.status, cold.iterations, cold.message)
+        assert warm.iterations > 0
+        assert warm.x.tobytes() == cold.x.tobytes()
