@@ -35,7 +35,6 @@ from .qp import (
     Solution,
     diagnose_infeasibility,
     kkt_residuals,
-    oracle_solve,
     solve_qp,
 )
 from .analysis import (
@@ -81,8 +80,7 @@ __all__ = [
     "PolicyParams", "QpProblem", "TgParams", "TradeCaps", "ValidatedModel",
     "ValidationError", "VppConfig", "assemble_qp", "default_config",
     "plan_to_vector", "quota_cap", "recover_plan", "validate_config", "variable_layout",
-    "SolverSettings", "Solution", "diagnose_infeasibility", "kkt_residuals",
-    "oracle_solve", "solve_qp",
+    "SolverSettings", "Solution", "diagnose_infeasibility", "kkt_residuals", "solve_qp",
     "AffineReport", "CaseTable", "NamedDuals", "PropertyReport",
     "affine_sensitivity", "classify_cer_trading", "classify_rec_trading",
     "check_no_simultaneous_flow", "core_reports", "envelope_check", "named_duals",

@@ -23,20 +23,29 @@ the finite lower bounds as rows -x_j <= -lb_j, then the finite upper
 bounds, then the coupling rows.  The iteration, the polish and the map
 back to (zl, zu, zc) all work on that one block.
 
-Each interior-point iteration solves one bordered KKT system: the bound
-rows of the block fold into its primal diagonal and the coupling rows stay
-bordered.  Its sparsity pattern is fixed for the whole solve and built
-once; an iteration only writes the diagonal (barrier terms plus one fixed
-regularizing shift) and factors the result with diagonal pivots in a
-symmetric minimum-degree order, which the quasi-definite matrix admits at
-a fraction of the fill of partial pivoting.  The order is computed once
-per solve, by its first such factorization; every later iteration writes
-its diagonal straight into a copy of the pattern permuted into that order
-and factors the copy without ordering again, the way OSQP reuses the
-symbolic work on its fixed KKT pattern (Stellato et al. 2020, section 5).
-Every direction is refined against the unregularized matrix; when that
-factorization fails, or the refinement cannot reach its tolerance with a
-finite step, the iteration is refactored with partial pivoting and the
+Each interior-point iteration solves one KKT system: the bound rows of the
+block fold into its primal diagonal (barrier terms plus one fixed
+regularizing shift), and the equality and coupling rows border it.  Every
+variable with a bound row has a positive diagonal there, so its column is
+eliminated exactly, and what gets factored is the reduced augmented system
+in the equality and coupling rows plus the columns without a bound row
+(Wright 1997, ch. 11; Vanderbei, Symmetric quasi-definite matrices, SIAM
+J. Optim. 1995).  Those columns, pinned or free variables, stay bordered:
+their diagonal is little more than the shift, and eliminating them would
+bring its inverse into the reduced matrix.  The reduced pattern is fixed
+for the whole solve and built once; an iteration writes its entries
+through one fixed sparse map of the inverse barrier diagonal and factors
+the result with diagonal pivots in a symmetric minimum-degree order, which
+the quasi-definite matrix admits at a fraction of the fill of partial
+pivoting.  The order is computed once per solve, by its first such
+factorization; every later iteration writes straight into a copy of the
+pattern permuted into that order and factors the copy without ordering
+again, the way OSQP reuses the symbolic work on its fixed KKT pattern
+(Stellato et al. 2020, section 5).  Each solve with that factor recovers
+the eliminated variables and returns a direction of the full system, which
+is refined against the full unregularized matrix; when the factorization
+fails, or the refinement cannot reach its tolerance with a finite step,
+the iteration is refactored in full with partial pivoting and the
 direction redone.  The polish refines its solve with the same routine.
 
 The interior-point iteration is followed by an active-set "polish": once the
@@ -77,7 +86,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import null_space
 from scipy.sparse.linalg import splu
 
 from .model import QpProblem
@@ -89,7 +97,6 @@ __all__ = [
     "Solution",
     "solve_qp",
     "kkt_residuals",
-    "oracle_solve",
     "diagnose_infeasibility",
 ]
 
@@ -432,69 +439,140 @@ def _factor(k_mat: sp.csc_matrix, permc_spec: str = "COLAMD"):
                 options=dict(SymmetricMode=True))
 
 
-class _Permuted:
-    """The factor of K[perm][:, perm], solving systems in K itself."""
-
-    def __init__(self, lu, perm: np.ndarray):
-        self.lu, self.perm = lu, perm
-
-    def solve(self, vec: np.ndarray) -> np.ndarray:
-        step = np.empty_like(vec)
-        step[self.perm] = self.lu.solve(vec[self.perm])
-        return step
-
-
 class _Kkt:
-    """The bordered KKT matrix [[D1, G'], [G, -D2]] of one interior-point solve.
+    """The KKT matrix [[D1, B'], [B, -D2]] of one interior-point solve.
 
-    Its pattern, with an explicit entry on every diagonal, is built once;
-    an iteration only writes the diagonal.  k_true is the unshifted matrix
-    every direction is refined against, so barrier ill-conditioning cannot
-    leak into the equality rows, and k_reg the copy with the static shift
-    that gets factored.  The first static factor computes a fill-reducing
-    order; from then on k_reg is also kept permuted into that order, and
-    every later static factor takes the permuted copy as it stands.
+    B stacks a_ext and the kept coupling rows.  k_true is the unshifted
+    matrix every direction is refined against, so barrier ill-conditioning
+    cannot leak into the equality rows, and k_reg the copy with the static
+    shift, which the partial-pivot fallback factors.  Both have an explicit
+    entry on every diagonal, and an iteration only writes the diagonal.
+
+    The static factor eliminates every column with a bound row: its
+    diagonal D_e carries a barrier term, so it is positive, and
+    x_e = D_e^-1 (r_e - B_e' y) leaves the reduced matrix
+
+        r = [[D_k, B_k'], [B_k, -(B_e D_e^-1 B_e' + E)]]
+
+    in the kept columns k and the rows of B, with E the dual side of
+    k_reg's diagonal.  The kept columns are the pinned variables and any
+    free one; their diagonal is little more than the _KKT_REG shift, and
+    eliminating it would put 1 / _KKT_REG into r.  r's pattern is built
+    once: an iteration writes r.data as the fixed sparse map `scatter`
+    applied to 1 / D_e, plus the constant B_k entries in `base` and the
+    diagonal.  The first static factor computes a fill-reducing order of
+    r; from then on r is kept permuted into that order (scatter, base and
+    r_diag with it), and every later static factor takes it as it stands.
     """
 
-    def __init__(self, n: int, gm: sp.csr_matrix):
-        self.k_true = sp.bmat([[sp.identity(n), gm.T], [gm, sp.identity(gm.shape[0])]],
-                              format="csc")
+    def __init__(self, n: int, bm: sp.csr_matrix, bounded: np.ndarray):
+        mb = bm.shape[0]
+        self.k_true = sp.bmat([[sp.identity(n), bm.T], [bm, sp.identity(mb)]], format="csc")
         cols = np.repeat(np.arange(self.k_true.shape[1]), np.diff(self.k_true.indptr))
         self.diag_pos = np.nonzero(self.k_true.indices == cols)[0]  # one entry per column
         self.k_reg = sp.csc_matrix((self.k_true.data.copy(), self.k_true.indices,
                                     self.k_true.indptr), shape=self.k_true.shape)
-        self.shift = _KKT_REG * np.concatenate([np.ones(n), -np.ones(gm.shape[0])])
-        self.perm: np.ndarray | None = None  # the ordering, once computed
-        self.k_perm: sp.csc_matrix | None = None  # k_reg[perm][:, perm]
-        self.perm_diag_pos: np.ndarray | None = None  # k_reg's diagonal in k_perm.data
+        self.shift = _KKT_REG * np.concatenate([np.ones(n), -np.ones(mb)])
+
+        elim = np.zeros(n, dtype=bool)
+        elim[bounded] = True
+        self.elim = np.nonzero(elim)[0]
+        kept = np.nonzero(~elim)[0]
+        self.n_k = len(kept)
+        self.r_rows = np.concatenate([kept, n + np.arange(mb)])  # k_reg's row behind each of r's
+        self.b_e = bm[:, self.elim].tocsc()
+        self._reduce(bm[:, kept].tocoo())
+        self.inv_d = np.zeros(len(self.elim))
+        self.perm: np.ndarray | None = None  # r's ordering, once computed
+
+    def _reduce(self, b_k: sp.coo_matrix) -> None:
+        """Build r's pattern, the map `scatter` from 1 / D_e to its entries and `base`."""
+        n_k, nr = self.n_k, len(self.r_rows)
+        be = self.b_e
+        counts = np.diff(be.indptr)
+        # every pair of entries t, s in one column e of B_e adds
+        # B[i_t, e] B[i_s, e] / D_e to r at (n_k + i_t, n_k + i_s); the
+        # pairs run column by column, which is scatter's CSC layout
+        reps = np.repeat(counts, counts)
+        t = np.repeat(np.arange(be.nnz, dtype=np.int32), reps)
+        s = np.arange(len(t), dtype=np.int32) + np.repeat(
+            (np.repeat(be.indptr[:-1], counts) - (np.cumsum(reps) - reps)).astype(np.int32), reps)
+
+        def key(rows, cols):
+            # CSC order is the order of col * nr + row
+            return cols.astype(np.int64) * nr + rows
+
+        diag = np.arange(nr)
+        # np.unique sorts the entries and tells each where it lands in r.data
+        keys, pos = np.unique(np.concatenate([
+            key(diag, diag), key(n_k + b_k.row, b_k.col), key(b_k.col, n_k + b_k.row),
+            key(n_k + be.indices[t], n_k + be.indices[s])]), return_inverse=True)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // nr, minlength=nr))])
+        self.r = sp.csc_matrix((np.zeros(len(keys)), (keys % nr).astype(np.int32), indptr),
+                               shape=(nr, nr))
+        n_bk = 2 * b_k.nnz
+        self.r_diag = pos[:nr].copy()  # not a view that keeps all of pos
+        self.base = np.zeros(len(keys))
+        self.base[pos[nr : nr + n_bk]] = np.concatenate([b_k.data, b_k.data])
+        self.scatter = sp.csc_matrix(
+            (-be.data[t] * be.data[s], pos[nr + n_bk :].astype(np.int32),
+             np.concatenate([[0], np.cumsum(counts.astype(np.int64) ** 2)])),
+            shape=(len(keys), len(counts)))
 
     def set_diagonal(self, diag: np.ndarray) -> None:
         self.k_true.data[self.diag_pos] = diag
-        self.k_reg.data[self.diag_pos] = diag + self.shift
-        if self.perm is not None:
-            self.k_perm.data[self.perm_diag_pos] = self.k_reg.data[self.diag_pos]
+        reg = diag + self.shift
+        self.k_reg.data[self.diag_pos] = reg
+        self.inv_d = 1.0 / reg[self.elim]
+        self.r.data[:] = self.scatter @ self.inv_d + self.base
+        self.r.data[self.r_diag] += reg[self.r_rows]
 
-    def static_factor(self):
-        """Factor k_reg with diagonal pivots; the factor solves in k_reg's order."""
+    def static_factor(self) -> "_Reduced":
+        """Factor r with diagonal pivots; the factor solves systems in k_reg."""
         if self.perm is not None:
-            return _Permuted(_factor(self.k_perm, "NATURAL"), self.perm)
-        lu = _factor(self.k_reg, "MMD_AT_PLUS_A")
+            return _Reduced(self, _factor(self.r, "NATURAL"), self.perm)
+        lu = _factor(self.r, "MMD_AT_PLUS_A")
+        factor = _Reduced(self, lu, np.arange(self.r.shape[0]))
         # SuperLU moves column j to position perm_c[j]; the matrix it
-        # factored is k_reg[perm][:, perm] with perm the inverse of perm_c
+        # factored is r[perm][:, perm] with perm the inverse of perm_c
         self._permute(np.asarray(lu.perm_c))
-        return lu
+        return factor
 
     def _permute(self, perm_c: np.ndarray) -> None:
-        k = self.k_reg
-        rows = perm_c[k.indices]
-        cols = perm_c[np.repeat(np.arange(k.shape[1]), np.diff(k.indptr))]
+        r = self.r
+        rows = perm_c[r.indices]
+        cols = perm_c[np.repeat(np.arange(r.shape[1]), np.diff(r.indptr))]
         order = np.lexsort((rows, cols))  # column by column, rows ascending
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=k.shape[1]))])
-        self.k_perm = sp.csc_matrix((k.data[order], rows[order], indptr), shape=k.shape)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=r.shape[1]))])
+        self.r = sp.csc_matrix((r.data[order], rows[order], indptr), shape=r.shape)
         where = np.empty_like(order)
         where[order] = np.arange(len(order))
-        self.perm_diag_pos = where[self.diag_pos]
+        self.r_diag = where[self.r_diag]
+        self.base = self.base[order]
+        self.scatter.indices[:] = where[self.scatter.indices]
         self.perm = np.argsort(perm_c)
+
+
+class _Reduced:
+    """A static factor of _Kkt's r that solves systems in the full k_reg.
+
+    lu factors r[perm][:, perm], with D_e as it was when r was factored.
+    """
+
+    def __init__(self, kkt: _Kkt, lu, perm: np.ndarray):
+        self.kkt, self.lu, self.perm, self.inv_d = kkt, lu, perm, kkt.inv_d
+
+    def solve(self, vec: np.ndarray) -> np.ndarray:
+        kkt = self.kkt
+        r_e = vec[kkt.elim] * self.inv_d
+        rhs = vec[kkt.r_rows]
+        rhs[kkt.n_k :] -= kkt.b_e @ r_e
+        sol = np.empty_like(rhs)
+        sol[self.perm] = self.lu.solve(rhs[self.perm])
+        step = np.empty_like(vec)
+        step[kkt.r_rows] = sol
+        step[kkt.elim] = r_e - (kkt.b_e.T @ sol[kkt.n_k :]) * self.inv_d
+        return step
 
 
 def _refined_solve(lu, k_mat: sp.csc_matrix, vec: np.ndarray, tol: float, step=None):
@@ -542,19 +620,36 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
         if warm is not None:
             return warm
 
+    if pre.g.shape[0] == 0:
+        # every variable pinned or free: the polish from the zero point with
+        # nothing active is the one equality-constrained solve
+        none = np.zeros(0)
+        return _finish(p, pre, s, (np.zeros(p.n), np.zeros(pre.a_ext.shape[0]), none), none, 0,
+                       False, "equality-constrained solve failed")
+    iterated = _interior_point(p, pre, s)
+    if isinstance(iterated, Solution):
+        return iterated
+    return _finish(p, pre, s, *iterated)
+
+
+def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
+    """The interior-point iteration of solve_qp, from a strictly interior start.
+
+    Returns (point, w, iterations, converged, message) for _finish, or a
+    Solution when there is nothing to finish: the stall probe found the
+    problem infeasible, or no iterate was finite.  Every array of the
+    iteration, the KKT matrices and their factor among them, is freed on
+    return, before the polish makes its own factor, and the best-merit
+    iterate is kept in buffers allocated once: with nothing the iteration
+    made late left alive, the allocator can hand the memory back before the
+    polish (at T=8760 the peak resident size fell from about 315 to 240 MB).
+    """
     n = p.n
     q, c = pre.q, pre.c
     a, b = pre.a_ext, pre.b_ext
     g, h = pre.g, pre.h
     m, m_comp = a.shape[0], g.shape[0]
     n_b = len(pre.lo_idx) + len(pre.up_idx)  # bound rows lead the block
-
-    if m_comp == 0:
-        # every variable pinned or free: the polish from the zero point with
-        # nothing active is the one equality-constrained solve
-        none = np.zeros(0)
-        return _finish(p, pre, s, (np.zeros(n), np.zeros(m), none), none, 0, False,
-                       "equality-constrained solve failed")
 
     # strictly interior start; x need not satisfy the equalities
     x = np.zeros(n)
@@ -571,10 +666,11 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
     z = np.full(m_comp, max(1.0, 0.1 * float(np.max(np.abs(c), initial=1.0))))
 
     # the bound rows of the inequality block fold into the primal diagonal
-    # D1 of the KKT matrix; its coupling rows stay bordered next to A
+    # D1 of the KKT matrix, and the static factor eliminates their
+    # variables; its coupling rows stay bordered next to A
     bound_var = np.concatenate([pre.lo_idx, pre.up_idx])  # variable of each bound row
     gb_t = g[:n_b].T.tocsr()
-    kkt = _Kkt(n, sp.vstack([a, g[n_b:]]))
+    kkt = _Kkt(n, sp.vstack([a, g[n_b:]]).tocsr(), bound_var)
 
     # complementarity sums are np.sum(w * z), not w @ z: a 1-D product of
     # more than about 10,000 elements goes to the BLAS ddot, which in
@@ -582,7 +678,8 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
     # T=672 solve without saving wall time
     scale_p, scale_d = _scales(pre)
     mu0 = float(np.sum(w * z)) / m_comp
-    best: tuple | None = None
+    best_merit: float | None = None
+    best = (np.empty_like(x), np.empty_like(y), np.empty_like(z))
     primal_hist: list[float] = []
     probed = False
 
@@ -605,8 +702,10 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
             message = "iterates lost finiteness"
             break
         merit = (primal_inf / scale_p, dual_inf / scale_d, gap / (1.0 + abs(obj_min)))
-        if best is None or max(merit) < best[0]:
-            best = (max(merit), (x.copy(), y.copy(), z.copy()))
+        if best_merit is None or max(merit) < best_merit:
+            best_merit = max(merit)
+            for kept, now in zip(best, (x, y, z)):
+                kept[:] = now
 
         if (
             primal_inf <= s.tol * scale_p
@@ -641,11 +740,11 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
         z_c = np.maximum(z[n_b:], 1e-280)
         d1 = q + np.bincount(bound_var, z[:n_b] / w_b, minlength=n)
         kkt.set_diagonal(np.concatenate([d1, np.zeros(m), -(w[n_b:] / z_c)]))
-        static = True
+        static, lu = True, None  # the last factor is freed before the next is made
         try:
             lu = kkt.static_factor()
         except _FACTOR_ERRORS:
-            lu = None
+            pass  # solve_direction refactors with partial pivoting
 
         def solve_direction(rc):
             # Newton direction whose linearized complementarity change
@@ -714,16 +813,16 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
 
     if converged:
         point = (x, y, z)
-    elif best is not None:
+    elif best_merit is not None:
         # Rescue: the best-merit iterate may sit at the optimum with only
         # complementarity unresolved (degenerate face).  Its duals are paired
         # with the last iterate's slacks to predict the active set: with its
         # own slacks, 1254 instead of 1398 of 2601 solves capped at 3, 5 and
         # 8 iterations (867 mostly small random problems) came back optimal.
-        point = best[1]
+        point = best
     else:
         return _unsolved(p, it, message)
-    return _finish(p, pre, s, point, w, it, converged, message)
+    return point, w, it, converged, message
 
 
 def _scales(pre: _Presolved) -> tuple[float, float]:
@@ -907,8 +1006,8 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
 def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported on first call.
 
-    Only the feasibility probes and the oracle need it, and importing
-    scipy.optimize up front would add about 0.2 s to every start.
+    Only the feasibility probes need it, and importing scipy.optimize up
+    front would add about 0.2 s to every start.
     """
     from scipy.optimize import linprog as highs_linprog
 
@@ -956,140 +1055,3 @@ def _name_conflict(p: QpProblem) -> str:
     if _feasibility_probe(p, drop_coupling=(0, 1)) == "feasible":
         return "infeasible: retirement floor and quota ceiling jointly conflict"
     return "infeasible: balance equations conflict with variable bounds"
-
-
-# ---------------------------------------------------------------------------
-# Small-instance oracle: primal active-set with explicit subproblem solves
-
-
-def oracle_solve(p: QpProblem, max_iter: int = 2000) -> Solution:
-    """Exact reference solver for tiny instances (13*T <= 40).
-
-    Walks active sets directly: each candidate set yields an
-    equality-constrained QP solved through a nullspace factorization, and
-    sets are added or dropped one constraint at a time until the KKT point
-    is reached.  Uses dense linear algebra throughout and shares no solve
-    path with solve_qp, so it serves as an independent cross-check.
-    """
-    n = p.n
-    if n > 40:
-        raise ValueError(f"oracle_solve is restricted to 13*T <= 40 variables, got {n}")
-
-    a_eq = p.a_eq.toarray()
-    b_eq = p.b_eq
-    q = -p.h_diag
-    c = -p.f
-
-    # inequality stack: finite bounds as one row per side, then coupling rows
-    lo = np.nonzero(np.isfinite(p.lb))[0]
-    up = np.nonzero(np.isfinite(p.ub))[0]
-    eye = np.eye(n)
-    g_mat = np.vstack([0.0 - eye[lo], eye[up], p.coup.toarray()])
-    h_vec = np.concatenate([-p.lb[lo], p.ub[up], p.coup_rhs])
-
-    start = linprog(
-        c=np.zeros(n),
-        A_ub=g_mat,
-        b_ub=h_vec,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(None, None)] * n,
-        method="highs",
-    )
-    if start.status == 2:
-        return _empty_solution(p, INFEASIBLE, message=diagnose_infeasibility(p))
-    if start.status != 0:
-        raise RuntimeError(f"feasible-point search failed with status {start.status}")
-    x = np.asarray(start.x, dtype=float)
-
-    work: list[int] = []
-    bland = False
-    no_progress = 0
-    last_obj = np.inf
-    grad_scale = 1.0 + float(np.max(np.abs(c), initial=0.0))
-
-    it = 0
-    for it in range(1, max_iter + 1):
-        grad = q * x + c
-        a_bar = np.vstack([a_eq, g_mat[work]])
-        null = null_space(a_bar)
-
-        ray = False
-        if null.shape[1] == 0:
-            d = np.zeros(n)
-        else:
-            h_red = null.T @ (q[:, None] * null)
-            g_red = null.T @ grad
-            evals, evecs = np.linalg.eigh(h_red)
-            comp = evecs.T @ g_red
-            cut = 1e-10 * max(1.0, float(evals.max(initial=0.0)))
-            sing = evals <= cut
-            if np.any(sing & (np.abs(comp) > 1e-9 * grad_scale)):
-                # linear descent direction: objective decreases without bound
-                dz = -evecs[:, sing] @ comp[sing]
-                d = null @ (dz / max(np.linalg.norm(dz), 1e-300))
-                ray = True
-            else:
-                dz = np.zeros(len(evals))
-                good = ~sing
-                dz[good] = -comp[good] / evals[good]
-                d = null @ (evecs @ dz)
-
-        if not ray and np.max(np.abs(d), initial=0.0) <= 1e-10 * (1.0 + np.max(np.abs(x))):
-            duals, *_ = np.linalg.lstsq(a_bar.T, -grad, rcond=None)
-            nu = duals[len(a_eq):]
-            neg = np.nonzero(nu < -1e-8 * grad_scale)[0]
-            if len(neg) == 0:
-                return _oracle_solution(p, x, duals[: len(a_eq)], work, nu, lo, up, it)
-            drop = int(neg[0]) if bland else int(np.argmin(nu))
-            work.pop(drop)
-            continue
-
-        g_d = g_mat @ d
-        slack = np.maximum(h_vec - g_mat @ x, 0.0)
-        cand = [
-            i for i in range(len(g_mat))
-            if i not in work and g_d[i] > 1e-11 * (1.0 + np.abs(g_d).max())
-        ]
-        if cand:
-            ratios = np.array([slack[i] / g_d[i] for i in cand])
-            a_max = float(ratios.min())
-            hit = min(c_i for c_i, r in zip(cand, ratios) if r <= a_max + 1e-12 * (1.0 + a_max))
-        else:
-            a_max, hit = np.inf, None
-        if ray and hit is None:
-            raise RuntimeError("objective is unbounded along a feasible ray")
-        alpha = a_max if ray else min(1.0, a_max)
-        x = x + alpha * d
-        if hit is not None and (ray or a_max < 1.0 - 1e-12):
-            work.append(hit)
-            work.sort()
-
-        obj = float(0.5 * (q * x) @ x + c @ x)
-        if obj < last_obj - 1e-12 * (1.0 + abs(last_obj)):
-            last_obj, no_progress = obj, 0
-        else:
-            no_progress += 1
-            if no_progress > 50:
-                bland = True
-
-    raise RuntimeError(f"active-set iteration cap {max_iter} reached")
-
-
-def _oracle_solution(p, x, y_ls, work, nu, lo, up, iterations) -> Solution:
-    # multipliers of the inequality stack: lower bounds, upper bounds, coupling rows
-    z = np.zeros(len(lo) + len(up) + len(p.coup_rhs))
-    z[work] = np.maximum(nu, 0.0)
-    zl, zu = np.zeros(p.n), np.zeros(p.n)
-    zl[lo] = z[: len(lo)]
-    zu[up] = z[len(lo) : len(lo) + len(up)]
-    sol = Solution(
-        status=OPTIMAL,
-        x=x.copy(),
-        objective=p.objective(x),
-        eq_duals=np.asarray(y_ls, dtype=float),
-        ineq_duals=IneqDuals(lower=zl, upper=zu, coupling=z[len(lo) + len(up) :]),
-        iterations=iterations,
-        residuals=None,
-    )
-    return replace(sol, residuals=kkt_residuals(p, sol))

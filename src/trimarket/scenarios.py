@@ -214,10 +214,11 @@ class ScenarioResult:
         return self.solution.objective
 
 
-def _solved(cfg: VppConfig, data: MarketData, settings: SolverSettings):
+def _solved(cfg: VppConfig, data: MarketData, settings: SolverSettings,
+            start: Solution | None = None):
     model = validate_config(cfg, data)
     problem = assemble_qp(model)
-    sol = solve_qp(problem, settings)
+    sol = solve_qp(problem, settings, start=start)
     if sol.status == INFEASIBLE:
         raise InfeasibleError(sol.status, sol.message)
     if sol.status != OPTIMAL:
@@ -317,7 +318,12 @@ def _consistent(values: list[float]) -> bool:
 def inventory_matrix(
     cfg: VppConfig, data: MarketData, settings: SolverSettings | None = None
 ) -> InventoryMatrixResult:
-    """Solve the four inventory on/off combinations and compare profits."""
+    """Solve the four inventory on/off combinations and compare profits.
+
+    The both-enabled cell is solved first, and its solution starts the
+    other three: each differs from it only in the inventory bounds, so its
+    active set, polished on the cell, usually answers it (see solve_qp).
+    """
     if not (cfg.rec_inventory.enabled and cfg.cer_inventory.enabled):
         raise ValueError("inventory matrix starts from a configuration with both inventories enabled")
     settings = settings or SolverSettings()
@@ -327,14 +333,16 @@ def inventory_matrix(
         "rec_only": (True, False),
         "both": (True, True),
     }
-    breakdowns: dict[str, RevenueBreakdown] = {}
-    slack = True
+    cfgs = {cell: cfg.with_inventories(rec=rec_on, cer=cer_on)
+            for cell, (rec_on, cer_on) in toggles.items()}
+    _, _, both, plan = _solved(cfgs["both"], data, settings)
+    plans = {"both": plan}
     for cell in MATRIX_CELLS:
-        rec_on, cer_on = toggles[cell]
-        cell_cfg = cfg.with_inventories(rec=rec_on, cer=cer_on)
-        _, _, _, plan = _solved(cell_cfg, data, settings)
-        breakdowns[cell] = RevenueBreakdown.from_plan(plan, data, cell_cfg)
-        slack = slack and _cap_slack(plan, cell_cfg)
+        if cell != "both":
+            plans[cell] = _solved(cfgs[cell], data, settings, start=both)[3]
+    breakdowns = {cell: RevenueBreakdown.from_plan(plans[cell], data, cfgs[cell])
+                  for cell in MATRIX_CELLS}
+    slack = all(_cap_slack(plans[cell], cfgs[cell]) for cell in MATRIX_CELLS)
 
     base = breakdowns["none"].profit
     denom = max(abs(base), 1e-12)

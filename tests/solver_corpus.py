@@ -8,8 +8,9 @@ import path (set ``PYTHONPATH`` to pick a checkout) and writes, per solve,
 the status, iteration count, message, objective and primal vector, the
 primal residual (``residuals.primal_inf``) of an optimal answer, how many
 ``qp.splu`` calls it made with each ``permc_spec`` and their total L+U
-fill, and how many ``qp.linprog`` probes it ran (the wrappers need nothing
-from the solver but those module attributes).  The
+fill, the dimension of its static-pivot factors (0 when it made none),
+and how many ``qp.linprog`` probes it ran (the wrappers need nothing from
+the solver but those module attributes).  The
 corpus is ``random_instance`` seeds 0-599 x {default, ``r_min=0.95``} x
 ``max_iter`` {200, 8}, plus 26 synth-data solves at T=168-672: default,
 uncapped, r = 0.995, an unmeetable REC floor, and two with lossy storage.
@@ -29,11 +30,12 @@ factorizations; the static-pivot factorizations that computed a
 fill-reducing ordering (``MMD_AT_PLUS_A``) and those that reused one
 (``NATURAL``); the number of solves that computed more than one ordering,
 which is 0 unless a solve's first static factor raised; the L+U fill of
-all partial-pivot (COLAMD) factors; and the largest primal residual of an
-optimal answer.  Then the number of solves whose iteration count changed,
-by status, and both trees' totals of partial-pivot factorizations, the
-interior-point fallbacks plus the polish, and the number of solves whose
-count changed.  Last, per tree, how many neighbour solves were answered
+all partial-pivot (COLAMD) factors; the largest primal residual of an
+optimal answer; and the largest and the total static-factor dimension
+over all solves.  Then the number of solves whose iteration count changed,
+by status, and each such solve; both trees' totals of partial-pivot
+factorizations, the interior-point fallbacks plus the polish, and each
+solve whose count changed.  Last, per tree, how many neighbour solves were answered
 warm and the largest warm-minus-cold objective gap among those.  Not collected by pytest (the file name does not
 match test_*).
 """
@@ -75,10 +77,10 @@ def _synth_cases():
     return cases
 
 
-def _record(cfg, problem, settings, factors, fill, probes):
+def _record(cfg, problem, settings, factors, fill, dims, probes):
     from trimarket.qp import solve_qp
 
-    for counts in (factors, fill, probes):
+    for counts in (factors, fill, dims, probes):
         counts.clear()
     sol = solve_qp(problem, settings)
     return sol, {
@@ -91,6 +93,7 @@ def _record(cfg, problem, settings, factors, fill, probes):
         "primal_inf": sol.residuals.primal_inf if sol.status == "optimal" else None,
         "splu": dict(factors),
         "fill": dict(fill),
+        "static_dim": max(dims.get("MMD_AT_PLUS_A", 0), dims.get("NATURAL", 0)),
         "linprog": probes.get("linprog", 0),
     }
 
@@ -111,11 +114,12 @@ def _neighbours(model, base) -> dict:
     return out
 
 
-def _count_calls(qp, name, key=None, fill=None) -> dict:
+def _count_calls(qp, name, key=None, fill=None, dims=None) -> dict:
     """Wrap qp.<name> so that each call counts under key(kwargs), or name.
 
     With a `fill` dict, each returned factor's L+U nonzeros add up there
-    under the same key.
+    under the same key; with a `dims` dict, the largest dimension of a
+    factored matrix is kept there under the same key.
     """
     counts, real = {}, getattr(qp, name)
 
@@ -125,6 +129,8 @@ def _count_calls(qp, name, key=None, fill=None) -> dict:
         out = real(*args, **kwargs)
         if fill is not None:
             fill[k] = fill.get(k, 0) + out.L.nnz + out.U.nnz
+        if dims is not None:
+            dims[k] = max(dims.get(k, 0), args[0].shape[0])
         return out
 
     setattr(qp, name, counted)
@@ -135,8 +141,9 @@ def dump(out: str) -> None:
     import trimarket.qp as qp
     from _instances import build, random_instance
 
-    fill = {}
-    factors = _count_calls(qp, "splu", lambda kwargs: kwargs.get("permc_spec", "COLAMD"), fill)
+    fill, dims = {}, {}
+    factors = _count_calls(qp, "splu", lambda kwargs: kwargs.get("permc_spec", "COLAMD"), fill,
+                           dims)
     probes = _count_calls(qp, "linprog")
     records = {}
     with warnings.catch_warnings():
@@ -148,10 +155,11 @@ def dump(out: str) -> None:
                 for max_iter in (200, 8):
                     key = f"random/{seed}/r_min={r_min}/max_iter={max_iter}"
                     _, records[key] = _record(cfg, problem, qp.SolverSettings(max_iter=max_iter),
-                                              factors, fill, probes)
+                                              factors, fill, dims, probes)
         for name, cfg, data in _synth_cases():
             model, problem = build(cfg, data)
-            sol, records[name] = _record(cfg, problem, qp.SolverSettings(), factors, fill, probes)
+            sol, records[name] = _record(cfg, problem, qp.SolverSettings(), factors, fill, dims,
+                                         probes)
             if sol.status == "optimal":
                 records[name]["neighbours"] = _neighbours(model, sol)
     Path(out).write_text(json.dumps(records))
@@ -205,18 +213,26 @@ def compare(path_a: str, path_b: str) -> None:
         colamd_fill = sum(r["fill"].get("COLAMD", 0) for r in d.values())
         worst = max((r["primal_inf"] for r in d.values() if r["status"] == "optimal"), default=0.0)
         print(f"{label}: COLAMD L+U fill {colamd_fill}; largest optimal primal residual {worst:.3g}")
+        dims = [r.get("static_dim") for r in d.values()]
+        if None in dims:
+            print(f"{label}: static-factor dimension not recorded")
+        else:
+            print(f"{label}: static-factor dimension largest {max(dims)}, total {sum(dims)}")
     changed_by_status = {}
-    for k in a:
-        if a[k]["iterations"] != b[k]["iterations"]:
-            st = a[k]["status"] if a[k]["status"] == b[k]["status"] else "status changed"
-            changed_by_status[st] = changed_by_status.get(st, 0) + 1
-    changed = ", ".join(f"{st} {n}" for st, n in sorted(changed_by_status.items())) or "none"
-    print(f"solves whose iterations changed: {changed}")
-    partial_a = [a[k]["splu"].get("COLAMD", 0) for k in a]
-    partial_b = [b[k]["splu"].get("COLAMD", 0) for k in a]
-    changed = sum(u != v for u, v in zip(partial_a, partial_b))
-    print(f"partial-pivot factorizations: {sum(partial_a)} vs {sum(partial_b)}; "
-          f"{changed} solves changed count")
+    changed = [k for k in a if a[k]["iterations"] != b[k]["iterations"]]
+    for k in changed:
+        st = a[k]["status"] if a[k]["status"] == b[k]["status"] else "status changed"
+        changed_by_status[st] = changed_by_status.get(st, 0) + 1
+    by_status = ", ".join(f"{st} {n}" for st, n in sorted(changed_by_status.items())) or "none"
+    print(f"solves whose iterations changed: {by_status}")
+    for k in changed:
+        print(f"  {k}: {a[k]['iterations']} -> {b[k]['iterations']} iterations")
+    partial = {k: (a[k]["splu"].get("COLAMD", 0), b[k]["splu"].get("COLAMD", 0)) for k in a}
+    changed = [k for k, (u, v) in partial.items() if u != v]
+    print(f"partial-pivot factorizations: {sum(u for u, _ in partial.values())} vs "
+          f"{sum(v for _, v in partial.values())}; {len(changed)} solves changed count")
+    for k in changed:
+        print(f"  {k}: {partial[k][0]} -> {partial[k][1]}")
     for label, d in (("A", a), ("B", b)):
         solves = [n for r in d.values() for n in r.get("neighbours", {}).values()]
         if not solves:

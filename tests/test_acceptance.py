@@ -21,10 +21,11 @@ from _instances import (
     rec_sale_capped_case,
     solve,
 )
+from _oracle import oracle_solve
 from trimarket.analysis import affine_sensitivity, named_duals
 from trimarket.config_io import save_config
 from trimarket.model import MarketData, ModelWarning, default_config, validate_config
-from trimarket.qp import OPTIMAL, kkt_residuals, oracle_solve, solve_qp
+from trimarket.qp import OPTIMAL, kkt_residuals, solve_qp
 from trimarket.scenarios import (
     InfeasibleError,
     SynthSpec,

@@ -39,9 +39,10 @@ from trimarket.model import (  # noqa: E402
     VppConfig,
     assemble_qp,
 )
-from trimarket.qp import INFEASIBLE, OPTIMAL, oracle_solve, solve_qp  # noqa: E402
+from trimarket.qp import INFEASIBLE, OPTIMAL, solve_qp  # noqa: E402
 
 from _instances import build, no_supply_case, random_instance  # noqa: E402
+from _oracle import oracle_solve  # noqa: E402
 
 
 # a trade cap of inf or 50 leaves the market open, which keeps most draws

@@ -700,7 +700,7 @@ class TestCli:
         assert __version__ in out.stdout
 
     def test_cli_import_leaves_scipy_optimize_out(self):
-        # only the LP probes and the oracle need it; they import it on use
+        # only the LP probes need it; they import it on use
         out = subprocess.run(
             [sys.executable, "-c",
              "import sys, trimarket.cli; print('scipy.optimize' in sys.modules)"],

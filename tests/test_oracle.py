@@ -9,9 +9,10 @@ problems; keep horizons at 3 hours or fewer here.
 import numpy as np
 import pytest
 
-from trimarket.qp import OPTIMAL, kkt_residuals, oracle_solve, solve_qp
+from trimarket.qp import OPTIMAL, kkt_residuals, solve_qp
 
 from _instances import build, hand_case, random_instance
+from _oracle import oracle_solve
 
 
 def test_hand_instance_objective():

@@ -300,6 +300,38 @@ class TestInventoryMatrix:
         assert m.breakdowns["both"].profit >= m.breakdowns["rec_only"].profit
         assert m.breakdowns["both"].profit >= m.breakdowns["cer_only"].profit
 
+    def test_cells_answered_from_both_cell(self, base_cfg, base_data, monkeypatch):
+        # the both-enabled cell is solved cold first; its solution answers
+        # the other three from its active set, as their cold solves would
+        solves, real = [], trimarket.scenarios.solve_qp
+
+        def recorded(problem, settings=None, start=None):
+            sol = real(problem, settings, start=start)
+            solves.append((problem, start, sol))
+            return sol
+
+        monkeypatch.setattr(trimarket.scenarios, "solve_qp", recorded)
+        warm = inventory_matrix(base_cfg, base_data).to_dict()
+        assert [start is solves[0][2] for _, start, _ in solves] == [False, True, True, True]
+        assert solves[0][1] is None and solves[0][2].iterations > 0
+        for problem, _, sol in solves[1:]:
+            cold = real(problem)
+            assert sol.status == cold.status == "optimal"
+            assert sol.iterations == 0 and cold.iterations > 0
+            assert abs(sol.objective - cold.objective) <= 1e-9 * abs(cold.objective)
+
+        monkeypatch.setattr(trimarket.scenarios, "solve_qp",
+                            lambda problem, settings=None, start=None: real(problem, settings))
+        cold = inventory_matrix(base_cfg, base_data).to_dict()
+        assert list(warm["breakdowns"]) == list(cold["breakdowns"]) == list(MATRIX_CELLS)
+        for cell in MATRIX_CELLS:
+            for key, value in cold["breakdowns"][cell].items():
+                assert warm["breakdowns"][cell][key] == pytest.approx(value, rel=1e-9, abs=1e-9)
+            assert warm["improvements_pct"][cell] == pytest.approx(
+                cold["improvements_pct"][cell], rel=1e-9, abs=1e-9)
+        for flag in ("rev_g_consistent", "cost_g_consistent", "caps_slack"):
+            assert warm[flag] == cold[flag]
+
     def test_generation_side_untouched_when_caps_slack(self, base_cfg, base_data):
         m = inventory_matrix(base_cfg, base_data)
         assert m.caps_slack

@@ -21,13 +21,13 @@ from trimarket.qp import (
     _presolve,
     diagnose_infeasibility,
     kkt_residuals,
-    oracle_solve,
     solve_qp,
 )
 from trimarket.analysis import solve_for_param
 from trimarket.scenarios import SynthSpec, synth_data
 
 from _instances import build, hand_case, no_supply_case, random_instance, solve
+from _oracle import oracle_solve
 
 
 @pytest.fixture(scope="module")
@@ -416,8 +416,13 @@ class TestKktFactorization:
             assert all(kw in (STATIC_NATURAL, PARTIAL_PIVOT) for kw in factors[1:])
 
     def test_reordered_factor_solves_like_a_fresh_ordering(self, monkeypatch):
-        # replay every iteration's diagonal of a real solve: the factor taken
-        # in the first iteration's ordering solves as a freshly ordered one
+        # replay every iteration's diagonal of a real solve: the reduced
+        # factor, taken in the first iteration's ordering, solves the full
+        # k_reg as a freshly ordered factor of k_reg does.  The infeasible
+        # week keeps its pinned columns in the reduced matrix.  Where that
+        # solve fell back to partial pivoting (the barrier diagonal spans
+        # 1e17 to 1e34 there), the fresh factor itself is off by up to
+        # 2e-9, so only the iterations the static factor answered compare.
         diagonals, real = [], qp._Kkt.set_diagonal
 
         def recorded(kkt, diag):
@@ -425,17 +430,59 @@ class TestKktFactorization:
             real(kkt, diag)
 
         monkeypatch.setattr(qp._Kkt, "set_diagonal", recorded)
-        assert solve_qp(_synth_week()).status == OPTIMAL
-        assert len(diagonals) == 9
-        kkt = diagonals[0][0]
-        rhs = np.random.default_rng(0).standard_normal(kkt.k_reg.shape[0])
-        for _, diag in diagonals[1:]:
-            real(kkt, diag)
-            reordered = kkt.static_factor()
-            fresh = qp._factor(kkt.k_reg, "MMD_AT_PLUS_A")
-            want = fresh.solve(rhs)
-            assert np.max(np.abs(reordered.solve(rhs) - want)) <= 1e-12 * np.max(np.abs(want))
-            assert reordered.lu.L.nnz + reordered.lu.U.nnz <= fresh.L.nnz + fresh.U.nnz
+        calls = _phase_recorder(monkeypatch, qp, "splu")
+        for problem, n_diag, n_kept, partial in ((_synth_week(), 9, 0, set()),
+                                                 (_infeasible_week(), 10, 504, {7, 8, 9, 10})):
+            diagonals.clear()
+            calls.clear()
+            solve_qp(problem)
+            ipm = [kw for ph, kw in calls if ph == "ipm"]
+            # the iteration of each partial-pivot factor: the static ones before it
+            fell_back = {sum(k != PARTIAL_PIVOT for k in ipm[:i])
+                         for i, kw in enumerate(ipm) if kw == PARTIAL_PIVOT}
+            assert len(diagonals) == n_diag and fell_back == partial
+            kkt = diagonals[0][0]
+            assert kkt.n_k == n_kept and kkt.r.shape[0] < kkt.k_reg.shape[0]
+            rhs = np.random.default_rng(0).standard_normal(kkt.k_reg.shape[0])
+            for it, (_, diag) in enumerate(diagonals, start=1):
+                real(kkt, diag)
+                reduced = kkt.static_factor()
+                fresh = qp._factor(kkt.k_reg, "MMD_AT_PLUS_A")
+                assert reduced.lu.L.nnz + reduced.lu.U.nnz <= fresh.L.nnz + fresh.U.nnz
+                if it not in fell_back:
+                    want = fresh.solve(rhs)
+                    err = np.max(np.abs(reduced.solve(rhs) - want))
+                    assert err <= 1e-12 * np.max(np.abs(want))
+
+    def test_static_factor_eliminates_bounded_columns(self, monkeypatch):
+        # every column with a bound row is eliminated: the static factor
+        # has one row per row of a_ext, per kept coupling row and per
+        # column without a bound row
+        dims, real = [], qp.splu
+
+        def measured(*args, **kwargs):
+            if kwargs.get("permc_spec") != "COLAMD":
+                dims.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qp, "splu", measured)
+        _, p = build(default_config(672), synth_data(SynthSpec(seed=7, horizon=672)))
+        pre = _presolve(p)
+        unbounded = np.ones(p.n, dtype=bool)
+        unbounded[pre.lo_idx] = unbounded[pre.up_idx] = False
+        dim = pre.a_ext.shape[0] + len(pre.keep_rows) + int(unbounded.sum())
+        assert solve_qp(p).status == OPTIMAL
+        assert dim == 4034 and set(dims) == {(dim, dim)} and len(dims) == 15
+
+    def test_infeasible_week_keeps_its_factor_counts(self, monkeypatch):
+        # the pinned columns stay in the reduced matrix: eliminating them
+        # puts 1 / _KKT_REG into it, and the refinement then misses its
+        # tolerance in more iterations, each one more partial-pivot factor
+        calls = _phase_recorder(monkeypatch, qp, "splu")
+        sol = solve_qp(_infeasible_week())
+        assert sol.status == INFEASIBLE and sol.iterations == 11
+        factors = [kw for ph, kw in calls if ph == "ipm"]
+        assert len(factors) == 14 and factors.count(PARTIAL_PIVOT) == 4
 
     def test_polish_rejects_non_finite_solve(self, monkeypatch):
         # every polish factor (the only partial-pivot ones here) solves to
