@@ -32,21 +32,22 @@ in the equality and coupling rows plus the columns without a bound row
 (Wright 1997, ch. 11; Vanderbei, Symmetric quasi-definite matrices, SIAM
 J. Optim. 1995).  Those columns, pinned or free variables, stay bordered:
 their diagonal is little more than the shift, and eliminating them would
-bring its inverse into the reduced matrix.  The reduced pattern is fixed
-for the whole solve and built once; an iteration writes its entries
-through one fixed sparse map of the inverse barrier diagonal and factors
-the result with diagonal pivots in a symmetric minimum-degree order, which
-the quasi-definite matrix admits at a fraction of the fill of partial
-pivoting.  The order is computed once per solve, by its first such
-factorization; every later iteration writes straight into a copy of the
-pattern permuted into that order and factors the copy without ordering
-again, the way OSQP reuses the symbolic work on its fixed KKT pattern
-(Stellato et al. 2020, section 5).  Each solve with that factor recovers
-the eliminated variables and returns a direction of the full system, which
-is refined against the full unregularized matrix; when the factorization
-fails, or the refinement cannot reach its tolerance with a finite step,
-the iteration is refactored in full with partial pivoting and the
-direction redone.  The polish refines its solve with the same routine.
+bring its inverse into the reduced matrix.  Each hourly row of the reduced
+system couples only its own hour and the next (storage and inventories
+carry over), so all of it but the kept coupling rows is a narrow band once
+put in a reverse Cuthill-McKee order (Cuthill & McKee 1969), computed once
+per solve from the fixed pattern.  An iteration writes that band and the
+dense border of the 0-2 coupling rows through one fixed sparse map of the
+inverse barrier diagonal, factors the band with LAPACK's banded LU
+(partial pivoting within the band) and eliminates the border through its
+Schur complement, at most 2 x 2.  Each solve with that factor recovers
+the eliminated variables and returns a direction of the full system,
+which is refined against the full unregularized matrix; when the
+factorization fails, or the refinement cannot reach its tolerance with a
+finite step, the iteration is refactored in full by sparse LU with partial
+pivoting (SuperLU in a COLAMD order) and the direction redone.  The polish
+factors its system the same way and refines its solve with the same
+routine.
 
 The interior-point iteration is followed by an active-set "polish": once the
 active set is identified, each active bound fixes its variable, and one
@@ -86,6 +87,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from .model import QpProblem
@@ -390,23 +393,27 @@ def _finalize(p: QpProblem, pre: _Presolved, x, y_ext, z) -> Solution:
 # Mehrotra predictor-corrector
 
 
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    neg = dv < 0
-    if not np.any(neg):
-        return np.inf
+def _max_step(v: np.ndarray, dv: np.ndarray, ratio: np.ndarray) -> float:
+    """Largest step a with v + a dv >= 0, inf if none binds; `ratio` is scratch.
+
+    min(-v_i / dv_i) over dv_i < 0 is taken as -max(v_i / dv_i), which is
+    the same number: negation is exact.
+    """
+    ratio.fill(-np.inf)
     # a tiny direction entry overflows to an infinite, harmless, step bound
-    with np.errstate(over="ignore", divide="ignore"):
-        return float(np.min(-v[neg] / dv[neg]))
+    with np.errstate(over="ignore"):
+        np.divide(v, dv, out=ratio, where=dv < 0)
+    return -float(np.max(ratio))
 
 
 # static diagonal shifts: the interior-point KKT matrix is factored with
 # +_KKT_REG on its primal diagonal and -_KKT_REG on its dual diagonal, one
 # fixed shift per iteration, which keeps curvature-free directions solvable
-# and makes the matrix quasi-definite, so it can be factored with diagonal
-# pivots in a symmetric fill-reducing order; the polish uses _POLISH_EPS
-# both for its quasi-definite system and for its pull toward the hint
-# iterate.  Refinement against the unshifted matrix removes the shift's
-# error from every solve.
+# and makes the matrix quasi-definite, so the reduced system, its band and
+# the border's Schur complement are all nonsingular; the polish uses
+# _POLISH_EPS both for its quasi-definite system and for its pull toward
+# the hint iterate.  Refinement against the unshifted matrix removes the
+# shift's error from every solve.
 _KKT_REG = 1e-9
 _POLISH_EPS = 1e-10
 
@@ -416,27 +423,22 @@ _POLISH_EPS = 1e-10
 _STALL_WINDOW = 5
 _STALL_RATIO = 0.9
 
-# what splu raises when it cannot factor: RuntimeError for an exactly
-# singular matrix; MemoryError, or SystemError once SuperLU's own allocator
-# gives up ("Can't expand MemType 1"), when the fill exceeds the memory
+# what a factorization raises when it fails: splu raises RuntimeError for
+# an exactly singular matrix, and MemoryError, or SystemError once
+# SuperLU's own allocator gives up ("Can't expand MemType 1"), when the
+# fill exceeds the memory; the band factor raises RuntimeError for an
+# exactly zero pivot
 _FACTOR_ERRORS = (RuntimeError, MemoryError, SystemError)
 
 
-def _factor(k_mat: sp.csc_matrix, permc_spec: str = "COLAMD"):
-    """Sparse LU of a KKT matrix; every factorization goes through splu here.
+def _factor(k_mat: sp.csc_matrix):
+    """Sparse LU of a KKT matrix in a COLAMD order, with partial pivoting.
 
-    The default, COLAMD with partial pivoting, copes with any conditioning
-    at the cost of more fill.  Any other ordering pivots on the diagonal
-    (unless a pivot is exactly zero) under symmetric permutations, which a
-    quasi-definite matrix admits at a fraction of partial pivoting's fill:
-    "MMD_AT_PLUS_A" computes a minimum-degree order of A + A', and
-    "NATURAL" factors a matrix already permuted into such an order, so an
-    interior-point solve computes its ordering once (see _Kkt).
+    It copes with any conditioning at the cost of fill: the polish factors
+    its system here, and so does an interior-point iteration whose band
+    factor (see _Kkt) fails or cannot refine its directions to tolerance.
     """
-    if permc_spec == "COLAMD":
-        return splu(k_mat, permc_spec="COLAMD")
-    return splu(k_mat, permc_spec=permc_spec, diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True))
+    return splu(k_mat, permc_spec="COLAMD")
 
 
 class _Kkt:
@@ -444,11 +446,11 @@ class _Kkt:
 
     B stacks a_ext and the kept coupling rows.  k_true is the unshifted
     matrix every direction is refined against, so barrier ill-conditioning
-    cannot leak into the equality rows, and k_reg the copy with the static
+    cannot leak into the equality rows, and k_reg the copy with the fixed
     shift, which the partial-pivot fallback factors.  Both have an explicit
     entry on every diagonal, and an iteration only writes the diagonal.
 
-    The static factor eliminates every column with a bound row: its
+    The band factor eliminates every column with a bound row: its
     diagonal D_e carries a barrier term, so it is positive, and
     x_e = D_e^-1 (r_e - B_e' y) leaves the reduced matrix
 
@@ -457,15 +459,22 @@ class _Kkt:
     in the kept columns k and the rows of B, with E the dual side of
     k_reg's diagonal.  The kept columns are the pinned variables and any
     free one; their diagonal is little more than the _KKT_REG shift, and
-    eliminating it would put 1 / _KKT_REG into r.  r's pattern is built
-    once: an iteration writes r.data as the fixed sparse map `scatter`
-    applied to 1 / D_e, plus the constant B_k entries in `base` and the
-    diagonal.  The first static factor computes a fill-reducing order of
-    r; from then on r is kept permuted into that order (scatter, base and
-    r_diag with it), and every later static factor takes it as it stands.
+    eliminating it would put 1 / _KKT_REG into r.
+
+    Every row of r but the kept coupling rows touches one hour and the
+    next (storage and inventory carry over), so that core is a band once
+    put in a reverse Cuthill-McKee order (bandwidth 8 on the synthetic
+    model at every horizon: Cuthill & McKee 1969).  The order is computed
+    once, from r's fixed pattern, and r is never assembled: an iteration
+    writes LAPACK band storage of the core, followed by the dense border
+    of the 0-2 coupling rows and columns, as the fixed sparse map
+    `scatter` applied to 1 / D_e, plus the constant B_k entries in `base`
+    and the diagonal at `r_diag`.
     """
 
-    def __init__(self, n: int, bm: sp.csr_matrix, bounded: np.ndarray):
+    def __init__(self, pre: _Presolved):
+        n, n_b = len(pre.q), len(pre.lo_idx) + len(pre.up_idx)
+        bm = sp.vstack([pre.a_ext, pre.g[n_b:]]).tocsr()
         mb = bm.shape[0]
         self.k_true = sp.bmat([[sp.identity(n), bm.T], [bm, sp.identity(mb)]], format="csc")
         cols = np.repeat(np.arange(self.k_true.shape[1]), np.diff(self.k_true.indptr))
@@ -475,18 +484,18 @@ class _Kkt:
         self.shift = _KKT_REG * np.concatenate([np.ones(n), -np.ones(mb)])
 
         elim = np.zeros(n, dtype=bool)
-        elim[bounded] = True
+        elim[pre.lo_idx] = elim[pre.up_idx] = True
         self.elim = np.nonzero(elim)[0]
         kept = np.nonzero(~elim)[0]
         self.n_k = len(kept)
         self.r_rows = np.concatenate([kept, n + np.arange(mb)])  # k_reg's row behind each of r's
         self.b_e = bm[:, self.elim].tocsc()
-        self._reduce(bm[:, kept].tocoo())
-        self.inv_d = np.zeros(len(self.elim))
-        self.perm: np.ndarray | None = None  # r's ordering, once computed
+        self.b_e_t = self.b_e.T
+        self._reduce(bm[:, kept].tocoo(), len(pre.keep_rows))
+        self.reg = self.inv_d = None  # k_reg's diagonal and 1 / D_e, from set_diagonal
 
-    def _reduce(self, b_k: sp.coo_matrix) -> None:
-        """Build r's pattern, the map `scatter` from 1 / D_e to its entries and `base`."""
+    def _reduce(self, b_k: sp.coo_matrix, n_c: int) -> None:
+        """Order r's core and map 1 / D_e, B_k and the diagonal into band storage."""
         n_k, nr = self.n_k, len(self.r_rows)
         be = self.b_e
         counts = np.diff(be.indptr)
@@ -497,81 +506,104 @@ class _Kkt:
         t = np.repeat(np.arange(be.nnz, dtype=np.int32), reps)
         s = np.arange(len(t), dtype=np.int32) + np.repeat(
             (np.repeat(be.indptr[:-1], counts) - (np.cumsum(reps) - reps)).astype(np.int32), reps)
-
-        def key(rows, cols):
-            # CSC order is the order of col * nr + row
-            return cols.astype(np.int64) * nr + rows
-
         diag = np.arange(nr)
-        # np.unique sorts the entries and tells each where it lands in r.data
-        keys, pos = np.unique(np.concatenate([
-            key(diag, diag), key(n_k + b_k.row, b_k.col), key(b_k.col, n_k + b_k.row),
-            key(n_k + be.indices[t], n_k + be.indices[s])]), return_inverse=True)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // nr, minlength=nr))])
-        self.r = sp.csc_matrix((np.zeros(len(keys)), (keys % nr).astype(np.int32), indptr),
-                               shape=(nr, nr))
+        rows = np.concatenate([diag, n_k + b_k.row, b_k.col, n_k + be.indices[t]])
+        cols = np.concatenate([diag, b_k.col, n_k + b_k.row, n_k + be.indices[s]])
+
+        # the core is every row but the last n_c, the kept coupling rows
+        self.core = core = nr - n_c
+        in_core = (rows < core) & (cols < core)
+        pattern = sp.csr_matrix((np.ones(int(in_core.sum())), (rows[in_core], cols[in_core])),
+                                shape=(core, core))
+        self.order = np.concatenate([reverse_cuthill_mckee(pattern, symmetric_mode=True),
+                                     np.arange(core, nr)])  # r's row at each position
+        where = np.empty(nr, dtype=np.int64)
+        where[self.order] = np.arange(nr)
+        rows, cols = where[rows], where[cols]
+        self.bw = bw = int(np.max(np.abs(rows - cols)[in_core], initial=0))
+        # LAPACK band storage keeps core entry (i, j) at [2 bw + i - j, j] of
+        # a column-major (3 bw + 1) x core array (its top bw rows hold the
+        # pivoting's fill); then, column-major, the last n_c columns
+        # (nr x n_c) and the core part of the last n_c rows (n_c x core)
+        n_band = (3 * bw + 1) * core
+        dest = np.where(cols >= core, n_band + (cols - core) * nr + rows,
+                        np.where(rows >= core, n_band + nr * n_c + (rows - core) + cols * n_c,
+                                 2 * bw + rows - cols + cols * (3 * bw + 1)))
+        size = n_band + nr * n_c + n_c * core
         n_bk = 2 * b_k.nnz
-        self.r_diag = pos[:nr].copy()  # not a view that keeps all of pos
-        self.base = np.zeros(len(keys))
-        self.base[pos[nr : nr + n_bk]] = np.concatenate([b_k.data, b_k.data])
+        self.r_diag = dest[:nr].copy()  # not a view that keeps all of dest
+        self.base = np.zeros(size)
+        self.base[dest[nr : nr + n_bk]] = np.concatenate([b_k.data, b_k.data])
         self.scatter = sp.csc_matrix(
-            (-be.data[t] * be.data[s], pos[nr + n_bk :].astype(np.int32),
+            (-be.data[t] * be.data[s], dest[nr + n_bk :].astype(np.int32),
              np.concatenate([[0], np.cumsum(counts.astype(np.int64) ** 2)])),
-            shape=(len(keys), len(counts)))
+            shape=(size, len(counts)))
 
     def set_diagonal(self, diag: np.ndarray) -> None:
         self.k_true.data[self.diag_pos] = diag
-        reg = diag + self.shift
-        self.k_reg.data[self.diag_pos] = reg
-        self.inv_d = 1.0 / reg[self.elim]
-        self.r.data[:] = self.scatter @ self.inv_d + self.base
-        self.r.data[self.r_diag] += reg[self.r_rows]
+        self.reg = diag + self.shift
+        self.k_reg.data[self.diag_pos] = self.reg
+        self.inv_d = 1.0 / self.reg[self.elim]
 
-    def static_factor(self) -> "_Reduced":
-        """Factor r with diagonal pivots; the factor solves systems in k_reg."""
-        if self.perm is not None:
-            return _Reduced(self, _factor(self.r, "NATURAL"), self.perm)
-        lu = _factor(self.r, "MMD_AT_PLUS_A")
-        factor = _Reduced(self, lu, np.arange(self.r.shape[0]))
-        # SuperLU moves column j to position perm_c[j]; the matrix it
-        # factored is r[perm][:, perm] with perm the inverse of perm_c
-        self._permute(np.asarray(lu.perm_c))
-        return factor
+    def band_factor(self) -> "_Reduced":
+        """Factor r at the current diagonal; the factor solves systems in k_reg.
 
-    def _permute(self, perm_c: np.ndarray) -> None:
-        r = self.r
-        rows = perm_c[r.indices]
-        cols = perm_c[np.repeat(np.arange(r.shape[1]), np.diff(r.indptr))]
-        order = np.lexsort((rows, cols))  # column by column, rows ascending
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=r.shape[1]))])
-        self.r = sp.csc_matrix((r.data[order], rows[order], indptr), shape=r.shape)
-        where = np.empty_like(order)
-        where[order] = np.arange(len(order))
-        self.r_diag = where[self.r_diag]
-        self.base = self.base[order]
-        self.scatter.indices[:] = where[self.scatter.indices]
-        self.perm = np.argsort(perm_c)
+        The core takes a band LU (dgbtrf: partial pivoting, rows exchanged
+        within the band); an exactly zero pivot raises RuntimeError.
+        """
+        store = self.scatter @ self.inv_d
+        store += self.base
+        store[self.r_diag] += self.reg[self.r_rows]
+        n_band = (3 * self.bw + 1) * self.core
+        lu, ipiv, info = dgbtrf(store[:n_band].reshape((3 * self.bw + 1, self.core), order="F"),
+                                self.bw, self.bw, overwrite_ab=1)
+        if info != 0:
+            raise RuntimeError(f"band LU failed (dgbtrf info {info})")
+        return _Reduced(self, lu, ipiv, store[n_band:])
 
 
 class _Reduced:
-    """A static factor of _Kkt's r that solves systems in the full k_reg.
+    """A band factor of _Kkt's r that solves systems in the full k_reg.
 
-    lu factors r[perm][:, perm], with D_e as it was when r was factored.
+    lu and ipiv are the band LU of r's core, in _Kkt.order.  The kept
+    coupling rows and columns (`border`, r's store past the band) are
+    eliminated through their Schur complement, at most 2 x 2, which takes
+    a dense LU after one band solve per border column; an exactly zero
+    pivot there raises RuntimeError too.  inv_d is 1 / D_e as it was when
+    r was factored.
     """
 
-    def __init__(self, kkt: _Kkt, lu, perm: np.ndarray):
-        self.kkt, self.lu, self.perm, self.inv_d = kkt, lu, perm, kkt.inv_d
+    def __init__(self, kkt: _Kkt, lu: np.ndarray, ipiv: np.ndarray, border: np.ndarray):
+        self.kkt, self.lu, self.ipiv, self.inv_d = kkt, lu, ipiv, kkt.inv_d
+        core, nr = kkt.core, len(kkt.r_rows)
+        n_c = nr - core
+        self.schur = None
+        if n_c:
+            cols = border[: nr * n_c].reshape((nr, n_c), order="F")
+            self.rows = border[nr * n_c :].reshape((n_c, core), order="F")
+            self.x_cols = self._band_solve(cols[:core])  # core^-1 times the border columns
+            self.schur, self.schur_piv, info = dgetrf(cols[core:] - self.rows @ self.x_cols)
+            if info != 0:
+                raise RuntimeError(f"border Schur complement is singular (dgetrf info {info})")
+
+    def _band_solve(self, rhs: np.ndarray) -> np.ndarray:
+        return dgbtrs(self.lu, self.kkt.bw, self.kkt.bw, rhs, self.ipiv)[0]
 
     def solve(self, vec: np.ndarray) -> np.ndarray:
         kkt = self.kkt
         r_e = vec[kkt.elim] * self.inv_d
         rhs = vec[kkt.r_rows]
         rhs[kkt.n_k :] -= kkt.b_e @ r_e
+        rhs = rhs[kkt.order]
+        y, v = self._band_solve(rhs[: kkt.core]), rhs[kkt.core :]
+        if self.schur is not None:
+            v = dgetrs(self.schur, self.schur_piv, v - self.rows @ y)[0]
+            y -= self.x_cols @ v
         sol = np.empty_like(rhs)
-        sol[self.perm] = self.lu.solve(rhs[self.perm])
+        sol[kkt.order] = np.concatenate([y, v])
         step = np.empty_like(vec)
         step[kkt.r_rows] = sol
-        step[kkt.elim] = r_e - (kkt.b_e.T @ sol[kkt.n_k :]) * self.inv_d
+        step[kkt.elim] = r_e - (kkt.b_e_t @ sol[kkt.n_k :]) * self.inv_d
         return step
 
 
@@ -666,11 +698,12 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
     z = np.full(m_comp, max(1.0, 0.1 * float(np.max(np.abs(c), initial=1.0))))
 
     # the bound rows of the inequality block fold into the primal diagonal
-    # D1 of the KKT matrix, and the static factor eliminates their
+    # D1 of the KKT matrix, and the band factor eliminates their
     # variables; its coupling rows stay bordered next to A
     bound_var = np.concatenate([pre.lo_idx, pre.up_idx])  # variable of each bound row
-    gb_t = g[:n_b].T.tocsr()
-    kkt = _Kkt(n, sp.vstack([a, g[n_b:]]).tocsr(), bound_var)
+    a_t, g_t, gb_t = a.T, g.T, g[:n_b].T.tocsr()
+    kkt = _Kkt(pre)
+    ratio = np.empty(m_comp)  # _max_step's scratch
 
     # complementarity sums are np.sum(w * z), not w @ z: a 1-D product of
     # more than about 10,000 elements goes to the BLAS ddot, which in
@@ -686,7 +719,7 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
     converged, message = False, ""
     it = 0
     for it in range(1, s.max_iter + 1):
-        rd = q * x + c - a.T @ y + g.T @ z
+        rd = q * x + c - a_t @ y + g_t @ z
         rp_eq = a @ x - b
         rp_in = g @ x + w - h
         gap = float(np.sum(w * z))
@@ -740,29 +773,29 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
         z_c = np.maximum(z[n_b:], 1e-280)
         d1 = q + np.bincount(bound_var, z[:n_b] / w_b, minlength=n)
         kkt.set_diagonal(np.concatenate([d1, np.zeros(m), -(w[n_b:] / z_c)]))
-        static, lu = True, None  # the last factor is freed before the next is made
+        banded, lu = True, None  # the last factor is freed before the next is made
         try:
-            lu = kkt.static_factor()
+            lu = kkt.band_factor()
         except _FACTOR_ERRORS:
             pass  # solve_direction refactors with partial pivoting
 
         def solve_direction(rc):
             # Newton direction whose linearized complementarity change
             # z*dw + w*dz equals rc
-            nonlocal lu, static
+            nonlocal lu, banded
             rhs_x = -rd - gb_t @ ((rc[:n_b] + z[:n_b] * rp_in[:n_b]) / w_b)
             vec = np.concatenate([rhs_x, -rp_eq, -rp_in[n_b:] - rc[n_b:] / z_c])
             tol = 1e-11 * (1.0 + float(np.max(np.abs(vec), initial=0.0)))
             err = np.inf
             if lu is not None:
                 step, err = _refined_solve(lu, kkt.k_true, vec, tol)
-            if static and not err <= tol:
-                # diagonal pivots failed to factor, or lost the accuracy
-                # refinement needs (the barrier diagonal can span tens of
-                # orders of magnitude): refactor with partial pivoting for
+            if banded and not err <= tol:
+                # the band factor failed, or lost the accuracy refinement
+                # needs (the barrier diagonal can span tens of orders of
+                # magnitude): refactor in full with partial pivoting for
                 # the rest of this iteration and redo the direction; if
                 # that raises too, the loop stops below
-                static = False
+                banded = False
                 lu = _factor(kkt.k_reg)
                 step, _ = _refined_solve(lu, kkt.k_true, vec, tol)
             dx = step[:n]
@@ -773,8 +806,8 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
         def newton_step():
             # Mehrotra predictor-corrector, with a centered fallback
             aff = solve_direction(-w * z)
-            ap = min(1.0, _max_step(w, aff[3]))
-            ad = min(1.0, _max_step(z, aff[2]))
+            ap = min(1.0, _max_step(w, aff[3], ratio))
+            ad = min(1.0, _max_step(z, aff[2], ratio))
             mu_aff = float(np.sum((w + ap * aff[3]) * (z + ad * aff[2]))) / m_comp
             # capping the ratio at 1 before cubing gives the same sigma without
             # overflowing when mu has collapsed on an infeasible problem
@@ -784,8 +817,8 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
 
             def clipped_step(direction):
                 _, _, dz_, dw_ = direction
-                a_p = min(1.0, tau * _max_step(w, dw_))
-                a_d = min(1.0, tau * _max_step(z, dz_))
+                a_p = min(1.0, tau * _max_step(w, dw_, ratio))
+                a_d = min(1.0, tau * _max_step(z, dz_, ratio))
                 return a_p, a_d, float(np.sum((w + a_p * dw_) * (z + a_d * dz_))) / m_comp
 
             combined = solve_direction(sigma * mu - w * z - aff[3] * aff[2])

@@ -8,9 +8,11 @@ import path (set ``PYTHONPATH`` to pick a checkout) and writes, per solve,
 the status, iteration count, message, objective and primal vector, the
 primal residual (``residuals.primal_inf``) of an optimal answer, how many
 ``qp.splu`` calls it made with each ``permc_spec`` and their total L+U
-fill, the dimension of its static-pivot factors (0 when it made none),
-and how many ``qp.linprog`` probes it ran (the wrappers need nothing from
-the solver but those module attributes).  The
+fill, how many interior-point band factors (``qp.dgbtrf``) it made with
+the largest band dimension (the reduced system's rows less the kept
+coupling rows) and bandwidth among them (0 when it made none), and how
+many ``qp.linprog`` probes it ran (the wrappers need nothing from the
+solver but those module attributes).  The
 corpus is ``random_instance`` seeds 0-599 x {default, ``r_min=0.95``} x
 ``max_iter`` {200, 8}, plus 26 synth-data solves at T=168-672: default,
 uncapped, r = 0.995, an unmeetable REC floor, and two with lossy storage.
@@ -26,13 +28,11 @@ relative) mismatch counts and the largest |dx| over solves with the same
 status, for all solves and for the lossless-storage ones (eta_c = eta_d =
 1) alone, then each status transition from A to B with its count.  Then,
 for each tree, the iteration and probe totals by status and the total
-factorizations; the static-pivot factorizations that computed a
-fill-reducing ordering (``MMD_AT_PLUS_A``) and those that reused one
-(``NATURAL``); the number of solves that computed more than one ordering,
-which is 0 unless a solve's first static factor raised; the L+U fill of
-all partial-pivot (COLAMD) factors; the largest primal residual of an
-optimal answer; and the largest and the total static-factor dimension
-over all solves.  Then the number of solves whose iteration count changed,
+factorizations; the band factorizations with the largest band
+dimension and bandwidth and the total band dimension over all solves
+("not recorded" for a dump made before the band factor); the L+U fill of
+all partial-pivot (COLAMD) factors; and the largest primal residual of
+an optimal answer.  Then the number of solves whose iteration count changed,
 by status, and each such solve; both trees' totals of partial-pivot
 factorizations, the interior-point fallbacks plus the polish, and each
 solve whose count changed.  Last, per tree, how many neighbour solves were answered
@@ -77,10 +77,10 @@ def _synth_cases():
     return cases
 
 
-def _record(cfg, problem, settings, factors, fill, dims, probes):
+def _record(cfg, problem, settings, factors, fill, band, probes):
     from trimarket.qp import solve_qp
 
-    for counts in (factors, fill, dims, probes):
+    for counts in (factors, fill, band, probes):
         counts.clear()
     sol = solve_qp(problem, settings)
     return sol, {
@@ -93,7 +93,7 @@ def _record(cfg, problem, settings, factors, fill, dims, probes):
         "primal_inf": sol.residuals.primal_inf if sol.status == "optimal" else None,
         "splu": dict(factors),
         "fill": dict(fill),
-        "static_dim": max(dims.get("MMD_AT_PLUS_A", 0), dims.get("NATURAL", 0)),
+        "band": {k: band.get(k, 0) for k in ("factors", "dim", "bw")},
         "linprog": probes.get("linprog", 0),
     }
 
@@ -114,12 +114,11 @@ def _neighbours(model, base) -> dict:
     return out
 
 
-def _count_calls(qp, name, key=None, fill=None, dims=None) -> dict:
+def _count_calls(qp, name, key=None, fill=None) -> dict:
     """Wrap qp.<name> so that each call counts under key(kwargs), or name.
 
     With a `fill` dict, each returned factor's L+U nonzeros add up there
-    under the same key; with a `dims` dict, the largest dimension of a
-    factored matrix is kept there under the same key.
+    under the same key.
     """
     counts, real = {}, getattr(qp, name)
 
@@ -129,21 +128,33 @@ def _count_calls(qp, name, key=None, fill=None, dims=None) -> dict:
         out = real(*args, **kwargs)
         if fill is not None:
             fill[k] = fill.get(k, 0) + out.L.nnz + out.U.nnz
-        if dims is not None:
-            dims[k] = max(dims.get(k, 0), args[0].shape[0])
         return out
 
     setattr(qp, name, counted)
     return counts
 
 
+def _count_band(qp) -> dict:
+    """Wrap qp.dgbtrf: count its calls, keep the largest band dimension and bandwidth."""
+    band, real = {}, qp.dgbtrf
+
+    def counted(ab, kl, ku, **kwargs):
+        band["factors"] = band.get("factors", 0) + 1
+        band["dim"] = max(band.get("dim", 0), ab.shape[1])
+        band["bw"] = max(band.get("bw", 0), kl, ku)
+        return real(ab, kl, ku, **kwargs)
+
+    qp.dgbtrf = counted
+    return band
+
+
 def dump(out: str) -> None:
     import trimarket.qp as qp
     from _instances import build, random_instance
 
-    fill, dims = {}, {}
-    factors = _count_calls(qp, "splu", lambda kwargs: kwargs.get("permc_spec", "COLAMD"), fill,
-                           dims)
+    fill = {}
+    factors = _count_calls(qp, "splu", lambda kwargs: kwargs.get("permc_spec", "COLAMD"), fill)
+    band = _count_band(qp)
     probes = _count_calls(qp, "linprog")
     records = {}
     with warnings.catch_warnings():
@@ -155,10 +166,10 @@ def dump(out: str) -> None:
                 for max_iter in (200, 8):
                     key = f"random/{seed}/r_min={r_min}/max_iter={max_iter}"
                     _, records[key] = _record(cfg, problem, qp.SolverSettings(max_iter=max_iter),
-                                              factors, fill, dims, probes)
+                                              factors, fill, band, probes)
         for name, cfg, data in _synth_cases():
             model, problem = build(cfg, data)
-            sol, records[name] = _record(cfg, problem, qp.SolverSettings(), factors, fill, dims,
+            sol, records[name] = _record(cfg, problem, qp.SolverSettings(), factors, fill, band,
                                          probes)
             if sol.status == "optimal":
                 records[name]["neighbours"] = _neighbours(model, sol)
@@ -204,20 +215,20 @@ def compare(path_a: str, path_b: str) -> None:
             by_status[r["status"]] = (it + r["iterations"], pr + r["linprog"])
         totals = "; ".join(f"{st} {it} iterations, {pr} probes"
                            for st, (it, pr) in sorted(by_status.items()))
-        factored = sum(sum(r["splu"].values()) for r in d.values())
+        bands = [r.get("band") for r in d.values()]
+        factored = sum(sum(r["splu"].values()) + r.get("band", {}).get("factors", 0)
+                       for r in d.values())
         print(f"{label}: {totals}; {factored} factorizations")
-        orderings = [r["splu"].get("MMD_AT_PLUS_A", 0) for r in d.values()]
-        natural = sum(r["splu"].get("NATURAL", 0) for r in d.values())
-        print(f"{label}: {sum(orderings)} MMD_AT_PLUS_A and {natural} NATURAL factorizations; "
-              f"{sum(n > 1 for n in orderings)} solves computed more than one ordering")
+        if None in bands:
+            print(f"{label}: band factor not recorded")
+        else:
+            print(f"{label}: {sum(b['factors'] for b in bands)} band factorizations; band "
+                  f"dimension largest {max(b['dim'] for b in bands)}, total "
+                  f"{sum(b['dim'] for b in bands)}; largest bandwidth "
+                  f"{max(b['bw'] for b in bands)}")
         colamd_fill = sum(r["fill"].get("COLAMD", 0) for r in d.values())
         worst = max((r["primal_inf"] for r in d.values() if r["status"] == "optimal"), default=0.0)
         print(f"{label}: COLAMD L+U fill {colamd_fill}; largest optimal primal residual {worst:.3g}")
-        dims = [r.get("static_dim") for r in d.values()]
-        if None in dims:
-            print(f"{label}: static-factor dimension not recorded")
-        else:
-            print(f"{label}: static-factor dimension largest {max(dims)}, total {sum(dims)}")
     changed_by_status = {}
     changed = [k for k in a if a[k]["iterations"] != b[k]["iterations"]]
     for k in changed:

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import trimarket.qp as qp
 from trimarket.model import (
@@ -277,7 +278,7 @@ class TestInfeasibility:
     def test_stalled_infeasible_week_ends_early(self, monkeypatch):
         # the primal residual freezes within a few iterations, so the stall
         # probe settles the status long before the 200-iteration limit
-        factors = _phase_recorder(monkeypatch, qp, "splu")
+        factors = _factor_recorder(monkeypatch)
         sol = solve_qp(_infeasible_week())
         assert sol.status == INFEASIBLE
         assert sol.message == (
@@ -326,35 +327,43 @@ class TestInfeasibility:
         assert diagnose_infeasibility(p) == "problem is feasible"
 
 
-# a static factor pivots on the diagonal; the first of a solve computes
-# the ordering, every later one takes the matrix permuted into it
-STATIC_ORDERING = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
-STATIC_NATURAL = dict(STATIC_ORDERING, permc_spec="NATURAL")
-PARTIAL_PIVOT = dict(permc_spec="COLAMD")
+# the two factorizations, by the module attribute each goes through: the
+# interior point's band LU of the reduced system, and SuperLU with COLAMD
+# and partial pivoting (the polish, and an iteration's fallback)
+BAND = "dgbtrf"
+PARTIAL_PIVOT = "splu"
 
 
-def _phase_recorder(monkeypatch, module, attr):
-    """Record each call of module.attr with its kwargs and the solve phase.
+def _phase_recorder(monkeypatch, module, *attrs):
+    """Record each call of module.<attr>, for every attr, with the solve phase.
 
-    The phase is "ipm" until the finisher's polish starts, "polish" after;
-    clearing the returned list starts a new solve.
+    A call is recorded as (phase, attr).  The phase is "ipm" until the
+    finisher's polish starts, "polish" after; clearing the returned list
+    starts a new solve.
     """
     calls = []
-    real_polish, real = qp._polish, getattr(module, attr)
+    real_polish = qp._polish
 
     def polish(*args, **kwargs):
-        calls.append(("polish starts", kwargs))
+        calls.append(("polish starts", None))
         return real_polish(*args, **kwargs)
 
-    def recorded(*args, **kwargs):
-        polishing = any(ph == "polish starts" for ph, _ in calls)
-        calls.append(("polish" if polishing else "ipm", kwargs))
-        return real(*args, **kwargs)
+    def recorder(attr, real):
+        def recorded(*args, **kwargs):
+            polishing = any(ph == "polish starts" for ph, _ in calls)
+            calls.append(("polish" if polishing else "ipm", attr))
+            return real(*args, **kwargs)
+        return recorded
 
     monkeypatch.setattr(qp, "_polish", polish)
-    monkeypatch.setattr(module, attr, recorded)
+    for attr in attrs:
+        monkeypatch.setattr(module, attr, recorder(attr, getattr(module, attr)))
     return calls
+
+
+def _factor_recorder(monkeypatch):
+    """_phase_recorder of both factorizations, BAND and PARTIAL_PIVOT."""
+    return _phase_recorder(monkeypatch, qp, BAND, PARTIAL_PIVOT)
 
 
 def _synth_week():
@@ -372,27 +381,26 @@ def _infeasible_week():
 
 
 class TestKktFactorization:
-    def test_interior_point_uses_static_symmetric_pivots(self, monkeypatch):
-        calls = _phase_recorder(monkeypatch, qp, "splu")
+    def test_interior_point_uses_band_factor(self, monkeypatch):
+        calls = _factor_recorder(monkeypatch)
         sol = solve_qp(_synth_week())
         assert sol.status == OPTIMAL and sol.iterations == 10
-        # one factorization per iteration that takes a step, none falls back;
-        # only the first computes an ordering
-        assert [kw for ph, kw in calls if ph == "ipm"] == [STATIC_ORDERING] + [STATIC_NATURAL] * 8
+        # one band factor per iteration that takes a step, none falls back
+        assert [kind for ph, kind in calls if ph == "ipm"] == [BAND] * 9
         # the active-set polish keeps partial pivoting
-        assert [kw for ph, kw in calls if ph == "polish"] == [PARTIAL_PIVOT]
+        assert [kind for ph, kind in calls if ph == "polish"] == [PARTIAL_PIVOT]
 
     def test_partial_pivot_fallback_keeps_solve_optimal(self, monkeypatch):
         # the barrier diagonal spans so many orders of magnitude that the
-        # static factor cannot refine one direction to tolerance; the
+        # band factor cannot refine one direction to tolerance; the
         # partial-pivot refactor follows in the same (last) iteration
-        calls = _phase_recorder(monkeypatch, qp, "splu")
+        calls = _factor_recorder(monkeypatch)
         _, p = build(*random_instance(324))
         sol = solve_qp(p)
         assert sol.status == OPTIMAL and sol.iterations == 9
-        ipm = [kw for ph, kw in calls if ph == "ipm"]
-        assert ipm == [STATIC_ORDERING] + [STATIC_NATURAL] * 7 + [PARTIAL_PIVOT]
-        assert [kw for ph, kw in calls if ph == "polish"] == [PARTIAL_PIVOT]
+        ipm = [kind for ph, kind in calls if ph == "ipm"]
+        assert ipm == [BAND] * 8 + [PARTIAL_PIVOT]
+        assert [kind for ph, kind in calls if ph == "polish"] == [PARTIAL_PIVOT]
 
     def test_kkt_pattern_built_once_per_solve(self, monkeypatch):
         calls = _phase_recorder(monkeypatch, qp.sp, "bmat")
@@ -406,23 +414,35 @@ class TestKktFactorization:
         assert len(iterations) == 3
 
     def test_one_ordering_per_solve(self, monkeypatch):
-        calls = _phase_recorder(monkeypatch, qp, "splu")
+        calls = _phase_recorder(monkeypatch, qp, "reverse_cuthill_mckee", BAND, PARTIAL_PIVOT)
         for p in (build(*hand_case())[1], _synth_week(), build(*random_instance(18))[1]):
             calls.clear()
-            assert solve_qp(p).status == OPTIMAL
-            factors = [kw for ph, kw in calls if ph != "polish starts"]
-            assert factors[0] == STATIC_ORDERING
-            assert factors.count(STATIC_ORDERING) == 1
-            assert all(kw in (STATIC_NATURAL, PARTIAL_PIVOT) for kw in factors[1:])
+            sol = solve_qp(p)
+            assert sol.status == OPTIMAL
+            ipm = [attr for ph, attr in calls if ph == "ipm"]
+            # the order comes first, from the fixed pattern, and only once
+            assert ipm[0] == "reverse_cuthill_mckee"
+            assert [attr for _, attr in calls].count("reverse_cuthill_mckee") == 1
+            assert ipm.count(BAND) == sol.iterations - 1
+
+    @pytest.mark.parametrize("horizon", [168, 672, 2688])
+    def test_reduced_core_is_a_band_of_width_8(self, horizon):
+        _, p = build(default_config(horizon), synth_data(SynthSpec(seed=7, horizon=horizon)))
+        pre = _presolve(p)
+        kkt = qp._Kkt(pre)
+        assert kkt.bw == 8
+        # every row of r but the kept coupling rows is in the band
+        assert len(pre.keep_rows) == 2 and kkt.core == len(kkt.r_rows) - 2
 
     def test_reordered_factor_solves_like_a_fresh_ordering(self, monkeypatch):
-        # replay every iteration's diagonal of a real solve: the reduced
-        # factor, taken in the first iteration's ordering, solves the full
-        # k_reg as a freshly ordered factor of k_reg does.  The infeasible
-        # week keeps its pinned columns in the reduced matrix.  Where that
-        # solve fell back to partial pivoting (the barrier diagonal spans
-        # 1e17 to 1e34 there), the fresh factor itself is off by up to
-        # 2e-9, so only the iterations the static factor answered compare.
+        # replay every iteration's diagonal of a real solve: the band
+        # factor of the reduced matrix, in the order computed once per
+        # solve, solves the full k_reg as a fresh SuperLU factor of k_reg
+        # does.  The infeasible week keeps its pinned columns in the
+        # reduced matrix.  Where that solve fell back to partial pivoting
+        # (the barrier diagonal spans 1e17 to 1e34 there), the fresh
+        # factor itself is off by up to 2e-9, so only the iterations the
+        # band factor answered compare.
         diagonals, real = [], qp._Kkt.set_diagonal
 
         def recorded(kkt, diag):
@@ -430,58 +450,59 @@ class TestKktFactorization:
             real(kkt, diag)
 
         monkeypatch.setattr(qp._Kkt, "set_diagonal", recorded)
-        calls = _phase_recorder(monkeypatch, qp, "splu")
+        calls = _factor_recorder(monkeypatch)
         for problem, n_diag, n_kept, partial in ((_synth_week(), 9, 0, set()),
                                                  (_infeasible_week(), 10, 504, {7, 8, 9, 10})):
             diagonals.clear()
             calls.clear()
             solve_qp(problem)
-            ipm = [kw for ph, kw in calls if ph == "ipm"]
-            # the iteration of each partial-pivot factor: the static ones before it
+            ipm = [kind for ph, kind in calls if ph == "ipm"]
+            # the iteration of each partial-pivot factor: the band ones before it
             fell_back = {sum(k != PARTIAL_PIVOT for k in ipm[:i])
-                         for i, kw in enumerate(ipm) if kw == PARTIAL_PIVOT}
+                         for i, kind in enumerate(ipm) if kind == PARTIAL_PIVOT}
             assert len(diagonals) == n_diag and fell_back == partial
             kkt = diagonals[0][0]
-            assert kkt.n_k == n_kept and kkt.r.shape[0] < kkt.k_reg.shape[0]
+            assert kkt.n_k == n_kept and len(kkt.r_rows) < kkt.k_reg.shape[0]
             rhs = np.random.default_rng(0).standard_normal(kkt.k_reg.shape[0])
             for it, (_, diag) in enumerate(diagonals, start=1):
                 real(kkt, diag)
-                reduced = kkt.static_factor()
-                fresh = qp._factor(kkt.k_reg, "MMD_AT_PLUS_A")
-                assert reduced.lu.L.nnz + reduced.lu.U.nnz <= fresh.L.nnz + fresh.U.nnz
+                reduced = kkt.band_factor()
+                fresh = splu(kkt.k_reg, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                             options=dict(SymmetricMode=True))
                 if it not in fell_back:
                     want = fresh.solve(rhs)
                     err = np.max(np.abs(reduced.solve(rhs) - want))
                     assert err <= 1e-12 * np.max(np.abs(want))
 
     def test_static_factor_eliminates_bounded_columns(self, monkeypatch):
-        # every column with a bound row is eliminated: the static factor
+        # every column with a bound row is eliminated: the reduced matrix
         # has one row per row of a_ext, per kept coupling row and per
-        # column without a bound row
-        dims, real = [], qp.splu
+        # column without a bound row, and all but the coupling rows are
+        # in the band
+        shapes, real = [], qp.dgbtrf
 
-        def measured(*args, **kwargs):
-            if kwargs.get("permc_spec") != "COLAMD":
-                dims.append(args[0].shape)
-            return real(*args, **kwargs)
+        def measured(ab, kl, ku, **kwargs):
+            shapes.append((ab.shape, kl, ku))
+            return real(ab, kl, ku, **kwargs)
 
-        monkeypatch.setattr(qp, "splu", measured)
+        monkeypatch.setattr(qp, "dgbtrf", measured)
         _, p = build(default_config(672), synth_data(SynthSpec(seed=7, horizon=672)))
         pre = _presolve(p)
         unbounded = np.ones(p.n, dtype=bool)
         unbounded[pre.lo_idx] = unbounded[pre.up_idx] = False
         dim = pre.a_ext.shape[0] + len(pre.keep_rows) + int(unbounded.sum())
         assert solve_qp(p).status == OPTIMAL
-        assert dim == 4034 and set(dims) == {(dim, dim)} and len(dims) == 15
+        band = dim - len(pre.keep_rows)
+        assert dim == 4034 and set(shapes) == {((3 * 8 + 1, band), 8, 8)} and len(shapes) == 15
 
     def test_infeasible_week_keeps_its_factor_counts(self, monkeypatch):
         # the pinned columns stay in the reduced matrix: eliminating them
         # puts 1 / _KKT_REG into it, and the refinement then misses its
         # tolerance in more iterations, each one more partial-pivot factor
-        calls = _phase_recorder(monkeypatch, qp, "splu")
+        calls = _factor_recorder(monkeypatch)
         sol = solve_qp(_infeasible_week())
         assert sol.status == INFEASIBLE and sol.iterations == 11
-        factors = [kw for ph, kw in calls if ph == "ipm"]
+        factors = [kind for ph, kind in calls if ph == "ipm"]
         assert len(factors) == 14 and factors.count(PARTIAL_PIVOT) == 4
 
     def test_polish_rejects_non_finite_solve(self, monkeypatch):
@@ -528,23 +549,42 @@ class TestKktFactorization:
         assert fills and max(fills) < 100_000
 
     def test_static_factor_error_falls_back_in_same_iteration(self, monkeypatch):
-        real, failed = qp.splu, []
+        # the first band LU reports an exactly zero pivot (info > 0)
+        real, failed = qp.dgbtrf, []
 
-        def first_static_raises(*args, **kwargs):
-            if kwargs == STATIC_ORDERING and not failed:
+        def first_band_singular(*args, **kwargs):
+            lu, ipiv, info = real(*args, **kwargs)
+            if not failed:
                 failed.append(True)
-                raise RuntimeError("Factor is exactly singular")
-            return real(*args, **kwargs)
+                return lu, ipiv, 1
+            return lu, ipiv, info
 
-        monkeypatch.setattr(qp, "splu", first_static_raises)
-        calls = _phase_recorder(monkeypatch, qp, "splu")
+        monkeypatch.setattr(qp, "dgbtrf", first_band_singular)
+        calls = _factor_recorder(monkeypatch)
         sol = solve_qp(_synth_week())
         assert sol.status == OPTIMAL and sol.iterations == 10
-        # partial pivoting follows the failed static factor within the same
-        # iteration; no ordering exists yet, so the next iteration computes
-        # it and every later one reuses it
-        ipm = [kw for ph, kw in calls if ph == "ipm"]
-        assert ipm == [STATIC_ORDERING, PARTIAL_PIVOT, STATIC_ORDERING] + [STATIC_NATURAL] * 7
+        # partial pivoting follows the failed band factor within the same
+        # iteration, and every later iteration factors the band again
+        ipm = [kind for ph, kind in calls if ph == "ipm"]
+        assert ipm == [BAND, PARTIAL_PIVOT] + [BAND] * 8
+
+    def test_singular_border_falls_back_in_same_iteration(self, monkeypatch):
+        # the coupling rows' Schur complement reports an exactly zero pivot
+        # in the first iteration; that iteration refactors with partial pivoting
+        real, failed = qp.dgetrf, []
+
+        def first_schur_singular(*args, **kwargs):
+            lu, piv, info = real(*args, **kwargs)
+            if not failed:
+                failed.append(True)
+                return lu, piv, 1
+            return lu, piv, info
+
+        monkeypatch.setattr(qp, "dgetrf", first_schur_singular)
+        calls = _factor_recorder(monkeypatch)
+        sol = solve_qp(_synth_week())
+        assert sol.status == OPTIMAL and sol.iterations == 10
+        assert [kind for ph, kind in calls if ph == "ipm"] == [BAND, PARTIAL_PIVOT] + [BAND] * 8
 
     @pytest.mark.parametrize("error", [MemoryError, SystemError])
     def test_polish_out_of_memory_falls_back_to_converged_iterate(self, monkeypatch, error):
@@ -569,6 +609,7 @@ class TestKktFactorization:
         def always_fails(*args, **kwargs):
             raise error("Can't expand MemType 1")
 
+        monkeypatch.setattr(qp, "dgbtrf", always_fails)
         monkeypatch.setattr(qp, "splu", always_fails)
         _, p = build(*hand_case())
         sol = solve_qp(p)
@@ -651,6 +692,25 @@ def test_polish_keeps_one_bound_per_variable(monkeypatch):
     assert np.all(polished.x >= p.lb - 1e-9) and np.all(polished.x <= p.ub + 1e-9)
     assert polished.x[j] == pytest.approx(10.0)
     assert polished.objective == pytest.approx(sol.objective, rel=1e-12)
+
+
+def test_max_step_matches_masked_ratio_test():
+    # the ratio test against its masked form, min(-v[neg] / dv[neg]) over
+    # dv < 0 (inf when nothing binds): the same bits, with zero slacks,
+    # signed zero directions and a direction entry whose ratio overflows
+    rng = np.random.default_rng(1)
+    v = np.abs(rng.standard_normal(1000)) * 10.0 ** rng.integers(-30, 30, 1000)
+    v[:50] = 0.0
+    dv = rng.standard_normal(1000) * 10.0 ** rng.integers(-30, 30, 1000)
+    dv[50:60], dv[60:70], dv[70] = 0.0, -0.0, -1e-320
+    cases = [(v, dv), (v, np.abs(dv)), (v[:71], np.minimum(dv[:71], 0.0)),
+             (v[70:72], dv[70:72]), (v[:50], -np.abs(dv[:50]))]
+    for vv, dd in cases:
+        neg = dd < 0
+        with np.errstate(over="ignore"):
+            want = float(np.min(-vv[neg] / dd[neg])) if neg.any() else np.inf
+        got = qp._max_step(vv, dd, np.full_like(vv, 1.0))  # scratch left from earlier use
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.fixture(scope="module", params=[168, 672])
