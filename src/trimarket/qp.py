@@ -30,24 +30,19 @@ variable with a bound row has a positive diagonal there, so its column is
 eliminated exactly, and what gets factored is the reduced augmented system
 in the equality and coupling rows plus the columns without a bound row
 (Wright 1997, ch. 11; Vanderbei, Symmetric quasi-definite matrices, SIAM
-J. Optim. 1995).  Those columns, pinned or free variables, stay bordered:
-their diagonal is little more than the shift, and eliminating them would
-bring its inverse into the reduced matrix.  Each hourly row of the reduced
-system couples only its own hour and the next (storage and inventories
-carry over), so all of it but the kept coupling rows is a narrow band once
-put in a reverse Cuthill-McKee order (Cuthill & McKee 1969), computed once
-per solve from the fixed pattern.  An iteration writes that band and the
-dense border of the 0-2 coupling rows through one fixed sparse map of the
-inverse barrier diagonal, factors the band with LAPACK's banded LU
-(partial pivoting within the band) and eliminates the border through its
-Schur complement, at most 2 x 2.  Each solve with that factor recovers
-the eliminated variables and returns a direction of the full system,
-which is refined against the full unregularized matrix; when the
-factorization fails, or the refinement cannot reach its tolerance with a
-finite step, the iteration is refactored in full by sparse LU with partial
-pivoting (SuperLU in a COLAMD order) and the direction redone.  The polish
-factors its system the same way and refines its solve with the same
-routine.
+J. Optim. 1995).  The pinned and free columns stay: their diagonal is
+little more than the shift.  Each hourly row couples only its own hour and
+the next (storage and inventories carry over), so all of the system but
+the 0-2 coupling rows is a narrow band once put in a reverse Cuthill-McKee
+order (Cuthill & McKee 1969), computed once per solve from the fixed
+pattern.  The band takes LAPACK's banded LU (partial pivoting within the
+band) and the coupling rows, the border, their Schur complement.  Each
+solve recovers the eliminated variables and is refined against the full
+unregularized matrix; when the factorization fails, or the refinement
+cannot reach its tolerance with a finite step, the iteration factors the
+full system, nothing eliminated, as a band plus the same border and redoes
+the direction.  The polish factors its system the same way, bordered by
+its active coupling rows, and refines its solve with the same routine.
 
 The interior-point iteration is followed by an active-set "polish": once the
 active set is identified, each active bound fixes its variable, and one
@@ -89,7 +84,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import splu
+# never called: kept only for the benchmark's tracer until ROADMAP item 4 re-points it
+from scipy.sparse.linalg import splu  # noqa: F401
 
 from .model import QpProblem
 
@@ -423,22 +419,76 @@ _POLISH_EPS = 1e-10
 _STALL_WINDOW = 5
 _STALL_RATIO = 0.9
 
-# what a factorization raises when it fails: splu raises RuntimeError for
-# an exactly singular matrix, and MemoryError, or SystemError once
-# SuperLU's own allocator gives up ("Can't expand MemType 1"), when the
-# fill exceeds the memory; the band factor raises RuntimeError for an
-# exactly zero pivot
-_FACTOR_ERRORS = (RuntimeError, MemoryError, SystemError)
+# what a factorization raises when it fails: the band LU and the border's
+# Schur complement raise RuntimeError for an exactly zero pivot, and
+# MemoryError when a store or an ordering does not fit
+_FACTOR_ERRORS = (RuntimeError, MemoryError)
 
 
-def _factor(k_mat: sp.csc_matrix):
-    """Sparse LU of a KKT matrix in a COLAMD order, with partial pivoting.
+def _layout(k: sp.spmatrix, n_c: int):
+    """Band-plus-border layout of a square matrix with a symmetric pattern.
 
-    It copes with any conditioning at the cost of fill: the polish factors
-    its system here, and so does an interior-point iteration whose band
-    factor (see _Kkt) fails or cannot refine its directions to tolerance.
+    The border is k's last n_c rows and columns, chosen by role (the
+    coupling rows), never by density: one sparse coupling row left in the
+    core widened a polish's band from 7 to 48-120.  The core goes in a
+    reverse Cuthill-McKee order of its own pattern.  Returns (order, bw,
+    n_c), the store's size and the store position of each entry of
+    k.tocoo(), duplicates included: LAPACK band storage of the core, entry
+    (i, j) at [2 bw + i - j, j] of a column-major (3 bw + 1) x core array
+    (its top bw rows hold the pivoting's fill), then, column-major, the
+    last n_c columns and the last n_c rows' core part.
     """
-    return splu(k_mat, permc_spec="COLAMD")
+    k = k.tocoo()
+    nr, core = k.shape[0], k.shape[0] - n_c
+    in_core = (k.row < core) & (k.col < core)
+    pattern = sp.csr_matrix((np.ones(int(in_core.sum())), (k.row[in_core], k.col[in_core])),
+                            shape=(core, core))
+    order = np.concatenate([reverse_cuthill_mckee(pattern, symmetric_mode=True),
+                            np.arange(core, nr)])  # k's row at each position
+    where = np.empty(nr, dtype=np.int64)
+    where[order] = np.arange(nr)
+    rows, cols = where[k.row], where[k.col]
+    bw = int(np.max(np.abs(rows - cols)[in_core], initial=0))
+    n_band = (3 * bw + 1) * core
+    dest = np.where(cols >= core, n_band + (cols - core) * nr + rows,
+                    np.where(rows >= core, n_band + nr * n_c + (rows - core) + cols * n_c,
+                             2 * bw + rows - cols + cols * (3 * bw + 1)))
+    return (order, bw, n_c), n_band + nr * n_c + n_c * core, dest
+
+
+class _BandLu:
+    """LU of a matrix in _layout's store that solves in the matrix's own order.
+
+    The core takes a band LU (dgbtrf: partial pivoting, rows exchanged
+    within the band), the border its Schur complement by dense LU.  An
+    exactly zero pivot in either raises RuntimeError.
+    """
+
+    def __init__(self, order: np.ndarray, bw: int, n_c: int, store: np.ndarray):
+        self.order, self.bw, self.core = order, bw, len(order) - n_c
+        nr, core, n_band = len(order), self.core, (3 * bw + 1) * self.core
+        self.lu, self.ipiv, info = dgbtrf(store[:n_band].reshape((3 * bw + 1, core), order="F"),
+                                          bw, bw, overwrite_ab=1)
+        if info != 0:
+            raise RuntimeError(f"band LU failed (dgbtrf info {info})")
+        self.schur = None
+        if n_c:
+            cols = store[n_band : n_band + nr * n_c].reshape((nr, n_c), order="F")
+            self.rows = store[n_band + nr * n_c :].reshape((n_c, core), order="F")
+            self.x_cols = dgbtrs(self.lu, bw, bw, cols[:core], self.ipiv)[0]  # core^-1 cols
+            self.schur, self.schur_piv, info = dgetrf(cols[core:] - self.rows @ self.x_cols)
+            if info != 0:
+                raise RuntimeError(f"border Schur complement is singular (dgetrf info {info})")
+
+    def solve(self, vec: np.ndarray) -> np.ndarray:
+        rhs = vec[self.order]
+        y, v = dgbtrs(self.lu, self.bw, self.bw, rhs[: self.core], self.ipiv)[0], rhs[self.core :]
+        if self.schur is not None:
+            v = dgetrs(self.schur, self.schur_piv, v - self.rows @ y)[0]
+            y -= self.x_cols @ v
+        sol = np.empty_like(rhs)
+        sol[self.order] = np.concatenate([y, v])
+        return sol
 
 
 class _Kkt:
@@ -459,17 +509,11 @@ class _Kkt:
     in the kept columns k and the rows of B, with E the dual side of
     k_reg's diagonal.  The kept columns are the pinned variables and any
     free one; their diagonal is little more than the _KKT_REG shift, and
-    eliminating it would put 1 / _KKT_REG into r.
-
-    Every row of r but the kept coupling rows touches one hour and the
-    next (storage and inventory carry over), so that core is a band once
-    put in a reverse Cuthill-McKee order (bandwidth 8 on the synthetic
-    model at every horizon: Cuthill & McKee 1969).  The order is computed
-    once, from r's fixed pattern, and r is never assembled: an iteration
-    writes LAPACK band storage of the core, followed by the dense border
-    of the 0-2 coupling rows and columns, as the fixed sparse map
-    `scatter` applied to 1 / D_e, plus the constant B_k entries in `base`
-    and the diagonal at `r_diag`.
+    eliminating it would put 1 / _KKT_REG into r.  r's _layout (bandwidth 8
+    on the synthetic model at every horizon) is made once, and r is never
+    assembled: an iteration writes its store as the fixed sparse map
+    `scatter` applied to 1 / D_e, plus B_k in `base` and the diagonal at
+    `r_diag`.  Both factors border the kept coupling rows.
     """
 
     def __init__(self, pre: _Presolved):
@@ -491,11 +535,13 @@ class _Kkt:
         self.r_rows = np.concatenate([kept, n + np.arange(mb)])  # k_reg's row behind each of r's
         self.b_e = bm[:, self.elim].tocsc()
         self.b_e_t = self.b_e.T
-        self._reduce(bm[:, kept].tocoo(), len(pre.keep_rows))
-        self.reg = self.inv_d = None  # k_reg's diagonal and 1 / D_e, from set_diagonal
+        self.n_c = len(pre.keep_rows)
+        self._reduce(bm[:, kept].tocoo())
+        # k_reg's diagonal and 1 / D_e, from set_diagonal; k_reg's _layout, from the first fallback
+        self.reg = self.inv_d = self.full = None
 
-    def _reduce(self, b_k: sp.coo_matrix, n_c: int) -> None:
-        """Order r's core and map 1 / D_e, B_k and the diagonal into band storage."""
+    def _reduce(self, b_k: sp.coo_matrix) -> None:
+        """Lay out r and map 1 / D_e, B_k and the diagonal into its store."""
         n_k, nr = self.n_k, len(self.r_rows)
         be = self.b_e
         counts = np.diff(be.indptr)
@@ -509,27 +555,8 @@ class _Kkt:
         diag = np.arange(nr)
         rows = np.concatenate([diag, n_k + b_k.row, b_k.col, n_k + be.indices[t]])
         cols = np.concatenate([diag, b_k.col, n_k + b_k.row, n_k + be.indices[s]])
-
-        # the core is every row but the last n_c, the kept coupling rows
-        self.core = core = nr - n_c
-        in_core = (rows < core) & (cols < core)
-        pattern = sp.csr_matrix((np.ones(int(in_core.sum())), (rows[in_core], cols[in_core])),
-                                shape=(core, core))
-        self.order = np.concatenate([reverse_cuthill_mckee(pattern, symmetric_mode=True),
-                                     np.arange(core, nr)])  # r's row at each position
-        where = np.empty(nr, dtype=np.int64)
-        where[self.order] = np.arange(nr)
-        rows, cols = where[rows], where[cols]
-        self.bw = bw = int(np.max(np.abs(rows - cols)[in_core], initial=0))
-        # LAPACK band storage keeps core entry (i, j) at [2 bw + i - j, j] of
-        # a column-major (3 bw + 1) x core array (its top bw rows hold the
-        # pivoting's fill); then, column-major, the last n_c columns
-        # (nr x n_c) and the core part of the last n_c rows (n_c x core)
-        n_band = (3 * bw + 1) * core
-        dest = np.where(cols >= core, n_band + (cols - core) * nr + rows,
-                        np.where(rows >= core, n_band + nr * n_c + (rows - core) + cols * n_c,
-                                 2 * bw + rows - cols + cols * (3 * bw + 1)))
-        size = n_band + nr * n_c + n_c * core
+        self.lay, size, dest = _layout(sp.coo_matrix((np.ones(len(rows)), (rows, cols)),
+                                                     shape=(nr, nr)), self.n_c)
         n_bk = 2 * b_k.nnz
         self.r_diag = dest[:nr].copy()  # not a view that keeps all of dest
         self.base = np.zeros(size)
@@ -546,61 +573,32 @@ class _Kkt:
         self.inv_d = 1.0 / self.reg[self.elim]
 
     def band_factor(self) -> "_Reduced":
-        """Factor r at the current diagonal; the factor solves systems in k_reg.
-
-        The core takes a band LU (dgbtrf: partial pivoting, rows exchanged
-        within the band); an exactly zero pivot raises RuntimeError.
-        """
+        """Factor r at the current diagonal; the factor solves systems in k_reg."""
         store = self.scatter @ self.inv_d
         store += self.base
         store[self.r_diag] += self.reg[self.r_rows]
-        n_band = (3 * self.bw + 1) * self.core
-        lu, ipiv, info = dgbtrf(store[:n_band].reshape((3 * self.bw + 1, self.core), order="F"),
-                                self.bw, self.bw, overwrite_ab=1)
-        if info != 0:
-            raise RuntimeError(f"band LU failed (dgbtrf info {info})")
-        return _Reduced(self, lu, ipiv, store[n_band:])
+        return _Reduced(self, _BandLu(*self.lay, store))
+
+    def fallback_factor(self) -> _BandLu:
+        """Factor k_reg itself, nothing eliminated, its kept coupling rows bordered."""
+        if self.full is None:  # the pattern is fixed: one layout per solve
+            self.full = _layout(self.k_reg, self.n_c)
+        lay, size, dest = self.full
+        return _BandLu(*lay, np.bincount(dest, self.k_reg.data, size))
 
 
 class _Reduced:
-    """A band factor of _Kkt's r that solves systems in the full k_reg.
+    """A factor of _Kkt's r that solves systems in k_reg: the eliminated columns go around it."""
 
-    lu and ipiv are the band LU of r's core, in _Kkt.order.  The kept
-    coupling rows and columns (`border`, r's store past the band) are
-    eliminated through their Schur complement, at most 2 x 2, which takes
-    a dense LU after one band solve per border column; an exactly zero
-    pivot there raises RuntimeError too.  inv_d is 1 / D_e as it was when
-    r was factored.
-    """
-
-    def __init__(self, kkt: _Kkt, lu: np.ndarray, ipiv: np.ndarray, border: np.ndarray):
-        self.kkt, self.lu, self.ipiv, self.inv_d = kkt, lu, ipiv, kkt.inv_d
-        core, nr = kkt.core, len(kkt.r_rows)
-        n_c = nr - core
-        self.schur = None
-        if n_c:
-            cols = border[: nr * n_c].reshape((nr, n_c), order="F")
-            self.rows = border[nr * n_c :].reshape((n_c, core), order="F")
-            self.x_cols = self._band_solve(cols[:core])  # core^-1 times the border columns
-            self.schur, self.schur_piv, info = dgetrf(cols[core:] - self.rows @ self.x_cols)
-            if info != 0:
-                raise RuntimeError(f"border Schur complement is singular (dgetrf info {info})")
-
-    def _band_solve(self, rhs: np.ndarray) -> np.ndarray:
-        return dgbtrs(self.lu, self.kkt.bw, self.kkt.bw, rhs, self.ipiv)[0]
+    def __init__(self, kkt: _Kkt, band: _BandLu):
+        self.kkt, self.band, self.inv_d = kkt, band, kkt.inv_d  # 1 / D_e when r was factored
 
     def solve(self, vec: np.ndarray) -> np.ndarray:
         kkt = self.kkt
         r_e = vec[kkt.elim] * self.inv_d
         rhs = vec[kkt.r_rows]
         rhs[kkt.n_k :] -= kkt.b_e @ r_e
-        rhs = rhs[kkt.order]
-        y, v = self._band_solve(rhs[: kkt.core]), rhs[kkt.core :]
-        if self.schur is not None:
-            v = dgetrs(self.schur, self.schur_piv, v - self.rows @ y)[0]
-            y -= self.x_cols @ v
-        sol = np.empty_like(rhs)
-        sol[kkt.order] = np.concatenate([y, v])
+        sol = self.band.solve(rhs)
         step = np.empty_like(vec)
         step[kkt.r_rows] = sol
         step[kkt.elim] = r_e - (kkt.b_e_t @ sol[kkt.n_k :]) * self.inv_d
@@ -773,30 +771,30 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
         z_c = np.maximum(z[n_b:], 1e-280)
         d1 = q + np.bincount(bound_var, z[:n_b] / w_b, minlength=n)
         kkt.set_diagonal(np.concatenate([d1, np.zeros(m), -(w[n_b:] / z_c)]))
-        banded, lu = True, None  # the last factor is freed before the next is made
+        reduced, lu = True, None  # the last factor is freed before the next is made
         try:
             lu = kkt.band_factor()
         except _FACTOR_ERRORS:
-            pass  # solve_direction refactors with partial pivoting
+            pass  # solve_direction refactors in full
 
         def solve_direction(rc):
             # Newton direction whose linearized complementarity change
             # z*dw + w*dz equals rc
-            nonlocal lu, banded
+            nonlocal lu, reduced
             rhs_x = -rd - gb_t @ ((rc[:n_b] + z[:n_b] * rp_in[:n_b]) / w_b)
             vec = np.concatenate([rhs_x, -rp_eq, -rp_in[n_b:] - rc[n_b:] / z_c])
             tol = 1e-11 * (1.0 + float(np.max(np.abs(vec), initial=0.0)))
             err = np.inf
             if lu is not None:
                 step, err = _refined_solve(lu, kkt.k_true, vec, tol)
-            if banded and not err <= tol:
+            if reduced and not err <= tol:
                 # the band factor failed, or lost the accuracy refinement
                 # needs (the barrier diagonal can span tens of orders of
                 # magnitude): refactor in full with partial pivoting for
                 # the rest of this iteration and redo the direction; if
                 # that raises too, the loop stops below
-                banded = False
-                lu = _factor(kkt.k_reg)
+                reduced = False
+                lu = kkt.fallback_factor()
                 step, _ = _refined_solve(lu, kkt.k_true, vec, tol)
             dx = step[:n]
             dw = -(g @ dx) - rp_in
@@ -1003,9 +1001,11 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
         u_hint = np.concatenate([-y_hint, z_hint[coup]])
 
         k_true = sp.bmat([[sp.diags(pre.q[free]), a_bar.T], [a_bar, None]], format="csc")
-        shift = _POLISH_EPS * np.concatenate([np.ones(n_f), -np.ones(a_bar.shape[0])])
+        k_reg = k_true + sp.diags(_POLISH_EPS * np.concatenate([np.ones(n_f),
+                                                                 -np.ones(a_bar.shape[0])]))
         try:
-            lu = _factor(k_true + sp.diags(shift))
+            lay, size, dest = _layout(k_reg, len(coup))  # the active coupling rows border it
+            lu = _BandLu(*lay, np.bincount(dest, k_reg.data, size))
         except _FACTOR_ERRORS:
             return None
 

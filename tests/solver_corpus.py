@@ -6,13 +6,15 @@
 ``dump`` solves 2426 problems with the ``trimarket`` package found on the
 import path (set ``PYTHONPATH`` to pick a checkout) and writes, per solve,
 the status, iteration count, message, objective and primal vector, the
-primal residual (``residuals.primal_inf``) of an optimal answer, how many
-``qp.splu`` calls it made with each ``permc_spec`` and their total L+U
-fill, how many interior-point band factors (``qp.dgbtrf``) it made with
-the largest band dimension (the reduced system's rows less the kept
-coupling rows) and bandwidth among them (0 when it made none), and how
-many ``qp.linprog`` probes it ran (the wrappers need nothing from the
-solver but those module attributes).  The
+primal residual (``residuals.primal_inf``) of an optimal answer, and how
+many ``qp.linprog`` probes it ran.  Per factor site (the interior point's
+band factor ``ipm``, its partial-pivot ``fallback`` and the ``polish``,
+told apart by the ``_Kkt.band_factor``, ``_Kkt.fallback_factor`` or
+``_polish`` call each ``qp.dgbtrf`` call runs in) it records the band
+factors made, the largest band dimension (a factored matrix's rows less
+its bordered coupling rows) and bandwidth among them (0 when none), the
+total band dimension, and the stored band entries, (3 bw + 1) times the
+dimension, summed over the factors.  The
 corpus is ``random_instance`` seeds 0-599 x {default, ``r_min=0.95``} x
 ``max_iter`` {200, 8}, plus 26 synth-data solves at T=168-672: default,
 uncapped, r = 0.995, an unmeetable REC floor, and two with lossy storage.
@@ -28,16 +30,17 @@ relative) mismatch counts and the largest |dx| over solves with the same
 status, for all solves and for the lossless-storage ones (eta_c = eta_d =
 1) alone, then each status transition from A to B with its count.  Then,
 for each tree, the iteration and probe totals by status and the total
-factorizations; the band factorizations with the largest band
-dimension and bandwidth and the total band dimension over all solves
-("not recorded" for a dump made before the band factor); the L+U fill of
-all partial-pivot (COLAMD) factors; and the largest primal residual of
-an optimal answer.  Then the number of solves whose iteration count changed,
-by status, and each such solve; both trees' totals of partial-pivot
-factorizations, the interior-point fallbacks plus the polish, and each
-solve whose count changed.  Last, per tree, how many neighbour solves were answered
-warm and the largest warm-minus-cold objective gap among those.  Not collected by pytest (the file name does not
-match test_*).
+factorizations; per site, the band factors with the largest and total
+band dimension, the largest bandwidth and the stored entries; and the
+largest primal residual of an optimal answer.  A dump made when SuperLU
+still made the fallback and the polish shows its ``qp.splu`` COLAMD
+factors and their L+U fill instead, and its interior-point band factors
+if it recorded them.  Then the number of solves whose iteration count
+changed, by status, and each such solve; both trees' totals of fallback
+plus polish factorizations (an older dump's COLAMD count), and each solve
+whose count changed.  Last, per tree, how many neighbour solves were
+answered warm and the largest warm-minus-cold objective gap among those.
+Not collected by pytest (the file name does not match test_*).
 """
 
 from __future__ import annotations
@@ -77,11 +80,15 @@ def _synth_cases():
     return cases
 
 
-def _record(cfg, problem, settings, factors, fill, band, probes):
+SITES = {"band_factor": "ipm", "fallback_factor": "fallback", "_polish": "polish"}
+BAND_KEYS = ("factors", "dim", "bw", "total_dim", "stored")
+
+
+def _record(cfg, problem, settings, band, probes):
     from trimarket.qp import solve_qp
 
-    for counts in (factors, fill, band, probes):
-        counts.clear()
+    band.clear()
+    probes.clear()
     sol = solve_qp(problem, settings)
     return sol, {
         "status": sol.status,
@@ -91,9 +98,7 @@ def _record(cfg, problem, settings, factors, fill, band, probes):
         "x": sol.x.tolist(),
         "lossless": cfg.ess.eta_c == 1.0 and cfg.ess.eta_d == 1.0,
         "primal_inf": sol.residuals.primal_inf if sol.status == "optimal" else None,
-        "splu": dict(factors),
-        "fill": dict(fill),
-        "band": {k: band.get(k, 0) for k in ("factors", "dim", "bw")},
+        "band": {site: band.get(site, dict.fromkeys(BAND_KEYS, 0)) for site in SITES.values()},
         "linprog": probes.get("linprog", 0),
     }
 
@@ -114,36 +119,46 @@ def _neighbours(model, base) -> dict:
     return out
 
 
-def _count_calls(qp, name, key=None, fill=None) -> dict:
-    """Wrap qp.<name> so that each call counts under key(kwargs), or name.
-
-    With a `fill` dict, each returned factor's L+U nonzeros add up there
-    under the same key.
-    """
+def _count_calls(qp, name) -> dict:
+    """Wrap qp.<name> so that each call counts under name."""
     counts, real = {}, getattr(qp, name)
 
     def counted(*args, **kwargs):
-        k = key(kwargs) if key else name
-        counts[k] = counts.get(k, 0) + 1
-        out = real(*args, **kwargs)
-        if fill is not None:
-            fill[k] = fill.get(k, 0) + out.L.nnz + out.U.nnz
-        return out
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
 
     setattr(qp, name, counted)
     return counts
 
 
 def _count_band(qp) -> dict:
-    """Wrap qp.dgbtrf: count its calls, keep the largest band dimension and bandwidth."""
-    band, real = {}, qp.dgbtrf
+    """Wrap qp.dgbtrf: count its calls per factor site, with their dimensions and stores.
+
+    The site is the innermost of _Kkt.band_factor, _Kkt.fallback_factor
+    and _polish running at the call.
+    """
+    band, stack, real = {}, [], qp.dgbtrf
+
+    def entered(name, method):
+        def wrapped(*args, **kwargs):
+            stack.append(SITES[name])
+            try:
+                return method(*args, **kwargs)
+            finally:
+                stack.pop()
+        return wrapped
 
     def counted(ab, kl, ku, **kwargs):
-        band["factors"] = band.get("factors", 0) + 1
-        band["dim"] = max(band.get("dim", 0), ab.shape[1])
-        band["bw"] = max(band.get("bw", 0), kl, ku)
+        site = band.setdefault(stack[-1], dict.fromkeys(BAND_KEYS, 0))
+        site["factors"] += 1
+        site["dim"] = max(site["dim"], ab.shape[1])
+        site["bw"] = max(site["bw"], kl, ku)
+        site["total_dim"] += ab.shape[1]
+        site["stored"] += ab.size
         return real(ab, kl, ku, **kwargs)
 
+    for owner, name in ((qp._Kkt, "band_factor"), (qp._Kkt, "fallback_factor"), (qp, "_polish")):
+        setattr(owner, name, entered(name, getattr(owner, name)))
     qp.dgbtrf = counted
     return band
 
@@ -152,8 +167,6 @@ def dump(out: str) -> None:
     import trimarket.qp as qp
     from _instances import build, random_instance
 
-    fill = {}
-    factors = _count_calls(qp, "splu", lambda kwargs: kwargs.get("permc_spec", "COLAMD"), fill)
     band = _count_band(qp)
     probes = _count_calls(qp, "linprog")
     records = {}
@@ -166,11 +179,10 @@ def dump(out: str) -> None:
                 for max_iter in (200, 8):
                     key = f"random/{seed}/r_min={r_min}/max_iter={max_iter}"
                     _, records[key] = _record(cfg, problem, qp.SolverSettings(max_iter=max_iter),
-                                              factors, fill, band, probes)
+                                              band, probes)
         for name, cfg, data in _synth_cases():
             model, problem = build(cfg, data)
-            sol, records[name] = _record(cfg, problem, qp.SolverSettings(), factors, fill, band,
-                                         probes)
+            sol, records[name] = _record(cfg, problem, qp.SolverSettings(), band, probes)
             if sol.status == "optimal":
                 records[name]["neighbours"] = _neighbours(model, sol)
     Path(out).write_text(json.dumps(records))
@@ -181,6 +193,19 @@ def _same_objective(a: float, b: float) -> bool:
     if a != a or b != b:  # NaN objective on every non-optimal status
         return a != a and b != b
     return abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b))
+
+
+def _factors(r: dict) -> int:
+    """The factorizations of one solve."""
+    if "splu" in r:  # SuperLU made the fallback and the polish
+        return sum(r["splu"].values()) + r.get("band", {}).get("factors", 0)
+    return sum(site["factors"] for site in r["band"].values())
+
+
+def _fallback_and_polish(r: dict) -> int:
+    if "splu" in r:
+        return r["splu"].get("COLAMD", 0)
+    return r["band"]["fallback"]["factors"] + r["band"]["polish"]["factors"]
 
 
 def compare(path_a: str, path_b: str) -> None:
@@ -215,20 +240,28 @@ def compare(path_a: str, path_b: str) -> None:
             by_status[r["status"]] = (it + r["iterations"], pr + r["linprog"])
         totals = "; ".join(f"{st} {it} iterations, {pr} probes"
                            for st, (it, pr) in sorted(by_status.items()))
-        bands = [r.get("band") for r in d.values()]
-        factored = sum(sum(r["splu"].values()) + r.get("band", {}).get("factors", 0)
-                       for r in d.values())
-        print(f"{label}: {totals}; {factored} factorizations")
-        if None in bands:
-            print(f"{label}: band factor not recorded")
+        print(f"{label}: {totals}; {sum(_factors(r) for r in d.values())} factorizations")
+        if not any("splu" in r for r in d.values()):
+            for site in SITES.values():
+                bands = [r["band"][site] for r in d.values()]
+                print(f"{label} {site}: {sum(b['factors'] for b in bands)} band factors; "
+                      f"dimension largest {max(b['dim'] for b in bands)}, total "
+                      f"{sum(b['total_dim'] for b in bands)}; largest bandwidth "
+                      f"{max(b['bw'] for b in bands)}; {sum(b['stored'] for b in bands)} "
+                      f"stored entries")
         else:
-            print(f"{label}: {sum(b['factors'] for b in bands)} band factorizations; band "
-                  f"dimension largest {max(b['dim'] for b in bands)}, total "
-                  f"{sum(b['dim'] for b in bands)}; largest bandwidth "
-                  f"{max(b['bw'] for b in bands)}")
-        colamd_fill = sum(r["fill"].get("COLAMD", 0) for r in d.values())
+            bands = [r.get("band") for r in d.values()]
+            if None in bands:
+                print(f"{label}: band factor not recorded")
+            else:
+                print(f"{label}: {sum(b['factors'] for b in bands)} band factorizations; band "
+                      f"dimension largest {max(b['dim'] for b in bands)}, total "
+                      f"{sum(b['dim'] for b in bands)}; largest bandwidth "
+                      f"{max(b['bw'] for b in bands)}")
+            colamd_fill = sum(r["fill"].get("COLAMD", 0) for r in d.values())
+            print(f"{label}: COLAMD L+U fill {colamd_fill}")
         worst = max((r["primal_inf"] for r in d.values() if r["status"] == "optimal"), default=0.0)
-        print(f"{label}: COLAMD L+U fill {colamd_fill}; largest optimal primal residual {worst:.3g}")
+        print(f"{label}: largest optimal primal residual {worst:.3g}")
     changed_by_status = {}
     changed = [k for k in a if a[k]["iterations"] != b[k]["iterations"]]
     for k in changed:
@@ -238,9 +271,9 @@ def compare(path_a: str, path_b: str) -> None:
     print(f"solves whose iterations changed: {by_status}")
     for k in changed:
         print(f"  {k}: {a[k]['iterations']} -> {b[k]['iterations']} iterations")
-    partial = {k: (a[k]["splu"].get("COLAMD", 0), b[k]["splu"].get("COLAMD", 0)) for k in a}
+    partial = {k: (_fallback_and_polish(a[k]), _fallback_and_polish(b[k])) for k in a}
     changed = [k for k, (u, v) in partial.items() if u != v]
-    print(f"partial-pivot factorizations: {sum(u for u, _ in partial.values())} vs "
+    print(f"fallback + polish factorizations: {sum(u for u, _ in partial.values())} vs "
           f"{sum(v for _, v in partial.values())}; {len(changed)} solves changed count")
     for k in changed:
         print(f"  {k}: {partial[k][0]} -> {partial[k][1]}")

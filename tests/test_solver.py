@@ -278,7 +278,7 @@ class TestInfeasibility:
     def test_stalled_infeasible_week_ends_early(self, monkeypatch):
         # the primal residual freezes within a few iterations, so the stall
         # probe settles the status long before the 200-iteration limit
-        factors = _factor_recorder(monkeypatch)
+        sites = _Sites(monkeypatch)
         sol = solve_qp(_infeasible_week())
         assert sol.status == INFEASIBLE
         assert sol.message == (
@@ -286,7 +286,7 @@ class TestInfeasibility:
         )
         assert sol.iterations <= 15
         # every factorization is an interior-point one: no polish runs
-        assert len(factors) <= 20 and all(ph == "ipm" for ph, _ in factors)
+        assert len(sites.factors()) <= 20 and POLISH not in sites.factors()
 
     def test_stall_with_collapsing_mu_ends_early(self):
         # here mu falls toward zero instead of growing; the primal residual
@@ -327,43 +327,50 @@ class TestInfeasibility:
         assert diagnose_infeasibility(p) == "problem is feasible"
 
 
-# the two factorizations, by the module attribute each goes through: the
-# interior point's band LU of the reduced system, and SuperLU with COLAMD
-# and partial pivoting (the polish, and an iteration's fallback)
-BAND = "dgbtrf"
-PARTIAL_PIVOT = "splu"
+# the three factor sites, by the method that makes each factor: the
+# interior point's band factor of the reduced system, its partial-pivot
+# fallback on the full matrix, and the active-set polish
+BAND, FALLBACK, POLISH = "band_factor", "fallback_factor", "_polish"
+DGBTRF, RCM = "dgbtrf", "reverse_cuthill_mckee"
 
 
-def _phase_recorder(monkeypatch, module, *attrs):
-    """Record each call of module.<attr>, for every attr, with the solve phase.
+class _Sites:
+    """Record each call of qp.dgbtrf (one per factor) and of module.<attr> with its site.
 
-    A call is recorded as (phase, attr).  The phase is "ipm" until the
-    finisher's polish starts, "polish" after; clearing the returned list
+    The site of a call is the innermost of _Kkt.band_factor,
+    _Kkt.fallback_factor and qp._polish running when it is made, or None
+    outside them.  `calls` holds one (site, attr) per call; clearing it
     starts a new solve.
     """
-    calls = []
-    real_polish = qp._polish
 
-    def polish(*args, **kwargs):
-        calls.append(("polish starts", None))
-        return real_polish(*args, **kwargs)
+    def __init__(self, monkeypatch, *attrs, module=qp):
+        self.calls, self.stack = [], []
+        for owner, name in ((qp._Kkt, BAND), (qp._Kkt, FALLBACK), (qp, POLISH)):
+            monkeypatch.setattr(owner, name, self._entered(name, getattr(owner, name)))
+        for owner, attr in [(qp, DGBTRF)] + [(module, attr) for attr in attrs]:
+            monkeypatch.setattr(owner, attr, self._recorded(attr, getattr(owner, attr)))
 
-    def recorder(attr, real):
+    @property
+    def site(self):
+        return self.stack[-1] if self.stack else None
+
+    def factors(self, exclude=None):
+        return [site for site, attr in self.calls if attr == DGBTRF and site != exclude]
+
+    def _entered(self, name, real):
+        def entered(*args, **kwargs):
+            self.stack.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                self.stack.pop()
+        return entered
+
+    def _recorded(self, attr, real):
         def recorded(*args, **kwargs):
-            polishing = any(ph == "polish starts" for ph, _ in calls)
-            calls.append(("polish" if polishing else "ipm", attr))
+            self.calls.append((self.site, attr))
             return real(*args, **kwargs)
         return recorded
-
-    monkeypatch.setattr(qp, "_polish", polish)
-    for attr in attrs:
-        monkeypatch.setattr(module, attr, recorder(attr, getattr(module, attr)))
-    return calls
-
-
-def _factor_recorder(monkeypatch):
-    """_phase_recorder of both factorizations, BAND and PARTIAL_PIVOT."""
-    return _phase_recorder(monkeypatch, qp, BAND, PARTIAL_PIVOT)
 
 
 def _synth_week():
@@ -382,57 +389,75 @@ def _infeasible_week():
 
 class TestKktFactorization:
     def test_interior_point_uses_band_factor(self, monkeypatch):
-        calls = _factor_recorder(monkeypatch)
+        sites = _Sites(monkeypatch)
         sol = solve_qp(_synth_week())
         assert sol.status == OPTIMAL and sol.iterations == 10
-        # one band factor per iteration that takes a step, none falls back
-        assert [kind for ph, kind in calls if ph == "ipm"] == [BAND] * 9
-        # the active-set polish keeps partial pivoting
-        assert [kind for ph, kind in calls if ph == "polish"] == [PARTIAL_PIVOT]
+        # one band factor per iteration that takes a step, none falls
+        # back, then the polish's one factor
+        assert sites.factors() == [BAND] * 9 + [POLISH]
 
     def test_partial_pivot_fallback_keeps_solve_optimal(self, monkeypatch):
         # the barrier diagonal spans so many orders of magnitude that the
         # band factor cannot refine one direction to tolerance; the
         # partial-pivot refactor follows in the same (last) iteration
-        calls = _factor_recorder(monkeypatch)
+        sites = _Sites(monkeypatch)
         _, p = build(*random_instance(324))
         sol = solve_qp(p)
         assert sol.status == OPTIMAL and sol.iterations == 9
-        ipm = [kind for ph, kind in calls if ph == "ipm"]
-        assert ipm == [BAND] * 8 + [PARTIAL_PIVOT]
-        assert [kind for ph, kind in calls if ph == "polish"] == [PARTIAL_PIVOT]
+        assert sites.factors() == [BAND] * 8 + [FALLBACK, POLISH]
 
     def test_kkt_pattern_built_once_per_solve(self, monkeypatch):
-        calls = _phase_recorder(monkeypatch, qp.sp, "bmat")
+        sites = _Sites(monkeypatch, "bmat", module=qp.sp)
         iterations = set()
         for p in (build(*hand_case())[1], _synth_week(), build(*random_instance(18))[1]):
-            calls.clear()
+            sites.calls.clear()
             sol = solve_qp(p)
             assert sol.status == OPTIMAL
             iterations.add(sol.iterations)
-            assert sum(ph == "ipm" for ph, _ in calls) == 1
+            assert sum(site != POLISH for site, attr in sites.calls if attr == "bmat") == 1
         assert len(iterations) == 3
 
     def test_one_ordering_per_solve(self, monkeypatch):
-        calls = _phase_recorder(monkeypatch, qp, "reverse_cuthill_mckee", BAND, PARTIAL_PIVOT)
+        sites = _Sites(monkeypatch, RCM)
         for p in (build(*hand_case())[1], _synth_week(), build(*random_instance(18))[1]):
-            calls.clear()
+            sites.calls.clear()
             sol = solve_qp(p)
             assert sol.status == OPTIMAL
-            ipm = [attr for ph, attr in calls if ph == "ipm"]
+            ipm = [(site, attr) for site, attr in sites.calls if site != POLISH]
             # the order comes first, from the fixed pattern, and only once
-            assert ipm[0] == "reverse_cuthill_mckee"
-            assert [attr for _, attr in calls].count("reverse_cuthill_mckee") == 1
-            assert ipm.count(BAND) == sol.iterations - 1
+            assert ipm[0] == (None, RCM) and ipm.count((None, RCM)) == 1
+            assert sites.factors(exclude=POLISH) == [BAND] * (sol.iterations - 1)
 
     @pytest.mark.parametrize("horizon", [168, 672, 2688])
     def test_reduced_core_is_a_band_of_width_8(self, horizon):
         _, p = build(default_config(horizon), synth_data(SynthSpec(seed=7, horizon=horizon)))
         pre = _presolve(p)
         kkt = qp._Kkt(pre)
-        assert kkt.bw == 8
+        order, bw, n_c = kkt.lay
+        assert bw == 8
         # every row of r but the kept coupling rows is in the band
-        assert len(pre.keep_rows) == 2 and kkt.core == len(kkt.r_rows) - 2
+        assert len(pre.keep_rows) == n_c == 2 and len(order) == len(kkt.r_rows)
+
+    @pytest.mark.parametrize("horizon", [168, 672, 2688])
+    def test_polish_core_is_a_band_of_width_8(self, monkeypatch, horizon):
+        # the polish borders its active coupling rows, whatever their
+        # density: its core is then as narrow a band as the interior
+        # point's (6-7 here)
+        layouts, real = [], qp._layout
+
+        def measured(k, n_c):
+            out = real(k, n_c)
+            if sites.site == POLISH:
+                layouts.append((n_c, out[0][1]))
+            return out
+
+        monkeypatch.setattr(qp, "_layout", measured)
+        sites = _Sites(monkeypatch)
+        _, p = build(default_config(horizon), synth_data(SynthSpec(seed=7, horizon=horizon)))
+        sol = solve_qp(p)
+        assert sol.status == OPTIMAL
+        assert np.all(sol.ineq_duals.coupling > 0.0)  # both coupling rows active
+        assert layouts and all(n_c == 2 and bw <= 8 for n_c, bw in layouts)
 
     def test_reordered_factor_solves_like_a_fresh_ordering(self, monkeypatch):
         # replay every iteration's diagonal of a real solve: the band
@@ -450,16 +475,15 @@ class TestKktFactorization:
             real(kkt, diag)
 
         monkeypatch.setattr(qp._Kkt, "set_diagonal", recorded)
-        calls = _factor_recorder(monkeypatch)
+        sites = _Sites(monkeypatch)
         for problem, n_diag, n_kept, partial in ((_synth_week(), 9, 0, set()),
                                                  (_infeasible_week(), 10, 504, {7, 8, 9, 10})):
             diagonals.clear()
-            calls.clear()
+            sites.calls.clear()
             solve_qp(problem)
-            ipm = [kind for ph, kind in calls if ph == "ipm"]
-            # the iteration of each partial-pivot factor: the band ones before it
-            fell_back = {sum(k != PARTIAL_PIVOT for k in ipm[:i])
-                         for i, kind in enumerate(ipm) if kind == PARTIAL_PIVOT}
+            ipm = sites.factors(exclude=POLISH)
+            # the iteration of each fallback: the band factors before it
+            fell_back = {ipm[:i].count(BAND) for i, site in enumerate(ipm) if site == FALLBACK}
             assert len(diagonals) == n_diag and fell_back == partial
             kkt = diagonals[0][0]
             assert kkt.n_k == n_kept and len(kkt.r_rows) < kkt.k_reg.shape[0]
@@ -482,10 +506,12 @@ class TestKktFactorization:
         shapes, real = [], qp.dgbtrf
 
         def measured(ab, kl, ku, **kwargs):
-            shapes.append((ab.shape, kl, ku))
+            if sites.site == BAND:
+                shapes.append((ab.shape, kl, ku))
             return real(ab, kl, ku, **kwargs)
 
         monkeypatch.setattr(qp, "dgbtrf", measured)
+        sites = _Sites(monkeypatch)
         _, p = build(default_config(672), synth_data(SynthSpec(seed=7, horizon=672)))
         pre = _presolve(p)
         unbounded = np.ones(p.n, dtype=bool)
@@ -499,32 +525,31 @@ class TestKktFactorization:
         # the pinned columns stay in the reduced matrix: eliminating them
         # puts 1 / _KKT_REG into it, and the refinement then misses its
         # tolerance in more iterations, each one more partial-pivot factor
-        calls = _factor_recorder(monkeypatch)
+        sites = _Sites(monkeypatch, RCM)
         sol = solve_qp(_infeasible_week())
         assert sol.status == INFEASIBLE and sol.iterations == 11
-        factors = [kind for ph, kind in calls if ph == "ipm"]
-        assert len(factors) == 14 and factors.count(PARTIAL_PIVOT) == 4
+        factors = sites.factors()
+        assert len(factors) == 14 and factors.count(FALLBACK) == 4
+        # the fallback's order is made once, at its first factor
+        assert [site for site, attr in sites.calls if attr == RCM] == [None, FALLBACK]
 
     def test_polish_rejects_non_finite_solve(self, monkeypatch):
-        # every polish factor (the only partial-pivot ones here) solves to
-        # NaN; the finisher rejects that point and the converged iterate,
-        # verified like any other answer, is returned instead
-        class NanFactor:
-            def solve(self, rhs):
-                return np.full_like(rhs, np.nan)
+        # every polish factor solves to NaN; the finisher rejects that
+        # point and the converged iterate, verified like any other
+        # answer, is returned instead
+        real, nan_solves = qp._BandLu.solve, []
 
-        real, nan_factors = qp._factor, []
+        def nan_in_polish(lu, vec):
+            if sites.site != POLISH:
+                return real(lu, vec)
+            nan_solves.append(True)
+            return np.full_like(vec, np.nan)
 
-        def colamd_nan(k_mat, permc_spec="COLAMD"):
-            if permc_spec == "COLAMD":
-                nan_factors.append(permc_spec)
-                return NanFactor()
-            return real(k_mat, permc_spec)
-
-        monkeypatch.setattr(qp, "_factor", colamd_nan)
+        monkeypatch.setattr(qp._BandLu, "solve", nan_in_polish)
+        sites = _Sites(monkeypatch)
         p = _synth_week()
         sol = solve_qp(p)
-        assert nan_factors and sol.status == OPTIMAL and sol.iterations == 10
+        assert nan_solves and sol.status == OPTIMAL and sol.iterations == 10
         assert np.all(np.isfinite(sol.x))
         tol, (scale_p, scale_d) = SolverSettings().tol, qp._scales(_presolve(p))
         res = kkt_residuals(p, sol)
@@ -532,21 +557,22 @@ class TestKktFactorization:
         assert res.comp_gap <= tol * (1.0 + abs(sol.objective))
 
     def test_polish_factors_only_free_variables(self, monkeypatch):
-        # active bounds fix their variables: the polish's partial-pivot
-        # factor holds 68,546 L+U nonzeros here, against 449,434 with one
-        # selector row per active bound
-        fills, real = [], qp.splu
+        # active bounds fix their variables: the polish's band stores
+        # 214,214 entries here, (3 bw + 1) times its core's dimension,
+        # against 963,739 (bandwidth 20) with one selector row per active
+        # bound
+        stored, real = [], qp.dgbtrf
 
-        def measured(*args, **kwargs):
-            lu = real(*args, **kwargs)
-            if kwargs.get("permc_spec") == "COLAMD":
-                fills.append(lu.L.nnz + lu.U.nnz)
-            return lu
+        def measured(ab, kl, ku, **kwargs):
+            if sites.site == POLISH:
+                stored.append(ab.size)
+            return real(ab, kl, ku, **kwargs)
 
-        monkeypatch.setattr(qp, "splu", measured)
+        monkeypatch.setattr(qp, "dgbtrf", measured)
+        sites = _Sites(monkeypatch)
         _, p = build(default_config(672), synth_data(SynthSpec(seed=7, horizon=672)))
         assert solve_qp(p).status == OPTIMAL
-        assert fills and max(fills) < 100_000
+        assert stored and max(stored) < 300_000
 
     def test_static_factor_error_falls_back_in_same_iteration(self, monkeypatch):
         # the first band LU reports an exactly zero pivot (info > 0)
@@ -560,13 +586,12 @@ class TestKktFactorization:
             return lu, ipiv, info
 
         monkeypatch.setattr(qp, "dgbtrf", first_band_singular)
-        calls = _factor_recorder(monkeypatch)
+        sites = _Sites(monkeypatch)
         sol = solve_qp(_synth_week())
         assert sol.status == OPTIMAL and sol.iterations == 10
         # partial pivoting follows the failed band factor within the same
         # iteration, and every later iteration factors the band again
-        ipm = [kind for ph, kind in calls if ph == "ipm"]
-        assert ipm == [BAND, PARTIAL_PIVOT] + [BAND] * 8
+        assert sites.factors(exclude=POLISH) == [BAND, FALLBACK] + [BAND] * 8
 
     def test_singular_border_falls_back_in_same_iteration(self, monkeypatch):
         # the coupling rows' Schur complement reports an exactly zero pivot
@@ -581,40 +606,54 @@ class TestKktFactorization:
             return lu, piv, info
 
         monkeypatch.setattr(qp, "dgetrf", first_schur_singular)
-        calls = _factor_recorder(monkeypatch)
+        sites = _Sites(monkeypatch)
         sol = solve_qp(_synth_week())
         assert sol.status == OPTIMAL and sol.iterations == 10
-        assert [kind for ph, kind in calls if ph == "ipm"] == [BAND, PARTIAL_PIVOT] + [BAND] * 8
+        assert sites.factors(exclude=POLISH) == [BAND, FALLBACK] + [BAND] * 8
 
-    @pytest.mark.parametrize("error", [MemoryError, SystemError])
+    @pytest.mark.parametrize("error", [MemoryError])
     def test_polish_out_of_memory_falls_back_to_converged_iterate(self, monkeypatch, error):
-        # SuperLU out of memory raises MemoryError, or SystemError once its
-        # own allocator gives up; the polish is the only partial-pivot
-        # factorization on this problem
-        real, failed = qp.splu, []
+        # a store too large for the memory raises MemoryError; the polish
+        # makes the only factor that fails here
+        real, failed = qp.dgbtrf, []
 
-        def colamd_fails(*args, **kwargs):
-            if kwargs.get("permc_spec") == "COLAMD":
+        def polish_fails(*args, **kwargs):
+            if sites.site == POLISH:
                 failed.append(True)
-                raise error("Can't expand MemType 1")
+                raise error("out of memory")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(qp, "splu", colamd_fails)
+        monkeypatch.setattr(qp, "dgbtrf", polish_fails)
+        sites = _Sites(monkeypatch)
         sol = solve_qp(_synth_week())
         assert failed == [True]
         assert sol.status == OPTIMAL and sol.iterations == 10
 
-    @pytest.mark.parametrize("error", [MemoryError, SystemError])
+    @pytest.mark.parametrize("error", [MemoryError])
     def test_factor_out_of_memory_is_a_status(self, monkeypatch, error):
         def always_fails(*args, **kwargs):
-            raise error("Can't expand MemType 1")
+            raise error("out of memory")
 
         monkeypatch.setattr(qp, "dgbtrf", always_fails)
-        monkeypatch.setattr(qp, "splu", always_fails)
         _, p = build(*hand_case())
         sol = solve_qp(p)
         assert sol.status == ITERATION_LIMIT
         assert sol.message == "KKT factorization failed"
+
+    def test_no_solve_calls_superlu(self, monkeypatch):
+        # SuperLU is gone from the solver: with it failing, a cold solve,
+        # one that falls back to partial pivoting, an infeasible one and a
+        # warm neighbour all end as before
+        monkeypatch.setattr(qp, "splu", lambda *a, **k: pytest.fail("SuperLU called"))
+        model, p = build(default_config(168), synth_data(SynthSpec(horizon=168)))
+        base = solve_qp(p)
+        assert (base.status, base.iterations) == (OPTIMAL, 10)
+        for problem, status, iterations in ((build(*random_instance(324))[1], OPTIMAL, 9),
+                                            (_infeasible_week(), INFEASIBLE, 11)):
+            sol = solve_qp(problem)
+            assert (sol.status, sol.iterations) == (status, iterations)
+        _, warm = solve_for_param(model, "quota", model.quota + 1.0, start=base)
+        assert (warm.status, warm.iterations) == (OPTIMAL, 0)
 
     def test_interior_point_without_coupling_rows_matches_oracle(self):
         # alpha = 0 and a retirement floor at its box minimum (r0 capped at
@@ -685,10 +724,9 @@ def test_polish_keeps_one_bound_per_variable(monkeypatch):
     up_row = len(pre.lo_idx) + int(np.searchsorted(pre.up_idx, j))
     assert act[lo_row] and not act[up_row]
     act[up_row] = True
-    factors, real = [], qp._factor
-    monkeypatch.setattr(qp, "_factor", lambda *args: factors.append(1) or real(*args))
+    sites = _Sites(monkeypatch)
     polished = qp._polish(p, pre, act, (x, y, z))
-    assert polished is not None and len(factors) == 1
+    assert polished is not None and sites.factors() == [POLISH]
     assert np.all(polished.x >= p.lb - 1e-9) and np.all(polished.x <= p.ub + 1e-9)
     assert polished.x[j] == pytest.approx(10.0)
     assert polished.objective == pytest.approx(sol.objective, rel=1e-12)
