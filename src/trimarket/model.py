@@ -252,8 +252,8 @@ def _daily_blocks_constant(series: np.ndarray) -> bool:
 class ValidatedModel:
     """Config + market data known to satisfy every type invariant.
 
-    Arrays are float64 copies marked read-only; all downstream assembly and
-    analysis is pure, so validated models are safe to share across threads.
+    Arrays are float64 copies marked read-only, and all downstream
+    assembly and analysis is pure, so nothing downstream changes a model.
     """
 
     config: VppConfig

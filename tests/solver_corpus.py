@@ -32,12 +32,9 @@ status, for all solves and for the lossless-storage ones (eta_c = eta_d =
 for each tree, the iteration and probe totals by status and the total
 factorizations; per site, the band factors with the largest and total
 band dimension, the largest bandwidth and the stored entries; and the
-largest primal residual of an optimal answer.  A dump made when SuperLU
-still made the fallback and the polish shows its ``qp.splu`` COLAMD
-factors and their L+U fill instead, and its interior-point band factors
-if it recorded them.  Then the number of solves whose iteration count
-changed, by status, and each such solve; both trees' totals of fallback
-plus polish factorizations (an older dump's COLAMD count), and each solve
+largest primal residual of an optimal answer.  Then the number of solves
+whose iteration count changed, by status, and each such solve; both
+trees' totals of fallback plus polish factorizations, and each solve
 whose count changed.  Last, per tree, how many neighbour solves were
 answered warm and the largest warm-minus-cold objective gap among those.
 Not collected by pytest (the file name does not match test_*).
@@ -197,14 +194,10 @@ def _same_objective(a: float, b: float) -> bool:
 
 def _factors(r: dict) -> int:
     """The factorizations of one solve."""
-    if "splu" in r:  # SuperLU made the fallback and the polish
-        return sum(r["splu"].values()) + r.get("band", {}).get("factors", 0)
     return sum(site["factors"] for site in r["band"].values())
 
 
 def _fallback_and_polish(r: dict) -> int:
-    if "splu" in r:
-        return r["splu"].get("COLAMD", 0)
     return r["band"]["fallback"]["factors"] + r["band"]["polish"]["factors"]
 
 
@@ -241,25 +234,13 @@ def compare(path_a: str, path_b: str) -> None:
         totals = "; ".join(f"{st} {it} iterations, {pr} probes"
                            for st, (it, pr) in sorted(by_status.items()))
         print(f"{label}: {totals}; {sum(_factors(r) for r in d.values())} factorizations")
-        if not any("splu" in r for r in d.values()):
-            for site in SITES.values():
-                bands = [r["band"][site] for r in d.values()]
-                print(f"{label} {site}: {sum(b['factors'] for b in bands)} band factors; "
-                      f"dimension largest {max(b['dim'] for b in bands)}, total "
-                      f"{sum(b['total_dim'] for b in bands)}; largest bandwidth "
-                      f"{max(b['bw'] for b in bands)}; {sum(b['stored'] for b in bands)} "
-                      f"stored entries")
-        else:
-            bands = [r.get("band") for r in d.values()]
-            if None in bands:
-                print(f"{label}: band factor not recorded")
-            else:
-                print(f"{label}: {sum(b['factors'] for b in bands)} band factorizations; band "
-                      f"dimension largest {max(b['dim'] for b in bands)}, total "
-                      f"{sum(b['dim'] for b in bands)}; largest bandwidth "
-                      f"{max(b['bw'] for b in bands)}")
-            colamd_fill = sum(r["fill"].get("COLAMD", 0) for r in d.values())
-            print(f"{label}: COLAMD L+U fill {colamd_fill}")
+        for site in SITES.values():
+            bands = [r["band"][site] for r in d.values()]
+            print(f"{label} {site}: {sum(b['factors'] for b in bands)} band factors; "
+                  f"dimension largest {max(b['dim'] for b in bands)}, total "
+                  f"{sum(b['total_dim'] for b in bands)}; largest bandwidth "
+                  f"{max(b['bw'] for b in bands)}; {sum(b['stored'] for b in bands)} "
+                  f"stored entries")
         worst = max((r["primal_inf"] for r in d.values() if r["status"] == "optimal"), default=0.0)
         print(f"{label}: largest optimal primal residual {worst:.3g}")
     changed_by_status = {}

@@ -1,11 +1,12 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 
 import trimarket.analysis
 import trimarket.scenarios
-from trimarket.analysis import solve_for_param
+from trimarket.analysis import affine_sensitivity, solve_for_param
 from trimarket.model import (
     EssParams,
     InventoryParams,
@@ -257,9 +258,9 @@ class TestParameterSweep:
         with pytest.raises(ValueError, match="sweep parameter"):
             parameter_sweep(base_cfg, base_data, "beta", [0.1])
 
-    def test_thread_count_does_not_change_results(self):
-        # the pooled grid gives, bit for bit, what solve_for_param gives
-        # at each value alone
+    def test_sweep_points_match_single_solves(self):
+        # the grid gives, bit for bit, what solve_for_param gives at each
+        # value alone
         cfg, data = _tiny_sweep_cfg()
         grid = [0.0, 0.1, 0.2, 0.3, 0.4, 0.6]
         sw = parameter_sweep(cfg, data, "r", grid)
@@ -273,6 +274,17 @@ class TestParameterSweep:
             else:
                 assert point.breakdown is None and point.message == sol.message
         assert sw.points[-1].status == "infeasible"
+
+    def test_grids_solve_without_starting_a_thread(self, monkeypatch):
+        def no_thread(self):
+            raise AssertionError("a grid solve started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        cfg, data = _tiny_sweep_cfg()
+        sw = parameter_sweep(cfg, data, "r", [0.0, 0.3, 1.0])
+        assert [p.status for p in sw.points] == ["optimal", "optimal", "infeasible"]
+        rep = affine_sensitivity(validate_config(cfg, data), "alpha", [0.1, 0.2, 0.3])
+        assert len(rep.fingerprints) == 3
 
     def test_trend_change_flagged_at_cap_saturation(self, base_cfg, base_data):
         # the 400-unit CER trade cap saturates the best sale day once the

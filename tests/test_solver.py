@@ -110,6 +110,17 @@ class TestSolverBehaviour:
         sol = solve_qp(p, SolverSettings(max_iter=1))
         assert sol.status == ITERATION_LIMIT
 
+    def test_unbounded_problem_ends_diverging(self):
+        # retiring a certificate pays more than buying one costs, and no
+        # cap limits the trade, so the objective grows without bound
+        cfg = default_config(24).with_caps(g_cap=np.inf, r_cap=np.inf, c_cap=np.inf)
+        _, p = build(cfg, synth_data(SynthSpec(horizon=24)))
+        f = p.f.copy()
+        f[p.layout.indices("r0")] = 1000.0
+        sol = solve_qp(dataclasses.replace(p, f=f))
+        assert sol.status == ITERATION_LIMIT
+        assert sol.message == "diverging iterates"
+
     def test_settings_validated(self):
         with pytest.raises(ValueError, match="tol"):
             SolverSettings(tol=0.0)
