@@ -44,6 +44,18 @@ full system, nothing eliminated, as a band plus the same border and redoes
 the direction.  The polish factors its system the same way, bordered by
 its active coupling rows, and refines its solve with the same routine.
 
+The iteration starts from least-squares points (Mehrotra, On the
+implementation of a primal-dual interior point method, SIAM J. Optim.
+1992; Vandenberghe, The CVXOPT linear and quadratic cone program solvers,
+2010).  The KKT matrix with every w / z at 1 is factored once, by the
+same band-or-fallback path as an iteration.  With Q the Hessian and c
+the linear term of the minimization, one solve gives the x minimizing
+x'Q x / 2 + |w|^2 / 2 subject to the equalities and g x + w = h; the
+other gives the y and z minimizing u'Q u / 2 + |z|^2 / 2 subject to
+stationarity, Q u + c - a'y + g'z = 0, at some u.  Each of w and z is
+then shifted by 1 plus its most negative entry, if it has one.  A
+factor error there ends the solve as one in an iteration does.
+
 The interior-point iteration is followed by an active-set "polish": once the
 active set is identified, each active bound fixes its variable, and one
 sparse quasi-definite solve in the free variables plus iterative refinement
@@ -624,6 +636,36 @@ def _refined_solve(lu, k_mat: sp.csc_matrix, vec: np.ndarray, tol: float, step=N
     return step, float(np.max(np.abs(vec - k_mat @ step), initial=0.0))
 
 
+class _KktSolver:
+    """Solves with a _Kkt at its current diagonal, refined against k_true.
+
+    The band factor comes first.  When it raises, or a solve cannot reach
+    the refinement tolerance with a finite step (the barrier diagonal can
+    span tens of orders of magnitude), k_reg is refactored in full with
+    partial pivoting for every later solve at this diagonal and the solve
+    redone.
+    A fallback factor that raises propagates to the caller.
+    """
+
+    def __init__(self, kkt: _Kkt):
+        self.kkt, self.reduced, self.lu = kkt, True, None
+        try:
+            self.lu = kkt.band_factor()
+        except _FACTOR_ERRORS:
+            pass  # the first solve refactors in full
+
+    def solve(self, vec: np.ndarray) -> np.ndarray:
+        tol = 1e-11 * (1.0 + float(np.max(np.abs(vec), initial=0.0)))
+        err = np.inf
+        if self.lu is not None:
+            step, err = _refined_solve(self.lu, self.kkt.k_true, vec, tol)
+        if self.reduced and not err <= tol:
+            self.reduced = False
+            self.lu = self.kkt.fallback_factor()
+            step, _ = _refined_solve(self.lu, self.kkt.k_true, vec, tol)
+        return step
+
+
 def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
              start: Solution | None = None) -> Solution:
     """Solve the concave QP to the requested tolerances.
@@ -663,16 +705,17 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
 
 
 def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
-    """The interior-point iteration of solve_qp, from a strictly interior start.
+    """The interior-point iteration of solve_qp, from the least-squares start.
 
     Returns (point, w, iterations, converged, message) for _finish, or a
-    Solution when there is nothing to finish: the stall probe found the
-    problem infeasible, or no iterate was finite.  Every array of the
-    iteration, the KKT matrices and their factor among them, is freed on
-    return, before the polish makes its own factor, and the best-merit
-    iterate is kept in buffers allocated once: with nothing the iteration
-    made late left alive, the allocator can hand the memory back before the
-    polish (at T=8760 the peak resident size fell from about 315 to 240 MB).
+    Solution when there is nothing to finish: the start's factor failed,
+    the stall probe found the problem infeasible, or no iterate was
+    finite.  Every array of the iteration, the KKT matrices and their
+    factor among them, is freed on return, before the polish makes its own
+    factor, and the best-merit iterate is kept in buffers allocated once:
+    with nothing the iteration made late left alive, the allocator can
+    hand the memory back before the polish (at T=8760 the peak resident
+    size fell from about 315 to 240 MB).
     """
     n = p.n
     q, c = pre.q, pre.c
@@ -681,20 +724,6 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
     m, m_comp = a.shape[0], g.shape[0]
     n_b = len(pre.lo_idx) + len(pre.up_idx)  # bound rows lead the block
 
-    # strictly interior start; x need not satisfy the equalities
-    x = np.zeros(n)
-    both = np.isfinite(pre.lb) & np.isfinite(pre.ub)
-    x[both] = 0.5 * (pre.lb[both] + pre.ub[both])
-    lo_only = np.isfinite(pre.lb) & ~np.isfinite(pre.ub)
-    up_only = np.isfinite(pre.ub) & ~np.isfinite(pre.lb)
-    x[lo_only] = pre.lb[lo_only] + 1.0 + 0.1 * np.abs(pre.lb[lo_only])
-    x[up_only] = pre.ub[up_only] - 1.0 - 0.1 * np.abs(pre.ub[up_only])
-    x[pre.pin_idx] = b[pre.m_orig:]
-
-    y = np.zeros(m)
-    w = np.maximum(h - g @ x, 1.0)
-    z = np.full(m_comp, max(1.0, 0.1 * float(np.max(np.abs(c), initial=1.0))))
-
     # the bound rows of the inequality block fold into the primal diagonal
     # D1 of the KKT matrix, and the band factor eliminates their
     # variables; its coupling rows stay bordered next to A
@@ -702,6 +731,24 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
     a_t, g_t, gb_t = a.T, g.T, g[:n_b].T.tocsr()
     kkt = _Kkt(pre)
     ratio = np.empty(m_comp)  # _max_step's scratch
+
+    # start (module docstring): the KKT matrix with every w / z at 1 gives
+    # least-squares primal and dual points, each shifted into w, z > 0
+    kkt.set_diagonal(np.concatenate([q + np.bincount(bound_var, minlength=n), np.zeros(m),
+                                     -np.ones(m_comp - n_b)]))
+    try:
+        solver = _KktSolver(kkt)
+        x = solver.solve(np.concatenate([gb_t @ h[:n_b], b, h[n_b:]]))[:n]
+        dual = solver.solve(np.concatenate([-c, np.zeros(m + m_comp - n_b)]))
+    except _FACTOR_ERRORS:
+        return _unsolved(p, 0, "KKT factorization failed")
+    del solver  # its factor is freed before iteration 1 makes one
+    y = -dual[n : n + m]
+    w, z = h - g @ x, np.concatenate([gb_t.T @ dual[:n], dual[n + m :]])
+    for v in (w, z):
+        shift = float(np.max(-v, initial=-1.0))
+        if shift >= 0.0:
+            v += 1.0 + shift
 
     # complementarity sums are np.sum(w * z), not w @ z: a 1-D product of
     # more than about 10,000 elements goes to the BLAS ddot, which in
@@ -771,31 +818,15 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
         z_c = np.maximum(z[n_b:], 1e-280)
         d1 = q + np.bincount(bound_var, z[:n_b] / w_b, minlength=n)
         kkt.set_diagonal(np.concatenate([d1, np.zeros(m), -(w[n_b:] / z_c)]))
-        reduced, lu = True, None  # the last factor is freed before the next is made
-        try:
-            lu = kkt.band_factor()
-        except _FACTOR_ERRORS:
-            pass  # solve_direction refactors in full
+        solver = None  # the last factor is freed before the next is made
+        solver = _KktSolver(kkt)
 
         def solve_direction(rc):
             # Newton direction whose linearized complementarity change
-            # z*dw + w*dz equals rc
-            nonlocal lu, reduced
+            # z*dw + w*dz equals rc; a fallback factor that raises too
+            # stops the loop below
             rhs_x = -rd - gb_t @ ((rc[:n_b] + z[:n_b] * rp_in[:n_b]) / w_b)
-            vec = np.concatenate([rhs_x, -rp_eq, -rp_in[n_b:] - rc[n_b:] / z_c])
-            tol = 1e-11 * (1.0 + float(np.max(np.abs(vec), initial=0.0)))
-            err = np.inf
-            if lu is not None:
-                step, err = _refined_solve(lu, kkt.k_true, vec, tol)
-            if reduced and not err <= tol:
-                # the band factor failed, or lost the accuracy refinement
-                # needs (the barrier diagonal can span tens of orders of
-                # magnitude): refactor in full with partial pivoting for
-                # the rest of this iteration and redo the direction; if
-                # that raises too, the loop stops below
-                reduced = False
-                lu = kkt.fallback_factor()
-                step, _ = _refined_solve(lu, kkt.k_true, vec, tol)
+            step = solver.solve(np.concatenate([rhs_x, -rp_eq, -rp_in[n_b:] - rc[n_b:] / z_c]))
             dx = step[:n]
             dw = -(g @ dx) - rp_in
             dz = np.concatenate([(rc[:n_b] - z[:n_b] * dw[:n_b]) / w_b, step[n + m :]])

@@ -33,9 +33,10 @@ for each tree, the iteration and probe totals by status and the total
 factorizations; per site, the band factors with the largest and total
 band dimension, the largest bandwidth and the stored entries; and the
 largest primal residual of an optimal answer.  Then the number of solves
-whose iteration count changed, by status, and each such solve; both
-trees' totals of fallback plus polish factorizations, and each solve
-whose count changed.  Last, per tree, how many neighbour solves were
+whose iteration count changed, by status; per status, a histogram of the
+change (B - A); and each solve that changed status or whose count rose.
+Then both trees' totals of fallback plus polish factorizations, and each
+solve whose count changed.  Last, per tree, how many neighbour solves were
 answered warm and the largest warm-minus-cold objective gap among those.
 Not collected by pytest (the file name does not match test_*).
 """
@@ -250,8 +251,20 @@ def compare(path_a: str, path_b: str) -> None:
         changed_by_status[st] = changed_by_status.get(st, 0) + 1
     by_status = ", ".join(f"{st} {n}" for st, n in sorted(changed_by_status.items())) or "none"
     print(f"solves whose iterations changed: {by_status}")
+    histograms = {}
     for k in changed:
-        print(f"  {k}: {a[k]['iterations']} -> {b[k]['iterations']} iterations")
+        st = a[k]["status"] if a[k]["status"] == b[k]["status"] else "status changed"
+        delta = b[k]["iterations"] - a[k]["iterations"]
+        histograms.setdefault(st, {})[delta] = histograms.setdefault(st, {}).get(delta, 0) + 1
+    for st, hist in sorted(histograms.items()):
+        print(f"  {st}, B - A: " + ", ".join(f"{d:+d}: {n}" for d, n in sorted(hist.items())))
+    for k in a:
+        ra, rb = a[k], b[k]
+        if ra["status"] != rb["status"]:
+            print(f"  {k}: {ra['status']} -> {rb['status']}, "
+                  f"{ra['iterations']} -> {rb['iterations']} iterations")
+        elif rb["iterations"] > ra["iterations"]:
+            print(f"  {k}: {ra['iterations']} -> {rb['iterations']} iterations")
     partial = {k: (_fallback_and_polish(a[k]), _fallback_and_polish(b[k])) for k in a}
     changed = [k for k, (u, v) in partial.items() if u != v]
     print(f"fallback + polish factorizations: {sum(u for u, _ in partial.values())} vs "

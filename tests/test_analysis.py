@@ -26,13 +26,14 @@ from trimarket.model import (
     recover_plan,
     validate_config,
 )
-from trimarket.qp import solve_qp
+from trimarket.qp import INFEASIBLE, solve_qp
 from trimarket.scenarios import SynthSpec, synth_data
 
 from _instances import (
     build,
     cer_sale_capped_case,
     hand_case,
+    no_supply_case,
     rec_priority_case,
     rec_sale_capped_case,
     solve,
@@ -64,11 +65,10 @@ class TestNamedDuals:
         assert set(d.lower) == set(d.upper)
 
     def test_requires_optimal_solution(self):
-        cfg, data = hand_case()
-        _, p = build(cfg, data)
-        from trimarket.qp import SolverSettings
-
-        sol = solve_qp(p, SolverSettings(max_iter=1))
+        # an infeasible problem has no optimal solution, whatever the solver does
+        _, p = build(*no_supply_case())
+        sol = solve_qp(p)
+        assert sol.status == INFEASIBLE
         with pytest.raises(ValueError, match="optimal"):
             named_duals(p, sol)
 

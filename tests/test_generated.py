@@ -16,6 +16,10 @@ The warm-start test nudges the coupling right-hand sides of a small
 random instance and solves it from the unnudged solution, which is how
 `run_scenario` solves its neighbouring problems; most draws are answered
 from the start's active set, and the rest fall back to the cold solve.
+
+The scaling test multiplies every price and the generator's cost
+coefficients by c > 0: the feasible set stays and the objective scales,
+so the set of optimal plans stays and its multipliers scale by c.
 """
 
 import dataclasses
@@ -38,8 +42,20 @@ from trimarket.model import (  # noqa: E402
     TradeCaps,
     VppConfig,
     assemble_qp,
+    recover_plan,
 )
-from trimarket.qp import INFEASIBLE, OPTIMAL, solve_qp  # noqa: E402
+from trimarket.analysis import named_duals  # noqa: E402
+from trimarket.qp import (  # noqa: E402
+    INFEASIBLE,
+    OPTIMAL,
+    IneqDuals,
+    Solution,
+    SolverSettings,
+    _presolve,
+    _scales,
+    kkt_residuals,
+    solve_qp,
+)
 
 from _instances import build, no_supply_case, random_instance  # noqa: E402
 from _oracle import oracle_solve  # noqa: E402
@@ -110,6 +126,47 @@ def test_warm_start_from_unnudged_solution_agrees_with_oracle(seed, r_min, rps, 
     assert sol.status == ref.status
     if sol.status == OPTIMAL:
         assert abs(sol.objective - ref.objective) <= 1e-8 * max(1.0, abs(ref.objective))
+
+
+def _scaled(cfg, data, c):
+    """The instance with every price and the cost coefficients a, b times c."""
+    tg = dataclasses.replace(cfg.tg, a=c * cfg.tg.a, b=c * cfg.tg.b)
+    return dataclasses.replace(cfg, tg=tg), dataclasses.replace(
+        data, pi_g=c * data.pi_g, pi_r=c * data.pi_r, pi_c=c * data.pi_c)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 599), st.sampled_from([0.0, 0.95]),
+       st.sampled_from([1e-3, 0.25, 7.0, 1e3]))
+def test_scaling_prices_and_costs_scales_the_answer(seed, r_min, c):
+    cfg, data = random_instance(seed, r_min=r_min)
+    _, p = build(cfg, data)
+    _, pc = build(*_scaled(cfg, data, c))
+    base, sol = solve_qp(p), solve_qp(pc)
+    assert sol.status == base.status
+    assume(base.status == OPTIMAL)
+    assert abs(sol.objective - c * base.objective) <= 1e-8 * max(1.0, abs(c * base.objective))
+    # the dispatch and the market positions are unique on these draws;
+    # storage levels, inventories and the hour of each retirement may
+    # sit on an optimal face, where the solve may end anywhere
+    plan, plan_c = recover_plan(base.x, p.layout), recover_plan(sol.x, pc.layout)
+    for role in ("g", "G", "R", "C", "p_c", "p_d"):
+        want = getattr(plan, role)
+        np.testing.assert_allclose(getattr(plan_c, role), want, rtol=0,
+                                   atol=1e-6 * (1.0 + np.max(np.abs(want))), err_msg=role)
+    mu = named_duals(p, base).mu
+    assert named_duals(pc, sol).mu == pytest.approx(c * mu, rel=1e-6, abs=1e-6 * c)
+    # the scaled answer, every dual divided by c, answers the unscaled
+    # problem: at the scaled solve's tolerances, which are at most
+    # max(1, 1 / c) times the unscaled ones there
+    d = sol.ineq_duals
+    back = Solution(OPTIMAL, sol.x, p.objective(sol.x), sol.eq_duals / c,
+                    IneqDuals(d.lower / c, d.upper / c, d.coupling / c))
+    res = kkt_residuals(p, back)
+    tol, (scale_p, scale_d) = SolverSettings().tol * max(1.0, 1.0 / c), _scales(_presolve(p))
+    assert res.primal_inf <= tol * scale_p and res.dual_inf <= tol * scale_d
+    assert res.comp_gap <= tol * (1.0 + abs(back.objective))
 
 
 _three_caps = st.sampled_from([0.0, 50.0, math.inf])

@@ -402,25 +402,25 @@ class TestKktFactorization:
     def test_interior_point_uses_band_factor(self, monkeypatch):
         sites = _Sites(monkeypatch)
         sol = solve_qp(_synth_week())
-        assert sol.status == OPTIMAL and sol.iterations == 10
-        # one band factor per iteration that takes a step, none falls
-        # back, then the polish's one factor
-        assert sites.factors() == [BAND] * 9 + [POLISH]
+        assert sol.status == OPTIMAL and sol.iterations == 8
+        # one band factor for the start and one per iteration that takes
+        # a step, none falls back, then the polish's one factor
+        assert sites.factors() == [BAND] * 8 + [POLISH]
 
     def test_partial_pivot_fallback_keeps_solve_optimal(self, monkeypatch):
         # the barrier diagonal spans so many orders of magnitude that the
         # band factor cannot refine one direction to tolerance; the
         # partial-pivot refactor follows in the same (last) iteration
         sites = _Sites(monkeypatch)
-        _, p = build(*random_instance(324))
+        _, p = build(*random_instance(222))
         sol = solve_qp(p)
-        assert sol.status == OPTIMAL and sol.iterations == 9
-        assert sites.factors() == [BAND] * 8 + [FALLBACK, POLISH]
+        assert sol.status == OPTIMAL and sol.iterations == 7
+        assert sites.factors() == [BAND] * 7 + [FALLBACK, POLISH]
 
     def test_kkt_pattern_built_once_per_solve(self, monkeypatch):
         sites = _Sites(monkeypatch, "bmat", module=qp.sp)
         iterations = set()
-        for p in (build(*hand_case())[1], _synth_week(), build(*random_instance(18))[1]):
+        for p in (build(*hand_case())[1], _synth_week(), build(*random_instance(12))[1]):
             sites.calls.clear()
             sol = solve_qp(p)
             assert sol.status == OPTIMAL
@@ -430,14 +430,15 @@ class TestKktFactorization:
 
     def test_one_ordering_per_solve(self, monkeypatch):
         sites = _Sites(monkeypatch, RCM)
-        for p in (build(*hand_case())[1], _synth_week(), build(*random_instance(18))[1]):
+        for p in (build(*hand_case())[1], _synth_week(), build(*random_instance(12))[1]):
             sites.calls.clear()
             sol = solve_qp(p)
             assert sol.status == OPTIMAL
             ipm = [(site, attr) for site, attr in sites.calls if site != POLISH]
-            # the order comes first, from the fixed pattern, and only once
+            # the order comes first, from the fixed pattern, and only once;
+            # the start and each iteration that takes a step factor with it
             assert ipm[0] == (None, RCM) and ipm.count((None, RCM)) == 1
-            assert sites.factors(exclude=POLISH) == [BAND] * (sol.iterations - 1)
+            assert sites.factors(exclude=POLISH) == [BAND] * sol.iterations
 
     @pytest.mark.parametrize("horizon", [168, 672, 2688])
     def test_reduced_core_is_a_band_of_width_8(self, horizon):
@@ -471,14 +472,16 @@ class TestKktFactorization:
         assert layouts and all(n_c == 2 and bw <= 8 for n_c, bw in layouts)
 
     def test_reordered_factor_solves_like_a_fresh_ordering(self, monkeypatch):
-        # replay every iteration's diagonal of a real solve: the band
-        # factor of the reduced matrix, in the order computed once per
+        # replay every diagonal of a real solve, the start's first: the
+        # band factor of the reduced matrix, in the order computed once per
         # solve, solves the full k_reg as a fresh SuperLU factor of k_reg
         # does.  The infeasible week keeps its pinned columns in the
-        # reduced matrix.  Where that solve fell back to partial pivoting
-        # (the barrier diagonal spans 1e17 to 1e34 there), the fresh
-        # factor itself is off by up to 2e-9, so only the iterations the
-        # band factor answered compare.
+        # reduced matrix.  Where the fresh factor and the partial-pivot
+        # fallback, two factors made independently, disagree beyond 1e-12,
+        # neither is a reference (the barrier diagonal spans 21 to 31
+        # orders of magnitude there, and they differ by up to 2.4e-9), so
+        # only the other diagonals compare; they include every one whose
+        # solve fell back.
         diagonals, real = [], qp._Kkt.set_diagonal
 
         def recorded(kkt, diag):
@@ -487,27 +490,31 @@ class TestKktFactorization:
 
         monkeypatch.setattr(qp._Kkt, "set_diagonal", recorded)
         sites = _Sites(monkeypatch)
-        for problem, n_diag, n_kept, partial in ((_synth_week(), 9, 0, set()),
-                                                 (_infeasible_week(), 10, 504, {7, 8, 9, 10})):
+        for problem, n_diag, n_kept, partial, unmatched in (
+                (_synth_week(), 8, 0, set(), set()),
+                (_infeasible_week(), 11, 504, {9}, {9, 10, 11})):
             diagonals.clear()
             sites.calls.clear()
             solve_qp(problem)
             ipm = sites.factors(exclude=POLISH)
-            # the iteration of each fallback: the band factors before it
+            # the diagonal of each fallback: the band factors before it
             fell_back = {ipm[:i].count(BAND) for i, site in enumerate(ipm) if site == FALLBACK}
             assert len(diagonals) == n_diag and fell_back == partial
             kkt = diagonals[0][0]
             assert kkt.n_k == n_kept and len(kkt.r_rows) < kkt.k_reg.shape[0]
             rhs = np.random.default_rng(0).standard_normal(kkt.k_reg.shape[0])
-            for it, (_, diag) in enumerate(diagonals, start=1):
+            no_reference = set()
+            for k, (_, diag) in enumerate(diagonals, start=1):
                 real(kkt, diag)
                 reduced = kkt.band_factor()
-                fresh = splu(kkt.k_reg, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                             options=dict(SymmetricMode=True))
-                if it not in fell_back:
-                    want = fresh.solve(rhs)
-                    err = np.max(np.abs(reduced.solve(rhs) - want))
-                    assert err <= 1e-12 * np.max(np.abs(want))
+                want = splu(kkt.k_reg, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                            options=dict(SymmetricMode=True)).solve(rhs)
+                tol = 1e-12 * np.max(np.abs(want))
+                if np.max(np.abs(kkt.fallback_factor().solve(rhs) - want)) > tol:
+                    no_reference.add(k)
+                else:
+                    assert np.max(np.abs(reduced.solve(rhs) - want)) <= tol
+            assert no_reference == unmatched
 
     def test_static_factor_eliminates_bounded_columns(self, monkeypatch):
         # every column with a bound row is eliminated: the reduced matrix
@@ -530,7 +537,7 @@ class TestKktFactorization:
         dim = pre.a_ext.shape[0] + len(pre.keep_rows) + int(unbounded.sum())
         assert solve_qp(p).status == OPTIMAL
         band = dim - len(pre.keep_rows)
-        assert dim == 4034 and set(shapes) == {((3 * 8 + 1, band), 8, 8)} and len(shapes) == 15
+        assert dim == 4034 and set(shapes) == {((3 * 8 + 1, band), 8, 8)} and len(shapes) == 10
 
     def test_infeasible_week_keeps_its_factor_counts(self, monkeypatch):
         # the pinned columns stay in the reduced matrix: eliminating them
@@ -540,7 +547,7 @@ class TestKktFactorization:
         sol = solve_qp(_infeasible_week())
         assert sol.status == INFEASIBLE and sol.iterations == 11
         factors = sites.factors()
-        assert len(factors) == 14 and factors.count(FALLBACK) == 4
+        assert len(factors) == 12 and factors.count(FALLBACK) == 1
         # the fallback's order is made once, at its first factor
         assert [site for site, attr in sites.calls if attr == RCM] == [None, FALLBACK]
 
@@ -560,7 +567,7 @@ class TestKktFactorization:
         sites = _Sites(monkeypatch)
         p = _synth_week()
         sol = solve_qp(p)
-        assert nan_solves and sol.status == OPTIMAL and sol.iterations == 10
+        assert nan_solves and sol.status == OPTIMAL and sol.iterations == 8
         assert np.all(np.isfinite(sol.x))
         tol, (scale_p, scale_d) = SolverSettings().tol, qp._scales(_presolve(p))
         res = kkt_residuals(p, sol)
@@ -585,42 +592,48 @@ class TestKktFactorization:
         assert solve_qp(p).status == OPTIMAL
         assert stored and max(stored) < 300_000
 
-    def test_static_factor_error_falls_back_in_same_iteration(self, monkeypatch):
-        # the first band LU reports an exactly zero pivot (info > 0)
-        real, failed = qp.dgbtrf, []
+    @staticmethod
+    def _nth_singular(monkeypatch, attr, n):
+        """Make the n-th call of qp.<attr> (dgbtrf or dgetrf) report an exactly zero pivot."""
+        real, calls = getattr(qp, attr), []
 
-        def first_band_singular(*args, **kwargs):
-            lu, ipiv, info = real(*args, **kwargs)
-            if not failed:
-                failed.append(True)
-                return lu, ipiv, 1
-            return lu, ipiv, info
+        def nth_singular(*args, **kwargs):
+            lu, piv, info = real(*args, **kwargs)
+            calls.append(True)
+            return (lu, piv, 1) if len(calls) == n else (lu, piv, info)
 
-        monkeypatch.setattr(qp, "dgbtrf", first_band_singular)
+        monkeypatch.setattr(qp, attr, nth_singular)
+
+    def test_start_factor_error_falls_back_in_the_start(self, monkeypatch):
+        # the start's band LU reports an exactly zero pivot (info > 0):
+        # its two solves take the partial-pivot factor, and iteration 1
+        # factors the band again
+        self._nth_singular(monkeypatch, DGBTRF, 1)
         sites = _Sites(monkeypatch)
         sol = solve_qp(_synth_week())
-        assert sol.status == OPTIMAL and sol.iterations == 10
+        assert sol.status == OPTIMAL and sol.iterations == 8
+        assert sites.factors(exclude=POLISH) == [BAND, FALLBACK] + [BAND] * 7
+
+    def test_static_factor_error_falls_back_in_same_iteration(self, monkeypatch):
+        # iteration 1's band LU, the second after the start's, reports an
+        # exactly zero pivot (info > 0)
+        self._nth_singular(monkeypatch, DGBTRF, 2)
+        sites = _Sites(monkeypatch)
+        sol = solve_qp(_synth_week())
+        assert sol.status == OPTIMAL and sol.iterations == 8
         # partial pivoting follows the failed band factor within the same
         # iteration, and every later iteration factors the band again
-        assert sites.factors(exclude=POLISH) == [BAND, FALLBACK] + [BAND] * 8
+        assert sites.factors(exclude=POLISH) == [BAND, BAND, FALLBACK] + [BAND] * 6
 
     def test_singular_border_falls_back_in_same_iteration(self, monkeypatch):
         # the coupling rows' Schur complement reports an exactly zero pivot
-        # in the first iteration; that iteration refactors with partial pivoting
-        real, failed = qp.dgetrf, []
-
-        def first_schur_singular(*args, **kwargs):
-            lu, piv, info = real(*args, **kwargs)
-            if not failed:
-                failed.append(True)
-                return lu, piv, 1
-            return lu, piv, info
-
-        monkeypatch.setattr(qp, "dgetrf", first_schur_singular)
+        # in the first iteration (the start's is the first dgetrf); that
+        # iteration refactors with partial pivoting
+        self._nth_singular(monkeypatch, "dgetrf", 2)
         sites = _Sites(monkeypatch)
         sol = solve_qp(_synth_week())
-        assert sol.status == OPTIMAL and sol.iterations == 10
-        assert sites.factors(exclude=POLISH) == [BAND, FALLBACK] + [BAND] * 8
+        assert sol.status == OPTIMAL and sol.iterations == 8
+        assert sites.factors(exclude=POLISH) == [BAND, BAND, FALLBACK] + [BAND] * 6
 
     @pytest.mark.parametrize("error", [MemoryError])
     def test_polish_out_of_memory_falls_back_to_converged_iterate(self, monkeypatch, error):
@@ -638,7 +651,7 @@ class TestKktFactorization:
         sites = _Sites(monkeypatch)
         sol = solve_qp(_synth_week())
         assert failed == [True]
-        assert sol.status == OPTIMAL and sol.iterations == 10
+        assert sol.status == OPTIMAL and sol.iterations == 8
 
     @pytest.mark.parametrize("error", [MemoryError])
     def test_factor_out_of_memory_is_a_status(self, monkeypatch, error):
@@ -651,6 +664,28 @@ class TestKktFactorization:
         assert sol.status == ITERATION_LIMIT
         assert sol.message == "KKT factorization failed"
 
+    def test_factor_error_at_start_ends_as_in_iteration_one(self, monkeypatch):
+        # every factor failing stops the solve in its start; every factor
+        # after the start's failing stops it in iteration 1 (its band
+        # factor, then the fallback) and leaves the polish of the start
+        # point failing too: both end with the same status and message
+        real = qp.dgbtrf
+        ends = []
+        for n_ok in (0, 1):
+            calls = []
+
+            def fails_after(*args, **kwargs):
+                calls.append(True)
+                if len(calls) > n_ok:
+                    raise MemoryError("out of memory")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(qp, DGBTRF, fails_after)
+            sol = solve_qp(build(*hand_case())[1])
+            ends.append((sol.status, sol.message, sol.iterations))
+        assert ends == [(ITERATION_LIMIT, "KKT factorization failed", 0),
+                        (ITERATION_LIMIT, "KKT factorization failed", 1)]
+
     def test_no_solve_calls_superlu(self, monkeypatch):
         # SuperLU is gone from the solver: with it failing, a cold solve,
         # one that falls back to partial pivoting, an infeasible one and a
@@ -658,8 +693,8 @@ class TestKktFactorization:
         monkeypatch.setattr(qp, "splu", lambda *a, **k: pytest.fail("SuperLU called"))
         model, p = build(default_config(168), synth_data(SynthSpec(horizon=168)))
         base = solve_qp(p)
-        assert (base.status, base.iterations) == (OPTIMAL, 10)
-        for problem, status, iterations in ((build(*random_instance(324))[1], OPTIMAL, 9),
+        assert (base.status, base.iterations) == (OPTIMAL, 8)
+        for problem, status, iterations in ((build(*random_instance(222))[1], OPTIMAL, 7),
                                             (_infeasible_week(), INFEASIBLE, 11)):
             sol = solve_qp(problem)
             assert (sol.status, sol.iterations) == (status, iterations)
