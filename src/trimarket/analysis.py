@@ -39,7 +39,6 @@ from .model import (
     ValidationError,
     assemble_qp,
     validate_config,
-    variable_layout,
 )
 from .qp import OPTIMAL, SolverSettings, Solution, solve_qp
 
@@ -428,33 +427,18 @@ class AffineReport:
 
     ``fingerprints`` interns each grid point's active set to a small id;
     runs of equal ids are the segments, and inside each checked segment
-    the max second difference of the whole primal vector must vanish
-    (each designated series' own maximum is recorded beside it).
+    the max second difference of the whole primal vector must vanish.
     ``breakpoints`` are grid indices whose fingerprint differs from the
     previous point.
     """
 
     param: str
     grid: np.ndarray
-    roles: tuple[str, ...]
-    slices: dict[str, np.ndarray]
     multipliers: np.ndarray
     fingerprints: list[int]
     breakpoints: list[int]
     segments: list[dict]
     holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "param": self.param,
-            "grid": self.grid.tolist(),
-            "roles": list(self.roles),
-            "multipliers": self.multipliers.tolist(),
-            "fingerprints": self.fingerprints,
-            "breakpoints": self.breakpoints,
-            "segments": self.segments,
-            "holds": bool(self.holds),
-        }
 
     def to_report(self) -> PropertyReport:
         checked = [s for s in self.segments if s["checked"]]
@@ -530,9 +514,6 @@ def solve_grid(
     return [_solve_moved(m, settings) for m in moved]
 
 
-DESIGNATED_ROLES = {"alpha": ("g", "C"), "r": ("R", "p_c")}
-
-
 def affine_sensitivity(
     model: ValidatedModel,
     param: str,
@@ -543,8 +524,8 @@ def affine_sensitivity(
 
     Within each maximal run of identical active-set fingerprints (and a
     coupling multiplier above threshold throughout) the interior second
-    differences of the entire primal vector, and so of the designated
-    series it holds, must be zero to 1e-6 of the segment's value scale.
+    differences of the entire primal vector must be zero to 1e-6 of the
+    segment's value scale.
     Runs shorter than three points carry no interior point and are
     recorded unchecked.
     """
@@ -553,9 +534,8 @@ def affine_sensitivity(
         raise ValueError("grid must be one-dimensional with at least 3 points")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    if param not in DESIGNATED_ROLES:
+    if param not in ("alpha", "r"):
         raise ValueError(f"unknown parameter {param!r}; expected 'alpha' or 'r'")
-    roles = DESIGNATED_ROLES[param]
 
     xs, prints, mults = [], [], []
     intern: dict[bytes, int] = {}
@@ -571,8 +551,6 @@ def affine_sensitivity(
     mults = np.asarray(mults)
 
     breakpoints = [i for i in range(1, len(grid)) if prints[i] != prints[i - 1]]
-    layout = variable_layout(model.horizon)
-    slices = {role: np.stack([layout.gather(x, role) for x in xs]) for role in roles}
 
     segments = []
     holds = True
@@ -590,11 +568,7 @@ def affine_sensitivity(
             scale = 1.0 + float(np.max(np.abs(xs[start:stop])))
             d2_all = _max_second_diff(grid[start:stop], xs[start:stop])
             seg["max_second_diff_all"] = d2_all
-            seg["max_second_diff"] = {
-                role: _max_second_diff(grid[start:stop], slices[role][start:stop]) for role in roles
-            }
             seg["scale"] = scale
-            # a role's slice is a subset of x, so its maximum never exceeds d2_all
             bad = d2_all > 1e-6 * scale
             seg["holds"] = not bad
             holds = holds and not bad
@@ -604,8 +578,6 @@ def affine_sensitivity(
     return AffineReport(
         param=param,
         grid=grid,
-        roles=roles,
-        slices=slices,
         multipliers=mults,
         fingerprints=prints,
         breakpoints=breakpoints,

@@ -36,25 +36,26 @@ the next (storage and inventories carry over), so all of the system but
 the 0-2 coupling rows is a narrow band once put in a reverse Cuthill-McKee
 order (Cuthill & McKee 1969), computed once per solve from the fixed
 pattern.  The band takes LAPACK's banded LU (partial pivoting within the
-band) and the coupling rows, the border, their Schur complement.  Each
-solve recovers the eliminated variables and is refined against the full
-unregularized matrix; when the factorization fails, or the refinement
-cannot reach its tolerance with a finite step, the iteration factors the
-full system, nothing eliminated, as a band plus the same border and redoes
-the direction.  The polish factors its system the same way, bordered by
-its active coupling rows, and refines its solve with the same routine.
+band) and the coupling rows, the border, their Schur complement.  The
+shift makes the reduced matrix quasi-definite, so nonsingular, and this
+one factor is the only one an iteration makes.  Each solve recovers the
+eliminated variables and is refined against the full unregularized
+matrix; a solve whose refinement misses its tolerance is used as refined,
+and the ratio test and the finisher judge where it leads (Wright 1997,
+ch. 11).  The polish factors its system the same way, bordered by its
+active coupling rows, and refines its solve with the same routine.
 
 The iteration starts from least-squares points (Mehrotra, On the
 implementation of a primal-dual interior point method, SIAM J. Optim.
 1992; Vandenberghe, The CVXOPT linear and quadratic cone program solvers,
 2010).  The KKT matrix with every w / z at 1 is factored once, by the
-same band-or-fallback path as an iteration.  With Q the Hessian and c
-the linear term of the minimization, one solve gives the x minimizing
-x'Q x / 2 + |w|^2 / 2 subject to the equalities and g x + w = h; the
-other gives the y and z minimizing u'Q u / 2 + |z|^2 / 2 subject to
-stationarity, Q u + c - a'y + g'z = 0, at some u.  Each of w and z is
-then shifted by 1 plus its most negative entry, if it has one.  A
-factor error there ends the solve as one in an iteration does.
+same band factor as an iteration.  With Q the Hessian and c the linear
+term of the minimization, one solve gives the x minimizing x'Q x / 2 +
+|w|^2 / 2 subject to the equalities and g x + w = h; the other gives the
+y and z minimizing u'Q u / 2 + |z|^2 / 2 subject to stationarity,
+Q u + c - a'y + g'z = 0, at some u.  Each of w and z is then shifted by
+1 plus its most negative entry, if it has one.  A factor error there
+ends the solve as one in an iteration does.
 
 The interior-point iteration is followed by an active-set "polish": once the
 active set is identified, each active bound fixes its variable, and one
@@ -277,8 +278,6 @@ class _Presolved:
     pin_idx: np.ndarray        # pinned variable indices, aligned with rows m_orig..
     lo_idx: np.ndarray         # unpinned variables with finite lower bound
     up_idx: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
     g: sp.csr_matrix           # inequality block: lower bounds, upper bounds, coupling
     h: np.ndarray
     coup_rhs: np.ndarray       # right-hand sides of the kept coupling rows
@@ -341,8 +340,6 @@ def _presolve(p: QpProblem) -> _Presolved:
         pin_idx=pin_idx,
         lo_idx=lo_idx,
         up_idx=up_idx,
-        lb=lb,
-        ub=ub,
         g=sp.vstack([-_selector(lo_idx, n), _selector(up_idx, n), coup[keep_rows, :]]).tocsr(),
         h=np.concatenate([-lb[lo_idx], ub[up_idx], p.coup_rhs[keep_rows]]),
         coup_rhs=p.coup_rhs[keep_rows],
@@ -508,9 +505,9 @@ class _Kkt:
 
     B stacks a_ext and the kept coupling rows.  k_true is the unshifted
     matrix every direction is refined against, so barrier ill-conditioning
-    cannot leak into the equality rows, and k_reg the copy with the fixed
-    shift, which the partial-pivot fallback factors.  Both have an explicit
-    entry on every diagonal, and an iteration only writes the diagonal.
+    cannot leak into the equality rows; the factor is made with the fixed
+    shift on its diagonal.  k_true has an explicit entry on every
+    diagonal, and an iteration only writes the diagonal.
 
     The band factor eliminates every column with a bound row: its
     diagonal D_e carries a barrier term, so it is positive, and
@@ -518,14 +515,14 @@ class _Kkt:
 
         r = [[D_k, B_k'], [B_k, -(B_e D_e^-1 B_e' + E)]]
 
-    in the kept columns k and the rows of B, with E the dual side of
-    k_reg's diagonal.  The kept columns are the pinned variables and any
+    in the kept columns k and the rows of B, with E the dual side of the
+    shifted diagonal.  The kept columns are the pinned variables and any
     free one; their diagonal is little more than the _KKT_REG shift, and
     eliminating it would put 1 / _KKT_REG into r.  r's _layout (bandwidth 8
     on the synthetic model at every horizon) is made once, and r is never
     assembled: an iteration writes its store as the fixed sparse map
     `scatter` applied to 1 / D_e, plus B_k in `base` and the diagonal at
-    `r_diag`.  Both factors border the kept coupling rows.
+    `r_diag`.  The factor borders the kept coupling rows.
     """
 
     def __init__(self, pre: _Presolved):
@@ -535,8 +532,6 @@ class _Kkt:
         self.k_true = sp.bmat([[sp.identity(n), bm.T], [bm, sp.identity(mb)]], format="csc")
         cols = np.repeat(np.arange(self.k_true.shape[1]), np.diff(self.k_true.indptr))
         self.diag_pos = np.nonzero(self.k_true.indices == cols)[0]  # one entry per column
-        self.k_reg = sp.csc_matrix((self.k_true.data.copy(), self.k_true.indices,
-                                    self.k_true.indptr), shape=self.k_true.shape)
         self.shift = _KKT_REG * np.concatenate([np.ones(n), -np.ones(mb)])
 
         elim = np.zeros(n, dtype=bool)
@@ -544,13 +539,12 @@ class _Kkt:
         self.elim = np.nonzero(elim)[0]
         kept = np.nonzero(~elim)[0]
         self.n_k = len(kept)
-        self.r_rows = np.concatenate([kept, n + np.arange(mb)])  # k_reg's row behind each of r's
+        self.r_rows = np.concatenate([kept, n + np.arange(mb)])  # k_true's row behind each of r's
         self.b_e = bm[:, self.elim].tocsc()
         self.b_e_t = self.b_e.T
         self.n_c = len(pre.keep_rows)
         self._reduce(bm[:, kept].tocoo())
-        # k_reg's diagonal and 1 / D_e, from set_diagonal; k_reg's _layout, from the first fallback
-        self.reg = self.inv_d = self.full = None
+        self.reg = self.inv_d = None  # the shifted diagonal and 1 / D_e, from set_diagonal
 
     def _reduce(self, b_k: sp.coo_matrix) -> None:
         """Lay out r and map 1 / D_e, B_k and the diagonal into its store."""
@@ -581,26 +575,18 @@ class _Kkt:
     def set_diagonal(self, diag: np.ndarray) -> None:
         self.k_true.data[self.diag_pos] = diag
         self.reg = diag + self.shift
-        self.k_reg.data[self.diag_pos] = self.reg
         self.inv_d = 1.0 / self.reg[self.elim]
 
     def band_factor(self) -> "_Reduced":
-        """Factor r at the current diagonal; the factor solves systems in k_reg."""
+        """Factor r at the current diagonal; the factor solves systems in the shifted k_true."""
         store = self.scatter @ self.inv_d
         store += self.base
         store[self.r_diag] += self.reg[self.r_rows]
         return _Reduced(self, _BandLu(*self.lay, store))
 
-    def fallback_factor(self) -> _BandLu:
-        """Factor k_reg itself, nothing eliminated, its kept coupling rows bordered."""
-        if self.full is None:  # the pattern is fixed: one layout per solve
-            self.full = _layout(self.k_reg, self.n_c)
-        lay, size, dest = self.full
-        return _BandLu(*lay, np.bincount(dest, self.k_reg.data, size))
-
 
 class _Reduced:
-    """A factor of _Kkt's r that solves systems in k_reg: the eliminated columns go around it."""
+    """A factor of _Kkt's r solving the shifted k_true: the eliminated columns go around it."""
 
     def __init__(self, kkt: _Kkt, band: _BandLu):
         self.kkt, self.band, self.inv_d = kkt, band, kkt.inv_d  # 1 / D_e when r was factored
@@ -636,34 +622,13 @@ def _refined_solve(lu, k_mat: sp.csc_matrix, vec: np.ndarray, tol: float, step=N
     return step, float(np.max(np.abs(vec - k_mat @ step), initial=0.0))
 
 
-class _KktSolver:
-    """Solves with a _Kkt at its current diagonal, refined against k_true.
+def _kkt_solve(lu: _Reduced, vec: np.ndarray) -> np.ndarray:
+    """Solve k_true z = vec with the band factor lu, refined against k_true.
 
-    The band factor comes first.  When it raises, or a solve cannot reach
-    the refinement tolerance with a finite step (the barrier diagonal can
-    span tens of orders of magnitude), k_reg is refactored in full with
-    partial pivoting for every later solve at this diagonal and the solve
-    redone.
-    A fallback factor that raises propagates to the caller.
+    A step whose refinement misses the tolerance is returned as refined.
     """
-
-    def __init__(self, kkt: _Kkt):
-        self.kkt, self.reduced, self.lu = kkt, True, None
-        try:
-            self.lu = kkt.band_factor()
-        except _FACTOR_ERRORS:
-            pass  # the first solve refactors in full
-
-    def solve(self, vec: np.ndarray) -> np.ndarray:
-        tol = 1e-11 * (1.0 + float(np.max(np.abs(vec), initial=0.0)))
-        err = np.inf
-        if self.lu is not None:
-            step, err = _refined_solve(self.lu, self.kkt.k_true, vec, tol)
-        if self.reduced and not err <= tol:
-            self.reduced = False
-            self.lu = self.kkt.fallback_factor()
-            step, _ = _refined_solve(self.lu, self.kkt.k_true, vec, tol)
-        return step
+    tol = 1e-11 * (1.0 + float(np.max(np.abs(vec), initial=0.0)))
+    return _refined_solve(lu, lu.kkt.k_true, vec, tol)[0]
 
 
 def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
@@ -710,8 +675,8 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
     Returns (point, w, iterations, converged, message) for _finish, or a
     Solution when there is nothing to finish: the start's factor failed,
     the stall probe found the problem infeasible, or no iterate was
-    finite.  Every array of the iteration, the KKT matrices and their
-    factor among them, is freed on return, before the polish makes its own
+    finite.  Every array of the iteration, the KKT matrix and its factor
+    among them, is freed on return, before the polish makes its own
     factor, and the best-merit iterate is kept in buffers allocated once:
     with nothing the iteration made late left alive, the allocator can
     hand the memory back before the polish (at T=8760 the peak resident
@@ -737,12 +702,11 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
     kkt.set_diagonal(np.concatenate([q + np.bincount(bound_var, minlength=n), np.zeros(m),
                                      -np.ones(m_comp - n_b)]))
     try:
-        solver = _KktSolver(kkt)
-        x = solver.solve(np.concatenate([gb_t @ h[:n_b], b, h[n_b:]]))[:n]
-        dual = solver.solve(np.concatenate([-c, np.zeros(m + m_comp - n_b)]))
+        lu = kkt.band_factor()
+        x = _kkt_solve(lu, np.concatenate([gb_t @ h[:n_b], b, h[n_b:]]))[:n]
+        dual = _kkt_solve(lu, np.concatenate([-c, np.zeros(m + m_comp - n_b)]))
     except _FACTOR_ERRORS:
         return _unsolved(p, 0, "KKT factorization failed")
-    del solver  # its factor is freed before iteration 1 makes one
     y = -dual[n : n + m]
     w, z = h - g @ x, np.concatenate([gb_t.T @ dual[:n], dual[n + m :]])
     for v in (w, z):
@@ -818,15 +782,13 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
         z_c = np.maximum(z[n_b:], 1e-280)
         d1 = q + np.bincount(bound_var, z[:n_b] / w_b, minlength=n)
         kkt.set_diagonal(np.concatenate([d1, np.zeros(m), -(w[n_b:] / z_c)]))
-        solver = None  # the last factor is freed before the next is made
-        solver = _KktSolver(kkt)
+        lu = None  # the last factor is freed before the next is made
 
         def solve_direction(rc):
             # Newton direction whose linearized complementarity change
-            # z*dw + w*dz equals rc; a fallback factor that raises too
-            # stops the loop below
+            # z*dw + w*dz equals rc
             rhs_x = -rd - gb_t @ ((rc[:n_b] + z[:n_b] * rp_in[:n_b]) / w_b)
-            step = solver.solve(np.concatenate([rhs_x, -rp_eq, -rp_in[n_b:] - rc[n_b:] / z_c]))
+            step = _kkt_solve(lu, np.concatenate([rhs_x, -rp_eq, -rp_in[n_b:] - rc[n_b:] / z_c]))
             dx = step[:n]
             dw = -(g @ dx) - rp_in
             dz = np.concatenate([(rc[:n_b] - z[:n_b] * dw[:n_b]) / w_b, step[n + m :]])
@@ -862,7 +824,8 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
                     direction, ap, ad, mu_next = centered, ap2, ad2, mu_next2
             return direction, ap, ad
 
-        try:
+        try:  # a solve, not only the factor, can run out of memory
+            lu = kkt.band_factor()
             direction, ap, ad = newton_step()
         except _FACTOR_ERRORS:
             message = "KKT factorization failed"

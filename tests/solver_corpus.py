@@ -8,14 +8,13 @@ import path (set ``PYTHONPATH`` to pick a checkout) and writes, per solve,
 the status, iteration count, message, objective and primal vector, the
 primal residual (``residuals.primal_inf``) of an optimal answer, and how
 many ``qp.linprog`` probes it ran.  Per factor site (the interior point's
-band factor ``ipm``, its partial-pivot ``fallback`` and the ``polish``,
-told apart by the ``_Kkt.band_factor``, ``_Kkt.fallback_factor`` or
-``_polish`` call each ``qp.dgbtrf`` call runs in) it records the band
-factors made, the largest band dimension (a factored matrix's rows less
-its bordered coupling rows) and bandwidth among them (0 when none), the
-total band dimension, and the stored band entries, (3 bw + 1) times the
-dimension, summed over the factors.  The
-corpus is ``random_instance`` seeds 0-599 x {default, ``r_min=0.95``} x
+band factor ``ipm`` and the ``polish``, told apart by the
+``_Kkt.band_factor`` or ``_polish`` call each ``qp.dgbtrf`` call runs in)
+it records the band factors made, the largest band dimension (a factored
+matrix's rows less its bordered coupling rows) and bandwidth among them
+(0 when none), the total band dimension, and the stored band entries,
+(3 bw + 1) times the dimension, summed over the factors.  The corpus is
+``random_instance`` seeds 0-599 x {default, ``r_min=0.95``} x
 ``max_iter`` {200, 8}, plus 26 synth-data solves at T=168-672: default,
 uncapped, r = 0.995, an unmeetable REC floor, and two with lossy storage.
 For each synth case with an optimal answer it also solves the neighbours
@@ -32,9 +31,12 @@ status, for all solves and for the lossless-storage ones (eta_c = eta_d =
 for each tree, the iteration and probe totals by status and the total
 factorizations; per site, the band factors with the largest and total
 band dimension, the largest bandwidth and the stored entries; and the
-largest primal residual of an optimal answer.  Then the number of solves
-whose iteration count changed, by status; per status, a histogram of the
-change (B - A); and each solve that changed status or whose count rose.
+largest primal residual of an optimal answer.  The sites include
+``fallback``, which dumps of trees that still had the interior point's
+partial-pivot fallback on the full KKT matrix record; a dump without it
+reads 0 there.  Then the number of solves whose iteration count changed,
+by status; per status, a histogram of the change (B - A); and each solve
+that changed status or whose count rose.
 Then both trees' totals of fallback plus polish factorizations, and each
 solve whose count changed.  Last, per tree, how many neighbour solves were
 answered warm and the largest warm-minus-cold objective gap among those.
@@ -78,8 +80,11 @@ def _synth_cases():
     return cases
 
 
-SITES = {"band_factor": "ipm", "fallback_factor": "fallback", "_polish": "polish"}
+SITES = {"band_factor": "ipm", "_polish": "polish"}
 BAND_KEYS = ("factors", "dim", "bw", "total_dim", "stored")
+NO_BAND = dict.fromkeys(BAND_KEYS, 0)
+# the sites compare prints: older dumps also hold the partial-pivot "fallback"
+COMPARED_SITES = ("ipm", "fallback", "polish")
 
 
 def _record(cfg, problem, settings, band, probes):
@@ -96,7 +101,7 @@ def _record(cfg, problem, settings, band, probes):
         "x": sol.x.tolist(),
         "lossless": cfg.ess.eta_c == 1.0 and cfg.ess.eta_d == 1.0,
         "primal_inf": sol.residuals.primal_inf if sol.status == "optimal" else None,
-        "band": {site: band.get(site, dict.fromkeys(BAND_KEYS, 0)) for site in SITES.values()},
+        "band": {site: band.get(site, NO_BAND) for site in SITES.values()},
         "linprog": probes.get("linprog", 0),
     }
 
@@ -132,8 +137,8 @@ def _count_calls(qp, name) -> dict:
 def _count_band(qp) -> dict:
     """Wrap qp.dgbtrf: count its calls per factor site, with their dimensions and stores.
 
-    The site is the innermost of _Kkt.band_factor, _Kkt.fallback_factor
-    and _polish running at the call.
+    The site is the innermost of _Kkt.band_factor and _polish running at
+    the call.
     """
     band, stack, real = {}, [], qp.dgbtrf
 
@@ -155,7 +160,7 @@ def _count_band(qp) -> dict:
         site["stored"] += ab.size
         return real(ab, kl, ku, **kwargs)
 
-    for owner, name in ((qp._Kkt, "band_factor"), (qp._Kkt, "fallback_factor"), (qp, "_polish")):
+    for owner, name in ((qp._Kkt, "band_factor"), (qp, "_polish")):
         setattr(owner, name, entered(name, getattr(owner, name)))
     qp.dgbtrf = counted
     return band
@@ -199,7 +204,7 @@ def _factors(r: dict) -> int:
 
 
 def _fallback_and_polish(r: dict) -> int:
-    return r["band"]["fallback"]["factors"] + r["band"]["polish"]["factors"]
+    return r["band"].get("fallback", NO_BAND)["factors"] + r["band"]["polish"]["factors"]
 
 
 def compare(path_a: str, path_b: str) -> None:
@@ -235,8 +240,8 @@ def compare(path_a: str, path_b: str) -> None:
         totals = "; ".join(f"{st} {it} iterations, {pr} probes"
                            for st, (it, pr) in sorted(by_status.items()))
         print(f"{label}: {totals}; {sum(_factors(r) for r in d.values())} factorizations")
-        for site in SITES.values():
-            bands = [r["band"][site] for r in d.values()]
+        for site in COMPARED_SITES:
+            bands = [r["band"].get(site, NO_BAND) for r in d.values()]
             print(f"{label} {site}: {sum(b['factors'] for b in bands)} band factors; "
                   f"dimension largest {max(b['dim'] for b in bands)}, total "
                   f"{sum(b['total_dim'] for b in bands)}; largest bandwidth "

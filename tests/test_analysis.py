@@ -5,7 +5,6 @@ import pytest
 
 import trimarket.analysis
 from trimarket.analysis import (
-    DESIGNATED_ROLES,
     MULT_EPS,
     PropertyReport,
     affine_sensitivity,
@@ -238,9 +237,6 @@ def _jittered_model(cfg, T=168):
 
 
 class TestAffineSensitivity:
-    def test_designated_roles_registry(self):
-        assert DESIGNATED_ROLES == {"alpha": ("g", "C"), "r": ("R", "p_c")}
-
     def test_affine_in_quota_strictness(self, uncapped_cfg):
         model = _jittered_model(uncapped_cfg)
         rep = affine_sensitivity(model, "alpha", np.array([0.18, 0.20, 0.22]))

@@ -268,6 +268,16 @@ class TestInfeasibility:
         assert sol.status == INFEASIBLE
         assert "quota" in sol.message
 
+    def test_floor_and_quota_jointly_infeasible(self):
+        # full retirement and a zero quota with no inventories and every
+        # market capped at 0: dropping either coupling row still leaves the
+        # other unmeetable, and only dropping both restores feasibility
+        cfg = default_config(24).with_inventories(rec=False, cer=False)
+        cfg = cfg.with_caps(g_cap=0.0, r_cap=0.0, c_cap=0.0).with_policy(r=1.0, alpha=0.0)
+        _, p, sol = solve(cfg, synth_data(SynthSpec(seed=7, horizon=24)))
+        assert (sol.status, sol.iterations) == (INFEASIBLE, 12)
+        assert sol.message == "infeasible: retirement floor and quota ceiling jointly conflict"
+
     def test_infeasible_solve_probes_full_problem_once(self, monkeypatch):
         coupling_rows = []
         real = qp.linprog
@@ -338,25 +348,24 @@ class TestInfeasibility:
         assert diagnose_infeasibility(p) == "problem is feasible"
 
 
-# the three factor sites, by the method that makes each factor: the
-# interior point's band factor of the reduced system, its partial-pivot
-# fallback on the full matrix, and the active-set polish
-BAND, FALLBACK, POLISH = "band_factor", "fallback_factor", "_polish"
+# the two factor sites, by the method that makes each factor: the
+# interior point's band factor of the reduced system and the active-set
+# polish
+BAND, POLISH = "band_factor", "_polish"
 DGBTRF, RCM = "dgbtrf", "reverse_cuthill_mckee"
 
 
 class _Sites:
     """Record each call of qp.dgbtrf (one per factor) and of module.<attr> with its site.
 
-    The site of a call is the innermost of _Kkt.band_factor,
-    _Kkt.fallback_factor and qp._polish running when it is made, or None
-    outside them.  `calls` holds one (site, attr) per call; clearing it
-    starts a new solve.
+    The site of a call is the innermost of _Kkt.band_factor and qp._polish
+    running when it is made, or None outside them.  `calls` holds one
+    (site, attr) per call; clearing it starts a new solve.
     """
 
     def __init__(self, monkeypatch, *attrs, module=qp):
         self.calls, self.stack = [], []
-        for owner, name in ((qp._Kkt, BAND), (qp._Kkt, FALLBACK), (qp, POLISH)):
+        for owner, name in ((qp._Kkt, BAND), (qp, POLISH)):
             monkeypatch.setattr(owner, name, self._entered(name, getattr(owner, name)))
         for owner, attr in [(qp, DGBTRF)] + [(module, attr) for attr in attrs]:
             monkeypatch.setattr(owner, attr, self._recorded(attr, getattr(owner, attr)))
@@ -404,18 +413,29 @@ class TestKktFactorization:
         sol = solve_qp(_synth_week())
         assert sol.status == OPTIMAL and sol.iterations == 8
         # one band factor for the start and one per iteration that takes
-        # a step, none falls back, then the polish's one factor
+        # a step, then the polish's one factor
         assert sites.factors() == [BAND] * 8 + [POLISH]
 
-    def test_partial_pivot_fallback_keeps_solve_optimal(self, monkeypatch):
-        # the barrier diagonal spans so many orders of magnitude that the
-        # band factor cannot refine one direction to tolerance; the
-        # partial-pivot refactor follows in the same (last) iteration
+    def test_refinement_miss_keeps_solve_optimal(self, monkeypatch):
+        # the barrier diagonal spans so many orders of magnitude that three
+        # directions miss the refinement tolerance, by 1e66 and more; each
+        # is used as refined, the ratio test takes what it can, and the
+        # finisher verifies the answer as any other
+        misses, real = [], qp._refined_solve
+
+        def recorded(lu, k_mat, vec, tol, step=None):
+            out = real(lu, k_mat, vec, tol, step)
+            if sites.site != POLISH and not out[1] <= tol:
+                misses.append(out[1] / tol)
+            return out
+
+        monkeypatch.setattr(qp, "_refined_solve", recorded)
         sites = _Sites(monkeypatch)
         _, p = build(*random_instance(222))
         sol = solve_qp(p)
-        assert sol.status == OPTIMAL and sol.iterations == 7
-        assert sites.factors() == [BAND] * 7 + [FALLBACK, POLISH]
+        assert sol.status == OPTIMAL and sol.iterations == 8
+        assert len(misses) == 3 and min(misses) > 1e60
+        assert sites.factors() == [BAND] * 8 + [POLISH]
 
     def test_kkt_pattern_built_once_per_solve(self, monkeypatch):
         sites = _Sites(monkeypatch, "bmat", module=qp.sp)
@@ -474,14 +494,13 @@ class TestKktFactorization:
     def test_reordered_factor_solves_like_a_fresh_ordering(self, monkeypatch):
         # replay every diagonal of a real solve, the start's first: the
         # band factor of the reduced matrix, in the order computed once per
-        # solve, solves the full k_reg as a fresh SuperLU factor of k_reg
-        # does.  The infeasible week keeps its pinned columns in the
-        # reduced matrix.  Where the fresh factor and the partial-pivot
-        # fallback, two factors made independently, disagree beyond 1e-12,
-        # neither is a reference (the barrier diagonal spans 21 to 31
-        # orders of magnitude there, and they differ by up to 2.4e-9), so
-        # only the other diagonals compare; they include every one whose
-        # solve fell back.
+        # solve, solves the full shifted matrix as a fresh SuperLU factor
+        # of it does.  The infeasible week keeps its pinned columns in the
+        # reduced matrix.  Where the fresh symmetric-mode factor and a
+        # COLAMD partial-pivot one, two factors made independently,
+        # disagree beyond 1e-12, neither is a reference (the barrier
+        # diagonal spans tens of orders of magnitude there), so only the
+        # other diagonals compare.
         diagonals, real = [], qp._Kkt.set_diagonal
 
         def recorded(kkt, diag):
@@ -489,28 +508,23 @@ class TestKktFactorization:
             real(kkt, diag)
 
         monkeypatch.setattr(qp._Kkt, "set_diagonal", recorded)
-        sites = _Sites(monkeypatch)
-        for problem, n_diag, n_kept, partial, unmatched in (
-                (_synth_week(), 8, 0, set(), set()),
-                (_infeasible_week(), 11, 504, {9}, {9, 10, 11})):
+        for problem, n_diag, n_kept, unmatched in ((_synth_week(), 8, 0, set()),
+                                                   (_infeasible_week(), 11, 504, {9, 10, 11})):
             diagonals.clear()
-            sites.calls.clear()
             solve_qp(problem)
-            ipm = sites.factors(exclude=POLISH)
-            # the diagonal of each fallback: the band factors before it
-            fell_back = {ipm[:i].count(BAND) for i, site in enumerate(ipm) if site == FALLBACK}
-            assert len(diagonals) == n_diag and fell_back == partial
+            assert len(diagonals) == n_diag
             kkt = diagonals[0][0]
-            assert kkt.n_k == n_kept and len(kkt.r_rows) < kkt.k_reg.shape[0]
-            rhs = np.random.default_rng(0).standard_normal(kkt.k_reg.shape[0])
+            assert kkt.n_k == n_kept and len(kkt.r_rows) < kkt.k_true.shape[0]
+            rhs = np.random.default_rng(0).standard_normal(kkt.k_true.shape[0])
             no_reference = set()
             for k, (_, diag) in enumerate(diagonals, start=1):
                 real(kkt, diag)
                 reduced = kkt.band_factor()
-                want = splu(kkt.k_reg, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                shifted = (kkt.k_true + sp.diags(kkt.shift)).tocsc()
+                want = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                             options=dict(SymmetricMode=True)).solve(rhs)
                 tol = 1e-12 * np.max(np.abs(want))
-                if np.max(np.abs(kkt.fallback_factor().solve(rhs) - want)) > tol:
+                if np.max(np.abs(splu(shifted, permc_spec="COLAMD").solve(rhs) - want)) > tol:
                     no_reference.add(k)
                 else:
                     assert np.max(np.abs(reduced.solve(rhs) - want)) <= tol
@@ -540,16 +554,15 @@ class TestKktFactorization:
         assert dim == 4034 and set(shapes) == {((3 * 8 + 1, band), 8, 8)} and len(shapes) == 10
 
     def test_infeasible_week_keeps_its_factor_counts(self, monkeypatch):
-        # the pinned columns stay in the reduced matrix: eliminating them
-        # puts 1 / _KKT_REG into it, and the refinement then misses its
-        # tolerance in more iterations, each one more partial-pivot factor
+        # the pinned columns stay in the reduced matrix (eliminating them
+        # puts 1 / _KKT_REG into it): the start and each of the 10
+        # iterations that take a step make one band factor, all in the
+        # one order made from the fixed pattern, and no polish runs
         sites = _Sites(monkeypatch, RCM)
         sol = solve_qp(_infeasible_week())
         assert sol.status == INFEASIBLE and sol.iterations == 11
-        factors = sites.factors()
-        assert len(factors) == 12 and factors.count(FALLBACK) == 1
-        # the fallback's order is made once, at its first factor
-        assert [site for site, attr in sites.calls if attr == RCM] == [None, FALLBACK]
+        assert sites.factors() == [BAND] * 11
+        assert [site for site, attr in sites.calls if attr == RCM] == [None]
 
     def test_polish_rejects_non_finite_solve(self, monkeypatch):
         # every polish factor solves to NaN; the finisher rejects that
@@ -592,49 +605,6 @@ class TestKktFactorization:
         assert solve_qp(p).status == OPTIMAL
         assert stored and max(stored) < 300_000
 
-    @staticmethod
-    def _nth_singular(monkeypatch, attr, n):
-        """Make the n-th call of qp.<attr> (dgbtrf or dgetrf) report an exactly zero pivot."""
-        real, calls = getattr(qp, attr), []
-
-        def nth_singular(*args, **kwargs):
-            lu, piv, info = real(*args, **kwargs)
-            calls.append(True)
-            return (lu, piv, 1) if len(calls) == n else (lu, piv, info)
-
-        monkeypatch.setattr(qp, attr, nth_singular)
-
-    def test_start_factor_error_falls_back_in_the_start(self, monkeypatch):
-        # the start's band LU reports an exactly zero pivot (info > 0):
-        # its two solves take the partial-pivot factor, and iteration 1
-        # factors the band again
-        self._nth_singular(monkeypatch, DGBTRF, 1)
-        sites = _Sites(monkeypatch)
-        sol = solve_qp(_synth_week())
-        assert sol.status == OPTIMAL and sol.iterations == 8
-        assert sites.factors(exclude=POLISH) == [BAND, FALLBACK] + [BAND] * 7
-
-    def test_static_factor_error_falls_back_in_same_iteration(self, monkeypatch):
-        # iteration 1's band LU, the second after the start's, reports an
-        # exactly zero pivot (info > 0)
-        self._nth_singular(monkeypatch, DGBTRF, 2)
-        sites = _Sites(monkeypatch)
-        sol = solve_qp(_synth_week())
-        assert sol.status == OPTIMAL and sol.iterations == 8
-        # partial pivoting follows the failed band factor within the same
-        # iteration, and every later iteration factors the band again
-        assert sites.factors(exclude=POLISH) == [BAND, BAND, FALLBACK] + [BAND] * 6
-
-    def test_singular_border_falls_back_in_same_iteration(self, monkeypatch):
-        # the coupling rows' Schur complement reports an exactly zero pivot
-        # in the first iteration (the start's is the first dgetrf); that
-        # iteration refactors with partial pivoting
-        self._nth_singular(monkeypatch, "dgetrf", 2)
-        sites = _Sites(monkeypatch)
-        sol = solve_qp(_synth_week())
-        assert sol.status == OPTIMAL and sol.iterations == 8
-        assert sites.factors(exclude=POLISH) == [BAND, BAND, FALLBACK] + [BAND] * 6
-
     @pytest.mark.parametrize("error", [MemoryError])
     def test_polish_out_of_memory_falls_back_to_converged_iterate(self, monkeypatch, error):
         # a store too large for the memory raises MemoryError; the polish
@@ -665,36 +635,45 @@ class TestKktFactorization:
         assert sol.message == "KKT factorization failed"
 
     def test_factor_error_at_start_ends_as_in_iteration_one(self, monkeypatch):
-        # every factor failing stops the solve in its start; every factor
-        # after the start's failing stops it in iteration 1 (its band
-        # factor, then the fallback) and leaves the polish of the start
-        # point failing too: both end with the same status and message
-        real = qp.dgbtrf
-        ends = []
-        for n_ok in (0, 1):
-            calls = []
+        # a factor error in the start stops the solve there, and one in
+        # iteration 1's band factor stops it in that iteration; the polish
+        # of the start point does not meet the tolerances, so both end with
+        # the same status and message.  The error is a MemoryError from
+        # every dgbtrf call from the n-th on (the polish's too), or an
+        # exactly zero pivot (info > 0) in the n-th call alone of the
+        # band's dgbtrf or of the border Schur complement's dgetrf; the
+        # start makes the first call of each
+        p = _synth_week()
+        reals = {attr: getattr(qp, attr) for attr in (DGBTRF, "dgetrf")}
+        for attr, error, n in ((DGBTRF, MemoryError, 1), (DGBTRF, MemoryError, 2),
+                               (DGBTRF, None, 1), (DGBTRF, None, 2),
+                               ("dgetrf", None, 1), ("dgetrf", None, 2)):
+            calls, real = [], reals[attr]
 
-            def fails_after(*args, **kwargs):
+            def injected(*args, **kwargs):
                 calls.append(True)
-                if len(calls) > n_ok:
-                    raise MemoryError("out of memory")
-                return real(*args, **kwargs)
+                if error is not None:
+                    if len(calls) >= n:
+                        raise error("out of memory")
+                    return real(*args, **kwargs)
+                lu, piv, info = real(*args, **kwargs)
+                return (lu, piv, 1) if len(calls) == n else (lu, piv, info)
 
-            monkeypatch.setattr(qp, DGBTRF, fails_after)
-            sol = solve_qp(build(*hand_case())[1])
-            ends.append((sol.status, sol.message, sol.iterations))
-        assert ends == [(ITERATION_LIMIT, "KKT factorization failed", 0),
-                        (ITERATION_LIMIT, "KKT factorization failed", 1)]
+            for name, fn in reals.items():
+                monkeypatch.setattr(qp, name, injected if name == attr else fn)
+            sol = solve_qp(p)
+            assert (sol.status, sol.message, sol.iterations) == (
+                ITERATION_LIMIT, "KKT factorization failed", n - 1), (attr, error, n)
 
     def test_no_solve_calls_superlu(self, monkeypatch):
         # SuperLU is gone from the solver: with it failing, a cold solve,
-        # one that falls back to partial pivoting, an infeasible one and a
-        # warm neighbour all end as before
+        # one whose refinement misses its tolerance, an infeasible one and
+        # a warm neighbour all end as before
         monkeypatch.setattr(qp, "splu", lambda *a, **k: pytest.fail("SuperLU called"))
         model, p = build(default_config(168), synth_data(SynthSpec(horizon=168)))
         base = solve_qp(p)
         assert (base.status, base.iterations) == (OPTIMAL, 8)
-        for problem, status, iterations in ((build(*random_instance(222))[1], OPTIMAL, 7),
+        for problem, status, iterations in ((build(*random_instance(222))[1], OPTIMAL, 8),
                                             (_infeasible_week(), INFEASIBLE, 11)):
             sol = solve_qp(problem)
             assert (sol.status, sol.iterations) == (status, iterations)
