@@ -634,36 +634,73 @@ class TestKktFactorization:
         assert sol.status == ITERATION_LIMIT
         assert sol.message == "KKT factorization failed"
 
+    @staticmethod
+    def _nth_singular(monkeypatch, attr, n):
+        """Make the n-th call of qp.<attr> (dgbtrf or dgetrf) report an exactly zero pivot."""
+        real, calls = getattr(qp, attr), []
+
+        def nth_singular(*args, **kwargs):
+            lu, piv, info = real(*args, **kwargs)
+            calls.append(True)
+            return (lu, piv, 1) if len(calls) == n else (lu, piv, info)
+
+        monkeypatch.setattr(qp, attr, nth_singular)
+
+    def test_start_factor_error_falls_back_in_the_start(self, monkeypatch):
+        # the start's band LU, the first, reports an exactly zero pivot
+        # (info > 0): the solve falls back to its unsolved report in the
+        # start, after that one factor and with no other
+        self._nth_singular(monkeypatch, DGBTRF, 1)
+        sites = _Sites(monkeypatch)
+        sol = solve_qp(_synth_week())
+        assert (sol.status, sol.message, sol.iterations) == (
+            ITERATION_LIMIT, "KKT factorization failed", 0)
+        assert sites.factors(exclude=POLISH) == [BAND]
+
+    def test_static_factor_error_falls_back_in_same_iteration(self, monkeypatch):
+        # iteration 1's band LU, the second after the start's, reports an
+        # exactly zero pivot: the solve falls back to its unsolved report in
+        # that iteration, and no band factor follows
+        self._nth_singular(monkeypatch, DGBTRF, 2)
+        sites = _Sites(monkeypatch)
+        sol = solve_qp(_synth_week())
+        assert (sol.status, sol.message, sol.iterations) == (
+            ITERATION_LIMIT, "KKT factorization failed", 1)
+        assert sites.factors(exclude=POLISH) == [BAND, BAND]
+
+    def test_singular_border_falls_back_in_same_iteration(self, monkeypatch):
+        # the coupling rows' Schur complement reports an exactly zero pivot
+        # in the start (the first dgetrf) or in iteration 1 (the second):
+        # the solve falls back to its unsolved report where it happens
+        for n in (1, 2):
+            with monkeypatch.context() as patched:
+                self._nth_singular(patched, "dgetrf", n)
+                sites = _Sites(patched)
+                sol = solve_qp(_synth_week())
+            assert (sol.status, sol.message, sol.iterations) == (
+                ITERATION_LIMIT, "KKT factorization failed", n - 1)
+            assert sites.factors(exclude=POLISH) == [BAND] * n
+
     def test_factor_error_at_start_ends_as_in_iteration_one(self, monkeypatch):
-        # a factor error in the start stops the solve there, and one in
-        # iteration 1's band factor stops it in that iteration; the polish
-        # of the start point does not meet the tolerances, so both end with
-        # the same status and message.  The error is a MemoryError from
-        # every dgbtrf call from the n-th on (the polish's too), or an
-        # exactly zero pivot (info > 0) in the n-th call alone of the
-        # band's dgbtrf or of the border Schur complement's dgetrf; the
-        # start makes the first call of each
-        p = _synth_week()
-        reals = {attr: getattr(qp, attr) for attr in (DGBTRF, "dgetrf")}
-        for attr, error, n in ((DGBTRF, MemoryError, 1), (DGBTRF, MemoryError, 2),
-                               (DGBTRF, None, 1), (DGBTRF, None, 2),
-                               ("dgetrf", None, 1), ("dgetrf", None, 2)):
-            calls, real = [], reals[attr]
+        # a MemoryError from every dgbtrf call from the n-th on (the
+        # polish's too) stops the solve in the start (n = 1) or in
+        # iteration 1's band factor (n = 2); the polish of the start point
+        # does not meet the tolerances, so both end with the same status
+        # and message.  Zero pivots are the tests above.
+        p, real = _synth_week(), qp.dgbtrf
+        for n in (1, 2):
+            calls = []
 
-            def injected(*args, **kwargs):
+            def fails_from(*args, **kwargs):
                 calls.append(True)
-                if error is not None:
-                    if len(calls) >= n:
-                        raise error("out of memory")
-                    return real(*args, **kwargs)
-                lu, piv, info = real(*args, **kwargs)
-                return (lu, piv, 1) if len(calls) == n else (lu, piv, info)
+                if len(calls) >= n:
+                    raise MemoryError("out of memory")
+                return real(*args, **kwargs)
 
-            for name, fn in reals.items():
-                monkeypatch.setattr(qp, name, injected if name == attr else fn)
+            monkeypatch.setattr(qp, DGBTRF, fails_from)
             sol = solve_qp(p)
             assert (sol.status, sol.message, sol.iterations) == (
-                ITERATION_LIMIT, "KKT factorization failed", n - 1), (attr, error, n)
+                ITERATION_LIMIT, "KKT factorization failed", n - 1), n
 
     def test_no_solve_calls_superlu(self, monkeypatch):
         # SuperLU is gone from the solver: with it failing, a cold solve,
