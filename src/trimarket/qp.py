@@ -61,14 +61,18 @@ The interior-point iteration is followed by an active-set "polish": once the
 active set is identified, each active bound fixes its variable, and one
 sparse quasi-definite solve in the free variables plus iterative refinement
 produces primal/dual values accurate to near machine precision, which
-downstream sensitivity checks rely on.  Every solve that gets past presolve
-and is not answered by its start (below) leaves through one finisher: it
-polishes the last iterate (or, when the iteration stopped short, the best
-one), falls back to the iterate itself, if it converged, whenever the
-polished point fails, and returns "optimal" only when the candidate passes
-kkt_residuals at the solver tolerances, the one test every optimal answer
-passes.  Anything else is settled by an LP feasibility probe as
-"infeasible" or "iteration_limit".
+downstream sensitivity checks rely on.  Its system is written entry by
+entry from the CSR arrays of the presolved blocks, which presolve writes
+from index arrays, so building it stays a cheap symbolic step before the
+numeric factor (Davis, Direct Methods for Sparse Linear Systems, 2006).
+Every solve that gets past presolve and is not answered by its start
+(below) leaves through one finisher: it polishes the last iterate (or,
+when the iteration stopped short, the best one), falls back to the
+iterate itself, if it converged, whenever the polished point fails, and
+returns "optimal" only when the candidate passes kkt_residuals at the
+solver tolerances, the one test every optimal answer passes.  Anything
+else is settled by an LP feasibility probe as "infeasible" or
+"iteration_limit".
 
 A solve may be given the optimal solution of a neighbouring problem as a
 start.  Its active set, predicted by the finisher's rule, is polished on
@@ -251,9 +255,10 @@ class _InfeasibleProblem(Exception):
     pass
 
 
-def _selector(idx: np.ndarray, n: int) -> sp.csr_matrix:
-    """Rows of the n x n identity picked by idx: one row per variable."""
-    return sp.csr_matrix((np.ones(len(idx)), (np.arange(len(idx)), idx)), shape=(len(idx), n))
+def _csr(data: np.ndarray, cols: np.ndarray, counts: np.ndarray, n: int) -> sp.csr_matrix:
+    """The CSR matrix with n columns whose row i holds the next counts[i] entries of data, cols."""
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return sp.csr_matrix((data, cols, indptr), shape=(len(counts), n))
 
 
 @dataclass
@@ -267,7 +272,10 @@ class _Presolved:
     block g x <= h, read by the solver as g x + w = h with one slack w >= 0
     and one multiplier z >= 0 per row: first -x_j <= -lb_j for each
     variable in lo_idx, then x_j <= ub_j for each in up_idx, then the kept
-    coupling rows.
+    coupling rows.  Both blocks are written as CSR arrays: each pin row of
+    a_ext and each bound row of g holds one +-1 entry, so g.indices[i] is
+    bound row i's variable and g.data[i] its sign, and the kept coupling
+    rows are copied entry for entry.
     """
 
     q: np.ndarray              # diagonal of the (PSD) minimization Hessian
@@ -331,16 +339,25 @@ def _presolve(p: QpProblem) -> _Presolved:
     lo_idx = np.nonzero(np.isfinite(lb))[0]
     up_idx = np.nonzero(np.isfinite(ub))[0]
 
+    # each pin and bound row is one +-1 entry; the kept coupling rows
+    # follow the bound rows entry for entry
+    in_kept = np.repeat(np.isin(np.arange(coup.shape[0]), keep_rows), np.diff(coup.indptr))
+    n_pin, n_bnd = len(pin_idx), len(lo_idx) + len(up_idx)
     return _Presolved(
         q=-p.h_diag,
         c=-p.f,
-        a_ext=sp.vstack([p.a_eq, _selector(pin_idx, n)]).tocsr(),
+        a_ext=_csr(np.concatenate([p.a_eq.data, np.ones(n_pin)]),
+                   np.concatenate([p.a_eq.indices, pin_idx]),
+                   np.concatenate([np.diff(p.a_eq.indptr), np.ones(n_pin, dtype=np.int64)]), n),
         b_ext=np.concatenate([p.b_eq, pin_val]),
         m_orig=p.m_eq,
         pin_idx=pin_idx,
         lo_idx=lo_idx,
         up_idx=up_idx,
-        g=sp.vstack([-_selector(lo_idx, n), _selector(up_idx, n), coup[keep_rows, :]]).tocsr(),
+        g=_csr(np.concatenate([-np.ones(len(lo_idx)), np.ones(len(up_idx)), coup.data[in_kept]]),
+               np.concatenate([lo_idx, up_idx, coup.indices[in_kept]]),
+               np.concatenate([np.ones(n_bnd, dtype=np.int64), np.diff(coup.indptr)[keep_rows]]),
+               n),
         h=np.concatenate([-lb[lo_idx], ub[up_idx], p.coup_rhs[keep_rows]]),
         coup_rhs=p.coup_rhs[keep_rows],
         keep_rows=keep_rows,
@@ -434,29 +451,29 @@ _STALL_RATIO = 0.9
 _FACTOR_ERRORS = (RuntimeError, MemoryError)
 
 
-def _layout(k: sp.spmatrix, n_c: int):
-    """Band-plus-border layout of a square matrix with a symmetric pattern.
+def _layout(rows: np.ndarray, cols: np.ndarray, nr: int, n_c: int):
+    """Band-plus-border layout of an nr x nr matrix with a symmetric pattern.
 
-    The border is k's last n_c rows and columns, chosen by role (the
-    coupling rows), never by density: one sparse coupling row left in the
-    core widened a polish's band from 7 to 48-120.  The core goes in a
+    The matrix has an entry at each (rows[t], cols[t]), duplicates
+    allowed.  The border is its last n_c rows and columns, chosen by role
+    (the coupling rows), never by density: one sparse coupling row left in
+    the core widened a polish's band from 7 to 48-120.  The core goes in a
     reverse Cuthill-McKee order of its own pattern.  Returns (order, bw,
-    n_c), the store's size and the store position of each entry of
-    k.tocoo(), duplicates included: LAPACK band storage of the core, entry
-    (i, j) at [2 bw + i - j, j] of a column-major (3 bw + 1) x core array
-    (its top bw rows hold the pivoting's fill), then, column-major, the
-    last n_c columns and the last n_c rows' core part.
+    n_c), the store's size and the store position of each entry: LAPACK
+    band storage of the core, entry (i, j) at [2 bw + i - j, j] of a
+    column-major (3 bw + 1) x core array (its top bw rows hold the
+    pivoting's fill), then, column-major, the last n_c columns and the last
+    n_c rows' core part.
     """
-    k = k.tocoo()
-    nr, core = k.shape[0], k.shape[0] - n_c
-    in_core = (k.row < core) & (k.col < core)
-    pattern = sp.csr_matrix((np.ones(int(in_core.sum())), (k.row[in_core], k.col[in_core])),
+    core = nr - n_c
+    in_core = (rows < core) & (cols < core)
+    pattern = sp.csr_matrix((np.ones(int(in_core.sum())), (rows[in_core], cols[in_core])),
                             shape=(core, core))
     order = np.concatenate([reverse_cuthill_mckee(pattern, symmetric_mode=True),
-                            np.arange(core, nr)])  # k's row at each position
+                            np.arange(core, nr)])  # the matrix's row at each position
     where = np.empty(nr, dtype=np.int64)
     where[order] = np.arange(nr)
-    rows, cols = where[k.row], where[k.col]
+    rows, cols = where[rows], where[cols]
     bw = int(np.max(np.abs(rows - cols)[in_core], initial=0))
     n_band = (3 * bw + 1) * core
     dest = np.where(cols >= core, n_band + (cols - core) * nr + rows,
@@ -561,8 +578,7 @@ class _Kkt:
         diag = np.arange(nr)
         rows = np.concatenate([diag, n_k + b_k.row, b_k.col, n_k + be.indices[t]])
         cols = np.concatenate([diag, b_k.col, n_k + b_k.row, n_k + be.indices[s]])
-        self.lay, size, dest = _layout(sp.coo_matrix((np.ones(len(rows)), (rows, cols)),
-                                                     shape=(nr, nr)), self.n_c)
+        self.lay, size, dest = _layout(rows, cols, nr, self.n_c)
         n_bk = 2 * b_k.nnz
         self.r_diag = dest[:nr].copy()  # not a view that keeps all of dest
         self.base = np.zeros(size)
@@ -608,18 +624,18 @@ def _refined_solve(lu, k_mat: sp.csc_matrix, vec: np.ndarray, tol: float, step=N
 
     Starts from `step` (default lu.solve(vec)) and adds up to three
     refinement steps against k_mat, stopping once the residual's max norm
-    is at most tol.  Returns the step and that norm; a step that is not
-    finite has a NaN or infinite norm, which no tolerance accepts.
+    is at most tol; a step that is not finite has a NaN or infinite
+    residual, which no tolerance accepts.  Returns the step, refined as
+    far as it got.
     """
     if step is None:
         step = lu.solve(vec)
     for _ in range(3):
         err = vec - k_mat @ step
-        norm = float(np.max(np.abs(err), initial=0.0))
-        if norm <= tol:
-            return step, norm
+        if float(np.max(np.abs(err), initial=0.0)) <= tol:
+            break
         step += lu.solve(err)
-    return step, float(np.max(np.abs(vec - k_mat @ step), initial=0.0))
+    return step
 
 
 def _kkt_solve(lu: _Reduced, vec: np.ndarray) -> np.ndarray:
@@ -628,7 +644,7 @@ def _kkt_solve(lu: _Reduced, vec: np.ndarray) -> np.ndarray:
     A step whose refinement misses the tolerance is returned as refined.
     """
     tol = 1e-11 * (1.0 + float(np.max(np.abs(vec), initial=0.0)))
-    return _refined_solve(lu, lu.kkt.k_true, vec, tol)[0]
+    return _refined_solve(lu, lu.kkt.k_true, vec, tol)
 
 
 def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
@@ -965,9 +981,16 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
     only the side with the larger hint multiplier.  Returns the KKT point
     for the caller to verify, or None when the factorization raises or 8
     rounds leave a negative one.
+
+    Each round writes its system [[diag(q_free), a_bar'], [a_bar, 0]],
+    with a_bar the rows of a_ext and the active coupling rows in the free
+    columns, as index arrays straight from the CSR arrays of a_ext and g:
+    its entries shifted by +-_POLISH_EPS on the diagonal go to _layout and
+    into the band store, and the unshifted ones make the one CSC matrix
+    the refinement multiplies by.  No block matrix is assembled.
     """
-    m = pre.a_ext.shape[0]
-    n_b = len(pre.lo_idx) + len(pre.up_idx)
+    a, g = pre.a_ext, pre.g
+    m, n_b = a.shape[0], len(pre.lo_idx) + len(pre.up_idx)
     act = np.array(act, dtype=bool, copy=True)
     dual_tol = 1e-7 * (1.0 + float(np.max(np.abs(pre.c), initial=0.0)))
     x_hint, y_hint, z_hint = hint
@@ -980,43 +1003,72 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
     lower_wins = z_hint[lo_row] >= z_hint[up_row]
     act[up_row[both & lower_wins]] = False
     act[lo_row[both & ~lower_wins]] = False
+    # the entries of a_ext and then of g's coupling rows, row by row: the
+    # row (of a_ext stacked on the coupling rows), column and value
+    c_ent = slice(g.indptr[n_b], g.nnz)
+    b_row = np.repeat(np.arange(m + g.shape[0] - n_b),
+                      np.concatenate([np.diff(a.indptr), np.diff(g.indptr[n_b:])]))
+    b_col = np.concatenate([a.indices, g.indices[c_ent]])
+    b_val = np.concatenate([a.data, g.data[c_ent]])
 
     for _ in range(8):
         fixed = np.nonzero(act[:n_b])[0]
-        coup = n_b + np.nonzero(act[n_b:])[0]
-        g_fix, g_coup = pre.g[fixed], pre.g[coup]
-        x = g_fix.T @ pre.h[fixed]  # each row is -e_j or +e_j: x_j at its bound
+        on = act[n_b:]
+        coup = n_b + np.nonzero(on)[0]
+        # bound row i is sign_i e_j' x <= h_i, so its variable sits at
+        # sign_i h_i, added to 0.0 as a sparse product adds it (no -0.0)
+        var, sign = g.indices[fixed], g.data[fixed]
+        x = np.zeros(p.n)
+        x[var] = 0.0 + sign * pre.h[fixed]
         free = np.ones(p.n, dtype=bool)
-        free[g_fix.indices] = False
+        free[var] = False
         n_f = int(free.sum())
-        a_bar = sp.vstack([pre.a_ext, g_coup], format="csc")[:, free]
-        # stationarity convention: equality rows contribute -y and active
-        # coupling rows +z, so the stacked hint multiplier is (-y, z)
-        u_hint = np.concatenate([-y_hint, z_hint[coup]])
-
-        k_true = sp.bmat([[sp.diags(pre.q[free]), a_bar.T], [a_bar, None]], format="csc")
-        k_reg = k_true + sp.diags(_POLISH_EPS * np.concatenate([np.ones(n_f),
-                                                                 -np.ones(a_bar.shape[0])]))
+        # a_bar: the rows of a_ext and the active coupling rows, in the
+        # free columns; the system is [[diag(q_free), a_bar'], [a_bar, 0]]
+        in_bar = np.concatenate([np.ones(m, dtype=bool), on])
+        keep = free[b_col] & in_bar[b_row]
+        rows = n_f + (np.cumsum(in_bar) - 1)[b_row[keep]]
+        cols = (np.cumsum(free) - 1)[b_col[keep]]
+        vals = b_val[keep]
+        dim = n_f + m + len(coup)
+        off_r, off_c = np.concatenate([cols, rows]), np.concatenate([rows, cols])  # a_bar', a_bar
+        off_v = np.concatenate([vals, vals])
+        q_free = pre.q[free]
+        d = np.nonzero(q_free)[0]  # a zero of q has no entry
+        k_true = sp.csc_matrix((np.concatenate([q_free[d], off_v]),
+                                (np.concatenate([d, off_r]), np.concatenate([d, off_c]))),
+                               shape=(dim, dim))
+        # the factored copy: k_true shifted by +-_POLISH_EPS on its whole
+        # diagonal, with no entry where a value is zero
+        diag = np.arange(dim)
+        reg = np.concatenate([q_free + _POLISH_EPS, np.full(dim - n_f, -_POLISH_EPS), off_v])
+        nz = reg != 0.0
         try:
-            lay, size, dest = _layout(k_reg, len(coup))  # the active coupling rows border it
-            lu = _BandLu(*lay, np.bincount(dest, k_reg.data, size))
+            lay, size, dest = _layout(np.concatenate([diag, off_r])[nz],
+                                      np.concatenate([diag, off_c])[nz],
+                                      dim, len(coup))  # the active coupling rows border it
+            lu = _BandLu(*lay, np.bincount(dest, reg[nz], size))
         except _FACTOR_ERRORS:
             return None
 
         # the fixed columns move to the right-hand side
-        true_target = np.concatenate([-pre.c[free], pre.b_ext - pre.a_ext @ x,
-                                      pre.h[coup] - g_coup @ x])
+        true_target = np.concatenate([-pre.c[free], pre.b_ext - a @ x,
+                                      pre.h[coup] - (g @ x)[coup]])
+        # stationarity convention: equality rows contribute -y and active
+        # coupling rows +z, so the stacked hint multiplier is (-y, z)
+        u_hint = np.concatenate([-y_hint, z_hint[coup]])
         biased = true_target + _POLISH_EPS * np.concatenate([x_hint[free], -u_hint])
         scale = 1.0 + float(np.max(np.abs(true_target), initial=0.0))
         # the bias leaves about _POLISH_EPS * |solution - hint| in the first
         # solve; a hint from a neighbouring problem (a warm start) left 1e-11
         # in the equality rows of a week, which 1e-12 * scale accepted
-        step, _ = _refined_solve(lu, k_true, true_target, 1e-14 * scale, lu.solve(biased))
+        step = _refined_solve(lu, k_true, true_target, 1e-14 * scale, lu.solve(biased))
         x[free] = step[:n_f]
         y = -step[n_f : n_f + m]
         z = np.zeros(len(act))
         z[coup] = step[n_f + m :]
-        z[fixed] = g_fix @ (pre.a_ext.T @ y - g_coup.T @ z[coup] - pre.q * x - pre.c)
+        # g' z sums only the coupling rows: z is still zero on the bound rows
+        z[fixed] = 0.0 + sign * (a.T @ y - g.T @ z - pre.q * x - pre.c)[var]
 
         bad = act & (z < -dual_tol)
         if not bad.any():

@@ -20,6 +20,9 @@ from the start's active set, and the rest fall back to the cold solve.
 The scaling test multiplies every price and the generator's cost
 coefficients by c > 0: the feasible set stays and the objective scales,
 so the set of optimal plans stays and its multipliers scale by c.
+
+The rotation test rolls every hourly series of synthetic data by whole
+days; the objective and the two coupling multipliers stay.
 """
 
 import dataclasses
@@ -42,9 +45,11 @@ from trimarket.model import (  # noqa: E402
     TradeCaps,
     VppConfig,
     assemble_qp,
+    default_config,
     recover_plan,
 )
 from trimarket.analysis import named_duals  # noqa: E402
+from trimarket.scenarios import SynthSpec, synth_data  # noqa: E402
 from trimarket.qp import (  # noqa: E402
     INFEASIBLE,
     OPTIMAL,
@@ -167,6 +172,32 @@ def test_scaling_prices_and_costs_scales_the_answer(seed, r_min, c):
     tol, (scale_p, scale_d) = SolverSettings().tol * max(1.0, 1.0 / c), _scales(_presolve(p))
     assert res.primal_inf <= tol * scale_p and res.dual_inf <= tol * scale_d
     assert res.comp_gap <= tol * (1.0 + abs(back.objective))
+
+
+@st.composite
+def day_rotations(draw):
+    T = draw(st.sampled_from([48, 72, 168]))
+    return draw(st.integers(0, 11)), T, draw(st.integers(1, T // 24 - 1))
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(day_rotations())
+def test_rolling_the_series_by_whole_days_keeps_the_answer(case):
+    # the model has no first or last hour: every storage state, the
+    # ESS's and both inventories', has hour T as hour 1's predecessor, and
+    # the two coupling rows sum over the horizon
+    seed, T, days = case
+    data = synth_data(SynthSpec(seed=seed, horizon=T))
+    rolled = dataclasses.replace(data, **{f.name: np.roll(getattr(data, f.name), 24 * days)
+                                          for f in dataclasses.fields(MarketData)})
+    _, p = build(default_config(T), data)
+    _, pr = build(default_config(T), rolled)
+    base, sol = solve_qp(p), solve_qp(pr)
+    assert base.status == sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(base.objective, rel=1e-9)
+    want, got = named_duals(p, base), named_duals(pr, sol)
+    assert got.mu == pytest.approx(want.mu, rel=1e-6, abs=1e-6)
+    assert got.delta == pytest.approx(want.delta, rel=1e-6, abs=1e-6)
 
 
 _three_caps = st.sampled_from([0.0, 50.0, math.inf])

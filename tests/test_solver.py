@@ -425,8 +425,9 @@ class TestKktFactorization:
 
         def recorded(lu, k_mat, vec, tol, step=None):
             out = real(lu, k_mat, vec, tol, step)
-            if sites.site != POLISH and not out[1] <= tol:
-                misses.append(out[1] / tol)
+            norm = float(np.max(np.abs(vec - k_mat @ out), initial=0.0))
+            if sites.site != POLISH and not norm <= tol:
+                misses.append(norm / tol)
             return out
 
         monkeypatch.setattr(qp, "_refined_solve", recorded)
@@ -447,6 +448,80 @@ class TestKktFactorization:
             iterations.add(sol.iterations)
             assert sum(site != POLISH for site, attr in sites.calls if attr == "bmat") == 1
         assert len(iterations) == 3
+
+    # the SciPy constructors that stack or assemble block matrices
+    BLOCK_CONSTRUCTORS = ("bmat", "vstack", "hstack", "diags")
+
+    def test_polish_builds_no_block_matrix(self, monkeypatch):
+        # the polish writes its KKT system from index arrays, in a cold
+        # solve's polish and in a warm neighbour's
+        sites = _Sites(monkeypatch, *self.BLOCK_CONSTRUCTORS, module=qp.sp)
+        model, p = build(default_config(168), synth_data(SynthSpec(horizon=168)))
+        base = solve_qp(p)
+        _, warm = solve_for_param(model, "quota", model.quota + 1.0, start=base)
+        assert (base.status, warm.status, warm.iterations) == (OPTIMAL, OPTIMAL, 0)
+        assert sites.factors(exclude=BAND) == [POLISH, POLISH]
+        assert [attr for site, attr in sites.calls if site == POLISH and attr != DGBTRF] == []
+
+    def test_presolve_builds_no_block_matrix(self, monkeypatch):
+        # presolve writes a_ext and g from index arrays, and they are the
+        # stacked blocks array for array: the equalities over one selector
+        # row per pin, and the negated and plain selector rows of the
+        # bounds over the kept coupling rows
+        def forbidden(name):
+            return lambda *args, **kwargs: pytest.fail(f"sp.{name} called in presolve")
+
+        def selector(idx, n):
+            return sp.csr_matrix((np.ones(len(idx)), (np.arange(len(idx)), idx)),
+                                 shape=(len(idx), n))
+
+        cfg, data = hand_case()
+        no_quota = build(cfg.with_policy(alpha=0.0), data)[1]  # presolve drops the quota row
+        seen = []
+        for p in (_synth_week(), _infeasible_week(), no_quota):
+            with monkeypatch.context() as patched:
+                for name in self.BLOCK_CONSTRUCTORS:
+                    patched.setattr(qp.sp, name, forbidden(name))
+                pre = _presolve(p)
+            seen.append((len(pre.pin_idx) > 0, pre.keep_rows))
+            a_ext = sp.vstack([p.a_eq, selector(pre.pin_idx, p.n)]).tocsr()
+            g = sp.vstack([-selector(pre.lo_idx, p.n), selector(pre.up_idx, p.n),
+                           p.coup[pre.keep_rows, :]]).tocsr()
+            for got, want in ((pre.a_ext, a_ext), (pre.g, g)):
+                assert got.shape == want.shape
+                for part in ("data", "indices", "indptr"):
+                    assert getattr(got, part).dtype == getattr(want, part).dtype
+                    assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+        assert seen == [(False, [0, 1]), (True, [0, 1]), (True, [0])]
+
+    def test_polish_system_is_the_block_matrix(self, monkeypatch):
+        # the system the polish writes from index arrays is the block
+        # matrix [[diag(q_free), a_bar'], [a_bar, 0]] entry for entry, a_bar
+        # being the rows of a_ext and the active coupling rows in the free
+        # columns
+        systems, real = [], qp._refined_solve
+
+        def recorded(lu, k_mat, vec, tol, step=None):
+            if sites.site == POLISH:
+                systems.append(k_mat)
+            return real(lu, k_mat, vec, tol, step)
+
+        monkeypatch.setattr(qp, "_refined_solve", recorded)
+        sites = _Sites(monkeypatch)
+        p = _synth_week()
+        pre = _presolve(p)
+        x, y, z = qp._presolved_point(pre, solve_qp(p))
+        act = qp._active(pre, x, z, pre.h - pre.g @ x)
+        systems.clear()
+        assert qp._polish(p, pre, act, (x, y, z)) is not None and len(systems) == 1
+        n_b = len(pre.lo_idx) + len(pre.up_idx)
+        free = np.ones(p.n, dtype=bool)
+        free[pre.g[np.nonzero(act[:n_b])[0]].indices] = False
+        a_bar = sp.vstack([pre.a_ext, pre.g[n_b + np.nonzero(act[n_b:])[0]]], format="csc")
+        a_bar = a_bar[:, free]
+        want = sp.bmat([[sp.diags(pre.q[free]), a_bar.T], [a_bar, None]], format="csc")
+        got = systems[0]
+        assert got.shape == want.shape and got.nnz == want.nnz and (got != want).nnz == 0
 
     def test_one_ordering_per_solve(self, monkeypatch):
         sites = _Sites(monkeypatch, RCM)
@@ -477,8 +552,8 @@ class TestKktFactorization:
         # point's (6-7 here)
         layouts, real = [], qp._layout
 
-        def measured(k, n_c):
-            out = real(k, n_c)
+        def measured(rows, cols, nr, n_c):
+            out = real(rows, cols, nr, n_c)
             if sites.site == POLISH:
                 layouts.append((n_c, out[0][1]))
             return out
