@@ -42,8 +42,8 @@ one factor is the only one an iteration makes.  Each solve recovers the
 eliminated variables and is refined against the full unregularized
 matrix; a solve whose refinement misses its tolerance is used as refined,
 and the ratio test and the finisher judge where it leads (Wright 1997,
-ch. 11).  The polish factors its system the same way, bordered by its
-active coupling rows, and refines its solve with the same routine.
+ch. 11).  One builder writes this system straight from the CSR arrays of
+the presolved blocks, and the polish's too, with no column eliminated.
 
 The iteration starts from least-squares points (Mehrotra, On the
 implementation of a primal-dual interior point method, SIAM J. Optim.
@@ -61,10 +61,10 @@ The interior-point iteration is followed by an active-set "polish": once the
 active set is identified, each active bound fixes its variable, and one
 sparse quasi-definite solve in the free variables plus iterative refinement
 produces primal/dual values accurate to near machine precision, which
-downstream sensitivity checks rely on.  Its system is written entry by
-entry from the CSR arrays of the presolved blocks, which presolve writes
-from index arrays, so building it stays a cheap symbolic step before the
-numeric factor (Davis, Direct Methods for Sparse Linear Systems, 2006).
+downstream sensitivity checks rely on.  Its system, bordered by the
+active coupling rows, comes from the iteration's builder, so building
+it stays a cheap symbolic step before the numeric factor (Davis, Direct
+Methods for Sparse Linear Systems, 2006).
 Every solve that gets past presolve and is not answered by its start
 (below) leaves through one finisher: it polishes the last iterate (or,
 when the iteration stopped short, the best one), falls back to the
@@ -286,6 +286,7 @@ class _Presolved:
     pin_idx: np.ndarray        # pinned variable indices, aligned with rows m_orig..
     lo_idx: np.ndarray         # unpinned variables with finite lower bound
     up_idx: np.ndarray
+    both: np.ndarray           # the (lower, upper) bound rows of g of each variable with both
     g: sp.csr_matrix           # inequality block: lower bounds, upper bounds, coupling
     h: np.ndarray
     coup_rhs: np.ndarray       # right-hand sides of the kept coupling rows
@@ -338,6 +339,7 @@ def _presolve(p: QpProblem) -> _Presolved:
     lb[pin_idx], ub[pin_idx] = -np.inf, np.inf  # pinned vars leave the box constraints entirely
     lo_idx = np.nonzero(np.isfinite(lb))[0]
     up_idx = np.nonzero(np.isfinite(ub))[0]
+    _, lo_row, up_row = np.intersect1d(lo_idx, up_idx, assume_unique=True, return_indices=True)
 
     # each pin and bound row is one +-1 entry; the kept coupling rows
     # follow the bound rows entry for entry
@@ -354,6 +356,7 @@ def _presolve(p: QpProblem) -> _Presolved:
         pin_idx=pin_idx,
         lo_idx=lo_idx,
         up_idx=up_idx,
+        both=np.stack([lo_row, len(lo_idx) + up_row]),
         g=_csr(np.concatenate([-np.ones(len(lo_idx)), np.ones(len(up_idx)), coup.data[in_kept]]),
                np.concatenate([lo_idx, up_idx, coup.indices[in_kept]]),
                np.concatenate([np.ones(n_bnd, dtype=np.int64), np.diff(coup.indptr)[keep_rows]]),
@@ -518,87 +521,111 @@ class _BandLu:
 
 
 class _Kkt:
-    """The KKT matrix [[D1, B'], [B, -D2]] of one interior-point solve.
+    """A bordered KKT matrix [[D1, B'], [B, -D2]] of the presolved problem.
 
-    B stacks a_ext and the kept coupling rows.  k_true is the unshifted
-    matrix every direction is refined against, so barrier ill-conditioning
-    cannot leak into the equality rows; the factor is made with the fixed
-    shift on its diagonal.  k_true has an explicit entry on every
-    diagonal, and an iteration only writes the diagonal.
+    Its columns are the variables marked in `cols`; B stacks the rows of
+    a_ext and the kept coupling rows marked in `coup`, in those columns,
+    read straight from the CSR arrays of a_ext and g.  k_true is the
+    unshifted matrix every solve is refined against; it has an explicit
+    entry on every diagonal, which set_diagonal writes.  The factor adds
+    `eps` to the primal diagonal and subtracts it from the dual one,
+    which makes the matrix quasi-definite (Vanderbei 1995).  The interior
+    point passes every column and kept coupling row, eliminates the
+    columns with a bound row and uses _KKT_REG; the polish passes its
+    free columns and active coupling rows, eliminates nothing and uses
+    _POLISH_EPS.
 
-    The band factor eliminates every column with a bound row: its
-    diagonal D_e carries a barrier term, so it is positive, and
-    x_e = D_e^-1 (r_e - B_e' y) leaves the reduced matrix
+    Each column marked in `elim` has a positive diagonal D_e (a barrier
+    term), so x_e = D_e^-1 (r_e - B_e' y) leaves the reduced matrix
 
         r = [[D_k, B_k'], [B_k, -(B_e D_e^-1 B_e' + E)]]
 
-    in the kept columns k and the rows of B, with E the dual side of the
-    shifted diagonal.  The kept columns are the pinned variables and any
-    free one; their diagonal is little more than the _KKT_REG shift, and
-    eliminating it would put 1 / _KKT_REG into r.  r's _layout (bandwidth 8
-    on the synthetic model at every horizon) is made once, and r is never
-    assembled: an iteration writes its store as the fixed sparse map
-    `scatter` applied to 1 / D_e, plus B_k in `base` and the diagonal at
-    `r_diag`.  The factor borders the kept coupling rows.
+    in the kept columns k and the rows of B, E being the dual side of the
+    shifted diagonal.  The interior point keeps the pinned and free
+    columns: eliminating their diagonal, little more than the shift,
+    would put 1 / _KKT_REG into r.  r's _layout, bordered by the coupling
+    rows, is made once (bandwidth 8 on the synthetic model at every
+    horizon), and r is never assembled: each factor writes its band
+    store with one bincount over the pattern's entries.
     """
 
-    def __init__(self, pre: _Presolved):
-        n, n_b = len(pre.q), len(pre.lo_idx) + len(pre.up_idx)
-        bm = sp.vstack([pre.a_ext, pre.g[n_b:]]).tocsr()
-        mb = bm.shape[0]
-        self.k_true = sp.bmat([[sp.identity(n), bm.T], [bm, sp.identity(mb)]], format="csc")
-        cols = np.repeat(np.arange(self.k_true.shape[1]), np.diff(self.k_true.indptr))
-        self.diag_pos = np.nonzero(self.k_true.indices == cols)[0]  # one entry per column
-        self.shift = _KKT_REG * np.concatenate([np.ones(n), -np.ones(mb)])
+    def __init__(self, pre: _Presolved, cols: np.ndarray, coup: np.ndarray,
+                 elim: np.ndarray, eps: float):
+        a, g = pre.a_ext, pre.g
+        n_b = len(pre.lo_idx) + len(pre.up_idx)
+        # the entries of a_ext and then of g's coupling rows, row by row,
+        # kept where both the row and the column are in the system
+        c_ent = slice(g.indptr[n_b], g.nnz)
+        in_b = np.concatenate([np.ones(a.shape[0], dtype=bool), coup])
+        b_row = np.repeat(np.arange(len(in_b)),
+                          np.concatenate([np.diff(a.indptr), np.diff(g.indptr[n_b:])]))
+        b_col = np.concatenate([a.indices, g.indices[c_ent]])
+        keep = cols[b_col] & in_b[b_row]
+        rows = (np.cumsum(in_b) - 1)[b_row[keep]]
+        b_col = (np.cumsum(cols) - 1)[b_col[keep]]
+        vals = np.concatenate([a.data, g.data[c_ent]])[keep]
+        n, mb = int(cols.sum()), int(in_b.sum())
+        diag = np.arange(n + mb)
+        # B' above the diagonal, then the diagonal, then B below it: each
+        # column's rows come out ascending, so a primal column's diagonal
+        # entry is its first and a dual column's its last
+        self.k_true = sp.csc_matrix(
+            (np.concatenate([vals, np.zeros(n + mb), vals]),
+             (np.concatenate([b_col, diag, n + rows]), np.concatenate([n + rows, diag, b_col]))),
+            shape=(n + mb, n + mb))
+        ptr = self.k_true.indptr
+        self.diag_pos = np.concatenate([ptr[:n], ptr[n + 1 :] - 1])
+        self.shift = eps * np.concatenate([np.ones(n), -np.ones(mb)])
 
-        elim = np.zeros(n, dtype=bool)
-        elim[pre.lo_idx] = elim[pre.up_idx] = True
+        elim = elim[cols]
         self.elim = np.nonzero(elim)[0]
-        kept = np.nonzero(~elim)[0]
-        self.n_k = len(kept)
-        self.r_rows = np.concatenate([kept, n + np.arange(mb)])  # k_true's row behind each of r's
-        self.b_e = bm[:, self.elim].tocsc()
-        self.b_e_t = self.b_e.T
-        self.n_c = len(pre.keep_rows)
-        self._reduce(bm[:, kept].tocoo())
+        self.n_k = n_k = n - len(self.elim)
+        # k_true's row behind each of r's
+        self.r_rows = np.concatenate([np.nonzero(~elim)[0], n + np.arange(mb)])
+        t = s = e_row = np.zeros(0, dtype=np.int32)
+        self.pair_val, self.pair_col = np.zeros(0), t
+        if len(self.elim):  # the polish's r is k_true itself
+            # B_e in CSC, each column's rows ascending; B_k stays in rows, b_col, vals
+            in_e, e_before = elim[b_col], np.cumsum(elim)
+            in_k = ~in_e
+            e_col = e_before[b_col[in_e]] - 1
+            by_col = np.argsort(e_col, kind="stable")
+            e_row, e_val = rows[in_e][by_col], vals[in_e][by_col]
+            counts = np.bincount(e_col, minlength=len(self.elim))
+            e_ptr = np.concatenate([[0], np.cumsum(counts)])
+            self.b_e = sp.csc_matrix((e_val, e_row, e_ptr), shape=(mb, len(counts)))
+            self.b_e_t = self.b_e.T
+            rows, b_col, vals = rows[in_k], b_col[in_k] - e_before[b_col[in_k]], vals[in_k]
+            # every pair of entries t, s in one column e of B_e adds
+            # B[i_t, e] B[i_s, e] / D_e to r at (n_k + i_t, n_k + i_s); the
+            # pairs run column by column
+            reps = np.repeat(counts, counts)
+            t = np.repeat(np.arange(len(e_row), dtype=np.int32), reps)
+            s = np.arange(len(t), dtype=np.int32) + np.repeat(
+                (np.repeat(e_ptr[:-1], counts) - (np.cumsum(reps) - reps)).astype(np.int32), reps)
+            self.pair_val = -e_val[t] * e_val[s]
+            self.pair_col = np.repeat(np.arange(len(counts), dtype=np.int32), counts * counts)
+        # r's entries: the products, B_k and B_k', then the diagonal
+        r_diag = np.arange(len(self.r_rows))
+        self.lay, self.size, self.dest = _layout(
+            np.concatenate([n_k + e_row[t], n_k + rows, b_col, r_diag]),
+            np.concatenate([n_k + e_row[s], b_col, n_k + rows, r_diag]),
+            len(r_diag), int(coup.sum()))
+        self.weights = np.concatenate([np.zeros(len(t)), vals, vals, np.zeros(len(r_diag))])
         self.reg = self.inv_d = None  # the shifted diagonal and 1 / D_e, from set_diagonal
-
-    def _reduce(self, b_k: sp.coo_matrix) -> None:
-        """Lay out r and map 1 / D_e, B_k and the diagonal into its store."""
-        n_k, nr = self.n_k, len(self.r_rows)
-        be = self.b_e
-        counts = np.diff(be.indptr)
-        # every pair of entries t, s in one column e of B_e adds
-        # B[i_t, e] B[i_s, e] / D_e to r at (n_k + i_t, n_k + i_s); the
-        # pairs run column by column, which is scatter's CSC layout
-        reps = np.repeat(counts, counts)
-        t = np.repeat(np.arange(be.nnz, dtype=np.int32), reps)
-        s = np.arange(len(t), dtype=np.int32) + np.repeat(
-            (np.repeat(be.indptr[:-1], counts) - (np.cumsum(reps) - reps)).astype(np.int32), reps)
-        diag = np.arange(nr)
-        rows = np.concatenate([diag, n_k + b_k.row, b_k.col, n_k + be.indices[t]])
-        cols = np.concatenate([diag, b_k.col, n_k + b_k.row, n_k + be.indices[s]])
-        self.lay, size, dest = _layout(rows, cols, nr, self.n_c)
-        n_bk = 2 * b_k.nnz
-        self.r_diag = dest[:nr].copy()  # not a view that keeps all of dest
-        self.base = np.zeros(size)
-        self.base[dest[nr : nr + n_bk]] = np.concatenate([b_k.data, b_k.data])
-        self.scatter = sp.csc_matrix(
-            (-be.data[t] * be.data[s], dest[nr + n_bk :].astype(np.int32),
-             np.concatenate([[0], np.cumsum(counts.astype(np.int64) ** 2)])),
-            shape=(size, len(counts)))
 
     def set_diagonal(self, diag: np.ndarray) -> None:
         self.k_true.data[self.diag_pos] = diag
         self.reg = diag + self.shift
         self.inv_d = 1.0 / self.reg[self.elim]
 
-    def band_factor(self) -> "_Reduced":
+    def band_factor(self):
         """Factor r at the current diagonal; the factor solves systems in the shifted k_true."""
-        store = self.scatter @ self.inv_d
-        store += self.base
-        store[self.r_diag] += self.reg[self.r_rows]
-        return _Reduced(self, _BandLu(*self.lay, store))
+        w = self.weights
+        np.multiply(self.pair_val, self.inv_d[self.pair_col], out=w[: len(self.pair_val)])
+        w[len(w) - len(self.r_rows) :] = self.reg[self.r_rows]
+        band = _BandLu(*self.lay, np.bincount(self.dest, w, self.size))
+        return _Reduced(self, band) if len(self.elim) else band
 
 
 class _Reduced:
@@ -638,13 +665,13 @@ def _refined_solve(lu, k_mat: sp.csc_matrix, vec: np.ndarray, tol: float, step=N
     return step
 
 
-def _kkt_solve(lu: _Reduced, vec: np.ndarray) -> np.ndarray:
-    """Solve k_true z = vec with the band factor lu, refined against k_true.
+def _kkt_solve(kkt: _Kkt, lu, vec: np.ndarray) -> np.ndarray:
+    """Solve kkt.k_true z = vec with its band factor lu, refined against k_true.
 
     A step whose refinement misses the tolerance is returned as refined.
     """
     tol = 1e-11 * (1.0 + float(np.max(np.abs(vec), initial=0.0)))
-    return _refined_solve(lu, lu.kkt.k_true, vec, tol)
+    return _refined_solve(lu, kkt.k_true, vec, tol)
 
 
 def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
@@ -709,18 +736,19 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
     # D1 of the KKT matrix, and the band factor eliminates their
     # variables; its coupling rows stay bordered next to A
     bound_var = np.concatenate([pre.lo_idx, pre.up_idx])  # variable of each bound row
+    n_bound = np.bincount(bound_var, minlength=n)  # bound rows per variable
     a_t, g_t, gb_t = a.T, g.T, g[:n_b].T.tocsr()
-    kkt = _Kkt(pre)
     ratio = np.empty(m_comp)  # _max_step's scratch
 
     # start (module docstring): the KKT matrix with every w / z at 1 gives
     # least-squares primal and dual points, each shifted into w, z > 0
-    kkt.set_diagonal(np.concatenate([q + np.bincount(bound_var, minlength=n), np.zeros(m),
-                                     -np.ones(m_comp - n_b)]))
-    try:
+    try:  # the ordering, not only the factor, can run out of memory
+        kkt = _Kkt(pre, np.ones(n, dtype=bool), np.ones(m_comp - n_b, dtype=bool), n_bound > 0,
+                   _KKT_REG)
+        kkt.set_diagonal(np.concatenate([q + n_bound, np.zeros(m), -np.ones(m_comp - n_b)]))
         lu = kkt.band_factor()
-        x = _kkt_solve(lu, np.concatenate([gb_t @ h[:n_b], b, h[n_b:]]))[:n]
-        dual = _kkt_solve(lu, np.concatenate([-c, np.zeros(m + m_comp - n_b)]))
+        x = _kkt_solve(kkt, lu, np.concatenate([gb_t @ h[:n_b], b, h[n_b:]]))[:n]
+        dual = _kkt_solve(kkt, lu, np.concatenate([-c, np.zeros(m + m_comp - n_b)]))
     except _FACTOR_ERRORS:
         return _unsolved(p, 0, "KKT factorization failed")
     y = -dual[n : n + m]
@@ -804,7 +832,8 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
             # Newton direction whose linearized complementarity change
             # z*dw + w*dz equals rc
             rhs_x = -rd - gb_t @ ((rc[:n_b] + z[:n_b] * rp_in[:n_b]) / w_b)
-            step = _kkt_solve(lu, np.concatenate([rhs_x, -rp_eq, -rp_in[n_b:] - rc[n_b:] / z_c]))
+            step = _kkt_solve(kkt, lu,
+                              np.concatenate([rhs_x, -rp_eq, -rp_in[n_b:] - rc[n_b:] / z_c]))
             dx = step[:n]
             dw = -(g @ dx) - rp_in
             dz = np.concatenate([(rc[:n_b] - z[:n_b] * dw[:n_b]) / w_b, step[n + m :]])
@@ -982,12 +1011,9 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
     for the caller to verify, or None when the factorization raises or 8
     rounds leave a negative one.
 
-    Each round writes its system [[diag(q_free), a_bar'], [a_bar, 0]],
-    with a_bar the rows of a_ext and the active coupling rows in the free
-    columns, as index arrays straight from the CSR arrays of a_ext and g:
-    its entries shifted by +-_POLISH_EPS on the diagonal go to _layout and
-    into the band store, and the unshifted ones make the one CSC matrix
-    the refinement multiplies by.  No block matrix is assembled.
+    Each round's system [[diag(q_free), a_bar'], [a_bar, 0]], with a_bar
+    the rows of a_ext and the active coupling rows in the free columns, is
+    a _Kkt that eliminates nothing, bordered by the active coupling rows.
     """
     a, g = pre.a_ext, pre.g
     m, n_b = a.shape[0], len(pre.lo_idx) + len(pre.up_idx)
@@ -996,20 +1022,11 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
     x_hint, y_hint, z_hint = hint
     # a variable predicted active at both bounds keeps the side with the
     # larger hint multiplier: fixing both would put it at lb_j + ub_j
-    _, lo_row, up_row = np.intersect1d(pre.lo_idx, pre.up_idx, assume_unique=True,
-                                       return_indices=True)
-    up_row += len(pre.lo_idx)
+    lo_row, up_row = pre.both
     both = act[lo_row] & act[up_row]
     lower_wins = z_hint[lo_row] >= z_hint[up_row]
     act[up_row[both & lower_wins]] = False
     act[lo_row[both & ~lower_wins]] = False
-    # the entries of a_ext and then of g's coupling rows, row by row: the
-    # row (of a_ext stacked on the coupling rows), column and value
-    c_ent = slice(g.indptr[n_b], g.nnz)
-    b_row = np.repeat(np.arange(m + g.shape[0] - n_b),
-                      np.concatenate([np.diff(a.indptr), np.diff(g.indptr[n_b:])]))
-    b_col = np.concatenate([a.indices, g.indices[c_ent]])
-    b_val = np.concatenate([a.data, g.data[c_ent]])
 
     for _ in range(8):
         fixed = np.nonzero(act[:n_b])[0]
@@ -1023,31 +1040,10 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
         free = np.ones(p.n, dtype=bool)
         free[var] = False
         n_f = int(free.sum())
-        # a_bar: the rows of a_ext and the active coupling rows, in the
-        # free columns; the system is [[diag(q_free), a_bar'], [a_bar, 0]]
-        in_bar = np.concatenate([np.ones(m, dtype=bool), on])
-        keep = free[b_col] & in_bar[b_row]
-        rows = n_f + (np.cumsum(in_bar) - 1)[b_row[keep]]
-        cols = (np.cumsum(free) - 1)[b_col[keep]]
-        vals = b_val[keep]
-        dim = n_f + m + len(coup)
-        off_r, off_c = np.concatenate([cols, rows]), np.concatenate([rows, cols])  # a_bar', a_bar
-        off_v = np.concatenate([vals, vals])
-        q_free = pre.q[free]
-        d = np.nonzero(q_free)[0]  # a zero of q has no entry
-        k_true = sp.csc_matrix((np.concatenate([q_free[d], off_v]),
-                                (np.concatenate([d, off_r]), np.concatenate([d, off_c]))),
-                               shape=(dim, dim))
-        # the factored copy: k_true shifted by +-_POLISH_EPS on its whole
-        # diagonal, with no entry where a value is zero
-        diag = np.arange(dim)
-        reg = np.concatenate([q_free + _POLISH_EPS, np.full(dim - n_f, -_POLISH_EPS), off_v])
-        nz = reg != 0.0
         try:
-            lay, size, dest = _layout(np.concatenate([diag, off_r])[nz],
-                                      np.concatenate([diag, off_c])[nz],
-                                      dim, len(coup))  # the active coupling rows border it
-            lu = _BandLu(*lay, np.bincount(dest, reg[nz], size))
+            kkt = _Kkt(pre, free, on, np.zeros(p.n, dtype=bool), _POLISH_EPS)
+            kkt.set_diagonal(np.concatenate([pre.q[free], np.zeros(m + len(coup))]))
+            lu = kkt.band_factor()
         except _FACTOR_ERRORS:
             return None
 
@@ -1062,7 +1058,7 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
         # the bias leaves about _POLISH_EPS * |solution - hint| in the first
         # solve; a hint from a neighbouring problem (a warm start) left 1e-11
         # in the equality rows of a week, which 1e-12 * scale accepted
-        step = _refined_solve(lu, k_true, true_target, 1e-14 * scale, lu.solve(biased))
+        step = _refined_solve(lu, kkt.k_true, true_target, 1e-14 * scale, lu.solve(biased))
         x[free] = step[:n_f]
         y = -step[n_f : n_f + m]
         z = np.zeros(len(act))

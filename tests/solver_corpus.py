@@ -8,8 +8,8 @@ import path (set ``PYTHONPATH`` to pick a checkout) and writes, per solve,
 the status, iteration count, message, objective and primal vector, the
 primal residual (``residuals.primal_inf``) of an optimal answer, and how
 many ``qp.linprog`` probes it ran.  Per factor site (the interior point's
-band factor ``ipm`` and the ``polish``, told apart by the
-``_Kkt.band_factor`` or ``_polish`` call each ``qp.dgbtrf`` call runs in)
+band factor ``ipm`` and the ``polish``: a ``qp.dgbtrf`` call is the
+polish's whenever ``_polish`` is running, and the interior point's otherwise)
 it records the band factors made, the largest band dimension (a factored
 matrix's rows less its bordered coupling rows) and bandwidth among them
 (0 when none), the total band dimension, and the stored band entries,
@@ -80,7 +80,7 @@ def _synth_cases():
     return cases
 
 
-SITES = {"band_factor": "ipm", "_polish": "polish"}
+SITES = ("ipm", "polish")
 BAND_KEYS = ("factors", "dim", "bw", "total_dim", "stored")
 NO_BAND = dict.fromkeys(BAND_KEYS, 0)
 # the sites compare prints: older dumps also hold the partial-pivot "fallback"
@@ -101,7 +101,7 @@ def _record(cfg, problem, settings, band, probes):
         "x": sol.x.tolist(),
         "lossless": cfg.ess.eta_c == 1.0 and cfg.ess.eta_d == 1.0,
         "primal_inf": sol.residuals.primal_inf if sol.status == "optimal" else None,
-        "band": {site: band.get(site, NO_BAND) for site in SITES.values()},
+        "band": {site: band.get(site, NO_BAND) for site in SITES},
         "linprog": probes.get("linprog", 0),
     }
 
@@ -137,22 +137,21 @@ def _count_calls(qp, name) -> dict:
 def _count_band(qp) -> dict:
     """Wrap qp.dgbtrf: count its calls per factor site, with their dimensions and stores.
 
-    The site is the innermost of _Kkt.band_factor and _polish running at
-    the call.
+    A call is the polish's whenever _polish is running (it factors through
+    _Kkt.band_factor too), and the interior point's otherwise.
     """
-    band, stack, real = {}, [], qp.dgbtrf
+    band, depth, real = {}, [0], qp.dgbtrf
+    polish = qp._polish
 
-    def entered(name, method):
-        def wrapped(*args, **kwargs):
-            stack.append(SITES[name])
-            try:
-                return method(*args, **kwargs)
-            finally:
-                stack.pop()
-        return wrapped
+    def wrapped(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return polish(*args, **kwargs)
+        finally:
+            depth[0] -= 1
 
     def counted(ab, kl, ku, **kwargs):
-        site = band.setdefault(stack[-1], dict.fromkeys(BAND_KEYS, 0))
+        site = band.setdefault("polish" if depth[0] else "ipm", dict.fromkeys(BAND_KEYS, 0))
         site["factors"] += 1
         site["dim"] = max(site["dim"], ab.shape[1])
         site["bw"] = max(site["bw"], kl, ku)
@@ -160,8 +159,7 @@ def _count_band(qp) -> dict:
         site["stored"] += ab.size
         return real(ab, kl, ku, **kwargs)
 
-    for owner, name in ((qp._Kkt, "band_factor"), (qp, "_polish")):
-        setattr(owner, name, entered(name, getattr(owner, name)))
+    qp._polish = wrapped
     qp.dgbtrf = counted
     return band
 

@@ -358,9 +358,10 @@ DGBTRF, RCM = "dgbtrf", "reverse_cuthill_mckee"
 class _Sites:
     """Record each call of qp.dgbtrf (one per factor) and of module.<attr> with its site.
 
-    The site of a call is the innermost of _Kkt.band_factor and qp._polish
-    running when it is made, or None outside them.  `calls` holds one
-    (site, attr) per call; clearing it starts a new solve.
+    The site of a call is qp._polish whenever it is running (the polish
+    factors through _Kkt.band_factor too), else _Kkt.band_factor if that
+    is, else None.  `calls` holds one (site, attr) per call; clearing it
+    starts a new solve.
     """
 
     def __init__(self, monkeypatch, *attrs, module=qp):
@@ -372,7 +373,7 @@ class _Sites:
 
     @property
     def site(self):
-        return self.stack[-1] if self.stack else None
+        return POLISH if POLISH in self.stack else self.stack[-1] if self.stack else None
 
     def factors(self, exclude=None):
         return [site for site, attr in self.calls if attr == DGBTRF and site != exclude]
@@ -438,30 +439,22 @@ class TestKktFactorization:
         assert len(misses) == 3 and min(misses) > 1e60
         assert sites.factors() == [BAND] * 8 + [POLISH]
 
-    def test_kkt_pattern_built_once_per_solve(self, monkeypatch):
-        sites = _Sites(monkeypatch, "bmat", module=qp.sp)
-        iterations = set()
-        for p in (build(*hand_case())[1], _synth_week(), build(*random_instance(12))[1]):
-            sites.calls.clear()
-            sol = solve_qp(p)
-            assert sol.status == OPTIMAL
-            iterations.add(sol.iterations)
-            assert sum(site != POLISH for site, attr in sites.calls if attr == "bmat") == 1
-        assert len(iterations) == 3
-
     # the SciPy constructors that stack or assemble block matrices
     BLOCK_CONSTRUCTORS = ("bmat", "vstack", "hstack", "diags")
 
-    def test_polish_builds_no_block_matrix(self, monkeypatch):
-        # the polish writes its KKT system from index arrays, in a cold
-        # solve's polish and in a warm neighbour's
+    def test_solve_builds_no_block_matrix(self, monkeypatch):
+        # both KKT systems, the interior point's and the polish's, are
+        # written from index arrays: no block constructor runs anywhere in
+        # a cold solve, in a warm neighbour's or in an infeasible one
         sites = _Sites(monkeypatch, *self.BLOCK_CONSTRUCTORS, module=qp.sp)
         model, p = build(default_config(168), synth_data(SynthSpec(horizon=168)))
         base = solve_qp(p)
         _, warm = solve_for_param(model, "quota", model.quota + 1.0, start=base)
+        infeasible = solve_qp(_infeasible_week())
         assert (base.status, warm.status, warm.iterations) == (OPTIMAL, OPTIMAL, 0)
-        assert sites.factors(exclude=BAND) == [POLISH, POLISH]
-        assert [attr for site, attr in sites.calls if site == POLISH and attr != DGBTRF] == []
+        assert infeasible.status == INFEASIBLE
+        assert sites.factors() == [BAND] * 8 + [POLISH, POLISH] + [BAND] * 11
+        assert [attr for _, attr in sites.calls if attr != DGBTRF] == []
 
     def test_presolve_builds_no_block_matrix(self, monkeypatch):
         # presolve writes a_ext and g from index arrays, and they are the
@@ -495,15 +488,17 @@ class TestKktFactorization:
         assert seen == [(False, [0, 1]), (True, [0, 1]), (True, [0])]
 
     def test_polish_system_is_the_block_matrix(self, monkeypatch):
-        # the system the polish writes from index arrays is the block
-        # matrix [[diag(q_free), a_bar'], [a_bar, 0]] entry for entry, a_bar
-        # being the rows of a_ext and the active coupling rows in the free
-        # columns
-        systems, real = [], qp._refined_solve
+        # the systems _Kkt writes from index arrays are the block matrices,
+        # value for value (k_true also stores its zero diagonal entries):
+        # the polish's [[diag(q_free), a_bar'], [a_bar, 0]], a_bar being
+        # the rows of a_ext and the active coupling rows in the free
+        # columns, and the interior point's start, [[diag(d), b'], [b,
+        # -I]] with b the rows of a_ext and the kept coupling rows and d
+        # the diagonal with every w / z at 1
+        systems, real = {POLISH: [], BAND: []}, qp._refined_solve
 
         def recorded(lu, k_mat, vec, tol, step=None):
-            if sites.site == POLISH:
-                systems.append(k_mat)
+            systems[POLISH if sites.site == POLISH else BAND].append(k_mat.copy())
             return real(lu, k_mat, vec, tol, step)
 
         monkeypatch.setattr(qp, "_refined_solve", recorded)
@@ -512,16 +507,21 @@ class TestKktFactorization:
         pre = _presolve(p)
         x, y, z = qp._presolved_point(pre, solve_qp(p))
         act = qp._active(pre, x, z, pre.h - pre.g @ x)
-        systems.clear()
-        assert qp._polish(p, pre, act, (x, y, z)) is not None and len(systems) == 1
+        start, systems[POLISH] = systems[BAND][0], []
+        assert qp._polish(p, pre, act, (x, y, z)) is not None and len(systems[POLISH]) == 1
         n_b = len(pre.lo_idx) + len(pre.up_idx)
         free = np.ones(p.n, dtype=bool)
         free[pre.g[np.nonzero(act[:n_b])[0]].indices] = False
         a_bar = sp.vstack([pre.a_ext, pre.g[n_b + np.nonzero(act[n_b:])[0]]], format="csc")
         a_bar = a_bar[:, free]
-        want = sp.bmat([[sp.diags(pre.q[free]), a_bar.T], [a_bar, None]], format="csc")
-        got = systems[0]
-        assert got.shape == want.shape and got.nnz == want.nnz and (got != want).nnz == 0
+        b = sp.vstack([pre.a_ext, pre.g[n_b:]], format="csc")
+        d = pre.q + np.bincount(np.concatenate([pre.lo_idx, pre.up_idx]), minlength=p.n)
+        dual = np.concatenate([np.zeros(pre.a_ext.shape[0]), -np.ones(len(pre.keep_rows))])
+        for got, want in (
+                (systems[POLISH][0],
+                 sp.bmat([[sp.diags(pre.q[free]), a_bar.T], [a_bar, None]], format="csc")),
+                (start, sp.bmat([[sp.diags(d), b.T], [b, sp.diags(dual)]], format="csc"))):
+            assert got.shape == want.shape and (got != want).nnz == 0
 
     def test_one_ordering_per_solve(self, monkeypatch):
         sites = _Sites(monkeypatch, RCM)
@@ -539,7 +539,9 @@ class TestKktFactorization:
     def test_reduced_core_is_a_band_of_width_8(self, horizon):
         _, p = build(default_config(horizon), synth_data(SynthSpec(seed=7, horizon=horizon)))
         pre = _presolve(p)
-        kkt = qp._Kkt(pre)
+        bounded = np.zeros(p.n, dtype=bool)
+        bounded[pre.lo_idx] = bounded[pre.up_idx] = True
+        kkt = qp._Kkt(pre, np.ones(p.n, dtype=bool), np.ones(2, dtype=bool), bounded, qp._KKT_REG)
         order, bw, n_c = kkt.lay
         assert bw == 8
         # every row of r but the kept coupling rows is in the band
@@ -579,7 +581,8 @@ class TestKktFactorization:
         diagonals, real = [], qp._Kkt.set_diagonal
 
         def recorded(kkt, diag):
-            diagonals.append((kkt, diag.copy()))
+            if not diagonals or kkt is diagonals[0][0]:  # the polish's own _Kkt left out
+                diagonals.append((kkt, diag.copy()))
             real(kkt, diag)
 
         monkeypatch.setattr(qp._Kkt, "set_diagonal", recorded)
@@ -698,12 +701,15 @@ class TestKktFactorization:
         assert failed == [True]
         assert sol.status == OPTIMAL and sol.iterations == 8
 
-    @pytest.mark.parametrize("error", [MemoryError])
-    def test_factor_out_of_memory_is_a_status(self, monkeypatch, error):
+    @pytest.mark.parametrize("attr", [pytest.param(DGBTRF, id="MemoryError"),
+                                      pytest.param(RCM, id="ordering")])
+    def test_factor_out_of_memory_is_a_status(self, monkeypatch, attr):
+        # the factor or the ordering made before it, in the interior
+        # point's system and in the polish's alike
         def always_fails(*args, **kwargs):
-            raise error("out of memory")
+            raise MemoryError("out of memory")
 
-        monkeypatch.setattr(qp, "dgbtrf", always_fails)
+        monkeypatch.setattr(qp, attr, always_fails)
         _, p = build(*hand_case())
         sol = solve_qp(p)
         assert sol.status == ITERATION_LIMIT
