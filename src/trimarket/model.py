@@ -451,14 +451,18 @@ def _stencil(terms, row_pos: dict[str, int], row_step: int, shape: tuple[int, in
     At hour t a term lands in row ``row_step*t + row_pos[row]`` and column
     ``13*((t + offset) % T) + position(role)``: offset -1 is the cyclic
     predecessor hour, and ``row_step`` 0 sums a term over the horizon into
-    one row.  Terms that meet in one entry are added.
+    one row.  Terms that meet in one entry are added, and an entry that
+    comes out zero (a zero coefficient, or terms that cancel) is not
+    stored, so it is not in the pattern of any KKT system.
     """
     T = shape[1] // 13
     rows, roles, offsets, coefs = zip(*terms)
     t = np.arange(T)[:, None]
     r = row_step * t + [row_pos[row] for row in rows]
     c = 13 * ((t + offsets) % T) + [_ROLE_POS[role] for role in roles]
-    return sp.csr_matrix((np.tile(coefs, T), (r.ravel(), c.ravel())), shape=shape)
+    m = sp.csr_matrix((np.tile(coefs, T), (r.ravel(), c.ravel())), shape=shape)
+    m.eliminate_zeros()
+    return m
 
 
 def assemble_qp(model: ValidatedModel, *, quota_override: float | None = None) -> QpProblem:

@@ -41,7 +41,7 @@ shift makes the reduced matrix quasi-definite, so nonsingular, and this
 one factor is the only one an iteration makes.  Each solve recovers the
 eliminated variables and is refined against the full unregularized
 matrix; a solve whose refinement misses its tolerance is used as refined,
-and the ratio test and the finisher judge where it leads (Wright 1997,
+and the ratio test and the gate below judge where it leads (Wright 1997,
 ch. 11).  One builder writes this system straight from the CSR arrays of
 the presolved blocks, and the polish's too, with no column eliminated.
 
@@ -65,17 +65,16 @@ downstream sensitivity checks rely on.  Its system, bordered by the
 active coupling rows, comes from the iteration's builder, so building
 it stays a cheap symbolic step before the numeric factor (Davis, Direct
 Methods for Sparse Linear Systems, 2006).
-Every solve that gets past presolve and is not answered by its start
-(below) leaves through one finisher: it polishes the last iterate (or,
-when the iteration stopped short, the best one), falls back to the
-iterate itself, if it converged, whenever the polished point fails, and
-returns "optimal" only when the candidate passes kkt_residuals at the
-solver tolerances, the one test every optimal answer passes.  Anything
-else is settled by an LP feasibility probe as "infeasible" or
-"iteration_limit".
+Every answer of a solve that gets past presolve passes one gate: it
+polishes the last iterate (or, when the iteration stopped short, the best
+one), falls back to the iterate itself, if it converged, whenever the
+polished point fails, and lets the candidate out as "optimal" only when
+it passes kkt_residuals at the solver tolerances.  A start's active set
+(below) passes the same gate.  Anything else is settled by an LP
+feasibility probe as "infeasible" or "iteration_limit".
 
 A solve may be given the optimal solution of a neighbouring problem as a
-start.  Its active set, predicted by the finisher's rule, is polished on
+start.  Its active set, predicted by the gate's rule, is polished on
 the new problem first, and the point is returned only if it passes the
 same test; otherwise the solve runs as it would without a start.  Inside
 one active set the solution is affine in the right-hand side, so a small
@@ -441,6 +440,9 @@ def _max_step(v: np.ndarray, dv: np.ndarray, ratio: np.ndarray) -> float:
 # shift's error from every solve.
 _KKT_REG = 1e-9
 _POLISH_EPS = 1e-10
+# the interior point's refinement stops at a residual of _KKT_RTOL relative
+# to its right-hand side (_Kkt.solve)
+_KKT_RTOL = 1e-11
 
 # stall exit (module docstring): the primal residual has stalled when it is
 # above tolerance and at least _STALL_RATIO of its value _STALL_WINDOW
@@ -546,7 +548,9 @@ class _Kkt:
     would put 1 / _KKT_REG into r.  r's _layout, bordered by the coupling
     rows, is made once (bandwidth 8 on the synthetic model at every
     horizon), and r is never assembled: each factor writes its band
-    store with one bincount over the pattern's entries.
+    store with one bincount over the pattern's entries.  The instance
+    holds its one factor, and solve() takes the eliminated columns around
+    it and refines against k_true.
     """
 
     def __init__(self, pre: _Presolved, cols: np.ndarray, coup: np.ndarray,
@@ -613,65 +617,51 @@ class _Kkt:
             len(r_diag), int(coup.sum()))
         self.weights = np.concatenate([np.zeros(len(t)), vals, vals, np.zeros(len(r_diag))])
         self.reg = self.inv_d = None  # the shifted diagonal and 1 / D_e, from set_diagonal
+        self.lu = None  # r's band LU, from factor
 
     def set_diagonal(self, diag: np.ndarray) -> None:
         self.k_true.data[self.diag_pos] = diag
         self.reg = diag + self.shift
         self.inv_d = 1.0 / self.reg[self.elim]
 
-    def band_factor(self):
-        """Factor r at the current diagonal; the factor solves systems in the shifted k_true."""
+    def factor(self) -> None:
+        """Factor r at the current diagonal, freeing the last factor first."""
+        self.lu = None
         w = self.weights
         np.multiply(self.pair_val, self.inv_d[self.pair_col], out=w[: len(self.pair_val)])
         w[len(w) - len(self.r_rows) :] = self.reg[self.r_rows]
-        band = _BandLu(*self.lay, np.bincount(self.dest, w, self.size))
-        return _Reduced(self, band) if len(self.elim) else band
+        self.lu = _BandLu(*self.lay, np.bincount(self.dest, w, self.size))
 
-
-class _Reduced:
-    """A factor of _Kkt's r solving the shifted k_true: the eliminated columns go around it."""
-
-    def __init__(self, kkt: _Kkt, band: _BandLu):
-        self.kkt, self.band, self.inv_d = kkt, band, kkt.inv_d  # 1 / D_e when r was factored
-
-    def solve(self, vec: np.ndarray) -> np.ndarray:
-        kkt = self.kkt
-        r_e = vec[kkt.elim] * self.inv_d
-        rhs = vec[kkt.r_rows]
-        rhs[kkt.n_k :] -= kkt.b_e @ r_e
-        sol = self.band.solve(rhs)
+    def shifted_solve(self, vec: np.ndarray) -> np.ndarray:
+        """Solve the shifted k_true with the factor: the eliminated columns go around r's."""
+        if not len(self.elim):  # the polish's r is k_true itself
+            return self.lu.solve(vec)
+        r_e = vec[self.elim] * self.inv_d
+        rhs = vec[self.r_rows]
+        rhs[self.n_k :] -= self.b_e @ r_e
+        sol = self.lu.solve(rhs)
         step = np.empty_like(vec)
-        step[kkt.r_rows] = sol
-        step[kkt.elim] = r_e - (kkt.b_e_t @ sol[kkt.n_k :]) * self.inv_d
+        step[self.r_rows] = sol
+        step[self.elim] = r_e - (self.b_e_t @ sol[self.n_k :]) * self.inv_d
         return step
 
+    def solve(self, vec: np.ndarray, rtol: float, rhs0: np.ndarray | None = None) -> np.ndarray:
+        """Solve k_true z = vec with the factor, refined against k_true.
 
-def _refined_solve(lu, k_mat: sp.csc_matrix, vec: np.ndarray, tol: float, step=None):
-    """Solve k_mat z = vec with the factor lu of a shifted copy of k_mat.
-
-    Starts from `step` (default lu.solve(vec)) and adds up to three
-    refinement steps against k_mat, stopping once the residual's max norm
-    is at most tol; a step that is not finite has a NaN or infinite
-    residual, which no tolerance accepts.  Returns the step, refined as
-    far as it got.
-    """
-    if step is None:
-        step = lu.solve(vec)
-    for _ in range(3):
-        err = vec - k_mat @ step
-        if float(np.max(np.abs(err), initial=0.0)) <= tol:
-            break
-        step += lu.solve(err)
-    return step
-
-
-def _kkt_solve(kkt: _Kkt, lu, vec: np.ndarray) -> np.ndarray:
-    """Solve kkt.k_true z = vec with its band factor lu, refined against k_true.
-
-    A step whose refinement misses the tolerance is returned as refined.
-    """
-    tol = 1e-11 * (1.0 + float(np.max(np.abs(vec), initial=0.0)))
-    return _refined_solve(lu, kkt.k_true, vec, tol)
+        The first solve takes rhs0 (default vec); up to three refinement
+        steps against k_true follow, stopping once the residual's max norm
+        is at most rtol (1 + |vec|_inf).  A step that is not finite has a
+        NaN or infinite residual, which no tolerance accepts.  A step whose
+        refinement misses the tolerance is returned as refined.
+        """
+        tol = rtol * (1.0 + float(np.max(np.abs(vec), initial=0.0)))
+        step = self.shifted_solve(vec if rhs0 is None else rhs0)
+        for _ in range(3):
+            err = vec - self.k_true @ step
+            if float(np.max(np.abs(err), initial=0.0)) <= tol:
+                break
+            step += self.shifted_solve(err)
+        return step
 
 
 def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
@@ -696,40 +686,51 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
     except _InfeasibleProblem as exc:
         return _empty_solution(p, INFEASIBLE, message=f"infeasible: {exc}")
     if start is not None:
-        warm = _warm(p, pre, s, start)
-        if warm is not None:
-            return warm
+        d = start.ineq_duals
+        sizes = (start.x.shape, start.eq_duals.shape, d.lower.shape, d.upper.shape,
+                 d.coupling.shape)
+        if start.status == OPTIMAL and sizes == ((p.n,), (p.m_eq,), (p.n,), (p.n,), (2,)):
+            x, y, z = _presolved_point(pre, start)
+            # a row that start's point violates in p has a negative slack,
+            # which predicts it active
+            sol = _verified(p, pre, s, (x, y, z), pre.h - pre.g @ x, converged=False)
+            if sol is not None:
+                return sol  # iterations == 0: answered by the start's active set
 
-    if pre.g.shape[0] == 0:
-        # every variable pinned or free: the polish from the zero point with
-        # nothing active is the one equality-constrained solve
-        none = np.zeros(0)
-        return _finish(p, pre, s, (np.zeros(p.n), np.zeros(pre.a_ext.shape[0]), none), none, 0,
-                       False, "equality-constrained solve failed")
-    iterated = _interior_point(p, pre, s)
-    if isinstance(iterated, Solution):
-        return iterated
-    return _finish(p, pre, s, *iterated)
+    point, w, iterations, converged, message, verdict = _interior_point(p, pre, s)
+    if point is not None:
+        sol = _verified(p, pre, s, point, w, converged)
+        if sol is not None:
+            return replace(sol, iterations=iterations)
+    return _unsolved(p, iterations, message, verdict)
 
 
 def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
     """The interior-point iteration of solve_qp, from the least-squares start.
 
-    Returns (point, w, iterations, converged, message) for _finish, or a
-    Solution when there is nothing to finish: the start's factor failed,
-    the stall probe found the problem infeasible, or no iterate was
-    finite.  Every array of the iteration, the KKT matrix and its factor
-    among them, is freed on return, before the polish makes its own
-    factor, and the best-merit iterate is kept in buffers allocated once:
-    with nothing the iteration made late left alive, the allocator can
-    hand the memory back before the polish (at T=8760 the peak resident
-    size fell from about 315 to 240 MB).
+    Returns its run, (point, w, iterations, converged, message, verdict):
+    the iterate (x, y, z) to verify, or None when there is none (the
+    start's factor failed, the stall probe found the problem infeasible,
+    or no iterate was finite); the slacks w of the inequality block that
+    predict its active set; whether the stopping test passed; why the
+    iteration stopped; and the stall probe's verdict, INFEASIBLE or None.
+    With no inequality row, every variable pinned or free, the run is the
+    zero point with nothing active, whose polish is the one
+    equality-constrained solve.  Every array of the iteration, the KKT
+    matrix and its factor among them, is freed on return, before the
+    polish makes its own factor, and the best-merit iterate is kept in
+    buffers allocated once: with nothing the iteration made late left
+    alive, the allocator can hand the memory back before the polish (at
+    T=8760 the peak resident size fell from about 315 to 240 MB).
     """
     n = p.n
     q, c = pre.q, pre.c
     a, b = pre.a_ext, pre.b_ext
     g, h = pre.g, pre.h
     m, m_comp = a.shape[0], g.shape[0]
+    if m_comp == 0:
+        return ((np.zeros(n), np.zeros(m), np.zeros(0)), np.zeros(0), 0, False,
+                "equality-constrained solve failed", None)
     n_b = len(pre.lo_idx) + len(pre.up_idx)  # bound rows lead the block
 
     # the bound rows of the inequality block fold into the primal diagonal
@@ -746,11 +747,11 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
         kkt = _Kkt(pre, np.ones(n, dtype=bool), np.ones(m_comp - n_b, dtype=bool), n_bound > 0,
                    _KKT_REG)
         kkt.set_diagonal(np.concatenate([q + n_bound, np.zeros(m), -np.ones(m_comp - n_b)]))
-        lu = kkt.band_factor()
-        x = _kkt_solve(kkt, lu, np.concatenate([gb_t @ h[:n_b], b, h[n_b:]]))[:n]
-        dual = _kkt_solve(kkt, lu, np.concatenate([-c, np.zeros(m + m_comp - n_b)]))
+        kkt.factor()
+        x = kkt.solve(np.concatenate([gb_t @ h[:n_b], b, h[n_b:]]), _KKT_RTOL)[:n]
+        dual = kkt.solve(np.concatenate([-c, np.zeros(m + m_comp - n_b)]), _KKT_RTOL)
     except _FACTOR_ERRORS:
-        return _unsolved(p, 0, "KKT factorization failed")
+        return None, None, 0, False, "KKT factorization failed", None
     y = -dual[n : n + m]
     w, z = h - g @ x, np.concatenate([gb_t.T @ dual[:n], dual[n + m :]])
     for v in (w, z):
@@ -817,7 +818,7 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
         ):
             probed = True
             if _feasibility_probe(p) == INFEASIBLE:
-                return _unsolved(p, it, "", verdict=INFEASIBLE)
+                return None, None, it, False, "", INFEASIBLE
 
         # clamp denominators: an underflowed slack or coupling multiplier
         # must read as a huge but finite diagonal entry, not an inf that
@@ -826,14 +827,13 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
         z_c = np.maximum(z[n_b:], 1e-280)
         d1 = q + np.bincount(bound_var, z[:n_b] / w_b, minlength=n)
         kkt.set_diagonal(np.concatenate([d1, np.zeros(m), -(w[n_b:] / z_c)]))
-        lu = None  # the last factor is freed before the next is made
 
         def solve_direction(rc):
             # Newton direction whose linearized complementarity change
             # z*dw + w*dz equals rc
             rhs_x = -rd - gb_t @ ((rc[:n_b] + z[:n_b] * rp_in[:n_b]) / w_b)
-            step = _kkt_solve(kkt, lu,
-                              np.concatenate([rhs_x, -rp_eq, -rp_in[n_b:] - rc[n_b:] / z_c]))
+            step = kkt.solve(np.concatenate([rhs_x, -rp_eq, -rp_in[n_b:] - rc[n_b:] / z_c]),
+                             _KKT_RTOL)
             dx = step[:n]
             dw = -(g @ dx) - rp_in
             dz = np.concatenate([(rc[:n_b] - z[:n_b] * dw[:n_b]) / w_b, step[n + m :]])
@@ -870,7 +870,7 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
             return direction, ap, ad
 
         try:  # a solve, not only the factor, can run out of memory
-            lu = kkt.band_factor()
+            kkt.factor()  # the last factor is freed before the next is made
             direction, ap, ad = newton_step()
         except _FACTOR_ERRORS:
             message = "KKT factorization failed"
@@ -891,8 +891,8 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
         # 8 iterations (867 mostly small random problems) came back optimal.
         point = best
     else:
-        return _unsolved(p, it, message)
-    return point, w, it, converged, message
+        point = None
+    return point, w, it, converged, message, None
 
 
 def _scales(pre: _Presolved) -> tuple[float, float]:
@@ -904,27 +904,24 @@ def _scales(pre: _Presolved) -> tuple[float, float]:
     return scale_p, 1.0 + float(np.max(np.abs(pre.c), initial=0.0))
 
 
-def _finish(p: QpProblem, pre: _Presolved, s: SolverSettings, point, w, iterations: int,
-            converged: bool, message: str) -> Solution:
-    """The one exit of solve_qp after presolve.
+def _verified(p: QpProblem, pre: _Presolved, s: SolverSettings, point, w,
+              converged: bool) -> Solution | None:
+    """The gate every answer of solve_qp passes after presolve.
 
     `point` is an iterate (x, y, z) and `w` the slacks of the inequality
     block used to predict its active set.  The polish runs once on that
     set; if its point fails the tolerances, or it gives none, and the
     interior-point method converged, the iterate itself is the candidate.
-    The candidate is returned as "optimal" only if it meets the
-    tolerances; otherwise the LP probe decides the status.
+    Returns the candidate only if it meets the tolerances, else None.
     """
     scale_p, scale_d = _scales(pre)
     sol = _polish(p, pre, _active(pre, point[0], point[2], w), point)
     if converged and not _meets_tolerances(sol, s, scale_p, scale_d):
         # the polished point is off (e.g. a free variable left its box),
-        # or there is none (its factor raised, or its release rounds did
-        # not settle): the converged iterate answers
+        # or there is none (its factor or solve raised, or its release
+        # rounds did not settle): the converged iterate answers
         sol = _finalize(p, pre, *point)
-    if _meets_tolerances(sol, s, scale_p, scale_d):
-        return replace(sol, iterations=iterations)
-    return _unsolved(p, iterations, message)
+    return sol if _meets_tolerances(sol, s, scale_p, scale_d) else None
 
 
 def _active(pre: _Presolved, x: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -945,32 +942,13 @@ def _presolved_point(pre: _Presolved, sol: Solution):
     return sol.x, y, z
 
 
-def _warm(p: QpProblem, pre: _Presolved, s: SolverSettings, start: Solution) -> Solution | None:
-    """The polish of p on start's active set, if it meets the tolerances.
-
-    A row that start's point violates in p has a negative slack, which
-    predicts it active.  None when start is not an optimal Solution of a
-    problem of p's size, or its polished point fails the tolerances.
-    """
-    d = start.ineq_duals
-    sizes = (start.x.shape, start.eq_duals.shape, d.lower.shape, d.upper.shape,
-             d.coupling.shape)
-    if start.status != OPTIMAL or sizes != ((p.n,), (p.m_eq,), (p.n,), (p.n,), (2,)):
-        return None
-    x, y, z = _presolved_point(pre, start)
-    sol = _polish(p, pre, _active(pre, x, z, pre.h - pre.g @ x), (x, y, z))
-    if _meets_tolerances(sol, s, *_scales(pre)):
-        return replace(sol, iterations=0)
-    return None
-
-
 def _unsolved(p: QpProblem, iterations: int, message: str,
               verdict: str | None = None) -> Solution:
     """Non-optimal exit: the LP probe tells "infeasible" from "iteration_limit".
 
     `verdict` is the full-problem probe's answer when the caller already
-    has it (the stall exit of solve_qp), so the problem is not probed
-    twice; otherwise the probe runs here.  An infeasible problem always
+    has it (the interior point's stall exit), so the problem is not
+    probed twice; otherwise the probe runs here.  An infeasible problem always
     carries the relaxation probes' diagnosis; `message`, why the iteration
     stopped, only explains an iteration limit.
     """
@@ -1040,13 +1018,6 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
         free = np.ones(p.n, dtype=bool)
         free[var] = False
         n_f = int(free.sum())
-        try:
-            kkt = _Kkt(pre, free, on, np.zeros(p.n, dtype=bool), _POLISH_EPS)
-            kkt.set_diagonal(np.concatenate([pre.q[free], np.zeros(m + len(coup))]))
-            lu = kkt.band_factor()
-        except _FACTOR_ERRORS:
-            return None
-
         # the fixed columns move to the right-hand side
         true_target = np.concatenate([-pre.c[free], pre.b_ext - a @ x,
                                       pre.h[coup] - (g @ x)[coup]])
@@ -1054,11 +1025,17 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
         # coupling rows +z, so the stacked hint multiplier is (-y, z)
         u_hint = np.concatenate([-y_hint, z_hint[coup]])
         biased = true_target + _POLISH_EPS * np.concatenate([x_hint[free], -u_hint])
-        scale = 1.0 + float(np.max(np.abs(true_target), initial=0.0))
-        # the bias leaves about _POLISH_EPS * |solution - hint| in the first
-        # solve; a hint from a neighbouring problem (a warm start) left 1e-11
-        # in the equality rows of a week, which 1e-12 * scale accepted
-        step = _refined_solve(lu, kkt.k_true, true_target, 1e-14 * scale, lu.solve(biased))
+        try:  # a solve, not only the factor, can run out of memory
+            kkt = _Kkt(pre, free, on, np.zeros(p.n, dtype=bool), _POLISH_EPS)
+            kkt.set_diagonal(np.concatenate([pre.q[free], np.zeros(m + len(coup))]))
+            kkt.factor()
+            # the bias leaves about _POLISH_EPS * |solution - hint| in the
+            # first solve; a hint from a neighbouring problem (a warm start)
+            # left 1e-11 in the equality rows of a week, which a relative
+            # 1e-12 accepted
+            step = kkt.solve(true_target, 1e-14, biased)
+        except _FACTOR_ERRORS:
+            return None
         x[free] = step[:n_f]
         y = -step[n_f : n_f + m]
         z = np.zeros(len(act))

@@ -138,7 +138,8 @@ def _count_band(qp) -> dict:
     """Wrap qp.dgbtrf: count its calls per factor site, with their dimensions and stores.
 
     A call is the polish's whenever _polish is running (it factors through
-    _Kkt.band_factor too), and the interior point's otherwise.
+    _Kkt.factor, as the interior point does), and the interior point's
+    otherwise.
     """
     band, depth, real = {}, [0], qp.dgbtrf
     polish = qp._polish

@@ -280,6 +280,15 @@ class TestAffineSensitivity:
         with pytest.raises(ValueError, match="param"):
             affine_sensitivity(model, "k", np.array([0.1, 0.2, 0.3]))
 
+    def test_failed_grid_point_raises(self):
+        # with 2 units of RES output, no REC inventory and no REC market,
+        # a full retirement floor (r = 1 of a load of 5) is unmeetable
+        cfg, data = hand_case()
+        cfg = cfg.with_inventories(rec=False, cer=True).with_caps(r_cap=0.0)
+        model, _ = build(cfg, dataclasses.replace(data, e=np.array([2.0])))
+        with pytest.raises(RuntimeError, match="^solve at r=1 failed: infeasible; infeasible: REC"):
+            affine_sensitivity(model, "r", np.array([0.0, 0.2, 1.0]))
+
     def test_segment_with_zero_multiplier_is_not_checked(self):
         # the quota stays slack over this alpha range: one active set, no price
         model, _ = build(*cer_sale_capped_case())

@@ -91,7 +91,9 @@ class TestConfigFormat:
         ("horizon.T = 4", "horizon.T = 4.5", "cfg:3: horizon.T needs an integer, got '4.5'"),
         ("rec_inventory.enabled = true", "rec_inventory.enabled = maybe",
          "cfg:22: rec_inventory.enabled needs true/false, got 'maybe'"),
-    ], ids=["int", "bool"])
+        ("tg.a = 1", "tg.a 1", "cfg:7: expected 'key = value', got 'tg.a 1'"),
+        ("tg.a = 1", "tg.a =", "cfg:7: tg.a has no value"),
+    ], ids=["int", "bool", "no-equals", "no-value"])
     def test_value_errors_report_line(self, old, new, message):
         text = config_text(default_config(4)).replace(old, new)
         with pytest.raises(ConfigError) as err:
@@ -246,6 +248,8 @@ class TestResultFiles:
             ("hour,x\n" + row + "\n", "header must be"),
             (header + "\n" + row + ",1\n", rf"r\.csv:2: expected {n_fields} fields"),
             (header + "\n2" + row[1:] + "\n", r"r\.csv:2: hour column must count 1\.\.T"),
+            # a blank line is skipped but keeps its number
+            (header + "\n\n2" + row[1:] + "\n", r"r\.csv:3: hour column must count 1\.\.T"),
         ):
             f.write_text(text)
             with pytest.raises(ConfigError, match=match):

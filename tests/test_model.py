@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,21 @@ class TestAssembly:
         # hour 1 references the final hour's state of charge
         q_last = lay.indices("q")[-1]
         assert row[q_last] != 0.0
+
+    def test_no_explicit_zero_coefficients(self):
+        # a zero coefficient (tg.k = 0, policy.r = 0), or terms that cancel
+        # (at T = 1 the offset-0 and cyclic offset -1 terms of the storage
+        # and inventory rows land on one hour), stores no entry; each case
+        # stored zeros before
+        cfg, data = default_config(168), _data(168)
+        for c, d in (random_instance(11),
+                     (dataclasses.replace(cfg, tg=dataclasses.replace(cfg.tg, k=0.0)), data),
+                     (cfg.with_policy(r=0.0), data)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ModelWarning)  # k and r out of their usual range
+                _, p = build(c, d)
+            for m in (p.a_eq, p.coup):
+                assert np.all(m.data != 0.0) and m.has_canonical_format
 
     def test_quota_override_changes_only_quota_row(self):
         cfg, data = hand_case()

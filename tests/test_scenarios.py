@@ -351,3 +351,5 @@ class TestInventoryMatrix:
         assert m.cost_g_consistent
         d = m.to_dict()
         assert set(d["breakdowns"]) == set(MATRIX_CELLS)
+        # a 50-unit REC trade cap binds, and the matrix says so
+        assert not inventory_matrix(base_cfg.with_caps(r_cap=50.0), base_data).caps_slack

@@ -169,7 +169,7 @@ class TestSolverBehaviour:
 
     def test_every_variable_pinned(self):
         # presolve pins everything, so no inequality reaches the solver: the
-        # finisher's polish is the whole solve, and its point is verified too
+        # gate's polish is the whole solve, and its point is verified too
         _, p, sol = solve(*hand_case())
         x = sol.x
         pinned = dataclasses.replace(p, lb=x.copy(), ub=x.copy(), coup_rhs=p.coup @ x)
@@ -351,7 +351,7 @@ class TestInfeasibility:
 # the two factor sites, by the method that makes each factor: the
 # interior point's band factor of the reduced system and the active-set
 # polish
-BAND, POLISH = "band_factor", "_polish"
+BAND, POLISH = "factor", "_polish"
 DGBTRF, RCM = "dgbtrf", "reverse_cuthill_mckee"
 
 
@@ -359,8 +359,8 @@ class _Sites:
     """Record each call of qp.dgbtrf (one per factor) and of module.<attr> with its site.
 
     The site of a call is qp._polish whenever it is running (the polish
-    factors through _Kkt.band_factor too), else _Kkt.band_factor if that
-    is, else None.  `calls` holds one (site, attr) per call; clearing it
+    factors through _Kkt.factor too), else _Kkt.factor if that is, else
+    None.  `calls` holds one (site, attr) per call; clearing it
     starts a new solve.
     """
 
@@ -421,17 +421,18 @@ class TestKktFactorization:
         # the barrier diagonal spans so many orders of magnitude that three
         # directions miss the refinement tolerance, by 1e66 and more; each
         # is used as refined, the ratio test takes what it can, and the
-        # finisher verifies the answer as any other
-        misses, real = [], qp._refined_solve
+        # gate verifies the answer as any other
+        misses, real = [], qp._Kkt.solve
 
-        def recorded(lu, k_mat, vec, tol, step=None):
-            out = real(lu, k_mat, vec, tol, step)
-            norm = float(np.max(np.abs(vec - k_mat @ out), initial=0.0))
+        def recorded(kkt, vec, rtol, rhs0=None):
+            out = real(kkt, vec, rtol, rhs0)
+            norm = float(np.max(np.abs(vec - kkt.k_true @ out), initial=0.0))
+            tol = rtol * (1.0 + float(np.max(np.abs(vec), initial=0.0)))
             if sites.site != POLISH and not norm <= tol:
                 misses.append(norm / tol)
             return out
 
-        monkeypatch.setattr(qp, "_refined_solve", recorded)
+        monkeypatch.setattr(qp._Kkt, "solve", recorded)
         sites = _Sites(monkeypatch)
         _, p = build(*random_instance(222))
         sol = solve_qp(p)
@@ -495,13 +496,13 @@ class TestKktFactorization:
         # columns, and the interior point's start, [[diag(d), b'], [b,
         # -I]] with b the rows of a_ext and the kept coupling rows and d
         # the diagonal with every w / z at 1
-        systems, real = {POLISH: [], BAND: []}, qp._refined_solve
+        systems, real = {POLISH: [], BAND: []}, qp._Kkt.solve
 
-        def recorded(lu, k_mat, vec, tol, step=None):
-            systems[POLISH if sites.site == POLISH else BAND].append(k_mat.copy())
-            return real(lu, k_mat, vec, tol, step)
+        def recorded(kkt, vec, rtol, rhs0=None):
+            systems[POLISH if sites.site == POLISH else BAND].append(kkt.k_true.copy())
+            return real(kkt, vec, rtol, rhs0)
 
-        monkeypatch.setattr(qp, "_refined_solve", recorded)
+        monkeypatch.setattr(qp._Kkt, "solve", recorded)
         sites = _Sites(monkeypatch)
         p = _synth_week()
         pre = _presolve(p)
@@ -597,7 +598,7 @@ class TestKktFactorization:
             no_reference = set()
             for k, (_, diag) in enumerate(diagonals, start=1):
                 real(kkt, diag)
-                reduced = kkt.band_factor()
+                kkt.factor()
                 shifted = (kkt.k_true + sp.diags(kkt.shift)).tocsc()
                 want = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                             options=dict(SymmetricMode=True)).solve(rhs)
@@ -605,7 +606,7 @@ class TestKktFactorization:
                 if np.max(np.abs(splu(shifted, permc_spec="COLAMD").solve(rhs) - want)) > tol:
                     no_reference.add(k)
                 else:
-                    assert np.max(np.abs(reduced.solve(rhs) - want)) <= tol
+                    assert np.max(np.abs(kkt.shifted_solve(rhs) - want)) <= tol
             assert no_reference == unmatched
 
     def test_static_factor_eliminates_bounded_columns(self, monkeypatch):
@@ -643,7 +644,7 @@ class TestKktFactorization:
         assert [site for site, attr in sites.calls if attr == RCM] == [None]
 
     def test_polish_rejects_non_finite_solve(self, monkeypatch):
-        # every polish factor solves to NaN; the finisher rejects that
+        # every polish factor solves to NaN; the gate rejects that
         # point and the converged iterate, verified like any other
         # answer, is returned instead
         real, nan_solves = qp._BandLu.solve, []
@@ -683,19 +684,23 @@ class TestKktFactorization:
         assert solve_qp(p).status == OPTIMAL
         assert stored and max(stored) < 300_000
 
-    @pytest.mark.parametrize("error", [MemoryError])
-    def test_polish_out_of_memory_falls_back_to_converged_iterate(self, monkeypatch, error):
-        # a store too large for the memory raises MemoryError; the polish
-        # makes the only factor that fails here
-        real, failed = qp.dgbtrf, []
+    @pytest.mark.parametrize("owner, attr", [pytest.param(qp, DGBTRF, id="MemoryError"),
+                                             pytest.param(qp._BandLu, "solve", id="solve")])
+    def test_polish_out_of_memory_falls_back_to_converged_iterate(self, monkeypatch, owner,
+                                                                  attr):
+        # a store too large for the memory raises MemoryError in the
+        # polish's factor, or a work array in its first solve; the polish
+        # makes the only call that fails here, and the converged iterate
+        # answers
+        real, failed = getattr(owner, attr), []
 
         def polish_fails(*args, **kwargs):
             if sites.site == POLISH:
                 failed.append(True)
-                raise error("out of memory")
+                raise MemoryError("out of memory")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(qp, "dgbtrf", polish_fails)
+        monkeypatch.setattr(owner, attr, polish_fails)
         sites = _Sites(monkeypatch)
         sol = solve_qp(_synth_week())
         assert failed == [True]
