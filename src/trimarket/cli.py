@@ -158,6 +158,25 @@ def _load_inputs(args):
     return cfg, synth, data
 
 
+def _write_run(args, command: str, writes, charts) -> int:
+    """Write a run directory under args.out and return how many files it holds.
+
+    Each (name, save, payload) of `writes` is written as save(path, payload),
+    then, unless args.no_plots, the charts that `charts()` renders, and last
+    manifest.json with the SHA-256 of every file before it.
+    """
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    files: dict[str, Path] = {}
+    for name, save, payload in writes:
+        save(out / name, payload)
+        files[name] = out / name
+    if not args.no_plots:
+        files.update(save_charts(out / "charts", charts()))
+    save_json(out / "manifest.json", manifest_payload(__version__, command, files))
+    return len(files) + 1
+
+
 # ---------------------------------------------------------------------------
 # Subcommand bodies
 
@@ -178,30 +197,15 @@ def _cmd_gen_data(args) -> int:
 def _cmd_solve(args) -> int:
     cfg, _, data = _load_inputs(args)
     res = run_scenario(cfg, data, settings=_settings(args), properties=args.properties)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    files: dict[str, Path] = {}
-    save_plan_csv(out / "plan.csv", res.plan)
-    files["plan.csv"] = out / "plan.csv"
-    save_duals_csv(out / "duals.csv", res.duals)
-    files["duals.csv"] = out / "duals.csv"
-    save_json(
-        out / "breakdown.json",
-        breakdown_payload(
-            res.breakdown,
-            objective=res.solution.objective,
-            status=res.solution.status,
-            iterations=res.solution.iterations,
-        ),
-    )
-    files["breakdown.json"] = out / "breakdown.json"
+    sol = res.solution
+    writes = [("plan.csv", save_plan_csv, res.plan), ("duals.csv", save_duals_csv, res.duals),
+              ("breakdown.json", save_json,
+               breakdown_payload(res.breakdown, objective=sol.objective, status=sol.status,
+                                 iterations=sol.iterations))]
     if args.properties != "none":
-        save_json(out / "properties.json", properties_payload(res.reports, res.case_tables))
-        files["properties.json"] = out / "properties.json"
-    if not args.no_plots:
-        files.update(save_charts(out / "charts", run_charts(res.plan, data)))
-    save_json(out / "manifest.json", manifest_payload(__version__, "solve", files))
+        writes.append(("properties.json", save_json,
+                       properties_payload(res.reports, res.case_tables)))
+    n_files = _write_run(args, "solve", writes, lambda: run_charts(res.plan, data))
 
     failing = [r.prop_id for r in res.reports if not r.holds]
     note = f", {len(failing)} failing checks: {', '.join(failing)}" if failing else ""
@@ -209,21 +213,15 @@ def _cmd_solve(args) -> int:
         f"status {res.solution.status}, objective {res.solution.objective:.6f}, "
         f"mu {res.duals.mu:.6f}, delta {res.duals.delta:.6f}{note}"
     )
-    print(f"wrote {len(files) + 1} files to {out}")
+    print(f"wrote {n_files} files to {Path(args.out)}")
     return EXIT_OK
 
 
 def _cmd_matrix(args) -> int:
     cfg, _, data = _load_inputs(args)
     m = inventory_matrix(cfg, data, settings=_settings(args))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    files: dict[str, Path] = {}
-    save_json(out / "matrix.json", m.to_dict())
-    files["matrix.json"] = out / "matrix.json"
-    if not args.no_plots:
-        files.update(save_charts(out / "charts", matrix_chart(m)))
-    save_json(out / "manifest.json", manifest_payload(__version__, "inventory-matrix", files))
+    _write_run(args, "inventory-matrix", [("matrix.json", save_json, m.to_dict())],
+               lambda: matrix_chart(m))
     for cell in ("none", "cer_only", "rec_only", "both"):
         print(f"{cell:9s} profit {m.breakdowns[cell].profit:16.6f} "
               f"({m.improvements_pct[cell]:+.4f}%)")
@@ -234,17 +232,9 @@ def _cmd_sweep(args) -> int:
     cfg, _, data = _load_inputs(args)
     grid = _parse_grid(args.grid)
     sw = parameter_sweep(cfg, data, args.param, grid, settings=_settings(args))
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    files: dict[str, Path] = {}
-    save_sweep_csv(out / "sweep.csv", sw)
-    files["sweep.csv"] = out / "sweep.csv"
-    save_json(out / "sweep.json", sw.to_dict())
-    files["sweep.json"] = out / "sweep.json"
-    if not args.no_plots:
-        files.update(save_charts(out / "charts", sweep_charts(sw)))
-    save_json(out / "manifest.json", manifest_payload(__version__, "sweep", files))
+    _write_run(args, "sweep",
+               [("sweep.csv", save_sweep_csv, sw), ("sweep.json", save_json, sw.to_dict())],
+               lambda: sweep_charts(sw))
 
     n_ok = sum(p.status == "optimal" for p in sw.points)
     print(f"swept {args.param} over {len(sw.points)} points, {n_ok} optimal")

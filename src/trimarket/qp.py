@@ -126,8 +126,11 @@ class SolverSettings:
     """Interior-point tolerance and iteration limit.
 
     tol bounds the primal residual, the dual residual and the
-    complementarity gap alike, each relative to the problem scale that
-    the stopping test applies to it.
+    complementarity gap alike, each relative to its scale: 1 + the
+    largest |right-hand side| of the equality rows, the pinned values and
+    the kept coupling rows; 1 + the largest |linear objective
+    coefficient|; and 1 + |objective|.  One test applies them, both to
+    stop the interior point and to let an answer out.
     """
 
     tol: float = 1e-8
@@ -170,8 +173,8 @@ class Solution:
     eq_duals follows the equality-row order of the problem (6 rows per hour);
     ineq_duals holds the bound and coupling multipliers.  Status "optimal"
     from solve_qp always means the point passes kkt_residuals at the solver
-    tolerances, each scaled by the problem data as the interior-point
-    stopping test scales it; every return path checks this.  On
+    tolerances, scaled as SolverSettings describes, by the same test that
+    stops the interior point; every return path checks this.  On
     "infeasible" and "iteration_limit" the vectors are zero and message
     says why.  An optimal answer with iterations == 0 from a solve given
     a start came from the start's active set (see solve_qp).
@@ -275,6 +278,10 @@ class _Presolved:
     a_ext and each bound row of g holds one +-1 entry, so g.indices[i] is
     bound row i's variable and g.data[i] its sign, and the kept coupling
     rows are copied entry for entry.
+
+    The stopping test's scales are set here, once per problem, from its
+    own data: scale_p = 1 + max |(b_ext, kept coupling right-hand sides)|
+    and scale_d = 1 + max |c|.
     """
 
     q: np.ndarray              # diagonal of the (PSD) minimization Hessian
@@ -288,9 +295,11 @@ class _Presolved:
     both: np.ndarray           # the (lower, upper) bound rows of g of each variable with both
     g: sp.csr_matrix           # inequality block: lower bounds, upper bounds, coupling
     h: np.ndarray
-    coup_rhs: np.ndarray       # right-hand sides of the kept coupling rows
+    n_b: int                   # bound rows of g, which lead the block
     keep_rows: list[int]
     dropped_rows: list[int]    # coupling rows absorbed into pins
+    scale_p: float             # primal and dual scales of _meets_tolerances
+    scale_d: float
 
 
 def _presolve(p: QpProblem) -> _Presolved:
@@ -334,7 +343,6 @@ def _presolve(p: QpProblem) -> _Presolved:
             keep_rows.append(k)
 
     pin_idx = np.nonzero(pinned)[0]
-    pin_val = pin[pin_idx]
     lb[pin_idx], ub[pin_idx] = -np.inf, np.inf  # pinned vars leave the box constraints entirely
     lo_idx = np.nonzero(np.isfinite(lb))[0]
     up_idx = np.nonzero(np.isfinite(ub))[0]
@@ -343,14 +351,15 @@ def _presolve(p: QpProblem) -> _Presolved:
     # each pin and bound row is one +-1 entry; the kept coupling rows
     # follow the bound rows entry for entry
     in_kept = np.repeat(np.isin(np.arange(coup.shape[0]), keep_rows), np.diff(coup.indptr))
-    n_pin, n_bnd = len(pin_idx), len(lo_idx) + len(up_idx)
+    n_pin, n_b = len(pin_idx), len(lo_idx) + len(up_idx)
+    b_ext, coup_rhs = np.concatenate([p.b_eq, pin[pin_idx]]), p.coup_rhs[keep_rows]
     return _Presolved(
         q=-p.h_diag,
         c=-p.f,
         a_ext=_csr(np.concatenate([p.a_eq.data, np.ones(n_pin)]),
                    np.concatenate([p.a_eq.indices, pin_idx]),
                    np.concatenate([np.diff(p.a_eq.indptr), np.ones(n_pin, dtype=np.int64)]), n),
-        b_ext=np.concatenate([p.b_eq, pin_val]),
+        b_ext=b_ext,
         m_orig=p.m_eq,
         pin_idx=pin_idx,
         lo_idx=lo_idx,
@@ -358,12 +367,14 @@ def _presolve(p: QpProblem) -> _Presolved:
         both=np.stack([lo_row, len(lo_idx) + up_row]),
         g=_csr(np.concatenate([-np.ones(len(lo_idx)), np.ones(len(up_idx)), coup.data[in_kept]]),
                np.concatenate([lo_idx, up_idx, coup.indices[in_kept]]),
-               np.concatenate([np.ones(n_bnd, dtype=np.int64), np.diff(coup.indptr)[keep_rows]]),
+               np.concatenate([np.ones(n_b, dtype=np.int64), np.diff(coup.indptr)[keep_rows]]),
                n),
-        h=np.concatenate([-lb[lo_idx], ub[up_idx], p.coup_rhs[keep_rows]]),
-        coup_rhs=p.coup_rhs[keep_rows],
+        h=np.concatenate([-lb[lo_idx], ub[up_idx], coup_rhs]),
+        n_b=n_b,
         keep_rows=keep_rows,
         dropped_rows=dropped_rows,
+        scale_p=1.0 + float(np.max(np.abs(np.concatenate([b_ext, coup_rhs])), initial=0.0)),
+        scale_d=1.0 + float(np.max(np.abs(p.f), initial=0.0)),
     )
 
 
@@ -373,8 +384,7 @@ def _finalize(p: QpProblem, pre: _Presolved, x, y_ext, z) -> Solution:
     y_ext holds one dual per row of a_ext and z one multiplier per row of
     the inequality block g.
     """
-    n_l = len(pre.lo_idx)
-    n_b = n_l + len(pre.up_idx)
+    n_l, n_b = len(pre.lo_idx), pre.n_b
     z = np.maximum(z, 0.0)
     zl = np.zeros(p.n)
     zu = np.zeros(p.n)
@@ -555,8 +565,7 @@ class _Kkt:
 
     def __init__(self, pre: _Presolved, cols: np.ndarray, coup: np.ndarray,
                  elim: np.ndarray, eps: float):
-        a, g = pre.a_ext, pre.g
-        n_b = len(pre.lo_idx) + len(pre.up_idx)
+        a, g, n_b = pre.a_ext, pre.g, pre.n_b
         # the entries of a_ext and then of g's coupling rows, row by row,
         # kept where both the row and the column are in the system
         c_ent = slice(g.indptr[n_b], g.nnz)
@@ -727,11 +736,10 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
     q, c = pre.q, pre.c
     a, b = pre.a_ext, pre.b_ext
     g, h = pre.g, pre.h
-    m, m_comp = a.shape[0], g.shape[0]
+    m, m_comp, n_b = a.shape[0], g.shape[0], pre.n_b  # bound rows lead g
     if m_comp == 0:
         return ((np.zeros(n), np.zeros(m), np.zeros(0)), np.zeros(0), 0, False,
                 "equality-constrained solve failed", None)
-    n_b = len(pre.lo_idx) + len(pre.up_idx)  # bound rows lead the block
 
     # the bound rows of the inequality block fold into the primal diagonal
     # D1 of the KKT matrix, and the band factor eliminates their
@@ -763,7 +771,6 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
     # more than about 10,000 elements goes to the BLAS ddot, which in
     # OpenBLAS spins up a second thread and doubles the CPU time of a
     # T=672 solve without saving wall time
-    scale_p, scale_d = _scales(pre)
     mu0 = float(np.sum(w * z)) / m_comp
     best_merit: float | None = None
     best = (np.empty_like(x), np.empty_like(y), np.empty_like(z))
@@ -788,17 +795,13 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
         if not np.isfinite(mu) or not np.all(np.isfinite(x)):
             message = "iterates lost finiteness"
             break
-        merit = (primal_inf / scale_p, dual_inf / scale_d, gap / (1.0 + abs(obj_min)))
+        merit = (primal_inf / pre.scale_p, dual_inf / pre.scale_d, gap / (1.0 + abs(obj_min)))
         if best_merit is None or max(merit) < best_merit:
             best_merit = max(merit)
             for kept, now in zip(best, (x, y, z)):
                 kept[:] = now
 
-        if (
-            primal_inf <= s.tol * scale_p
-            and dual_inf <= s.tol * scale_d
-            and gap <= s.tol * (1.0 + abs(obj_min))
-        ):
+        if _meets_tolerances(pre, s, Residuals(primal_inf, dual_inf, gap), obj_min):
             converged = True
             break
         if mu > 1e10 * (1.0 + mu0) or np.max(np.abs(x)) > 1e13:
@@ -813,7 +816,7 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
         if (
             not probed
             and len(primal_hist) > _STALL_WINDOW
-            and primal_inf > s.tol * scale_p
+            and primal_inf > s.tol * pre.scale_p
             and primal_inf >= _STALL_RATIO * primal_hist[-1 - _STALL_WINDOW]
         ):
             probed = True
@@ -895,15 +898,6 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
     return point, w, it, converged, message, None
 
 
-def _scales(pre: _Presolved) -> tuple[float, float]:
-    """Primal and dual scales of the stopping test (see _meets_tolerances)."""
-    scale_p = 1.0 + max(
-        float(np.max(np.abs(pre.b_ext), initial=0.0)),
-        float(np.max(np.abs(pre.coup_rhs), initial=0.0)),
-    )
-    return scale_p, 1.0 + float(np.max(np.abs(pre.c), initial=0.0))
-
-
 def _verified(p: QpProblem, pre: _Presolved, s: SolverSettings, point, w,
               converged: bool) -> Solution | None:
     """The gate every answer of solve_qp passes after presolve.
@@ -914,20 +908,22 @@ def _verified(p: QpProblem, pre: _Presolved, s: SolverSettings, point, w,
     interior-point method converged, the iterate itself is the candidate.
     Returns the candidate only if it meets the tolerances, else None.
     """
-    scale_p, scale_d = _scales(pre)
     sol = _polish(p, pre, _active(pre, point[0], point[2], w), point)
-    if converged and not _meets_tolerances(sol, s, scale_p, scale_d):
-        # the polished point is off (e.g. a free variable left its box),
-        # or there is none (its factor or solve raised, or its release
-        # rounds did not settle): the converged iterate answers
-        sol = _finalize(p, pre, *point)
-    return sol if _meets_tolerances(sol, s, scale_p, scale_d) else None
+    if sol is not None and _meets_tolerances(pre, s, sol.residuals, sol.objective):
+        return sol
+    if not converged:
+        return None
+    # the polished point is off (e.g. a free variable left its box), or
+    # there is none (its factor or solve raised, or its release rounds did
+    # not settle): the converged iterate answers
+    sol = _finalize(p, pre, *point)
+    return sol if _meets_tolerances(pre, s, sol.residuals, sol.objective) else None
 
 
 def _active(pre: _Presolved, x: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Rows of the inequality block predicted active at multipliers z, slacks w."""
     scale_x = 1.0 + float(np.max(np.abs(x), initial=0.0))
-    return z / _scales(pre)[1] > w / scale_x
+    return z / pre.scale_d > w / scale_x
 
 
 def _presolved_point(pre: _Presolved, sol: Solution):
@@ -960,15 +956,18 @@ def _unsolved(p: QpProblem, iterations: int, message: str,
                            iterations=iterations)
 
 
-def _meets_tolerances(sol: Solution | None, s: SolverSettings, scale_p: float,
-                      scale_d: float) -> bool:
-    if sol is None:
-        return False
-    r = sol.residuals
+def _meets_tolerances(pre: _Presolved, s: SolverSettings, r: Residuals,
+                      objective: float) -> bool:
+    """The one stopping test: the interior point's iterate and the gate's answer pass it.
+
+    Each residual is compared with s.tol times its scale: pre.scale_p for
+    the primal residual, pre.scale_d for the dual one and 1 + |objective|
+    for the gap.  A NaN residual fails its comparison.
+    """
     return (
-        r.primal_inf <= s.tol * scale_p
-        and r.dual_inf <= s.tol * scale_d
-        and r.comp_gap <= s.tol * (1.0 + abs(sol.objective))
+        r.primal_inf <= s.tol * pre.scale_p
+        and r.dual_inf <= s.tol * pre.scale_d
+        and r.comp_gap <= s.tol * (1.0 + abs(objective))
     )
 
 
@@ -994,9 +993,9 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
     a _Kkt that eliminates nothing, bordered by the active coupling rows.
     """
     a, g = pre.a_ext, pre.g
-    m, n_b = a.shape[0], len(pre.lo_idx) + len(pre.up_idx)
+    m, n_b = a.shape[0], pre.n_b
     act = np.array(act, dtype=bool, copy=True)
-    dual_tol = 1e-7 * (1.0 + float(np.max(np.abs(pre.c), initial=0.0)))
+    dual_tol = 1e-7 * pre.scale_d
     x_hint, y_hint, z_hint = hint
     # a variable predicted active at both bounds keeps the side with the
     # larger hint multiplier: fixing both would put it at lb_j + ub_j

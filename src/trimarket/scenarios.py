@@ -39,6 +39,7 @@ from .model import (
     MarketData,
     QpProblem,
     ValidatedModel,
+    ValidationError,
     VppConfig,
     assemble_qp,
     recover_plan,
@@ -325,7 +326,8 @@ def inventory_matrix(
     active set, polished on the cell, usually answers it (see solve_qp).
     """
     if not (cfg.rec_inventory.enabled and cfg.cer_inventory.enabled):
-        raise ValueError("inventory matrix starts from a configuration with both inventories enabled")
+        raise ValidationError(
+            "inventory matrix starts from a configuration with both inventories enabled")
     settings = settings or SolverSettings()
     toggles = {
         "none": (False, False),
@@ -409,13 +411,17 @@ def parameter_sweep(
     """Re-solve along a policy-parameter grid; one row per grid value.
 
     Failed points are recorded with their status and the sweep moves on.
-    The points are solved by ``solve_grid``.
+    The points are solved by ``solve_grid``.  A grid that repeats a value
+    raises ValidationError before any solve.
     """
     if param not in ("r", "alpha"):
         raise ValueError(f"unknown sweep parameter {param!r}")
     grid = [float(v) for v in np.asarray(grid, dtype=float).ravel()]
     if not grid:
         raise ValueError("sweep grid is empty")
+    repeated = [v for i, v in enumerate(grid) if v in grid[:i]]
+    if repeated:  # two points at one value leave no slope between them
+        raise ValidationError(f"sweep grid repeats {param}={repeated[0]:.6g}")
     model = validate_config(cfg, data)
 
     points = []

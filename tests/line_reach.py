@@ -3,6 +3,7 @@
     PYTHONPATH=src python tests/line_reach.py tier1 [PYTEST_ARGS...]
     PYTHONPATH=src python tests/line_reach.py corpus
     PYTHONPATH=src python tests/line_reach.py both [PYTEST_ARGS...]
+    PYTHONPATH=src python tests/line_reach.py count
 
 ``tier1`` runs pytest on ``tests/`` in this process, ``corpus`` runs
 ``solver_corpus.py dump`` into a temporary file, and ``both`` runs one
@@ -12,7 +13,9 @@ lines executed in the package's modules.  The package is the
 the tracer, so its module-level lines count.  A line is executable when
 some bytecode of its module maps to it (``co_lines``).  The report lists,
 per module, each executable line that no line event reached, with its
-source, then the counts by module and the total.
+source, then the counts by module and the total.  ``count`` traces
+nothing: it prints each module's executable-line count, largest first,
+then the total.
 
 Child processes are not traced: a line that only a ``python -m
 trimarket.cli`` child runs reads as unreached.  Tracing makes tier-1
@@ -85,9 +88,15 @@ def _corpus() -> None:
 
 
 def main(argv: list[str]) -> None:
-    if not argv or argv[0] not in ("tier1", "corpus", "both"):
+    if not argv or argv[0] not in ("tier1", "corpus", "both", "count"):
         sys.exit(__doc__)
     modules = _modules()
+    if argv[0] == "count":
+        sizes = {name: len(_executable(path)) for name, path in modules.items()}
+        for name, n in sorted(sizes.items(), key=lambda item: -item[1]):
+            print(f"{name} {n}")
+        print(f"total {sum(sizes.values())}")
+        return
     hits = {str(path): set() for path in modules.values()}
     tracer = _trace(hits)
     threading.settrace(tracer)

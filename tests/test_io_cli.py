@@ -563,8 +563,9 @@ class TestCli:
             ("a:1:3", "grid 'a:1:3' must be lo:hi:n with numeric parts"),
             ("0,x", "grid '0,x' is not a comma-separated number list"),
             (" , ", "grid is empty"),
+            ("0.5,0.5,0.6", "sweep grid repeats r=0.5"),
         ],
-        ids=["1:0:5", "0,0.3,2", "0:1", "a:1:3", "0,x", "empty"],
+        ids=["1:0:5", "0,0.3,2", "0:1", "a:1:3", "0,x", "empty", "repeat"],
     )
     def test_sweep_bad_grid(self, workdir, capsys, grid, message):
         rc = main(
@@ -637,6 +638,17 @@ class TestCli:
                    "--tol", "1e-6", "--properties", "none", "--no-plots"])
         assert rc == 0
         assert capsys.readouterr().out.startswith("status optimal,")
+
+    def test_matrix_with_an_inventory_disabled_is_an_input_error(self, workdir, capsys):
+        text = (workdir / "model.cfg").read_text()
+        off = re.sub(r"(?m)^rec_inventory\.enabled = .*$", "rec_inventory.enabled = false", text)
+        assert off != text
+        (workdir / "off.cfg").write_text(off)
+        rc = main(["inventory-matrix", "--config", str(workdir / "off.cfg"),
+                   "--data", str(workdir / "market.csv"), "--out", str(workdir / "mx")])
+        assert rc == 1
+        assert "error: inventory matrix starts from " in capsys.readouterr().err
+        assert not (workdir / "mx").exists()
 
     def test_matrix_chart_in_manifest(self, workdir, capsys):
         out = workdir / "mx"

@@ -160,7 +160,7 @@ class TestSolverBehaviour:
                 continue
             pre = _presolve(p)
             scale_p = 1.0 + max(np.max(np.abs(pre.b_ext), initial=0.0),
-                                np.max(np.abs(pre.coup_rhs), initial=0.0))
+                                np.max(np.abs(p.coup_rhs[pre.keep_rows]), initial=0.0))
             scale_d = 1.0 + np.max(np.abs(pre.c), initial=0.0)
             res = kkt_residuals(p, sol)
             assert res.primal_inf <= s.tol * scale_p, seed
@@ -661,9 +661,9 @@ class TestKktFactorization:
         sol = solve_qp(p)
         assert nan_solves and sol.status == OPTIMAL and sol.iterations == 8
         assert np.all(np.isfinite(sol.x))
-        tol, (scale_p, scale_d) = SolverSettings().tol, qp._scales(_presolve(p))
+        tol, pre = SolverSettings().tol, _presolve(p)
         res = kkt_residuals(p, sol)
-        assert res.primal_inf <= tol * scale_p and res.dual_inf <= tol * scale_d
+        assert res.primal_inf <= tol * pre.scale_p and res.dual_inf <= tol * pre.scale_d
         assert res.comp_gap <= tol * (1.0 + abs(sol.objective))
 
     def test_polish_factors_only_free_variables(self, monkeypatch):
@@ -705,6 +705,56 @@ class TestKktFactorization:
         sol = solve_qp(_synth_week())
         assert failed == [True]
         assert sol.status == OPTIMAL and sol.iterations == 8
+
+    def test_polish_that_never_settles_falls_back_to_converged_iterate(self, monkeypatch):
+        # every row of the inequality block predicted active: each of the
+        # polish's 8 rounds releases rows whose multipliers come out
+        # negative, and the 8th still has some, so the polish gives no
+        # point and the converged iterate, verified like any other
+        # answer, is returned instead
+        polished, finalized = [], []
+        real_polish, real_finalize = qp._polish, qp._finalize
+
+        def recorded_polish(*args):
+            polished.append(real_polish(*args))
+            return polished[-1]
+
+        def recorded_finalize(*args):
+            finalized.append(real_finalize(*args))
+            return finalized[-1]
+
+        monkeypatch.setattr(qp, "_active", lambda pre, x, z, w: np.ones(len(w), dtype=bool))
+        monkeypatch.setattr(qp, "_polish", recorded_polish)
+        monkeypatch.setattr(qp, "_finalize", recorded_finalize)
+        sites = _Sites(monkeypatch)
+        sol = solve_qp(_synth_week())
+        assert polished == [None] and sites.factors(exclude=BAND) == [POLISH] * 8
+        assert sol.status == OPTIMAL and sol.iterations == 8
+        assert len(finalized) == 1 and sol.x is finalized[0].x
+
+    def test_one_tolerance_test_stops_the_iteration_and_answers(self, monkeypatch):
+        # the interior point's stopping test and the gate are the same
+        # function: a cold solve consults it once per iteration, failing
+        # until the last, and once for the polished answer
+        real, verdicts = qp._meets_tolerances, []
+
+        def recorded(pre, s, r, objective):
+            verdicts.append((r, objective, real(pre, s, r, objective)))
+            return verdicts[-1][2]
+
+        monkeypatch.setattr(qp, "_meets_tolerances", recorded)
+        sol = solve_qp(_synth_week())
+        assert sol.status == OPTIMAL and sol.iterations == 8
+        assert [ok for _, _, ok in verdicts] == [False] * 7 + [True, True]
+        assert verdicts[-1][:2] == (sol.residuals, sol.objective)
+
+    @pytest.mark.parametrize("field", ["primal_inf", "dual_inf", "comp_gap"])
+    def test_tolerance_test_rejects_nan(self, field):
+        pre = _presolve(_synth_week())
+        passing = qp.Residuals(0.0, 0.0, 0.0)
+        assert qp._meets_tolerances(pre, SolverSettings(), passing, 1.0)
+        nan = dataclasses.replace(passing, **{field: float("nan")})
+        assert not qp._meets_tolerances(pre, SolverSettings(), nan, 1.0)
 
     @pytest.mark.parametrize("attr", [pytest.param(DGBTRF, id="MemoryError"),
                                       pytest.param(RCM, id="ordering")])
@@ -843,9 +893,9 @@ class TestKktFactorization:
         ref = oracle_solve(p)
         assert sol.status == ref.status == OPTIMAL
         assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
-        tol, (scale_p, scale_d) = SolverSettings().tol, qp._scales(pre)
+        tol = SolverSettings().tol
         res = kkt_residuals(p, sol)
-        assert res.primal_inf <= tol * scale_p and res.dual_inf <= tol * scale_d
+        assert res.primal_inf <= tol * pre.scale_p and res.dual_inf <= tol * pre.scale_d
         assert res.comp_gap <= tol * (1.0 + abs(sol.objective))
         # the idle ESS leaves the floor's multiplier on a degenerate range
         # (the oracle picks 20, this recovery 40.6): only its sign is fixed
@@ -916,9 +966,9 @@ class TestWarmStart:
         assert warm.status == cold.status == OPTIMAL
         assert warm.iterations == 0 and cold.iterations > 0
         assert abs(warm.objective - cold.objective) <= 1e-9 * abs(cold.objective)
-        tol, (scale_p, scale_d) = SolverSettings().tol, qp._scales(_presolve(p))
+        tol, pre = SolverSettings().tol, _presolve(p)
         res = kkt_residuals(p, warm)
-        assert res.primal_inf <= tol * scale_p and res.dual_inf <= tol * scale_d
+        assert res.primal_inf <= tol * pre.scale_p and res.dual_inf <= tol * pre.scale_d
         assert res.comp_gap <= tol * (1.0 + abs(warm.objective))
 
     @pytest.mark.parametrize("start", ["not optimal", "wrong length", "far problem"])
