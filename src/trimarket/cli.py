@@ -287,6 +287,11 @@ def _cmd_check(args) -> int:
             print(f"[fail] plan.csv column {col}: {len(saved[col])} rows, expected {len(fresh)}")
             ok = False
             continue
+        if not np.all(np.isfinite(saved[col])):
+            # a NaN deviation would compare as no deviation at all
+            print(f"[fail] plan.csv column {col} holds a non-finite value")
+            ok = False
+            continue
         scale = 1.0 + float(np.max(np.abs(fresh)))
         worst = max(worst, float(np.max(np.abs(saved[col] - fresh))) / scale)
     if worst > rtol:

@@ -9,6 +9,12 @@ carries its line.  Floats accept ``inf`` so trade caps can be uncapped in a
 file.  All writers emit deterministic bytes for a given input (17
 significant digits, sorted JSON keys, no timestamps), so a re-run with the
 same seed produces byte-identical artifacts.
+
+The hourly CSVs (market data, plan, duals) hold an integer hour and then
+one ``%.17g`` cell per column: exactly ``format(float(v), ".17g")``, so
+``inf``, ``-inf``, ``nan`` and ``-0`` are written as such and every finite
+double reads back equal.  They are written and read a whole table at a
+time, not a value at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
@@ -189,12 +196,18 @@ def load_market_csv(path) -> MarketData:
 
 def _save_hourly_csv(path, columns: dict[str, np.ndarray | float]) -> None:
     """Write `columns` after an "hour" column counting 1..T, as
-    `_load_hourly_csv` reads them.  A scalar column repeats on every row."""
+    `_load_hourly_csv` reads them.  A scalar column repeats on every row.
+
+    The body is one ``%`` operation over the row-major table: ``%.17g``
+    writes each cell as ``format(float(v), ".17g")`` does.
+    """
     T = max(np.size(v) for v in columns.values())
-    cols = [np.broadcast_to(v, (T,)).tolist() for v in columns.values()]
-    rows = [",".join(("hour", *columns))]
-    rows += [",".join((str(t), *map(_fmt, row))) for t, row in enumerate(zip(*cols), start=1)]
-    Path(path).write_text("\n".join(rows) + "\n")
+    table = np.column_stack(
+        [np.arange(1.0, T + 1.0), *(np.broadcast_to(np.asarray(v, dtype=float), (T,))
+                                    for v in columns.values())]
+    )
+    body = ("%d" + ",%.17g" * len(columns) + "\n") * T % tuple(table.ravel().tolist())
+    Path(path).write_text(",".join(("hour", *columns)) + "\n" + body)
 
 
 def _load_hourly_csv(path, columns: tuple[str, ...], what: str) -> dict[str, np.ndarray]:
@@ -202,7 +215,9 @@ def _load_hourly_csv(path, columns: tuple[str, ...], what: str) -> dict[str, np.
 
     Blank lines are skipped.  Every other row needs one field per column and
     an hour counting 1..T, and at least one such row must follow the header.
-    The hour column is dropped from the result.
+    The hour column is dropped from the result.  Every field goes through
+    one ``map(float, ...)``; an error names the earliest line that fails,
+    checking its field count, then its hour, then its other fields.
     """
     path = Path(path)
     try:
@@ -215,22 +230,40 @@ def _load_hourly_csv(path, columns: tuple[str, ...], what: str) -> dict[str, np.
         raise ConfigError(f"{path}: empty file")
     if tuple(h.strip() for h in header) != columns:
         raise ConfigError(f"{path}:1: header must be {','.join(columns)}")
-    cols: dict[str, list[float]] = {c: [] for c in columns[1:]}
-    hours = 0
+    n = len(columns)
+    rows: list[list[str]] = []
+    linenos: list[int] = []
+    miscount = None  # the first row with the wrong field count ends the table
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
-        where = f"{path}:{lineno}"
-        if len(row) != len(columns):
-            raise ConfigError(f"{where}: expected {len(columns)} fields, got {len(row)}")
-        hours += 1
-        if _parse_float("hour", row[0].strip(), where) != hours:
-            raise ConfigError(f"{where}: hour column must count 1..T, expected {hours}")
-        for name, raw in zip(columns[1:], row[1:]):
-            cols[name].append(_parse_float(name, raw.strip(), where))
-    if not hours:
+        if len(row) != n:
+            miscount = ConfigError(f"{path}:{lineno}: expected {n} fields, got {len(row)}")
+            break
+        rows.append(row)
+        linenos.append(lineno)
+    fields = list(itertools.chain.from_iterable(rows))
+    rest = iter(fields)
+    try:
+        values = list(map(float, rest))
+    except ValueError:
+        # `rest` stopped just past the field float() rejected
+        values = list(map(float, fields[: len(fields) - len(list(rest)) - 1]))
+    hours = np.array(values[::n])  # of the rows whose hour field parsed
+    wrong = np.flatnonzero(hours != np.arange(1, len(hours) + 1))
+    if wrong.size:
+        row = int(wrong[0])
+        raise ConfigError(f"{path}:{linenos[row]}: hour column must count 1..T, expected {row + 1}")
+    if len(values) < len(fields):
+        row, col = divmod(len(values), n)
+        raise ConfigError(f"{path}:{linenos[row]}: {columns[col]} needs a number, "
+                          f"got {fields[len(values)].strip()!r}")
+    if miscount is not None:
+        raise miscount
+    if not rows:
         raise ConfigError(f"{path}: no data rows")
-    return {k: np.array(v) for k, v in cols.items()}
+    table = np.array(values).reshape(-1, n).T.copy()
+    return dict(zip(columns[1:], table[1:]))
 
 
 # ---------------------------------------------------------------------------

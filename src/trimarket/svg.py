@@ -3,12 +3,18 @@
 No plotting dependency: the few chart shapes the CLI needs (multi-series
 lines, signed bars, grouped bars) are emitted directly as SVG text.
 Rendering is deterministic: fixed canvas, fixed palette, coordinates
-rounded to 1/100 px, so identical inputs give identical bytes.
+rounded to 1/100 px, so identical inputs give identical bytes.  A
+coordinate is written as ``%.2f`` with its trailing zeros, and then a
+trailing point, trimmed (``12.50`` as ``12.5``, ``3.00`` as ``3``, ``-0.00``
+as ``-0``).  A line chart's points are computed as arrays by the same
+expressions, in the same order, as one point at a time, so each double,
+and each byte, is the same.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +34,16 @@ def _esc(s: str) -> str:
 
 def _num(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
+
+
+#: the zeros `_num` trims, in a string of ``%.2f`` numbers
+_TRAILING_ZEROS = re.compile(r"\.?0+(?=[ ,]|$)")
+
+
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """``_num(x),_num(y)`` for each point, space-separated, in one ``%`` operation."""
+    pts = ("%.2f,%.2f " * len(xs))[:-1] % tuple(np.column_stack((xs, ys)).ravel().tolist())
+    return _TRAILING_ZEROS.sub("", pts)
 
 
 def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -130,12 +146,10 @@ def render_line_chart(title: str, x_label: str, y_label: str, x, series) -> str:
         cv.parts.append(
             f'<line x1="{cv.x0}" y1="{y}" x2="{cv.x1}" y2="{y}" stroke="#888888" stroke-width="1"/>'
         )
+    px = cv.sx(x, xlo, xhi)
     for i, (label, vals) in enumerate(series):
-        vals = np.asarray(vals, dtype=float)
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(
-            f"{_num(cv.sx(xv, xlo, xhi))},{_num(cv.sy(yv, ylo, yhi))}" for xv, yv in zip(x, vals)
-        )
+        pts = _points(px, cv.sy(np.asarray(vals, dtype=float), ylo, yhi))
         cv.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"/>'
         )

@@ -16,8 +16,10 @@ from trimarket.analysis import PropertyReport
 from trimarket.cli import main
 from trimarket.config_io import (
     CONFIG_KEYS,
+    DUAL_COLUMNS,
     REQUIRED_KEYS,
     ConfigError,
+    _save_hourly_csv,
     config_text,
     load_config,
     load_duals_csv,
@@ -32,7 +34,7 @@ from trimarket.config_io import (
 )
 from trimarket.model import TradeCaps, default_config, recover_plan
 from trimarket.scenarios import SynthSpec, synth_data
-from trimarket.svg import render_bar_chart, render_line_chart, run_charts
+from trimarket.svg import _Canvas, _num, _y_range, render_bar_chart, render_line_chart, run_charts
 
 from _instances import hand_case, solve
 
@@ -241,7 +243,16 @@ class TestResultFiles:
         f = tmp_path / "r.csv"
         save(f, value)
         header, row = f.read_text().splitlines()
-        n_fields = len(header.split(","))
+        names = header.split(",")
+        n_fields = len(names)
+        cells = row.split(",")
+
+        def line(hour, col=None, cell=None, end="\n"):
+            out = [str(hour), *cells[1:]]
+            if col is not None:
+                out[col] = cell
+            return ",".join(out) + end
+
         for text, match in (
             ("", "empty file"),
             (header + "\n", "no data rows"),
@@ -250,10 +261,47 @@ class TestResultFiles:
             (header + "\n2" + row[1:] + "\n", r"r\.csv:2: hour column must count 1\.\.T"),
             # a blank line is skipped but keeps its number
             (header + "\n\n2" + row[1:] + "\n", r"r\.csv:3: hour column must count 1\.\.T"),
+            (header + "\n" + line(1, 3, " x "),
+             rf"^{re.escape(str(f))}:2: {names[3]} needs a number, got 'x'$"),
+            (header + "\n" + line(1, 0, "one"),
+             rf"^{re.escape(str(f))}:2: hour needs a number, got 'one'$"),
+            # on one line: the hour is checked before the fields after it
+            (header + "\n" + line(1) + line(3, 2, "x"), r"r\.csv:3: hour column must count"),
+            # on two lines: the earlier one is reported, whichever check it fails
+            (header + "\n" + line(1, end=",1\n") + line(2, 4, "x"),
+             rf"r\.csv:2: expected {n_fields} fields"),
+            (header + "\n" + line(1, 4, "x") + line(2, end=",1\n"),
+             rf"r\.csv:2: {names[4]} needs a number"),
+            (header + "\n" + line(1) + line(2, 5, "") + line(4),
+             rf"r\.csv:3: {names[5]} needs a number, got ''"),
         ):
             f.write_text(text)
             with pytest.raises(ConfigError, match=match):
                 loader(f)
+
+        # a quoted field, a field with spaces and one with a digit separator
+        f.write_text(header + "\n" + ",".join(["1", '"1.5"', " 2.5 ", "1_0", *cells[4:]]) + "\n")
+        back = loader(f)
+        back = vars(back) if kind == "market" else back
+        assert [back[name][0] for name in names[1:4]] == [1.5, 2.5, 10.0]
+
+    def test_hourly_writer_matches_per_value_reference(self, tmp_path):
+        v = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e308, 3.0, -42.0, 1e16, 0.1, 1 / 3])
+        # mu and delta are scalars, repeated on every row as in duals.csv
+        columns = dict(zip(DUAL_COLUMNS[1:], (v, v[::-1], -v, np.roll(v, 3), 2.5, -0.0)))
+        f = tmp_path / "duals.csv"
+        _save_hourly_csv(f, columns)
+        cols = [np.broadcast_to(c, v.shape) for c in columns.values()]
+        expected = [",".join(DUAL_COLUMNS)] + [
+            ",".join([str(t + 1), *(format(float(c[t]), ".17g") for c in cols)])
+            for t in range(len(v))
+        ]
+        assert f.read_text() == "\n".join(expected) + "\n"
+        back = load_duals_csv(f)
+        for name, col in zip(columns, cols):
+            np.testing.assert_array_equal(back[name], col)
+            signed = ~np.isnan(col)  # the format gives NaN no sign
+            np.testing.assert_array_equal(np.signbit(back[name][signed]), np.signbit(col[signed]))
 
     def test_json_handles_numpy_and_non_finite(self, tmp_path):
         f = tmp_path / "x.json"
@@ -274,6 +322,41 @@ class TestSvg:
         assert a == b
         root = ET.fromstring(a)
         assert root.tag.endswith("svg")
+
+    @staticmethod
+    def _reference_points(x, series) -> list[str]:
+        """Each series' points, written one `_num` at a time."""
+        cv = _Canvas("t", "x", "y")
+        x = np.asarray(x, dtype=float)
+        xlo, xhi = float(x[0]), float(x[-1])
+        if xhi - xlo < 1e-12:
+            xlo, xhi = xlo - 0.5, xhi + 0.5
+        ylo, yhi = _y_range([np.asarray(v, dtype=float) for v in series])
+        return [" ".join(f"{_num(cv.sx(xv, xlo, xhi))},{_num(cv.sy(yv, ylo, yhi))}"
+                         for xv, yv in zip(x, np.asarray(v, dtype=float))) for v in series]
+
+    def test_polylines_match_per_point_reference(self):
+        # x pixels at -0.001 (written -0), 0.005, 99.995 and their neighbours;
+        # the x axis runs from pixel 72 at x = 0 to pixel 776 at x = 704
+        targets = np.array([-0.001, -0.005, 0.005, 0.0049999, 99.995, 100.005, 12.345, 0.0])
+        x = np.concatenate(([0.0], targets - 72.0, [704.0]))
+        rng = np.random.default_rng(3)
+        base = np.concatenate(([0.0], rng.uniform(0.0, 10.0, len(targets)), [10.0]))
+        # y values landing on pixels 99.995, 100.005 and 200.125 of the first series
+        ylo, yhi = _y_range([base])
+        base[1:4] = ylo + (np.array([99.995, 100.005, 200.125]) - 368.0) / -324.0 * (yhi - ylo)
+        cases = [
+            (x, [base, -base, rng.normal(size=len(x)) * 1e-3]),
+            (x, [np.full(len(x), 5.0)]),  # constant: the range is padded
+            (x, [np.full(len(x), -1e-12)]),
+            ([1, 2], [[3.0, 4.0]]),
+            ([1, 2], [[0.0, 0.0], [1e-300, -1e-300]]),
+        ]
+        for xs, series in cases:
+            svg = render_line_chart("t", "x", "y", xs, [(f"s{i}", v) for i, v in enumerate(series)])
+            got = re.findall(r'<polyline points="([^"]*)"', svg)
+            assert got == self._reference_points(xs, series)
+        assert "-0," in render_line_chart("t", "x", "y", x, [("s", base)])
 
     def test_bar_chart_handles_negative_values(self):
         svg = render_bar_chart("t", "x", "y", ["a", "b"], [5.0, -3.0], annotations=["+5", "-3"])
@@ -431,6 +514,22 @@ class TestCli:
         assert main(["check", *base, "--run", str(run)]) == 3
         out = capsys.readouterr().out
         assert "CHECK FAILED" in out
+
+    def test_check_fails_on_non_finite_plan_cell(self, workdir, capsys):
+        run = workdir / "run"
+        base = ["--config", str(workdir / "model.cfg"), "--data", str(workdir / "market.csv")]
+        assert main(["solve", *base, "--out", str(run), "--no-plots"]) == 0
+        self._rewrite_cell(run / "plan.csv", 4, 1, lambda v: "nan")
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["files"]["plan.csv"] = hashlib.sha256((run / "plan.csv").read_bytes()).hexdigest()
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["check", *base, "--run", str(run), "--strict"]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert "[fail] plan.csv column g holds a non-finite value" in out
+        assert not any(row.startswith("[ok] plan") for row in out), out
+        assert any(row.startswith("[ok] all") and "manifest.json" in row for row in out), out
+        assert out[-1] == "CHECK FAILED"
 
     @staticmethod
     def _rewrite_cell(path, row, col, value):
