@@ -40,7 +40,7 @@ from .model import (
     assemble_qp,
     validate_config,
 )
-from .qp import OPTIMAL, SolverSettings, Solution, solve_qp
+from .qp import OPTIMAL, SolverSettings, Solution, kkt_pattern_scope, solve_qp
 
 #: threshold below which a coupling multiplier counts as zero
 MULT_EPS = 1e-6
@@ -502,6 +502,7 @@ def solve_for_param(
     return _solve_moved(_moved(model, param, value), settings, start)
 
 
+@kkt_pattern_scope()
 def solve_grid(
     model: ValidatedModel, param: str, grid, settings: SolverSettings | None = None
 ) -> list[tuple[QpProblem, Solution]]:

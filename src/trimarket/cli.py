@@ -118,6 +118,8 @@ def _settings(args) -> SolverSettings:
     if args.tol is not None:
         if args.tol <= 0:
             raise ConfigError("--tol must be positive")
+        if not args.tol < 1:
+            raise ConfigError("--tol must be finite and below 1")
         kw = {"tol": args.tol}
     if args.max_iter is not None:
         if args.max_iter < 1:

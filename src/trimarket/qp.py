@@ -34,16 +34,28 @@ J. Optim. 1995).  The pinned and free columns stay: their diagonal is
 little more than the shift.  Each hourly row couples only its own hour and
 the next (storage and inventories carry over), so all of the system but
 the 0-2 coupling rows is a narrow band once put in a reverse Cuthill-McKee
-order (Cuthill & McKee 1969), computed once per solve from the fixed
-pattern.  The band takes LAPACK's banded LU (partial pivoting within the
-band) and the coupling rows, the border, their Schur complement.  The
-shift makes the reduced matrix quasi-definite, so nonsingular, and this
-one factor is the only one an iteration makes.  Each solve recovers the
-eliminated variables and is refined against the full unregularized
-matrix; a solve whose refinement misses its tolerance is used as refined,
-and the ratio test and the gate below judge where it leads (Wright 1997,
-ch. 11).  One builder writes this system straight from the CSR arrays of
-the presolved blocks, and the polish's too, with no column eliminated.
+order (Cuthill & McKee 1969), computed once per pattern (below).  The band
+takes LAPACK's banded LU (partial pivoting within the band) and the
+coupling rows, the border, their Schur complement.  The shift makes the
+reduced matrix quasi-definite, so nonsingular, and this one factor is the
+only one an iteration makes.  Each solve recovers the eliminated
+variables and is refined against the full unregularized matrix; a solve
+whose refinement misses its tolerance is used as refined, and the ratio
+test and the gate below judge where it leads (Wright 1997, ch. 11).  One
+builder writes this system straight from the CSR arrays of the presolved
+blocks, and the polish's too, with no column eliminated.
+
+The builder's symbolic part, everything read from index arrays alone
+(the matrix's CSC arrays, the eliminated columns' pairs, the ordering and
+the band layout), is a pattern; its numeric part holds the values, one
+band store that each factor refills in place, and the factor (Davis,
+Direct Methods for Sparse Linear Systems, 2006, ch. 7).  A command that
+solves several problems, a scenario with its neighbours or a sweep's
+points, opens one kkt_pattern_scope: inside it an interior point or a
+polish whose index arrays equal the last one's of its role reuses that
+pattern.  The scope holds one pattern per role and drops them when the
+command ends; a miss builds the pattern as a solve outside any scope
+does, for no more than building the whole system costs.
 
 The iteration starts from least-squares points (Mehrotra, On the
 implementation of a primal-dual interior point method, SIAM J. Optim.
@@ -63,8 +75,7 @@ sparse quasi-definite solve in the free variables plus iterative refinement
 produces primal/dual values accurate to near machine precision, which
 downstream sensitivity checks rely on.  Its system, bordered by the
 active coupling rows, comes from the iteration's builder, so building
-it stays a cheap symbolic step before the numeric factor (Davis, Direct
-Methods for Sparse Linear Systems, 2006).
+it stays a cheap symbolic step before the numeric factor (Davis 2006).
 Every answer of a solve that gets past presolve passes one gate: it
 polishes the last iterate (or, when the iteration stopped short, the best
 one), falls back to the iterate itself, if it converged, whenever the
@@ -94,6 +105,8 @@ Infeasibility detection in the ADMM for convex optimization).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -130,7 +143,9 @@ class SolverSettings:
     largest |right-hand side| of the equality rows, the pinned values and
     the kept coupling rows; 1 + the largest |linear objective
     coefficient|; and 1 + |objective|.  One test applies them, both to
-    stop the interior point and to let an answer out.
+    stop the interior point and to let an answer out.  tol lies in (0, 1):
+    at 1 or above, or infinite, the test lets out points far from optimal,
+    and at NaN it passes none.
     """
 
     tol: float = 1e-8
@@ -139,6 +154,8 @@ class SolverSettings:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
+        if not self.tol < 1:  # NaN and inf too: no iterate would be judged
+            raise ValueError("tol must be finite and below 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -466,24 +483,28 @@ _STALL_RATIO = 0.9
 _FACTOR_ERRORS = (RuntimeError, MemoryError)
 
 
-def _layout(rows: np.ndarray, cols: np.ndarray, nr: int, n_c: int):
+def _layout(rows: np.ndarray, cols: np.ndarray, nr: int, n_c: int,
+            pattern: sp.csr_matrix | None = None):
     """Band-plus-border layout of an nr x nr matrix with a symmetric pattern.
 
     The matrix has an entry at each (rows[t], cols[t]), duplicates
     allowed.  The border is its last n_c rows and columns, chosen by role
     (the coupling rows), never by density: one sparse coupling row left in
     the core widened a polish's band from 7 to 48-120.  The core goes in a
-    reverse Cuthill-McKee order of its own pattern.  Returns (order, bw,
-    n_c), the store's size and the store position of each entry: LAPACK
-    band storage of the core, entry (i, j) at [2 bw + i - j, j] of a
-    column-major (3 bw + 1) x core array (its top bw rows hold the
+    reverse Cuthill-McKee order of its own pattern: `pattern`, CSR or CSC
+    with each row's (column's) indices ascending and none repeated, when
+    the caller has it, else one made from the entries.  Returns (order,
+    bw, n_c), the store's size and the store position of each entry:
+    LAPACK band storage of the core, entry (i, j) at [2 bw + i - j, j] of
+    a column-major (3 bw + 1) x core array (its top bw rows hold the
     pivoting's fill), then, column-major, the last n_c columns and the last
     n_c rows' core part.
     """
     core = nr - n_c
     in_core = (rows < core) & (cols < core)
-    pattern = sp.csr_matrix((np.ones(int(in_core.sum())), (rows[in_core], cols[in_core])),
-                            shape=(core, core))
+    if pattern is None:
+        pattern = sp.csr_matrix((np.ones(int(in_core.sum())), (rows[in_core], cols[in_core])),
+                                shape=(core, core))
     order = np.concatenate([reverse_cuthill_mckee(pattern, symmetric_mode=True),
                             np.arange(core, nr)])  # the matrix's row at each position
     where = np.empty(nr, dtype=np.int64)
@@ -532,6 +553,185 @@ class _BandLu:
         return sol
 
 
+def _pattern_key(pre: _Presolved, cols: np.ndarray, coup: np.ndarray, elim: np.ndarray):
+    """The index arrays a _Kkt's pattern is built from, compared exactly to find it again."""
+    g, n_b = pre.g, pre.n_b
+    return (pre.a_ext.indptr, pre.a_ext.indices, g.indptr[n_b:] - g.indptr[n_b],
+            g.indices[g.indptr[n_b] :], cols, coup, elim)
+
+
+class _Pattern:
+    """What a _Kkt reads from index arrays alone: every part that reads no matrix value.
+
+    B holds the kept entries of a_ext and of g's coupling rows, row by row
+    (`keep` marks them).  k_true is written from B's distinct entries, row
+    by row with each row's columns ascending: the first entry of each
+    (`heads`) gives its value, and any entry B repeats (`again`) is added
+    to it in order, as scipy's COO conversion sums them.  In k_true's CSC
+    arrays, column j < n holds its diagonal and then B's column j (each
+    distinct entry at `lower`), and column n + i holds B's row i (at
+    `upper`, B' above the diagonal) and then its diagonal, so a primal
+    column's diagonal entry is its first and a dual column's its last
+    (`diag_pos`).  Then the eliminated columns (`elim`, with `r_rows` the
+    rows of k_true behind r's), B_e's CSC arrays read from B's entries
+    `e_src`, B_k's entries `k_src`, the pairs of B_e's entries in one
+    column, which write B_e D_e^-1 B_e' into r (`pair_reps` per column,
+    and each one's second entry `s`), and r's _layout: its order, store
+    size and `dest`.  Index arrays read once per build are int32, to hold
+    less.
+    """
+
+    def __init__(self, pre: _Presolved, cols: np.ndarray, coup: np.ndarray, elim: np.ndarray):
+        a, g, n_b = pre.a_ext, pre.g, pre.n_b
+        self.key = _pattern_key(pre, cols.copy(), coup.copy(), elim.copy())
+        # the entries of a_ext and then of g's coupling rows, row by row,
+        # kept where both the row and the column are in the system
+        in_b = np.concatenate([np.ones(a.shape[0], dtype=bool), coup])
+        b_row = np.repeat(np.arange(len(in_b)),
+                          np.concatenate([np.diff(a.indptr), np.diff(g.indptr[n_b:])]))
+        b_col = np.concatenate([a.indices, g.indices[g.indptr[n_b] :]])
+        keep = cols[b_col] & in_b[b_row]
+        rows = (np.cumsum(in_b) - 1)[b_row[keep]]
+        b_col = (np.cumsum(cols) - 1)[b_col[keep]]
+        self.keep = slice(None) if len(rows) == len(keep) else keep
+        self.n, self.mb = n, mb = int(cols.sum()), int(in_b.sum())
+
+        # B column by column, each column's rows ascending, and B's
+        # distinct entries: B itself for canonical CSR input
+        by_col = np.argsort(b_col, kind="stable")
+        place = rows * n + b_col  # row-major
+        self.heads, self.again = slice(None), np.zeros(0, dtype=np.int64)
+        self.again_to, r_u, c_u, u_by_col = self.again, rows, b_col, by_col
+        if np.any(place[1:] <= place[:-1]):
+            by_row = np.argsort(place, kind="stable")
+            place = place[by_row]
+            new = np.ones(len(by_row), dtype=bool)
+            np.not_equal(place[1:], place[:-1], out=new[1:])
+            self.heads = by_row[new]
+            repeat = np.nonzero(~new)[0]
+            self.again = by_row[repeat]
+            self.again_to = repeat - np.arange(1, len(repeat) + 1)  # the distinct one each adds to
+            r_u, c_u = rows[self.heads], b_col[self.heads]
+            u_of = np.empty(len(by_row), dtype=np.int64)  # each first entry's distinct one
+            u_of[self.heads] = np.arange(len(self.heads))
+            first = np.zeros(len(by_row), dtype=bool)
+            first[self.heads] = True
+            u_by_col = u_of[by_col[first[by_col]]]
+        n_u = len(r_u)
+        lower = np.empty(n_u, dtype=np.int64)  # B at (n + i, j)
+        lower[u_by_col] = np.arange(n_u) + c_u[u_by_col] + 1
+        upper = r_u + np.arange(n + n_u, n + 2 * n_u)  # B' at (j, n + i)
+        counts = np.concatenate([np.bincount(c_u, minlength=n), np.bincount(r_u, minlength=mb)])
+        self.indptr = np.zeros(n + mb + 1, dtype=np.int32)
+        np.cumsum(counts + 1, out=self.indptr[1:])
+        self.diag_pos = np.concatenate([self.indptr[:n], self.indptr[n + 1 :] - 1])
+        self.indices = np.empty(n + mb + 2 * n_u, dtype=np.int32)
+        self.indices[self.diag_pos] = np.arange(n + mb)
+        self.indices[lower] = n + r_u
+        self.indices[upper] = c_u
+        self.lower = lower.astype(np.int32)
+
+        elim = elim[cols]
+        self.elim = np.nonzero(elim)[0]
+        self.n_k = n_k = n - len(self.elim)
+        # k_true's row behind each of r's
+        self.r_rows = np.concatenate([np.nonzero(~elim)[0], n + np.arange(mb)])
+        self.e_src = self.e_row = self.pair_reps = self.s = np.zeros(0, dtype=np.int32)
+        self.e_ptr, self.k_src = np.zeros(1, dtype=np.int32), slice(None)  # B_k is all of B
+        if len(self.elim):  # the polish's r is k_true itself
+            # B_e in CSC, each column's rows ascending; B_k stays in rows, b_col
+            in_e, e_before = elim[b_col], np.cumsum(elim)
+            self.e_src = by_col[in_e[by_col]].astype(np.int32)
+            self.e_row = np.take(rows, self.e_src).astype(np.int32)
+            counts = np.bincount(e_before[b_col[in_e]] - 1, minlength=len(self.elim))
+            self.e_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+            self.k_src = np.nonzero(~in_e)[0]
+            rows, b_col = rows[self.k_src], b_col[self.k_src] - e_before[b_col[self.k_src]]
+            self.pair_reps = (counts * counts).astype(np.int32)  # the pairs of each column
+            # every pair of entries t, s in one column e of B_e adds
+            # B[i_t, e] B[i_s, e] / D_e to r at (n_k + i_t, n_k + i_s); the
+            # pairs run column by column and t-major, t repeating each
+            # entry once per entry of its column
+            reps = np.repeat(counts, counts)
+            self.s = np.arange(self.pair_reps.sum(), dtype=np.int32) + np.repeat(
+                (self.e_ptr[:-1].repeat(counts) - (np.cumsum(reps) - reps)).astype(np.int32), reps)
+        n_c, pattern = int(coup.sum()), None
+        if not len(self.elim):
+            # r is k_true, whose core's pattern is its own less the border:
+            # the kept coupling rows, B's last, end the primal columns
+            core = n + mb - n_c
+            left_out = np.zeros(core + 1, dtype=np.int64)
+            np.cumsum(np.bincount(c_u[np.searchsorted(r_u, mb - n_c) :], minlength=n),
+                      out=left_out[1 : n + 1])
+            left_out[n + 1 :] = left_out[n]
+            inner = self.indices[: self.indptr[core]] < core
+            pattern = sp.csr_matrix((np.ones(int(inner.sum())), self.indices[inner.nonzero()[0]],
+                                     self.indptr[: core + 1] - left_out), shape=(core, core))
+        # r's entries: the products, B_k and B_k', then the diagonal
+        r_diag = np.arange(len(self.r_rows))
+        e_t, e_s = self.pairs(self.e_row)
+        self.lay, self.size, self.dest = _layout(
+            np.concatenate([n_k + e_t, n_k + rows, b_col, r_diag]),
+            np.concatenate([n_k + e_s, b_col, n_k + rows, r_diag]),
+            len(r_diag), n_c, pattern)
+
+    def upper(self) -> np.ndarray:
+        """Where k_true holds each of B's distinct entries above the diagonal.
+
+        Distinct entry u, in row i, follows the n + n_u places of the
+        primal columns, the u distinct entries before it and the i
+        diagonals of the rows before its own; its copy below the diagonal
+        sits in k_true's row n + i.
+        """
+        n_u = len(self.lower)
+        return np.arange(n_u, 2 * n_u) + np.take(self.indices, self.lower)
+
+    def pairs(self, e: np.ndarray):
+        """e, one value per entry of B_e, at each pair's entries t and s."""
+        counts = np.diff(self.e_ptr)
+        return e.repeat(np.repeat(counts, counts)), np.take(e, self.s)
+
+
+# the patterns the open kkt_pattern_scope holds, one per role, named by
+# its diagonal shift (_KKT_REG for the interior point, _POLISH_EPS for the
+# polish); None outside every scope
+_PATTERNS: ContextVar[dict | None] = ContextVar("kkt_patterns", default=None)
+
+
+@contextmanager
+def kkt_pattern_scope():
+    """Let every KKT system built inside reuse the last pattern of its role.
+
+    One command's solves (a scenario's base and neighbours, a sweep's
+    points) open one scope: an interior point or a polish whose index
+    arrays equal the last one's of its role takes that _Pattern, and
+    builds only the values.  A nested open shares the outer scope; the
+    patterns are dropped when the outermost closes, so a solve outside
+    every scope holds none after it returns.  Also a decorator.
+    """
+    if _PATTERNS.get() is not None:
+        yield
+        return
+    token = _PATTERNS.set({})
+    try:
+        yield
+    finally:
+        _PATTERNS.reset(token)
+
+
+def _pattern(pre: _Presolved, cols: np.ndarray, coup: np.ndarray, elim: np.ndarray,
+             role: float) -> _Pattern:
+    """The open scope's pattern for `role` if its index arrays match, else a new one it keeps."""
+    held = _PATTERNS.get()
+    pattern = None if held is None else held.get(role)
+    if pattern is None or not all(map(np.array_equal, pattern.key,
+                                      _pattern_key(pre, cols, coup, elim))):
+        pattern = _Pattern(pre, cols, coup, elim)
+        if held is not None:
+            held[role] = pattern
+    return pattern
+
+
 class _Kkt:
     """A bordered KKT matrix [[D1, B'], [B, -D2]] of the presolved problem.
 
@@ -555,91 +755,66 @@ class _Kkt:
     in the kept columns k and the rows of B, E being the dual side of the
     shifted diagonal.  The interior point keeps the pinned and free
     columns: eliminating their diagonal, little more than the shift,
-    would put 1 / _KKT_REG into r.  r's _layout, bordered by the coupling
-    rows, is made once (bandwidth 8 on the synthetic model at every
-    horizon), and r is never assembled: each factor writes its band
-    store with one bincount over the pattern's entries.  The instance
-    holds its one factor, and solve() takes the eliminated columns around
-    it and refines against k_true.
+    would put 1 / _KKT_REG into r.  r is bordered by the coupling rows
+    and never assembled (bandwidth 8 on the synthetic model at every
+    horizon).
+
+    Everything read from index arrays alone is a _Pattern, symbolic work
+    made once per pattern (Davis 2006, ch. 7): inside a kkt_pattern_scope
+    a system whose index arrays equal the last one's of its role (its
+    shift) reuses it, and a miss builds it as a solve outside any scope
+    does.  The instance holds the values: k_true's, B_e's and the pair
+    products, and one band store that each factor refills in place, in
+    the pattern's entry order, before factoring it.  It holds its one
+    factor, and solve() takes the eliminated columns around it and
+    refines against k_true.
     """
 
     def __init__(self, pre: _Presolved, cols: np.ndarray, coup: np.ndarray,
                  elim: np.ndarray, eps: float):
-        a, g, n_b = pre.a_ext, pre.g, pre.n_b
-        # the entries of a_ext and then of g's coupling rows, row by row,
-        # kept where both the row and the column are in the system
-        c_ent = slice(g.indptr[n_b], g.nnz)
-        in_b = np.concatenate([np.ones(a.shape[0], dtype=bool), coup])
-        b_row = np.repeat(np.arange(len(in_b)),
-                          np.concatenate([np.diff(a.indptr), np.diff(g.indptr[n_b:])]))
-        b_col = np.concatenate([a.indices, g.indices[c_ent]])
-        keep = cols[b_col] & in_b[b_row]
-        rows = (np.cumsum(in_b) - 1)[b_row[keep]]
-        b_col = (np.cumsum(cols) - 1)[b_col[keep]]
-        vals = np.concatenate([a.data, g.data[c_ent]])[keep]
-        n, mb = int(cols.sum()), int(in_b.sum())
-        diag = np.arange(n + mb)
-        # B' above the diagonal, then the diagonal, then B below it: each
-        # column's rows come out ascending, so a primal column's diagonal
-        # entry is its first and a dual column's its last
-        self.k_true = sp.csc_matrix(
-            (np.concatenate([vals, np.zeros(n + mb), vals]),
-             (np.concatenate([b_col, diag, n + rows]), np.concatenate([n + rows, diag, b_col]))),
-            shape=(n + mb, n + mb))
-        ptr = self.k_true.indptr
-        self.diag_pos = np.concatenate([ptr[:n], ptr[n + 1 :] - 1])
-        self.shift = eps * np.concatenate([np.ones(n), -np.ones(mb)])
-
-        elim = elim[cols]
-        self.elim = np.nonzero(elim)[0]
-        self.n_k = n_k = n - len(self.elim)
-        # k_true's row behind each of r's
-        self.r_rows = np.concatenate([np.nonzero(~elim)[0], n + np.arange(mb)])
-        t = s = e_row = np.zeros(0, dtype=np.int32)
-        self.pair_val, self.pair_col = np.zeros(0), t
-        if len(self.elim):  # the polish's r is k_true itself
-            # B_e in CSC, each column's rows ascending; B_k stays in rows, b_col, vals
-            in_e, e_before = elim[b_col], np.cumsum(elim)
-            in_k = ~in_e
-            e_col = e_before[b_col[in_e]] - 1
-            by_col = np.argsort(e_col, kind="stable")
-            e_row, e_val = rows[in_e][by_col], vals[in_e][by_col]
-            counts = np.bincount(e_col, minlength=len(self.elim))
-            e_ptr = np.concatenate([[0], np.cumsum(counts)])
-            self.b_e = sp.csc_matrix((e_val, e_row, e_ptr), shape=(mb, len(counts)))
+        self.pat = pat = _pattern(pre, cols, coup, elim, eps)
+        self.elim, self.n_k, self.r_rows = pat.elim, pat.n_k, pat.r_rows
+        g = pre.g
+        vals = np.concatenate([pre.a_ext.data, g.data[g.indptr[pre.n_b] :]])[pat.keep]
+        distinct = vals[pat.heads]
+        np.add.at(distinct, pat.again_to, vals[pat.again])
+        data = np.zeros(len(pat.indices))
+        data[pat.lower] = distinct
+        data[pat.upper()] = distinct
+        self.k_true = sp.csc_matrix((data, pat.indices, pat.indptr),
+                                    shape=(pat.n + pat.mb, pat.n + pat.mb))
+        self.shift = np.full(pat.n + pat.mb, eps)
+        self.shift[pat.n :] = -eps
+        e_val = np.take(vals, pat.e_src)
+        e_t, e_s = pat.pairs(e_val)
+        self.pair_val = -e_t * e_s
+        if len(pat.elim):  # the polish's r is k_true itself
+            self.b_e = sp.csc_matrix((e_val, pat.e_row, pat.e_ptr),
+                                     shape=(pat.mb, len(pat.elim)))
             self.b_e_t = self.b_e.T
-            rows, b_col, vals = rows[in_k], b_col[in_k] - e_before[b_col[in_k]], vals[in_k]
-            # every pair of entries t, s in one column e of B_e adds
-            # B[i_t, e] B[i_s, e] / D_e to r at (n_k + i_t, n_k + i_s); the
-            # pairs run column by column
-            reps = np.repeat(counts, counts)
-            t = np.repeat(np.arange(len(e_row), dtype=np.int32), reps)
-            s = np.arange(len(t), dtype=np.int32) + np.repeat(
-                (np.repeat(e_ptr[:-1], counts) - (np.cumsum(reps) - reps)).astype(np.int32), reps)
-            self.pair_val = -e_val[t] * e_val[s]
-            self.pair_col = np.repeat(np.arange(len(counts), dtype=np.int32), counts * counts)
-        # r's entries: the products, B_k and B_k', then the diagonal
-        r_diag = np.arange(len(self.r_rows))
-        self.lay, self.size, self.dest = _layout(
-            np.concatenate([n_k + e_row[t], n_k + rows, b_col, r_diag]),
-            np.concatenate([n_k + e_row[s], b_col, n_k + rows, r_diag]),
-            len(r_diag), int(coup.sum()))
-        self.weights = np.concatenate([np.zeros(len(t)), vals, vals, np.zeros(len(r_diag))])
+        vals_k = vals[pat.k_src]
+        self.weights = np.concatenate([np.zeros(len(e_t)), vals_k, vals_k,
+                                       np.zeros(len(pat.r_rows))])
+        self.store = np.empty(pat.size)  # r's band store, refilled by each factor
         self.reg = self.inv_d = None  # the shifted diagonal and 1 / D_e, from set_diagonal
         self.lu = None  # r's band LU, from factor
 
     def set_diagonal(self, diag: np.ndarray) -> None:
-        self.k_true.data[self.diag_pos] = diag
+        self.k_true.data[self.pat.diag_pos] = diag
         self.reg = diag + self.shift
         self.inv_d = 1.0 / self.reg[self.elim]
 
     def factor(self) -> None:
         """Factor r at the current diagonal, freeing the last factor first."""
         self.lu = None
-        w = self.weights
-        np.multiply(self.pair_val, self.inv_d[self.pair_col], out=w[: len(self.pair_val)])
+        w, pat = self.weights, self.pat
+        np.multiply(self.pair_val, np.repeat(self.inv_d, pat.pair_reps),
+                    out=w[: len(self.pair_val)])
         w[len(w) - len(self.r_rows) :] = self.reg[self.r_rows]
-        self.lu = _BandLu(*self.lay, np.bincount(self.dest, w, self.size))
+        # each place sums its entries from 0.0 in the pattern's order
+        self.store.fill(0.0)
+        np.add.at(self.store, pat.dest, w)
+        self.lu = _BandLu(*pat.lay, self.store)
 
     def shifted_solve(self, vec: np.ndarray) -> np.ndarray:
         """Solve the shifted k_true with the factor: the eliminated columns go around r's."""
@@ -727,7 +902,8 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
     zero point with nothing active, whose polish is the one
     equality-constrained solve.  Every array of the iteration, the KKT
     matrix and its factor among them, is freed on return, before the
-    polish makes its own factor, and the best-merit iterate is kept in
+    polish makes its own factor (inside a kkt_pattern_scope the matrix's
+    pattern stays held for the next solve), and the best-merit iterate is kept in
     buffers allocated once: with nothing the iteration made late left
     alive, the allocator can hand the memory back before the polish (at
     T=8760 the peak resident size fell from about 315 to 240 MB).
@@ -756,7 +932,10 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
                    _KKT_REG)
         kkt.set_diagonal(np.concatenate([q + n_bound, np.zeros(m), -np.ones(m_comp - n_b)]))
         kkt.factor()
-        x = kkt.solve(np.concatenate([gb_t @ h[:n_b], b, h[n_b:]]), _KKT_RTOL)[:n]
+        # a copy: as a view, x would keep the whole solution alive through
+        # the iteration, above memory the allocator could otherwise hand
+        # back before the polish (T=8760 then peaked at 191 MB, not 178)
+        x = kkt.solve(np.concatenate([gb_t @ h[:n_b], b, h[n_b:]]), _KKT_RTOL)[:n].copy()
         dual = kkt.solve(np.concatenate([-c, np.zeros(m + m_comp - n_b)]), _KKT_RTOL)
     except _FACTOR_ERRORS:
         return None, None, 0, False, "KKT factorization failed", None

@@ -45,7 +45,7 @@ from .model import (
     recover_plan,
     validate_config,
 )
-from .qp import INFEASIBLE, OPTIMAL, SolverSettings, Solution, solve_qp
+from .qp import INFEASIBLE, OPTIMAL, SolverSettings, Solution, kkt_pattern_scope, solve_qp
 
 
 class SolveFailure(RuntimeError):
@@ -228,6 +228,7 @@ def _solved(cfg: VppConfig, data: MarketData, settings: SolverSettings,
     return model, problem, sol, plan
 
 
+@kkt_pattern_scope()
 def run_scenario(
     cfg: VppConfig,
     data: MarketData,

@@ -12,8 +12,10 @@ band factor ``ipm`` and the ``polish``: a ``qp.dgbtrf`` call is the
 polish's whenever ``_polish`` is running, and the interior point's otherwise)
 it records the band factors made, the largest band dimension (a factored
 matrix's rows less its bordered coupling rows) and bandwidth among them
-(0 when none), the total band dimension, and the stored band entries,
-(3 bw + 1) times the dimension, summed over the factors.  The corpus is
+(0 when none), the total band dimension, the stored band entries,
+(3 bw + 1) times the dimension, summed over the factors, and the
+orderings made (``qp.reverse_cuthill_mckee`` calls, one per KKT pattern
+built).  The corpus is
 ``random_instance`` seeds 0-599 x {default, ``r_min=0.95``} x
 ``max_iter`` {200, 8}, plus 26 synth-data solves at T=168-672: default,
 uncapped, r = 0.995, an unmeetable REC floor, and two with lossy storage.
@@ -21,8 +23,12 @@ For each synth case with an optimal answer it also solves the neighbours
 ``run_scenario`` solves in full mode (quota + 1, and r + 0.01 where r
 leaves room), once warm-started from that answer and once cold, and
 records under ``neighbours`` whether the warm solve was answered from the
-start's active set (``iterations == 0``) and its objective minus the cold
-one.  It takes about 40 s on a 2-core VM.
+start's active set (``iterations == 0``), its objective minus the cold
+one, and each solve's factor sites (``band_warm``, ``band_cold``).  The
+base and its neighbours are solved inside one ``qp.kkt_pattern_scope``,
+as ``run_scenario`` solves them, so their KKT systems share patterns;
+a tree without the scope solves them without one.  It takes about 40 s
+on a 2-core VM.
 
 ``compare`` prints the status, iteration, message and objective (1e-8
 relative) mismatch counts and the largest |dx| over solves with the same
@@ -30,13 +36,15 @@ status, for all solves and for the lossless-storage ones (eta_c = eta_d =
 1) alone, then each status transition from A to B with its count.  Then,
 for each tree, the iteration and probe totals by status and the total
 factorizations; per site, the band factors with the largest and total
-band dimension, the largest bandwidth and the stored entries; and the
-largest primal residual of an optimal answer.  The sites include
-``fallback``, which dumps of trees that still had the interior point's
-partial-pivot fallback on the full KKT matrix record; a dump without it
-reads 0 there.  Then the number of solves whose iteration count changed,
-by status; per status, a histogram of the change (B - A); and each solve
-that changed status or whose count rose.
+band dimension, the largest bandwidth, the stored entries and the
+orderings, over every solve, neighbours included, then the orderings of
+the neighbour solves alone; and the largest primal residual of an
+optimal answer.  The sites include ``fallback``, which dumps of trees that
+still had the interior point's partial-pivot fallback on the full KKT
+matrix record; a dump without it, or without orderings, reads 0 there.
+Then the number of solves whose iteration count changed, by status; per
+status, a histogram of the change (B - A); and each solve that changed
+status or whose count rose.
 Then both trees' totals of fallback plus polish factorizations, and each
 solve whose count changed.  Last, per tree, how many neighbour solves were
 answered warm and the largest warm-minus-cold objective gap among those.
@@ -45,6 +53,7 @@ Not collected by pytest (the file name does not match test_*).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 import warnings
@@ -81,7 +90,7 @@ def _synth_cases():
 
 
 SITES = ("ipm", "polish")
-BAND_KEYS = ("factors", "dim", "bw", "total_dim", "stored")
+BAND_KEYS = ("factors", "dim", "bw", "total_dim", "stored", "orderings")
 NO_BAND = dict.fromkeys(BAND_KEYS, 0)
 # the sites compare prints: older dumps also hold the partial-pivot "fallback"
 COMPARED_SITES = ("ipm", "fallback", "polish")
@@ -101,12 +110,17 @@ def _record(cfg, problem, settings, band, probes):
         "x": sol.x.tolist(),
         "lossless": cfg.ess.eta_c == 1.0 and cfg.ess.eta_d == 1.0,
         "primal_inf": sol.residuals.primal_inf if sol.status == "optimal" else None,
-        "band": {site: band.get(site, NO_BAND) for site in SITES},
+        "band": _sites(band),
         "linprog": probes.get("linprog", 0),
     }
 
 
-def _neighbours(model, base) -> dict:
+def _sites(band) -> dict:
+    """A copy of the factor sites' counts of one solve."""
+    return {site: dict(band.get(site, NO_BAND)) for site in SITES}
+
+
+def _neighbours(model, base, band) -> dict:
     """run_scenario's neighbour solves of an optimal base, warm against cold."""
     from trimarket.analysis import solve_for_param
 
@@ -115,10 +129,14 @@ def _neighbours(model, base) -> dict:
         moves["r"] = model.config.policy.r + 0.01
     out = {}
     for param, value in moves.items():
+        band.clear()
         _, warm = solve_for_param(model, param, value, start=base)
+        band_warm = _sites(band)
+        band.clear()
         _, cold = solve_for_param(model, param, value)
         out[param] = {"warm": warm.status == "optimal" and warm.iterations == 0,
-                      "gap": warm.objective - cold.objective}
+                      "gap": warm.objective - cold.objective,
+                      "band_warm": band_warm, "band_cold": _sites(band)}
     return out
 
 
@@ -135,14 +153,17 @@ def _count_calls(qp, name) -> dict:
 
 
 def _count_band(qp) -> dict:
-    """Wrap qp.dgbtrf: count its calls per factor site, with their dimensions and stores.
+    """Wrap qp.dgbtrf and qp.reverse_cuthill_mckee: count their calls per factor site.
 
     A call is the polish's whenever _polish is running (it factors through
     _Kkt.factor, as the interior point does), and the interior point's
-    otherwise.
+    otherwise.  Each factor is counted with its dimensions and store.
     """
-    band, depth, real = {}, [0], qp.dgbtrf
+    band, depth, real, order = {}, [0], qp.dgbtrf, qp.reverse_cuthill_mckee
     polish = qp._polish
+
+    def site():
+        return band.setdefault("polish" if depth[0] else "ipm", dict.fromkeys(BAND_KEYS, 0))
 
     def wrapped(*args, **kwargs):
         depth[0] += 1
@@ -152,16 +173,21 @@ def _count_band(qp) -> dict:
             depth[0] -= 1
 
     def counted(ab, kl, ku, **kwargs):
-        site = band.setdefault("polish" if depth[0] else "ipm", dict.fromkeys(BAND_KEYS, 0))
-        site["factors"] += 1
-        site["dim"] = max(site["dim"], ab.shape[1])
-        site["bw"] = max(site["bw"], kl, ku)
-        site["total_dim"] += ab.shape[1]
-        site["stored"] += ab.size
+        counts = site()
+        counts["factors"] += 1
+        counts["dim"] = max(counts["dim"], ab.shape[1])
+        counts["bw"] = max(counts["bw"], kl, ku)
+        counts["total_dim"] += ab.shape[1]
+        counts["stored"] += ab.size
         return real(ab, kl, ku, **kwargs)
+
+    def ordered(*args, **kwargs):
+        site()["orderings"] += 1
+        return order(*args, **kwargs)
 
     qp._polish = wrapped
     qp.dgbtrf = counted
+    qp.reverse_cuthill_mckee = ordered
     return band
 
 
@@ -182,11 +208,13 @@ def dump(out: str) -> None:
                     key = f"random/{seed}/r_min={r_min}/max_iter={max_iter}"
                     _, records[key] = _record(cfg, problem, qp.SolverSettings(max_iter=max_iter),
                                               band, probes)
+        scope = getattr(qp, "kkt_pattern_scope", contextlib.nullcontext)
         for name, cfg, data in _synth_cases():
             model, problem = build(cfg, data)
-            sol, records[name] = _record(cfg, problem, qp.SolverSettings(), band, probes)
-            if sol.status == "optimal":
-                records[name]["neighbours"] = _neighbours(model, sol)
+            with scope():
+                sol, records[name] = _record(cfg, problem, qp.SolverSettings(), band, probes)
+                if sol.status == "optimal":
+                    records[name]["neighbours"] = _neighbours(model, sol, band)
     Path(out).write_text(json.dumps(records))
     print(f"{len(records)} solves written to {out}")
 
@@ -200,6 +228,12 @@ def _same_objective(a: float, b: float) -> bool:
 def _factors(r: dict) -> int:
     """The factorizations of one solve."""
     return sum(site["factors"] for site in r["band"].values())
+
+
+def _neighbour_bands(d: dict) -> list:
+    """The factor sites of every neighbour solve in a dump (none in older dumps)."""
+    return [n[k] for r in d.values() for n in r.get("neighbours", {}).values()
+            for k in ("band_warm", "band_cold") if k in n]
 
 
 def _fallback_and_polish(r: dict) -> int:
@@ -238,14 +272,19 @@ def compare(path_a: str, path_b: str) -> None:
             by_status[r["status"]] = (it + r["iterations"], pr + r["linprog"])
         totals = "; ".join(f"{st} {it} iterations, {pr} probes"
                            for st, (it, pr) in sorted(by_status.items()))
-        print(f"{label}: {totals}; {sum(_factors(r) for r in d.values())} factorizations")
+        neighbours = _neighbour_bands(d)
+        every = [r["band"] for r in d.values()] + neighbours
+        print(f"{label}: {totals}; "
+              f"{sum(s['factors'] for b in every for s in b.values())} factorizations")
         for site in COMPARED_SITES:
-            bands = [r["band"].get(site, NO_BAND) for r in d.values()]
+            bands = [b.get(site, NO_BAND) for b in every]
             print(f"{label} {site}: {sum(b['factors'] for b in bands)} band factors; "
                   f"dimension largest {max(b['dim'] for b in bands)}, total "
                   f"{sum(b['total_dim'] for b in bands)}; largest bandwidth "
                   f"{max(b['bw'] for b in bands)}; {sum(b['stored'] for b in bands)} "
-                  f"stored entries")
+                  f"stored entries; {sum(b.get('orderings', 0) for b in bands)} orderings, "
+                  f"{sum(b.get(site, NO_BAND).get('orderings', 0) for b in neighbours)} "
+                  f"of them in {len(neighbours)} neighbour solves")
         worst = max((r["primal_inf"] for r in d.values() if r["status"] == "optimal"), default=0.0)
         print(f"{label}: largest optimal primal residual {worst:.3g}")
     changed_by_status = {}

@@ -23,6 +23,11 @@ so the set of optimal plans stays and its multipliers scale by c.
 
 The rotation test rolls every hourly series of synthetic data by whole
 days; the objective and the two coupling multipliers stay.
+
+The storage test solves the assembly test's draws with every market
+open: over a cycle the storage level returns to its start, so every
+optimal answer with lossy storage stores what it discharges, eta_c sum
+p_c = sum p_d / eta_d.
 """
 
 import dataclasses
@@ -287,3 +292,22 @@ def test_assembled_rows_are_the_model_equations(case):
     lb, ub = p.lb.reshape(T, 13), p.ub.reshape(T, 13)
     for pos, role in enumerate(ROLES):
         assert (lb[:, pos] == box[role][0]).all() and (ub[:, pos] == box[role][1]).all(), role
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(assembly_cases())
+def test_lossy_cyclic_storage_stores_what_it_discharges(case):
+    # the T storage rows sum to eta_c sum p_c - sum p_d / eta_d, the
+    # level terms cancelling around the cycle, and each row holds to the
+    # primal tolerance.  Open markets keep the draws feasible.
+    cfg, data, quota, _ = case
+    cfg = cfg.with_caps(g_cap=math.inf, r_cap=math.inf, c_cap=math.inf)
+    ess = cfg.ess
+    assume(ess.eta_c < 1.0 or ess.eta_d < 1.0)
+    model, _ = build(cfg, data)
+    p = assemble_qp(model, quota_override=quota)
+    sol = solve_qp(p)
+    assume(sol.status == OPTIMAL)
+    p_c, p_d = sol.x[p.layout.indices("p_c")], sol.x[p.layout.indices("p_d")]
+    tol = SolverSettings().tol * _presolve(p).scale_p
+    assert abs(ess.eta_c * p_c.sum() - p_d.sum() / ess.eta_d) <= cfg.horizon * tol

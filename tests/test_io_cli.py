@@ -723,8 +723,12 @@ class TestCli:
 
     @pytest.mark.parametrize("extra, rc, message", [
         (["--tol", "0"], 1, "error: --tol must be positive"),
+        (["--tol", "inf"], 1, "error: --tol must be finite and below 1"),
+        (["--tol", "1e300"], 1, "error: --tol must be finite and below 1"),
+        (["--tol", "1"], 1, "error: --tol must be finite and below 1"),
+        (["--tol", "nan"], 1, "error: --tol must be finite and below 1"),
         (["--max-iter", "1"], 1, "solver failed: tolerances not reached"),
-    ], ids=["tol-0", "max-iter-1"])
+    ], ids=["tol-0", "tol-inf", "tol-1e300", "tol-1", "tol-nan", "max-iter-1"])
     def test_solver_setting_errors(self, workdir, capsys, extra, rc, message):
         assert main(["solve", "--config", str(workdir / "model.cfg"),
                      "--data", str(workdir / "market.csv"),

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from trimarket.qp import (
     solve_qp,
 )
 from trimarket.analysis import solve_for_param
-from trimarket.scenarios import SynthSpec, synth_data
+from trimarket.scenarios import SynthSpec, parameter_sweep, run_scenario, synth_data
 
 from _instances import build, hand_case, no_supply_case, random_instance, solve
 from _oracle import oracle_solve
@@ -124,6 +126,10 @@ class TestSolverBehaviour:
     def test_settings_validated(self):
         with pytest.raises(ValueError, match="tol"):
             SolverSettings(tol=0.0)
+        # a tolerance no residual can miss lets any point out as "optimal"
+        for tol in (float("inf"), 1e300, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="tol must be finite and below 1"):
+                SolverSettings(tol=tol)
         with pytest.raises(ValueError, match="max_iter"):
             SolverSettings(max_iter=0)
 
@@ -543,7 +549,7 @@ class TestKktFactorization:
         bounded = np.zeros(p.n, dtype=bool)
         bounded[pre.lo_idx] = bounded[pre.up_idx] = True
         kkt = qp._Kkt(pre, np.ones(p.n, dtype=bool), np.ones(2, dtype=bool), bounded, qp._KKT_REG)
-        order, bw, n_c = kkt.lay
+        order, bw, n_c = kkt.pat.lay
         assert bw == 8
         # every row of r but the kept coupling rows is in the band
         assert len(pre.keep_rows) == n_c == 2 and len(order) == len(kkt.r_rows)
@@ -555,8 +561,8 @@ class TestKktFactorization:
         # point's (6-7 here)
         layouts, real = [], qp._layout
 
-        def measured(rows, cols, nr, n_c):
-            out = real(rows, cols, nr, n_c)
+        def measured(rows, cols, nr, n_c, pattern=None):
+            out = real(rows, cols, nr, n_c, pattern)
             if sites.site == POLISH:
                 layouts.append((n_c, out[0][1]))
             return out
@@ -900,6 +906,139 @@ class TestKktFactorization:
         # the idle ESS leaves the floor's multiplier on a degenerate range
         # (the oracle picks 20, this recovery 40.6): only its sign is fixed
         assert np.all(sol.ineq_duals.coupling >= 0.0)
+
+
+class _Patterns:
+    """Record each qp._Pattern built: whether it eliminates columns (the
+    interior point's) and a weak reference to it."""
+
+    def __init__(self, monkeypatch):
+        self.built = []
+        built, real = self.built, qp._Pattern
+
+        class Recorded(real):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append((len(self.elim) > 0, weakref.ref(self)))
+
+        monkeypatch.setattr(qp, "_Pattern", Recorded)
+
+    def alive(self):
+        gc.collect()
+        return [ipm for ipm, ref in self.built if ref() is not None]
+
+
+def _with_repeated_entry(p):
+    """p with the first coefficient of a_eq's row 10 stored as two entries,
+    three quarters in place and a quarter at the end of the row."""
+    a = p.a_eq.tocsr()
+    start, end = a.indptr[10], a.indptr[11]
+    data = np.insert(a.data, end, 0.25 * a.data[start])
+    data[start] *= 0.75
+    indptr = a.indptr.copy()
+    indptr[11:] += 1
+    a_eq = sp.csr_matrix((data, np.insert(a.indices, end, a.indices[start]), indptr),
+                         shape=a.shape)
+    return dataclasses.replace(p, a_eq=a_eq)
+
+
+def _same_answer(a, b):
+    """Byte for byte: status, iterations, objective, x and every dual."""
+    da, db = a.ineq_duals, b.ineq_duals
+    return (a.status, a.iterations, np.float64(a.objective).tobytes()) == (
+        b.status, b.iterations, np.float64(b.objective).tobytes()) and all(
+        u.tobytes() == v.tobytes() for u, v in zip(
+            (a.x, a.eq_duals, da.lower, da.upper, da.coupling),
+            (b.x, b.eq_duals, db.lower, db.upper, db.coupling)))
+
+
+class TestPatternReuse:
+    def test_full_scenario_builds_two_patterns(self, monkeypatch):
+        # the base solve builds the interior point's pattern and the
+        # polish's; the quota + 1 and r + 0.01 neighbours, answered from
+        # the base's active set, polish on the polish's: 2 patterns for 4
+        # systems, all dropped when run_scenario returns
+        built, real = [], qp._Kkt.__init__
+
+        def counted(kkt, *args):
+            built.append(True)
+            real(kkt, *args)
+
+        monkeypatch.setattr(qp._Kkt, "__init__", counted)
+        patterns = _Patterns(monkeypatch)
+        res = run_scenario(default_config(168), synth_data(SynthSpec(horizon=168)),
+                           properties="full")
+        assert res.solution.status == OPTIMAL and len(built) == 4
+        assert [ipm for ipm, _ in patterns.built] == [True, False]
+        assert patterns.alive() == []
+
+    def test_sweep_builds_interior_point_pattern_once_per_change(self, monkeypatch):
+        # each point's interior-point pattern is keyed by its own presolve;
+        # consecutive points with equal keys share one build
+        cfg, data = default_config(168), synth_data(SynthSpec(horizon=168))
+        grid = [0.0, 0.1, 0.2, 0.3, 0.4]
+        keys = []
+        for alpha in grid:
+            pre = _presolve(build(cfg.with_policy(alpha=alpha), data)[1])
+            bounded = np.zeros(len(pre.q), dtype=bool)
+            bounded[pre.lo_idx] = bounded[pre.up_idx] = True
+            keys.append(qp._pattern_key(pre, np.ones(len(pre.q), dtype=bool),
+                                        np.ones(len(pre.keep_rows), dtype=bool), bounded))
+        changes = sum(not all(map(np.array_equal, u, v)) for u, v in zip(keys, keys[1:]))
+        assert 0 < changes < len(grid) - 1  # the grid both rebuilds and reuses
+        patterns = _Patterns(monkeypatch)
+        sweep = parameter_sweep(cfg, data, "alpha", grid)
+        assert all(point.status == OPTIMAL for point in sweep.points)
+        assert sum(ipm for ipm, _ in patterns.built) == 1 + changes
+        assert patterns.alive() == []
+
+    def test_solve_outside_any_scope_holds_no_pattern(self, monkeypatch):
+        patterns = _Patterns(monkeypatch)
+        assert solve_qp(_synth_week()).status == OPTIMAL
+        assert len(patterns.built) == 2 and patterns.alive() == []
+        # an outer scope holds one pattern per role for every command
+        # opened inside it, and drops them when it closes
+        cfg, data = default_config(168), synth_data(SynthSpec(horizon=168))
+        with qp.kkt_pattern_scope():
+            for _ in range(2):
+                assert run_scenario(cfg, data, properties="full").solution.status == OPTIMAL
+            assert len(patterns.built) == 4 and patterns.alive() == [True, False]
+        assert patterns.alive() == []
+
+    @pytest.mark.parametrize("repeated", [False, True], ids=["week", "repeated-entry"])
+    def test_reused_pattern_gives_the_same_answers(self, monkeypatch, repeated):
+        # the quota + 1 neighbour, cold and then warm from the base, on the
+        # patterns the base built: every answer byte for byte the one a
+        # solve outside any scope gives.  With an a_eq entry stored twice,
+        # k_true sums the two as scipy's COO conversion does.
+        p = _with_repeated_entry(_synth_week()) if repeated else _synth_week()
+        q = dataclasses.replace(p, coup_rhs=p.coup_rhs + np.array([0.0, 1.0]))
+
+        def solves():
+            base = solve_qp(p)
+            return base, solve_qp(q), solve_qp(q, start=base)
+
+        alone = solves()
+        patterns = _Patterns(monkeypatch)
+        with qp.kkt_pattern_scope():
+            shared = solves()
+        assert [sol.status for sol in alone] == [OPTIMAL] * 3 and alone[2].iterations == 0
+        assert all(map(_same_answer, alone, shared))
+        assert [ipm for ipm, _ in patterns.built] == [True, False]  # 2 patterns, 5 systems
+
+        pre = _presolve(p)
+        bounded = np.zeros(p.n, dtype=bool)
+        bounded[pre.lo_idx] = bounded[pre.up_idx] = True
+        kkt = qp._Kkt(pre, np.ones(p.n, dtype=bool), np.ones(2, dtype=bool), bounded,
+                      qp._KKT_REG)
+        b = sp.vstack([pre.a_ext, pre.g[pre.n_b:]], format="coo")
+        n, diag = p.n, np.arange(kkt.k_true.shape[0])
+        want = sp.csc_matrix((np.concatenate([b.data, np.zeros(len(diag)), b.data]),
+                              (np.concatenate([b.col, diag, n + b.row]),
+                               np.concatenate([n + b.row, diag, b.col]))), shape=kkt.k_true.shape)
+        assert pre.a_ext.has_canonical_format is not repeated
+        for part in ("data", "indices", "indptr"):
+            assert getattr(kkt.k_true, part).tobytes() == getattr(want, part).tobytes()
 
 
 def test_polish_keeps_one_bound_per_variable(monkeypatch):
