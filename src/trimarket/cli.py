@@ -138,6 +138,8 @@ def _parse_grid(text: str) -> np.ndarray:
             lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise ConfigError(f"grid {text!r} must be lo:hi:n with numeric parts") from None
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ConfigError(f"grid {text!r} needs finite lo and hi")
         if n < 2 or hi <= lo:
             raise ConfigError("grid needs hi > lo and at least 2 points")
         return np.linspace(lo, hi, n)

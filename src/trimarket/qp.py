@@ -16,12 +16,15 @@ multipliers, a point is stationary when, componentwise,
 so for example the retirement floor's multiplier prices REC retirement and
 the quota ceiling's multiplier prices allowance headroom, both >= 0.
 
-Internally, after presolve, every inequality sits in one block
-g x + w = h with one slack vector w >= 0 and one multiplier vector z >= 0
-(the textbook form of Wright, Primal-Dual Interior-Point Methods, 1997):
-the finite lower bounds as rows -x_j <= -lb_j, then the finite upper
-bounds, then the coupling rows.  The iteration, the polish and the map
-back to (zl, zu, zc) all work on that one block.
+Presolve substitutes out every pinned variable (lb == ub, or forced to a
+bound by a coupling row), so the solver's blocks hold only the other
+columns, and each entry the problem stores twice is summed once.  After
+presolve every inequality sits in one block g x + w = h with one slack
+vector w >= 0 and one multiplier vector z >= 0 (the textbook form of
+Wright, Primal-Dual Interior-Point Methods, 1997): the finite lower
+bounds as rows -x_j <= -lb_j, then the finite upper bounds, then the
+coupling rows.  The iteration, the polish and the map back to (zl, zu,
+zc) all work on that one block.
 
 Each interior-point iteration solves one KKT system: the bound rows of the
 block fold into its primal diagonal (barrier terms plus one fixed
@@ -30,8 +33,8 @@ variable with a bound row has a positive diagonal there, so its column is
 eliminated exactly, and what gets factored is the reduced augmented system
 in the equality and coupling rows plus the columns without a bound row
 (Wright 1997, ch. 11; Vanderbei, Symmetric quasi-definite matrices, SIAM
-J. Optim. 1995).  The pinned and free columns stay: their diagonal is
-little more than the shift.  Each hourly row couples only its own hour and
+J. Optim. 1995).  The free columns stay: their diagonal is little more
+than the shift.  Each hourly row couples only its own hour and
 the next (storage and inventories carry over), so all of the system but
 the 0-2 coupling rows is a narrow band once put in a reverse Cuthill-McKee
 order (Cuthill & McKee 1969), computed once per pattern (below).  The band
@@ -280,48 +283,73 @@ def _csr(data: np.ndarray, cols: np.ndarray, counts: np.ndarray, n: int) -> sp.c
     return sp.csr_matrix((data, cols, indptr), shape=(len(counts), n))
 
 
+def _canonical(m) -> sp.csr_matrix:
+    """m in CSR with each row's columns distinct and ascending, m itself left as it is."""
+    m = m.tocsr()
+    if not m.has_canonical_format:
+        m = m.copy()  # tocsr() hands a CSR matrix back itself
+        m.sum_duplicates()
+    return m
+
+
+def _without_pins(m: sp.csr_matrix, rows: np.ndarray, pinned: np.ndarray, col: np.ndarray):
+    """The entries of m's rows marked in `rows` outside the pinned columns, as _csr takes them.
+
+    Each kept entry's column is renumbered by col; returns (data, cols, counts).
+    """
+    row = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    keep = rows[row] & ~pinned[m.indices]
+    return m.data[keep], col[m.indices[keep]], np.bincount(row[keep], minlength=m.shape[0])[rows]
+
+
 @dataclass
 class _Presolved:
-    """Minimization-form data after pinning fixed variables.
+    """Minimization-form data after substituting out the pinned variables.
 
     Variables with lb == ub, and variables forced to a bound by a coupling
     row whose right-hand side equals the row's minimum over the box, are
-    re-expressed as appended equality rows so the barrier only ever sees
-    strictly widenable intervals.  Every remaining inequality sits in one
-    block g x <= h, read by the solver as g x + w = h with one slack w >= 0
-    and one multiplier z >= 0 per row: first -x_j <= -lb_j for each
-    variable in lo_idx, then x_j <= ub_j for each in up_idx, then the kept
-    coupling rows.  Both blocks are written as CSR arrays: each pin row of
-    a_ext and each bound row of g holds one +-1 entry, so g.indices[i] is
-    bound row i's variable and g.data[i] its sign, and the kept coupling
-    rows are copied entry for entry.
+    pinned and substituted out (Andersen & Andersen, Presolving in linear
+    programming, Math. Prog. 1995): the blocks keep only the other
+    columns, `unpinned` names the variable of each, and the right-hand
+    sides absorb the pinned values, so the barrier only ever sees strictly
+    widenable intervals.  a_ext has one row per equality row, and both
+    blocks are canonical, an entry that a_eq or coup stores twice being
+    summed once here.  Every remaining inequality sits in one block g x <=
+    h, read by the solver as g x + w = h with one slack w >= 0 and one
+    multiplier z >= 0 per row: first -x_j <= -lb_j for each column in
+    lo_idx, then x_j <= ub_j for each in up_idx, then the kept coupling
+    rows.  Both blocks are written as CSR arrays: each bound row of g
+    holds one +-1 entry, so g.indices[i] is bound row i's column and
+    g.data[i] its sign.
 
     The stopping test's scales are set here, once per problem, from its
-    own data: scale_p = 1 + max |(b_ext, kept coupling right-hand sides)|
-    and scale_d = 1 + max |c|.
+    own data: scale_p = 1 + max |(b_eq, pinned values, kept coupling
+    right-hand sides)| and scale_d = 1 + max |f|, pinned variables
+    included.
     """
 
     q: np.ndarray              # diagonal of the (PSD) minimization Hessian
     c: np.ndarray
-    a_ext: sp.csr_matrix       # original equalities + one row per pinned var
-    b_ext: np.ndarray
-    m_orig: int
-    pin_idx: np.ndarray        # pinned variable indices, aligned with rows m_orig..
-    lo_idx: np.ndarray         # unpinned variables with finite lower bound
+    a_ext: sp.csr_matrix       # the equalities in the unpinned columns
+    b_ext: np.ndarray          # b_eq less the pinned values' part
+    unpinned: np.ndarray       # the variable of each column
+    pin_idx: np.ndarray        # the pinned variables
+    x_pin: np.ndarray          # every variable's pinned value, 0 where unpinned
+    lo_idx: np.ndarray         # columns with a finite lower bound
     up_idx: np.ndarray
-    both: np.ndarray           # the (lower, upper) bound rows of g of each variable with both
+    both: np.ndarray           # the (lower, upper) bound rows of g of each column with both
     g: sp.csr_matrix           # inequality block: lower bounds, upper bounds, coupling
     h: np.ndarray
     n_b: int                   # bound rows of g, which lead the block
     keep_rows: list[int]
     dropped_rows: list[int]    # coupling rows absorbed into pins
+    coup: sp.csr_matrix        # the coupling rows, canonical, in every column
     scale_p: float             # primal and dual scales of _meets_tolerances
     scale_d: float
 
 
 def _presolve(p: QpProblem) -> _Presolved:
-    n = p.n
-    lb, ub = p.lb.copy(), p.ub.copy()
+    lb, ub = p.lb, p.ub
     with np.errstate(invalid="ignore"):  # inf - inf when lb = +inf and ub = -inf
         bad = (lb == np.inf) | (ub == -np.inf) | (lb > ub + 1e-12 * (1.0 + np.abs(lb)))
     if np.any(bad):
@@ -329,10 +357,10 @@ def _presolve(p: QpProblem) -> _Presolved:
         raise _InfeasibleProblem(f"empty bound interval on variable {j}: [{lb[j]}, {ub[j]}]")
 
     pinned = np.isfinite(lb) & (lb == ub)
-    pin = np.where(pinned, lb, 0.0)
+    x_pin = np.where(pinned, lb, 0.0)
 
     keep_rows, dropped_rows = [], []
-    coup = p.coup.tocsr()
+    a, coup = _canonical(p.a_eq), _canonical(p.coup)
     for k in range(coup.shape[0]):
         cols = coup.indices[coup.indptr[k] : coup.indptr[k + 1]]
         vals = coup.data[coup.indptr[k] : coup.indptr[k + 1]]
@@ -350,70 +378,78 @@ def _presolve(p: QpProblem) -> _Presolved:
         if achievable and rhs <= lo_val + tol:
             # the row can only hold with every participating variable at the
             # bound that minimizes it; pin them and drop the row
-            clash = pinned[cols] & (pin[cols] != bnd)
+            clash = pinned[cols] & (x_pin[cols] != bnd)
             if np.any(clash):
                 raise _InfeasibleProblem(f"conflicting pins on variable {cols[np.argmax(clash)]}")
             pinned[cols] = True
-            pin[cols] = bnd
+            x_pin[cols] = bnd
             dropped_rows.append(k)
         else:
             keep_rows.append(k)
 
-    pin_idx = np.nonzero(pinned)[0]
-    lb[pin_idx], ub[pin_idx] = -np.inf, np.inf  # pinned vars leave the box constraints entirely
-    lo_idx = np.nonzero(np.isfinite(lb))[0]
-    up_idx = np.nonzero(np.isfinite(ub))[0]
+    pin_idx, unpinned = np.nonzero(pinned)[0], np.nonzero(~pinned)[0]
+    col = np.cumsum(~pinned) - 1  # each unpinned variable's column
+    lo_idx = np.nonzero(np.isfinite(lb[unpinned]))[0]
+    up_idx = np.nonzero(np.isfinite(ub[unpinned]))[0]
     _, lo_row, up_row = np.intersect1d(lo_idx, up_idx, assume_unique=True, return_indices=True)
 
-    # each pin and bound row is one +-1 entry; the kept coupling rows
-    # follow the bound rows entry for entry
-    in_kept = np.repeat(np.isin(np.arange(coup.shape[0]), keep_rows), np.diff(coup.indptr))
-    n_pin, n_b = len(pin_idx), len(lo_idx) + len(up_idx)
-    b_ext, coup_rhs = np.concatenate([p.b_eq, pin[pin_idx]]), p.coup_rhs[keep_rows]
+    # each bound row is one +-1 entry; a_eq and the kept coupling rows
+    # keep their unpinned entries, and their right-hand sides absorb the
+    # pinned ones
+    kept = np.isin(np.arange(coup.shape[0]), keep_rows)
+    c_data, c_cols, c_counts = _without_pins(coup, kept, pinned, col)
+    n_b, coup_rhs = len(lo_idx) + len(up_idx), p.coup_rhs[keep_rows]
     return _Presolved(
-        q=-p.h_diag,
-        c=-p.f,
-        a_ext=_csr(np.concatenate([p.a_eq.data, np.ones(n_pin)]),
-                   np.concatenate([p.a_eq.indices, pin_idx]),
-                   np.concatenate([np.diff(p.a_eq.indptr), np.ones(n_pin, dtype=np.int64)]), n),
-        b_ext=b_ext,
-        m_orig=p.m_eq,
+        q=-p.h_diag[unpinned],
+        c=-p.f[unpinned],
+        a_ext=_csr(*_without_pins(a, np.ones(a.shape[0], dtype=bool), pinned, col), len(unpinned)),
+        b_ext=p.b_eq - a @ x_pin,
+        unpinned=unpinned,
         pin_idx=pin_idx,
+        x_pin=x_pin,
         lo_idx=lo_idx,
         up_idx=up_idx,
         both=np.stack([lo_row, len(lo_idx) + up_row]),
-        g=_csr(np.concatenate([-np.ones(len(lo_idx)), np.ones(len(up_idx)), coup.data[in_kept]]),
-               np.concatenate([lo_idx, up_idx, coup.indices[in_kept]]),
-               np.concatenate([np.ones(n_b, dtype=np.int64), np.diff(coup.indptr)[keep_rows]]),
-               n),
-        h=np.concatenate([-lb[lo_idx], ub[up_idx], coup_rhs]),
+        g=_csr(np.concatenate([-np.ones(len(lo_idx)), np.ones(len(up_idx)), c_data]),
+               np.concatenate([lo_idx, up_idx, c_cols]),
+               np.concatenate([np.ones(n_b, dtype=np.int64), c_counts]), len(unpinned)),
+        h=np.concatenate([-lb[unpinned[lo_idx]], ub[unpinned[up_idx]],
+                          coup_rhs - (coup @ x_pin)[keep_rows]]),
         n_b=n_b,
         keep_rows=keep_rows,
         dropped_rows=dropped_rows,
-        scale_p=1.0 + float(np.max(np.abs(np.concatenate([b_ext, coup_rhs])), initial=0.0)),
+        coup=coup,
+        scale_p=1.0 + float(np.max(np.abs(np.concatenate([p.b_eq, x_pin[pin_idx], coup_rhs])),
+                                   initial=0.0)),
         scale_d=1.0 + float(np.max(np.abs(p.f), initial=0.0)),
     )
 
 
-def _finalize(p: QpProblem, pre: _Presolved, x, y_ext, z) -> Solution:
-    """Map presolved-space duals back to the original constraint families.
+def _finalize(p: QpProblem, pre: _Presolved, x, y, z) -> Solution:
+    """The Solution of p at the presolved point (x, y, z), duals mapped back.
 
-    y_ext holds one dual per row of a_ext and z one multiplier per row of
-    the inequality block g.
+    x holds one value per column, y one dual per equality row and z one
+    multiplier per row of the inequality block g.  Each pinned variable
+    takes its pinned value, and its signed bound multiplier zl - zu is
+    read off its column of stationarity, as _polish reads a fixed
+    variable's.
     """
     n_l, n_b = len(pre.lo_idx), pre.n_b
     z = np.maximum(z, 0.0)
     zl = np.zeros(p.n)
     zu = np.zeros(p.n)
     coupling = np.zeros(2)
-    zl[pre.lo_idx] = z[:n_l]
-    zu[pre.up_idx] = z[n_l:n_b]
+    zl[pre.unpinned[pre.lo_idx]] = z[:n_l]
+    zu[pre.unpinned[pre.up_idx]] = z[n_l:n_b]
     coupling[pre.keep_rows] = z[n_b:]
+    x_full = pre.x_pin.copy()
+    x_full[pre.unpinned] = x
+    lam = -y
 
-    # zl - zu of each pinned variable, first from its pin row's dual alone
-    w = np.zeros(p.n)
-    w[pre.pin_idx] = y_ext[pre.m_orig:]
-    coup = p.coup.tocsr()
+    # the zl - zu that stationarity asks of each variable, first with the
+    # kept coupling rows alone; only the pinned variables' is read
+    w = p.a_eq.T @ lam + p.coup.T @ coupling - p.h_diag * x_full - p.f
+    coup = pre.coup
     for k in pre.dropped_rows:
         # a dropped row holds with equality; its multiplier zeta enters
         # stationarity as v_j * zeta on each of its variables.  Take the
@@ -429,11 +465,10 @@ def _finalize(p: QpProblem, pre: _Presolved, x, y_ext, z) -> Solution:
     zl[pre.pin_idx] = np.maximum(w[pre.pin_idx], 0.0)
     zu[pre.pin_idx] = np.maximum(-w[pre.pin_idx], 0.0)
 
-    lam = -y_ext[: pre.m_orig]
     sol = Solution(
         status=OPTIMAL,
-        x=x.copy(),
-        objective=p.objective(x),
+        x=x_full,
+        objective=p.objective(x_full),
         eq_duals=lam,
         ineq_duals=IneqDuals(lower=zl, upper=zu, coupling=coupling),
     )
@@ -564,21 +599,18 @@ class _Pattern:
     """What a _Kkt reads from index arrays alone: every part that reads no matrix value.
 
     B holds the kept entries of a_ext and of g's coupling rows, row by row
-    (`keep` marks them).  k_true is written from B's distinct entries, row
-    by row with each row's columns ascending: the first entry of each
-    (`heads`) gives its value, and any entry B repeats (`again`) is added
-    to it in order, as scipy's COO conversion sums them.  In k_true's CSC
-    arrays, column j < n holds its diagonal and then B's column j (each
-    distinct entry at `lower`), and column n + i holds B's row i (at
-    `upper`, B' above the diagonal) and then its diagonal, so a primal
-    column's diagonal entry is its first and a dual column's its last
-    (`diag_pos`).  Then the eliminated columns (`elim`, with `r_rows` the
-    rows of k_true behind r's), B_e's CSC arrays read from B's entries
-    `e_src`, B_k's entries `k_src`, the pairs of B_e's entries in one
-    column, which write B_e D_e^-1 B_e' into r (`pair_reps` per column,
-    and each one's second entry `s`), and r's _layout: its order, store
-    size and `dest`.  Index arrays read once per build are int32, to hold
-    less.
+    (`keep` marks them), each row's columns distinct and ascending, as
+    presolve writes both blocks.  In k_true's CSC arrays, column j < n
+    holds its diagonal and then B's column j (each entry at `lower`), and
+    column n + i holds B's row i (at `upper`, B' above the diagonal) and
+    then its diagonal, so a primal column's diagonal entry is its first
+    and a dual column's its last (`diag_pos`).  Then the eliminated
+    columns (`elim`, with `r_rows` the rows of k_true behind r's), B_e's
+    CSC arrays read from B's entries `e_src`, B_k's entries `k_src`, the
+    pairs of B_e's entries in one column, which write B_e D_e^-1 B_e' into
+    r (`pair_reps` per column, and each one's second entry `s`), and r's
+    _layout: its order, store size and `dest`.  Index arrays read once per
+    build are int32, to hold less.
     """
 
     def __init__(self, pre: _Presolved, cols: np.ndarray, coup: np.ndarray, elim: np.ndarray):
@@ -596,39 +628,20 @@ class _Pattern:
         self.keep = slice(None) if len(rows) == len(keep) else keep
         self.n, self.mb = n, mb = int(cols.sum()), int(in_b.sum())
 
-        # B column by column, each column's rows ascending, and B's
-        # distinct entries: B itself for canonical CSR input
+        # B column by column, each column's rows ascending
         by_col = np.argsort(b_col, kind="stable")
-        place = rows * n + b_col  # row-major
-        self.heads, self.again = slice(None), np.zeros(0, dtype=np.int64)
-        self.again_to, r_u, c_u, u_by_col = self.again, rows, b_col, by_col
-        if np.any(place[1:] <= place[:-1]):
-            by_row = np.argsort(place, kind="stable")
-            place = place[by_row]
-            new = np.ones(len(by_row), dtype=bool)
-            np.not_equal(place[1:], place[:-1], out=new[1:])
-            self.heads = by_row[new]
-            repeat = np.nonzero(~new)[0]
-            self.again = by_row[repeat]
-            self.again_to = repeat - np.arange(1, len(repeat) + 1)  # the distinct one each adds to
-            r_u, c_u = rows[self.heads], b_col[self.heads]
-            u_of = np.empty(len(by_row), dtype=np.int64)  # each first entry's distinct one
-            u_of[self.heads] = np.arange(len(self.heads))
-            first = np.zeros(len(by_row), dtype=bool)
-            first[self.heads] = True
-            u_by_col = u_of[by_col[first[by_col]]]
-        n_u = len(r_u)
-        lower = np.empty(n_u, dtype=np.int64)  # B at (n + i, j)
-        lower[u_by_col] = np.arange(n_u) + c_u[u_by_col] + 1
-        upper = r_u + np.arange(n + n_u, n + 2 * n_u)  # B' at (j, n + i)
-        counts = np.concatenate([np.bincount(c_u, minlength=n), np.bincount(r_u, minlength=mb)])
+        n_e = len(rows)
+        lower = np.empty(n_e, dtype=np.int64)  # B at (n + i, j)
+        lower[by_col] = np.arange(n_e) + b_col[by_col] + 1
+        upper = rows + np.arange(n + n_e, n + 2 * n_e)  # B' at (j, n + i)
+        counts = np.concatenate([np.bincount(b_col, minlength=n), np.bincount(rows, minlength=mb)])
         self.indptr = np.zeros(n + mb + 1, dtype=np.int32)
         np.cumsum(counts + 1, out=self.indptr[1:])
         self.diag_pos = np.concatenate([self.indptr[:n], self.indptr[n + 1 :] - 1])
-        self.indices = np.empty(n + mb + 2 * n_u, dtype=np.int32)
+        self.indices = np.empty(n + mb + 2 * n_e, dtype=np.int32)
         self.indices[self.diag_pos] = np.arange(n + mb)
-        self.indices[lower] = n + r_u
-        self.indices[upper] = c_u
+        self.indices[lower] = n + rows
+        self.indices[upper] = b_col
         self.lower = lower.astype(np.int32)
 
         elim = elim[cols]
@@ -658,10 +671,11 @@ class _Pattern:
         n_c, pattern = int(coup.sum()), None
         if not len(self.elim):
             # r is k_true, whose core's pattern is its own less the border:
-            # the kept coupling rows, B's last, end the primal columns
+            # the kept coupling rows, B's last (rows, b_col still hold all
+            # of B), end the primal columns
             core = n + mb - n_c
             left_out = np.zeros(core + 1, dtype=np.int64)
-            np.cumsum(np.bincount(c_u[np.searchsorted(r_u, mb - n_c) :], minlength=n),
+            np.cumsum(np.bincount(b_col[np.searchsorted(rows, mb - n_c) :], minlength=n),
                       out=left_out[1 : n + 1])
             left_out[n + 1 :] = left_out[n]
             inner = self.indices[: self.indptr[core]] < core
@@ -676,15 +690,15 @@ class _Pattern:
             len(r_diag), n_c, pattern)
 
     def upper(self) -> np.ndarray:
-        """Where k_true holds each of B's distinct entries above the diagonal.
+        """Where k_true holds each of B's entries above the diagonal.
 
-        Distinct entry u, in row i, follows the n + n_u places of the
-        primal columns, the u distinct entries before it and the i
-        diagonals of the rows before its own; its copy below the diagonal
-        sits in k_true's row n + i.
+        Entry u, in row i, follows the n + n_e places of the primal
+        columns, the u entries before it and the i diagonals of the rows
+        before its own; its copy below the diagonal sits in k_true's row
+        n + i.
         """
-        n_u = len(self.lower)
-        return np.arange(n_u, 2 * n_u) + np.take(self.indices, self.lower)
+        n_e = len(self.lower)
+        return np.arange(n_e, 2 * n_e) + np.take(self.indices, self.lower)
 
     def pairs(self, e: np.ndarray):
         """e, one value per entry of B_e, at each pair's entries t and s."""
@@ -753,9 +767,9 @@ class _Kkt:
         r = [[D_k, B_k'], [B_k, -(B_e D_e^-1 B_e' + E)]]
 
     in the kept columns k and the rows of B, E being the dual side of the
-    shifted diagonal.  The interior point keeps the pinned and free
-    columns: eliminating their diagonal, little more than the shift,
-    would put 1 / _KKT_REG into r.  r is bordered by the coupling rows
+    shifted diagonal.  The interior point keeps the free columns (presolve
+    has substituted out the pinned ones): eliminating their diagonal,
+    little more than the shift, would put 1 / _KKT_REG into r.  r is bordered by the coupling rows
     and never assembled (bandwidth 8 on the synthetic model at every
     horizon).
 
@@ -776,11 +790,9 @@ class _Kkt:
         self.elim, self.n_k, self.r_rows = pat.elim, pat.n_k, pat.r_rows
         g = pre.g
         vals = np.concatenate([pre.a_ext.data, g.data[g.indptr[pre.n_b] :]])[pat.keep]
-        distinct = vals[pat.heads]
-        np.add.at(distinct, pat.again_to, vals[pat.again])
         data = np.zeros(len(pat.indices))
-        data[pat.lower] = distinct
-        data[pat.upper()] = distinct
+        data[pat.lower] = vals
+        data[pat.upper()] = vals
         self.k_true = sp.csc_matrix((data, pat.indices, pat.indptr),
                                     shape=(pat.n + pat.mb, pat.n + pat.mb))
         self.shift = np.full(pat.n + pat.mb, eps)
@@ -835,16 +847,23 @@ class _Kkt:
         The first solve takes rhs0 (default vec); up to three refinement
         steps against k_true follow, stopping once the residual's max norm
         is at most rtol (1 + |vec|_inf).  A step that is not finite has a
-        NaN or infinite residual, which no tolerance accepts.  A step whose
-        refinement misses the tolerance is returned as refined.
+        NaN or infinite residual, which no tolerance accepts.  A refinement
+        step that does not lower the residual is undone, and refinement
+        stops there: against a nearly singular k_true it can diverge.  A
+        step whose refinement misses the tolerance is returned as refined.
         """
         tol = rtol * (1.0 + float(np.max(np.abs(vec), initial=0.0)))
         step = self.shifted_solve(vec if rhs0 is None else rhs0)
+        err = vec - self.k_true @ step
         for _ in range(3):
-            err = vec - self.k_true @ step
-            if float(np.max(np.abs(err), initial=0.0)) <= tol:
+            size = float(np.max(np.abs(err), initial=0.0))
+            if size <= tol:
                 break
-            step += self.shifted_solve(err)
+            refined = step + self.shifted_solve(err)
+            err = vec - self.k_true @ refined
+            if not float(np.max(np.abs(err), initial=0.0)) < size:
+                break
+            step = refined
         return step
 
 
@@ -908,7 +927,7 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
     alive, the allocator can hand the memory back before the polish (at
     T=8760 the peak resident size fell from about 315 to 240 MB).
     """
-    n = p.n
+    n = len(pre.q)
     q, c = pre.q, pre.c
     a, b = pre.a_ext, pre.b_ext
     g, h = pre.g, pre.h
@@ -1106,15 +1125,11 @@ def _active(pre: _Presolved, x: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.
 
 
 def _presolved_point(pre: _Presolved, sol: Solution):
-    """sol's (x, y, z) in pre's coordinates, from its named fields.
-
-    The presolve of sol's own problem may have pinned other variables:
-    a pin row's dual is its variable's signed bound multiplier.
-    """
+    """sol's (x, y, z) in pre's coordinates, from its named fields."""
     d = sol.ineq_duals
-    y = np.concatenate([-sol.eq_duals, (d.lower - d.upper)[pre.pin_idx]])
-    z = np.concatenate([d.lower[pre.lo_idx], d.upper[pre.up_idx], d.coupling[pre.keep_rows]])
-    return sol.x, y, z
+    lower, upper = d.lower[pre.unpinned], d.upper[pre.unpinned]
+    z = np.concatenate([lower[pre.lo_idx], upper[pre.up_idx], d.coupling[pre.keep_rows]])
+    return sol.x[pre.unpinned], -sol.eq_duals, z
 
 
 def _unsolved(p: QpProblem, iterations: int, message: str,
@@ -1172,7 +1187,7 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
     a _Kkt that eliminates nothing, bordered by the active coupling rows.
     """
     a, g = pre.a_ext, pre.g
-    m, n_b = a.shape[0], pre.n_b
+    (m, n), n_b = a.shape, pre.n_b
     act = np.array(act, dtype=bool, copy=True)
     dual_tol = 1e-7 * pre.scale_d
     x_hint, y_hint, z_hint = hint
@@ -1191,9 +1206,9 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
         # bound row i is sign_i e_j' x <= h_i, so its variable sits at
         # sign_i h_i, added to 0.0 as a sparse product adds it (no -0.0)
         var, sign = g.indices[fixed], g.data[fixed]
-        x = np.zeros(p.n)
+        x = np.zeros(n)
         x[var] = 0.0 + sign * pre.h[fixed]
-        free = np.ones(p.n, dtype=bool)
+        free = np.ones(n, dtype=bool)
         free[var] = False
         n_f = int(free.sum())
         # the fixed columns move to the right-hand side
@@ -1204,7 +1219,7 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
         u_hint = np.concatenate([-y_hint, z_hint[coup]])
         biased = true_target + _POLISH_EPS * np.concatenate([x_hint[free], -u_hint])
         try:  # a solve, not only the factor, can run out of memory
-            kkt = _Kkt(pre, free, on, np.zeros(p.n, dtype=bool), _POLISH_EPS)
+            kkt = _Kkt(pre, free, on, np.zeros(n, dtype=bool), _POLISH_EPS)
             kkt.set_diagonal(np.concatenate([pre.q[free], np.zeros(m + len(coup))]))
             kkt.factor()
             # the bias leaves about _POLISH_EPS * |solution - hint| in the
@@ -1270,10 +1285,13 @@ def diagnose_infeasibility(p: QpProblem) -> str:
     Relaxation probes: if dropping the retirement-floor row restores
     feasibility the floor conflicts with the certificate supply; likewise
     for the quota ceiling; otherwise the balances and boxes already clash.
+    A full probe that neither finds a point nor proves there is none
+    (HiGHS hit a limit or met numerical trouble) leaves it undecided.
     """
-    if _feasibility_probe(p) != INFEASIBLE:
-        return "problem is feasible"
-    return _name_conflict(p)
+    verdict = _feasibility_probe(p)
+    if verdict == INFEASIBLE:
+        return _name_conflict(p)
+    return "problem is feasible" if verdict == "feasible" else "feasibility could not be decided"
 
 
 def _name_conflict(p: QpProblem) -> str:

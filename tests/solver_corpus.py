@@ -33,7 +33,9 @@ on a 2-core VM.
 ``compare`` prints the status, iteration, message and objective (1e-8
 relative) mismatch counts and the largest |dx| over solves with the same
 status, for all solves and for the lossless-storage ones (eta_c = eta_d =
-1) alone, then each status transition from A to B with its count.  Then,
+1) alone; then how many solves optimal in both trees moved x at all and
+beyond 1e-9 (largest |dx|), with the five largest moves by name; then
+each status transition from A to B with its count.  Then,
 for each tree, the iteration and probe totals by status and the total
 factorizations; per site, the band factors with the largest and total
 band dimension, the largest bandwidth, the stored entries and the
@@ -258,6 +260,13 @@ def compare(path_a: str, path_b: str) -> None:
                 max_dx = max(max_dx, dx)
         mism = ", ".join(f"{n} {c}" for n, c in counts.items())
         print(f"{label}: {len(keys)} solves; mismatches: {mism}; max |dx| {max_dx:.3g}")
+    moves = {k: max((abs(u - v) for u, v in zip(a[k]["x"], b[k]["x"])), default=0.0)
+             for k in a if a[k]["status"] == b[k]["status"] == "optimal"}
+    largest = sorted((dx, k) for k, dx in moves.items() if dx > 0)[::-1][:5]
+    moved = [dx for dx in moves.values() if dx > 0]
+    print(f"optimal in both: {len(moves)} solves; x moved in {len(moved)}, "
+          f"beyond 1e-9 in {sum(dx > 1e-9 for dx in moved)}; largest: "
+          + (", ".join(f"{k} {dx:.3g}" for dx, k in largest) or "none"))
     transitions = {}
     for k in a:
         if a[k]["status"] != b[k]["status"]:

@@ -28,6 +28,12 @@ The storage test solves the assembly test's draws with every market
 open: over a cycle the storage level returns to its start, so every
 optimal answer with lossy storage stores what it discharges, eta_c sum
 p_c = sum p_d / eta_d.
+
+The pinning test solves the assembly test's draws, pins a drawn subset
+of the variables at their optimal values (lb = ub = x*) and solves
+again.  Presolve substitutes those variables out of every row, kept
+coupling rows included, so this covers nonzero pins, which the synthetic
+model never makes; the optimum stays.
 """
 
 import dataclasses
@@ -311,3 +317,21 @@ def test_lossy_cyclic_storage_stores_what_it_discharges(case):
     p_c, p_d = sol.x[p.layout.indices("p_c")], sol.x[p.layout.indices("p_d")]
     tol = SolverSettings().tol * _presolve(p).scale_p
     assert abs(ess.eta_c * p_c.sum() - p_d.sum() / ess.eta_d) <= cfg.horizon * tol
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(assembly_cases(), st.integers(0, 2**32 - 1))
+def test_pinning_variables_at_their_optimum_keeps_the_answer(case, seed):
+    cfg, data, quota, _ = case
+    model, _ = build(cfg, data)
+    p = assemble_qp(model, quota_override=quota)
+    sol = solve_qp(p)
+    assume(sol.status == OPTIMAL)
+    pin = np.random.default_rng(seed).random(p.n) < 0.3
+    lb, ub = p.lb.copy(), p.ub.copy()
+    lb[pin] = ub[pin] = sol.x[pin]
+    pinned = dataclasses.replace(p, lb=lb, ub=ub)
+    res = solve_qp(pinned)
+    assert res.status == OPTIMAL
+    assert res.x[pin].tobytes() == sol.x[pin].tobytes()
+    assert abs(res.objective - sol.objective) <= SolverSettings().tol * (1.0 + abs(sol.objective))

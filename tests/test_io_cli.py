@@ -663,8 +663,11 @@ class TestCli:
             ("0,x", "grid '0,x' is not a comma-separated number list"),
             (" , ", "grid is empty"),
             ("0.5,0.5,0.6", "sweep grid repeats r=0.5"),
+            ("0:inf:3", "grid '0:inf:3' needs finite lo and hi"),
+            ("nan:1:3", "grid 'nan:1:3' needs finite lo and hi"),
         ],
-        ids=["1:0:5", "0,0.3,2", "0:1", "a:1:3", "0,x", "empty", "repeat"],
+        ids=["1:0:5", "0,0.3,2", "0:1", "a:1:3", "0,x", "empty", "repeat", "0:inf:3",
+             "nan:1:3"],
     )
     def test_sweep_bad_grid(self, workdir, capsys, grid, message):
         rc = main(
