@@ -37,12 +37,18 @@ J. Optim. 1995).  The free columns stay: their diagonal is little more
 than the shift.  Each hourly row couples only its own hour and
 the next (storage and inventories carry over), so all of the system but
 the 0-2 coupling rows is a narrow band once put in a reverse Cuthill-McKee
-order (Cuthill & McKee 1969), computed once per pattern (below).  The band
-takes LAPACK's banded LU (partial pivoting within the band) and the
-coupling rows, the border, their Schur complement.  The shift makes the
-reduced matrix quasi-definite, so nonsingular, and this one factor is the
-only one an iteration makes.  Each solve recovers the eliminated
-variables and is refined against the full unregularized matrix; a solve
+order (Cuthill & McKee 1969), computed once per pattern (below).  The
+shift makes the reduced matrix quasi-definite, so nonsingular, and which
+band factor it takes is read off the pattern.  When no column stays, as
+in the default model, where every variable has a bound, the reduced
+matrix is -(B D^-1 B' + E), negative definite (Vanderbei 1995), and its
+negation's band takes LAPACK's band Cholesky, with no pivoting and bw + 1
+rows stored.  With free columns it is indefinite, and the band takes
+LAPACK's banded LU (partial pivoting within the band), in 3 bw + 1 rows.
+The coupling rows, the border, take their Schur complement after either,
+and this one factor is the only one an iteration makes.  Each solve
+recovers the eliminated variables and is refined against the full
+unregularized matrix; a solve
 whose refinement misses its tolerance is used as refined, and the ratio
 test and the gate below judge where it leads (Wright 1997, ch. 11).  One
 builder writes this system straight from the CSR arrays of the presolved
@@ -78,7 +84,8 @@ sparse quasi-definite solve in the free variables plus iterative refinement
 produces primal/dual values accurate to near machine precision, which
 downstream sensitivity checks rely on.  Its system, bordered by the
 active coupling rows, comes from the iteration's builder, so building
-it stays a cheap symbolic step before the numeric factor (Davis 2006).
+it stays a cheap symbolic step before the numeric factor (Davis 2006);
+it eliminates no column, so it is indefinite and takes the band LU.
 Every answer of a solve that gets past presolve passes one gate: it
 polishes the last iterate (or, when the iteration stopped short, the best
 one), falls back to the iterate itself, if it converged, whenever the
@@ -114,7 +121,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs, dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 # never called: kept only for the benchmark's tracer until ROADMAP item 4 re-points it
 from scipy.sparse.linalg import splu  # noqa: F401
@@ -314,7 +321,8 @@ class _Presolved:
     sides absorb the pinned values, so the barrier only ever sees strictly
     widenable intervals.  a_ext has one row per equality row, and both
     blocks are canonical, an entry that a_eq or coup stores twice being
-    summed once here.  Every remaining inequality sits in one block g x <=
+    summed once here; with nothing pinned, a_ext is a canonical CSR a_eq
+    itself.  Every remaining inequality sits in one block g x <=
     h, read by the solver as g x + w = h with one slack w >= 0 and one
     multiplier z >= 0 per row: first -x_j <= -lb_j for each column in
     lo_idx, then x_j <= ub_j for each in up_idx, then the kept coupling
@@ -389,9 +397,11 @@ def _presolve(p: QpProblem) -> _Presolved:
 
     pin_idx, unpinned = np.nonzero(pinned)[0], np.nonzero(~pinned)[0]
     col = np.cumsum(~pinned) - 1  # each unpinned variable's column
-    lo_idx = np.nonzero(np.isfinite(lb[unpinned]))[0]
-    up_idx = np.nonzero(np.isfinite(ub[unpinned]))[0]
-    _, lo_row, up_row = np.intersect1d(lo_idx, up_idx, assume_unique=True, return_indices=True)
+    has_lo, has_up = np.isfinite(lb[unpinned]), np.isfinite(ub[unpinned])
+    lo_idx, up_idx = np.nonzero(has_lo)[0], np.nonzero(has_up)[0]
+    # each column with both bounds: its row among the lower and the upper bound rows
+    both = has_lo & has_up
+    lo_row, up_row = (np.cumsum(has_lo) - 1)[both], (np.cumsum(has_up) - 1)[both]
 
     # each bound row is one +-1 entry; a_eq and the kept coupling rows
     # keep their unpinned entries, and their right-hand sides absorb the
@@ -399,10 +409,14 @@ def _presolve(p: QpProblem) -> _Presolved:
     kept = np.isin(np.arange(coup.shape[0]), keep_rows)
     c_data, c_cols, c_counts = _without_pins(coup, kept, pinned, col)
     n_b, coup_rhs = len(lo_idx) + len(up_idx), p.coup_rhs[keep_rows]
+    a_ext = a  # with nothing pinned, the canonical a_eq itself
+    if len(pin_idx):
+        a_ext = _csr(*_without_pins(a, np.ones(a.shape[0], dtype=bool), pinned, col),
+                     len(unpinned))
     return _Presolved(
         q=-p.h_diag[unpinned],
         c=-p.f[unpinned],
-        a_ext=_csr(*_without_pins(a, np.ones(a.shape[0], dtype=bool), pinned, col), len(unpinned)),
+        a_ext=a_ext,
         b_ext=p.b_eq - a @ x_pin,
         unpinned=unpinned,
         pin_idx=pin_idx,
@@ -512,14 +526,15 @@ _KKT_RTOL = 1e-11
 _STALL_WINDOW = 5
 _STALL_RATIO = 0.9
 
-# what a factorization raises when it fails: the band LU and the border's
-# Schur complement raise RuntimeError for an exactly zero pivot, and
-# MemoryError when a store or an ordering does not fit
+# what a factorization raises when it fails: the band factors and the
+# border's Schur complement raise RuntimeError for a failed pivot (zero in
+# an LU, not positive in a Cholesky), and MemoryError when a store or an
+# ordering does not fit
 _FACTOR_ERRORS = (RuntimeError, MemoryError)
 
 
 def _layout(rows: np.ndarray, cols: np.ndarray, nr: int, n_c: int,
-            pattern: sp.csr_matrix | None = None):
+            pattern: sp.csr_matrix | None = None, definite: bool = False):
     """Band-plus-border layout of an nr x nr matrix with a symmetric pattern.
 
     The matrix has an entry at each (rows[t], cols[t]), duplicates
@@ -529,11 +544,15 @@ def _layout(rows: np.ndarray, cols: np.ndarray, nr: int, n_c: int,
     reverse Cuthill-McKee order of its own pattern: `pattern`, CSR or CSC
     with each row's (column's) indices ascending and none repeated, when
     the caller has it, else one made from the entries.  Returns (order,
-    bw, n_c), the store's size and the store position of each entry:
-    LAPACK band storage of the core, entry (i, j) at [2 bw + i - j, j] of
-    a column-major (3 bw + 1) x core array (its top bw rows hold the
-    pivoting's fill), then, column-major, the last n_c columns and the last
-    n_c rows' core part.
+    bw, n_c, definite), the store's size, the entries it stores and their
+    store positions, `dest`.  The store is LAPACK band storage of the
+    core, then, column-major, the last n_c columns and the last n_c rows'
+    core part.  For the band LU it stores every entry, (i, j) at [2 bw +
+    i - j, j] of a column-major (3 bw + 1) x core array (its top bw rows
+    hold the pivoting's fill).  A `definite` matrix is symmetric and takes
+    the band Cholesky, which reads the core's lower band alone: the store
+    keeps the entries on and below the core's diagonal, (i, j) at [i - j,
+    j] of a (bw + 1) x core array, and every border entry.
     """
     core = nr - n_c
     in_core = (rows < core) & (cols < core)
@@ -546,40 +565,61 @@ def _layout(rows: np.ndarray, cols: np.ndarray, nr: int, n_c: int,
     where[order] = np.arange(nr)
     rows, cols = where[rows], where[cols]
     bw = int(np.max(np.abs(rows - cols)[in_core], initial=0))
-    n_band = (3 * bw + 1) * core
+    stored = (rows >= cols) | (cols >= core) | (not definite)
+    rows, cols = rows[stored], cols[stored]
+    ld, top = (bw + 1, 0) if definite else (3 * bw + 1, 2 * bw)
+    n_band = ld * core
     dest = np.where(cols >= core, n_band + (cols - core) * nr + rows,
                     np.where(rows >= core, n_band + nr * n_c + (rows - core) + cols * n_c,
-                             2 * bw + rows - cols + cols * (3 * bw + 1)))
-    return (order, bw, n_c), n_band + nr * n_c + n_c * core, dest
+                             top + rows - cols + cols * ld))
+    return (order, bw, n_c, definite), n_band + nr * n_c + n_c * core, stored, dest
 
 
-class _BandLu:
-    """LU of a matrix in _layout's store that solves in the matrix's own order.
+class _BandFactor:
+    """Factor of a matrix in _layout's store that solves in the matrix's own order.
 
-    The core takes a band LU (dgbtrf: partial pivoting, rows exchanged
-    within the band), the border its Schur complement by dense LU.  An
-    exactly zero pivot in either raises RuntimeError.
+    A `definite` matrix is negative definite, as the interior point's r
+    is when every column is eliminated: its negation, written over the
+    store, takes a band Cholesky (dpbtrf, no pivoting).  Any other core
+    takes a band LU (dgbtrf: partial pivoting, rows exchanged within the
+    band).  The border takes its Schur complement by dense LU in both.  A
+    Cholesky that meets a non-positive pivot, or an exactly zero pivot in
+    an LU, raises RuntimeError.
     """
 
-    def __init__(self, order: np.ndarray, bw: int, n_c: int, store: np.ndarray):
-        self.order, self.bw, self.core = order, bw, len(order) - n_c
-        nr, core, n_band = len(order), self.core, (3 * bw + 1) * self.core
-        self.lu, self.ipiv, info = dgbtrf(store[:n_band].reshape((3 * bw + 1, core), order="F"),
-                                          bw, bw, overwrite_ab=1)
+    def __init__(self, order: np.ndarray, bw: int, n_c: int, definite: bool,
+                 store: np.ndarray):
+        self.order, self.bw, self.core, self.definite = order, bw, len(order) - n_c, definite
+        nr, core = len(order), self.core
+        ld = (1 if definite else 3) * bw + 1
+        n_band = ld * core
+        band = store[:n_band].reshape((ld, core), order="F")
+        if definite:
+            np.negative(store, out=store)
+            self.band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        else:
+            self.band, self.ipiv, info = dgbtrf(band, bw, bw, overwrite_ab=1)
         if info != 0:
-            raise RuntimeError(f"band LU failed (dgbtrf info {info})")
+            raise RuntimeError(f"band {'Cholesky' if definite else 'LU'} failed (info {info})")
         self.schur = None
         if n_c:
             cols = store[n_band : n_band + nr * n_c].reshape((nr, n_c), order="F")
             self.rows = store[n_band + nr * n_c :].reshape((n_c, core), order="F")
-            self.x_cols = dgbtrs(self.lu, bw, bw, cols[:core], self.ipiv)[0]  # core^-1 cols
+            self.x_cols = self._core_solve(cols[:core])  # core^-1 cols
             self.schur, self.schur_piv, info = dgetrf(cols[core:] - self.rows @ self.x_cols)
             if info != 0:
                 raise RuntimeError(f"border Schur complement is singular (dgetrf info {info})")
 
+    def _core_solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self.definite:
+            return dpbtrs(self.band, rhs, lower=1)[0]
+        return dgbtrs(self.band, self.bw, self.bw, rhs, self.ipiv)[0]
+
     def solve(self, vec: np.ndarray) -> np.ndarray:
         rhs = vec[self.order]
-        y, v = dgbtrs(self.lu, self.bw, self.bw, rhs[: self.core], self.ipiv)[0], rhs[self.core :]
+        if self.definite:  # the factor is the negated matrix's
+            np.negative(rhs, out=rhs)
+        y, v = self._core_solve(rhs[: self.core]), rhs[self.core :]
         if self.schur is not None:
             v = dgetrs(self.schur, self.schur_piv, v - self.rows @ y)[0]
             y -= self.x_cols @ v
@@ -609,13 +649,17 @@ class _Pattern:
     CSC arrays read from B's entries `e_src`, B_k's entries `k_src`, the
     pairs of B_e's entries in one column, which write B_e D_e^-1 B_e' into
     r (`pair_reps` per column, and each one's second entry `s`), and r's
-    _layout: its order, store size and `dest`.  Index arrays read once per
-    build are int32, to hold less.
+    _layout: its order, store size and `dest`.  An r that eliminates
+    columns and keeps none is negative definite and takes the band
+    Cholesky: its store holds the pairs on and below the diagonal alone
+    (`stored`, with `pair_reps` counting those).  The key holds copies of
+    the index arrays, since a_ext may be the caller's a_eq.  Index arrays
+    read once per build are int32, to hold less.
     """
 
     def __init__(self, pre: _Presolved, cols: np.ndarray, coup: np.ndarray, elim: np.ndarray):
         a, g, n_b = pre.a_ext, pre.g, pre.n_b
-        self.key = _pattern_key(pre, cols.copy(), coup.copy(), elim.copy())
+        self.key = tuple(map(np.array, _pattern_key(pre, cols, coup, elim)))
         # the entries of a_ext and then of g's coupling rows, row by row,
         # kept where both the row and the column are in the system
         in_b = np.concatenate([np.ones(a.shape[0], dtype=bool), coup])
@@ -681,13 +725,21 @@ class _Pattern:
             inner = self.indices[: self.indptr[core]] < core
             pattern = sp.csr_matrix((np.ones(int(inner.sum())), self.indices[inner.nonzero()[0]],
                                      self.indptr[: core + 1] - left_out), shape=(core, core))
-        # r's entries: the products, B_k and B_k', then the diagonal
+        # r's entries: the products, B_k and B_k', then the diagonal; an
+        # r that keeps no column and eliminates some is negative definite
         r_diag = np.arange(len(self.r_rows))
         e_t, e_s = self.pairs(self.e_row)
-        self.lay, self.size, self.dest = _layout(
+        definite = len(self.elim) > 0 and not n_k
+        self.lay, self.size, stored, self.dest = _layout(
             np.concatenate([n_k + e_t, n_k + rows, b_col, r_diag]),
             np.concatenate([n_k + e_s, b_col, n_k + rows, r_diag]),
-            len(r_diag), n_c, pattern)
+            len(r_diag), n_c, pattern, definite)
+        # the pairs the store holds, and how many of each column's (a
+        # definite r's other entries are its diagonal, all stored)
+        self.stored = np.nonzero(stored[: len(e_t)])[0]
+        pair_col = np.repeat(np.arange(len(self.elim)), self.pair_reps)
+        self.pair_reps = np.bincount(pair_col[self.stored],
+                                     minlength=len(self.elim)).astype(np.int32)
 
     def upper(self) -> np.ndarray:
         """Where k_true holds each of B's entries above the diagonal.
@@ -769,9 +821,13 @@ class _Kkt:
     in the kept columns k and the rows of B, E being the dual side of the
     shifted diagonal.  The interior point keeps the free columns (presolve
     has substituted out the pinned ones): eliminating their diagonal,
-    little more than the shift, would put 1 / _KKT_REG into r.  r is bordered by the coupling rows
-    and never assembled (bandwidth 8 on the synthetic model at every
-    horizon).
+    little more than the shift, would put 1 / _KKT_REG into r.  r is
+    bordered by the coupling rows and never assembled (bandwidth 8 on the
+    synthetic model at every horizon).  With no column kept, r is the
+    negative definite -(B_e D_e^-1 B_e' + E), whose band takes the band
+    Cholesky from its entries on and below the diagonal; an r with kept
+    columns, the polish's among them, is indefinite and takes the band
+    LU (_BandFactor).
 
     Everything read from index arrays alone is a _Pattern, symbolic work
     made once per pattern (Davis 2006, ch. 7): inside a kkt_pattern_scope
@@ -799,17 +855,17 @@ class _Kkt:
         self.shift[pat.n :] = -eps
         e_val = np.take(vals, pat.e_src)
         e_t, e_s = pat.pairs(e_val)
-        self.pair_val = -e_t * e_s
+        self.pair_val = (-e_t * e_s)[pat.stored]
         if len(pat.elim):  # the polish's r is k_true itself
             self.b_e = sp.csc_matrix((e_val, pat.e_row, pat.e_ptr),
                                      shape=(pat.mb, len(pat.elim)))
             self.b_e_t = self.b_e.T
         vals_k = vals[pat.k_src]
-        self.weights = np.concatenate([np.zeros(len(e_t)), vals_k, vals_k,
+        self.weights = np.concatenate([np.zeros(len(self.pair_val)), vals_k, vals_k,
                                        np.zeros(len(pat.r_rows))])
         self.store = np.empty(pat.size)  # r's band store, refilled by each factor
         self.reg = self.inv_d = None  # the shifted diagonal and 1 / D_e, from set_diagonal
-        self.lu = None  # r's band LU, from factor
+        self.lu = None  # r's band factor, from factor
 
     def set_diagonal(self, diag: np.ndarray) -> None:
         self.k_true.data[self.pat.diag_pos] = diag
@@ -826,7 +882,7 @@ class _Kkt:
         # each place sums its entries from 0.0 in the pattern's order
         self.store.fill(0.0)
         np.add.at(self.store, pat.dest, w)
-        self.lu = _BandLu(*pat.lay, self.store)
+        self.lu = _BandFactor(*pat.lay, self.store)
 
     def shifted_solve(self, vec: np.ndarray) -> np.ndarray:
         """Solve the shifted k_true with the factor: the eliminated columns go around r's."""

@@ -7,15 +7,20 @@
 import path (set ``PYTHONPATH`` to pick a checkout) and writes, per solve,
 the status, iteration count, message, objective and primal vector, the
 primal residual (``residuals.primal_inf``) of an optimal answer, and how
-many ``qp.linprog`` probes it ran.  Per factor site (the interior point's
-band factor ``ipm`` and the ``polish``: a ``qp.dgbtrf`` call is the
-polish's whenever ``_polish`` is running, and the interior point's otherwise)
-it records the band factors made, the largest band dimension (a factored
-matrix's rows less its bordered coupling rows) and bandwidth among them
-(0 when none), the total band dimension, the stored band entries,
-(3 bw + 1) times the dimension, summed over the factors, and the
-orderings made (``qp.reverse_cuthill_mckee`` calls, one per KKT pattern
-built).  The corpus is
+many ``qp.linprog`` probes it ran.  Per factor site it records the band
+factors made, the largest band dimension (a factored matrix's rows less
+its bordered coupling rows) and bandwidth among them (0 when none), the
+total band dimension, the stored band entries summed over the factors,
+the factors that broke down (LAPACK ``info > 0``: a pivot that is zero,
+or not positive in a Cholesky) and the orderings made
+(``qp.reverse_cuthill_mckee`` calls, one per KKT pattern built).  A
+factor is the polish's whenever ``_polish`` is running, and the interior
+point's otherwise.  The sites are ``ipm``, the interior point's band LUs
+(``qp.dgbtrf``, (3 bw + 1) entries stored per row of the band, and its
+orderings), ``ipm_cholesky``, its band Cholesky factors (``qp.dpbtrf``,
+made when its reduced system keeps no column; bw + 1 entries stored per
+row), and ``polish``, whose factors are band LUs.  A tree without
+``qp.dpbtrf`` records no Cholesky factor.  The corpus is
 ``random_instance`` seeds 0-599 x {default, ``r_min=0.95``} x
 ``max_iter`` {200, 8}, plus 26 synth-data solves at T=168-672: default,
 uncapped, r = 0.995, an unmeetable REC floor, and two with lossy storage.
@@ -38,12 +43,13 @@ beyond 1e-9 (largest |dx|), with the five largest moves by name; then
 each status transition from A to B with its count.  Then,
 for each tree, the iteration and probe totals by status and the total
 factorizations; per site, the band factors with the largest and total
-band dimension, the largest bandwidth, the stored entries and the
-orderings, over every solve, neighbours included, then the orderings of
-the neighbour solves alone; and the largest primal residual of an
-optimal answer.  The sites include ``fallback``, which dumps of trees that
-still had the interior point's partial-pivot fallback on the full KKT
-matrix record; a dump without it, or without orderings, reads 0 there.
+band dimension, the largest bandwidth, the stored entries, the
+breakdowns and the orderings, over every solve, neighbours included,
+then the orderings of the neighbour solves alone; and the largest primal
+residual of an optimal answer.  The sites include ``fallback``, which
+dumps of trees that still had the interior point's partial-pivot
+fallback on the full KKT matrix record; a dump without it, or without
+``ipm_cholesky``, breakdowns or orderings, reads 0 there.
 Then the number of solves whose iteration count changed, by status; per
 status, a histogram of the change (B - A); and each solve that changed
 status or whose count rose.
@@ -91,11 +97,11 @@ def _synth_cases():
     return cases
 
 
-SITES = ("ipm", "polish")
-BAND_KEYS = ("factors", "dim", "bw", "total_dim", "stored", "orderings")
+SITES = ("ipm", "ipm_cholesky", "polish")
+BAND_KEYS = ("factors", "dim", "bw", "total_dim", "stored", "breakdowns", "orderings")
 NO_BAND = dict.fromkeys(BAND_KEYS, 0)
 # the sites compare prints: older dumps also hold the partial-pivot "fallback"
-COMPARED_SITES = ("ipm", "fallback", "polish")
+COMPARED_SITES = ("ipm", "ipm_cholesky", "fallback", "polish")
 
 
 def _record(cfg, problem, settings, band, probes):
@@ -155,17 +161,20 @@ def _count_calls(qp, name) -> dict:
 
 
 def _count_band(qp) -> dict:
-    """Wrap qp.dgbtrf and qp.reverse_cuthill_mckee: count their calls per factor site.
+    """Wrap qp.dgbtrf, qp.dpbtrf and qp.reverse_cuthill_mckee: count their calls per factor site.
 
     A call is the polish's whenever _polish is running (it factors through
     _Kkt.factor, as the interior point does), and the interior point's
-    otherwise.  Each factor is counted with its dimensions and store.
+    otherwise; a band Cholesky counts under its role's site with
+    "_cholesky" appended.  Each factor is counted with its dimensions, its
+    store and whether it broke down.
     """
-    band, depth, real, order = {}, [0], qp.dgbtrf, qp.reverse_cuthill_mckee
-    polish = qp._polish
+    band, depth, order = {}, [0], qp.reverse_cuthill_mckee
+    polish, lu, cholesky = qp._polish, qp.dgbtrf, getattr(qp, "dpbtrf", None)
 
-    def site():
-        return band.setdefault("polish" if depth[0] else "ipm", dict.fromkeys(BAND_KEYS, 0))
+    def site(kind=""):
+        return band.setdefault(("polish" if depth[0] else "ipm") + kind,
+                               dict.fromkeys(BAND_KEYS, 0))
 
     def wrapped(*args, **kwargs):
         depth[0] += 1
@@ -174,21 +183,29 @@ def _count_band(qp) -> dict:
         finally:
             depth[0] -= 1
 
-    def counted(ab, kl, ku, **kwargs):
-        counts = site()
+    def counted(counts, ab, bw, out):
         counts["factors"] += 1
         counts["dim"] = max(counts["dim"], ab.shape[1])
-        counts["bw"] = max(counts["bw"], kl, ku)
+        counts["bw"] = max(counts["bw"], bw)
         counts["total_dim"] += ab.shape[1]
         counts["stored"] += ab.size
-        return real(ab, kl, ku, **kwargs)
+        counts["breakdowns"] += out[-1] > 0
+        return out
+
+    def lu_counted(ab, kl, ku, **kwargs):
+        return counted(site(), ab, max(kl, ku), lu(ab, kl, ku, **kwargs))
+
+    def cholesky_counted(ab, **kwargs):
+        return counted(site("_cholesky"), ab, ab.shape[0] - 1, cholesky(ab, **kwargs))
 
     def ordered(*args, **kwargs):
         site()["orderings"] += 1
         return order(*args, **kwargs)
 
     qp._polish = wrapped
-    qp.dgbtrf = counted
+    qp.dgbtrf = lu_counted
+    if cholesky is not None:
+        qp.dpbtrf = cholesky_counted
     qp.reverse_cuthill_mckee = ordered
     return band
 
@@ -291,7 +308,8 @@ def compare(path_a: str, path_b: str) -> None:
                   f"dimension largest {max(b['dim'] for b in bands)}, total "
                   f"{sum(b['total_dim'] for b in bands)}; largest bandwidth "
                   f"{max(b['bw'] for b in bands)}; {sum(b['stored'] for b in bands)} "
-                  f"stored entries; {sum(b.get('orderings', 0) for b in bands)} orderings, "
+                  f"stored entries; {sum(b.get('breakdowns', 0) for b in bands)} breakdowns; "
+                  f"{sum(b.get('orderings', 0) for b in bands)} orderings, "
                   f"{sum(b.get(site, NO_BAND).get('orderings', 0) for b in neighbours)} "
                   f"of them in {len(neighbours)} neighbour solves")
         worst = max((r["primal_inf"] for r in d.values() if r["status"] == "optimal"), default=0.0)

@@ -1,5 +1,9 @@
 import dataclasses
 import gc
+import json
+import resource
+import subprocess
+import sys
 import types
 import weakref
 
@@ -387,11 +391,13 @@ class TestInfeasibility:
 # interior point's band factor of the reduced system and the active-set
 # polish
 BAND, POLISH = "factor", "_polish"
-DGBTRF, RCM = "dgbtrf", "reverse_cuthill_mckee"
+# the two band factors, LU and Cholesky, by the LAPACK routine that makes each
+DGBTRF, DPBTRF, RCM = "dgbtrf", "dpbtrf", "reverse_cuthill_mckee"
+FACTORS = (DGBTRF, DPBTRF)
 
 
 class _Sites:
-    """Record each call of qp.dgbtrf (one per factor) and of module.<attr> with its site.
+    """Record each factor (a call of qp.dgbtrf or qp.dpbtrf) and call of module.<attr>, by site.
 
     The site of a call is qp._polish whenever it is running (the polish
     factors through _Kkt.factor too), else _Kkt.factor if that is, else
@@ -403,7 +409,7 @@ class _Sites:
         self.calls, self.stack = [], []
         for owner, name in ((qp._Kkt, BAND), (qp, POLISH)):
             monkeypatch.setattr(owner, name, self._entered(name, getattr(owner, name)))
-        for owner, attr in [(qp, DGBTRF)] + [(module, attr) for attr in attrs]:
+        for owner, attr in [(qp, f) for f in FACTORS] + [(module, attr) for attr in attrs]:
             monkeypatch.setattr(owner, attr, self._recorded(attr, getattr(owner, attr)))
 
     @property
@@ -411,7 +417,11 @@ class _Sites:
         return POLISH if POLISH in self.stack else self.stack[-1] if self.stack else None
 
     def factors(self, exclude=None):
-        return [site for site, attr in self.calls if attr == DGBTRF and site != exclude]
+        return [site for site, attr in self.calls if attr in FACTORS and site != exclude]
+
+    def kinds(self, site):
+        """The routine, DGBTRF or DPBTRF, of each factor made at `site`."""
+        return [attr for at, attr in self.calls if attr in FACTORS and at == site]
 
     def _entered(self, name, real):
         def entered(*args, **kwargs):
@@ -431,6 +441,14 @@ class _Sites:
 
 def _synth_week():
     _, p = build(default_config(168), synth_data(SynthSpec(horizon=168)))
+    return p
+
+
+def _uncapped_week():
+    """Synth T=168 with every trade uncapped: the trades are free columns,
+    which the interior point keeps, so its reduced system is indefinite."""
+    cfg = default_config(168).with_caps(g_cap=np.inf, r_cap=np.inf, c_cap=np.inf)
+    _, p = build(cfg, synth_data(SynthSpec(horizon=168)))
     return p
 
 
@@ -491,7 +509,7 @@ class TestKktFactorization:
         assert (base.status, warm.status, warm.iterations) == (OPTIMAL, OPTIMAL, 0)
         assert infeasible.status == INFEASIBLE
         assert sites.factors() == [BAND] * 8 + [POLISH, POLISH] + [BAND] * 11
-        assert [attr for _, attr in sites.calls if attr != DGBTRF] == []
+        assert [attr for _, attr in sites.calls if attr not in FACTORS] == []
 
     def test_presolve_builds_no_block_matrix(self, monkeypatch):
         # presolve writes a_ext and g from index arrays, and they are the
@@ -515,6 +533,7 @@ class TestKktFactorization:
                     patched.setattr(qp.sp, name, forbidden(name))
                 pre = _presolve(p)
             seen.append((len(pre.pin_idx), pre.keep_rows))
+            assert (pre.a_ext is p.a_eq) == (len(pre.pin_idx) == 0)  # handed through unpinned
             cols, n = pre.unpinned, len(pre.unpinned)
             assert np.array_equal(np.sort(np.concatenate([cols, pre.pin_idx])), np.arange(p.n))
             a_ext = p.a_eq.tocsr()[:, cols]
@@ -586,8 +605,8 @@ class TestKktFactorization:
         bounded = np.zeros(p.n, dtype=bool)
         bounded[pre.lo_idx] = bounded[pre.up_idx] = True
         kkt = qp._Kkt(pre, np.ones(p.n, dtype=bool), np.ones(2, dtype=bool), bounded, qp._KKT_REG)
-        order, bw, n_c = kkt.pat.lay
-        assert bw == 8
+        order, bw, n_c, definite = kkt.pat.lay
+        assert bw == 8 and definite
         # every row of r but the kept coupling rows is in the band
         assert len(pre.keep_rows) == n_c == 2 and len(order) == len(kkt.r_rows)
 
@@ -598,10 +617,10 @@ class TestKktFactorization:
         # point's (6-7 here)
         layouts, real = [], qp._layout
 
-        def measured(rows, cols, nr, n_c, pattern=None):
-            out = real(rows, cols, nr, n_c, pattern)
+        def measured(rows, cols, nr, n_c, pattern=None, definite=False):
+            out = real(rows, cols, nr, n_c, pattern, definite)
             if sites.site == POLISH:
-                layouts.append((n_c, out[0][1]))
+                layouts.append((n_c, out[0][1], definite))
             return out
 
         monkeypatch.setattr(qp, "_layout", measured)
@@ -610,7 +629,8 @@ class TestKktFactorization:
         sol = solve_qp(p)
         assert sol.status == OPTIMAL
         assert np.all(sol.ineq_duals.coupling > 0.0)  # both coupling rows active
-        assert layouts and all(n_c == 2 and bw <= 8 for n_c, bw in layouts)
+        assert layouts and all(n_c == 2 and bw <= 8 and not definite
+                               for n_c, bw, definite in layouts)
 
     def test_reordered_factor_solves_like_a_fresh_ordering(self, monkeypatch):
         # replay every diagonal of a real solve, the start's first: the
@@ -656,15 +676,16 @@ class TestKktFactorization:
         # every column with a bound row is eliminated: the reduced matrix
         # has one row per row of a_ext, per kept coupling row and per
         # column without a bound row, and all but the coupling rows are
-        # in the band
-        shapes, real = [], qp.dgbtrf
+        # in the band.  No column is left, so the band Cholesky stores
+        # the band's lower half alone, bw + 1 rows
+        shapes, real = [], qp.dpbtrf
 
-        def measured(ab, kl, ku, **kwargs):
+        def measured(ab, **kwargs):
             if sites.site == BAND:
-                shapes.append((ab.shape, kl, ku))
-            return real(ab, kl, ku, **kwargs)
+                shapes.append((ab.shape, kwargs["lower"]))
+            return real(ab, **kwargs)
 
-        monkeypatch.setattr(qp, "dgbtrf", measured)
+        monkeypatch.setattr(qp, DPBTRF, measured)
         sites = _Sites(monkeypatch)
         _, p = build(default_config(672), synth_data(SynthSpec(seed=7, horizon=672)))
         pre = _presolve(p)
@@ -673,7 +694,7 @@ class TestKktFactorization:
         dim = pre.a_ext.shape[0] + len(pre.keep_rows) + int(unbounded.sum())
         assert solve_qp(p).status == OPTIMAL
         band = dim - len(pre.keep_rows)
-        assert dim == 4034 and set(shapes) == {((3 * 8 + 1, band), 8, 8)} and len(shapes) == 10
+        assert dim == 4034 and set(shapes) == {((8 + 1, band), 1)} and len(shapes) == 10
 
     def test_infeasible_week_keeps_its_factor_counts(self, monkeypatch):
         # presolve substitutes out the 504 pinned variables: the start and
@@ -690,7 +711,7 @@ class TestKktFactorization:
         # every polish factor solves to NaN; the gate rejects that
         # point and the converged iterate, verified like any other
         # answer, is returned instead
-        real, nan_solves = qp._BandLu.solve, []
+        real, nan_solves = qp._BandFactor.solve, []
 
         def nan_in_polish(lu, vec):
             if sites.site != POLISH:
@@ -698,7 +719,7 @@ class TestKktFactorization:
             nan_solves.append(True)
             return np.full_like(vec, np.nan)
 
-        monkeypatch.setattr(qp._BandLu, "solve", nan_in_polish)
+        monkeypatch.setattr(qp._BandFactor, "solve", nan_in_polish)
         sites = _Sites(monkeypatch)
         p = _synth_week()
         sol = solve_qp(p)
@@ -728,7 +749,7 @@ class TestKktFactorization:
         assert stored and max(stored) < 300_000
 
     @pytest.mark.parametrize("owner, attr", [pytest.param(qp, DGBTRF, id="MemoryError"),
-                                             pytest.param(qp._BandLu, "solve", id="solve")])
+                                             pytest.param(qp._BandFactor, "solve", id="solve")])
     def test_polish_out_of_memory_falls_back_to_converged_iterate(self, monkeypatch, owner,
                                                                   attr):
         # a store too large for the memory raises MemoryError in the
@@ -813,73 +834,102 @@ class TestKktFactorization:
         assert sol.status == ITERATION_LIMIT
         assert sol.message == "KKT factorization failed"
 
+    # each band factor's failure path, on a week whose interior point
+    # makes it: the default week's reduced system keeps no column and
+    # takes the band Cholesky, the uncapped week's keeps its free trades
+    # and takes the band LU
+    FACTOR_WEEKS = ((_synth_week, DPBTRF), (_uncapped_week, DGBTRF))
+
     @staticmethod
     def _nth_singular(monkeypatch, attr, n):
-        """Make the n-th call of qp.<attr> (dgbtrf or dgetrf) report an exactly zero pivot."""
+        """Make the n-th call of qp.<attr> (dpbtrf, dgbtrf or dgetrf) report a failed pivot."""
         real, calls = getattr(qp, attr), []
 
         def nth_singular(*args, **kwargs):
-            lu, piv, info = real(*args, **kwargs)
+            *factor, info = real(*args, **kwargs)
             calls.append(True)
-            return (lu, piv, 1) if len(calls) == n else (lu, piv, info)
+            return (*factor, 1 if len(calls) == n else info)
 
         monkeypatch.setattr(qp, attr, nth_singular)
 
     def test_start_factor_error_falls_back_in_the_start(self, monkeypatch):
-        # the start's band LU, the first, reports an exactly zero pivot
-        # (info > 0): the solve falls back to its unsolved report in the
+        # the start's band factor, the first, reports a failed pivot (info
+        # > 0: a leading minor that is not positive definite, or an exactly
+        # zero pivot): the solve falls back to its unsolved report in the
         # start, after that one factor and with no other
-        self._nth_singular(monkeypatch, DGBTRF, 1)
-        sites = _Sites(monkeypatch)
-        sol = solve_qp(_synth_week())
-        assert (sol.status, sol.message, sol.iterations) == (
-            ITERATION_LIMIT, "KKT factorization failed", 0)
-        assert sites.factors(exclude=POLISH) == [BAND]
+        for week, attr in self.FACTOR_WEEKS:
+            with monkeypatch.context() as patched:
+                self._nth_singular(patched, attr, 1)
+                sites = _Sites(patched)
+                sol = solve_qp(week())
+            assert (sol.status, sol.message, sol.iterations) == (
+                ITERATION_LIMIT, "KKT factorization failed", 0), attr
+            assert sites.kinds(BAND) == [attr] and sites.factors(exclude=POLISH) == [BAND]
 
     def test_static_factor_error_falls_back_in_same_iteration(self, monkeypatch):
-        # iteration 1's band LU, the second after the start's, reports an
-        # exactly zero pivot: the solve falls back to its unsolved report in
+        # iteration 1's band factor, the second after the start's, reports
+        # a failed pivot: the solve falls back to its unsolved report in
         # that iteration, and no band factor follows
-        self._nth_singular(monkeypatch, DGBTRF, 2)
-        sites = _Sites(monkeypatch)
-        sol = solve_qp(_synth_week())
-        assert (sol.status, sol.message, sol.iterations) == (
-            ITERATION_LIMIT, "KKT factorization failed", 1)
-        assert sites.factors(exclude=POLISH) == [BAND, BAND]
+        for week, attr in self.FACTOR_WEEKS:
+            with monkeypatch.context() as patched:
+                self._nth_singular(patched, attr, 2)
+                sites = _Sites(patched)
+                sol = solve_qp(week())
+            assert (sol.status, sol.message, sol.iterations) == (
+                ITERATION_LIMIT, "KKT factorization failed", 1), attr
+            assert sites.kinds(BAND) == [attr] * 2 and sites.factors(exclude=POLISH) == [BAND] * 2
 
     def test_singular_border_falls_back_in_same_iteration(self, monkeypatch):
-        # the coupling rows' Schur complement reports an exactly zero pivot
-        # in the start (the first dgetrf) or in iteration 1 (the second):
-        # the solve falls back to its unsolved report where it happens
-        for n in (1, 2):
-            with monkeypatch.context() as patched:
-                self._nth_singular(patched, "dgetrf", n)
-                sites = _Sites(patched)
-                sol = solve_qp(_synth_week())
-            assert (sol.status, sol.message, sol.iterations) == (
-                ITERATION_LIMIT, "KKT factorization failed", n - 1)
-            assert sites.factors(exclude=POLISH) == [BAND] * n
+        # the coupling rows' Schur complement, one code path after either
+        # band factor, reports an exactly zero pivot in the start (the
+        # first dgetrf) or in iteration 1 (the second): the solve falls
+        # back to its unsolved report where it happens
+        for week, attr in self.FACTOR_WEEKS:
+            for n in (1, 2):
+                with monkeypatch.context() as patched:
+                    self._nth_singular(patched, "dgetrf", n)
+                    sites = _Sites(patched)
+                    sol = solve_qp(week())
+                assert (sol.status, sol.message, sol.iterations) == (
+                    ITERATION_LIMIT, "KKT factorization failed", n - 1), (attr, n)
+                assert sites.kinds(BAND) == [attr] * n
 
     def test_factor_error_at_start_ends_as_in_iteration_one(self, monkeypatch):
-        # a MemoryError from every dgbtrf call from the n-th on (the
-        # polish's too) stops the solve in the start (n = 1) or in
-        # iteration 1's band factor (n = 2); the polish of the start point
-        # does not meet the tolerances, so both end with the same status
-        # and message.  Zero pivots are the tests above.
-        p, real = _synth_week(), qp.dgbtrf
-        for n in (1, 2):
-            calls = []
+        # a MemoryError from every call of the week's band factor from the
+        # n-th on (on the uncapped week the polish's too) stops the solve
+        # in the start (n = 1) or in iteration 1's band factor (n = 2); the
+        # polish of the start point does not meet the tolerances, so both
+        # end with the same status and message.  Failed pivots are the
+        # tests above.
+        for week, attr in self.FACTOR_WEEKS:
+            p, real = week(), getattr(qp, attr)
+            for n in (1, 2):
+                calls = []
 
-            def fails_from(*args, **kwargs):
-                calls.append(True)
-                if len(calls) >= n:
-                    raise MemoryError("out of memory")
-                return real(*args, **kwargs)
+                def fails_from(*args, **kwargs):
+                    calls.append(True)
+                    if len(calls) >= n:
+                        raise MemoryError("out of memory")
+                    return real(*args, **kwargs)
 
-            monkeypatch.setattr(qp, DGBTRF, fails_from)
-            sol = solve_qp(p)
-            assert (sol.status, sol.message, sol.iterations) == (
-                ITERATION_LIMIT, "KKT factorization failed", n - 1), n
+                with monkeypatch.context() as patched:
+                    patched.setattr(qp, attr, fails_from)
+                    sol = solve_qp(p)
+                assert (sol.status, sol.message, sol.iterations) == (
+                    ITERATION_LIMIT, "KKT factorization failed", n - 1), (attr, n)
+
+    def test_interior_point_factor_follows_its_kept_columns(self, monkeypatch):
+        # the default week's interior point keeps no column, so its reduced
+        # system is negative definite and every factor of it, the start's
+        # and each iteration's, is a band Cholesky; its polish eliminates no
+        # column and takes the band LU.  The uncapped week's interior point
+        # keeps its free trades and takes the band LU throughout
+        sites = _Sites(monkeypatch)
+        for week, attr in self.FACTOR_WEEKS:
+            sites.calls.clear()
+            sol = solve_qp(week())
+            assert (sol.status, sol.iterations) == (OPTIMAL, 8)
+            assert sites.kinds(BAND) == [attr] * 8 and sites.kinds(POLISH) == [DGBTRF]
 
     def test_no_solve_calls_superlu(self, monkeypatch):
         # SuperLU is gone from the solver: with it failing, a cold solve,
@@ -1061,6 +1111,11 @@ class TestPatternReuse:
         patterns = _Patterns(monkeypatch)
         with qp.kkt_pattern_scope():
             shared = solves()
+            # with nothing pinned, presolve hands a canonical a_eq through
+            # as a_ext; the patterns held keep copies of its index arrays
+            held = [k for pattern in qp._PATTERNS.get().values() for k in pattern.key]
+            assert not any(np.shares_memory(k, part) for k in held
+                           for part in (p.a_eq.indptr, p.a_eq.indices))
         assert [sol.status for sol in alone] == [OPTIMAL] * 3 and alone[2].iterations == 0
         assert all(map(_same_answer, alone, shared))
         assert [ipm for ipm, _ in patterns.built] == [True, False]  # 2 patterns, 5 systems
@@ -1172,3 +1227,34 @@ class TestWarmStart:
             cold.status, cold.iterations, cold.message)
         assert warm.iterations > 0
         assert warm.x.tobytes() == cold.x.tobytes()
+
+
+# one synthetic year, solved in a child process that prints its status and
+# its peak resident size in KiB
+_YEAR = """
+import json, resource, warnings
+from trimarket.model import assemble_qp, default_config, validate_config
+from trimarket.qp import solve_qp
+from trimarket.scenarios import SynthSpec, synth_data
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    model = validate_config(default_config(8760), synth_data(SynthSpec(seed=7, horizon=8760)))
+sol = solve_qp(assemble_qp(model))
+print(json.dumps([sol.status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+"""
+
+
+def test_year_is_optimal_in_bounded_memory():
+    # T=8760 with the child's address space capped at 3 GB: the solve is
+    # optimal and the child peaks below 230 MB resident (177-191 MB
+    # measured with the band factors, 240 MB with SuperLU's sparse LU)
+    def capped():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = 3 * 2**30 if hard == resource.RLIM_INFINITY else min(3 * 2**30, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+    out = subprocess.run([sys.executable, "-c", _YEAR], preexec_fn=capped, capture_output=True,
+                         text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    status, peak_kib = json.loads(out.stdout)
+    assert status == OPTIMAL and peak_kib / 1024 < 230
