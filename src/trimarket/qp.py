@@ -43,12 +43,14 @@ band factor it takes is read off the pattern.  When no column stays, as
 in the default model, where every variable has a bound, the reduced
 matrix is -(B D^-1 B' + E), negative definite (Vanderbei 1995), and its
 negation's band takes LAPACK's band Cholesky, with no pivoting and bw + 1
-rows stored.  With free columns it is indefinite, and the band takes
-LAPACK's banded LU (partial pivoting within the band), in 3 bw + 1 rows.
-The coupling rows, the border, take their Schur complement after either,
-and this one factor is the only one an iteration makes.  Each solve
-recovers the eliminated variables and is refined against the full
-unregularized matrix; a solve
+rows stored; a pivot that rounding leaves non-positive is replaced by a
+huge one (Wright, Modified Cholesky factorizations in interior-point
+algorithms for linear programming, SIAM J. Optim. 1999).  With free
+columns it is indefinite, and the band takes LAPACK's banded LU (partial
+pivoting within the band), in 3 bw + 1 rows.  The coupling rows, the
+border, take their Schur complement after either, and this one factor
+is the only one an iteration makes.  Each solve recovers the eliminated
+variables and is refined against the full unregularized matrix; a solve
 whose refinement misses its tolerance is used as refined, and the ratio
 test and the gate below judge where it leads (Wright 1997, ch. 11).  One
 builder writes this system straight from the CSR arrays of the presolved
@@ -528,9 +530,15 @@ _STALL_RATIO = 0.9
 
 # what a factorization raises when it fails: the band factors and the
 # border's Schur complement raise RuntimeError for a failed pivot (zero in
-# an LU, not positive in a Cholesky), and MemoryError when a store or an
-# ordering does not fit
+# an LU, not positive in a Cholesky even after its replacement), and
+# MemoryError when a store or an ordering does not fit
 _FACTOR_ERRORS = (RuntimeError, MemoryError)
+
+# the diagonal entry a band Cholesky writes in place of a pivot that is
+# not positive (_BandFactor): its row of L below the diagonal comes out
+# near 1e-64 times the row's entries, and its component of each solve as
+# 1e-128 times the right-hand side (Wright 1999)
+_HUGE_PIVOT = 1e128
 
 
 def _layout(rows: np.ndarray, cols: np.ndarray, nr: int, n_c: int,
@@ -582,21 +590,41 @@ class _BandFactor:
     is when every column is eliminated: its negation, written over the
     store, takes a band Cholesky (dpbtrf, no pivoting).  Any other core
     takes a band LU (dgbtrf: partial pivoting, rows exchanged within the
-    band).  The border takes its Schur complement by dense LU in both.  A
-    Cholesky that meets a non-positive pivot, or an exactly zero pivot in
-    an LU, raises RuntimeError.
+    band).  The border takes its Schur complement by dense LU in both.
+
+    A definite matrix can still meet a pivot that is not positive, when
+    its smallest eigenvalue is below the rounding of its entries: barrier
+    terms near the shift beside ones near its inverse.  That pivot is
+    replaced by _HUGE_PIVOT (Wright 1999), which decouples its row: its
+    component of each solve comes out as 1e-128 times its right-hand
+    side, and refinement against k_true takes the solve from there.  dpbtrf reports the first such
+    pivot and leaves the store past it undefined, so each replacement
+    calls `refill` to write the matrix into the store again and factors
+    it once more, every pivot replaced so far set on the diagonal.  The
+    first failed pivot comes strictly later each time, so this ends.
+    `replaced` lists those pivots, in the core's band order.  A Cholesky
+    with no `refill`, or whose replaced pivot fails again (a matrix
+    that is not finite), and an exactly zero pivot in an LU raise
+    RuntimeError.
     """
 
     def __init__(self, order: np.ndarray, bw: int, n_c: int, definite: bool,
-                 store: np.ndarray):
+                 store: np.ndarray, refill=None):
         self.order, self.bw, self.core, self.definite = order, bw, len(order) - n_c, definite
         nr, core = len(order), self.core
         ld = (1 if definite else 3) * bw + 1
         n_band = ld * core
         band = store[:n_band].reshape((ld, core), order="F")
+        self.replaced = []
         if definite:
-            np.negative(store, out=store)
-            self.band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+            while True:
+                np.negative(store, out=store)
+                band[0, self.replaced] = _HUGE_PIVOT
+                self.band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+                if info <= 0 or refill is None or info - 1 in self.replaced:
+                    break
+                self.replaced.append(info - 1)
+                refill()
         else:
             self.band, self.ipiv, info = dgbtrf(band, bw, bw, overwrite_ab=1)
         if info != 0:
@@ -736,10 +764,12 @@ class _Pattern:
             len(r_diag), n_c, pattern, definite)
         # the pairs the store holds, and how many of each column's (a
         # definite r's other entries are its diagonal, all stored)
-        self.stored = np.nonzero(stored[: len(e_t)])[0]
-        pair_col = np.repeat(np.arange(len(self.elim)), self.pair_reps)
-        self.pair_reps = np.bincount(pair_col[self.stored],
-                                     minlength=len(self.elim)).astype(np.int32)
+        self.stored = slice(None)
+        if definite:
+            self.stored = np.nonzero(stored[: len(e_t)])[0]
+            pair_col = np.repeat(np.arange(len(self.elim)), self.pair_reps)
+            self.pair_reps = np.bincount(pair_col[self.stored],
+                                         minlength=len(self.elim)).astype(np.int32)
 
     def upper(self) -> np.ndarray:
         """Where k_true holds each of B's entries above the diagonal.
@@ -879,10 +909,13 @@ class _Kkt:
         np.multiply(self.pair_val, np.repeat(self.inv_d, pat.pair_reps),
                     out=w[: len(self.pair_val)])
         w[len(w) - len(self.r_rows) :] = self.reg[self.r_rows]
-        # each place sums its entries from 0.0 in the pattern's order
+        self._fill()
+        self.lu = _BandFactor(*pat.lay, self.store, self._fill)
+
+    def _fill(self) -> None:
+        """Write r's entries into the store, each place summing its own from 0.0 in order."""
         self.store.fill(0.0)
-        np.add.at(self.store, pat.dest, w)
-        self.lu = _BandFactor(*pat.lay, self.store)
+        np.add.at(self.store, self.pat.dest, self.weights)
 
     def shifted_solve(self, vec: np.ndarray) -> np.ndarray:
         """Solve the shifted k_true with the factor: the eliminated columns go around r's."""

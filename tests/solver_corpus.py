@@ -11,15 +11,19 @@ many ``qp.linprog`` probes it ran.  Per factor site it records the band
 factors made, the largest band dimension (a factored matrix's rows less
 its bordered coupling rows) and bandwidth among them (0 when none), the
 total band dimension, the stored band entries summed over the factors,
-the factors that broke down (LAPACK ``info > 0``: a pivot that is zero,
-or not positive in a Cholesky) and the orderings made
+the Cholesky pivots replaced (``qp.dpbtrf`` calls that report ``info >
+0``, a pivot that is not positive, which ``qp._BandFactor`` replaces and
+factors again), the factors that broke down (``qp._Kkt.factor`` raised
+RuntimeError: a zero LU pivot, a Cholesky pivot that fails again after
+its replacement, or a singular border) and the orderings made
 (``qp.reverse_cuthill_mckee`` calls, one per KKT pattern built).  A
 factor is the polish's whenever ``_polish`` is running, and the interior
 point's otherwise.  The sites are ``ipm``, the interior point's band LUs
 (``qp.dgbtrf``, (3 bw + 1) entries stored per row of the band, and its
 orderings), ``ipm_cholesky``, its band Cholesky factors (``qp.dpbtrf``,
-made when its reduced system keeps no column; bw + 1 entries stored per
-row), and ``polish``, whose factors are band LUs.  A tree without
+made when its reduced system keeps no column, each call counted, the
+one after a replaced pivot included; bw + 1 entries stored per row), and
+``polish``, whose factors are band LUs.  A tree without
 ``qp.dpbtrf`` records no Cholesky factor.  The corpus is
 ``random_instance`` seeds 0-599 x {default, ``r_min=0.95``} x
 ``max_iter`` {200, 8}, plus 26 synth-data solves at T=168-672: default,
@@ -44,12 +48,14 @@ each status transition from A to B with its count.  Then,
 for each tree, the iteration and probe totals by status and the total
 factorizations; per site, the band factors with the largest and total
 band dimension, the largest bandwidth, the stored entries, the
-breakdowns and the orderings, over every solve, neighbours included,
-then the orderings of the neighbour solves alone; and the largest primal
+replaced pivots, the breakdowns and the orderings, over every solve,
+neighbours included, then the orderings of the neighbour solves alone; and the largest primal
 residual of an optimal answer.  The sites include ``fallback``, which
 dumps of trees that still had the interior point's partial-pivot
 fallback on the full KKT matrix record; a dump without it, or without
-``ipm_cholesky``, breakdowns or orderings, reads 0 there.
+``ipm_cholesky``, replaced pivots, breakdowns or orderings, reads 0
+there.  Dumps made before the pivot replacement counted as breakdowns
+every ``info > 0`` of ``qp.dgbtrf`` and ``qp.dpbtrf``.
 Then the number of solves whose iteration count changed, by status; per
 status, a histogram of the change (B - A); and each solve that changed
 status or whose count rose.
@@ -98,7 +104,8 @@ def _synth_cases():
 
 
 SITES = ("ipm", "ipm_cholesky", "polish")
-BAND_KEYS = ("factors", "dim", "bw", "total_dim", "stored", "breakdowns", "orderings")
+BAND_KEYS = ("factors", "dim", "bw", "total_dim", "stored", "replaced", "breakdowns",
+             "orderings")
 NO_BAND = dict.fromkeys(BAND_KEYS, 0)
 # the sites compare prints: older dumps also hold the partial-pivot "fallback"
 COMPARED_SITES = ("ipm", "ipm_cholesky", "fallback", "polish")
@@ -161,16 +168,19 @@ def _count_calls(qp, name) -> dict:
 
 
 def _count_band(qp) -> dict:
-    """Wrap qp.dgbtrf, qp.dpbtrf and qp.reverse_cuthill_mckee: count their calls per factor site.
+    """Wrap qp.dgbtrf, qp.dpbtrf, qp._Kkt.factor and qp.reverse_cuthill_mckee: count per site.
 
     A call is the polish's whenever _polish is running (it factors through
     _Kkt.factor, as the interior point does), and the interior point's
     otherwise; a band Cholesky counts under its role's site with
     "_cholesky" appended.  Each factor is counted with its dimensions, its
-    store and whether it broke down.
+    store and whether it reported a pivot that is not positive; each
+    _Kkt.factor that raises RuntimeError is a breakdown of its site's
+    factor (a Cholesky one when its layout is definite).
     """
     band, depth, order = {}, [0], qp.reverse_cuthill_mckee
     polish, lu, cholesky = qp._polish, qp.dgbtrf, getattr(qp, "dpbtrf", None)
+    factor = qp._Kkt.factor
 
     def site(kind=""):
         return band.setdefault(("polish" if depth[0] else "ipm") + kind,
@@ -189,20 +199,30 @@ def _count_band(qp) -> dict:
         counts["bw"] = max(counts["bw"], bw)
         counts["total_dim"] += ab.shape[1]
         counts["stored"] += ab.size
-        counts["breakdowns"] += out[-1] > 0
         return out
 
     def lu_counted(ab, kl, ku, **kwargs):
         return counted(site(), ab, max(kl, ku), lu(ab, kl, ku, **kwargs))
 
     def cholesky_counted(ab, **kwargs):
-        return counted(site("_cholesky"), ab, ab.shape[0] - 1, cholesky(ab, **kwargs))
+        out = counted(site("_cholesky"), ab, ab.shape[0] - 1, cholesky(ab, **kwargs))
+        site("_cholesky")["replaced"] += out[-1] > 0
+        return out
+
+    def factor_counted(kkt):
+        try:
+            return factor(kkt)
+        except RuntimeError:
+            lay = kkt.pat.lay
+            site("_cholesky" if len(lay) > 3 and lay[3] else "")["breakdowns"] += 1
+            raise
 
     def ordered(*args, **kwargs):
         site()["orderings"] += 1
         return order(*args, **kwargs)
 
     qp._polish = wrapped
+    qp._Kkt.factor = factor_counted
     qp.dgbtrf = lu_counted
     if cholesky is not None:
         qp.dpbtrf = cholesky_counted
@@ -308,7 +328,8 @@ def compare(path_a: str, path_b: str) -> None:
                   f"dimension largest {max(b['dim'] for b in bands)}, total "
                   f"{sum(b['total_dim'] for b in bands)}; largest bandwidth "
                   f"{max(b['bw'] for b in bands)}; {sum(b['stored'] for b in bands)} "
-                  f"stored entries; {sum(b.get('breakdowns', 0) for b in bands)} breakdowns; "
+                  f"stored entries; {sum(b.get('replaced', 0) for b in bands)} replaced pivots, "
+                  f"{sum(b.get('breakdowns', 0) for b in bands)} breakdowns; "
                   f"{sum(b.get('orderings', 0) for b in bands)} orderings, "
                   f"{sum(b.get(site, NO_BAND).get('orderings', 0) for b in neighbours)} "
                   f"of them in {len(neighbours)} neighbour solves")

@@ -842,42 +842,54 @@ class TestKktFactorization:
 
     @staticmethod
     def _nth_singular(monkeypatch, attr, n):
-        """Make the n-th call of qp.<attr> (dpbtrf, dgbtrf or dgetrf) report a failed pivot."""
+        """Make the n-th call of qp.<attr> (dpbtrf, dgbtrf or dgetrf) report a failed pivot.
+
+        A band Cholesky replaces a failed pivot and factors again: for
+        dpbtrf the call after the n-th reports the same pivot failed, as
+        the replaced pivot of a matrix that is not finite would.
+        """
         real, calls = getattr(qp, attr), []
+        failing = {n, n + 1} if attr == DPBTRF else {n}
 
         def nth_singular(*args, **kwargs):
             *factor, info = real(*args, **kwargs)
             calls.append(True)
-            return (*factor, 1 if len(calls) == n else info)
+            return (*factor, 1 if len(calls) in failing else info)
 
         monkeypatch.setattr(qp, attr, nth_singular)
 
     def test_start_factor_error_falls_back_in_the_start(self, monkeypatch):
         # the start's band factor, the first, reports a failed pivot (info
-        # > 0: a leading minor that is not positive definite, or an exactly
-        # zero pivot): the solve falls back to its unsolved report in the
+        # > 0: a Cholesky pivot that is not positive even after its
+        # replacement, which takes one more call, or an exactly zero LU
+        # pivot): the solve falls back to its unsolved report in the
         # start, after that one factor and with no other
         for week, attr in self.FACTOR_WEEKS:
             with monkeypatch.context() as patched:
                 self._nth_singular(patched, attr, 1)
                 sites = _Sites(patched)
                 sol = solve_qp(week())
+            calls = 1 + (attr == DPBTRF)
             assert (sol.status, sol.message, sol.iterations) == (
                 ITERATION_LIMIT, "KKT factorization failed", 0), attr
-            assert sites.kinds(BAND) == [attr] and sites.factors(exclude=POLISH) == [BAND]
+            assert sites.kinds(BAND) == [attr] * calls
+            assert sites.factors(exclude=POLISH) == [BAND] * calls
 
     def test_static_factor_error_falls_back_in_same_iteration(self, monkeypatch):
         # iteration 1's band factor, the second after the start's, reports
-        # a failed pivot: the solve falls back to its unsolved report in
-        # that iteration, and no band factor follows
+        # a failed pivot (a Cholesky's twice, as above): the solve falls
+        # back to its unsolved report in that iteration, and no band
+        # factor follows
         for week, attr in self.FACTOR_WEEKS:
             with monkeypatch.context() as patched:
                 self._nth_singular(patched, attr, 2)
                 sites = _Sites(patched)
                 sol = solve_qp(week())
+            calls = 2 + (attr == DPBTRF)
             assert (sol.status, sol.message, sol.iterations) == (
                 ITERATION_LIMIT, "KKT factorization failed", 1), attr
-            assert sites.kinds(BAND) == [attr] * 2 and sites.factors(exclude=POLISH) == [BAND] * 2
+            assert sites.kinds(BAND) == [attr] * calls
+            assert sites.factors(exclude=POLISH) == [BAND] * calls
 
     def test_singular_border_falls_back_in_same_iteration(self, monkeypatch):
         # the coupling rows' Schur complement, one code path after either
@@ -917,6 +929,45 @@ class TestKktFactorization:
                     sol = solve_qp(p)
                 assert (sol.status, sol.message, sol.iterations) == (
                     ITERATION_LIMIT, "KKT factorization failed", n - 1), (attr, n)
+
+    def test_cholesky_replaces_a_pivot_that_is_not_positive(self):
+        # r = -[[1, 1], [1, 1]], definite only by more than its entries'
+        # rounding holds: the second pivot comes out 0 (dpbtrf info 2).
+        # It is replaced, the store refilled and factored again, and the
+        # replaced row is decoupled: its component of a solve is 1e-128
+        # times the right-hand side, and the first row is solved without it
+        r = np.array([-1.0, -1.0, -1.0, 0.0])  # (i, j) at [i - j, j] of a 2 x 2 band
+        store, fills = r.copy(), []
+
+        def refill():
+            fills.append(True)
+            store[:] = r
+
+        factor = qp._BandFactor(np.arange(2), 1, 0, True, store, refill)
+        assert factor.replaced == [1] and fills == [True]
+        x = factor.solve(np.array([3.0, 5.0]))
+        assert x[0] == -3.0 and 0.0 < x[1] / -5.0 <= 1e-127
+        with pytest.raises(RuntimeError, match="band Cholesky failed"):
+            qp._BandFactor(np.arange(2), 1, 0, True, r.copy())  # no refill
+
+    def test_cholesky_rounding_breakdown_keeps_the_iteration(self, monkeypatch):
+        # the 7th iteration's reduced system of this instance has barrier
+        # terms near 1e9 and 1e-9, and its smallest eigenvalue is below
+        # their rounding: dpbtrf finds a pivot that is not positive.  The
+        # pivot is replaced and the iteration goes on to converge in 8
+        # iterations, where the factor failing there ended it
+        real, infos = qp.dpbtrf, []
+
+        def recorded(ab, **kwargs):
+            out = real(ab, **kwargs)
+            infos.append(out[-1])
+            return out
+
+        monkeypatch.setattr(qp, DPBTRF, recorded)
+        _, p = build(*random_instance(75, r_min=0.95))
+        sol = solve_qp(p)
+        assert (sol.status, sol.iterations, sol.message) == (OPTIMAL, 8, "")
+        assert [info for info in infos if info] == [7] and len(infos) == 9
 
     def test_interior_point_factor_follows_its_kept_columns(self, monkeypatch):
         # the default week's interior point keeps no column, so its reduced
