@@ -50,15 +50,19 @@ columns it is indefinite, and the band takes LAPACK's banded LU (partial
 pivoting within the band), in 3 bw + 1 rows.  The coupling rows, the
 border, take their Schur complement after either, and this one factor
 is the only one an iteration makes.  Each solve recovers the eliminated
-variables and is refined against the full unregularized matrix; a solve
-whose refinement misses its tolerance is used as refined, and the ratio
-test and the gate below judge where it leads (Wright 1997, ch. 11).  One
-builder writes this system straight from the CSR arrays of the presolved
-blocks, and the polish's too, with no column eliminated.
+variables and is refined against the full unregularized matrix, which is
+never assembled: the product refinement takes is the diagonal times the
+vector plus B' and B times its dual and primal parts, B being the
+equality and coupling rows, held in CSR; a solve whose refinement misses
+its tolerance is used as refined, and the ratio test and the gate below
+judge where it leads (Wright 1997, ch. 11).  One builder writes this
+system straight from the CSR arrays of the presolved blocks, and the
+polish's too, with no column eliminated: its reduced matrix is then the
+whole system.
 
 The builder's symbolic part, everything read from index arrays alone
-(the matrix's CSC arrays, the eliminated columns' pairs, the ordering and
-the band layout), is a pattern; its numeric part holds the values, one
+(B's CSR arrays, the eliminated columns' pairs, the ordering and the band
+layout), is a pattern; its numeric part holds the values, one
 band store that each factor refills in place, and the factor (Davis,
 Direct Methods for Sparse Linear Systems, 2006, ch. 7).  A command that
 solves several problems, a scenario with its neighbours or a sweep's
@@ -541,17 +545,15 @@ _FACTOR_ERRORS = (RuntimeError, MemoryError)
 _HUGE_PIVOT = 1e128
 
 
-def _layout(rows: np.ndarray, cols: np.ndarray, nr: int, n_c: int,
-            pattern: sp.csr_matrix | None = None, definite: bool = False):
+def _layout(rows: np.ndarray, cols: np.ndarray, nr: int, n_c: int, definite: bool):
     """Band-plus-border layout of an nr x nr matrix with a symmetric pattern.
 
     The matrix has an entry at each (rows[t], cols[t]), duplicates
     allowed.  The border is its last n_c rows and columns, chosen by role
     (the coupling rows), never by density: one sparse coupling row left in
     the core widened a polish's band from 7 to 48-120.  The core goes in a
-    reverse Cuthill-McKee order of its own pattern: `pattern`, CSR or CSC
-    with each row's (column's) indices ascending and none repeated, when
-    the caller has it, else one made from the entries.  Returns (order,
+    reverse Cuthill-McKee order of its own pattern, a CSR matrix made from
+    the entries inside it, for every system alike.  Returns (order,
     bw, n_c, definite), the store's size, the entries it stores and their
     store positions, `dest`.  The store is LAPACK band storage of the
     core, then, column-major, the last n_c columns and the last n_c rows'
@@ -564,9 +566,8 @@ def _layout(rows: np.ndarray, cols: np.ndarray, nr: int, n_c: int,
     """
     core = nr - n_c
     in_core = (rows < core) & (cols < core)
-    if pattern is None:
-        pattern = sp.csr_matrix((np.ones(int(in_core.sum())), (rows[in_core], cols[in_core])),
-                                shape=(core, core))
+    pattern = sp.csr_matrix((np.ones(int(in_core.sum())), (rows[in_core], cols[in_core])),
+                            shape=(core, core))
     order = np.concatenate([reverse_cuthill_mckee(pattern, symmetric_mode=True),
                             np.arange(core, nr)])  # the matrix's row at each position
     where = np.empty(nr, dtype=np.int64)
@@ -668,21 +669,20 @@ class _Pattern:
 
     B holds the kept entries of a_ext and of g's coupling rows, row by row
     (`keep` marks them), each row's columns distinct and ascending, as
-    presolve writes both blocks.  In k_true's CSC arrays, column j < n
-    holds its diagonal and then B's column j (each entry at `lower`), and
-    column n + i holds B's row i (at `upper`, B' above the diagonal) and
-    then its diagonal, so a primal column's diagonal entry is its first
-    and a dual column's its last (`diag_pos`).  Then the eliminated
-    columns (`elim`, with `r_rows` the rows of k_true behind r's), B_e's
-    CSC arrays read from B's entries `e_src`, B_k's entries `k_src`, the
-    pairs of B_e's entries in one column, which write B_e D_e^-1 B_e' into
-    r (`pair_reps` per column, and each one's second entry `s`), and r's
-    _layout: its order, store size and `dest`.  An r that eliminates
-    columns and keeps none is negative definite and takes the band
-    Cholesky: its store holds the pairs on and below the diagonal alone
-    (`stored`, with `pair_reps` counting those).  The key holds copies of
-    the index arrays, since a_ext may be the caller's a_eq.  Index arrays
-    read once per build are int32, to hold less.
+    presolve writes both blocks; `b_ptr` and `b_col` are its CSR arrays.
+    The matrix [[D1, B'], [B, -D2]] is never assembled: the diagonal and
+    B are all of it.  Then the eliminated columns (`elim`, with `r_rows`
+    the matrix's rows behind r's), B_e's CSC arrays read from B's
+    entries `e_src`, B_k's entries `k_src`, the pairs of B_e's entries in
+    one column, which write B_e D_e^-1 B_e' into r (`pair_reps` per
+    column, and each one's second entry `s`), and r's _layout: its order,
+    store size and `dest`.  With no column eliminated, as in the polish,
+    B_e is empty and B_k is all of B, so r is the matrix itself.  An r
+    that eliminates columns and keeps none is negative definite and takes
+    the band Cholesky: its store holds the pairs on and below the
+    diagonal alone (`stored`, with `pair_reps` counting those).  The key
+    holds copies of the index arrays, since a_ext may be the caller's
+    a_eq.  Index arrays read once per build are int32, to hold less.
     """
 
     def __init__(self, pre: _Presolved, cols: np.ndarray, coup: np.ndarray, elim: np.ndarray):
@@ -699,60 +699,32 @@ class _Pattern:
         b_col = (np.cumsum(cols) - 1)[b_col[keep]]
         self.keep = slice(None) if len(rows) == len(keep) else keep
         self.n, self.mb = n, mb = int(cols.sum()), int(in_b.sum())
-
-        # B column by column, each column's rows ascending
-        by_col = np.argsort(b_col, kind="stable")
-        n_e = len(rows)
-        lower = np.empty(n_e, dtype=np.int64)  # B at (n + i, j)
-        lower[by_col] = np.arange(n_e) + b_col[by_col] + 1
-        upper = rows + np.arange(n + n_e, n + 2 * n_e)  # B' at (j, n + i)
-        counts = np.concatenate([np.bincount(b_col, minlength=n), np.bincount(rows, minlength=mb)])
-        self.indptr = np.zeros(n + mb + 1, dtype=np.int32)
-        np.cumsum(counts + 1, out=self.indptr[1:])
-        self.diag_pos = np.concatenate([self.indptr[:n], self.indptr[n + 1 :] - 1])
-        self.indices = np.empty(n + mb + 2 * n_e, dtype=np.int32)
-        self.indices[self.diag_pos] = np.arange(n + mb)
-        self.indices[lower] = n + rows
-        self.indices[upper] = b_col
-        self.lower = lower.astype(np.int32)
+        self.b_ptr = np.zeros(mb + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=mb), out=self.b_ptr[1:])
+        self.b_col = b_col.astype(np.int32)
 
         elim = elim[cols]
         self.elim = np.nonzero(elim)[0]
         self.n_k = n_k = n - len(self.elim)
-        # k_true's row behind each of r's
+        # the matrix's row behind each of r's
         self.r_rows = np.concatenate([np.nonzero(~elim)[0], n + np.arange(mb)])
-        self.e_src = self.e_row = self.pair_reps = self.s = np.zeros(0, dtype=np.int32)
-        self.e_ptr, self.k_src = np.zeros(1, dtype=np.int32), slice(None)  # B_k is all of B
-        if len(self.elim):  # the polish's r is k_true itself
-            # B_e in CSC, each column's rows ascending; B_k stays in rows, b_col
-            in_e, e_before = elim[b_col], np.cumsum(elim)
-            self.e_src = by_col[in_e[by_col]].astype(np.int32)
-            self.e_row = np.take(rows, self.e_src).astype(np.int32)
-            counts = np.bincount(e_before[b_col[in_e]] - 1, minlength=len(self.elim))
-            self.e_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-            self.k_src = np.nonzero(~in_e)[0]
-            rows, b_col = rows[self.k_src], b_col[self.k_src] - e_before[b_col[self.k_src]]
-            self.pair_reps = (counts * counts).astype(np.int32)  # the pairs of each column
-            # every pair of entries t, s in one column e of B_e adds
-            # B[i_t, e] B[i_s, e] / D_e to r at (n_k + i_t, n_k + i_s); the
-            # pairs run column by column and t-major, t repeating each
-            # entry once per entry of its column
-            reps = np.repeat(counts, counts)
-            self.s = np.arange(self.pair_reps.sum(), dtype=np.int32) + np.repeat(
-                (self.e_ptr[:-1].repeat(counts) - (np.cumsum(reps) - reps)).astype(np.int32), reps)
-        n_c, pattern = int(coup.sum()), None
-        if not len(self.elim):
-            # r is k_true, whose core's pattern is its own less the border:
-            # the kept coupling rows, B's last (rows, b_col still hold all
-            # of B), end the primal columns
-            core = n + mb - n_c
-            left_out = np.zeros(core + 1, dtype=np.int64)
-            np.cumsum(np.bincount(b_col[np.searchsorted(rows, mb - n_c) :], minlength=n),
-                      out=left_out[1 : n + 1])
-            left_out[n + 1 :] = left_out[n]
-            inner = self.indices[: self.indptr[core]] < core
-            pattern = sp.csr_matrix((np.ones(int(inner.sum())), self.indices[inner.nonzero()[0]],
-                                     self.indptr[: core + 1] - left_out), shape=(core, core))
+        # B_e in CSC, each column's rows ascending; B_k stays in rows, b_col
+        in_e, e_before = elim[b_col], np.cumsum(elim)
+        e_src = np.nonzero(in_e)[0]
+        self.e_src = e_src[np.argsort(b_col[e_src], kind="stable")].astype(np.int32)
+        self.e_row = np.take(rows, self.e_src).astype(np.int32)
+        counts = np.bincount(e_before[b_col[in_e]] - 1, minlength=len(self.elim))
+        self.e_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        self.k_src = np.nonzero(~in_e)[0]
+        rows, b_col = rows[self.k_src], b_col[self.k_src] - e_before[b_col[self.k_src]]
+        self.pair_reps = (counts * counts).astype(np.int32)  # the pairs of each column
+        # every pair of entries t, s in one column e of B_e adds
+        # B[i_t, e] B[i_s, e] / D_e to r at (n_k + i_t, n_k + i_s); the
+        # pairs run column by column and t-major, t repeating each
+        # entry once per entry of its column
+        reps = np.repeat(counts, counts)
+        self.s = np.arange(self.pair_reps.sum(), dtype=np.int32) + np.repeat(
+            (self.e_ptr[:-1].repeat(counts) - (np.cumsum(reps) - reps)).astype(np.int32), reps)
         # r's entries: the products, B_k and B_k', then the diagonal; an
         # r that keeps no column and eliminates some is negative definite
         r_diag = np.arange(len(self.r_rows))
@@ -761,7 +733,7 @@ class _Pattern:
         self.lay, self.size, stored, self.dest = _layout(
             np.concatenate([n_k + e_t, n_k + rows, b_col, r_diag]),
             np.concatenate([n_k + e_s, b_col, n_k + rows, r_diag]),
-            len(r_diag), n_c, pattern, definite)
+            len(r_diag), int(coup.sum()), definite)
         # the pairs the store holds, and how many of each column's (a
         # definite r's other entries are its diagonal, all stored)
         self.stored = slice(None)
@@ -770,17 +742,6 @@ class _Pattern:
             pair_col = np.repeat(np.arange(len(self.elim)), self.pair_reps)
             self.pair_reps = np.bincount(pair_col[self.stored],
                                          minlength=len(self.elim)).astype(np.int32)
-
-    def upper(self) -> np.ndarray:
-        """Where k_true holds each of B's entries above the diagonal.
-
-        Entry u, in row i, follows the n + n_e places of the primal
-        columns, the u entries before it and the i diagonals of the rows
-        before its own; its copy below the diagonal sits in k_true's row
-        n + i.
-        """
-        n_e = len(self.lower)
-        return np.arange(n_e, 2 * n_e) + np.take(self.indices, self.lower)
 
     def pairs(self, e: np.ndarray):
         """e, one value per entry of B_e, at each pair's entries t and s."""
@@ -833,15 +794,16 @@ class _Kkt:
 
     Its columns are the variables marked in `cols`; B stacks the rows of
     a_ext and the kept coupling rows marked in `coup`, in those columns,
-    read straight from the CSR arrays of a_ext and g.  k_true is the
-    unshifted matrix every solve is refined against; it has an explicit
-    entry on every diagonal, which set_diagonal writes.  The factor adds
-    `eps` to the primal diagonal and subtracts it from the dual one,
-    which makes the matrix quasi-definite (Vanderbei 1995).  The interior
-    point passes every column and kept coupling row, eliminates the
-    columns with a bound row and uses _KKT_REG; the polish passes its
-    free columns and active coupling rows, eliminates nothing and uses
-    _POLISH_EPS.
+    read straight from the CSR arrays of a_ext and g.  k_true, the
+    unshifted matrix every solve is refined against, is held as its
+    blocks and never assembled: `b`, B in CSR, and `diag`, the whole
+    diagonal, which set_diagonal gets; matvec multiplies by it.  The
+    factor adds `eps` to the primal diagonal and subtracts it from the
+    dual one, which makes the matrix quasi-definite (Vanderbei 1995).
+    The interior point passes every column and kept coupling row,
+    eliminates the columns with a bound row and uses _KKT_REG; the
+    polish passes its free columns and active coupling rows, eliminates
+    nothing and uses _POLISH_EPS.
 
     Each column marked in `elim` has a positive diagonal D_e (a barrier
     term), so x_e = D_e^-1 (r_e - B_e' y) leaves the reduced matrix
@@ -863,7 +825,7 @@ class _Kkt:
     made once per pattern (Davis 2006, ch. 7): inside a kkt_pattern_scope
     a system whose index arrays equal the last one's of its role (its
     shift) reuses it, and a miss builds it as a solve outside any scope
-    does.  The instance holds the values: k_true's, B_e's and the pair
+    does.  The instance holds the values: B's, B_e's and the pair
     products, and one band store that each factor refills in place, in
     the pattern's entry order, before factoring it.  It holds its one
     factor, and solve() takes the eliminated columns around it and
@@ -876,29 +838,25 @@ class _Kkt:
         self.elim, self.n_k, self.r_rows = pat.elim, pat.n_k, pat.r_rows
         g = pre.g
         vals = np.concatenate([pre.a_ext.data, g.data[g.indptr[pre.n_b] :]])[pat.keep]
-        data = np.zeros(len(pat.indices))
-        data[pat.lower] = vals
-        data[pat.upper()] = vals
-        self.k_true = sp.csc_matrix((data, pat.indices, pat.indptr),
-                                    shape=(pat.n + pat.mb, pat.n + pat.mb))
+        self.b = sp.csr_matrix((vals, pat.b_col, pat.b_ptr), shape=(pat.mb, pat.n))
+        self.b_t = self.b.T
         self.shift = np.full(pat.n + pat.mb, eps)
         self.shift[pat.n :] = -eps
         e_val = np.take(vals, pat.e_src)
         e_t, e_s = pat.pairs(e_val)
         self.pair_val = (-e_t * e_s)[pat.stored]
-        if len(pat.elim):  # the polish's r is k_true itself
-            self.b_e = sp.csc_matrix((e_val, pat.e_row, pat.e_ptr),
-                                     shape=(pat.mb, len(pat.elim)))
-            self.b_e_t = self.b_e.T
+        self.b_e = sp.csc_matrix((e_val, pat.e_row, pat.e_ptr), shape=(pat.mb, len(pat.elim)))
+        self.b_e_t = self.b_e.T
         vals_k = vals[pat.k_src]
         self.weights = np.concatenate([np.zeros(len(self.pair_val)), vals_k, vals_k,
                                        np.zeros(len(pat.r_rows))])
         self.store = np.empty(pat.size)  # r's band store, refilled by each factor
-        self.reg = self.inv_d = None  # the shifted diagonal and 1 / D_e, from set_diagonal
+        # the diagonal, the shifted diagonal and 1 / D_e, from set_diagonal
+        self.diag = self.reg = self.inv_d = None
         self.lu = None  # r's band factor, from factor
 
     def set_diagonal(self, diag: np.ndarray) -> None:
-        self.k_true.data[self.pat.diag_pos] = diag
+        self.diag = diag
         self.reg = diag + self.shift
         self.inv_d = 1.0 / self.reg[self.elim]
 
@@ -917,10 +875,20 @@ class _Kkt:
         self.store.fill(0.0)
         np.add.at(self.store, self.pat.dest, self.weights)
 
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """k_true @ v from the blocks: diag v, plus B' v on the primal rows and B v on the dual."""
+        n, out = self.pat.n, self.diag * v
+        out[:n] += self.b_t @ v[n:]
+        out[n:] += self.b @ v[:n]
+        return out
+
     def shifted_solve(self, vec: np.ndarray) -> np.ndarray:
-        """Solve the shifted k_true with the factor: the eliminated columns go around r's."""
-        if not len(self.elim):  # the polish's r is k_true itself
-            return self.lu.solve(vec)
+        """Solve the shifted k_true with r's factor: the eliminated columns go around it.
+
+        x_e = D_e^-1 (vec_e - B_e' y) comes out of r's solution; with no
+        column eliminated, as in the polish, B_e is empty and r is the
+        whole shifted matrix.
+        """
         r_e = vec[self.elim] * self.inv_d
         rhs = vec[self.r_rows]
         rhs[self.n_k :] -= self.b_e @ r_e
@@ -943,13 +911,13 @@ class _Kkt:
         """
         tol = rtol * (1.0 + float(np.max(np.abs(vec), initial=0.0)))
         step = self.shifted_solve(vec if rhs0 is None else rhs0)
-        err = vec - self.k_true @ step
+        err = vec - self.matvec(step)
         for _ in range(3):
             size = float(np.max(np.abs(err), initial=0.0))
             if size <= tol:
                 break
             refined = step + self.shifted_solve(err)
-            err = vec - self.k_true @ refined
+            err = vec - self.matvec(refined)
             if not float(np.max(np.abs(err), initial=0.0)) < size:
                 break
             step = refined

@@ -58,7 +58,8 @@ there.  Dumps made before the pivot replacement counted as breakdowns
 every ``info > 0`` of ``qp.dgbtrf`` and ``qp.dpbtrf``.
 Then the number of solves whose iteration count changed, by status; per
 status, a histogram of the change (B - A); and each solve that changed
-status or whose count rose.
+status or whose count rose.  Then each solve whose probe count changed,
+A -> B.
 Then both trees' totals of fallback plus polish factorizations, and each
 solve whose count changed.  Last, per tree, how many neighbour solves were
 answered warm and the largest warm-minus-cold objective gap among those.
@@ -356,6 +357,10 @@ def compare(path_a: str, path_b: str) -> None:
                   f"{ra['iterations']} -> {rb['iterations']} iterations")
         elif rb["iterations"] > ra["iterations"]:
             print(f"  {k}: {ra['iterations']} -> {rb['iterations']} iterations")
+    probes = [k for k in a if a[k]["linprog"] != b[k]["linprog"]]
+    print(f"solves whose probe count changed: {len(probes)}")
+    for k in probes:
+        print(f"  {k}: {a[k]['linprog']} -> {b[k]['linprog']} probes")
     partial = {k: (_fallback_and_polish(a[k]), _fallback_and_polish(b[k])) for k in a}
     changed = [k for k, (u, v) in partial.items() if u != v]
     print(f"fallback + polish factorizations: {sum(u for u, _ in partial.values())} vs "

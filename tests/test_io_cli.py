@@ -127,6 +127,10 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config(tmp_path / "nope.cfg")
 
+    def test_missing_market_csv(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read data"):
+            load_market_csv(tmp_path / "nope.csv")
+
     def test_bundled_defaults_match_code_defaults(self):
         import trimarket
 
@@ -730,8 +734,9 @@ class TestCli:
         (["--tol", "1e300"], 1, "error: --tol must be finite and below 1"),
         (["--tol", "1"], 1, "error: --tol must be finite and below 1"),
         (["--tol", "nan"], 1, "error: --tol must be finite and below 1"),
+        (["--max-iter", "0"], 1, "error: --max-iter must be at least 1"),
         (["--max-iter", "1"], 1, "solver failed: tolerances not reached"),
-    ], ids=["tol-0", "tol-inf", "tol-1e300", "tol-1", "tol-nan", "max-iter-1"])
+    ], ids=["tol-0", "tol-inf", "tol-1e300", "tol-1", "tol-nan", "max-iter-0", "max-iter-1"])
     def test_solver_setting_errors(self, workdir, capsys, extra, rc, message):
         assert main(["solve", "--config", str(workdir / "model.cfg"),
                      "--data", str(workdir / "market.csv"),

@@ -472,15 +472,16 @@ class TestKktFactorization:
 
     def test_refinement_miss_keeps_solve_optimal(self, monkeypatch):
         # the barrier diagonal spans so many orders of magnitude that three
-        # directions miss the refinement tolerance, by 1e15 and more (by
-        # 1e66 and more before a refinement step that raises the residual
-        # was undone); each is used as refined, the ratio test takes what
-        # it can, and the gate verifies the answer as any other
+        # directions miss the refinement tolerance with no digit right,
+        # their residual above their right-hand side, by more than 1 /
+        # rtol (by 1e66 and more before a refinement step that raises the
+        # residual was undone); each is used as refined, the ratio test
+        # takes what it can, and the gate verifies the answer as any other
         misses, real = [], qp._Kkt.solve
 
         def recorded(kkt, vec, rtol, rhs0=None):
             out = real(kkt, vec, rtol, rhs0)
-            norm = float(np.max(np.abs(vec - kkt.k_true @ out), initial=0.0))
+            norm = float(np.max(np.abs(vec - kkt.matvec(out)), initial=0.0))
             tol = rtol * (1.0 + float(np.max(np.abs(vec), initial=0.0)))
             if sites.site != POLISH and not norm <= tol:
                 misses.append(norm / tol)
@@ -491,7 +492,7 @@ class TestKktFactorization:
         _, p = build(*random_instance(222))
         sol = solve_qp(p)
         assert sol.status == OPTIMAL and sol.iterations == 8
-        assert len(misses) == 3 and 1e15 < min(misses) and max(misses) < 1e20
+        assert len(misses) == 3 and 1.0 / qp._KKT_RTOL < min(misses) and max(misses) < 1e20
         assert sites.factors() == [BAND] * 8 + [POLISH]
 
     # the SciPy constructors that stack or assemble block matrices
@@ -551,17 +552,21 @@ class TestKktFactorization:
         assert seen == [(0, [0, 1]), (504, [0, 1]), (1, [0])]
 
     def test_polish_system_is_the_block_matrix(self, monkeypatch):
-        # the systems _Kkt writes from index arrays are the block matrices,
-        # value for value (k_true also stores its zero diagonal entries):
-        # the polish's [[diag(q_free), a_bar'], [a_bar, 0]], a_bar being
-        # the rows of a_ext and the active coupling rows in the free
-        # columns, and the interior point's start, [[diag(d), b'], [b,
-        # -I]] with b the rows of a_ext and the kept coupling rows and d
-        # the diagonal with every w / z at 1
+        # the blocks _Kkt writes from index arrays are the stacked ones,
+        # byte for byte: the polish's B is a_bar, the rows of a_ext and the
+        # active coupling rows in the free columns, under the diagonal
+        # (q_free, 0); the interior point's start's is b, the rows of a_ext
+        # and the kept coupling rows, under the diagonal with every w / z
+        # at 1, (d, 0, -1).  The product refinement takes from the blocks
+        # is the SciPy-assembled [[diag, B'], [B, diag]] times a vector, to
+        # rounding
+        rng = np.random.default_rng(0)
         systems, real = {POLISH: [], BAND: []}, qp._Kkt.solve
 
         def recorded(kkt, vec, rtol, rhs0=None):
-            systems[POLISH if sites.site == POLISH else BAND].append(kkt.k_true.copy())
+            vecs = rng.standard_normal((3, len(kkt.diag)))
+            systems[POLISH if sites.site == POLISH else BAND].append(
+                (kkt.b.copy(), kkt.diag.copy(), vecs, [kkt.matvec(v) for v in vecs]))
             return real(kkt, vec, rtol, rhs0)
 
         monkeypatch.setattr(qp._Kkt, "solve", recorded)
@@ -575,16 +580,26 @@ class TestKktFactorization:
         n_b = len(pre.lo_idx) + len(pre.up_idx)
         free = np.ones(p.n, dtype=bool)
         free[pre.g[np.nonzero(act[:n_b])[0]].indices] = False
-        a_bar = sp.vstack([pre.a_ext, pre.g[n_b + np.nonzero(act[n_b:])[0]]], format="csc")
+        a_bar = sp.vstack([pre.a_ext, pre.g[n_b + np.nonzero(act[n_b:])[0]]], format="csr")
         a_bar = a_bar[:, free]
-        b = sp.vstack([pre.a_ext, pre.g[n_b:]], format="csc")
+        b = sp.vstack([pre.a_ext, pre.g[n_b:]], format="csr")
         d = pre.q + np.bincount(np.concatenate([pre.lo_idx, pre.up_idx]), minlength=p.n)
         dual = np.concatenate([np.zeros(pre.a_ext.shape[0]), -np.ones(len(pre.keep_rows))])
-        for got, want in (
-                (systems[POLISH][0],
-                 sp.bmat([[sp.diags(pre.q[free]), a_bar.T], [a_bar, None]], format="csc")),
-                (start, sp.bmat([[sp.diags(d), b.T], [b, sp.diags(dual)]], format="csc"))):
-            assert got.shape == want.shape and (got != want).nnz == 0
+        polish_diag = np.concatenate([pre.q[free], np.zeros(a_bar.shape[0])])
+        for (got, diag, vecs, products), want, want_diag in (
+                (systems[POLISH][0], a_bar, polish_diag), (start, b, np.concatenate([d, dual]))):
+            assert got.shape == want.shape
+            for part in ("data", "indices", "indptr"):
+                assert getattr(got, part).dtype == getattr(want, part).dtype
+                assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+            np.testing.assert_array_equal(diag, want_diag)
+            n = want.shape[1]
+            k = sp.bmat([[sp.diags(want_diag[:n]), want.T], [want, sp.diags(want_diag[n:])]],
+                        format="csr")
+            for v, product in zip(vecs, products):
+                # the order of a sum moves it by a few ulps of its terms' size
+                tol = 8 * np.finfo(float).eps * (abs(k) @ np.abs(v))
+                assert np.all(np.abs(product - k @ v) <= tol)
 
     def test_one_ordering_per_solve(self, monkeypatch):
         sites = _Sites(monkeypatch, RCM)
@@ -617,8 +632,8 @@ class TestKktFactorization:
         # point's (6-7 here)
         layouts, real = [], qp._layout
 
-        def measured(rows, cols, nr, n_c, pattern=None, definite=False):
-            out = real(rows, cols, nr, n_c, pattern, definite)
+        def measured(rows, cols, nr, n_c, definite):
+            out = real(rows, cols, nr, n_c, definite)
             if sites.site == POLISH:
                 layouts.append((n_c, out[0][1], definite))
             return out
@@ -656,13 +671,14 @@ class TestKktFactorization:
             solve_qp(problem)
             assert len(diagonals) == n_diag
             kkt = diagonals[0][0]
-            assert kkt.n_k == n_kept and len(kkt.r_rows) < kkt.k_true.shape[0]
-            rhs = np.random.default_rng(0).standard_normal(kkt.k_true.shape[0])
+            assert kkt.n_k == n_kept and len(kkt.r_rows) < len(diagonals[0][1])
+            rhs = np.random.default_rng(0).standard_normal(len(diagonals[0][1]))
             no_reference = set()
             for k, (_, diag) in enumerate(diagonals, start=1):
                 real(kkt, diag)
                 kkt.factor()
-                shifted = (kkt.k_true + sp.diags(kkt.shift)).tocsc()
+                shifted = (sp.bmat([[None, kkt.b.T], [kkt.b, None]])
+                           + sp.diags(diag + kkt.shift)).tocsc()
                 want = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                             options=dict(SymmetricMode=True)).solve(rhs)
                 tol = 1e-12 * np.max(np.abs(want))
@@ -1179,14 +1195,11 @@ class TestPatternReuse:
         bounded[pre.lo_idx] = bounded[pre.up_idx] = True
         kkt = qp._Kkt(pre, np.ones(p.n, dtype=bool), np.ones(2, dtype=bool), bounded,
                       qp._KKT_REG)
-        b = sp.vstack([pre.a_ext, pre.g[pre.n_b:]], format="coo")
-        n, diag = p.n, np.arange(kkt.k_true.shape[0])
-        want = sp.csc_matrix((np.concatenate([b.data, np.zeros(len(diag)), b.data]),
-                              (np.concatenate([b.col, diag, n + b.row]),
-                               np.concatenate([n + b.row, diag, b.col]))), shape=kkt.k_true.shape)
+        want = sp.vstack([pre.a_ext, pre.g[pre.n_b:]], format="csr")
         assert p.a_eq.has_canonical_format is not repeated and pre.a_ext.has_canonical_format
+        assert kkt.b.shape == want.shape
         for part in ("data", "indices", "indptr"):
-            assert getattr(kkt.k_true, part).tobytes() == getattr(want, part).tobytes()
+            assert getattr(kkt.b, part).tobytes() == getattr(want, part).tobytes()
 
 
 def test_polish_keeps_one_bound_per_variable(monkeypatch):
@@ -1280,25 +1293,34 @@ class TestWarmStart:
         assert warm.x.tobytes() == cold.x.tobytes()
 
 
-# one synthetic year, solved in a child process that prints its status and
-# its peak resident size in KiB
+# one synthetic year, solved in a child process that prints its status,
+# whether its answer is the last polished point (`qp._polish`'s last return)
+# and its peak resident size in KiB
 _YEAR = """
 import json, resource, warnings
+import trimarket.qp as qp
 from trimarket.model import assemble_qp, default_config, validate_config
-from trimarket.qp import solve_qp
 from trimarket.scenarios import SynthSpec, synth_data
+real, last = qp._polish, [None]
+def recorded(*args):
+    last[0] = real(*args)
+    return last[0]
+qp._polish = recorded
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     model = validate_config(default_config(8760), synth_data(SynthSpec(seed=7, horizon=8760)))
-sol = solve_qp(assemble_qp(model))
-print(json.dumps([sol.status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+sol = qp.solve_qp(assemble_qp(model))
+polished = last[0] is not None and sol.x is last[0].x
+print(json.dumps([sol.status, polished, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
 """
 
 
 def test_year_is_optimal_in_bounded_memory():
     # T=8760 with the child's address space capped at 3 GB: the solve is
-    # optimal and the child peaks below 230 MB resident (177-191 MB
-    # measured with the band factors, 240 MB with SuperLU's sparse LU)
+    # optimal, answered by the polished point (the gate's other path is
+    # the converged iterate), and the child peaks below 230 MB resident
+    # (177-191 MB measured with the band factors, 240 MB with SuperLU's
+    # sparse LU)
     def capped():
         _, hard = resource.getrlimit(resource.RLIMIT_AS)
         cap = 3 * 2**30 if hard == resource.RLIM_INFINITY else min(3 * 2**30, hard)
@@ -1307,5 +1329,5 @@ def test_year_is_optimal_in_bounded_memory():
     out = subprocess.run([sys.executable, "-c", _YEAR], preexec_fn=capped, capture_output=True,
                          text=True, timeout=600)
     assert out.returncode == 0, out.stderr
-    status, peak_kib = json.loads(out.stdout)
-    assert status == OPTIMAL and peak_kib / 1024 < 230
+    status, polished, peak_kib = json.loads(out.stdout)
+    assert status == OPTIMAL and polished and peak_kib / 1024 < 230
