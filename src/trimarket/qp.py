@@ -796,8 +796,10 @@ class _Kkt:
     a_ext and the kept coupling rows marked in `coup`, in those columns,
     read straight from the CSR arrays of a_ext and g.  k_true, the
     unshifted matrix every solve is refined against, is held as its
-    blocks and never assembled: `b`, B in CSR, and `diag`, the whole
-    diagonal, which set_diagonal gets; matvec multiplies by it.  The
+    blocks and never assembled: `b`, B in CSR, `diag`, the whole
+    diagonal, which set_diagonal gets, and `top`, the primal rows
+    [D1, B'] in CSC over B's values and arrays, so that matvec sums each
+    row in the order of k_true's own CSC product.  The
     factor adds `eps` to the primal diagonal and subtracts it from the
     dual one, which makes the matrix quasi-definite (Vanderbei 1995).
     The interior point passes every column and kept coupling row,
@@ -836,10 +838,16 @@ class _Kkt:
                  elim: np.ndarray, eps: float):
         self.pat = pat = _pattern(pre, cols, coup, elim, eps)
         self.elim, self.n_k, self.r_rows = pat.elim, pat.n_k, pat.r_rows
-        g = pre.g
+        g, n = pre.g, pat.n
         vals = np.concatenate([pre.a_ext.data, g.data[g.indptr[pre.n_b] :]])[pat.keep]
-        self.b = sp.csr_matrix((vals, pat.b_col, pat.b_ptr), shape=(pat.mb, pat.n))
-        self.b_t = self.b.T
+        # k_true's primal rows [D1, B'] in CSC, whose columns past n are
+        # B's rows in its CSR arrays; set_diagonal writes D1, and B shares
+        # their values
+        first = np.arange(n, dtype=np.int32)
+        self.top = sp.csc_matrix((np.concatenate([np.zeros(n), vals]),
+                                  np.concatenate([first, pat.b_col]),
+                                  np.concatenate([first, n + pat.b_ptr])), shape=(n, n + pat.mb))
+        self.b = sp.csr_matrix((self.top.data[n:], pat.b_col, pat.b_ptr), shape=(pat.mb, n))
         self.shift = np.full(pat.n + pat.mb, eps)
         self.shift[pat.n :] = -eps
         e_val = np.take(vals, pat.e_src)
@@ -857,6 +865,7 @@ class _Kkt:
 
     def set_diagonal(self, diag: np.ndarray) -> None:
         self.diag = diag
+        self.top.data[: self.pat.n] = diag[: self.pat.n]
         self.reg = diag + self.shift
         self.inv_d = 1.0 / self.reg[self.elim]
 
@@ -876,11 +885,13 @@ class _Kkt:
         np.add.at(self.store, self.pat.dest, self.weights)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """k_true @ v from the blocks: diag v, plus B' v on the primal rows and B v on the dual."""
-        n, out = self.pat.n, self.diag * v
-        out[:n] += self.b_t @ v[n:]
-        out[n:] += self.b @ v[:n]
-        return out
+        """k_true @ v from the blocks, each row summed in the CSC product's order.
+
+        A primal row starts from D1 v and adds B' y in the order of B's
+        rows (`top`); a dual row sums B x and then adds -D2 v.
+        """
+        n = self.pat.n
+        return np.concatenate([self.top @ v, self.b @ v[:n] + self.diag[n:] * v[n:]])
 
     def shifted_solve(self, vec: np.ndarray) -> np.ndarray:
         """Solve the shifted k_true with r's factor: the eliminated columns go around it.

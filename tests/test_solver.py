@@ -472,11 +472,10 @@ class TestKktFactorization:
 
     def test_refinement_miss_keeps_solve_optimal(self, monkeypatch):
         # the barrier diagonal spans so many orders of magnitude that three
-        # directions miss the refinement tolerance with no digit right,
-        # their residual above their right-hand side, by more than 1 /
-        # rtol (by 1e66 and more before a refinement step that raises the
-        # residual was undone); each is used as refined, the ratio test
-        # takes what it can, and the gate verifies the answer as any other
+        # directions miss the refinement tolerance, by 1e15 and more (by
+        # 1e66 and more before a refinement step that raises the residual
+        # was undone); each is used as refined, the ratio test takes what
+        # it can, and the gate verifies the answer as any other
         misses, real = [], qp._Kkt.solve
 
         def recorded(kkt, vec, rtol, rhs0=None):
@@ -492,7 +491,7 @@ class TestKktFactorization:
         _, p = build(*random_instance(222))
         sol = solve_qp(p)
         assert sol.status == OPTIMAL and sol.iterations == 8
-        assert len(misses) == 3 and 1.0 / qp._KKT_RTOL < min(misses) and max(misses) < 1e20
+        assert len(misses) == 3 and 1e15 < min(misses) and max(misses) < 1e20
         assert sites.factors() == [BAND] * 8 + [POLISH]
 
     # the SciPy constructors that stack or assemble block matrices
@@ -558,8 +557,8 @@ class TestKktFactorization:
         # (q_free, 0); the interior point's start's is b, the rows of a_ext
         # and the kept coupling rows, under the diagonal with every w / z
         # at 1, (d, 0, -1).  The product refinement takes from the blocks
-        # is the SciPy-assembled [[diag, B'], [B, diag]] times a vector, to
-        # rounding
+        # is the SciPy-assembled CSC [[diag, B'], [B, diag]] times a vector,
+        # bit for bit: each row sums its terms in the same order
         rng = np.random.default_rng(0)
         systems, real = {POLISH: [], BAND: []}, qp._Kkt.solve
 
@@ -595,11 +594,9 @@ class TestKktFactorization:
             np.testing.assert_array_equal(diag, want_diag)
             n = want.shape[1]
             k = sp.bmat([[sp.diags(want_diag[:n]), want.T], [want, sp.diags(want_diag[n:])]],
-                        format="csr")
+                        format="csc")
             for v, product in zip(vecs, products):
-                # the order of a sum moves it by a few ulps of its terms' size
-                tol = 8 * np.finfo(float).eps * (abs(k) @ np.abs(v))
-                assert np.all(np.abs(product - k @ v) <= tol)
+                np.testing.assert_array_equal(product, k @ v)
 
     def test_one_ordering_per_solve(self, monkeypatch):
         sites = _Sites(monkeypatch, RCM)
