@@ -55,7 +55,14 @@ never assembled: the product refinement takes is the diagonal times the
 vector plus B' and B times its dual and primal parts, B being the
 equality and coupling rows, held in CSR; a solve whose refinement misses
 its tolerance is used as refined, and the ratio test and the gate below
-judge where it leads (Wright 1997, ch. 11).  One builder writes this
+judge where it leads (Wright 1997, ch. 11).  How far a direction is
+refined follows its use (inexact interior-point methods: Bellavia, JOTA
+1998; Gondzio, SIAM J. Optim. 2013): the predictor only sets the
+centering and the second-order term, and far from the optimum a
+corrector needs only as much accuracy as mu is large, so both stop at a
+loose tolerance, which the first solve nearly always meets; once mu has
+fallen well below its start, the correctors are refined to the tight
+one, as the start's solves are.  One builder writes this
 system straight from the CSR arrays of the presolved blocks, and the
 polish's too, with no column eliminated: its reduced matrix is then the
 whole system.
@@ -522,9 +529,17 @@ def _max_step(v: np.ndarray, dv: np.ndarray, ratio: np.ndarray) -> float:
 # shift's error from every solve.
 _KKT_REG = 1e-9
 _POLISH_EPS = 1e-10
-# the interior point's refinement stops at a residual of _KKT_RTOL relative
-# to its right-hand side (_Kkt.solve)
+# the interior point's refinement stops at a residual relative to its
+# right-hand side (_Kkt.solve): _KKT_RTOL in the start's two solves and,
+# once mu is below _TIGHT_MU times the start's mu, in the corrector
+# directions (the combined and the centered one); _LOOSE_RTOL in the
+# predictor, which only sets sigma and the second-order term, and in the
+# correctors while mu is above that (module docstring).  The first band
+# solve nearly always meets _LOOSE_RTOL: on the synthetic week its
+# relative residual is 1e-10 to 1e-9
 _KKT_RTOL = 1e-11
+_LOOSE_RTOL = 1e-3
+_TIGHT_MU = 1e-4
 
 # stall exit (module docstring): the primal residual has stalled when it is
 # above tolerance and at least _STALL_RATIO of its value _STALL_WINDOW
@@ -914,7 +929,11 @@ class _Kkt:
 
         The first solve takes rhs0 (default vec); up to three refinement
         steps against k_true follow, stopping once the residual's max norm
-        is at most rtol (1 + |vec|_inf).  A step that is not finite has a
+        is at most rtol (1 + |vec|_inf).  The caller picks rtol by the
+        solve's use: the polish 1e-14, the interior point's start
+        _KKT_RTOL, its directions _LOOSE_RTOL or _KKT_RTOL as mu asks
+        (_interior_point), so a first solve that meets a loose rtol makes
+        the only band solve.  A step that is not finite has a
         NaN or infinite residual, which no tolerance accepts.  A refinement
         step that does not lower the residual is undone, and refinement
         stops there: against a nearly singular k_true it can diverge.  A
@@ -1097,12 +1116,15 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
         d1 = q + np.bincount(bound_var, z[:n_b] / w_b, minlength=n)
         kkt.set_diagonal(np.concatenate([d1, np.zeros(m), -(w[n_b:] / z_c)]))
 
-        def solve_direction(rc):
+        # loose while mu is large (see _KKT_RTOL); the predictor's always is
+        corrector_rtol = _KKT_RTOL if mu < _TIGHT_MU * mu0 else _LOOSE_RTOL
+
+        def solve_direction(rc, rtol):
             # Newton direction whose linearized complementarity change
-            # z*dw + w*dz equals rc
+            # z*dw + w*dz equals rc, refined to rtol
             rhs_x = -rd - gb_t @ ((rc[:n_b] + z[:n_b] * rp_in[:n_b]) / w_b)
             step = kkt.solve(np.concatenate([rhs_x, -rp_eq, -rp_in[n_b:] - rc[n_b:] / z_c]),
-                             _KKT_RTOL)
+                             rtol)
             dx = step[:n]
             dw = -(g @ dx) - rp_in
             dz = np.concatenate([(rc[:n_b] - z[:n_b] * dw[:n_b]) / w_b, step[n + m :]])
@@ -1110,7 +1132,7 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
 
         def newton_step():
             # Mehrotra predictor-corrector, with a centered fallback
-            aff = solve_direction(-w * z)
+            aff = solve_direction(-w * z, _LOOSE_RTOL)
             ap = min(1.0, _max_step(w, aff[3], ratio))
             ad = min(1.0, _max_step(z, aff[2], ratio))
             mu_aff = float(np.sum((w + ap * aff[3]) * (z + ad * aff[2]))) / m_comp
@@ -1126,13 +1148,13 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
                 a_d = min(1.0, tau * _max_step(z, dz_, ratio))
                 return a_p, a_d, float(np.sum((w + a_p * dw_) * (z + a_d * dz_))) / m_comp
 
-            combined = solve_direction(sigma * mu - w * z - aff[3] * aff[2])
+            combined = solve_direction(sigma * mu - w * z - aff[3] * aff[2], corrector_rtol)
             ap, ad, mu_next = clipped_step(combined)
             direction = combined
             if not (mu_next <= 0.95 * mu) or min(ap, ad) < 1e-10:
                 # second-order correction overshoots near a degenerate face;
                 # retry with a strongly centered first-order direction
-                centered = solve_direction(max(sigma, 0.5) * mu - w * z)
+                centered = solve_direction(max(sigma, 0.5) * mu - w * z, corrector_rtol)
                 ap2, ad2, mu_next2 = clipped_step(centered)
                 if mu_next2 < mu_next:
                     direction, ap, ad, mu_next = centered, ap2, ad2, mu_next2

@@ -412,8 +412,9 @@ def parameter_sweep(
     """Re-solve along a policy-parameter grid; one row per grid value.
 
     Failed points are recorded with their status and the sweep moves on.
-    The points are solved by ``solve_grid``.  A grid that repeats a value
-    raises ValidationError before any solve.
+    The points are solved by ``solve_grid``.  A grid that repeats a value,
+    or is otherwise not strictly increasing, raises ValidationError before
+    any solve: the trend breaks take slopes between neighbouring points.
     """
     if param not in ("r", "alpha"):
         raise ValueError(f"unknown sweep parameter {param!r}")
@@ -423,6 +424,10 @@ def parameter_sweep(
     repeated = [v for i, v in enumerate(grid) if v in grid[:i]]
     if repeated:  # two points at one value leave no slope between them
         raise ValidationError(f"sweep grid repeats {param}={repeated[0]:.6g}")
+    behind = [b for a, b in zip(grid, grid[1:]) if b < a]
+    if behind:
+        raise ValidationError(f"sweep grid must be strictly increasing: "
+                              f"{param}={behind[0]:.6g} is out of order")
     model = validate_config(cfg, data)
 
     points = []

@@ -137,7 +137,7 @@ def render_line_chart(title: str, x_label: str, y_label: str, x, series) -> str:
     x = np.asarray(x, dtype=float)
     cv = _Canvas(title, x_label, y_label)
     ylo, yhi = _y_range([np.asarray(v, dtype=float) for _, v in series])
-    xlo, xhi = float(x[0]), float(x[-1])
+    xlo, xhi = float(np.min(x)), float(np.max(x))
     if xhi - xlo < 1e-12:
         xlo, xhi = xlo - 0.5, xhi + 0.5
     cv.axes(xlo, xhi, ylo, yhi)

@@ -15,10 +15,15 @@ the Cholesky pivots replaced (``qp.dpbtrf`` calls that report ``info >
 0``, a pivot that is not positive, which ``qp._BandFactor`` replaces and
 factors again), the factors that broke down (``qp._Kkt.factor`` raised
 RuntimeError: a zero LU pivot, a Cholesky pivot that fails again after
-its replacement, or a singular border) and the orderings made
-(``qp.reverse_cuthill_mckee`` calls, one per KKT pattern built).  A
-factor is the polish's whenever ``_polish`` is running, and the interior
-point's otherwise.  The sites are ``ipm``, the interior point's band LUs
+its replacement, or a singular border), the orderings made
+(``qp.reverse_cuthill_mckee`` calls, one per KKT pattern built) and the
+band solves (``qp._Kkt.shifted_solve`` calls: each refined solve's first
+solve plus its refinement steps), with the refinement steps among them
+(a ``qp._Kkt.solve``'s band solves past its first).  A factor is the
+polish's whenever ``_polish`` is running, and the interior point's
+otherwise; a band solve counts under the site of the factor it uses.
+A tree without ``qp._Kkt.shifted_solve`` records no band solve.  The
+sites are ``ipm``, the interior point's band LUs
 (``qp.dgbtrf``, (3 bw + 1) entries stored per row of the band, and its
 orderings), ``ipm_cholesky``, its band Cholesky factors (``qp.dpbtrf``,
 made when its reduced system keeps no column, each call counted, the
@@ -45,16 +50,19 @@ status, for all solves and for the lossless-storage ones (eta_c = eta_d =
 1) alone; then how many solves optimal in both trees moved x at all and
 beyond 1e-9 (largest |dx|), with the five largest moves by name; then
 each status transition from A to B with its count.  Then,
-for each tree, the iteration and probe totals by status and the total
-factorizations; per site, the band factors with the largest and total
-band dimension, the largest bandwidth, the stored entries, the
-replaced pivots, the breakdowns and the orderings, over every solve,
+for each tree, the iteration and probe totals by status, the total
+factorizations and the total band solves with the refinement steps
+among them; per site, the band factors with the largest and total band
+dimension, the largest bandwidth, the stored entries, the replaced
+pivots, the breakdowns, the band solves and refinement steps, and the
+orderings, over every solve,
 neighbours included, then the orderings of the neighbour solves alone; and the largest primal
 residual of an optimal answer.  The sites include ``fallback``, which
 dumps of trees that still had the interior point's partial-pivot
 fallback on the full KKT matrix record; a dump without it, or without
 ``ipm_cholesky``, replaced pivots, breakdowns or orderings, reads 0
-there.  Dumps made before the pivot replacement counted as breakdowns
+there, as does a dump without band solves.  Dumps made before the pivot
+replacement counted as breakdowns
 every ``info > 0`` of ``qp.dgbtrf`` and ``qp.dpbtrf``.
 Then the number of solves whose iteration count changed, by status; per
 status, a histogram of the change (B - A); and each solve that changed
@@ -106,7 +114,7 @@ def _synth_cases():
 
 SITES = ("ipm", "ipm_cholesky", "polish")
 BAND_KEYS = ("factors", "dim", "bw", "total_dim", "stored", "replaced", "breakdowns",
-             "orderings")
+             "orderings", "solves", "refinements")
 NO_BAND = dict.fromkeys(BAND_KEYS, 0)
 # the sites compare prints: older dumps also hold the partial-pivot "fallback"
 COMPARED_SITES = ("ipm", "ipm_cholesky", "fallback", "polish")
@@ -169,7 +177,10 @@ def _count_calls(qp, name) -> dict:
 
 
 def _count_band(qp) -> dict:
-    """Wrap qp.dgbtrf, qp.dpbtrf, qp._Kkt.factor and qp.reverse_cuthill_mckee: count per site.
+    """Wrap qp's band factors, solves and orderings: count per site.
+
+    The wrapped calls are qp.dgbtrf, qp.dpbtrf, qp._Kkt.factor,
+    qp._Kkt.shifted_solve, qp._Kkt.solve and qp.reverse_cuthill_mckee.
 
     A call is the polish's whenever _polish is running (it factors through
     _Kkt.factor, as the interior point does), and the interior point's
@@ -177,11 +188,14 @@ def _count_band(qp) -> dict:
     "_cholesky" appended.  Each factor is counted with its dimensions, its
     store and whether it reported a pivot that is not positive; each
     _Kkt.factor that raises RuntimeError is a breakdown of its site's
-    factor (a Cholesky one when its layout is definite).
+    factor (a Cholesky one when its layout is definite).  Each band solve
+    counts under the site of the factor it goes through, and a
+    _Kkt.solve's band solves past its first as refinement steps.
     """
     band, depth, order = {}, [0], qp.reverse_cuthill_mckee
     polish, lu, cholesky = qp._polish, qp.dgbtrf, getattr(qp, "dpbtrf", None)
     factor = qp._Kkt.factor
+    shifted, refined = getattr(qp._Kkt, "shifted_solve", None), qp._Kkt.solve
 
     def site(kind=""):
         return band.setdefault(("polish" if depth[0] else "ipm") + kind,
@@ -218,6 +232,21 @@ def _count_band(qp) -> dict:
             site("_cholesky" if len(lay) > 3 and lay[3] else "")["breakdowns"] += 1
             raise
 
+    def solve_site(kkt):
+        return site("_cholesky" if getattr(kkt.lu, "definite", False) else "")
+
+    def shifted_counted(kkt, vec):
+        solve_site(kkt)["solves"] += 1
+        return shifted(kkt, vec)
+
+    def refined_counted(kkt, *args, **kwargs):
+        counts = solve_site(kkt)
+        before = counts["solves"]
+        try:
+            return refined(kkt, *args, **kwargs)
+        finally:
+            counts["refinements"] += max(counts["solves"] - before - 1, 0)
+
     def ordered(*args, **kwargs):
         site()["orderings"] += 1
         return order(*args, **kwargs)
@@ -227,6 +256,9 @@ def _count_band(qp) -> dict:
     qp.dgbtrf = lu_counted
     if cholesky is not None:
         qp.dpbtrf = cholesky_counted
+    if shifted is not None:
+        qp._Kkt.shifted_solve = shifted_counted
+        qp._Kkt.solve = refined_counted
     qp.reverse_cuthill_mckee = ordered
     return band
 
@@ -322,7 +354,10 @@ def compare(path_a: str, path_b: str) -> None:
         neighbours = _neighbour_bands(d)
         every = [r["band"] for r in d.values()] + neighbours
         print(f"{label}: {totals}; "
-              f"{sum(s['factors'] for b in every for s in b.values())} factorizations")
+              f"{sum(s['factors'] for b in every for s in b.values())} factorizations, "
+              f"{sum(s.get('solves', 0) for b in every for s in b.values())} band solves "
+              f"({sum(s.get('refinements', 0) for b in every for s in b.values())} "
+              f"refinement steps)")
         for site in COMPARED_SITES:
             bands = [b.get(site, NO_BAND) for b in every]
             print(f"{label} {site}: {sum(b['factors'] for b in bands)} band factors; "
@@ -331,6 +366,8 @@ def compare(path_a: str, path_b: str) -> None:
                   f"{max(b['bw'] for b in bands)}; {sum(b['stored'] for b in bands)} "
                   f"stored entries; {sum(b.get('replaced', 0) for b in bands)} replaced pivots, "
                   f"{sum(b.get('breakdowns', 0) for b in bands)} breakdowns; "
+                  f"{sum(b.get('solves', 0) for b in bands)} band solves "
+                  f"({sum(b.get('refinements', 0) for b in bands)} refinement steps); "
                   f"{sum(b.get('orderings', 0) for b in bands)} orderings, "
                   f"{sum(b.get(site, NO_BAND).get('orderings', 0) for b in neighbours)} "
                   f"of them in {len(neighbours)} neighbour solves")

@@ -71,6 +71,11 @@ class TestNamedDuals:
         with pytest.raises(ValueError, match="optimal"):
             named_duals(p, sol)
 
+    def test_requires_one_dual_per_equality_row(self):
+        _, p, sol, _ = _scenario(hand_case)
+        with pytest.raises(ValueError, match="equality dual vector does not match the problem"):
+            named_duals(p, dataclasses.replace(sol, eq_duals=sol.eq_duals[:-1]))
+
 
 class TestCaseClassification:
     def test_hand_instance_is_slack_with_positive_multipliers(self):
@@ -280,6 +285,12 @@ class TestAffineSensitivity:
         with pytest.raises(ValueError, match="param"):
             affine_sensitivity(model, "k", np.array([0.1, 0.2, 0.3]))
 
+    @pytest.mark.parametrize("grid", [[0.1, 0.2], [[0.1, 0.2, 0.3]]], ids=["short", "2-d"])
+    def test_grid_needs_three_points_in_one_dimension(self, grid):
+        model, _ = build(*hand_case())
+        with pytest.raises(ValueError, match="one-dimensional with at least 3 points"):
+            affine_sensitivity(model, "r", np.array(grid))
+
     def test_failed_grid_point_raises(self):
         # with 2 units of RES output, no REC inventory and no REC market,
         # a full retirement floor (r = 1 of a load of 5) is unmeetable
@@ -322,6 +333,18 @@ class TestExtraSolveChecks:
         rep = rps_priority_check(model, (p, sol), shifted, 0.01)
         assert not rep.skipped
         assert rep.holds
+
+    def test_checks_reject_bad_arguments(self):
+        model, p, sol = solve(*rec_priority_case())
+        shifted = solve_for_param(model, "quota", model.quota + 1.0)
+        with pytest.raises(ValueError, match="step must be positive"):
+            envelope_check(model, (p, sol), shifted, 0.0, "quota")
+        with pytest.raises(ValueError, match="unknown envelope target 'alpha'"):
+            envelope_check(model, (p, sol), shifted, 1.0, "alpha")
+        with pytest.raises(ValueError, match="dr must be positive"):
+            rps_priority_check(model, (p, sol), shifted, -0.01)
+        with pytest.raises(ValueError, match="unknown parameter 'k'"):
+            solve_for_param(model, "k", 0.5)
 
     def test_priority_check_rejects_headroom_violation(self):
         cfg, data = rec_priority_case()

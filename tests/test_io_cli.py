@@ -34,7 +34,8 @@ from trimarket.config_io import (
 )
 from trimarket.model import TradeCaps, default_config, recover_plan
 from trimarket.scenarios import SynthSpec, synth_data
-from trimarket.svg import _Canvas, _num, _y_range, render_bar_chart, render_line_chart, run_charts
+from trimarket.svg import (_Canvas, _num, _points, _y_range, render_bar_chart,
+                           render_line_chart, run_charts)
 
 from _instances import hand_case, solve
 
@@ -332,7 +333,7 @@ class TestSvg:
         """Each series' points, written one `_num` at a time."""
         cv = _Canvas("t", "x", "y")
         x = np.asarray(x, dtype=float)
-        xlo, xhi = float(x[0]), float(x[-1])
+        xlo, xhi = float(np.min(x)), float(np.max(x))
         if xhi - xlo < 1e-12:
             xlo, xhi = xlo - 0.5, xhi + 0.5
         ylo, yhi = _y_range([np.asarray(v, dtype=float) for v in series])
@@ -340,9 +341,9 @@ class TestSvg:
                          for xv, yv in zip(x, np.asarray(v, dtype=float))) for v in series]
 
     def test_polylines_match_per_point_reference(self):
-        # x pixels at -0.001 (written -0), 0.005, 99.995 and their neighbours;
-        # the x axis runs from pixel 72 at x = 0 to pixel 776 at x = 704
-        targets = np.array([-0.001, -0.005, 0.005, 0.0049999, 99.995, 100.005, 12.345, 0.0])
+        # x pixels at 72.005, 99.995 and their neighbours; the x axis runs
+        # from pixel 72 at x = 0 to pixel 776 at x = 704
+        targets = np.array([72.001, 72.005, 72.0049999, 99.995, 100.005, 112.345, 72.0, 775.995])
         x = np.concatenate(([0.0], targets - 72.0, [704.0]))
         rng = np.random.default_rng(3)
         base = np.concatenate(([0.0], rng.uniform(0.0, 10.0, len(targets)), [10.0]))
@@ -360,7 +361,23 @@ class TestSvg:
             svg = render_line_chart("t", "x", "y", xs, [(f"s{i}", v) for i, v in enumerate(series)])
             got = re.findall(r'<polyline points="([^"]*)"', svg)
             assert got == self._reference_points(xs, series)
-        assert "-0," in render_line_chart("t", "x", "y", x, [("s", base)])
+        # a chart's pixels lie on its canvas; the points' writer alone
+        # meets one that rounds to -0.00
+        xs = np.array([-0.001, -0.005, 0.005, 0.0049999, 99.995, 100.005, 12.345, 0.0])
+        assert _points(xs, xs[::-1]) == " ".join(f"{_num(u)},{_num(v)}"
+                                                for u, v in zip(xs, xs[::-1]))
+        assert _points(xs, xs).startswith("-0,-0 ")
+
+    def test_line_chart_spans_a_descending_x(self):
+        # the x range is the data's min and max, whatever their order: the
+        # reversed series draws the same points, in reverse, on the canvas
+        x, y = np.array([0.1, 0.5, 0.9]), np.array([3.0, 1.0, 2.0])
+        up, down = (re.findall(r'<polyline points="([^"]*)"',
+                               render_line_chart("t", "x", "y", xs, [("s", ys)]))[0].split()
+                    for xs, ys in ((x, y), (x[::-1], y[::-1])))
+        assert down == up[::-1]
+        cv = _Canvas("t", "x", "y")
+        assert [float(pt.split(",")[0]) for pt in up] == [cv.x0, (cv.x0 + cv.x1) / 2, cv.x1]
 
     def test_bar_chart_handles_negative_values(self):
         svg = render_bar_chart("t", "x", "y", ["a", "b"], [5.0, -3.0], annotations=["+5", "-3"])
@@ -667,10 +684,12 @@ class TestCli:
             ("0,x", "grid '0,x' is not a comma-separated number list"),
             (" , ", "grid is empty"),
             ("0.5,0.5,0.6", "sweep grid repeats r=0.5"),
+            ("0.9,0.5,0.1", "sweep grid must be strictly increasing: r=0.5 is out of order"),
             ("0:inf:3", "grid '0:inf:3' needs finite lo and hi"),
             ("nan:1:3", "grid 'nan:1:3' needs finite lo and hi"),
         ],
-        ids=["1:0:5", "0,0.3,2", "0:1", "a:1:3", "0,x", "empty", "repeat", "0:inf:3",
+        ids=["1:0:5", "0,0.3,2", "0:1", "a:1:3", "0,x", "empty", "repeat", "descending",
+             "0:inf:3",
              "nan:1:3"],
     )
     def test_sweep_bad_grid(self, workdir, capsys, grid, message):

@@ -14,6 +14,7 @@ from trimarket.model import (
     PolicyParams,
     TgParams,
     TradeCaps,
+    ValidationError,
     VppConfig,
     default_config,
     recover_plan,
@@ -257,6 +258,11 @@ class TestParameterSweep:
             parameter_sweep(base_cfg, base_data, "alpha", [0.5, 1.2])
         with pytest.raises(ValueError, match="sweep parameter"):
             parameter_sweep(base_cfg, base_data, "beta", [0.1])
+        # the first value below its predecessor is named; a repeat keeps its own message
+        with pytest.raises(ValidationError, match="strictly increasing: r=0.2 is out of order"):
+            parameter_sweep(base_cfg, base_data, "r", [0.1, 0.3, 0.2, 0.0])
+        with pytest.raises(ValidationError, match="repeats r=0.3"):
+            parameter_sweep(base_cfg, base_data, "r", [0.3, 0.1, 0.3])
 
     def test_sweep_points_match_single_solves(self):
         # the grid gives, bit for bit, what solve_for_param gives at each

@@ -101,6 +101,21 @@ class TestHandInstance:
         assert not res.primal_inf <= np.finfo(float).max
         assert not res.dual_inf <= np.finfo(float).max
 
+    def test_residuals_reject_mismatched_dimensions(self, solved):
+        p, sol = solved
+        d = sol.ineq_duals
+        for wrong, message in (
+            (dict(x=sol.x[:-1]), "primal/bound-dual vectors do not match problem size"),
+            (dict(ineq_duals=dataclasses.replace(d, upper=np.zeros(p.n + 1))),
+             "primal/bound-dual vectors do not match problem size"),
+            (dict(eq_duals=np.zeros(p.m_eq + 1)),
+             rf"expected {p.m_eq} equality duals, got shape \({p.m_eq + 1},\)"),
+            (dict(ineq_duals=dataclasses.replace(d, coupling=np.zeros(3))),
+             "expected one coupling dual per coupling row"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                kkt_residuals(p, dataclasses.replace(sol, **wrong))
+
 
 class TestSolverBehaviour:
     def test_deterministic_repeat(self):
@@ -471,11 +486,13 @@ class TestKktFactorization:
         assert sites.factors() == [BAND] * 8 + [POLISH]
 
     def test_refinement_miss_keeps_solve_optimal(self, monkeypatch):
-        # the barrier diagonal spans so many orders of magnitude that three
-        # directions miss the refinement tolerance, by 1e15 and more (by
-        # 1e66 and more before a refinement step that raises the residual
-        # was undone); each is used as refined, the ratio test takes what
-        # it can, and the gate verifies the answer as any other
+        # the barrier diagonal spans so many orders of magnitude that the
+        # 7th iteration's three directions miss their refinement
+        # tolerances: the predictor its loose one, and the two correctors,
+        # refined to _KKT_RTOL there, by 1e15 and more (by 1e66 and more
+        # before a refinement step that raises the residual was undone);
+        # each is used as refined, the ratio test takes what it can, and
+        # the gate verifies the answer as any other
         misses, real = [], qp._Kkt.solve
 
         def recorded(kkt, vec, rtol, rhs0=None):
@@ -483,7 +500,7 @@ class TestKktFactorization:
             norm = float(np.max(np.abs(vec - kkt.matvec(out)), initial=0.0))
             tol = rtol * (1.0 + float(np.max(np.abs(vec), initial=0.0)))
             if sites.site != POLISH and not norm <= tol:
-                misses.append(norm / tol)
+                misses.append((rtol, norm / tol))
             return out
 
         monkeypatch.setattr(qp._Kkt, "solve", recorded)
@@ -491,8 +508,38 @@ class TestKktFactorization:
         _, p = build(*random_instance(222))
         sol = solve_qp(p)
         assert sol.status == OPTIMAL and sol.iterations == 8
-        assert len(misses) == 3 and 1e15 < min(misses) and max(misses) < 1e20
+        assert [rtol for rtol, _ in misses] == [qp._LOOSE_RTOL, qp._KKT_RTOL, qp._KKT_RTOL]
+        tight = [miss for rtol, miss in misses if rtol == qp._KKT_RTOL]
+        assert 1e15 < min(tight) and max(tight) < 1e20
         assert sites.factors() == [BAND] * 8 + [POLISH]
+
+    def test_directions_are_refined_as_far_as_mu_asks(self, monkeypatch):
+        # each predictor, and each corrector while mu is above _TIGHT_MU
+        # times its start, is refined to _LOOSE_RTOL, which the first band
+        # solve meets: the default week's interior point makes 19 band
+        # solves in its 8 iterations, and the polish 2.  The start's two
+        # solves and the last iteration's directions still meet _KKT_RTOL
+        sites = _Sites(monkeypatch, "shifted_solve", module=qp._Kkt)
+        residuals, real = [], qp._Kkt.solve
+
+        def recorded(kkt, vec, rtol, rhs0=None):
+            out = real(kkt, vec, rtol, rhs0)
+            norm = float(np.max(np.abs(vec - kkt.matvec(out)), initial=0.0))
+            if sites.site != POLISH:  # by the factor each solve uses
+                residuals.append((len(sites.factors()), rtol,
+                                  norm / (1.0 + float(np.max(np.abs(vec), initial=0.0)))))
+            return out
+
+        monkeypatch.setattr(qp._Kkt, "solve", recorded)
+        sol = solve_qp(_synth_week())
+        assert (sol.status, sol.iterations) == (OPTIMAL, 8)
+        band = [site for site, attr in sites.calls if attr == "shifted_solve"]
+        assert (band.count(None), band.count(POLISH)) == (19, 2)
+        # the start's factor is the 1st, the 7th and last step's the 8th
+        assert [rtol for f, rtol, _ in residuals if f in (1, 8)] == (
+            [qp._KKT_RTOL] * 2 + [qp._LOOSE_RTOL, qp._KKT_RTOL])
+        assert all(err <= qp._KKT_RTOL for f, _, err in residuals if f in (1, 8))
+        assert all(err <= rtol for _, rtol, err in residuals)
 
     # the SciPy constructors that stack or assemble block matrices
     BLOCK_CONSTRUCTORS = ("bmat", "vstack", "hstack", "diags")
@@ -964,8 +1011,8 @@ class TestKktFactorization:
             qp._BandFactor(np.arange(2), 1, 0, True, r.copy())  # no refill
 
     def test_cholesky_rounding_breakdown_keeps_the_iteration(self, monkeypatch):
-        # the 7th iteration's reduced system of this instance has barrier
-        # terms near 1e9 and 1e-9, and its smallest eigenvalue is below
+        # the 7th iteration's reduced system of this instance has diagonal
+        # entries from about 1e-13 to 3e10, and its smallest eigenvalue is below
         # their rounding: dpbtrf finds a pivot that is not positive.  The
         # pivot is replaced and the iteration goes on to converge in 8
         # iterations, where the factor failing there ended it
@@ -977,10 +1024,10 @@ class TestKktFactorization:
             return out
 
         monkeypatch.setattr(qp, DPBTRF, recorded)
-        _, p = build(*random_instance(75, r_min=0.95))
+        _, p = build(*random_instance(610, r_min=0.95))
         sol = solve_qp(p)
         assert (sol.status, sol.iterations, sol.message) == (OPTIMAL, 8, "")
-        assert [info for info in infos if info] == [7] and len(infos) == 9
+        assert [info for info in infos if info] == [8] and len(infos) == 9
 
     def test_interior_point_factor_follows_its_kept_columns(self, monkeypatch):
         # the default week's interior point keeps no column, so its reduced
