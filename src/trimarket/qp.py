@@ -48,14 +48,21 @@ huge one (Wright, Modified Cholesky factorizations in interior-point
 algorithms for linear programming, SIAM J. Optim. 1999).  With free
 columns it is indefinite, and the band takes LAPACK's banded LU (partial
 pivoting within the band), in 3 bw + 1 rows.  The coupling rows, the
-border, take their Schur complement after either, and this one factor
-is the only one an iteration makes.  Each solve recovers the eliminated
-variables and is refined against the full unregularized matrix, which is
-never assembled: the product refinement takes is the diagonal times the
-vector plus B' and B times its dual and primal parts, B being the
-equality and coupling rows, held in CSR; a solve whose refinement misses
-its tolerance is used as refined, and the ratio test and the gate below
-judge where it leads (Wright 1997, ch. 11).  How far a direction is
+border, take their Schur complement after either: through the Cholesky
+factor L, as D - W'W with W = L^-1 C, one forward sweep of the border's
+columns per factor, so that each solve is a forward sweep, the 2 x 2
+Schur solve and a backward sweep (Vanderbei 1995; Davis 2006); after the
+LU, as D - R core^-1 C, with core^-1 C one band solve per factor, as
+LAPACK has no forward-only sweep of a pivoted band LU.  This one factor
+is the only one an iteration makes, and its solves run in the band
+order, gathered into it and scattered out of it once.  Each solve
+recovers the eliminated variables and is refined against the full
+unregularized matrix, which is never assembled: the product refinement
+takes is the diagonal times the vector plus B' and B times its dual and
+primal parts, B being the equality and coupling rows, held in CSR; a
+solve whose refinement misses its tolerance is used as refined, and the
+ratio test and the gate below judge where it leads (Wright 1997, ch.
+11).  How far a direction is
 refined follows its use (inexact interior-point methods: Bellavia, JOTA
 1998; Gondzio, SIAM J. Optim. 2013): the predictor only sets the
 centering and the second-order term, and far from the optimum a
@@ -134,7 +141,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs, dpbtrf, dpbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs, dpbtrf, dtbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 # never called: kept only for the benchmark's tracer until ROADMAP item 4 re-points it
 from scipy.sparse.linalg import splu  # noqa: F401
@@ -510,12 +517,14 @@ def _max_step(v: np.ndarray, dv: np.ndarray, ratio: np.ndarray) -> float:
     """Largest step a with v + a dv >= 0, inf if none binds; `ratio` is scratch.
 
     min(-v_i / dv_i) over dv_i < 0 is taken as -max(v_i / dv_i), which is
-    the same number: negation is exact.
+    the same number: negation is exact.  Every ratio is divided, and the
+    entries without dv_i < 0 (a NaN one too) are then set to -inf, which
+    costs less than a divide masked by where=.
     """
-    ratio.fill(-np.inf)
-    # a tiny direction entry overflows to an infinite, harmless, step bound
-    with np.errstate(over="ignore"):
-        np.divide(v, dv, out=ratio, where=dv < 0)
+    # dv_i = 0 divides by zero and a tiny dv_i overflows; both are set aside
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(v, dv, out=ratio)
+    ratio[~(dv < 0)] = -np.inf
     return -float(np.max(ratio))
 
 
@@ -568,16 +577,19 @@ def _layout(rows: np.ndarray, cols: np.ndarray, nr: int, n_c: int, definite: boo
     (the coupling rows), never by density: one sparse coupling row left in
     the core widened a polish's band from 7 to 48-120.  The core goes in a
     reverse Cuthill-McKee order of its own pattern, a CSR matrix made from
-    the entries inside it, for every system alike.  Returns (order,
-    bw, n_c, definite), the store's size, the entries it stores and their
-    store positions, `dest`.  The store is LAPACK band storage of the
-    core, then, column-major, the last n_c columns and the last n_c rows'
-    core part.  For the band LU it stores every entry, (i, j) at [2 bw +
-    i - j, j] of a column-major (3 bw + 1) x core array (its top bw rows
-    hold the pivoting's fill).  A `definite` matrix is symmetric and takes
-    the band Cholesky, which reads the core's lower band alone: the store
-    keeps the entries on and below the core's diagonal, (i, j) at [i - j,
-    j] of a (bw + 1) x core array, and every border entry.
+    the entries inside it, for every system alike.  Returns (order, bw,
+    n_c, definite), order being the matrix's row at each band position,
+    the store's size, the entries it stores, their store positions,
+    `dest`, and each row's band position.  The store is LAPACK band
+    storage of the core, then, column-major, the last n_c columns, and for
+    the band LU the last n_c rows' core part.  The band LU stores every
+    entry, (i, j) at [2 bw + i - j, j] of a column-major (3 bw + 1) x core
+    array (its top bw rows hold the pivoting's fill).  A `definite` matrix
+    is symmetric and takes the band Cholesky, which reads the core's lower
+    band alone, and its border's rows are its border's columns
+    transposed: the store keeps the entries on and below the core's
+    diagonal, (i, j) at [i - j, j] of a (bw + 1) x core array, and the
+    entries in the last n_c columns.
     """
     core = nr - n_c
     in_core = (rows < core) & (cols < core)
@@ -589,35 +601,52 @@ def _layout(rows: np.ndarray, cols: np.ndarray, nr: int, n_c: int, definite: boo
     where[order] = np.arange(nr)
     rows, cols = where[rows], where[cols]
     bw = int(np.max(np.abs(rows - cols)[in_core], initial=0))
-    stored = (rows >= cols) | (cols >= core) | (not definite)
+    stored = (cols >= core) | ((rows >= cols) & (rows < core)) | (not definite)
     rows, cols = rows[stored], cols[stored]
     ld, top = (bw + 1, 0) if definite else (3 * bw + 1, 2 * bw)
     n_band = ld * core
     dest = np.where(cols >= core, n_band + (cols - core) * nr + rows,
                     np.where(rows >= core, n_band + nr * n_c + (rows - core) + cols * n_c,
                              top + rows - cols + cols * ld))
-    return (order, bw, n_c, definite), n_band + nr * n_c + n_c * core, stored, dest
+    size = n_band + nr * n_c + (0 if definite else n_c * core)
+    return (order, bw, n_c, definite), size, stored, dest, where
+
+
+def _into(b: np.ndarray, x: np.ndarray) -> None:
+    """Write a LAPACK solve's solution x into its right-hand side b, unless x is b.
+
+    f2py's overwrite_b solves b itself only when b is a contiguous
+    float64 array; any other b, a strided view say, is solved in a copy.
+    """
+    if x is not b:
+        b[:] = x
 
 
 class _BandFactor:
-    """Factor of a matrix in _layout's store that solves in the matrix's own order.
+    """Factor of a matrix in _layout's store, whose solves run in place in the band order.
 
     A `definite` matrix is negative definite, as the interior point's r
     is when every column is eliminated: its negation, written over the
     store, takes a band Cholesky (dpbtrf, no pivoting).  Any other core
     takes a band LU (dgbtrf: partial pivoting, rows exchanged within the
-    band).  The border takes its Schur complement by dense LU in both.
+    band).  The border's Schur complement, at most 2 x 2, takes a dense
+    LU in both.  After a Cholesky L L' of the core it is D - W'W, with W =
+    L^-1 C from one forward sweep of the border's columns C (dtbtrs), and
+    a solve sweeps forward, solves the border and sweeps back; after an
+    LU it is D - R core^-1 C, with core^-1 C one band solve of C, as
+    LAPACK has no forward-only sweep of a dgbtrf factor.
 
     A definite matrix can still meet a pivot that is not positive, when
     its smallest eigenvalue is below the rounding of its entries: barrier
     terms near the shift beside ones near its inverse.  That pivot is
     replaced by _HUGE_PIVOT (Wright 1999), which decouples its row: its
     component of each solve comes out as 1e-128 times its right-hand
-    side, and refinement against k_true takes the solve from there.  dpbtrf reports the first such
-    pivot and leaves the store past it undefined, so each replacement
-    calls `refill` to write the matrix into the store again and factors
-    it once more, every pivot replaced so far set on the diagonal.  The
-    first failed pivot comes strictly later each time, so this ends.
+    side, and refinement against k_true takes the solve from there.
+    dpbtrf reports the first such pivot and leaves the store past it
+    undefined, so each replacement calls `refill` to write the matrix
+    into the store again and factors it once more, every pivot replaced
+    so far set on the diagonal.  The first failed pivot comes strictly
+    later each time, so this ends.
     `replaced` lists those pivots, in the core's band order.  A Cholesky
     with no `refill`, or whose replaced pivot fails again (a matrix
     that is not finite), and an exactly zero pivot in an LU raise
@@ -626,7 +655,7 @@ class _BandFactor:
 
     def __init__(self, order: np.ndarray, bw: int, n_c: int, definite: bool,
                  store: np.ndarray, refill=None):
-        self.order, self.bw, self.core, self.definite = order, bw, len(order) - n_c, definite
+        self.bw, self.core, self.definite = bw, len(order) - n_c, definite
         nr, core = len(order), self.core
         ld = (1 if definite else 3) * bw + 1
         n_band = ld * core
@@ -648,28 +677,42 @@ class _BandFactor:
         self.schur = None
         if n_c:
             cols = store[n_band : n_band + nr * n_c].reshape((nr, n_c), order="F")
-            self.rows = store[n_band + nr * n_c :].reshape((n_c, core), order="F")
-            self.x_cols = self._core_solve(cols[:core])  # core^-1 cols
-            self.schur, self.schur_piv, info = dgetrf(cols[core:] - self.rows @ self.x_cols)
+            if definite:
+                # with the factor L L' of the core, the border's Schur
+                # complement D - C' (L L')^-1 C is D - W'W, W = L^-1 C
+                self.l_cols = dtbtrs(self.band, cols[:core], uplo="L")[0]
+                schur = cols[core:] - self.l_cols.T @ self.l_cols
+            else:
+                self.rows = store[n_band + nr * n_c :].reshape((n_c, core), order="F")
+                self.x_cols = dgbtrs(self.band, bw, bw, cols[:core], self.ipiv)[0]  # core^-1 C
+                schur = cols[core:] - self.rows @ self.x_cols
+            self.schur, self.schur_piv, info = dgetrf(schur)
             if info != 0:
                 raise RuntimeError(f"border Schur complement is singular (dgetrf info {info})")
 
-    def _core_solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.definite:
-            return dpbtrs(self.band, rhs, lower=1)[0]
-        return dgbtrs(self.band, self.bw, self.bw, rhs, self.ipiv)[0]
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Overwrite rhs, in the band order (the layout's order), with the solution; return it.
 
-    def solve(self, vec: np.ndarray) -> np.ndarray:
-        rhs = vec[self.order]
+        A Cholesky's solve is its forward sweep u = L^-1 rhs_core and its
+        backward sweep L'^-1 u, the two that dpbtrs makes, and the
+        border's part v comes from its Schur complement between them, u
+        giving way to u - W v.  An LU solves the core whole, then v, and
+        takes core^-1 C v off.
+        """
+        y, v = rhs[: self.core], rhs[self.core :]
         if self.definite:  # the factor is the negated matrix's
             np.negative(rhs, out=rhs)
-        y, v = self._core_solve(rhs[: self.core]), rhs[self.core :]
-        if self.schur is not None:
-            v = dgetrs(self.schur, self.schur_piv, v - self.rows @ y)[0]
-            y -= self.x_cols @ v
-        sol = np.empty_like(rhs)
-        sol[self.order] = np.concatenate([y, v])
-        return sol
+            _into(y, dtbtrs(self.band, y, uplo="L", overwrite_b=1)[0])
+            if self.schur is not None:
+                v[:] = dgetrs(self.schur, self.schur_piv, v - self.l_cols.T @ y)[0]
+                y -= self.l_cols @ v
+            _into(y, dtbtrs(self.band, y, uplo="L", trans="T", overwrite_b=1)[0])
+        else:
+            _into(y, dgbtrs(self.band, self.bw, self.bw, y, self.ipiv, overwrite_b=1)[0])
+            if self.schur is not None:
+                v[:] = dgetrs(self.schur, self.schur_piv, v - self.rows @ y)[0]
+                y -= self.x_cols @ v
+        return rhs
 
 
 def _pattern_key(pre: _Presolved, cols: np.ndarray, coup: np.ndarray, elim: np.ndarray):
@@ -694,8 +737,11 @@ class _Pattern:
     store size and `dest`.  With no column eliminated, as in the polish,
     B_e is empty and B_k is all of B, so r is the matrix itself.  An r
     that eliminates columns and keeps none is negative definite and takes
-    the band Cholesky: its store holds the pairs on and below the
-    diagonal alone (`stored`, with `pair_reps` counting those).  The key
+    the band Cholesky: its store holds the pairs on and below the core's
+    diagonal and in the border's columns alone (`stored`, with
+    `pair_reps` counting those).  Solves run in the band order:
+    `band_rows` is the matrix's row at each band position, and, once the
+    layout is made, `e_row` holds B_e's rows as band positions.  The key
     holds copies of the index arrays, since a_ext may be the caller's
     a_eq.  Index arrays read once per build are int32, to hold less.
     """
@@ -720,7 +766,8 @@ class _Pattern:
 
         elim = elim[cols]
         self.elim = np.nonzero(elim)[0]
-        self.n_k = n_k = n - len(self.elim)
+        self.n_e = n_e = len(self.elim)
+        self.n_k = n_k = n - n_e
         # the matrix's row behind each of r's
         self.r_rows = np.concatenate([np.nonzero(~elim)[0], n + np.arange(mb)])
         # B_e in CSC, each column's rows ascending; B_k stays in rows, b_col
@@ -728,7 +775,7 @@ class _Pattern:
         e_src = np.nonzero(in_e)[0]
         self.e_src = e_src[np.argsort(b_col[e_src], kind="stable")].astype(np.int32)
         self.e_row = np.take(rows, self.e_src).astype(np.int32)
-        counts = np.bincount(e_before[b_col[in_e]] - 1, minlength=len(self.elim))
+        counts = np.bincount(e_before[b_col[in_e]] - 1, minlength=n_e)
         self.e_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
         self.k_src = np.nonzero(~in_e)[0]
         rows, b_col = rows[self.k_src], b_col[self.k_src] - e_before[b_col[self.k_src]]
@@ -742,21 +789,25 @@ class _Pattern:
             (self.e_ptr[:-1].repeat(counts) - (np.cumsum(reps) - reps)).astype(np.int32), reps)
         # r's entries: the products, B_k and B_k', then the diagonal; an
         # r that keeps no column and eliminates some is negative definite
-        r_diag = np.arange(len(self.r_rows))
+        self.n_r = n_r = len(self.r_rows)
+        r_diag = np.arange(n_r)
         e_t, e_s = self.pairs(self.e_row)
-        definite = len(self.elim) > 0 and not n_k
-        self.lay, self.size, stored, self.dest = _layout(
-            np.concatenate([n_k + e_t, n_k + rows, b_col, r_diag]),
-            np.concatenate([n_k + e_s, b_col, n_k + rows, r_diag]),
-            len(r_diag), int(coup.sum()), definite)
+        definite = n_e > 0 and not n_k
+        n_c = int(coup.sum())
+        r_i = np.concatenate([n_k + e_t, n_k + rows, b_col, r_diag])
+        r_j = np.concatenate([n_k + e_s, b_col, n_k + rows, r_diag])
+        self.lay, self.size, stored, self.dest, pos = _layout(r_i, r_j, n_r, n_c, definite)
+        # solves run in the band order: the matrix's row at each band
+        # position, and B_e's rows as band positions
+        self.band_rows = self.r_rows[self.lay[0]]
+        self.e_row = pos[n_k + self.e_row].astype(np.int32)
         # the pairs the store holds, and how many of each column's (a
         # definite r's other entries are its diagonal, all stored)
         self.stored = slice(None)
         if definite:
             self.stored = np.nonzero(stored[: len(e_t)])[0]
-            pair_col = np.repeat(np.arange(len(self.elim)), self.pair_reps)
-            self.pair_reps = np.bincount(pair_col[self.stored],
-                                         minlength=len(self.elim)).astype(np.int32)
+            pair_col = np.repeat(np.arange(n_e), self.pair_reps)
+            self.pair_reps = np.bincount(pair_col[self.stored], minlength=n_e).astype(np.int32)
 
     def pairs(self, e: np.ndarray):
         """e, one value per entry of B_e, at each pair's entries t and s."""
@@ -852,7 +903,7 @@ class _Kkt:
     def __init__(self, pre: _Presolved, cols: np.ndarray, coup: np.ndarray,
                  elim: np.ndarray, eps: float):
         self.pat = pat = _pattern(pre, cols, coup, elim, eps)
-        self.elim, self.n_k, self.r_rows = pat.elim, pat.n_k, pat.r_rows
+        self.elim, self.n_k, self.band_rows = pat.elim, pat.n_k, pat.band_rows
         g, n = pre.g, pat.n
         vals = np.concatenate([pre.a_ext.data, g.data[g.indptr[pre.n_b] :]])[pat.keep]
         # k_true's primal rows [D1, B'] in CSC, whose columns past n are
@@ -868,11 +919,12 @@ class _Kkt:
         e_val = np.take(vals, pat.e_src)
         e_t, e_s = pat.pairs(e_val)
         self.pair_val = (-e_t * e_s)[pat.stored]
-        self.b_e = sp.csc_matrix((e_val, pat.e_row, pat.e_ptr), shape=(pat.mb, len(pat.elim)))
+        # B_e with its rows as band positions, so that solves run in the band order
+        self.b_e = sp.csc_matrix((e_val, pat.e_row, pat.e_ptr), shape=(pat.n_r, pat.n_e))
         self.b_e_t = self.b_e.T
         vals_k = vals[pat.k_src]
         self.weights = np.concatenate([np.zeros(len(self.pair_val)), vals_k, vals_k,
-                                       np.zeros(len(pat.r_rows))])
+                                       np.zeros(pat.n_r)])
         self.store = np.empty(pat.size)  # r's band store, refilled by each factor
         # the diagonal, the shifted diagonal and 1 / D_e, from set_diagonal
         self.diag = self.reg = self.inv_d = None
@@ -890,7 +942,7 @@ class _Kkt:
         w, pat = self.weights, self.pat
         np.multiply(self.pair_val, np.repeat(self.inv_d, pat.pair_reps),
                     out=w[: len(self.pair_val)])
-        w[len(w) - len(self.r_rows) :] = self.reg[self.r_rows]
+        w[len(w) - pat.n_r :] = self.reg[pat.r_rows]
         self._fill()
         self.lu = _BandFactor(*pat.lay, self.store, self._fill)
 
@@ -913,15 +965,17 @@ class _Kkt:
 
         x_e = D_e^-1 (vec_e - B_e' y) comes out of r's solution; with no
         column eliminated, as in the polish, B_e is empty and r is the
-        whole shifted matrix.
+        whole shifted matrix.  r's right-hand side is gathered straight
+        into the band order and its solution scattered straight back, and
+        the factor solves in place between them.
         """
         r_e = vec[self.elim] * self.inv_d
-        rhs = vec[self.r_rows]
-        rhs[self.n_k :] -= self.b_e @ r_e
+        rhs = vec[self.band_rows]
+        rhs -= self.b_e @ r_e
         sol = self.lu.solve(rhs)
         step = np.empty_like(vec)
-        step[self.r_rows] = sol
-        step[self.elim] = r_e - (self.b_e_t @ sol[self.n_k :]) * self.inv_d
+        step[self.band_rows] = sol
+        step[self.elim] = r_e - (self.b_e_t @ sol) * self.inv_d
         return step
 
     def solve(self, vec: np.ndarray, rtol: float, rhs0: np.ndarray | None = None) -> np.ndarray:
@@ -1030,6 +1084,9 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
     n_bound = np.bincount(bound_var, minlength=n)  # bound rows per variable
     a_t, g_t, gb_t = a.T, g.T, g[:n_b].T.tocsr()
     ratio = np.empty(m_comp)  # _max_step's scratch
+    # the KKT diagonal (its equality rows stay 0) and each direction's
+    # right-hand side, rewritten in place
+    diag, rhs = np.zeros(n + m + m_comp - n_b), np.empty(n + m + m_comp - n_b)
 
     # start (module docstring): the KKT matrix with every w / z at 1 gives
     # least-squares primal and dual points, each shifted into w, z > 0
@@ -1065,19 +1122,21 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
     converged, message = False, ""
     it = 0
     for it in range(1, s.max_iter + 1):
-        rd = q * x + c - a_t @ y + g_t @ z
+        qx, wz = q * x, w * z  # each used twice below
+        rd = qx + c - a_t @ y + g_t @ z
         rp_eq = a @ x - b
         rp_in = g @ x + w - h
-        gap = float(np.sum(w * z))
+        gap = float(np.sum(wz))
         mu = gap / m_comp
 
-        obj_min = float(0.5 * (q * x) @ x + c @ x)
+        obj_min = float(0.5 * qx @ x + c @ x)
         primal_inf = max(
             float(np.max(np.abs(rp_eq), initial=0.0)),
             float(np.max(np.abs(rp_in), initial=0.0)),
         )
         dual_inf = float(np.max(np.abs(rd), initial=0.0))
-        if not np.isfinite(mu) or not np.all(np.isfinite(x)):
+        x_max = float(np.max(np.abs(x), initial=0.0))  # NaN or inf unless x is finite
+        if not np.isfinite(mu) or not np.isfinite(x_max):
             message = "iterates lost finiteness"
             break
         merit = (primal_inf / pre.scale_p, dual_inf / pre.scale_d, gap / (1.0 + abs(obj_min)))
@@ -1089,7 +1148,7 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
         if _meets_tolerances(pre, s, Residuals(primal_inf, dual_inf, gap), obj_min):
             converged = True
             break
-        if mu > 1e10 * (1.0 + mu0) or np.max(np.abs(x)) > 1e13:
+        if mu > 1e10 * (1.0 + mu0) or x_max > 1e13:
             message = "diverging iterates"
             break
         if not mu > 0.0:
@@ -1113,18 +1172,22 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
         # poisons the factorization
         w_b = np.maximum(w[:n_b], 1e-280)
         z_c = np.maximum(z[n_b:], 1e-280)
-        d1 = q + np.bincount(bound_var, z[:n_b] / w_b, minlength=n)
-        kkt.set_diagonal(np.concatenate([d1, np.zeros(m), -(w[n_b:] / z_c)]))
+        np.add(q, np.bincount(bound_var, z[:n_b] / w_b, minlength=n), out=diag[:n])
+        np.negative(np.divide(w[n_b:], z_c, out=diag[n + m :]), out=diag[n + m :])
+        kkt.set_diagonal(diag)
 
         # loose while mu is large (see _KKT_RTOL); the predictor's always is
         corrector_rtol = _KKT_RTOL if mu < _TIGHT_MU * mu0 else _LOOSE_RTOL
+        # what every direction's right-hand side shares; its equality rows are -rp_eq
+        neg_rd, neg_rp_c, zrp_b = -rd, -rp_in[n_b:], z[:n_b] * rp_in[:n_b]
+        np.negative(rp_eq, out=rhs[n : n + m])
 
         def solve_direction(rc, rtol):
             # Newton direction whose linearized complementarity change
             # z*dw + w*dz equals rc, refined to rtol
-            rhs_x = -rd - gb_t @ ((rc[:n_b] + z[:n_b] * rp_in[:n_b]) / w_b)
-            step = kkt.solve(np.concatenate([rhs_x, -rp_eq, -rp_in[n_b:] - rc[n_b:] / z_c]),
-                             rtol)
+            np.subtract(neg_rd, gb_t @ ((rc[:n_b] + zrp_b) / w_b), out=rhs[:n])
+            np.subtract(neg_rp_c, rc[n_b:] / z_c, out=rhs[n + m :])
+            step = kkt.solve(rhs, rtol)
             dx = step[:n]
             dw = -(g @ dx) - rp_in
             dz = np.concatenate([(rc[:n_b] - z[:n_b] * dw[:n_b]) / w_b, step[n + m :]])
@@ -1132,7 +1195,7 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
 
         def newton_step():
             # Mehrotra predictor-corrector, with a centered fallback
-            aff = solve_direction(-w * z, _LOOSE_RTOL)
+            aff = solve_direction(-wz, _LOOSE_RTOL)
             ap = min(1.0, _max_step(w, aff[3], ratio))
             ad = min(1.0, _max_step(z, aff[2], ratio))
             mu_aff = float(np.sum((w + ap * aff[3]) * (z + ad * aff[2]))) / m_comp
@@ -1148,13 +1211,13 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
                 a_d = min(1.0, tau * _max_step(z, dz_, ratio))
                 return a_p, a_d, float(np.sum((w + a_p * dw_) * (z + a_d * dz_))) / m_comp
 
-            combined = solve_direction(sigma * mu - w * z - aff[3] * aff[2], corrector_rtol)
+            combined = solve_direction(sigma * mu - wz - aff[3] * aff[2], corrector_rtol)
             ap, ad, mu_next = clipped_step(combined)
             direction = combined
             if not (mu_next <= 0.95 * mu) or min(ap, ad) < 1e-10:
                 # second-order correction overshoots near a degenerate face;
                 # retry with a strongly centered first-order direction
-                centered = solve_direction(max(sigma, 0.5) * mu - w * z, corrector_rtol)
+                centered = solve_direction(max(sigma, 0.5) * mu - wz, corrector_rtol)
                 ap2, ad2, mu_next2 = clipped_step(centered)
                 if mu_next2 < mu_next:
                     direction, ap, ad, mu_next = centered, ap2, ad2, mu_next2

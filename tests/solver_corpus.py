@@ -19,7 +19,13 @@ its replacement, or a singular border), the orderings made
 (``qp.reverse_cuthill_mckee`` calls, one per KKT pattern built) and the
 band solves (``qp._Kkt.shifted_solve`` calls: each refined solve's first
 solve plus its refinement steps), with the refinement steps among them
-(a ``qp._Kkt.solve``'s band solves past its first).  A factor is the
+(a ``qp._Kkt.solve``'s band solves past its first), and the LAPACK
+calls behind them: per routine, ``qp.dpbtrs`` (a Cholesky's whole
+solve, in trees that have it), ``qp.dtbtrs`` (one triangular sweep of a
+Cholesky factor: its forward sweep of the border's columns, once per
+factor, and the two sweeps of each solve) and ``qp.dgbtrs`` (an LU's
+solve), the calls and the right-hand-side columns they took.  A factor
+is the
 polish's whenever ``_polish`` is running, and the interior point's
 otherwise; a band solve counts under the site of the factor it uses.
 A tree without ``qp._Kkt.shifted_solve`` records no band solve.  The
@@ -52,16 +58,19 @@ beyond 1e-9 (largest |dx|), with the five largest moves by name; then
 each status transition from A to B with its count.  Then,
 for each tree, the iteration and probe totals by status, the total
 factorizations and the total band solves with the refinement steps
-among them; per site, the band factors with the largest and total band
-dimension, the largest bandwidth, the stored entries, the replaced
-pivots, the breakdowns, the band solves and refinement steps, and the
-orderings, over every solve,
+among them, then the calls and right-hand-side columns of each of
+``dpbtrs``, ``dtbtrs`` and ``dgbtrs``; per site, the band factors with
+the largest and total band dimension, the largest bandwidth, the stored
+entries, the replaced pivots, the breakdowns, the band solves and
+refinement steps, the LAPACK solve calls (columns), and the orderings,
+over every solve,
 neighbours included, then the orderings of the neighbour solves alone; and the largest primal
 residual of an optimal answer.  The sites include ``fallback``, which
 dumps of trees that still had the interior point's partial-pivot
 fallback on the full KKT matrix record; a dump without it, or without
 ``ipm_cholesky``, replaced pivots, breakdowns or orderings, reads 0
-there, as does a dump without band solves.  Dumps made before the pivot
+there, as does a dump without band solves or LAPACK solve calls.  Dumps
+made before the pivot
 replacement counted as breakdowns
 every ``info > 0`` of ``qp.dgbtrf`` and ``qp.dpbtrf``.
 Then the number of solves whose iteration count changed, by status; per
@@ -113,8 +122,11 @@ def _synth_cases():
 
 
 SITES = ("ipm", "ipm_cholesky", "polish")
+# the LAPACK solve routines counted, each by calls and right-hand-side columns
+SOLVERS = ("dpbtrs", "dtbtrs", "dgbtrs")
 BAND_KEYS = ("factors", "dim", "bw", "total_dim", "stored", "replaced", "breakdowns",
-             "orderings", "solves", "refinements")
+             "orderings", "solves", "refinements") + tuple(
+                 key for name in SOLVERS for key in (name, name + "_cols"))
 NO_BAND = dict.fromkeys(BAND_KEYS, 0)
 # the sites compare prints: older dumps also hold the partial-pivot "fallback"
 COMPARED_SITES = ("ipm", "ipm_cholesky", "fallback", "polish")
@@ -180,7 +192,8 @@ def _count_band(qp) -> dict:
     """Wrap qp's band factors, solves and orderings: count per site.
 
     The wrapped calls are qp.dgbtrf, qp.dpbtrf, qp._Kkt.factor,
-    qp._Kkt.shifted_solve, qp._Kkt.solve and qp.reverse_cuthill_mckee.
+    qp._Kkt.shifted_solve, qp._Kkt.solve, qp.reverse_cuthill_mckee and
+    the SOLVERS, those a tree has.
 
     A call is the polish's whenever _polish is running (it factors through
     _Kkt.factor, as the interior point does), and the interior point's
@@ -190,7 +203,10 @@ def _count_band(qp) -> dict:
     _Kkt.factor that raises RuntimeError is a breakdown of its site's
     factor (a Cholesky one when its layout is definite).  Each band solve
     counts under the site of the factor it goes through, and a
-    _Kkt.solve's band solves past its first as refinement steps.
+    _Kkt.solve's band solves past its first as refinement steps.  Each
+    SOLVERS call counts with its right-hand side's columns, dgbtrs under
+    its role's site and the Cholesky's dpbtrs and dtbtrs under
+    "_cholesky".
     """
     band, depth, order = {}, [0], qp.reverse_cuthill_mckee
     polish, lu, cholesky = qp._polish, qp.dgbtrf, getattr(qp, "dpbtrf", None)
@@ -250,6 +266,20 @@ def _count_band(qp) -> dict:
     def ordered(*args, **kwargs):
         site()["orderings"] += 1
         return order(*args, **kwargs)
+
+    def solver_counted(name, real, kind, at):
+        def call(*args, **kwargs):
+            counts, rhs = site(kind), args[at]
+            counts[name] += 1
+            counts[name + "_cols"] += rhs.shape[1] if rhs.ndim == 2 else 1
+            return real(*args, **kwargs)
+        return call
+
+    # the right-hand side's position among each routine's arguments
+    for name, kind, at in (("dpbtrs", "_cholesky", 1), ("dtbtrs", "_cholesky", 1),
+                           ("dgbtrs", "", 3)):
+        if hasattr(qp, name):
+            setattr(qp, name, solver_counted(name, getattr(qp, name), kind, at))
 
     qp._polish = wrapped
     qp._Kkt.factor = factor_counted
@@ -312,6 +342,12 @@ def _fallback_and_polish(r: dict) -> int:
     return r["band"].get("fallback", NO_BAND)["factors"] + r["band"]["polish"]["factors"]
 
 
+def _solver_calls(counts: list) -> str:
+    """The SOLVERS' calls and right-hand-side columns summed over per-site counts."""
+    return ", ".join(f"{name} {sum(c.get(name, 0) for c in counts)} "
+                     f"({sum(c.get(name + '_cols', 0) for c in counts)})" for name in SOLVERS)
+
+
 def compare(path_a: str, path_b: str) -> None:
     a = json.loads(Path(path_a).read_text())
     b = json.loads(Path(path_b).read_text())
@@ -357,7 +393,8 @@ def compare(path_a: str, path_b: str) -> None:
               f"{sum(s['factors'] for b in every for s in b.values())} factorizations, "
               f"{sum(s.get('solves', 0) for b in every for s in b.values())} band solves "
               f"({sum(s.get('refinements', 0) for b in every for s in b.values())} "
-              f"refinement steps)")
+              f"refinement steps); LAPACK solve calls (right-hand-side columns): "
+              + _solver_calls([s for b in every for s in b.values()]))
         for site in COMPARED_SITES:
             bands = [b.get(site, NO_BAND) for b in every]
             print(f"{label} {site}: {sum(b['factors'] for b in bands)} band factors; "
@@ -367,7 +404,8 @@ def compare(path_a: str, path_b: str) -> None:
                   f"stored entries; {sum(b.get('replaced', 0) for b in bands)} replaced pivots, "
                   f"{sum(b.get('breakdowns', 0) for b in bands)} breakdowns; "
                   f"{sum(b.get('solves', 0) for b in bands)} band solves "
-                  f"({sum(b.get('refinements', 0) for b in bands)} refinement steps); "
+                  f"({sum(b.get('refinements', 0) for b in bands)} refinement steps; "
+                  f"{_solver_calls(bands)}); "
                   f"{sum(b.get('orderings', 0) for b in bands)} orderings, "
                   f"{sum(b.get(site, NO_BAND).get('orderings', 0) for b in neighbours)} "
                   f"of them in {len(neighbours)} neighbour solves")

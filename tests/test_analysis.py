@@ -6,6 +6,7 @@ import pytest
 import trimarket.analysis
 from trimarket.analysis import (
     MULT_EPS,
+    AffineReport,
     PropertyReport,
     affine_sensitivity,
     check_no_simultaneous_flow,
@@ -308,6 +309,19 @@ class TestAffineSensitivity:
         assert rep.segments == [{"start": 0, "stop": 2, "checked": False, "holds": True,
                                  "note": "multiplier not positive throughout"}]
         assert rep.holds and rep.to_report().skipped
+
+    def test_failed_segment_is_named_in_the_witness(self):
+        # a checked segment whose second difference is not zero fails the
+        # report, which names the worst residual and the first failed
+        # segment's start
+        segments = [{"start": 0, "stop": 2, "checked": True, "holds": True,
+                     "max_second_diff_all": 1e-12},
+                    {"start": 2, "stop": 5, "checked": True, "holds": False,
+                     "max_second_diff_all": 3e-4}]
+        rep = AffineReport("r", np.linspace(0.0, 1.0, 6), np.ones(6), [0, 0, 1, 1, 1, 1], [2],
+                           segments, holds=False).to_report()
+        assert (rep.holds, rep.skipped, rep.residual) == (False, False, 3e-4)
+        assert rep.witness == "second difference 3.000e-04 in segment starting at r=0.4"
 
     def test_out_of_domain_value_fails_before_any_solve(self, monkeypatch):
         model, _ = build(*hand_case())

@@ -310,9 +310,11 @@ class TestResultFiles:
 
     def test_json_handles_numpy_and_non_finite(self, tmp_path):
         f = tmp_path / "x.json"
-        save_json(f, {"a": np.float64(1.5), "b": np.inf, "c": [np.int64(2)], "d": np.nan})
+        save_json(f, {"a": np.float64(1.5), "b": np.inf, "c": [np.int64(2)], "d": np.nan,
+                      "e": np.array([[0.5, -np.inf], [np.nan, 2.0]])})
         loaded = json.loads(f.read_text())
-        assert loaded == {"a": 1.5, "b": "inf", "c": [2], "d": "nan"}
+        assert loaded == {"a": 1.5, "b": "inf", "c": [2], "d": "nan",
+                          "e": [[0.5, "-inf"], ["nan", 2.0]]}
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +385,15 @@ class TestSvg:
         svg = render_bar_chart("t", "x", "y", ["a", "b"], [5.0, -3.0], annotations=["+5", "-3"])
         ET.fromstring(svg)
         assert svg.count("<rect") >= 3
+
+    def test_line_chart_of_one_x_value(self):
+        # a one-point x range is widened by 0.5 each side: the point sits
+        # in the middle of the x axis
+        svg = render_line_chart("t", "x", "y", [3.0], [("s", [1.0])])
+        ET.fromstring(svg)
+        cv = _Canvas("t", "x", "y")
+        (pt,) = re.findall(r'<polyline points="([^"]*)"', svg)[0].split()
+        assert float(pt.split(",")[0]) == (cv.x0 + cv.x1) / 2
 
     def test_escaping(self):
         svg = render_line_chart("a<b>&\"c\"", "x", "y", [1, 2], [("s", [1, 2])])

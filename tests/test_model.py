@@ -51,6 +51,16 @@ class TestLayout:
         assert set(parts) == set(ROLES)
         np.testing.assert_array_equal(lay.flatten(parts), x)
 
+    def test_layout_rejects_bad_shapes(self):
+        lay = variable_layout(2)
+        with pytest.raises(ValueError, match="expected vector of length 26"):
+            lay.recover(np.zeros(25))
+        with pytest.raises(ValueError, match=r"role 'g' has shape \(3,\), expected \(2,\)"):
+            lay.flatten({role: np.zeros(3) for role in ROLES})
+        for horizon in (0, 2.0):
+            with pytest.raises(ValidationError, match="horizon must be a positive integer"):
+                variable_layout(horizon)
+
 
 class TestValidation:
     def test_happy_path_freezes_arrays(self):
@@ -63,6 +73,17 @@ class TestValidation:
         cfg = default_config(4)
         with pytest.raises(ValidationError, match="expected horizon T=4"):
             validate_config(cfg, _data(5))
+
+    def test_series_must_be_one_dimensional(self):
+        data = dataclasses.replace(_data(4), pi_g=np.ones((4, 1)))
+        with pytest.raises(ValidationError, match=r"pi_g must be a 1-D series, got shape \(4, 1"):
+            validate_config(default_config(4), data)
+
+    @pytest.mark.parametrize("horizon", [0, 4.0])
+    def test_horizon_must_be_a_positive_integer(self, horizon):
+        cfg = dataclasses.replace(default_config(4), horizon=horizon)
+        with pytest.raises(ValidationError, match="horizon must be a positive integer"):
+            validate_config(cfg, _data(4))
 
     def test_non_finite_series(self):
         cfg = default_config(2)

@@ -78,6 +78,8 @@ class TestSynthData:
             SynthSpec(wind_noise=-1.0)
         with pytest.raises(ValueError, match="REC price range"):
             SynthSpec(rec_price_lo=30.0, rec_price_hi=12.0)
+        with pytest.raises(ValueError, match="CER price range"):
+            SynthSpec(cer_price_lo=40.0, cer_price_hi=20.0)
 
     @pytest.mark.parametrize("field, value, message", [
         ("wind_noise", np.nan, "wind_noise must be finite"),

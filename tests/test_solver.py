@@ -666,8 +666,12 @@ class TestKktFactorization:
         kkt = qp._Kkt(pre, np.ones(p.n, dtype=bool), np.ones(2, dtype=bool), bounded, qp._KKT_REG)
         order, bw, n_c, definite = kkt.pat.lay
         assert bw == 8 and definite
-        # every row of r but the kept coupling rows is in the band
-        assert len(pre.keep_rows) == n_c == 2 and len(order) == len(kkt.r_rows)
+        # every row of r but the kept coupling rows is in the band, and
+        # r's rows are the matrix's rows behind them in the band order
+        assert len(pre.keep_rows) == n_c == 2 and len(order) == len(kkt.band_rows)
+        assert kkt.band_rows.tolist() == (p.n + order).tolist()
+        # its store is the core's lower band and the border's columns
+        assert kkt.pat.size == (bw + 1) * (len(order) - n_c) + len(order) * n_c
 
     @pytest.mark.parametrize("horizon", [168, 672, 2688])
     def test_polish_core_is_a_band_of_width_8(self, monkeypatch, horizon):
@@ -715,7 +719,7 @@ class TestKktFactorization:
             solve_qp(problem)
             assert len(diagonals) == n_diag
             kkt = diagonals[0][0]
-            assert kkt.n_k == n_kept and len(kkt.r_rows) < len(diagonals[0][1])
+            assert kkt.n_k == n_kept and len(kkt.band_rows) < len(diagonals[0][1])
             rhs = np.random.default_rng(0).standard_normal(len(diagonals[0][1]))
             no_reference = set()
             for k, (_, diag) in enumerate(diagonals, start=1):
@@ -1010,12 +1014,120 @@ class TestKktFactorization:
         with pytest.raises(RuntimeError, match="band Cholesky failed"):
             qp._BandFactor(np.arange(2), 1, 0, True, r.copy())  # no refill
 
+    @staticmethod
+    def _band_store(a, core, bw, definite):
+        """a, whose leading core x core block is a band of width bw, in _layout's store.
+
+        The band order is a's own: LAPACK band storage of the core (a
+        definite one's lower half alone), then the last columns and, but
+        for a definite a, the last rows' core part, column-major.
+        """
+        ld, top = (bw + 1, 0) if definite else (3 * bw + 1, 2 * bw)
+        band = np.zeros((ld, core))
+        for j in range(core):
+            for i in range(j if definite else max(0, j - bw), min(core, j + bw + 1)):
+                band[top + i - j, j] = a[i, j]
+        rows = [] if definite else [a[core:, :core].ravel(order="F")]
+        return np.concatenate([band.ravel(order="F"), a[:, core:].ravel(order="F"), *rows])
+
+    @pytest.mark.parametrize("definite, n_c", [(True, 0), (True, 1), (True, 2), (False, 2)])
+    def test_band_factor_solves_the_bordered_matrix(self, definite, n_c):
+        # a negative definite band (a band Cholesky of its negation, its
+        # border through the factor's forward sweep) or a general one (a
+        # band LU), each with 0-2 dense border rows: a solve in place
+        # matches np.linalg.solve of the assembled matrix, also when the
+        # right-hand side is a strided view, which LAPACK solves in a copy
+        rng = np.random.default_rng(n_c)
+        core, bw = 40, 3
+        nr = core + n_c
+        i, j = np.indices((nr, nr))
+        a = rng.standard_normal((nr, nr))
+        a[(np.abs(i - j) > bw) & (i < core) & (j < core)] = 0.0
+        if definite:  # symmetric, negative and strictly diagonally dominant
+            a = a + a.T
+            a -= np.diag(np.abs(a).sum(axis=1) + 1.0)
+        else:
+            a += np.diag(np.full(nr, 4.0))
+        store = self._band_store(a, core, bw, definite)
+        factor = qp._BandFactor(np.arange(nr), bw, n_c, definite, store)
+        assert factor.replaced == []
+        rhs = rng.standard_normal(nr)
+        want = np.linalg.solve(a, rhs)
+        got = rhs.copy()
+        assert factor.solve(got) is got
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        every_other = np.zeros(2 * nr)
+        every_other[::2] = rhs
+        factor.solve(every_other[::2])
+        assert np.max(np.abs(every_other[::2] - want)) <= 1e-12 * np.max(np.abs(want))
+        assert not every_other[1::2].any()
+
+    def test_band_factor_with_a_replaced_pivot_solves_its_replacement(self):
+        # the core -[[1, 1], [1, 1]] leaves the second Cholesky pivot 0: it
+        # is replaced by -_HUGE_PIVOT on the matrix's diagonal, and a solve
+        # with a border of 2 rows matches np.linalg.solve of the matrix so
+        # replaced
+        core, n_c = 4, 2
+        a = -np.array([[1.0, 1.0, 0.0, 0.0, 0.5, 0.1],
+                       [1.0, 1.0, 0.0, 0.0, 0.2, 0.3],
+                       [0.0, 0.0, 3.0, 1.0, 0.4, 0.2],
+                       [0.0, 0.0, 1.0, 3.0, 0.1, 0.6],
+                       [0.5, 0.2, 0.4, 0.1, 4.0, 0.5],
+                       [0.1, 0.3, 0.2, 0.6, 0.5, 4.0]])
+        fresh = self._band_store(a, core, 1, True)
+        store = fresh.copy()
+
+        def refill():
+            store[:] = fresh
+
+        factor = qp._BandFactor(np.arange(core + n_c), 1, n_c, True, store, refill)
+        assert factor.replaced == [1]
+        replaced = a.copy()
+        replaced[1, 1] = -qp._HUGE_PIVOT
+        rhs = np.array([3.0, 5.0, -1.0, 2.0, 0.5, -4.0])
+        want = np.linalg.solve(replaced, rhs)
+        got = factor.solve(rhs.copy())
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert 0.0 < got[1] / -5.0 <= 1e-127
+
+    def test_border_goes_through_the_cholesky_factor(self, monkeypatch):
+        # each band Cholesky of the interior point takes its two coupling
+        # rows through one forward triangular sweep of both columns at
+        # once (dtbtrs, W = L^-1 C), where a 2-column dpbtrs solve of the
+        # core went; each solve is a forward and a backward sweep of one
+        # column around the border's Schur complement, and dpbtrs is gone
+        assert not hasattr(qp, "dpbtrs")
+        calls = []
+
+        def recorded(name, real):
+            def call(*args, **kwargs):
+                if sites.site != POLISH:
+                    b = args[1] if len(args) > 1 else None
+                    calls.append((name, None if b is None else b.shape[1:] or (1,),
+                                  kwargs.get("trans", "N")))
+                return real(*args, **kwargs)
+            return call
+
+        for name in (DPBTRF, "dtbtrs"):
+            monkeypatch.setattr(qp, name, recorded(name, getattr(qp, name)))
+        sites = _Sites(monkeypatch)
+        sol = solve_qp(_synth_week())
+        assert (sol.status, sol.iterations) == (OPTIMAL, 8)
+        factors = [k for k, (name, _, _) in enumerate(calls) if name == DPBTRF]
+        assert len(factors) == 8
+        for start, stop in zip(factors, factors[1:] + [len(calls)]):
+            border, *solves = calls[start + 1 : stop]
+            assert border == ("dtbtrs", (2,), "N")
+            assert solves and solves == [("dtbtrs", (1,), "N"), ("dtbtrs", (1,), "T")] * (
+                len(solves) // 2)
+
     def test_cholesky_rounding_breakdown_keeps_the_iteration(self, monkeypatch):
-        # the 7th iteration's reduced system of this instance has diagonal
-        # entries from about 1e-13 to 3e10, and its smallest eigenvalue is below
-        # their rounding: dpbtrf finds a pivot that is not positive.  The
-        # pivot is replaced and the iteration goes on to converge in 8
-        # iterations, where the factor failing there ended it
+        # the 7th iteration's barrier terms of this instance run from about
+        # 1e-9 to 8e10, so its reduced system has entries near 1e9 and a
+        # smallest eigenvalue below their rounding: dpbtrf finds a pivot
+        # that is not positive (info 3).  The pivot is replaced and the
+        # iteration goes on to converge in 8 iterations, where the factor
+        # failing there ended it after 7
         real, infos = qp.dpbtrf, []
 
         def recorded(ab, **kwargs):
@@ -1024,10 +1136,10 @@ class TestKktFactorization:
             return out
 
         monkeypatch.setattr(qp, DPBTRF, recorded)
-        _, p = build(*random_instance(610, r_min=0.95))
+        _, p = build(*random_instance(364, r_min=0.95))
         sol = solve_qp(p)
         assert (sol.status, sol.iterations, sol.message) == (OPTIMAL, 8, "")
-        assert [info for info in infos if info] == [8] and len(infos) == 9
+        assert [info for info in infos if info] == [3] and len(infos) == 9
 
     def test_interior_point_factor_follows_its_kept_columns(self, monkeypatch):
         # the default week's interior point keeps no column, so its reduced
