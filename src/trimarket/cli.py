@@ -155,10 +155,8 @@ def _parse_grid(text: str) -> np.ndarray:
 def _load_inputs(args):
     cfg, synth = load_config(args.config)
     data = load_market_csv(args.data)
-    if len(data.pi_g) != cfg.horizon:
-        raise ConfigError(
-            f"{args.data}: {len(data.pi_g)} rows but config horizon.T = {cfg.horizon}"
-        )
+    if data.horizon != cfg.horizon:
+        raise ConfigError(f"{args.data}: {data.horizon} rows but config horizon.T = {cfg.horizon}")
     return cfg, synth, data
 
 

@@ -465,13 +465,27 @@ def _stencil(terms, row_pos: dict[str, int], row_step: int, shape: tuple[int, in
     return m
 
 
+def _finite(value: float, what: str) -> float:
+    """value, a coefficient assembled from validated parameters, if it is finite.
+
+    Each parameter is finite on its own, but a product or an inverse of
+    them can still overflow, and neither the solver nor its LP probe
+    takes an infinite coefficient: `what` names the parameters.
+    """
+    if not math.isfinite(value):
+        raise ValidationError(f"{what} overflows to {value}")
+    return value
+
+
 def assemble_qp(model: ValidatedModel, *, quota_override: float | None = None) -> QpProblem:
     """Build the concave QP from a validated model.
 
     Storage states wrap cyclically: hour t couples to hour t-1 with hour 1
     coupling back to hour T, which encodes the terminal conditions Q_0 = Q_T
     and likewise for both certificate inventories.  `quota_override` replaces
-    the derived quota g_max*k*T*alpha (used by envelope checks).
+    the derived quota g_max*k*T*alpha (used by envelope checks).  Raises
+    ValidationError when a coefficient made from the parameters overflows
+    (1 / ess.eta_d for a subnormal eta_d, say).
     """
     cfg, data = model.config, model.data
     T = cfg.horizon
@@ -481,7 +495,7 @@ def assemble_qp(model: ValidatedModel, *, quota_override: float | None = None) -
 
     # objective: one column of the T x 13 (hour, role) grid per priced role
     h_diag = np.zeros((T, 13))
-    h_diag[:, _ROLE_POS["g"]] = -2.0 * cfg.tg.a
+    h_diag[:, _ROLE_POS["g"]] = -_finite(2.0 * cfg.tg.a, "2 * tg.a")
     f = np.zeros((T, 13))
     for role, coef in (
         ("g", -cfg.tg.b),
@@ -494,7 +508,7 @@ def assemble_qp(model: ValidatedModel, *, quota_override: float | None = None) -
     # equality rows, 6 per hour: (row kind, role, hour offset, coefficient)
     eq_terms = (
         ("ess_dyn", "p_c", 0, cfg.ess.eta_c),
-        ("ess_dyn", "p_d", 0, -1.0 / cfg.ess.eta_d),
+        ("ess_dyn", "p_d", 0, -_finite(1.0 / cfg.ess.eta_d, "1 / ess.eta_d")),
         ("ess_dyn", "q", 0, -1.0),
         ("ess_dyn", "q", -1, 1.0),
         ("rec_inv", "x_r", 0, -1.0),
@@ -547,7 +561,11 @@ def assemble_qp(model: ValidatedModel, *, quota_override: float | None = None) -
     )
     coup = _stencil(coup_terms, {"rps": 0, "quota": 1}, 0, (2, n))
     quota = model.quota if quota_override is None else float(quota_override)
-    coup_rhs = np.array([-cfg.policy.r * float(np.sum(data.l)), quota])
+    coup_rhs = np.array([
+        -_finite(cfg.policy.r * float(np.sum(data.l)), "policy.r * the sum of l"),
+        _finite(quota, "the CER quota tg.g_max * tg.k * horizon.T * policy.alpha"
+                if quota_override is None else "quota_override"),
+    ])
 
     return QpProblem(
         h_diag=h_diag.ravel(),

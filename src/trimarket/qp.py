@@ -29,62 +29,57 @@ zc) all work on that one block.
 Each interior-point iteration solves one KKT system: the bound rows of the
 block fold into its primal diagonal (barrier terms plus one fixed
 regularizing shift), and the equality and coupling rows border it.  Every
-variable with a bound row has a positive diagonal there, so its column is
-eliminated exactly, and what gets factored is the reduced augmented system
-in the equality and coupling rows plus the columns without a bound row
-(Wright 1997, ch. 11; Vanderbei, Symmetric quasi-definite matrices, SIAM
-J. Optim. 1995).  The free columns stay: their diagonal is little more
-than the shift.  Each hourly row couples only its own hour and
-the next (storage and inventories carry over), so all of the system but
-the 0-2 coupling rows is a narrow band once put in a reverse Cuthill-McKee
-order (Cuthill & McKee 1969), computed once per pattern (below).  The
-shift makes the reduced matrix quasi-definite, so nonsingular, and which
-band factor it takes is read off the pattern.  When no column stays, as
-in the default model, where every variable has a bound, the reduced
-matrix is -(B D^-1 B' + E), negative definite (Vanderbei 1995), and its
-negation's band takes LAPACK's band Cholesky, with no pivoting and bw + 1
-rows stored; a pivot that rounding leaves non-positive is replaced by a
-huge one (Wright, Modified Cholesky factorizations in interior-point
-algorithms for linear programming, SIAM J. Optim. 1999).  With free
-columns it is indefinite, and the band takes LAPACK's banded LU (partial
-pivoting within the band), in 3 bw + 1 rows.  The coupling rows, the
-border, take their Schur complement after either: through the Cholesky
-factor L, as D - W'W with W = L^-1 C, one forward sweep of the border's
-columns per factor, so that each solve is a forward sweep, the 2 x 2
-Schur solve and a backward sweep (Vanderbei 1995; Davis 2006); after the
-LU, as D - R core^-1 C, with core^-1 C one band solve per factor, as
-LAPACK has no forward-only sweep of a pivoted band LU.  This one factor
-is the only one an iteration makes, and its solves run in the band
-order, gathered into it and scattered out of it once.  Each solve
-recovers the eliminated variables and is refined against the full
-unregularized matrix, which is never assembled: the product refinement
-takes is the diagonal times the vector plus B' and B times its dual and
-primal parts, B being the equality and coupling rows, held in CSR; a
-solve whose refinement misses its tolerance is used as refined, and the
-ratio test and the gate below judge where it leads (Wright 1997, ch.
-11).  How far a direction is
-refined follows its use (inexact interior-point methods: Bellavia, JOTA
-1998; Gondzio, SIAM J. Optim. 2013): the predictor only sets the
-centering and the second-order term, and far from the optimum a
-corrector needs only as much accuracy as mu is large, so both stop at a
-loose tolerance, which the first solve nearly always meets; once mu has
-fallen well below its start, the correctors are refined to the tight
-one, as the start's solves are.  One builder writes this
-system straight from the CSR arrays of the presolved blocks, and the
-polish's too, with no column eliminated: its reduced matrix is then the
-whole system.
+column is eliminated: its diagonal D is positive, a barrier term where
+the column has a bound row and q plus the shift where it has none, so
+what gets factored is the reduced system in the equality and coupling
+rows alone, -(B D^-1 B' + E), negative definite, E being the dual side
+of the shifted diagonal (Vanderbei, Symmetric quasi-definite matrices,
+SIAM J. Optim. 1995; Wright 1997, ch. 11).  The shift's error goes
+with the refinement below: this is primal-dual regularization (Saunders
+& Tomlin, Solving regularized linear programs using barrier methods and
+KKT systems, 1996; Friedlander & Orban, Math. Prog. Comp. 2012).  Each
+hourly row couples only its own hour and the next (storage and
+inventories carry over), so all of the system but the 0-2 coupling rows
+is a narrow band once put in a reverse Cuthill-McKee order (Cuthill &
+McKee 1969), computed once per pattern (below).  Its negation's band
+takes LAPACK's band Cholesky, with no pivoting and bw + 1 rows stored;
+a pivot that rounding leaves non-positive is replaced by a huge one
+(Wright, Modified Cholesky factorizations in interior-point algorithms
+for linear programming, SIAM J. Optim. 1999).  The coupling rows, the
+border, take their Schur complement through the Cholesky factor L, as
+D - W'W with W = L^-1 C, one forward sweep of the border's columns per
+factor, so that each solve is a forward sweep, the 2 x 2 Schur solve and
+a backward sweep (Vanderbei 1995; Davis 2006).  This one factor is the
+only one an iteration makes, and its solves run in the band order,
+gathered into it and scattered out of it once.  Each solve recovers the
+eliminated variables and is refined against the full unregularized
+matrix, which is never assembled: the product refinement takes is the
+diagonal times the vector plus B' and B times its dual and primal parts,
+B being the equality and coupling rows, held in CSR; a solve whose
+refinement misses its tolerance is used as refined, and the ratio test
+and the gate below judge where it leads (Wright 1997, ch. 11).  How far
+a direction is refined follows its use (inexact interior-point methods:
+Bellavia, JOTA 1998; Gondzio, SIAM J. Optim. 2013): the predictor only
+sets the centering and the second-order term, and far from the optimum
+a corrector needs only as much accuracy as mu is large, so both stop at
+a loose tolerance, which the first solve nearly always meets; once mu
+has fallen well below its start, the correctors are refined to the
+tight one, as the start's solves are.  One builder writes this system
+straight from the CSR arrays of the presolved blocks, and the polish's
+too, on the same pattern.
 
 The builder's symbolic part, everything read from index arrays alone
-(B's CSR arrays, the eliminated columns' pairs, the ordering and the band
-layout), is a pattern; its numeric part holds the values, one
-band store that each factor refills in place, and the factor (Davis,
-Direct Methods for Sparse Linear Systems, 2006, ch. 7).  A command that
+(B's CSR and CSC arrays, the pairs of B's entries in one column, the
+ordering and the band layout), is a pattern; its numeric part holds the
+values, one band store that each factor refills in place, and the factor
+(Davis, Direct Methods for Sparse Linear Systems, 2006, ch. 7).  Every
+KKT system of a solve, the interior point's, its polish's and a warm
+start's, has one pattern: solve_qp opens a kkt_pattern_scope, which
+holds one pattern, and drops it when the solve returns.  A command that
 solves several problems, a scenario with its neighbours or a sweep's
-points, opens one kkt_pattern_scope: inside it an interior point or a
-polish whose index arrays equal the last one's of its role reuses that
-pattern.  The scope holds one pattern per role and drops them when the
-command ends; a miss builds the pattern as a solve outside any scope
-does, for no more than building the whole system costs.
+points, opens one scope around them all: a solve whose index arrays
+equal the last one's reuses its pattern, and a miss builds the pattern
+as the first solve did.
 
 The iteration starts from least-squares points (Mehrotra, On the
 implementation of a primal-dual interior point method, SIAM J. Optim.
@@ -100,12 +95,13 @@ ends the solve as one in an iteration does.
 
 The interior-point iteration is followed by an active-set "polish": once the
 active set is identified, each active bound fixes its variable, and one
-sparse quasi-definite solve in the free variables plus iterative refinement
+quasi-definite solve in the free variables plus iterative refinement
 produces primal/dual values accurate to near machine precision, which
-downstream sensitivity checks rely on.  Its system, bordered by the
-active coupling rows, comes from the iteration's builder, so building
-it stays a cheap symbolic step before the numeric factor (Davis 2006);
-it eliminates no column, so it is indefinite and takes the band LU.
+downstream sensitivity checks rely on.  Its system refills the interior
+point's pattern and store: a fixed column and an inactive coupling row
+keep their places with zero B entries and a diagonal of 1 (-1 on the
+dual side), so only the values differ, and building it is numeric work
+alone (Davis 2006).
 Every answer of a solve that gets past presolve passes one gate: it
 polishes the last iterate (or, when the iteration stopped short, the best
 one), falls back to the iterate itself, if it converged, whenever the
@@ -141,7 +137,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs, dpbtrf, dtbtrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dpbtrf, dtbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 # never called: kept only for the benchmark's tracer until ROADMAP item 4 re-points it
 from scipy.sparse.linalg import splu  # noqa: F401
@@ -528,16 +524,19 @@ def _max_step(v: np.ndarray, dv: np.ndarray, ratio: np.ndarray) -> float:
     return -float(np.max(ratio))
 
 
-# static diagonal shifts: the interior-point KKT matrix is factored with
-# +_KKT_REG on its primal diagonal and -_KKT_REG on its dual diagonal, one
-# fixed shift per iteration, which keeps curvature-free directions solvable
-# and makes the matrix quasi-definite, so the reduced system, its band and
-# the border's Schur complement are all nonsingular; the polish uses
-# _POLISH_EPS both for its quasi-definite system and for its pull toward
-# the hint iterate.  Refinement against the unshifted matrix removes the
-# shift's error from every solve.
+# static diagonal shifts: each KKT matrix is factored with +eps on its
+# primal diagonal and -eps on its dual diagonal, which keeps
+# curvature-free directions solvable, makes every column's D positive, so
+# eliminable, and the reduced matrix negative definite.  Refinement
+# against the unshifted matrix removes the shift's error from every
+# solve.  The interior point's eps is _KKT_REG; the polish's is
+# _POLISH_EPS, which also weighs its pull toward the hint iterate.  A
+# free column of the polish with q = 0 puts 1 / _POLISH_EPS into the
+# reduced matrix beside entries near 1: at 1e-10 and 1e-8 the refined
+# solves were off by enough to fail the oracle, affine-sensitivity and
+# acceptance overlap checks, at 1e-6 they all pass
 _KKT_REG = 1e-9
-_POLISH_EPS = 1e-10
+_POLISH_EPS = 1e-6
 # the interior point's refinement stops at a residual relative to its
 # right-hand side (_Kkt.solve): _KKT_RTOL in the start's two solves and,
 # once mu is below _TIGHT_MU times the start's mu, in the corrector
@@ -556,10 +555,11 @@ _TIGHT_MU = 1e-4
 _STALL_WINDOW = 5
 _STALL_RATIO = 0.9
 
-# what a factorization raises when it fails: the band factors and the
-# border's Schur complement raise RuntimeError for a failed pivot (zero in
-# an LU, not positive in a Cholesky even after its replacement), and
-# MemoryError when a store or an ordering does not fit
+# what a factorization raises when it fails: the band Cholesky and the
+# border's Schur complement raise RuntimeError for a failed pivot (not
+# positive in the Cholesky even after its replacement, zero in the
+# Schur complement's LU), and MemoryError when a store or an ordering
+# does not fit
 _FACTOR_ERRORS = (RuntimeError, MemoryError)
 
 # the diagonal entry a band Cholesky writes in place of a pivot that is
@@ -569,27 +569,21 @@ _FACTOR_ERRORS = (RuntimeError, MemoryError)
 _HUGE_PIVOT = 1e128
 
 
-def _layout(rows: np.ndarray, cols: np.ndarray, nr: int, n_c: int, definite: bool):
-    """Band-plus-border layout of an nr x nr matrix with a symmetric pattern.
+def _layout(rows: np.ndarray, cols: np.ndarray, nr: int, n_c: int):
+    """Band-plus-border layout of a symmetric nr x nr matrix for the band Cholesky.
 
     The matrix has an entry at each (rows[t], cols[t]), duplicates
-    allowed.  The border is its last n_c rows and columns, chosen by role
-    (the coupling rows), never by density: one sparse coupling row left in
-    the core widened a polish's band from 7 to 48-120.  The core goes in a
-    reverse Cuthill-McKee order of its own pattern, a CSR matrix made from
-    the entries inside it, for every system alike.  Returns (order, bw,
-    n_c, definite), order being the matrix's row at each band position,
-    the store's size, the entries it stores, their store positions,
-    `dest`, and each row's band position.  The store is LAPACK band
-    storage of the core, then, column-major, the last n_c columns, and for
-    the band LU the last n_c rows' core part.  The band LU stores every
-    entry, (i, j) at [2 bw + i - j, j] of a column-major (3 bw + 1) x core
-    array (its top bw rows hold the pivoting's fill).  A `definite` matrix
-    is symmetric and takes the band Cholesky, which reads the core's lower
-    band alone, and its border's rows are its border's columns
-    transposed: the store keeps the entries on and below the core's
-    diagonal, (i, j) at [i - j, j] of a (bw + 1) x core array, and the
-    entries in the last n_c columns.
+    allowed, its pattern symmetric.  The border is its last n_c rows and
+    columns, chosen by role (the coupling rows), never by density: one
+    sparse coupling row left in the core widened a polish's band from 7
+    to 48-120.  The core goes in a reverse Cuthill-McKee order of its own
+    pattern, a CSR matrix made from the entries inside it.  The store is
+    LAPACK band storage of the core's lower band, (i, j) at [i - j, j] of
+    a column-major (bw + 1) x core array, then, column-major, the last
+    n_c columns; the border's rows are its columns transposed and are not
+    stored.  Returns (order, bw, n_c), order being the matrix's row at
+    each band position, the store's size, the entries it stores, their
+    store positions, `dest`, and each row's band position.
     """
     core = nr - n_c
     in_core = (rows < core) & (cols < core)
@@ -601,15 +595,12 @@ def _layout(rows: np.ndarray, cols: np.ndarray, nr: int, n_c: int, definite: boo
     where[order] = np.arange(nr)
     rows, cols = where[rows], where[cols]
     bw = int(np.max(np.abs(rows - cols)[in_core], initial=0))
-    stored = (cols >= core) | ((rows >= cols) & (rows < core)) | (not definite)
+    stored = (cols >= core) | ((rows >= cols) & (rows < core))
     rows, cols = rows[stored], cols[stored]
-    ld, top = (bw + 1, 0) if definite else (3 * bw + 1, 2 * bw)
-    n_band = ld * core
+    n_band = (bw + 1) * core
     dest = np.where(cols >= core, n_band + (cols - core) * nr + rows,
-                    np.where(rows >= core, n_band + nr * n_c + (rows - core) + cols * n_c,
-                             top + rows - cols + cols * ld))
-    size = n_band + nr * n_c + (0 if definite else n_c * core)
-    return (order, bw, n_c, definite), size, stored, dest, where
+                    rows - cols + cols * (bw + 1))
+    return (order, bw, n_c), n_band + nr * n_c, stored, dest, where
 
 
 def _into(b: np.ndarray, x: np.ndarray) -> None:
@@ -623,21 +614,17 @@ def _into(b: np.ndarray, x: np.ndarray) -> None:
 
 
 class _BandFactor:
-    """Factor of a matrix in _layout's store, whose solves run in place in the band order.
+    """Factor of a negative definite matrix in _layout's store; solves run in place in band order.
 
-    A `definite` matrix is negative definite, as the interior point's r
-    is when every column is eliminated: its negation, written over the
-    store, takes a band Cholesky (dpbtrf, no pivoting).  Any other core
-    takes a band LU (dgbtrf: partial pivoting, rows exchanged within the
-    band).  The border's Schur complement, at most 2 x 2, takes a dense
-    LU in both.  After a Cholesky L L' of the core it is D - W'W, with W =
-    L^-1 C from one forward sweep of the border's columns C (dtbtrs), and
-    a solve sweeps forward, solves the border and sweeps back; after an
-    LU it is D - R core^-1 C, with core^-1 C one band solve of C, as
-    LAPACK has no forward-only sweep of a dgbtrf factor.
+    The matrix is the reduced KKT matrix r, negative definite: its
+    negation, written over the store, takes a band Cholesky L L' (dpbtrf,
+    no pivoting).  The border's Schur complement, at most 2 x 2, takes a
+    dense LU: it is D - W'W, with W = L^-1 C from one forward sweep of
+    the border's columns C (dtbtrs), and a solve sweeps forward, solves
+    the border and sweeps back.
 
-    A definite matrix can still meet a pivot that is not positive, when
-    its smallest eigenvalue is below the rounding of its entries: barrier
+    The matrix can still meet a pivot that is not positive, when its
+    smallest eigenvalue is below the rounding of its entries: barrier
     terms near the shift beside ones near its inverse.  That pivot is
     replaced by _HUGE_PIVOT (Wright 1999), which decouples its row: its
     component of each solve comes out as 1e-128 times its right-hand
@@ -649,43 +636,33 @@ class _BandFactor:
     later each time, so this ends.
     `replaced` lists those pivots, in the core's band order.  A Cholesky
     with no `refill`, or whose replaced pivot fails again (a matrix
-    that is not finite), and an exactly zero pivot in an LU raise
-    RuntimeError.
+    that is not finite), and an exactly zero pivot in the Schur
+    complement raise RuntimeError.
     """
 
-    def __init__(self, order: np.ndarray, bw: int, n_c: int, definite: bool,
-                 store: np.ndarray, refill=None):
-        self.bw, self.core, self.definite = bw, len(order) - n_c, definite
-        nr, core = len(order), self.core
-        ld = (1 if definite else 3) * bw + 1
-        n_band = ld * core
-        band = store[:n_band].reshape((ld, core), order="F")
+    def __init__(self, order: np.ndarray, bw: int, n_c: int, store: np.ndarray, refill=None):
+        nr = len(order)
+        self.core = core = nr - n_c
+        n_band = (bw + 1) * core
+        band = store[:n_band].reshape((bw + 1, core), order="F")
         self.replaced = []
-        if definite:
-            while True:
-                np.negative(store, out=store)
-                band[0, self.replaced] = _HUGE_PIVOT
-                self.band, info = dpbtrf(band, lower=1, overwrite_ab=1)
-                if info <= 0 or refill is None or info - 1 in self.replaced:
-                    break
-                self.replaced.append(info - 1)
-                refill()
-        else:
-            self.band, self.ipiv, info = dgbtrf(band, bw, bw, overwrite_ab=1)
+        while True:
+            np.negative(store, out=store)
+            band[0, self.replaced] = _HUGE_PIVOT
+            self.band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+            if info <= 0 or refill is None or info - 1 in self.replaced:
+                break
+            self.replaced.append(info - 1)
+            refill()
         if info != 0:
-            raise RuntimeError(f"band {'Cholesky' if definite else 'LU'} failed (info {info})")
-        self.schur = None
+            raise RuntimeError(f"band Cholesky failed (info {info})")
+        self.l_cols = None
         if n_c:
-            cols = store[n_band : n_band + nr * n_c].reshape((nr, n_c), order="F")
-            if definite:
-                # with the factor L L' of the core, the border's Schur
-                # complement D - C' (L L')^-1 C is D - W'W, W = L^-1 C
-                self.l_cols = dtbtrs(self.band, cols[:core], uplo="L")[0]
-                schur = cols[core:] - self.l_cols.T @ self.l_cols
-            else:
-                self.rows = store[n_band + nr * n_c :].reshape((n_c, core), order="F")
-                self.x_cols = dgbtrs(self.band, bw, bw, cols[:core], self.ipiv)[0]  # core^-1 C
-                schur = cols[core:] - self.rows @ self.x_cols
+            # with the factor L L' of the core, the border's Schur
+            # complement D - C' (L L')^-1 C is D - W'W, W = L^-1 C
+            cols = store[n_band:].reshape((nr, n_c), order="F")
+            self.l_cols = dtbtrs(self.band, cols[:core], uplo="L")[0]
+            schur = cols[core:] - self.l_cols.T @ self.l_cols
             self.schur, self.schur_piv, info = dgetrf(schur)
             if info != 0:
                 raise RuntimeError(f"border Schur complement is singular (dgetrf info {info})")
@@ -693,219 +670,184 @@ class _BandFactor:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Overwrite rhs, in the band order (the layout's order), with the solution; return it.
 
-        A Cholesky's solve is its forward sweep u = L^-1 rhs_core and its
-        backward sweep L'^-1 u, the two that dpbtrs makes, and the
-        border's part v comes from its Schur complement between them, u
-        giving way to u - W v.  An LU solves the core whole, then v, and
-        takes core^-1 C v off.
+        The solve is the forward sweep u = L^-1 rhs_core and the backward
+        sweep L'^-1 u, the two that dpbtrs makes, and the border's part v
+        comes from its Schur complement between them, u giving way to
+        u - W v.  The factor is the negated matrix's, so rhs is negated
+        first.
         """
         y, v = rhs[: self.core], rhs[self.core :]
-        if self.definite:  # the factor is the negated matrix's
-            np.negative(rhs, out=rhs)
-            _into(y, dtbtrs(self.band, y, uplo="L", overwrite_b=1)[0])
-            if self.schur is not None:
-                v[:] = dgetrs(self.schur, self.schur_piv, v - self.l_cols.T @ y)[0]
-                y -= self.l_cols @ v
-            _into(y, dtbtrs(self.band, y, uplo="L", trans="T", overwrite_b=1)[0])
-        else:
-            _into(y, dgbtrs(self.band, self.bw, self.bw, y, self.ipiv, overwrite_b=1)[0])
-            if self.schur is not None:
-                v[:] = dgetrs(self.schur, self.schur_piv, v - self.rows @ y)[0]
-                y -= self.x_cols @ v
+        np.negative(rhs, out=rhs)
+        _into(y, dtbtrs(self.band, y, uplo="L", overwrite_b=1)[0])
+        if self.l_cols is not None:
+            v[:] = dgetrs(self.schur, self.schur_piv, v - self.l_cols.T @ y)[0]
+            y -= self.l_cols @ v
+        _into(y, dtbtrs(self.band, y, uplo="L", trans="T", overwrite_b=1)[0])
         return rhs
 
 
-def _pattern_key(pre: _Presolved, cols: np.ndarray, coup: np.ndarray, elim: np.ndarray):
+def _pattern_key(pre: _Presolved):
     """The index arrays a _Kkt's pattern is built from, compared exactly to find it again."""
     g, n_b = pre.g, pre.n_b
     return (pre.a_ext.indptr, pre.a_ext.indices, g.indptr[n_b:] - g.indptr[n_b],
-            g.indices[g.indptr[n_b] :], cols, coup, elim)
+            g.indices[g.indptr[n_b] :])
 
 
 class _Pattern:
     """What a _Kkt reads from index arrays alone: every part that reads no matrix value.
 
-    B holds the kept entries of a_ext and of g's coupling rows, row by row
-    (`keep` marks them), each row's columns distinct and ascending, as
+    B stacks the entries of a_ext and of g's coupling rows, in every
+    column, row by row, each row's columns distinct and ascending, as
     presolve writes both blocks; `b_ptr` and `b_col` are its CSR arrays.
     The matrix [[D1, B'], [B, -D2]] is never assembled: the diagonal and
-    B are all of it.  Then the eliminated columns (`elim`, with `r_rows`
-    the matrix's rows behind r's), B_e's CSC arrays read from B's
-    entries `e_src`, B_k's entries `k_src`, the pairs of B_e's entries in
-    one column, which write B_e D_e^-1 B_e' into r (`pair_reps` per
-    column, and each one's second entry `s`), and r's _layout: its order,
-    store size and `dest`.  With no column eliminated, as in the polish,
-    B_e is empty and B_k is all of B, so r is the matrix itself.  An r
-    that eliminates columns and keeps none is negative definite and takes
-    the band Cholesky: its store holds the pairs on and below the core's
-    diagonal and in the border's columns alone (`stored`, with
-    `pair_reps` counting those).  Solves run in the band order:
-    `band_rows` is the matrix's row at each band position, and, once the
-    layout is made, `e_row` holds B_e's rows as band positions.  The key
-    holds copies of the index arrays, since a_ext may be the caller's
-    a_eq.  Index arrays read once per build are int32, to hold less.
+    B are all of it.  Every column is eliminated, so r is in B's rows,
+    the matrix's rows past its n columns.  Then B's CSC arrays, read from
+    B's entries `e_src`, the pairs of B's entries in one column, which
+    write B D^-1 B' into r (`pair_reps` per column, and each one's second
+    entry `s`), and r's _layout: its order, store size and `dest`.  The
+    store holds the pairs on and below the core's diagonal and in the
+    border's columns alone (`stored`, with `pair_reps` counting those),
+    and r's diagonal.  Solves run in the band order: `band_rows` is the
+    matrix's row at each band position, and `e_row` holds B's rows, in
+    its CSC order, as band positions.  The key holds copies of the index
+    arrays, since a_ext may be the caller's a_eq.  Index arrays read once
+    per build are int32, to hold less.
     """
 
-    def __init__(self, pre: _Presolved, cols: np.ndarray, coup: np.ndarray, elim: np.ndarray):
+    def __init__(self, pre: _Presolved):
         a, g, n_b = pre.a_ext, pre.g, pre.n_b
-        self.key = tuple(map(np.array, _pattern_key(pre, cols, coup, elim)))
-        # the entries of a_ext and then of g's coupling rows, row by row,
-        # kept where both the row and the column are in the system
-        in_b = np.concatenate([np.ones(a.shape[0], dtype=bool), coup])
-        b_row = np.repeat(np.arange(len(in_b)),
-                          np.concatenate([np.diff(a.indptr), np.diff(g.indptr[n_b:])]))
-        b_col = np.concatenate([a.indices, g.indices[g.indptr[n_b] :]])
-        keep = cols[b_col] & in_b[b_row]
-        rows = (np.cumsum(in_b) - 1)[b_row[keep]]
-        b_col = (np.cumsum(cols) - 1)[b_col[keep]]
-        self.keep = slice(None) if len(rows) == len(keep) else keep
-        self.n, self.mb = n, mb = int(cols.sum()), int(in_b.sum())
+        self.key = tuple(map(np.array, _pattern_key(pre)))
+        self.n, self.mb = n, mb = a.shape[1], a.shape[0] + g.shape[0] - n_b
+        counts = np.concatenate([np.diff(a.indptr), np.diff(g.indptr[n_b:])])
         self.b_ptr = np.zeros(mb + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=mb), out=self.b_ptr[1:])
+        np.cumsum(counts, out=self.b_ptr[1:])
+        b_col = np.concatenate([a.indices, g.indices[g.indptr[n_b] :]])
         self.b_col = b_col.astype(np.int32)
 
-        elim = elim[cols]
-        self.elim = np.nonzero(elim)[0]
-        self.n_e = n_e = len(self.elim)
-        self.n_k = n_k = n - n_e
-        # the matrix's row behind each of r's
-        self.r_rows = np.concatenate([np.nonzero(~elim)[0], n + np.arange(mb)])
-        # B_e in CSC, each column's rows ascending; B_k stays in rows, b_col
-        in_e, e_before = elim[b_col], np.cumsum(elim)
-        e_src = np.nonzero(in_e)[0]
-        self.e_src = e_src[np.argsort(b_col[e_src], kind="stable")].astype(np.int32)
-        self.e_row = np.take(rows, self.e_src).astype(np.int32)
-        counts = np.bincount(e_before[b_col[in_e]] - 1, minlength=n_e)
+        # B in CSC, each column's rows ascending
+        self.e_src = np.argsort(b_col, kind="stable").astype(np.int32)
+        rows = np.repeat(np.arange(mb), counts)[self.e_src]
+        counts = np.bincount(b_col, minlength=n)
         self.e_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        self.k_src = np.nonzero(~in_e)[0]
-        rows, b_col = rows[self.k_src], b_col[self.k_src] - e_before[b_col[self.k_src]]
         self.pair_reps = (counts * counts).astype(np.int32)  # the pairs of each column
-        # every pair of entries t, s in one column e of B_e adds
-        # B[i_t, e] B[i_s, e] / D_e to r at (n_k + i_t, n_k + i_s); the
-        # pairs run column by column and t-major, t repeating each
-        # entry once per entry of its column
+        # every pair of entries t, s in one column e of B adds
+        # B[i_t, e] B[i_s, e] / D_e to r at (i_t, i_s); the pairs run
+        # column by column and t-major, t repeating each entry once per
+        # entry of its column
         reps = np.repeat(counts, counts)
         self.s = np.arange(self.pair_reps.sum(), dtype=np.int32) + np.repeat(
             (self.e_ptr[:-1].repeat(counts) - (np.cumsum(reps) - reps)).astype(np.int32), reps)
-        # r's entries: the products, B_k and B_k', then the diagonal; an
-        # r that keeps no column and eliminates some is negative definite
-        self.n_r = n_r = len(self.r_rows)
-        r_diag = np.arange(n_r)
-        e_t, e_s = self.pairs(self.e_row)
-        definite = n_e > 0 and not n_k
-        n_c = int(coup.sum())
-        r_i = np.concatenate([n_k + e_t, n_k + rows, b_col, r_diag])
-        r_j = np.concatenate([n_k + e_s, b_col, n_k + rows, r_diag])
-        self.lay, self.size, stored, self.dest, pos = _layout(r_i, r_j, n_r, n_c, definite)
+        # r's entries: the products, then the diagonal
+        e_t, e_s = self.pairs(rows)
+        r_diag = np.arange(mb)
+        self.lay, self.size, stored, self.dest, pos = _layout(
+            np.concatenate([e_t, r_diag]), np.concatenate([e_s, r_diag]), mb, g.shape[0] - n_b)
         # solves run in the band order: the matrix's row at each band
-        # position, and B_e's rows as band positions
-        self.band_rows = self.r_rows[self.lay[0]]
-        self.e_row = pos[n_k + self.e_row].astype(np.int32)
-        # the pairs the store holds, and how many of each column's (a
-        # definite r's other entries are its diagonal, all stored)
-        self.stored = slice(None)
-        if definite:
-            self.stored = np.nonzero(stored[: len(e_t)])[0]
-            pair_col = np.repeat(np.arange(n_e), self.pair_reps)
-            self.pair_reps = np.bincount(pair_col[self.stored], minlength=n_e).astype(np.int32)
+        # position, and B's rows as band positions
+        self.band_rows = n + self.lay[0]
+        self.e_row = pos[rows].astype(np.int32)
+        # the pairs the store holds, and how many of each column's (r's
+        # other entries are its diagonal, all stored)
+        self.stored = np.nonzero(stored[: len(e_t)])[0]
+        pair_col = np.repeat(np.arange(n), self.pair_reps)
+        self.pair_reps = np.bincount(pair_col[self.stored], minlength=n).astype(np.int32)
 
     def pairs(self, e: np.ndarray):
-        """e, one value per entry of B_e, at each pair's entries t and s."""
+        """e, one value per entry of B in its CSC order, at each pair's entries t and s."""
         counts = np.diff(self.e_ptr)
         return e.repeat(np.repeat(counts, counts)), np.take(e, self.s)
 
 
-# the patterns the open kkt_pattern_scope holds, one per role, named by
-# its diagonal shift (_KKT_REG for the interior point, _POLISH_EPS for the
-# polish); None outside every scope
-_PATTERNS: ContextVar[dict | None] = ContextVar("kkt_patterns", default=None)
+# the open kkt_pattern_scope's one slot, holding the last pattern built
+# in it, if any; None outside every scope
+_PATTERN: ContextVar[list | None] = ContextVar("kkt_pattern", default=None)
 
 
 @contextmanager
 def kkt_pattern_scope():
-    """Let every KKT system built inside reuse the last pattern of its role.
+    """Let every KKT system built inside reuse the last pattern built in it.
 
-    One command's solves (a scenario's base and neighbours, a sweep's
-    points) open one scope: an interior point or a polish whose index
-    arrays equal the last one's of its role takes that _Pattern, and
-    builds only the values.  A nested open shares the outer scope; the
-    patterns are dropped when the outermost closes, so a solve outside
-    every scope holds none after it returns.  Also a decorator.
+    solve_qp opens one around each solve, so that its interior point,
+    its polish and a warm start's polish share one pattern.  A command
+    that solves several problems (a scenario's base and neighbours, a
+    sweep's points) opens one around them all: a system whose index
+    arrays equal the held pattern's takes that _Pattern and builds only
+    the values, and a miss builds a pattern that replaces it.  A nested
+    open shares the outer scope; the pattern is dropped when the
+    outermost closes, so a solve made outside every scope holds none
+    after it returns.  Also a decorator.
     """
-    if _PATTERNS.get() is not None:
+    if _PATTERN.get() is not None:
         yield
         return
-    token = _PATTERNS.set({})
+    token = _PATTERN.set([])
     try:
         yield
     finally:
-        _PATTERNS.reset(token)
+        _PATTERN.reset(token)
 
 
-def _pattern(pre: _Presolved, cols: np.ndarray, coup: np.ndarray, elim: np.ndarray,
-             role: float) -> _Pattern:
-    """The open scope's pattern for `role` if its index arrays match, else a new one it keeps."""
-    held = _PATTERNS.get()
-    pattern = None if held is None else held.get(role)
-    if pattern is None or not all(map(np.array_equal, pattern.key,
-                                      _pattern_key(pre, cols, coup, elim))):
-        pattern = _Pattern(pre, cols, coup, elim)
-        if held is not None:
-            held[role] = pattern
+def _pattern(pre: _Presolved) -> _Pattern:
+    """The open scope's pattern if its index arrays match, else a new one that it keeps."""
+    held = _PATTERN.get()
+    if held and all(map(np.array_equal, held[0].key, _pattern_key(pre))):
+        return held[0]
+    pattern = _Pattern(pre)
+    if held is not None:
+        held[:] = [pattern]
     return pattern
 
 
 class _Kkt:
     """A bordered KKT matrix [[D1, B'], [B, -D2]] of the presolved problem.
 
-    Its columns are the variables marked in `cols`; B stacks the rows of
-    a_ext and the kept coupling rows marked in `coup`, in those columns,
-    read straight from the CSR arrays of a_ext and g.  k_true, the
-    unshifted matrix every solve is refined against, is held as its
+    B stacks the rows of a_ext and the kept coupling rows, in every
+    column, read straight from the CSR arrays of a_ext and g.  k_true,
+    the unshifted matrix every solve is refined against, is held as its
     blocks and never assembled: `b`, B in CSR, `diag`, the whole
     diagonal, which set_diagonal gets, and `top`, the primal rows
     [D1, B'] in CSC over B's values and arrays, so that matvec sums each
-    row in the order of k_true's own CSC product.  The
-    factor adds `eps` to the primal diagonal and subtracts it from the
-    dual one, which makes the matrix quasi-definite (Vanderbei 1995).
-    The interior point passes every column and kept coupling row,
-    eliminates the columns with a bound row and uses _KKT_REG; the
-    polish passes its free columns and active coupling rows, eliminates
-    nothing and uses _POLISH_EPS.
+    row in the order of k_true's own CSC product.  The factor adds `eps`
+    to the primal diagonal and subtracts it from the dual one, which
+    makes the matrix quasi-definite (Vanderbei 1995).  The interior point
+    uses _KKT_REG with B whole.  The polish uses _POLISH_EPS and marks
+    its free columns in `cols` and its active coupling rows in `coup`:
+    B's entries outside them are 0, so that with a diagonal of 1 on a
+    fixed column and -1 on an inactive row each of those solves to its
+    own right-hand side, alone.
 
-    Each column marked in `elim` has a positive diagonal D_e (a barrier
-    term), so x_e = D_e^-1 (r_e - B_e' y) leaves the reduced matrix
+    Every column's shifted diagonal D is positive (a barrier term, or q
+    plus the shift), so x = D^-1 (r_x - B' y) leaves the reduced matrix
 
-        r = [[D_k, B_k'], [B_k, -(B_e D_e^-1 B_e' + E)]]
+        r = -(B D^-1 B' + E)
 
-    in the kept columns k and the rows of B, E being the dual side of the
-    shifted diagonal.  The interior point keeps the free columns (presolve
-    has substituted out the pinned ones): eliminating their diagonal,
-    little more than the shift, would put 1 / _KKT_REG into r.  r is
-    bordered by the coupling rows and never assembled (bandwidth 8 on the
-    synthetic model at every horizon).  With no column kept, r is the
-    negative definite -(B_e D_e^-1 B_e' + E), whose band takes the band
-    Cholesky from its entries on and below the diagonal; an r with kept
-    columns, the polish's among them, is indefinite and takes the band
-    LU (_BandFactor).
+    in the rows of B, E being the dual side of the shifted diagonal.  r
+    is negative definite, bordered by the coupling rows and never
+    assembled (bandwidth 8 on the synthetic model at every horizon); its
+    band takes the band Cholesky from its entries on and below the
+    diagonal (_BandFactor).
 
     Everything read from index arrays alone is a _Pattern, symbolic work
-    made once per pattern (Davis 2006, ch. 7): inside a kkt_pattern_scope
-    a system whose index arrays equal the last one's of its role (its
-    shift) reuses it, and a miss builds it as a solve outside any scope
-    does.  The instance holds the values: B's, B_e's and the pair
-    products, and one band store that each factor refills in place, in
-    the pattern's entry order, before factoring it.  It holds its one
-    factor, and solve() takes the eliminated columns around it and
-    refines against k_true.
+    made once per pattern (Davis 2006, ch. 7): the open kkt_pattern_scope
+    holds one, which a system with the same index arrays reuses.  The
+    polish's system therefore refills the interior point's pattern, with
+    only its values changed.  The instance holds the values: B's, B's in
+    CSC and the pair products, and one band store that each factor
+    refills in place, in the pattern's entry order, before factoring it.
+    It holds its one factor, and solve() takes the eliminated columns
+    around it and refines against k_true.
     """
 
-    def __init__(self, pre: _Presolved, cols: np.ndarray, coup: np.ndarray,
-                 elim: np.ndarray, eps: float):
-        self.pat = pat = _pattern(pre, cols, coup, elim, eps)
-        self.elim, self.n_k, self.band_rows = pat.elim, pat.n_k, pat.band_rows
-        g, n = pre.g, pat.n
-        vals = np.concatenate([pre.a_ext.data, g.data[g.indptr[pre.n_b] :]])[pat.keep]
+    def __init__(self, pre: _Presolved, eps: float, cols: np.ndarray | None = None,
+                 coup: np.ndarray | None = None):
+        self.pat = pat = _pattern(pre)
+        self.band_rows, n, g = pat.band_rows, pat.n, pre.g
+        vals = np.concatenate([pre.a_ext.data, g.data[g.indptr[pre.n_b] :]])
+        if cols is not None:  # the polish's system: B outside cols and coup is 0
+            m = pre.a_ext.shape[0]
+            live = cols[pat.b_col]
+            live[pat.b_ptr[m] :] &= np.repeat(coup, np.diff(pat.b_ptr[m:]))
+            vals[~live] = 0.0
         # k_true's primal rows [D1, B'] in CSC, whose columns past n are
         # B's rows in its CSR arrays; set_diagonal writes D1, and B shares
         # their values
@@ -914,19 +856,18 @@ class _Kkt:
                                   np.concatenate([first, pat.b_col]),
                                   np.concatenate([first, n + pat.b_ptr])), shape=(n, n + pat.mb))
         self.b = sp.csr_matrix((self.top.data[n:], pat.b_col, pat.b_ptr), shape=(pat.mb, n))
-        self.shift = np.full(pat.n + pat.mb, eps)
-        self.shift[pat.n :] = -eps
+        self.shift = np.full(n + pat.mb, eps)
+        self.shift[n:] = -eps
         e_val = np.take(vals, pat.e_src)
         e_t, e_s = pat.pairs(e_val)
         self.pair_val = (-e_t * e_s)[pat.stored]
-        # B_e with its rows as band positions, so that solves run in the band order
-        self.b_e = sp.csc_matrix((e_val, pat.e_row, pat.e_ptr), shape=(pat.n_r, pat.n_e))
+        # B with its rows as band positions, so that solves run in the band order
+        self.b_e = sp.csc_matrix((e_val, pat.e_row, pat.e_ptr), shape=(pat.mb, n))
         self.b_e_t = self.b_e.T
-        vals_k = vals[pat.k_src]
-        self.weights = np.concatenate([np.zeros(len(self.pair_val)), vals_k, vals_k,
-                                       np.zeros(pat.n_r)])
+        # r's entries in the pattern's order: the pair products, then the diagonal
+        self.weights = np.empty(len(self.pair_val) + pat.mb)
         self.store = np.empty(pat.size)  # r's band store, refilled by each factor
-        # the diagonal, the shifted diagonal and 1 / D_e, from set_diagonal
+        # the diagonal, the shifted diagonal and 1 / D, from set_diagonal
         self.diag = self.reg = self.inv_d = None
         self.lu = None  # r's band factor, from factor
 
@@ -934,15 +875,14 @@ class _Kkt:
         self.diag = diag
         self.top.data[: self.pat.n] = diag[: self.pat.n]
         self.reg = diag + self.shift
-        self.inv_d = 1.0 / self.reg[self.elim]
+        self.inv_d = 1.0 / self.reg[: self.pat.n]
 
     def factor(self) -> None:
         """Factor r at the current diagonal, freeing the last factor first."""
         self.lu = None
-        w, pat = self.weights, self.pat
-        np.multiply(self.pair_val, np.repeat(self.inv_d, pat.pair_reps),
-                    out=w[: len(self.pair_val)])
-        w[len(w) - pat.n_r :] = self.reg[pat.r_rows]
+        w, pat, n_pairs = self.weights, self.pat, len(self.pair_val)
+        np.multiply(self.pair_val, np.repeat(self.inv_d, pat.pair_reps), out=w[:n_pairs])
+        w[n_pairs:] = self.reg[pat.n :]
         self._fill()
         self.lu = _BandFactor(*pat.lay, self.store, self._fill)
 
@@ -963,19 +903,19 @@ class _Kkt:
     def shifted_solve(self, vec: np.ndarray) -> np.ndarray:
         """Solve the shifted k_true with r's factor: the eliminated columns go around it.
 
-        x_e = D_e^-1 (vec_e - B_e' y) comes out of r's solution; with no
-        column eliminated, as in the polish, B_e is empty and r is the
-        whole shifted matrix.  r's right-hand side is gathered straight
-        into the band order and its solution scattered straight back, and
-        the factor solves in place between them.
+        x = D^-1 (vec_x - B' y) comes out of r's solution.  r's
+        right-hand side is gathered straight into the band order and its
+        solution scattered straight back, and the factor solves in place
+        between them.
         """
-        r_e = vec[self.elim] * self.inv_d
+        n = self.pat.n
+        r_e = vec[:n] * self.inv_d
         rhs = vec[self.band_rows]
         rhs -= self.b_e @ r_e
         sol = self.lu.solve(rhs)
         step = np.empty_like(vec)
         step[self.band_rows] = sol
-        step[self.elim] = r_e - (self.b_e_t @ sol) * self.inv_d
+        step[:n] = r_e - (self.b_e_t @ sol) * self.inv_d
         return step
 
     def solve(self, vec: np.ndarray, rtol: float, rhs0: np.ndarray | None = None) -> np.ndarray:
@@ -1008,6 +948,7 @@ class _Kkt:
         return step
 
 
+@kkt_pattern_scope()
 def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
              start: Solution | None = None) -> Solution:
     """Solve the concave QP to the requested tolerances.
@@ -1023,6 +964,8 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
     polished on p first and, if that point meets the tolerances, returned
     with iterations == 0; otherwise the solve runs exactly as without a
     start (active-set warm start: Nocedal & Wright 2006, ch. 16).
+
+    Every KKT system of the solve shares one pattern (kkt_pattern_scope).
     """
     s = settings if settings is not None else SolverSettings()
     try:
@@ -1061,12 +1004,13 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
     With no inequality row, every variable pinned or free, the run is the
     zero point with nothing active, whose polish is the one
     equality-constrained solve.  Every array of the iteration, the KKT
-    matrix and its factor among them, is freed on return, before the
-    polish makes its own factor (inside a kkt_pattern_scope the matrix's
-    pattern stays held for the next solve), and the best-merit iterate is kept in
-    buffers allocated once: with nothing the iteration made late left
-    alive, the allocator can hand the memory back before the polish (at
-    T=8760 the peak resident size fell from about 315 to 240 MB).
+    matrix's values and its factor among them, is freed on return, before
+    the polish makes its own factor (the solve's kkt_pattern_scope keeps
+    the pattern, which the polish refills), and the best-merit iterate
+    is kept in buffers allocated once: with nothing the iteration made
+    late left alive, the allocator can hand the memory back before the
+    polish (at T=8760 the peak resident size fell from about 315 to 240
+    MB).
     """
     n = len(pre.q)
     q, c = pre.q, pre.c
@@ -1078,8 +1022,8 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
                 "equality-constrained solve failed", None)
 
     # the bound rows of the inequality block fold into the primal diagonal
-    # D1 of the KKT matrix, and the band factor eliminates their
-    # variables; its coupling rows stay bordered next to A
+    # D1 of the KKT matrix, and the band factor eliminates every
+    # variable; its coupling rows stay bordered next to A
     bound_var = np.concatenate([pre.lo_idx, pre.up_idx])  # variable of each bound row
     n_bound = np.bincount(bound_var, minlength=n)  # bound rows per variable
     a_t, g_t, gb_t = a.T, g.T, g[:n_b].T.tocsr()
@@ -1091,8 +1035,7 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
     # start (module docstring): the KKT matrix with every w / z at 1 gives
     # least-squares primal and dual points, each shifted into w, z > 0
     try:  # the ordering, not only the factor, can run out of memory
-        kkt = _Kkt(pre, np.ones(n, dtype=bool), np.ones(m_comp - n_b, dtype=bool), n_bound > 0,
-                   _KKT_REG)
+        kkt = _Kkt(pre, _KKT_REG)
         kkt.set_diagonal(np.concatenate([q + n_bound, np.zeros(m), -np.ones(m_comp - n_b)]))
         kkt.factor()
         # a copy: as a view, x would keep the whole solution alive through
@@ -1324,9 +1267,9 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
     `act` marks the active rows of the inequality block and `hint` is an
     interior-point iterate (x, y, z).  An active bound row fixes its
     variable at the bound and reads its multiplier off that column of
-    stationarity, so the system keeps only the free variables, the rows of
-    a_ext and the active coupling rows (bounds in reduced space: Nocedal &
-    Wright 2006, ch. 16).  The regularized system is biased toward the hint
+    stationarity, so the system solves for the free variables alone, the
+    rows of a_ext and the active coupling rows (bounds in reduced space:
+    Nocedal & Wright 2006, ch. 16).  The regularized system is biased toward the hint
     so that on a degenerate optimal face the solve selects a sign-feasible
     multiplier set instead of the minimal-norm one.  An active row that
     still gets a negative multiplier is released and the system re-solved,
@@ -1335,9 +1278,13 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
     for the caller to verify, or None when the factorization raises or 8
     rounds leave a negative one.
 
-    Each round's system [[diag(q_free), a_bar'], [a_bar, 0]], with a_bar
-    the rows of a_ext and the active coupling rows in the free columns, is
-    a _Kkt that eliminates nothing, bordered by the active coupling rows.
+    Each round's system is the interior point's _Kkt, on its pattern,
+    with B whole but for its entries in the fixed columns and the
+    inactive coupling rows, which are 0, and the diagonal q on a free
+    column and 1 on a fixed one, 0 on an equality row and an active
+    coupling row and -1 on an inactive one.  A fixed column's step and
+    an inactive row's multiplier are then their right-hand sides, 0, and
+    each fixed value sits on the right-hand side of the rows it enters.
     """
     a, g = pre.a_ext, pre.g
     (m, n), n_b = a.shape, pre.n_b
@@ -1355,7 +1302,6 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
     for _ in range(8):
         fixed = np.nonzero(act[:n_b])[0]
         on = act[n_b:]
-        coup = n_b + np.nonzero(on)[0]
         # bound row i is sign_i e_j' x <= h_i, so its variable sits at
         # sign_i h_i, added to 0.0 as a sparse product adds it (no -0.0)
         var, sign = g.indices[fixed], g.data[fixed]
@@ -1363,17 +1309,18 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
         x[var] = 0.0 + sign * pre.h[fixed]
         free = np.ones(n, dtype=bool)
         free[var] = False
-        n_f = int(free.sum())
         # the fixed columns move to the right-hand side
-        true_target = np.concatenate([-pre.c[free], pre.b_ext - a @ x,
-                                      pre.h[coup] - (g @ x)[coup]])
+        true_target = np.concatenate([np.where(free, -pre.c, 0.0), pre.b_ext - a @ x,
+                                      np.where(on, pre.h[n_b:] - (g @ x)[n_b:], 0.0)])
         # stationarity convention: equality rows contribute -y and active
-        # coupling rows +z, so the stacked hint multiplier is (-y, z)
-        u_hint = np.concatenate([-y_hint, z_hint[coup]])
-        biased = true_target + _POLISH_EPS * np.concatenate([x_hint[free], -u_hint])
+        # coupling rows +z, so the pull toward the hint multiplier is (y, -z)
+        pull = np.concatenate([np.where(free, x_hint, 0.0), y_hint,
+                               np.where(on, -z_hint[n_b:], 0.0)])
+        biased = true_target + _POLISH_EPS * pull
         try:  # a solve, not only the factor, can run out of memory
-            kkt = _Kkt(pre, free, on, np.zeros(n, dtype=bool), _POLISH_EPS)
-            kkt.set_diagonal(np.concatenate([pre.q[free], np.zeros(m + len(coup))]))
+            kkt = _Kkt(pre, _POLISH_EPS, free, on)
+            kkt.set_diagonal(np.concatenate([np.where(free, pre.q, 1.0), np.zeros(m),
+                                             np.where(on, 0.0, -1.0)]))
             kkt.factor()
             # the bias leaves about _POLISH_EPS * |solution - hint| in the
             # first solve; a hint from a neighbouring problem (a warm start)
@@ -1382,10 +1329,10 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
             step = kkt.solve(true_target, 1e-14, biased)
         except _FACTOR_ERRORS:
             return None
-        x[free] = step[:n_f]
-        y = -step[n_f : n_f + m]
+        x[free] = step[:n][free]
+        y = -step[n : n + m]
         z = np.zeros(len(act))
-        z[coup] = step[n_f + m :]
+        z[n_b:][on] = step[n + m :][on]
         # g' z sums only the coupling rows: z is still zero on the bound rows
         z[fixed] = 0.0 + sign * (a.T @ y - g.T @ z - pre.q * x - pre.c)[var]
 
@@ -1413,9 +1360,18 @@ def linprog(*args, **kwargs):
 
 
 def _feasibility_probe(p: QpProblem, drop_coupling: tuple[int, ...] = ()) -> str:
+    """HiGHS's verdict on p's constraints: "feasible", INFEASIBLE or "unknown".
+
+    HiGHS rejects a coefficient or right-hand side that is not finite,
+    and a NaN bound, by raising; such a problem is not handed to it, and
+    its feasibility is "unknown".
+    """
     keep = [k for k in range(p.coup.shape[0]) if k not in drop_coupling]
     a_ub = p.coup[keep, :] if keep else None
     b_ub = p.coup_rhs[keep] if keep else None
+    rows = [p.a_eq.data, p.b_eq] + ([a_ub.data, b_ub] if keep else [])
+    if not all(np.all(np.isfinite(v)) for v in rows) or np.isnan([p.lb, p.ub]).any():
+        return "unknown"
     res = linprog(
         c=np.zeros(p.n),
         A_ub=a_ub,

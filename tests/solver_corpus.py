@@ -24,19 +24,19 @@ calls behind them: per routine, ``qp.dpbtrs`` (a Cholesky's whole
 solve, in trees that have it), ``qp.dtbtrs`` (one triangular sweep of a
 Cholesky factor: its forward sweep of the border's columns, once per
 factor, and the two sweeps of each solve) and ``qp.dgbtrs`` (an LU's
-solve), the calls and the right-hand-side columns they took.  A factor
-is the
+solve, in trees that have it), the calls and the right-hand-side
+columns they took.  A factor, an ordering and a LAPACK call are the
 polish's whenever ``_polish`` is running, and the interior point's
 otherwise; a band solve counts under the site of the factor it uses.
 A tree without ``qp._Kkt.shifted_solve`` records no band solve.  The
-sites are ``ipm``, the interior point's band LUs
-(``qp.dgbtrf``, (3 bw + 1) entries stored per row of the band, and its
-orderings), ``ipm_cholesky``, its band Cholesky factors (``qp.dpbtrf``,
-made when its reduced system keeps no column, each call counted, the
-one after a replaced pivot included; bw + 1 entries stored per row), and
-``polish``, whose factors are band LUs.  A tree without
-``qp.dpbtrf`` records no Cholesky factor.  The corpus is
-``random_instance`` seeds 0-599 x {default, ``r_min=0.95``} x
+sites are ``ipm``, the interior point's band LUs (``qp.dgbtrf``, in
+trees that have it, (3 bw + 1) entries stored per row of the band) and
+its orderings, ``ipm_cholesky``, its band Cholesky factors
+(``qp.dpbtrf``, each call counted, the one after a replaced pivot
+included; bw + 1 entries stored per row), and ``polish``, every factor
+the polish makes, band LU or band Cholesky, with its solves and
+orderings.  A tree without ``qp.dpbtrf`` records no Cholesky factor.
+The corpus is ``random_instance`` seeds 0-599 x {default, ``r_min=0.95``} x
 ``max_iter`` {200, 8}, plus 26 synth-data solves at T=168-672: default,
 uncapped, r = 0.995, an unmeetable REC floor, and two with lossy storage.
 For each synth case with an optimal answer it also solves the neighbours
@@ -65,7 +65,9 @@ entries, the replaced pivots, the breakdowns, the band solves and
 refinement steps, the LAPACK solve calls (columns), and the orderings,
 over every solve,
 neighbours included, then the orderings of the neighbour solves alone; and the largest primal
-residual of an optimal answer.  The sites include ``fallback``, which
+residual of an optimal answer, and the orderings per solve: their
+total over every site divided by the solves, neighbours left out, and
+the most any one solve made.  The sites include ``fallback``, which
 dumps of trees that still had the interior point's partial-pivot
 fallback on the full KKT matrix record; a dump without it, or without
 ``ipm_cholesky``, replaced pivots, breakdowns or orderings, reads 0
@@ -197,24 +199,26 @@ def _count_band(qp) -> dict:
 
     A call is the polish's whenever _polish is running (it factors through
     _Kkt.factor, as the interior point does), and the interior point's
-    otherwise; a band Cholesky counts under its role's site with
-    "_cholesky" appended.  Each factor is counted with its dimensions, its
-    store and whether it reported a pivot that is not positive; each
-    _Kkt.factor that raises RuntimeError is a breakdown of its site's
-    factor (a Cholesky one when its layout is definite).  Each band solve
+    otherwise; the interior point's band Cholesky counts under
+    "ipm_cholesky", and every call of the polish under "polish".  Each
+    factor is counted with its dimensions, its store and whether it
+    reported a pivot that is not positive; each _Kkt.factor that raises
+    RuntimeError is a breakdown of its site's factor (a Cholesky one
+    unless its layout carries a false definite flag, as a band LU's did
+    in trees that had one).  Each band solve
     counts under the site of the factor it goes through, and a
     _Kkt.solve's band solves past its first as refinement steps.  Each
     SOLVERS call counts with its right-hand side's columns, dgbtrs under
     its role's site and the Cholesky's dpbtrs and dtbtrs under
-    "_cholesky".
+    "ipm_cholesky" or "polish".
     """
     band, depth, order = {}, [0], qp.reverse_cuthill_mckee
-    polish, lu, cholesky = qp._polish, qp.dgbtrf, getattr(qp, "dpbtrf", None)
+    polish, lu, cholesky = qp._polish, getattr(qp, "dgbtrf", None), getattr(qp, "dpbtrf", None)
     factor = qp._Kkt.factor
     shifted, refined = getattr(qp._Kkt, "shifted_solve", None), qp._Kkt.solve
 
     def site(kind=""):
-        return band.setdefault(("polish" if depth[0] else "ipm") + kind,
+        return band.setdefault("polish" if depth[0] else "ipm" + kind,
                                dict.fromkeys(BAND_KEYS, 0))
 
     def wrapped(*args, **kwargs):
@@ -244,12 +248,12 @@ def _count_band(qp) -> dict:
         try:
             return factor(kkt)
         except RuntimeError:
-            lay = kkt.pat.lay
-            site("_cholesky" if len(lay) > 3 and lay[3] else "")["breakdowns"] += 1
+            lay = kkt.pat.lay  # (order, bw, n_c), and a definite flag in trees with a band LU
+            site("_cholesky" if len(lay) == 3 or lay[3] else "")["breakdowns"] += 1
             raise
 
     def solve_site(kkt):
-        return site("_cholesky" if getattr(kkt.lu, "definite", False) else "")
+        return site("_cholesky" if getattr(kkt.lu, "definite", True) else "")
 
     def shifted_counted(kkt, vec):
         solve_site(kkt)["solves"] += 1
@@ -283,7 +287,8 @@ def _count_band(qp) -> dict:
 
     qp._polish = wrapped
     qp._Kkt.factor = factor_counted
-    qp.dgbtrf = lu_counted
+    if lu is not None:
+        qp.dgbtrf = lu_counted
     if cholesky is not None:
         qp.dpbtrf = cholesky_counted
     if shifted is not None:
@@ -411,6 +416,9 @@ def compare(path_a: str, path_b: str) -> None:
                   f"of them in {len(neighbours)} neighbour solves")
         worst = max((r["primal_inf"] for r in d.values() if r["status"] == "optimal"), default=0.0)
         print(f"{label}: largest optimal primal residual {worst:.3g}")
+        orderings = [sum(s.get("orderings", 0) for s in r["band"].values()) for r in d.values()]
+        print(f"{label}: {sum(orderings)} orderings in {len(d)} solves "
+              f"({sum(orderings) / len(d):.3f} per solve, at most {max(orderings)} in one)")
     changed_by_status = {}
     changed = [k for k in a if a[k]["iterations"] != b[k]["iterations"]]
     for k in changed:

@@ -180,6 +180,26 @@ class TestPropertyReports:
         assert not rep.skipped
         assert rep.holds
 
+    def test_purchase_above_the_floor_is_witnessed(self, uncapped_cfg, base_data):
+        # the plan above, doctored to buy 5 certificates in the first hour
+        # priced above the floor: the check fails, and its witness names
+        # that hour
+        cfg = uncapped_cfg.with_inventories(rec=False, cer=True)
+        model, p, sol = solve(cfg, base_data)
+        plan = recover_plan(sol.x, p.layout)
+        pi_r = model.data.pi_r
+        floor = float(np.min(pi_r))
+        hour = int(np.argmax(pi_r > floor + 1e-6))
+        assert pi_r[hour] > floor + 1e-6 and plan.R[hour] >= 0.0
+        bought = plan.R.copy()
+        bought[hour] = -5.0
+        _, reports = classify_rec_trading(dataclasses.replace(plan, R=bought),
+                                          named_duals(p, sol), model)
+        rep = _by_id(reports)["rec_purchases_at_min_price"]
+        assert not rep.holds and rep.residual == float(pi_r[hour] - floor)
+        assert rep.witness == (f"bought 5 at hour {hour + 1} price {pi_r[hour]:.6g} "
+                               f"> floor {floor:.6g}")
+
 
 _REC = (rec_sale_capped_case, classify_rec_trading, "mu", "R",
         "rps_multiplier_iff_rec_trade_slack", "rec_no_slack_trade_with_zero_multiplier")

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 import trimarket.analysis
 from trimarket import __version__
 from trimarket.analysis import PropertyReport
-from trimarket.cli import main
+from trimarket.cli import _model_warnings_on_stderr, main
 from trimarket.config_io import (
     CONFIG_KEYS,
     DUAL_COLUMNS,
@@ -34,7 +35,7 @@ from trimarket.config_io import (
 )
 from trimarket.model import TradeCaps, default_config, recover_plan
 from trimarket.scenarios import SynthSpec, synth_data
-from trimarket.svg import (_Canvas, _num, _points, _y_range, render_bar_chart,
+from trimarket.svg import (_Canvas, _num, _points, _ticks, _y_range, render_bar_chart,
                            render_line_chart, run_charts)
 
 from _instances import hand_case, solve
@@ -395,6 +396,16 @@ class TestSvg:
         (pt,) = re.findall(r'<polyline points="([^"]*)"', svg)[0].split()
         assert float(pt.split(",")[0]) == (cv.x0 + cv.x1) / 2
 
+    def test_line_chart_of_an_x_range_below_float_resolution(self):
+        # two x values 1e-6 apart at 1e10, within 4 ulps of each other:
+        # the tick range is widened to one the step can advance through,
+        # so the ticks are distinct rather than 32 copies of one value
+        svg = render_line_chart("t", "x", "y", [1e10, 1e10 + 1e-6], [("s", [1.0, 2.0])])
+        ET.fromstring(svg)
+        ticks = _ticks(1e10, 1e10 + 1e-6, 8)
+        assert 1 < len(ticks) == len(set(ticks))
+        assert ticks[0] <= 1e10 and ticks[-1] >= 1e10 + 1e-6
+
     def test_escaping(self):
         svg = render_line_chart("a<b>&\"c\"", "x", "y", [1, 2], [("s", [1, 2])])
         ET.fromstring(svg)
@@ -459,6 +470,26 @@ class TestCli:
         assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 1
         assert f"error: {cfg}: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["solve"], ["sweep", "--param", "alpha", "--grid", "0.1,0.2"]], ids=["solve", "sweep"])
+    @pytest.mark.parametrize("old, new, message", [
+        ("ess.eta_d = 1", "ess.eta_d = 1e-320", "1 / ess.eta_d overflows to inf"),
+        ("tg.g_max = 80", "tg.g_max = 1e308",
+         "the CER quota tg.g_max * tg.k * horizon.T * policy.alpha overflows to inf"),
+    ], ids=["subnormal-eta_d", "huge-g_max"])
+    def test_overflowing_coefficient_exits_one(self, workdir, capsys, command, old, new, message):
+        # each parameter is finite and in its domain, but the coefficient
+        # assembled from it is not: an infinite a_eq or coupling
+        # right-hand side once reached HiGHS, whose input check raised
+        # through main
+        cfg = workdir / "model.cfg"
+        assert f"\n{old}\n" in cfg.read_text()
+        cfg.write_text(cfg.read_text().replace(f"\n{old}\n", f"\n{new}\n"))
+        rc = main([*command, "--config", str(cfg), "--data", str(workdir / "market.csv"),
+                   "--out", str(workdir / "run"), "--no-plots"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_non_finite_parameter_exits_one(self, workdir, capsys):
         cfg = workdir / "model.cfg"
@@ -732,6 +763,19 @@ class TestCli:
         assert main(["sweep", *inputs, "--param", "r", "--grid", "0,0.5",
                      "--out", str(workdir / "w")]) == 0
         assert capsys.readouterr().err == warning
+
+    def test_other_warnings_reach_the_handler_in_place(self, monkeypatch, capsys):
+        # only a ModelWarning is printed as "warning: ..."; any other
+        # warning raised under main goes to the handler that was in place
+        shown = []
+        monkeypatch.setattr(warnings, "showwarning",
+                            lambda message, category, *args, **kwargs:
+                            shown.append((str(message), category)))
+        with _model_warnings_on_stderr():
+            warnings.simplefilter("always", RuntimeWarning)
+            warnings.warn("not a model warning", RuntimeWarning)
+        assert shown == [("not a model warning", RuntimeWarning)]
+        assert capsys.readouterr().err == ""
 
     def test_bundled_config_prints_no_warning(self, tmp_path, capsys):
         import trimarket

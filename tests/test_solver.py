@@ -390,6 +390,23 @@ class TestInfeasibility:
         _, p = build(cfg, data)
         assert diagnose_infeasibility(p) == "problem is feasible"
 
+    @pytest.mark.parametrize("field", ["a_eq", "coup_rhs", "lb"])
+    def test_probe_never_hands_highs_non_finite_data(self, monkeypatch, field):
+        # HiGHS's input check raises on an infinite coefficient or
+        # right-hand side and on a NaN bound; a problem holding one is not
+        # handed to it, and its feasibility is undecided
+        monkeypatch.setattr(qp, "linprog", lambda *a, **k: pytest.fail("HiGHS called"))
+        _, p = build(*hand_case())
+        if field == "a_eq":
+            a_eq = p.a_eq.copy()
+            a_eq.data[0] = np.inf
+            p = dataclasses.replace(p, a_eq=a_eq)
+        elif field == "coup_rhs":
+            p = dataclasses.replace(p, coup_rhs=np.array([p.coup_rhs[0], np.inf]))
+        else:
+            p = dataclasses.replace(p, lb=np.where(np.arange(p.n) == 0, np.nan, p.lb))
+        assert diagnose_infeasibility(p) == "feasibility could not be decided"
+
     @pytest.mark.parametrize("status", [1, 4])
     def test_diagnose_when_the_probe_cannot_decide(self, monkeypatch, status):
         # HiGHS stopped at a limit (1) or on numerical trouble (4): the
@@ -406,13 +423,12 @@ class TestInfeasibility:
 # interior point's band factor of the reduced system and the active-set
 # polish
 BAND, POLISH = "factor", "_polish"
-# the two band factors, LU and Cholesky, by the LAPACK routine that makes each
-DGBTRF, DPBTRF, RCM = "dgbtrf", "dpbtrf", "reverse_cuthill_mckee"
-FACTORS = (DGBTRF, DPBTRF)
+# the band Cholesky, by the LAPACK routine that makes it, and the ordering
+DPBTRF, RCM = "dpbtrf", "reverse_cuthill_mckee"
 
 
 class _Sites:
-    """Record each factor (a call of qp.dgbtrf or qp.dpbtrf) and call of module.<attr>, by site.
+    """Record each factor (a call of qp.dpbtrf) and call of module.<attr>, by site.
 
     The site of a call is qp._polish whenever it is running (the polish
     factors through _Kkt.factor too), else _Kkt.factor if that is, else
@@ -424,7 +440,7 @@ class _Sites:
         self.calls, self.stack = [], []
         for owner, name in ((qp._Kkt, BAND), (qp, POLISH)):
             monkeypatch.setattr(owner, name, self._entered(name, getattr(owner, name)))
-        for owner, attr in [(qp, f) for f in FACTORS] + [(module, attr) for attr in attrs]:
+        for owner, attr in [(qp, DPBTRF)] + [(module, attr) for attr in attrs]:
             monkeypatch.setattr(owner, attr, self._recorded(attr, getattr(owner, attr)))
 
     @property
@@ -432,11 +448,7 @@ class _Sites:
         return POLISH if POLISH in self.stack else self.stack[-1] if self.stack else None
 
     def factors(self, exclude=None):
-        return [site for site, attr in self.calls if attr in FACTORS and site != exclude]
-
-    def kinds(self, site):
-        """The routine, DGBTRF or DPBTRF, of each factor made at `site`."""
-        return [attr for at, attr in self.calls if attr in FACTORS and at == site]
+        return [site for site, attr in self.calls if attr == DPBTRF and site != exclude]
 
     def _entered(self, name, real):
         def entered(*args, **kwargs):
@@ -461,7 +473,8 @@ def _synth_week():
 
 def _uncapped_week():
     """Synth T=168 with every trade uncapped: the trades are free columns,
-    which the interior point keeps, so its reduced system is indefinite."""
+    which the interior point eliminates as it does the bounded ones, its
+    D being q plus the shift."""
     cfg = default_config(168).with_caps(g_cap=np.inf, r_cap=np.inf, c_cap=np.inf)
     _, p = build(cfg, synth_data(SynthSpec(horizon=168)))
     return p
@@ -486,13 +499,13 @@ class TestKktFactorization:
         assert sites.factors() == [BAND] * 8 + [POLISH]
 
     def test_refinement_miss_keeps_solve_optimal(self, monkeypatch):
-        # the barrier diagonal spans so many orders of magnitude that the
-        # 7th iteration's three directions miss their refinement
-        # tolerances: the predictor its loose one, and the two correctors,
-        # refined to _KKT_RTOL there, by 1e15 and more (by 1e66 and more
-        # before a refinement step that raises the residual was undone);
-        # each is used as refined, the ratio test takes what it can, and
-        # the gate verifies the answer as any other
+        # the barrier diagonal spans so many orders of magnitude that, when
+        # the interior point kept this instance's free columns and took a
+        # band LU, the 7th iteration's three directions missed their
+        # refinement tolerances, the two correctors by 1e15 and more, and
+        # the solve took 8 iterations.  With every column eliminated and
+        # the band Cholesky, no solve misses its tolerance by more than
+        # 1e3 times, and the solve is optimal in 7
         misses, real = [], qp._Kkt.solve
 
         def recorded(kkt, vec, rtol, rhs0=None):
@@ -507,11 +520,9 @@ class TestKktFactorization:
         sites = _Sites(monkeypatch)
         _, p = build(*random_instance(222))
         sol = solve_qp(p)
-        assert sol.status == OPTIMAL and sol.iterations == 8
-        assert [rtol for rtol, _ in misses] == [qp._LOOSE_RTOL, qp._KKT_RTOL, qp._KKT_RTOL]
-        tight = [miss for rtol, miss in misses if rtol == qp._KKT_RTOL]
-        assert 1e15 < min(tight) and max(tight) < 1e20
-        assert sites.factors() == [BAND] * 8 + [POLISH]
+        assert sol.status == OPTIMAL and sol.iterations == 7
+        assert all(miss <= 1e3 for _, miss in misses), misses
+        assert sites.factors() == [BAND] * 7 + [POLISH]
 
     def test_directions_are_refined_as_far_as_mu_asks(self, monkeypatch):
         # each predictor, and each corrector while mu is above _TIGHT_MU
@@ -556,7 +567,7 @@ class TestKktFactorization:
         assert (base.status, warm.status, warm.iterations) == (OPTIMAL, OPTIMAL, 0)
         assert infeasible.status == INFEASIBLE
         assert sites.factors() == [BAND] * 8 + [POLISH, POLISH] + [BAND] * 11
-        assert [attr for _, attr in sites.calls if attr not in FACTORS] == []
+        assert [attr for _, attr in sites.calls if attr != DPBTRF] == []
 
     def test_presolve_builds_no_block_matrix(self, monkeypatch):
         # presolve writes a_ext and g from index arrays, and they are the
@@ -599,41 +610,56 @@ class TestKktFactorization:
 
     def test_polish_system_is_the_block_matrix(self, monkeypatch):
         # the blocks _Kkt writes from index arrays are the stacked ones,
-        # byte for byte: the polish's B is a_bar, the rows of a_ext and the
-        # active coupling rows in the free columns, under the diagonal
-        # (q_free, 0); the interior point's start's is b, the rows of a_ext
-        # and the kept coupling rows, under the diagonal with every w / z
-        # at 1, (d, 0, -1).  The product refinement takes from the blocks
-        # is the SciPy-assembled CSC [[diag, B'], [B, diag]] times a vector,
-        # bit for bit: each row sums its terms in the same order
+        # byte for byte, on the one pattern of the solve.  The interior
+        # point's start's B is b, the rows of a_ext and the kept coupling
+        # rows, under the diagonal with every w / z at 1, (d, 0, -1).  A
+        # polish's is b with its entries in the fixed columns and in the
+        # inactive coupling rows set to 0, under the diagonal q on a free
+        # column and 1 on a fixed one, 0 on an equality row and an active
+        # coupling row and -1 on an inactive one: the week's predicted
+        # set, with both coupling rows active, and that set with the quota
+        # row off.  The product refinement takes from the blocks is the
+        # SciPy-assembled CSC [[diag, B'], [B, diag]] times a vector, bit
+        # for bit: each row sums its terms in the same order
         rng = np.random.default_rng(0)
         systems, real = {POLISH: [], BAND: []}, qp._Kkt.solve
 
         def recorded(kkt, vec, rtol, rhs0=None):
             vecs = rng.standard_normal((3, len(kkt.diag)))
             systems[POLISH if sites.site == POLISH else BAND].append(
-                (kkt.b.copy(), kkt.diag.copy(), vecs, [kkt.matvec(v) for v in vecs]))
+                (kkt.pat, kkt.b.copy(), kkt.diag.copy(), vecs, [kkt.matvec(v) for v in vecs]))
             return real(kkt, vec, rtol, rhs0)
 
         monkeypatch.setattr(qp._Kkt, "solve", recorded)
         sites = _Sites(monkeypatch)
         p = _synth_week()
         pre = _presolve(p)
-        x, y, z = qp._presolved_point(pre, solve_qp(p))
-        act = qp._active(pre, x, z, pre.h - pre.g @ x)
-        start, systems[POLISH] = systems[BAND][0], []
-        assert qp._polish(p, pre, act, (x, y, z)) is not None and len(systems[POLISH]) == 1
-        n_b = len(pre.lo_idx) + len(pre.up_idx)
-        free = np.ones(p.n, dtype=bool)
-        free[pre.g[np.nonzero(act[:n_b])[0]].indices] = False
-        a_bar = sp.vstack([pre.a_ext, pre.g[n_b + np.nonzero(act[n_b:])[0]]], format="csr")
-        a_bar = a_bar[:, free]
+        n_b, m = pre.n_b, pre.a_ext.shape[0]
         b = sp.vstack([pre.a_ext, pre.g[n_b:]], format="csr")
         d = pre.q + np.bincount(np.concatenate([pre.lo_idx, pre.up_idx]), minlength=p.n)
-        dual = np.concatenate([np.zeros(pre.a_ext.shape[0]), -np.ones(len(pre.keep_rows))])
-        polish_diag = np.concatenate([pre.q[free], np.zeros(a_bar.shape[0])])
-        for (got, diag, vecs, products), want, want_diag in (
-                (systems[POLISH][0], a_bar, polish_diag), (start, b, np.concatenate([d, dual]))):
+        wanted = [(b, np.concatenate([d, np.zeros(m), -np.ones(len(pre.keep_rows))]))]
+        with qp.kkt_pattern_scope():
+            x, y, z = qp._presolved_point(pre, solve_qp(p))
+            seen = [systems[BAND][0]]  # the start's system
+            predicted = qp._active(pre, x, z, pre.h - pre.g @ x)
+            assert predicted[n_b:].all()
+            quota_off = predicted.copy()
+            quota_off[n_b + 1] = False
+            for act in (predicted, quota_off):
+                systems[POLISH] = []
+                assert qp._polish(p, pre, act, (x, y, z)) is not None
+                seen.append(systems[POLISH][0])  # its first round's
+                free = np.ones(p.n, dtype=bool)
+                free[pre.g[np.nonzero(act[:n_b])[0]].indices] = False
+                row_on = np.r_[np.ones(m, dtype=bool), act[n_b:]]
+                rows = np.repeat(np.arange(b.shape[0]), np.diff(b.indptr))
+                want = b.copy()
+                want.data[~(free[b.indices] & row_on[rows])] = 0.0
+                wanted.append((want, np.concatenate([np.where(free, pre.q, 1.0), np.zeros(m),
+                                                     np.where(act[n_b:], 0.0, -1.0)])))
+                assert np.count_nonzero(want.data) < np.count_nonzero(b.data)
+        for (pat, got, diag, vecs, products), (want, want_diag) in zip(seen, wanted, strict=True):
+            assert pat is seen[0][0]  # the interior point's pattern
             assert got.shape == want.shape
             for part in ("data", "indices", "indptr"):
                 assert getattr(got, part).dtype == getattr(want, part).dtype
@@ -653,9 +679,11 @@ class TestKktFactorization:
             assert sol.status == OPTIMAL
             ipm = [(site, attr) for site, attr in sites.calls if site != POLISH]
             # the order comes first, from the fixed pattern, and only once;
-            # the start and each iteration that takes a step factor with it
+            # the start and each iteration that takes a step factor with it,
+            # and the polish refills the same pattern, so makes no order
             assert ipm[0] == (None, RCM) and ipm.count((None, RCM)) == 1
             assert sites.factors(exclude=POLISH) == [BAND] * sol.iterations
+            assert (POLISH, RCM) not in sites.calls and POLISH in sites.factors()
 
     @pytest.mark.parametrize("horizon", [168, 672, 2688])
     def test_reduced_core_is_a_band_of_width_8(self, horizon):
@@ -663,9 +691,9 @@ class TestKktFactorization:
         pre = _presolve(p)
         bounded = np.zeros(p.n, dtype=bool)
         bounded[pre.lo_idx] = bounded[pre.up_idx] = True
-        kkt = qp._Kkt(pre, np.ones(p.n, dtype=bool), np.ones(2, dtype=bool), bounded, qp._KKT_REG)
-        order, bw, n_c, definite = kkt.pat.lay
-        assert bw == 8 and definite
+        kkt = qp._Kkt(pre, qp._KKT_REG)
+        order, bw, n_c = kkt.pat.lay
+        assert bw == 8 and bounded.all()
         # every row of r but the kept coupling rows is in the band, and
         # r's rows are the matrix's rows behind them in the band order
         assert len(pre.keep_rows) == n_c == 2 and len(order) == len(kkt.band_rows)
@@ -675,25 +703,31 @@ class TestKktFactorization:
 
     @pytest.mark.parametrize("horizon", [168, 672, 2688])
     def test_polish_core_is_a_band_of_width_8(self, monkeypatch, horizon):
-        # the polish borders its active coupling rows, whatever their
-        # density: its core is then as narrow a band as the interior
-        # point's (6-7 here)
-        layouts, real = [], qp._layout
+        # the polish factors on the interior point's pattern, its coupling
+        # rows bordered whatever their density: one layout per solve, made
+        # for the interior point, and every factor of the polish takes its
+        # band of width 8 and its border of both coupling rows
+        layouts, factored, real_layout, real_factor = [], [], qp._layout, qp._Kkt.factor
 
-        def measured(rows, cols, nr, n_c, definite):
-            out = real(rows, cols, nr, n_c, definite)
-            if sites.site == POLISH:
-                layouts.append((n_c, out[0][1], definite))
-            return out
+        def measured(*args):
+            layouts.append(sites.site)
+            return real_layout(*args)
+
+        def recorded(kkt):
+            factored.append((sites.site, kkt.pat))
+            real_factor(kkt)
 
         monkeypatch.setattr(qp, "_layout", measured)
+        monkeypatch.setattr(qp._Kkt, "factor", recorded)
         sites = _Sites(monkeypatch)
         _, p = build(default_config(horizon), synth_data(SynthSpec(seed=7, horizon=horizon)))
         sol = solve_qp(p)
         assert sol.status == OPTIMAL
         assert np.all(sol.ineq_duals.coupling > 0.0)  # both coupling rows active
-        assert layouts and all(n_c == 2 and bw <= 8 and not definite
-                               for n_c, bw, definite in layouts)
+        assert layouts == [None]
+        polish = [pat for site, pat in factored if site == POLISH]
+        assert polish and all(pat is factored[0][1] for pat in polish)
+        assert polish[0].lay[1:] == (8, 2)
 
     def test_reordered_factor_solves_like_a_fresh_ordering(self, monkeypatch):
         # replay every diagonal of a real solve, the start's first: the
@@ -713,13 +747,14 @@ class TestKktFactorization:
             real(kkt, diag)
 
         monkeypatch.setattr(qp._Kkt, "set_diagonal", recorded)
-        for problem, n_diag, n_kept, unmatched in ((_synth_week(), 8, 0, set()),
-                                                   (_infeasible_week(), 11, 0, {9, 10, 11})):
+        for problem, n_diag, unmatched in ((_synth_week(), 8, set()),
+                                           (_infeasible_week(), 11, {9, 10, 11})):
             diagonals.clear()
             solve_qp(problem)
             assert len(diagonals) == n_diag
             kkt = diagonals[0][0]
-            assert kkt.n_k == n_kept and len(kkt.band_rows) < len(diagonals[0][1])
+            # every column is eliminated: r is in the rows of B alone
+            assert kkt.band_rows.min() == kkt.pat.n and len(kkt.band_rows) == kkt.pat.mb
             rhs = np.random.default_rng(0).standard_normal(len(diagonals[0][1]))
             no_reference = set()
             for k, (_, diag) in enumerate(diagonals, start=1):
@@ -737,11 +772,11 @@ class TestKktFactorization:
             assert no_reference == unmatched
 
     def test_static_factor_eliminates_bounded_columns(self, monkeypatch):
-        # every column with a bound row is eliminated: the reduced matrix
-        # has one row per row of a_ext, per kept coupling row and per
-        # column without a bound row, and all but the coupling rows are
-        # in the band.  No column is left, so the band Cholesky stores
-        # the band's lower half alone, bw + 1 rows
+        # every column is eliminated, with a bound row or without: the
+        # reduced matrix has one row per row of a_ext and per kept
+        # coupling row, and all but the coupling rows are in the band,
+        # whose lower half alone the band Cholesky stores, bw + 1 rows.
+        # The uncapped week's free trades leave no row either
         shapes, real = [], qp.dpbtrf
 
         def measured(ab, **kwargs):
@@ -752,13 +787,18 @@ class TestKktFactorization:
         monkeypatch.setattr(qp, DPBTRF, measured)
         sites = _Sites(monkeypatch)
         _, p = build(default_config(672), synth_data(SynthSpec(seed=7, horizon=672)))
-        pre = _presolve(p)
-        unbounded = np.ones(p.n, dtype=bool)
-        unbounded[pre.lo_idx] = unbounded[pre.up_idx] = False
-        dim = pre.a_ext.shape[0] + len(pre.keep_rows) + int(unbounded.sum())
-        assert solve_qp(p).status == OPTIMAL
-        band = dim - len(pre.keep_rows)
-        assert dim == 4034 and set(shapes) == {((8 + 1, band), 1)} and len(shapes) == 10
+        for problem, want_dim, want_unbounded in ((p, 4034, 0), (_uncapped_week(), 1010, 504)):
+            shapes.clear()
+            pre = _presolve(problem)
+            unbounded = np.ones(problem.n, dtype=bool)
+            unbounded[pre.lo_idx] = unbounded[pre.up_idx] = False
+            dim = pre.a_ext.shape[0] + len(pre.keep_rows)
+            sol = solve_qp(problem)
+            assert sol.status == OPTIMAL
+            band = dim - len(pre.keep_rows)
+            assert (dim, int(unbounded.sum())) == (want_dim, want_unbounded)
+            # the start and each iteration that takes a step
+            assert set(shapes) == {((8 + 1, band), 1)} and len(shapes) == sol.iterations
 
     def test_infeasible_week_keeps_its_factor_counts(self, monkeypatch):
         # presolve substitutes out the 504 pinned variables: the start and
@@ -795,28 +835,29 @@ class TestKktFactorization:
         assert res.comp_gap <= tol * (1.0 + abs(sol.objective))
 
     def test_polish_factors_only_free_variables(self, monkeypatch):
-        # active bounds fix their variables: the polish's band stores
-        # 214,214 entries here, (3 bw + 1) times its core's dimension,
-        # against 963,739 (bandwidth 20) with one selector row per active
-        # bound
-        stored, real = [], qp.dgbtrf
+        # active bounds fix their variables, whose columns the polish's
+        # system keeps with no B entries: it refills the interior point's
+        # band, (bw + 1) times its core's dimension, 36,288 entries here,
+        # against 214,214 for a band LU of the free variables and 963,739
+        # (bandwidth 20) with one selector row per active bound
+        stored, real = [], qp.dpbtrf
 
-        def measured(ab, kl, ku, **kwargs):
-            if sites.site == POLISH:
-                stored.append(ab.size)
-            return real(ab, kl, ku, **kwargs)
+        def measured(ab, **kwargs):
+            stored.append((sites.site, ab.size))
+            return real(ab, **kwargs)
 
-        monkeypatch.setattr(qp, "dgbtrf", measured)
+        monkeypatch.setattr(qp, DPBTRF, measured)
         sites = _Sites(monkeypatch)
         _, p = build(default_config(672), synth_data(SynthSpec(seed=7, horizon=672)))
         assert solve_qp(p).status == OPTIMAL
-        assert stored and max(stored) < 300_000
+        polish = [size for site, size in stored if site == POLISH]
+        assert polish and set(polish) == {size for site, size in stored} == {36_288}
 
-    @pytest.mark.parametrize("owner, attr", [pytest.param(qp, DGBTRF, id="MemoryError"),
+    @pytest.mark.parametrize("owner, attr", [pytest.param(qp, DPBTRF, id="MemoryError"),
                                              pytest.param(qp._BandFactor, "solve", id="solve")])
     def test_polish_out_of_memory_falls_back_to_converged_iterate(self, monkeypatch, owner,
                                                                   attr):
-        # a store too large for the memory raises MemoryError in the
+        # a band too large for the memory raises MemoryError in the
         # polish's factor, or a work array in its first solve; the polish
         # makes the only call that fails here, and the converged iterate
         # answers
@@ -835,11 +876,12 @@ class TestKktFactorization:
         assert sol.status == OPTIMAL and sol.iterations == 8
 
     def test_polish_that_never_settles_falls_back_to_converged_iterate(self, monkeypatch):
-        # every row of the inequality block predicted active: each of the
-        # polish's 8 rounds releases rows whose multipliers come out
-        # negative, and the 8th still has some, so the polish gives no
-        # point and the converged iterate, verified like any other
-        # answer, is returned instead
+        # every row of the inequality block predicted active on the seed-16
+        # week: each of the polish's 8 rounds releases rows whose
+        # multipliers come out negative, and the 8th still has some, so
+        # the polish gives no point and the converged iterate, verified
+        # like any other answer, is returned instead.  (The default week
+        # settles in 7 rounds.)
         polished, finalized = [], []
         real_polish, real_finalize = qp._polish, qp._finalize
 
@@ -855,7 +897,7 @@ class TestKktFactorization:
         monkeypatch.setattr(qp, "_polish", recorded_polish)
         monkeypatch.setattr(qp, "_finalize", recorded_finalize)
         sites = _Sites(monkeypatch)
-        sol = solve_qp(_synth_week())
+        sol = solve_qp(build(default_config(168), synth_data(SynthSpec(seed=16, horizon=168)))[1])
         assert polished == [None] and sites.factors(exclude=BAND) == [POLISH] * 8
         assert sol.status == OPTIMAL and sol.iterations == 8
         assert len(finalized) == 1 and sol.x is finalized[0].x
@@ -884,7 +926,7 @@ class TestKktFactorization:
         nan = dataclasses.replace(passing, **{field: float("nan")})
         assert not qp._meets_tolerances(pre, SolverSettings(), nan, 1.0)
 
-    @pytest.mark.parametrize("attr", [pytest.param(DGBTRF, id="MemoryError"),
+    @pytest.mark.parametrize("attr", [pytest.param(DPBTRF, id="MemoryError"),
                                       pytest.param(RCM, id="ordering")])
     def test_factor_out_of_memory_is_a_status(self, monkeypatch, attr):
         # the factor or the ordering made before it, in the interior
@@ -898,15 +940,14 @@ class TestKktFactorization:
         assert sol.status == ITERATION_LIMIT
         assert sol.message == "KKT factorization failed"
 
-    # each band factor's failure path, on a week whose interior point
-    # makes it: the default week's reduced system keeps no column and
-    # takes the band Cholesky, the uncapped week's keeps its free trades
-    # and takes the band LU
-    FACTOR_WEEKS = ((_synth_week, DPBTRF), (_uncapped_week, DGBTRF))
+    # the band Cholesky's failure paths, on two weeks: the default one,
+    # where every variable has a bound row, and the uncapped one, whose
+    # free trades are eliminated with D = q plus the shift
+    FACTOR_WEEKS = (_synth_week, _uncapped_week)
 
     @staticmethod
     def _nth_singular(monkeypatch, attr, n):
-        """Make the n-th call of qp.<attr> (dpbtrf, dgbtrf or dgetrf) report a failed pivot.
+        """Make the n-th call of qp.<attr> (dpbtrf or dgetrf) report a failed pivot.
 
         A band Cholesky replaces a failed pivot and factors again: for
         dpbtrf the call after the n-th reports the same pivot failed, as
@@ -925,60 +966,54 @@ class TestKktFactorization:
     def test_start_factor_error_falls_back_in_the_start(self, monkeypatch):
         # the start's band factor, the first, reports a failed pivot (info
         # > 0: a Cholesky pivot that is not positive even after its
-        # replacement, which takes one more call, or an exactly zero LU
-        # pivot): the solve falls back to its unsolved report in the
-        # start, after that one factor and with no other
-        for week, attr in self.FACTOR_WEEKS:
+        # replacement, which takes one more call): the solve falls back
+        # to its unsolved report in the start, after that one factor and
+        # with no other
+        for week in self.FACTOR_WEEKS:
             with monkeypatch.context() as patched:
-                self._nth_singular(patched, attr, 1)
+                self._nth_singular(patched, DPBTRF, 1)
                 sites = _Sites(patched)
                 sol = solve_qp(week())
-            calls = 1 + (attr == DPBTRF)
             assert (sol.status, sol.message, sol.iterations) == (
-                ITERATION_LIMIT, "KKT factorization failed", 0), attr
-            assert sites.kinds(BAND) == [attr] * calls
-            assert sites.factors(exclude=POLISH) == [BAND] * calls
+                ITERATION_LIMIT, "KKT factorization failed", 0), week
+            assert sites.factors() == [BAND] * 2
 
     def test_static_factor_error_falls_back_in_same_iteration(self, monkeypatch):
         # iteration 1's band factor, the second after the start's, reports
-        # a failed pivot (a Cholesky's twice, as above): the solve falls
-        # back to its unsolved report in that iteration, and no band
-        # factor follows
-        for week, attr in self.FACTOR_WEEKS:
+        # a failed pivot (twice, as above): the solve falls back to its
+        # unsolved report in that iteration, and no band factor follows
+        for week in self.FACTOR_WEEKS:
             with monkeypatch.context() as patched:
-                self._nth_singular(patched, attr, 2)
+                self._nth_singular(patched, DPBTRF, 2)
                 sites = _Sites(patched)
                 sol = solve_qp(week())
-            calls = 2 + (attr == DPBTRF)
             assert (sol.status, sol.message, sol.iterations) == (
-                ITERATION_LIMIT, "KKT factorization failed", 1), attr
-            assert sites.kinds(BAND) == [attr] * calls
-            assert sites.factors(exclude=POLISH) == [BAND] * calls
+                ITERATION_LIMIT, "KKT factorization failed", 1), week
+            assert sites.factors(exclude=POLISH) == [BAND] * 3
 
     def test_singular_border_falls_back_in_same_iteration(self, monkeypatch):
-        # the coupling rows' Schur complement, one code path after either
-        # band factor, reports an exactly zero pivot in the start (the
-        # first dgetrf) or in iteration 1 (the second): the solve falls
-        # back to its unsolved report where it happens
-        for week, attr in self.FACTOR_WEEKS:
+        # the coupling rows' Schur complement, after the band factor,
+        # reports an exactly zero pivot in the start (the first dgetrf) or
+        # in iteration 1 (the second): the solve falls back to its
+        # unsolved report where it happens
+        for week in self.FACTOR_WEEKS:
             for n in (1, 2):
                 with monkeypatch.context() as patched:
                     self._nth_singular(patched, "dgetrf", n)
                     sites = _Sites(patched)
                     sol = solve_qp(week())
                 assert (sol.status, sol.message, sol.iterations) == (
-                    ITERATION_LIMIT, "KKT factorization failed", n - 1), (attr, n)
-                assert sites.kinds(BAND) == [attr] * n
+                    ITERATION_LIMIT, "KKT factorization failed", n - 1), (week, n)
+                assert sites.factors(exclude=POLISH) == [BAND] * n
 
     def test_factor_error_at_start_ends_as_in_iteration_one(self, monkeypatch):
-        # a MemoryError from every call of the week's band factor from the
-        # n-th on (on the uncapped week the polish's too) stops the solve
-        # in the start (n = 1) or in iteration 1's band factor (n = 2); the
-        # polish of the start point does not meet the tolerances, so both
-        # end with the same status and message.  Failed pivots are the
-        # tests above.
-        for week, attr in self.FACTOR_WEEKS:
-            p, real = week(), getattr(qp, attr)
+        # a MemoryError from every call of the band factor from the n-th
+        # on, the polish's too, stops the solve in the start (n = 1) or in
+        # iteration 1's band factor (n = 2); the polish of the start point
+        # does not meet the tolerances, so both end with the same status
+        # and message.  Failed pivots are the tests above.
+        for week in self.FACTOR_WEEKS:
+            p, real = week(), qp.dpbtrf
             for n in (1, 2):
                 calls = []
 
@@ -989,10 +1024,10 @@ class TestKktFactorization:
                     return real(*args, **kwargs)
 
                 with monkeypatch.context() as patched:
-                    patched.setattr(qp, attr, fails_from)
+                    patched.setattr(qp, DPBTRF, fails_from)
                     sol = solve_qp(p)
                 assert (sol.status, sol.message, sol.iterations) == (
-                    ITERATION_LIMIT, "KKT factorization failed", n - 1), (attr, n)
+                    ITERATION_LIMIT, "KKT factorization failed", n - 1), (week, n)
 
     def test_cholesky_replaces_a_pivot_that_is_not_positive(self):
         # r = -[[1, 1], [1, 1]], definite only by more than its entries'
@@ -1007,49 +1042,49 @@ class TestKktFactorization:
             fills.append(True)
             store[:] = r
 
-        factor = qp._BandFactor(np.arange(2), 1, 0, True, store, refill)
+        factor = qp._BandFactor(np.arange(2), 1, 0, store, refill)
         assert factor.replaced == [1] and fills == [True]
         x = factor.solve(np.array([3.0, 5.0]))
         assert x[0] == -3.0 and 0.0 < x[1] / -5.0 <= 1e-127
         with pytest.raises(RuntimeError, match="band Cholesky failed"):
-            qp._BandFactor(np.arange(2), 1, 0, True, r.copy())  # no refill
+            qp._BandFactor(np.arange(2), 1, 0, r.copy())  # no refill
 
     @staticmethod
-    def _band_store(a, core, bw, definite):
+    def _band_store(a, core, bw):
         """a, whose leading core x core block is a band of width bw, in _layout's store.
 
-        The band order is a's own: LAPACK band storage of the core (a
-        definite one's lower half alone), then the last columns and, but
-        for a definite a, the last rows' core part, column-major.
+        The band order is a's own: LAPACK band storage of the core's lower
+        half, then the last columns, column-major.
         """
-        ld, top = (bw + 1, 0) if definite else (3 * bw + 1, 2 * bw)
-        band = np.zeros((ld, core))
+        band = np.zeros((bw + 1, core))
         for j in range(core):
-            for i in range(j if definite else max(0, j - bw), min(core, j + bw + 1)):
-                band[top + i - j, j] = a[i, j]
-        rows = [] if definite else [a[core:, :core].ravel(order="F")]
-        return np.concatenate([band.ravel(order="F"), a[:, core:].ravel(order="F"), *rows])
+            for i in range(j, min(core, j + bw + 1)):
+                band[i - j, j] = a[i, j]
+        return np.concatenate([band.ravel(order="F"), a[:, core:].ravel(order="F")])
 
     @pytest.mark.parametrize("definite, n_c", [(True, 0), (True, 1), (True, 2), (False, 2)])
     def test_band_factor_solves_the_bordered_matrix(self, definite, n_c):
         # a negative definite band (a band Cholesky of its negation, its
-        # border through the factor's forward sweep) or a general one (a
-        # band LU), each with 0-2 dense border rows: a solve in place
-        # matches np.linalg.solve of the assembled matrix, also when the
-        # right-hand side is a strided view, which LAPACK solves in a copy
+        # border through the factor's forward sweep) with 0-2 dense border
+        # rows: a solve in place matches np.linalg.solve of the assembled
+        # matrix, also when the right-hand side is a strided view, which
+        # LAPACK solves in a copy.  A general band, which the band LU
+        # solved, is not definite: with no refill its factor raises
         rng = np.random.default_rng(n_c)
         core, bw = 40, 3
         nr = core + n_c
         i, j = np.indices((nr, nr))
         a = rng.standard_normal((nr, nr))
         a[(np.abs(i - j) > bw) & (i < core) & (j < core)] = 0.0
-        if definite:  # symmetric, negative and strictly diagonally dominant
-            a = a + a.T
-            a -= np.diag(np.abs(a).sum(axis=1) + 1.0)
-        else:
+        if not definite:
             a += np.diag(np.full(nr, 4.0))
-        store = self._band_store(a, core, bw, definite)
-        factor = qp._BandFactor(np.arange(nr), bw, n_c, definite, store)
+            with pytest.raises(RuntimeError, match="band Cholesky failed"):
+                qp._BandFactor(np.arange(nr), bw, n_c, self._band_store(a, core, bw))
+            return
+        a = a + a.T  # symmetric, negative and strictly diagonally dominant
+        a -= np.diag(np.abs(a).sum(axis=1) + 1.0)
+        store = self._band_store(a, core, bw)
+        factor = qp._BandFactor(np.arange(nr), bw, n_c, store)
         assert factor.replaced == []
         rhs = rng.standard_normal(nr)
         want = np.linalg.solve(a, rhs)
@@ -1074,13 +1109,13 @@ class TestKktFactorization:
                        [0.0, 0.0, 1.0, 3.0, 0.1, 0.6],
                        [0.5, 0.2, 0.4, 0.1, 4.0, 0.5],
                        [0.1, 0.3, 0.2, 0.6, 0.5, 4.0]])
-        fresh = self._band_store(a, core, 1, True)
+        fresh = self._band_store(a, core, 1)
         store = fresh.copy()
 
         def refill():
             store[:] = fresh
 
-        factor = qp._BandFactor(np.arange(core + n_c), 1, n_c, True, store, refill)
+        factor = qp._BandFactor(np.arange(core + n_c), 1, n_c, store, refill)
         assert factor.replaced == [1]
         replaced = a.copy()
         replaced[1, 1] = -qp._HUGE_PIVOT
@@ -1127,32 +1162,45 @@ class TestKktFactorization:
         # smallest eigenvalue below their rounding: dpbtrf finds a pivot
         # that is not positive (info 3).  The pivot is replaced and the
         # iteration goes on to converge in 8 iterations, where the factor
-        # failing there ended it after 7
+        # failing there ended it after 7: 8 interior-point factors, one
+        # of them made twice, then the polish's
         real, infos = qp.dpbtrf, []
 
         def recorded(ab, **kwargs):
             out = real(ab, **kwargs)
-            infos.append(out[-1])
+            infos.append((sites.site, out[-1]))
             return out
 
         monkeypatch.setattr(qp, DPBTRF, recorded)
+        sites = _Sites(monkeypatch)
         _, p = build(*random_instance(364, r_min=0.95))
         sol = solve_qp(p)
         assert (sol.status, sol.iterations, sol.message) == (OPTIMAL, 8, "")
-        assert [info for info in infos if info] == [3] and len(infos) == 9
+        assert [(site, info) for site, info in infos if info] == [(BAND, 3)]
+        assert [site for site, _ in infos] == [BAND] * 9 + [POLISH]
 
     def test_interior_point_factor_follows_its_kept_columns(self, monkeypatch):
-        # the default week's interior point keeps no column, so its reduced
-        # system is negative definite and every factor of it, the start's
-        # and each iteration's, is a band Cholesky; its polish eliminates no
-        # column and takes the band LU.  The uncapped week's interior point
-        # keeps its free trades and takes the band LU throughout
+        # the interior point keeps no column, on the default week nor on
+        # the uncapped one with its free trades, so its reduced system is
+        # negative definite and every factor, the start's, each
+        # iteration's and the polish's, is a band Cholesky (dpbtrf) of one
+        # band of width 8; the band LU is gone
+        assert not hasattr(qp, "dgbtrf") and not hasattr(qp, "dgbtrs")
+        real, shapes = qp.dpbtrf, []
+
+        def measured(ab, **kwargs):
+            shapes.append(ab.shape)
+            return real(ab, **kwargs)
+
+        monkeypatch.setattr(qp, DPBTRF, measured)
         sites = _Sites(monkeypatch)
-        for week, attr in self.FACTOR_WEEKS:
+        for week in self.FACTOR_WEEKS:
             sites.calls.clear()
+            shapes.clear()
             sol = solve_qp(week())
             assert (sol.status, sol.iterations) == (OPTIMAL, 8)
-            assert sites.kinds(BAND) == [attr] * 8 and sites.kinds(POLISH) == [DGBTRF]
+            assert sites.factors() == [BAND] * 8 + [POLISH] and len(set(shapes)) == 1
+            assert shapes[0][0] == 8 + 1
 
     def test_no_solve_calls_superlu(self, monkeypatch):
         # SuperLU is gone from the solver: with it failing, a cold solve,
@@ -1162,7 +1210,7 @@ class TestKktFactorization:
         model, p = build(default_config(168), synth_data(SynthSpec(horizon=168)))
         base = solve_qp(p)
         assert (base.status, base.iterations) == (OPTIMAL, 8)
-        for problem, status, iterations in ((build(*random_instance(222))[1], OPTIMAL, 8),
+        for problem, status, iterations in ((build(*random_instance(222))[1], OPTIMAL, 7),
                                             (_infeasible_week(), INFEASIBLE, 11)):
             sol = solve_qp(problem)
             assert (sol.status, sol.iterations) == (status, iterations)
@@ -1219,8 +1267,7 @@ class TestKktFactorization:
 
 
 class _Patterns:
-    """Record each qp._Pattern built: whether it eliminates columns (the
-    interior point's) and a weak reference to it."""
+    """Record a weak reference to each qp._Pattern built."""
 
     def __init__(self, monkeypatch):
         self.built = []
@@ -1229,13 +1276,14 @@ class _Patterns:
         class Recorded(real):
             def __init__(self, *args):
                 super().__init__(*args)
-                built.append((len(self.elim) > 0, weakref.ref(self)))
+                built.append(weakref.ref(self))
 
         monkeypatch.setattr(qp, "_Pattern", Recorded)
 
     def alive(self):
+        """The patterns built that are still held."""
         gc.collect()
-        return [ipm for ipm, ref in self.built if ref() is not None]
+        return [ref() for ref in self.built if ref() is not None]
 
 
 def _with_repeated_entry(p):
@@ -1263,11 +1311,11 @@ def _same_answer(a, b):
 
 
 class TestPatternReuse:
-    def test_full_scenario_builds_two_patterns(self, monkeypatch):
-        # the base solve builds the interior point's pattern and the
-        # polish's; the quota + 1 and r + 0.01 neighbours, answered from
-        # the base's active set, polish on the polish's: 2 patterns for 4
-        # systems, all dropped when run_scenario returns
+    def test_full_scenario_builds_one_pattern(self, monkeypatch):
+        # the base solve builds the interior point's pattern, which its
+        # polish refills; the quota + 1 and r + 0.01 neighbours, answered
+        # from the base's active set, polish on it too: 1 pattern for 4
+        # systems, dropped when run_scenario returns
         built, real = [], qp._Kkt.__init__
 
         def counted(kkt, *args):
@@ -1279,40 +1327,37 @@ class TestPatternReuse:
         res = run_scenario(default_config(168), synth_data(SynthSpec(horizon=168)),
                            properties="full")
         assert res.solution.status == OPTIMAL and len(built) == 4
-        assert [ipm for ipm, _ in patterns.built] == [True, False]
-        assert patterns.alive() == []
+        assert len(patterns.built) == 1 and patterns.alive() == []
 
     def test_sweep_builds_interior_point_pattern_once_per_change(self, monkeypatch):
-        # each point's interior-point pattern is keyed by its own presolve;
-        # consecutive points with equal keys share one build
+        # each point's pattern is keyed by its own presolve; consecutive
+        # points with equal keys share one build, their polishes too
         cfg, data = default_config(168), synth_data(SynthSpec(horizon=168))
         grid = [0.0, 0.1, 0.2, 0.3, 0.4]
         keys = []
         for alpha in grid:
-            pre = _presolve(build(cfg.with_policy(alpha=alpha), data)[1])
-            bounded = np.zeros(len(pre.q), dtype=bool)
-            bounded[pre.lo_idx] = bounded[pre.up_idx] = True
-            keys.append(qp._pattern_key(pre, np.ones(len(pre.q), dtype=bool),
-                                        np.ones(len(pre.keep_rows), dtype=bool), bounded))
+            keys.append(qp._pattern_key(_presolve(build(cfg.with_policy(alpha=alpha), data)[1])))
         changes = sum(not all(map(np.array_equal, u, v)) for u, v in zip(keys, keys[1:]))
         assert 0 < changes < len(grid) - 1  # the grid both rebuilds and reuses
         patterns = _Patterns(monkeypatch)
         sweep = parameter_sweep(cfg, data, "alpha", grid)
         assert all(point.status == OPTIMAL for point in sweep.points)
-        assert sum(ipm for ipm, _ in patterns.built) == 1 + changes
+        assert len(patterns.built) == 1 + changes
         assert patterns.alive() == []
 
     def test_solve_outside_any_scope_holds_no_pattern(self, monkeypatch):
+        # a solve opens its own scope: its interior point and polish share
+        # one pattern, which it drops when it returns
         patterns = _Patterns(monkeypatch)
         assert solve_qp(_synth_week()).status == OPTIMAL
-        assert len(patterns.built) == 2 and patterns.alive() == []
-        # an outer scope holds one pattern per role for every command
-        # opened inside it, and drops them when it closes
+        assert len(patterns.built) == 1 and patterns.alive() == []
+        # an outer scope holds one pattern for every command opened
+        # inside it, and drops it when it closes
         cfg, data = default_config(168), synth_data(SynthSpec(horizon=168))
         with qp.kkt_pattern_scope():
             for _ in range(2):
                 assert run_scenario(cfg, data, properties="full").solution.status == OPTIMAL
-            assert len(patterns.built) == 4 and patterns.alive() == [True, False]
+            assert len(patterns.built) == 2 and len(patterns.alive()) == 1
         assert patterns.alive() == []
 
     @pytest.mark.parametrize("repeated", [False, True], ids=["week", "repeated-entry"])
@@ -1335,22 +1380,19 @@ class TestPatternReuse:
         with qp.kkt_pattern_scope():
             shared = solves()
             # with nothing pinned, presolve hands a canonical a_eq through
-            # as a_ext; the patterns held keep copies of its index arrays
-            held = [k for pattern in qp._PATTERNS.get().values() for k in pattern.key]
+            # as a_ext; the pattern held keeps copies of its index arrays
+            held = [k for pattern in qp._PATTERN.get() for k in pattern.key]
             assert not any(np.shares_memory(k, part) for k in held
                            for part in (p.a_eq.indptr, p.a_eq.indices))
         assert [sol.status for sol in alone] == [OPTIMAL] * 3 and alone[2].iterations == 0
         assert all(map(_same_answer, alone, shared))
-        assert [ipm for ipm, _ in patterns.built] == [True, False]  # 2 patterns, 5 systems
+        assert len(patterns.built) == 1  # 1 pattern, 5 systems
         for m, was in blocks:
             for part in ("data", "indices", "indptr"):
                 assert getattr(m, part).tobytes() == getattr(was, part).tobytes()
 
         pre = _presolve(p)
-        bounded = np.zeros(p.n, dtype=bool)
-        bounded[pre.lo_idx] = bounded[pre.up_idx] = True
-        kkt = qp._Kkt(pre, np.ones(p.n, dtype=bool), np.ones(2, dtype=bool), bounded,
-                      qp._KKT_REG)
+        kkt = qp._Kkt(pre, qp._KKT_REG)
         want = sp.vstack([pre.a_ext, pre.g[pre.n_b:]], format="csr")
         assert p.a_eq.has_canonical_format is not repeated and pre.a_ext.has_canonical_format
         assert kkt.b.shape == want.shape
