@@ -55,7 +55,8 @@ gathered into it and scattered out of it once.  Each solve recovers the
 eliminated variables and is refined against the full unregularized
 matrix, which is never assembled: the product refinement takes is the
 diagonal times the vector plus B' and B times its dual and primal parts,
-B being the equality and coupling rows, held in CSR; a solve whose
+B being the equality and coupling rows, held once, in CSR, and B' a view
+of the same arrays; a solve whose
 refinement misses its tolerance is used as refined, and the ratio test
 and the gate below judge where it leads (Wright 1997, ch. 11).  How far
 a direction is refined follows its use (inexact interior-point methods:
@@ -69,17 +70,19 @@ straight from the CSR arrays of the presolved blocks, and the polish's
 too, on the same pattern.
 
 The builder's symbolic part, everything read from index arrays alone
-(B's CSR and CSC arrays, the pairs of B's entries in one column, the
-ordering and the band layout), is a pattern; its numeric part holds the
-values, one band store that each factor refills in place, and the factor
-(Davis, Direct Methods for Sparse Linear Systems, 2006, ch. 7).  Every
+(B's CSR and CSC arrays, the pairs of B's entries in one column that
+land in the band store, the ordering and the band layout), is a
+pattern, built from its key alone: B's index arrays and its column
+count.  Its numeric part holds the values, one band store that each
+factor refills in place, and the factor (Davis, Direct Methods for
+Sparse Linear Systems, 2006, ch. 7).  Every
 KKT system of a solve, the interior point's, its polish's and a warm
 start's, has one pattern: solve_qp opens a kkt_pattern_scope, which
 holds one pattern, and drops it when the solve returns.  A command that
 solves several problems, a scenario with its neighbours or a sweep's
-points, opens one scope around them all: a solve whose index arrays
-equal the last one's reuses its pattern, and a miss builds the pattern
-as the first solve did.
+points, opens one scope around them all: a solve whose key equals the
+last one's reuses its pattern, and a miss builds the pattern as the
+first solve did.
 
 The iteration starts from least-squares points (Mehrotra, On the
 implementation of a primal-dual interior point method, SIAM J. Optim.
@@ -191,8 +194,9 @@ class IneqDuals:
     """Nonnegative multipliers per inequality side.
 
     lower[j] prices x_j >= lb_j, upper[j] prices x_j <= ub_j (zero where the
-    bound is infinite), coupling[k] prices coupling row k in the order of
-    QpProblem.coup ("rps" then "quota").
+    bound is infinite, or 1e20 or more in magnitude, which the solver
+    reads as infinite, as HiGHS does), coupling[k] prices coupling row k
+    in the order of QpProblem.coup ("rps" then "quota").
     """
 
     lower: np.ndarray
@@ -300,6 +304,12 @@ class _InfeasibleProblem(Exception):
     pass
 
 
+# HiGHS reads a bound or a right-hand side of 1e20 or more in magnitude as
+# infinite (its kHighsInf): presolve reads a bound so too, and the
+# feasibility probe hands HiGHS no right-hand side that large
+_INF = 1e20
+
+
 def _csr(data: np.ndarray, cols: np.ndarray, counts: np.ndarray, n: int) -> sp.csr_matrix:
     """The CSR matrix with n columns whose row i holds the next counts[i] entries of data, cols."""
     indptr = np.concatenate([[0], np.cumsum(counts)])
@@ -346,6 +356,9 @@ class _Presolved:
     holds one +-1 entry, so g.indices[i] is bound row i's column and
     g.data[i] its sign.
 
+    A bound of _INF or more in magnitude is read as infinite, with its
+    sign, as HiGHS reads it.
+
     The stopping test's scales are set here, once per problem, from its
     own data: scale_p = 1 + max |(b_eq, pinned values, kept coupling
     right-hand sides)| and scale_d = 1 + max |f|, pinned variables
@@ -373,7 +386,7 @@ class _Presolved:
 
 
 def _presolve(p: QpProblem) -> _Presolved:
-    lb, ub = p.lb, p.ub
+    lb, ub = (np.where(np.abs(v) >= _INF, np.copysign(np.inf, v), v) for v in (p.lb, p.ub))
     with np.errstate(invalid="ignore"):  # inf - inf when lb = +inf and ub = -inf
         bad = (lb == np.inf) | (ub == -np.inf) | (lb > ub + 1e-12 * (1.0 + np.abs(lb)))
     if np.any(bad):
@@ -628,7 +641,8 @@ class _BandFactor:
     terms near the shift beside ones near its inverse.  That pivot is
     replaced by _HUGE_PIVOT (Wright 1999), which decouples its row: its
     component of each solve comes out as 1e-128 times its right-hand
-    side, and refinement against k_true takes the solve from there.
+    side, and _Kkt.solve's refinement against the unshifted KKT matrix
+    takes the solve from there.
     dpbtrf reports the first such pivot and leaves the store past it
     undefined, so each replacement calls `refill` to write the matrix
     into the store again and factors it once more, every pivot replaced
@@ -687,41 +701,47 @@ class _BandFactor:
 
 
 def _pattern_key(pre: _Presolved):
-    """The index arrays a _Kkt's pattern is built from, compared exactly to find it again."""
+    """What a _Kkt's pattern is built from, compared exactly to find it again.
+
+    B's rows in CSR, a_ext's and then the coupling rows' (each an indptr
+    from 0 and its column indices), and the column count, which no index
+    array holds: a last column that no row enters is seen in it alone.
+    """
     g, n_b = pre.g, pre.n_b
     return (pre.a_ext.indptr, pre.a_ext.indices, g.indptr[n_b:] - g.indptr[n_b],
-            g.indices[g.indptr[n_b] :])
+            g.indices[g.indptr[n_b] :], pre.a_ext.shape[1])
 
 
 class _Pattern:
     """What a _Kkt reads from index arrays alone: every part that reads no matrix value.
 
-    B stacks the entries of a_ext and of g's coupling rows, in every
-    column, row by row, each row's columns distinct and ascending, as
-    presolve writes both blocks; `b_ptr` and `b_col` are its CSR arrays.
-    The matrix [[D1, B'], [B, -D2]] is never assembled: the diagonal and
-    B are all of it.  Every column is eliminated, so r is in B's rows,
-    the matrix's rows past its n columns.  Then B's CSC arrays, read from
-    B's entries `e_src`, the pairs of B's entries in one column, which
-    write B D^-1 B' into r (`pair_reps` per column, and each one's second
-    entry `s`), and r's _layout: its order, store size and `dest`.  The
-    store holds the pairs on and below the core's diagonal and in the
-    border's columns alone (`stored`, with `pair_reps` counting those),
-    and r's diagonal.  Solves run in the band order: `band_rows` is the
-    matrix's row at each band position, and `e_row` holds B's rows, in
-    its CSC order, as band positions.  The key holds copies of the index
-    arrays, since a_ext may be the caller's a_eq.  Index arrays read once
-    per build are int32, to hold less.
+    It is built from its key (_pattern_key) and nothing else.  B stacks
+    the rows of a_ext and the coupling rows, each row's columns distinct
+    and ascending, as presolve writes both blocks; `b_ptr` and `b_col`
+    are its CSR arrays.  The matrix [[D1, B'], [B, -D2]] is never
+    assembled: the diagonal and B are all of it.  Every column is
+    eliminated, so r is in B's rows, the matrix's rows past its n
+    columns.  Then B's CSC arrays, read from B's entries `e_src`; the
+    pairs of B's entries in one column that write B D^-1 B' into r's
+    store, as the entries `pair_t` and `pair_s` of B's CSC order, column
+    by column (`pair_reps` per column); and r's _layout: its order,
+    store size and `dest`.  The store holds r's entries on and below the
+    core's diagonal and in the border's columns alone, so only the pairs
+    that land there are kept, and r's diagonal.  Solves run in the band
+    order: `band_rows` is the matrix's row at each band position, and
+    `e_row` holds B's rows, in its CSC order, as band positions.  The key
+    holds copies of the index arrays, since a_ext may be the caller's
+    a_eq.  Index arrays read once per build are int32, to hold less.
     """
 
-    def __init__(self, pre: _Presolved):
-        a, g, n_b = pre.a_ext, pre.g, pre.n_b
-        self.key = tuple(map(np.array, _pattern_key(pre)))
-        self.n, self.mb = n, mb = a.shape[1], a.shape[0] + g.shape[0] - n_b
-        counts = np.concatenate([np.diff(a.indptr), np.diff(g.indptr[n_b:])])
+    def __init__(self, key):
+        self.key = tuple(map(np.array, key))
+        a_ptr, a_col, c_ptr, c_col, n = key
+        self.n, self.mb = n, mb = n, len(a_ptr) + len(c_ptr) - 2
+        counts = np.concatenate([np.diff(a_ptr), np.diff(c_ptr)])
         self.b_ptr = np.zeros(mb + 1, dtype=np.int32)
         np.cumsum(counts, out=self.b_ptr[1:])
-        b_col = np.concatenate([a.indices, g.indices[g.indptr[n_b] :]])
+        b_col = np.concatenate([a_col, c_col])
         self.b_col = b_col.astype(np.int32)
 
         # B in CSC, each column's rows ascending
@@ -729,33 +749,29 @@ class _Pattern:
         rows = np.repeat(np.arange(mb), counts)[self.e_src]
         counts = np.bincount(b_col, minlength=n)
         self.e_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        self.pair_reps = (counts * counts).astype(np.int32)  # the pairs of each column
         # every pair of entries t, s in one column e of B adds
         # B[i_t, e] B[i_s, e] / D_e to r at (i_t, i_s); the pairs run
         # column by column and t-major, t repeating each entry once per
         # entry of its column
         reps = np.repeat(counts, counts)
-        self.s = np.arange(self.pair_reps.sum(), dtype=np.int32) + np.repeat(
-            (self.e_ptr[:-1].repeat(counts) - (np.cumsum(reps) - reps)).astype(np.int32), reps)
+        pair_t = np.repeat(np.arange(len(b_col)), reps)
+        pair_s = np.arange(len(pair_t)) + np.repeat(
+            self.e_ptr[:-1].repeat(counts) - (np.cumsum(reps) - reps), reps)
         # r's entries: the products, then the diagonal
-        e_t, e_s = self.pairs(rows)
         r_diag = np.arange(mb)
         self.lay, self.size, stored, self.dest, pos = _layout(
-            np.concatenate([e_t, r_diag]), np.concatenate([e_s, r_diag]), mb, g.shape[0] - n_b)
+            np.concatenate([rows[pair_t], r_diag]), np.concatenate([rows[pair_s], r_diag]), mb,
+            len(c_ptr) - 1)
         # solves run in the band order: the matrix's row at each band
         # position, and B's rows as band positions
         self.band_rows = n + self.lay[0]
         self.e_row = pos[rows].astype(np.int32)
         # the pairs the store holds, and how many of each column's (r's
         # other entries are its diagonal, all stored)
-        self.stored = np.nonzero(stored[: len(e_t)])[0]
-        pair_col = np.repeat(np.arange(n), self.pair_reps)
-        self.pair_reps = np.bincount(pair_col[self.stored], minlength=n).astype(np.int32)
-
-    def pairs(self, e: np.ndarray):
-        """e, one value per entry of B in its CSC order, at each pair's entries t and s."""
-        counts = np.diff(self.e_ptr)
-        return e.repeat(np.repeat(counts, counts)), np.take(e, self.s)
+        stored = stored[: len(pair_t)]
+        self.pair_t, self.pair_s = pair_t[stored].astype(np.int32), pair_s[stored].astype(np.int32)
+        col = np.repeat(np.arange(n), counts)  # each entry's column, in B's CSC order
+        self.pair_reps = np.bincount(col[self.pair_t], minlength=n).astype(np.int32)
 
 
 # the open kkt_pattern_scope's one slot, holding the last pattern built
@@ -770,12 +786,13 @@ def kkt_pattern_scope():
     solve_qp opens one around each solve, so that its interior point,
     its polish and a warm start's polish share one pattern.  A command
     that solves several problems (a scenario's base and neighbours, a
-    sweep's points) opens one around them all: a system whose index
-    arrays equal the held pattern's takes that _Pattern and builds only
-    the values, and a miss builds a pattern that replaces it.  A nested
-    open shares the outer scope; the pattern is dropped when the
-    outermost closes, so a solve made outside every scope holds none
-    after it returns.  Also a decorator.
+    sweep's points) opens one around them all: a system whose key (B's
+    index arrays and column count, _pattern_key) equals the held
+    pattern's takes that _Pattern and builds only the values, and a miss
+    builds a pattern from its key that replaces it.  A nested open
+    shares the outer scope; the pattern is dropped when the outermost
+    closes, so a solve made outside every scope holds none after it
+    returns.  Also a decorator.
     """
     if _PATTERN.get() is not None:
         yield
@@ -788,11 +805,11 @@ def kkt_pattern_scope():
 
 
 def _pattern(pre: _Presolved) -> _Pattern:
-    """The open scope's pattern if its index arrays match, else a new one that it keeps."""
-    held = _PATTERN.get()
-    if held and all(map(np.array_equal, held[0].key, _pattern_key(pre))):
+    """The open scope's pattern if its key matches pre's, else a new one that it keeps."""
+    held, key = _PATTERN.get(), _pattern_key(pre)
+    if held and all(map(np.array_equal, held[0].key, key)):
         return held[0]
-    pattern = _Pattern(pre)
+    pattern = _Pattern(key)
     if held is not None:
         held[:] = [pattern]
     return pattern
@@ -804,13 +821,12 @@ class _Kkt:
     B stacks the rows of a_ext and the kept coupling rows, in every
     column, read straight from the CSR arrays of a_ext and g.  k_true,
     the unshifted matrix every solve is refined against, is held as its
-    blocks and never assembled: `b`, B in CSR, `diag`, the whole
-    diagonal, which set_diagonal gets, and `top`, the primal rows
-    [D1, B'] in CSC over B's values and arrays, so that matvec sums each
-    row in the order of k_true's own CSC product.  The factor adds `eps`
-    to the primal diagonal and subtracts it from the dual one, which
-    makes the matrix quasi-definite (Vanderbei 1995).  The interior point
-    uses _KKT_REG with B whole.  The polish uses _POLISH_EPS and marks
+    blocks and never assembled: `b`, B in CSR, with `b_t`, its transpose,
+    a view of the same arrays, and `diag`, the whole diagonal, which
+    set_diagonal gets.  The factor adds `eps` to the primal diagonal and
+    subtracts it from the dual one, which makes the matrix quasi-definite
+    (Vanderbei 1995).  The interior point uses _KKT_REG with B whole.
+    The polish uses _POLISH_EPS and marks
     its free columns in `cols` and its active coupling rows in `coup`:
     B's entries outside them are 0, so that with a diagonal of 1 on a
     fixed column and -1 on an inactive row each of those solves to its
@@ -829,12 +845,13 @@ class _Kkt:
 
     Everything read from index arrays alone is a _Pattern, symbolic work
     made once per pattern (Davis 2006, ch. 7): the open kkt_pattern_scope
-    holds one, which a system with the same index arrays reuses.  The
-    polish's system therefore refills the interior point's pattern, with
-    only its values changed.  The instance holds the values: B's, B's in
-    CSC and the pair products, and one band store that each factor
-    refills in place, in the pattern's entry order, before factoring it.
-    It holds its one factor, and solve() takes the eliminated columns
+    holds one, which a system with the same key reuses.  The polish's
+    system therefore refills the interior point's pattern, with only its
+    values changed.  The instance holds the values: B's in CSR,
+    and in CSC with its rows as band positions, the products of the
+    pairs the store keeps, and one band store that each factor refills
+    in place, in the pattern's entry order, before factoring it.  It
+    holds its one factor, and solve() takes the eliminated columns
     around it and refines against k_true.
     """
 
@@ -848,19 +865,12 @@ class _Kkt:
             live = cols[pat.b_col]
             live[pat.b_ptr[m] :] &= np.repeat(coup, np.diff(pat.b_ptr[m:]))
             vals[~live] = 0.0
-        # k_true's primal rows [D1, B'] in CSC, whose columns past n are
-        # B's rows in its CSR arrays; set_diagonal writes D1, and B shares
-        # their values
-        first = np.arange(n, dtype=np.int32)
-        self.top = sp.csc_matrix((np.concatenate([np.zeros(n), vals]),
-                                  np.concatenate([first, pat.b_col]),
-                                  np.concatenate([first, n + pat.b_ptr])), shape=(n, n + pat.mb))
-        self.b = sp.csr_matrix((self.top.data[n:], pat.b_col, pat.b_ptr), shape=(pat.mb, n))
+        self.b = sp.csr_matrix((vals, pat.b_col, pat.b_ptr), shape=(pat.mb, n))
+        self.b_t = self.b.T  # a CSC view of b's arrays, made once: each .T costs a constructor
         self.shift = np.full(n + pat.mb, eps)
         self.shift[n:] = -eps
         e_val = np.take(vals, pat.e_src)
-        e_t, e_s = pat.pairs(e_val)
-        self.pair_val = (-e_t * e_s)[pat.stored]
+        self.pair_val = -np.take(e_val, pat.pair_t) * np.take(e_val, pat.pair_s)
         # B with its rows as band positions, so that solves run in the band order
         self.b_e = sp.csc_matrix((e_val, pat.e_row, pat.e_ptr), shape=(pat.mb, n))
         self.b_e_t = self.b_e.T
@@ -873,7 +883,6 @@ class _Kkt:
 
     def set_diagonal(self, diag: np.ndarray) -> None:
         self.diag = diag
-        self.top.data[: self.pat.n] = diag[: self.pat.n]
         self.reg = diag + self.shift
         self.inv_d = 1.0 / self.reg[: self.pat.n]
 
@@ -892,13 +901,13 @@ class _Kkt:
         np.add.at(self.store, self.pat.dest, self.weights)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """k_true @ v from the blocks, each row summed in the CSC product's order.
+        """k_true @ v from its blocks: (D1 x + B' y, B x - D2 y) for v = (x, y).
 
-        A primal row starts from D1 v and adds B' y in the order of B's
-        rows (`top`); a dual row sums B x and then adds -D2 v.
+        `diag` holds D1 and then -D2.
         """
-        n = self.pat.n
-        return np.concatenate([self.top @ v, self.b @ v[:n] + self.diag[n:] * v[n:]])
+        n, d = self.pat.n, self.diag
+        x, y = v[:n], v[n:]
+        return np.concatenate([d[:n] * x + self.b_t @ y, self.b @ x + d[n:] * y])
 
     def shifted_solve(self, vec: np.ndarray) -> np.ndarray:
         """Solve the shifted k_true with r's factor: the eliminated columns go around it.
@@ -1363,14 +1372,18 @@ def _feasibility_probe(p: QpProblem, drop_coupling: tuple[int, ...] = ()) -> str
     """HiGHS's verdict on p's constraints: "feasible", INFEASIBLE or "unknown".
 
     HiGHS rejects a coefficient or right-hand side that is not finite,
-    and a NaN bound, by raising; such a problem is not handed to it, and
-    its feasibility is "unknown".
+    and a NaN bound, by raising.  It reads a right-hand side of _INF or
+    more in magnitude as infinite, and SciPy reports the model error that
+    can follow with the status of an infeasible one.  Such a problem is
+    not handed to it, and its feasibility is "unknown".
     """
     keep = [k for k in range(p.coup.shape[0]) if k not in drop_coupling]
     a_ub = p.coup[keep, :] if keep else None
     b_ub = p.coup_rhs[keep] if keep else None
-    rows = [p.a_eq.data, p.b_eq] + ([a_ub.data, b_ub] if keep else [])
-    if not all(np.all(np.isfinite(v)) for v in rows) or np.isnan([p.lb, p.ub]).any():
+    # each array, and the bound its entries' magnitudes must stay below (NaN fails either)
+    limits = [(p.a_eq.data, np.inf), (p.b_eq, _INF)] + ([(a_ub.data, np.inf), (b_ub, _INF)]
+                                                       if keep else [])
+    if not all(np.all(np.abs(v) < top) for v, top in limits) or np.isnan([p.lb, p.ub]).any():
         return "unknown"
     res = linprog(
         c=np.zeros(p.n),

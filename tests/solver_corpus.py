@@ -8,34 +8,27 @@ import path (set ``PYTHONPATH`` to pick a checkout) and writes, per solve,
 the status, iteration count, message, objective and primal vector, the
 primal residual (``residuals.primal_inf``) of an optimal answer, and how
 many ``qp.linprog`` probes it ran.  Per factor site it records the band
-factors made, the largest band dimension (a factored matrix's rows less
-its bordered coupling rows) and bandwidth among them (0 when none), the
-total band dimension, the stored band entries summed over the factors,
-the Cholesky pivots replaced (``qp.dpbtrf`` calls that report ``info >
-0``, a pivot that is not positive, which ``qp._BandFactor`` replaces and
-factors again), the factors that broke down (``qp._Kkt.factor`` raised
-RuntimeError: a zero LU pivot, a Cholesky pivot that fails again after
-its replacement, or a singular border), the orderings made
+Cholesky factors made (``qp.dpbtrf`` calls, the one after a replaced
+pivot included), the largest band dimension (a factored matrix's rows
+less its bordered coupling rows) and bandwidth among them (0 when none),
+the total band dimension, the stored band entries (bw + 1 per row of the
+band) summed over the factors, the pivots replaced (``qp.dpbtrf`` calls
+that report ``info > 0``, a pivot that is not positive, which
+``qp._BandFactor`` replaces and factors again), the factors that broke
+down (``qp._Kkt.factor`` raised RuntimeError: a pivot that fails again
+after its replacement, or a singular border), the orderings made
 (``qp.reverse_cuthill_mckee`` calls, one per KKT pattern built) and the
 band solves (``qp._Kkt.shifted_solve`` calls: each refined solve's first
 solve plus its refinement steps), with the refinement steps among them
-(a ``qp._Kkt.solve``'s band solves past its first), and the LAPACK
-calls behind them: per routine, ``qp.dpbtrs`` (a Cholesky's whole
-solve, in trees that have it), ``qp.dtbtrs`` (one triangular sweep of a
-Cholesky factor: its forward sweep of the border's columns, once per
-factor, and the two sweeps of each solve) and ``qp.dgbtrs`` (an LU's
-solve, in trees that have it), the calls and the right-hand-side
-columns they took.  A factor, an ordering and a LAPACK call are the
-polish's whenever ``_polish`` is running, and the interior point's
-otherwise; a band solve counts under the site of the factor it uses.
-A tree without ``qp._Kkt.shifted_solve`` records no band solve.  The
-sites are ``ipm``, the interior point's band LUs (``qp.dgbtrf``, in
-trees that have it, (3 bw + 1) entries stored per row of the band) and
-its orderings, ``ipm_cholesky``, its band Cholesky factors
-(``qp.dpbtrf``, each call counted, the one after a replaced pivot
-included; bw + 1 entries stored per row), and ``polish``, every factor
-the polish makes, band LU or band Cholesky, with its solves and
-orderings.  A tree without ``qp.dpbtrf`` records no Cholesky factor.
+(a ``qp._Kkt.solve``'s band solves past its first), and the triangular
+sweeps behind them (``qp.dtbtrs``: the forward sweep of the border's
+columns, once per factor, and the two sweeps of each solve), the calls
+and the right-hand-side columns they took.  A factor, an ordering and a
+sweep are the polish's whenever ``_polish`` is running, and the interior
+point's otherwise.  The sites are ``ipm``, the interior point's
+orderings, ``ipm_cholesky``, its factors, solves and sweeps, and
+``polish``, every factor, solve, sweep and ordering of the polish.
+
 The corpus is ``random_instance`` seeds 0-599 x {default, ``r_min=0.95``} x
 ``max_iter`` {200, 8}, plus 26 synth-data solves at T=168-672: default,
 uncapped, r = 0.995, an unmeetable REC floor, and two with lossy storage.
@@ -46,9 +39,8 @@ records under ``neighbours`` whether the warm solve was answered from the
 start's active set (``iterations == 0``), its objective minus the cold
 one, and each solve's factor sites (``band_warm``, ``band_cold``).  The
 base and its neighbours are solved inside one ``qp.kkt_pattern_scope``,
-as ``run_scenario`` solves them, so their KKT systems share patterns;
-a tree without the scope solves them without one.  It takes about 40 s
-on a 2-core VM.
+as ``run_scenario`` solves them, so their KKT systems share patterns.
+It takes about 15 s on a 2-core VM.
 
 ``compare`` prints the status, iteration, message and objective (1e-8
 relative) mismatch counts and the largest |dx| over solves with the same
@@ -58,36 +50,27 @@ beyond 1e-9 (largest |dx|), with the five largest moves by name; then
 each status transition from A to B with its count.  Then,
 for each tree, the iteration and probe totals by status, the total
 factorizations and the total band solves with the refinement steps
-among them, then the calls and right-hand-side columns of each of
-``dpbtrs``, ``dtbtrs`` and ``dgbtrs``; per site, the band factors with
-the largest and total band dimension, the largest bandwidth, the stored
-entries, the replaced pivots, the breakdowns, the band solves and
-refinement steps, the LAPACK solve calls (columns), and the orderings,
-over every solve,
-neighbours included, then the orderings of the neighbour solves alone; and the largest primal
-residual of an optimal answer, and the orderings per solve: their
-total over every site divided by the solves, neighbours left out, and
-the most any one solve made.  The sites include ``fallback``, which
-dumps of trees that still had the interior point's partial-pivot
-fallback on the full KKT matrix record; a dump without it, or without
-``ipm_cholesky``, replaced pivots, breakdowns or orderings, reads 0
-there, as does a dump without band solves or LAPACK solve calls.  Dumps
-made before the pivot
-replacement counted as breakdowns
-every ``info > 0`` of ``qp.dgbtrf`` and ``qp.dpbtrf``.
-Then the number of solves whose iteration count changed, by status; per
-status, a histogram of the change (B - A); and each solve that changed
-status or whose count rose.  Then each solve whose probe count changed,
-A -> B.
-Then both trees' totals of fallback plus polish factorizations, and each
-solve whose count changed.  Last, per tree, how many neighbour solves were
-answered warm and the largest warm-minus-cold objective gap among those.
+among them, then the ``dtbtrs`` calls and right-hand-side columns; per
+site, the band factors with the largest and total band dimension, the
+largest bandwidth, the stored entries, the replaced pivots, the
+breakdowns, the band solves and refinement steps, the ``dtbtrs`` calls
+(columns), and the orderings, over every solve, neighbours included,
+then the orderings of the neighbour solves alone; and the largest
+primal residual of an optimal answer, and the orderings per solve:
+their total over every site divided by the solves, neighbours left
+out, and the most any one solve made.  Then the number of solves whose
+iteration count changed, by status; per status, a histogram of the
+change (B - A); and each solve that changed status or whose count rose.
+Then each solve whose probe count changed, A -> B.  Then both trees'
+totals of polish factorizations, and each solve whose count changed.
+Last, per tree, how many neighbour solves were answered warm and the
+largest warm-minus-cold objective gap among those.
+
 Not collected by pytest (the file name does not match test_*).
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import sys
 import warnings
@@ -124,15 +107,9 @@ def _synth_cases():
 
 
 SITES = ("ipm", "ipm_cholesky", "polish")
-# the LAPACK solve routines counted, each by calls and right-hand-side columns
-SOLVERS = ("dpbtrs", "dtbtrs", "dgbtrs")
 BAND_KEYS = ("factors", "dim", "bw", "total_dim", "stored", "replaced", "breakdowns",
-             "orderings", "solves", "refinements") + tuple(
-                 key for name in SOLVERS for key in (name, name + "_cols"))
+             "orderings", "solves", "refinements", "dtbtrs", "dtbtrs_cols")
 NO_BAND = dict.fromkeys(BAND_KEYS, 0)
-# the sites compare prints: older dumps also hold the partial-pivot "fallback"
-COMPARED_SITES = ("ipm", "ipm_cholesky", "fallback", "polish")
-
 
 def _record(cfg, problem, settings, band, probes):
     from trimarket.qp import solve_qp
@@ -193,31 +170,25 @@ def _count_calls(qp, name) -> dict:
 def _count_band(qp) -> dict:
     """Wrap qp's band factors, solves and orderings: count per site.
 
-    The wrapped calls are qp.dgbtrf, qp.dpbtrf, qp._Kkt.factor,
-    qp._Kkt.shifted_solve, qp._Kkt.solve, qp.reverse_cuthill_mckee and
-    the SOLVERS, those a tree has.
+    The wrapped calls are qp.dpbtrf, qp.dtbtrs, qp._Kkt.factor,
+    qp._Kkt.shifted_solve, qp._Kkt.solve and qp.reverse_cuthill_mckee.
 
     A call is the polish's whenever _polish is running (it factors through
     _Kkt.factor, as the interior point does), and the interior point's
-    otherwise; the interior point's band Cholesky counts under
-    "ipm_cholesky", and every call of the polish under "polish".  Each
-    factor is counted with its dimensions, its store and whether it
-    reported a pivot that is not positive; each _Kkt.factor that raises
-    RuntimeError is a breakdown of its site's factor (a Cholesky one
-    unless its layout carries a false definite flag, as a band LU's did
-    in trees that had one).  Each band solve
-    counts under the site of the factor it goes through, and a
-    _Kkt.solve's band solves past its first as refinement steps.  Each
-    SOLVERS call counts with its right-hand side's columns, dgbtrs under
-    its role's site and the Cholesky's dpbtrs and dtbtrs under
-    "ipm_cholesky" or "polish".
+    otherwise; the interior point's factors, solves and sweeps count
+    under "ipm_cholesky" and its orderings under "ipm", and every call of
+    the polish under "polish".  Each factor is counted with its
+    dimensions, its store and whether it reported a pivot that is not
+    positive; each _Kkt.factor that raises RuntimeError is a breakdown.
+    Each band solve counts once, and a _Kkt.solve's band solves past its
+    first as refinement steps.  Each dtbtrs call counts with its
+    right-hand side's columns.
     """
     band, depth, order = {}, [0], qp.reverse_cuthill_mckee
-    polish, lu, cholesky = qp._polish, getattr(qp, "dgbtrf", None), getattr(qp, "dpbtrf", None)
-    factor = qp._Kkt.factor
-    shifted, refined = getattr(qp._Kkt, "shifted_solve", None), qp._Kkt.solve
+    polish, cholesky, sweep = qp._polish, qp.dpbtrf, qp.dtbtrs
+    factor, shifted, refined = qp._Kkt.factor, qp._Kkt.shifted_solve, qp._Kkt.solve
 
-    def site(kind=""):
+    def site(kind="_cholesky"):
         return band.setdefault("polish" if depth[0] else "ipm" + kind,
                                dict.fromkeys(BAND_KEYS, 0))
 
@@ -228,39 +199,29 @@ def _count_band(qp) -> dict:
         finally:
             depth[0] -= 1
 
-    def counted(counts, ab, bw, out):
+    def cholesky_counted(ab, **kwargs):
+        counts, out = site(), cholesky(ab, **kwargs)
         counts["factors"] += 1
         counts["dim"] = max(counts["dim"], ab.shape[1])
-        counts["bw"] = max(counts["bw"], bw)
+        counts["bw"] = max(counts["bw"], ab.shape[0] - 1)
         counts["total_dim"] += ab.shape[1]
         counts["stored"] += ab.size
-        return out
-
-    def lu_counted(ab, kl, ku, **kwargs):
-        return counted(site(), ab, max(kl, ku), lu(ab, kl, ku, **kwargs))
-
-    def cholesky_counted(ab, **kwargs):
-        out = counted(site("_cholesky"), ab, ab.shape[0] - 1, cholesky(ab, **kwargs))
-        site("_cholesky")["replaced"] += out[-1] > 0
+        counts["replaced"] += out[-1] > 0
         return out
 
     def factor_counted(kkt):
         try:
             return factor(kkt)
         except RuntimeError:
-            lay = kkt.pat.lay  # (order, bw, n_c), and a definite flag in trees with a band LU
-            site("_cholesky" if len(lay) == 3 or lay[3] else "")["breakdowns"] += 1
+            site()["breakdowns"] += 1
             raise
 
-    def solve_site(kkt):
-        return site("_cholesky" if getattr(kkt.lu, "definite", True) else "")
-
     def shifted_counted(kkt, vec):
-        solve_site(kkt)["solves"] += 1
+        site()["solves"] += 1
         return shifted(kkt, vec)
 
     def refined_counted(kkt, *args, **kwargs):
-        counts = solve_site(kkt)
+        counts = site()
         before = counts["solves"]
         try:
             return refined(kkt, *args, **kwargs)
@@ -268,32 +229,21 @@ def _count_band(qp) -> dict:
             counts["refinements"] += max(counts["solves"] - before - 1, 0)
 
     def ordered(*args, **kwargs):
-        site()["orderings"] += 1
+        site("")["orderings"] += 1
         return order(*args, **kwargs)
 
-    def solver_counted(name, real, kind, at):
-        def call(*args, **kwargs):
-            counts, rhs = site(kind), args[at]
-            counts[name] += 1
-            counts[name + "_cols"] += rhs.shape[1] if rhs.ndim == 2 else 1
-            return real(*args, **kwargs)
-        return call
-
-    # the right-hand side's position among each routine's arguments
-    for name, kind, at in (("dpbtrs", "_cholesky", 1), ("dtbtrs", "_cholesky", 1),
-                           ("dgbtrs", "", 3)):
-        if hasattr(qp, name):
-            setattr(qp, name, solver_counted(name, getattr(qp, name), kind, at))
+    def swept(ab, b, **kwargs):
+        counts = site()
+        counts["dtbtrs"] += 1
+        counts["dtbtrs_cols"] += b.shape[1] if b.ndim == 2 else 1
+        return sweep(ab, b, **kwargs)
 
     qp._polish = wrapped
     qp._Kkt.factor = factor_counted
-    if lu is not None:
-        qp.dgbtrf = lu_counted
-    if cholesky is not None:
-        qp.dpbtrf = cholesky_counted
-    if shifted is not None:
-        qp._Kkt.shifted_solve = shifted_counted
-        qp._Kkt.solve = refined_counted
+    qp.dpbtrf = cholesky_counted
+    qp.dtbtrs = swept
+    qp._Kkt.shifted_solve = shifted_counted
+    qp._Kkt.solve = refined_counted
     qp.reverse_cuthill_mckee = ordered
     return band
 
@@ -315,10 +265,9 @@ def dump(out: str) -> None:
                     key = f"random/{seed}/r_min={r_min}/max_iter={max_iter}"
                     _, records[key] = _record(cfg, problem, qp.SolverSettings(max_iter=max_iter),
                                               band, probes)
-        scope = getattr(qp, "kkt_pattern_scope", contextlib.nullcontext)
         for name, cfg, data in _synth_cases():
             model, problem = build(cfg, data)
-            with scope():
+            with qp.kkt_pattern_scope():
                 sol, records[name] = _record(cfg, problem, qp.SolverSettings(), band, probes)
                 if sol.status == "optimal":
                     records[name]["neighbours"] = _neighbours(model, sol, band)
@@ -338,19 +287,15 @@ def _factors(r: dict) -> int:
 
 
 def _neighbour_bands(d: dict) -> list:
-    """The factor sites of every neighbour solve in a dump (none in older dumps)."""
+    """The factor sites of every neighbour solve in a dump."""
     return [n[k] for r in d.values() for n in r.get("neighbours", {}).values()
-            for k in ("band_warm", "band_cold") if k in n]
+            for k in ("band_warm", "band_cold")]
 
 
-def _fallback_and_polish(r: dict) -> int:
-    return r["band"].get("fallback", NO_BAND)["factors"] + r["band"]["polish"]["factors"]
-
-
-def _solver_calls(counts: list) -> str:
-    """The SOLVERS' calls and right-hand-side columns summed over per-site counts."""
-    return ", ".join(f"{name} {sum(c.get(name, 0) for c in counts)} "
-                     f"({sum(c.get(name + '_cols', 0) for c in counts)})" for name in SOLVERS)
+def _sweeps(counts: list) -> str:
+    """The dtbtrs calls and right-hand-side columns summed over per-site counts."""
+    return (f"dtbtrs {sum(c['dtbtrs'] for c in counts)} "
+            f"({sum(c['dtbtrs_cols'] for c in counts)})")
 
 
 def compare(path_a: str, path_b: str) -> None:
@@ -396,27 +341,27 @@ def compare(path_a: str, path_b: str) -> None:
         every = [r["band"] for r in d.values()] + neighbours
         print(f"{label}: {totals}; "
               f"{sum(s['factors'] for b in every for s in b.values())} factorizations, "
-              f"{sum(s.get('solves', 0) for b in every for s in b.values())} band solves "
-              f"({sum(s.get('refinements', 0) for b in every for s in b.values())} "
-              f"refinement steps); LAPACK solve calls (right-hand-side columns): "
-              + _solver_calls([s for b in every for s in b.values()]))
-        for site in COMPARED_SITES:
-            bands = [b.get(site, NO_BAND) for b in every]
+              f"{sum(s['solves'] for b in every for s in b.values())} band solves "
+              f"({sum(s['refinements'] for b in every for s in b.values())} "
+              f"refinement steps); triangular sweeps (right-hand-side columns): "
+              + _sweeps([s for b in every for s in b.values()]))
+        for site in SITES:
+            bands = [b[site] for b in every]
             print(f"{label} {site}: {sum(b['factors'] for b in bands)} band factors; "
                   f"dimension largest {max(b['dim'] for b in bands)}, total "
                   f"{sum(b['total_dim'] for b in bands)}; largest bandwidth "
                   f"{max(b['bw'] for b in bands)}; {sum(b['stored'] for b in bands)} "
-                  f"stored entries; {sum(b.get('replaced', 0) for b in bands)} replaced pivots, "
-                  f"{sum(b.get('breakdowns', 0) for b in bands)} breakdowns; "
-                  f"{sum(b.get('solves', 0) for b in bands)} band solves "
-                  f"({sum(b.get('refinements', 0) for b in bands)} refinement steps; "
-                  f"{_solver_calls(bands)}); "
-                  f"{sum(b.get('orderings', 0) for b in bands)} orderings, "
-                  f"{sum(b.get(site, NO_BAND).get('orderings', 0) for b in neighbours)} "
+                  f"stored entries; {sum(b['replaced'] for b in bands)} replaced pivots, "
+                  f"{sum(b['breakdowns'] for b in bands)} breakdowns; "
+                  f"{sum(b['solves'] for b in bands)} band solves "
+                  f"({sum(b['refinements'] for b in bands)} refinement steps; "
+                  f"{_sweeps(bands)}); "
+                  f"{sum(b['orderings'] for b in bands)} orderings, "
+                  f"{sum(b[site]['orderings'] for b in neighbours)} "
                   f"of them in {len(neighbours)} neighbour solves")
         worst = max((r["primal_inf"] for r in d.values() if r["status"] == "optimal"), default=0.0)
         print(f"{label}: largest optimal primal residual {worst:.3g}")
-        orderings = [sum(s.get("orderings", 0) for s in r["band"].values()) for r in d.values()]
+        orderings = [sum(s["orderings"] for s in r["band"].values()) for r in d.values()]
         print(f"{label}: {sum(orderings)} orderings in {len(d)} solves "
               f"({sum(orderings) / len(d):.3f} per solve, at most {max(orderings)} in one)")
     changed_by_status = {}
@@ -444,17 +389,15 @@ def compare(path_a: str, path_b: str) -> None:
     print(f"solves whose probe count changed: {len(probes)}")
     for k in probes:
         print(f"  {k}: {a[k]['linprog']} -> {b[k]['linprog']} probes")
-    partial = {k: (_fallback_and_polish(a[k]), _fallback_and_polish(b[k])) for k in a}
-    changed = [k for k, (u, v) in partial.items() if u != v]
-    print(f"fallback + polish factorizations: {sum(u for u, _ in partial.values())} vs "
-          f"{sum(v for _, v in partial.values())}; {len(changed)} solves changed count")
+    polished = {k: (a[k]["band"]["polish"]["factors"], b[k]["band"]["polish"]["factors"])
+                for k in a}
+    changed = [k for k, (u, v) in polished.items() if u != v]
+    print(f"polish factorizations: {sum(u for u, _ in polished.values())} vs "
+          f"{sum(v for _, v in polished.values())}; {len(changed)} solves changed count")
     for k in changed:
-        print(f"  {k}: {partial[k][0]} -> {partial[k][1]}")
+        print(f"  {k}: {polished[k][0]} -> {polished[k][1]}")
     for label, d in (("A", a), ("B", b)):
         solves = [n for r in d.values() for n in r.get("neighbours", {}).values()]
-        if not solves:
-            print(f"{label}: no neighbour solves recorded")
-            continue
         warm = sum(n["warm"] for n in solves)
         gap = max((abs(n["gap"]) for n in solves if n["warm"]), default=0.0)
         print(f"{label}: {warm} of {len(solves)} neighbour solves answered warm; "

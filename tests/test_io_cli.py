@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import json
 import re
@@ -490,6 +491,23 @@ class TestCli:
                    "--out", str(workdir / "run"), "--no-plots"])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_huge_load_is_not_read_as_infeasible(self, workdir, capsys):
+        # HiGHS reads the balance row's right-hand side of 1e20 as
+        # infinite, and SciPy reported the model error that followed as an
+        # infeasible model, so this feasible model once exited 2 with
+        # "balance equations conflict with variable bounds"; the probe now
+        # leaves it undecided, and the solve ends as an iteration limit
+        cfg = workdir / "model.cfg"
+        cfg.write_text(re.sub(r"(caps\.\w_cap) = 400", r"\1 = inf", cfg.read_text()))
+        data = load_market_csv(workdir / "market.csv")
+        l = data.l.copy()
+        l[5] = 1e20
+        save_market_csv(workdir / "market.csv", dataclasses.replace(data, l=l))
+        rc = main(["solve", "--config", str(cfg), "--data", str(workdir / "market.csv"),
+                   "--out", str(workdir / "run"), "--properties", "none", "--no-plots"])
+        assert rc == 1
+        assert capsys.readouterr().err == "solver failed: diverging iterates\n"
 
     def test_non_finite_parameter_exits_one(self, workdir, capsys):
         cfg = workdir / "model.cfg"

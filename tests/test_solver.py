@@ -132,6 +132,25 @@ class TestSolverBehaviour:
         sol = solve_qp(p, SolverSettings(max_iter=1))
         assert sol.status == ITERATION_LIMIT
 
+    @pytest.mark.parametrize("value", [1e20, 1e308])
+    @pytest.mark.parametrize("group, key", [("ess", k) for k in ("p_c_max", "p_d_max", "q_max")] + [
+        (inv, k) for inv in ("rec_inventory", "cer_inventory") for k in ("w_max", "d_max", "i_max")
+    ] + [("caps", k) for k in ("g_cap", "r_cap", "c_cap")], ids=lambda v: v)
+    def test_bound_of_1e20_or_more_is_no_bound(self, group, key, value):
+        # HiGHS reads a bound of 1e20 or more in magnitude as infinite, and
+        # so does presolve: each bound parameter of the T=24 default set
+        # that large is answered as inf is, byte for byte.  Read as finite
+        # bounds, 1e20, 1e100 and 1e308 ended 33 of these 36 solves as an
+        # iteration limit, and 1e308 overflowed in the band solve
+        cfg, data = default_config(24), synth_data(SynthSpec(horizon=24))
+
+        def solved(v):
+            part = dataclasses.replace(getattr(cfg, group), **{key: v})
+            return solve_qp(build(dataclasses.replace(cfg, **{group: part}), data)[1])
+
+        inf = solved(np.inf)
+        assert inf.status == OPTIMAL and _same_answer(solved(value), inf)
+
     def test_unbounded_problem_ends_diverging(self):
         # retiring a certificate pays more than buying one costs, and no
         # cap limits the trade, so the objective grows without bound
@@ -407,6 +426,31 @@ class TestInfeasibility:
             p = dataclasses.replace(p, lb=np.where(np.arange(p.n) == 0, np.nan, p.lb))
         assert diagnose_infeasibility(p) == "feasibility could not be decided"
 
+    @pytest.mark.parametrize("row", ["b_eq", "coup_rhs"])
+    def test_probe_hands_highs_no_right_hand_side_it_reads_as_infinite(self, monkeypatch, row):
+        # HiGHS reads a right-hand side of 1e20 or more in magnitude as
+        # infinite, and SciPy reports the model error that can follow with
+        # the status of an infeasible model: with the load at hour 6 of the
+        # uncapped T=24 default at 1e20 (or the quota at -1e20), HiGHS is
+        # not called and the verdict is "unknown".  At 1e19 the load is
+        # handed to it, and the problem is feasible
+        cfg = default_config(24).with_caps(g_cap=np.inf, r_cap=np.inf, c_cap=np.inf)
+        data = synth_data(SynthSpec(seed=7, horizon=24))
+
+        def loaded(value):
+            l = data.l.copy()
+            l[5] = value
+            return build(cfg, dataclasses.replace(data, l=l))[1]
+
+        assert qp._feasibility_probe(loaded(1e19)) == "feasible"
+        if row == "b_eq":
+            p = loaded(1e20)
+        else:
+            p = build(cfg, data)[1]
+            p = dataclasses.replace(p, coup_rhs=np.array([p.coup_rhs[0], -1e20]))
+        monkeypatch.setattr(qp, "linprog", lambda *a, **k: pytest.fail("HiGHS called"))
+        assert qp._feasibility_probe(p) == "unknown"
+
     @pytest.mark.parametrize("status", [1, 4])
     def test_diagnose_when_the_probe_cannot_decide(self, monkeypatch, status):
         # HiGHS stopped at a limit (1) or on numerical trouble (4): the
@@ -618,9 +662,9 @@ class TestKktFactorization:
         # column and 1 on a fixed one, 0 on an equality row and an active
         # coupling row and -1 on an inactive one: the week's predicted
         # set, with both coupling rows active, and that set with the quota
-        # row off.  The product refinement takes from the blocks is the
-        # SciPy-assembled CSC [[diag, B'], [B, diag]] times a vector, bit
-        # for bit: each row sums its terms in the same order
+        # row off.  The product refinement takes from the blocks is, bit
+        # for bit, diag x + B' y over B x + diag y with SciPy's own
+        # products of the stacked B and of its transpose, v being (x, y)
         rng = np.random.default_rng(0)
         systems, real = {POLISH: [], BAND: []}, qp._Kkt.solve
 
@@ -666,10 +710,10 @@ class TestKktFactorization:
                 assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
             np.testing.assert_array_equal(diag, want_diag)
             n = want.shape[1]
-            k = sp.bmat([[sp.diags(want_diag[:n]), want.T], [want, sp.diags(want_diag[n:])]],
-                        format="csc")
             for v, product in zip(vecs, products):
-                np.testing.assert_array_equal(product, k @ v)
+                x, y = v[:n], v[n:]
+                np.testing.assert_array_equal(product, np.concatenate(
+                    [want_diag[:n] * x + want.T @ y, want @ x + want_diag[n:] * y]))
 
     def test_one_ordering_per_solve(self, monkeypatch):
         sites = _Sites(monkeypatch, RCM)
@@ -1158,7 +1202,7 @@ class TestKktFactorization:
 
     def test_cholesky_rounding_breakdown_keeps_the_iteration(self, monkeypatch):
         # the 7th iteration's barrier terms of this instance run from about
-        # 1e-9 to 8e10, so its reduced system has entries near 1e9 and a
+        # 1e-9 to 3e10, so its reduced system has entries near 1e9 and a
         # smallest eigenvalue below their rounding: dpbtrf finds a pivot
         # that is not positive (info 3).  The pivot is replaced and the
         # iteration goes on to converge in 8 iterations, where the factor
@@ -1173,7 +1217,7 @@ class TestKktFactorization:
 
         monkeypatch.setattr(qp, DPBTRF, recorded)
         sites = _Sites(monkeypatch)
-        _, p = build(*random_instance(364, r_min=0.95))
+        _, p = build(*random_instance(481, r_min=0.95))
         sol = solve_qp(p)
         assert (sol.status, sol.iterations, sol.message) == (OPTIMAL, 8, "")
         assert [(site, info) for site, info in infos if info] == [(BAND, 3)]
@@ -1359,6 +1403,35 @@ class TestPatternReuse:
                 assert run_scenario(cfg, data, properties="full").solution.status == OPTIMAL
             assert len(patterns.built) == 2 and len(patterns.alive()) == 1
         assert patterns.alive() == []
+
+    def test_pattern_key_holds_the_column_count(self, monkeypatch):
+        # the T=24 default with its last column emptied from a_eq and
+        # coup: pinned, presolve drops that column, and the blocks' index
+        # arrays are those of the free problem, one column narrower.
+        # Solved pinned and then free in one scope, the free solve builds
+        # its own pattern, where reusing the pinned one, a column short,
+        # once raised ValueError, and each answer is byte for byte its
+        # solve's alone
+        _, p = build(default_config(24), synth_data(SynthSpec(horizon=24)))
+        blocks = {}
+        for name in ("a_eq", "coup"):
+            m = getattr(p, name).tocsr().copy()
+            m.data[m.indices == p.n - 1] = 0.0
+            m.eliminate_zeros()
+            blocks[name] = m
+        free = dataclasses.replace(p, **blocks)
+        pinned = dataclasses.replace(free, lb=np.where(np.arange(p.n) == p.n - 1, 0.0, p.lb),
+                                     ub=np.where(np.arange(p.n) == p.n - 1, 0.0, p.ub))
+        keys = [qp._pattern_key(_presolve(q)) for q in (pinned, free)]
+        assert all(map(np.array_equal, keys[0][:4], keys[1][:4]))
+        assert (keys[0][4], keys[1][4]) == (p.n - 1, p.n)
+        alone = [solve_qp(pinned), solve_qp(free)]
+        patterns = _Patterns(monkeypatch)
+        with qp.kkt_pattern_scope():
+            shared = [solve_qp(pinned), solve_qp(free)]
+        assert [sol.status for sol in alone] == [OPTIMAL] * 2
+        assert all(map(_same_answer, alone, shared))
+        assert len(patterns.built) == 2
 
     @pytest.mark.parametrize("repeated", [False, True], ids=["week", "repeated-entry"])
     def test_reused_pattern_gives_the_same_answers(self, monkeypatch, repeated):
