@@ -619,8 +619,8 @@ def envelope_check(
     step so that the slope spans two regions, the check is reported as
     skipped rather than asserted.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < np.inf:  # a NaN step fails both
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     base_problem, base_sol = base
     shifted_problem, shifted_sol = shifted
     duals = named_duals(base_problem, base_sol)
@@ -680,8 +680,8 @@ def rps_priority_check(
     at least dr * sum(P_c + L) while total charging does not shrink.  A
     shifted solve that is not optimal makes the report skipped.
     """
-    if dr <= 0:
-        raise ValueError("dr must be positive")
+    if not 0 < dr < np.inf:  # a NaN dr fails both
+        raise ValueError(f"dr must be positive and finite, got {dr!r}")
     ess = model.config.ess
     if not (ess.eta_c == 1.0 and ess.eta_d == 1.0):
         return PropertyReport(

@@ -245,7 +245,8 @@ def _cmd_sweep(args) -> int:
         print(f"trend changes: {kinks}")
     if n_ok == 0:
         print("no sweep point solved", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        # a point that stopped short of its tolerances is a solver failure, as in solve
+        return EXIT_INFEASIBLE if all(p.status == "infeasible" for p in sw.points) else EXIT_USAGE
     return EXIT_OK
 
 

@@ -55,8 +55,8 @@ gathered into it and scattered out of it once.  Each solve recovers the
 eliminated variables and is refined against the full unregularized
 matrix, which is never assembled: the product refinement takes is the
 diagonal times the vector plus B' and B times its dual and primal parts,
-B being the equality and coupling rows, held once, in CSR, and B' a view
-of the same arrays; a solve whose
+B being the equality and coupling rows, held once, in CSC, and B' a CSR
+view of the same arrays; a solve whose
 refinement misses its tolerance is used as refined, and the ratio test
 and the gate below judge where it leads (Wright 1997, ch. 11).  How far
 a direction is refined follows its use (inexact interior-point methods:
@@ -70,7 +70,7 @@ straight from the CSR arrays of the presolved blocks, and the polish's
 too, on the same pattern.
 
 The builder's symbolic part, everything read from index arrays alone
-(B's CSR and CSC arrays, the pairs of B's entries in one column that
+(B's CSC arrays, the pairs of B's entries in one column that
 land in the band store, the ordering and the band layout), is a
 pattern, built from its key alone: B's index arrays and its column
 count.  Its numeric part holds the values, one band store that each
@@ -595,8 +595,8 @@ def _layout(rows: np.ndarray, cols: np.ndarray, nr: int, n_c: int):
     a column-major (bw + 1) x core array, then, column-major, the last
     n_c columns; the border's rows are its columns transposed and are not
     stored.  Returns (order, bw, n_c), order being the matrix's row at
-    each band position, the store's size, the entries it stores, their
-    store positions, `dest`, and each row's band position.
+    each band position, the store's size, the entries it stores and
+    their store positions, `dest`.
     """
     core = nr - n_c
     in_core = (rows < core) & (cols < core)
@@ -613,7 +613,7 @@ def _layout(rows: np.ndarray, cols: np.ndarray, nr: int, n_c: int):
     n_band = (bw + 1) * core
     dest = np.where(cols >= core, n_band + (cols - core) * nr + rows,
                     rows - cols + cols * (bw + 1))
-    return (order, bw, n_c), n_band + nr * n_c, stored, dest, where
+    return (order, bw, n_c), n_band + nr * n_c, stored, dest
 
 
 def _into(b: np.ndarray, x: np.ndarray) -> None:
@@ -717,36 +717,32 @@ class _Pattern:
 
     It is built from its key (_pattern_key) and nothing else.  B stacks
     the rows of a_ext and the coupling rows, each row's columns distinct
-    and ascending, as presolve writes both blocks; `b_ptr` and `b_col`
-    are its CSR arrays.  The matrix [[D1, B'], [B, -D2]] is never
-    assembled: the diagonal and B are all of it.  Every column is
-    eliminated, so r is in B's rows, the matrix's rows past its n
-    columns.  Then B's CSC arrays, read from B's entries `e_src`; the
+    and ascending, as presolve writes both blocks.  The matrix
+    [[D1, B'], [B, -D2]] is never assembled: the diagonal and B are all
+    of it.  Every column is eliminated, so r is in B's rows, the
+    matrix's rows past its n columns.  The pattern holds B's CSC arrays,
+    `e_row` and `e_ptr`, each column's rows ascending, with `e_src`, the
+    entry of the stacked rows' values behind each of B's entries; the
     pairs of B's entries in one column that write B D^-1 B' into r's
     store, as the entries `pair_t` and `pair_s` of B's CSC order, column
     by column (`pair_reps` per column); and r's _layout: its order,
     store size and `dest`.  The store holds r's entries on and below the
     core's diagonal and in the border's columns alone, so only the pairs
-    that land there are kept, and r's diagonal.  Solves run in the band
-    order: `band_rows` is the matrix's row at each band position, and
-    `e_row` holds B's rows, in its CSC order, as band positions.  The key
-    holds copies of the index arrays, since a_ext may be the caller's
-    a_eq.  Index arrays read once per build are int32, to hold less.
+    that land there are kept, and r's diagonal.  The key holds copies of
+    the index arrays, since a_ext may be the caller's a_eq.  Index arrays
+    read once per build are int32, to hold less.
     """
 
     def __init__(self, key):
         self.key = tuple(map(np.array, key))
         a_ptr, a_col, c_ptr, c_col, n = key
         self.n, self.mb = n, mb = n, len(a_ptr) + len(c_ptr) - 2
-        counts = np.concatenate([np.diff(a_ptr), np.diff(c_ptr)])
-        self.b_ptr = np.zeros(mb + 1, dtype=np.int32)
-        np.cumsum(counts, out=self.b_ptr[1:])
         b_col = np.concatenate([a_col, c_col])
-        self.b_col = b_col.astype(np.int32)
 
         # B in CSC, each column's rows ascending
         self.e_src = np.argsort(b_col, kind="stable").astype(np.int32)
-        rows = np.repeat(np.arange(mb), counts)[self.e_src]
+        rows = np.repeat(np.arange(mb), np.concatenate([np.diff(a_ptr), np.diff(c_ptr)]))
+        self.e_row = rows = rows[self.e_src].astype(np.int32)
         counts = np.bincount(b_col, minlength=n)
         self.e_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
         # every pair of entries t, s in one column e of B adds
@@ -759,13 +755,9 @@ class _Pattern:
             self.e_ptr[:-1].repeat(counts) - (np.cumsum(reps) - reps), reps)
         # r's entries: the products, then the diagonal
         r_diag = np.arange(mb)
-        self.lay, self.size, stored, self.dest, pos = _layout(
+        self.lay, self.size, stored, self.dest = _layout(
             np.concatenate([rows[pair_t], r_diag]), np.concatenate([rows[pair_s], r_diag]), mb,
             len(c_ptr) - 1)
-        # solves run in the band order: the matrix's row at each band
-        # position, and B's rows as band positions
-        self.band_rows = n + self.lay[0]
-        self.e_row = pos[rows].astype(np.int32)
         # the pairs the store holds, and how many of each column's (r's
         # other entries are its diagonal, all stored)
         stored = stored[: len(pair_t)]
@@ -821,8 +813,8 @@ class _Kkt:
     B stacks the rows of a_ext and the kept coupling rows, in every
     column, read straight from the CSR arrays of a_ext and g.  k_true,
     the unshifted matrix every solve is refined against, is held as its
-    blocks and never assembled: `b`, B in CSR, with `b_t`, its transpose,
-    a view of the same arrays, and `diag`, the whole diagonal, which
+    blocks and never assembled: `b`, B in CSC, with `b_t`, its transpose,
+    a CSR view of the same arrays, and `diag`, the whole diagonal, which
     set_diagonal gets.  The factor adds `eps` to the primal diagonal and
     subtracts it from the dual one, which makes the matrix quasi-definite
     (Vanderbei 1995).  The interior point uses _KKT_REG with B whole.
@@ -847,33 +839,26 @@ class _Kkt:
     made once per pattern (Davis 2006, ch. 7): the open kkt_pattern_scope
     holds one, which a system with the same key reuses.  The polish's
     system therefore refills the interior point's pattern, with only its
-    values changed.  The instance holds the values: B's in CSR,
-    and in CSC with its rows as band positions, the products of the
-    pairs the store keeps, and one band store that each factor refills
-    in place, in the pattern's entry order, before factoring it.  It
-    holds its one factor, and solve() takes the eliminated columns
-    around it and refines against k_true.
+    values changed.  The instance holds the values: B's, once, the
+    products of the pairs the store keeps, and one band store that each
+    factor refills in place, in the pattern's entry order, before
+    factoring it.  It holds its one factor, and solve() takes the
+    eliminated columns around it and refines against k_true.
     """
 
     def __init__(self, pre: _Presolved, eps: float, cols: np.ndarray | None = None,
                  coup: np.ndarray | None = None):
         self.pat = pat = _pattern(pre)
-        self.band_rows, n, g = pat.band_rows, pat.n, pre.g
-        vals = np.concatenate([pre.a_ext.data, g.data[g.indptr[pre.n_b] :]])
+        n, g = pat.n, pre.g
+        vals = np.take(np.concatenate([pre.a_ext.data, g.data[g.indptr[pre.n_b] :]]), pat.e_src)
         if cols is not None:  # the polish's system: B outside cols and coup is 0
-            m = pre.a_ext.shape[0]
-            live = cols[pat.b_col]
-            live[pat.b_ptr[m] :] &= np.repeat(coup, np.diff(pat.b_ptr[m:]))
-            vals[~live] = 0.0
-        self.b = sp.csr_matrix((vals, pat.b_col, pat.b_ptr), shape=(pat.mb, n))
-        self.b_t = self.b.T  # a CSC view of b's arrays, made once: each .T costs a constructor
+            on = np.concatenate([np.ones(pre.a_ext.shape[0], dtype=bool), coup])
+            vals[~(np.repeat(cols, np.diff(pat.e_ptr)) & on[pat.e_row])] = 0.0
+        self.b = sp.csc_matrix((vals, pat.e_row, pat.e_ptr), shape=(pat.mb, n))
+        self.b_t = self.b.T  # a CSR view of b's arrays, made once: each .T costs a constructor
         self.shift = np.full(n + pat.mb, eps)
         self.shift[n:] = -eps
-        e_val = np.take(vals, pat.e_src)
-        self.pair_val = -np.take(e_val, pat.pair_t) * np.take(e_val, pat.pair_s)
-        # B with its rows as band positions, so that solves run in the band order
-        self.b_e = sp.csc_matrix((e_val, pat.e_row, pat.e_ptr), shape=(pat.mb, n))
-        self.b_e_t = self.b_e.T
+        self.pair_val = -np.take(vals, pat.pair_t) * np.take(vals, pat.pair_s)
         # r's entries in the pattern's order: the pair products, then the diagonal
         self.weights = np.empty(len(self.pair_val) + pat.mb)
         self.store = np.empty(pat.size)  # r's band store, refilled by each factor
@@ -913,18 +898,16 @@ class _Kkt:
         """Solve the shifted k_true with r's factor: the eliminated columns go around it.
 
         x = D^-1 (vec_x - B' y) comes out of r's solution.  r's
-        right-hand side is gathered straight into the band order and its
-        solution scattered straight back, and the factor solves in place
-        between them.
+        right-hand side, vec_y - B D^-1 vec_x, is gathered into the band
+        order (the layout's order) and its solution scattered back, and
+        the factor solves in place between them.
         """
-        n = self.pat.n
+        n, order = self.pat.n, self.pat.lay[0]
         r_e = vec[:n] * self.inv_d
-        rhs = vec[self.band_rows]
-        rhs -= self.b_e @ r_e
-        sol = self.lu.solve(rhs)
         step = np.empty_like(vec)
-        step[self.band_rows] = sol
-        step[:n] = r_e - (self.b_e_t @ sol) * self.inv_d
+        y = step[n:]
+        y[order] = self.lu.solve((vec[n:] - self.b @ r_e)[order])
+        step[:n] = r_e - (self.b_t @ y) * self.inv_d
         return step
 
     def solve(self, vec: np.ndarray, rtol: float, rhs0: np.ndarray | None = None) -> np.ndarray:

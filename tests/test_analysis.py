@@ -371,12 +371,14 @@ class TestExtraSolveChecks:
     def test_checks_reject_bad_arguments(self):
         model, p, sol = solve(*rec_priority_case())
         shifted = solve_for_param(model, "quota", model.quota + 1.0)
-        with pytest.raises(ValueError, match="step must be positive"):
-            envelope_check(model, (p, sol), shifted, 0.0, "quota")
+        for step in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="step must be positive"):
+                envelope_check(model, (p, sol), shifted, step, "quota")
         with pytest.raises(ValueError, match="unknown envelope target 'alpha'"):
             envelope_check(model, (p, sol), shifted, 1.0, "alpha")
-        with pytest.raises(ValueError, match="dr must be positive"):
-            rps_priority_check(model, (p, sol), shifted, -0.01)
+        for dr in (-0.01, np.nan, np.inf):
+            with pytest.raises(ValueError, match="dr must be positive"):
+                rps_priority_check(model, (p, sol), shifted, dr)
         with pytest.raises(ValueError, match="unknown parameter 'k'"):
             solve_for_param(model, "k", 0.5)
 

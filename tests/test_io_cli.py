@@ -820,6 +820,16 @@ class TestCli:
         assert sorted(manifest["files"]) == ["sweep.csv", "sweep.json"]
         assert not (out / "charts").exists()
 
+    def test_sweep_that_only_hits_the_iteration_cap_exits_one(self, workdir, capsys):
+        # no point solved, but none is infeasible: a solver failure, as
+        # solve --max-iter 1 on the same input reports it
+        rc = main(["sweep", "--config", str(workdir / "model.cfg"),
+                   "--data", str(workdir / "market.csv"), "--param", "r",
+                   "--grid", "0.1,0.2", "--max-iter", "1", "--out", str(workdir / "sw"),
+                   "--no-plots"])
+        assert rc == 1
+        assert "no sweep point solved" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra, rc, message", [
         (["--tol", "0"], 1, "error: --tol must be positive"),
         (["--tol", "inf"], 1, "error: --tol must be finite and below 1"),

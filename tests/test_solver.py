@@ -654,7 +654,7 @@ class TestKktFactorization:
 
     def test_polish_system_is_the_block_matrix(self, monkeypatch):
         # the blocks _Kkt writes from index arrays are the stacked ones,
-        # byte for byte, on the one pattern of the solve.  The interior
+        # byte for byte in CSC, on the one pattern of the solve.  The interior
         # point's start's B is b, the rows of a_ext and the kept coupling
         # rows, under the diagonal with every w / z at 1, (d, 0, -1).  A
         # polish's is b with its entries in the fixed columns and in the
@@ -705,15 +705,33 @@ class TestKktFactorization:
         for (pat, got, diag, vecs, products), (want, want_diag) in zip(seen, wanted, strict=True):
             assert pat is seen[0][0]  # the interior point's pattern
             assert got.shape == want.shape
+            csc = want.tocsc()
             for part in ("data", "indices", "indptr"):
-                assert getattr(got, part).dtype == getattr(want, part).dtype
-                assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+                assert getattr(got, part).dtype == getattr(csc, part).dtype
+                assert getattr(got, part).tobytes() == getattr(csc, part).tobytes()
             np.testing.assert_array_equal(diag, want_diag)
             n = want.shape[1]
             for v, product in zip(vecs, products):
                 x, y = v[:n], v[n:]
                 np.testing.assert_array_equal(product, np.concatenate(
                     [want_diag[:n] * x + want.T @ y, want @ x + want_diag[n:] * y]))
+
+    def test_each_system_holds_b_once(self, monkeypatch):
+        # the interior point's system and each polish's hold one sparse
+        # matrix, B, and its transpose as a view of the same values
+        systems, real = {}, qp._Kkt.set_diagonal
+
+        def recorded(kkt, diag):
+            systems[id(kkt)] = kkt
+            real(kkt, diag)
+
+        monkeypatch.setattr(qp._Kkt, "set_diagonal", recorded)
+        assert solve_qp(_synth_week()).status == OPTIMAL
+        kkts = list(systems.values())
+        assert {float(kkt.shift[0]) for kkt in kkts} == {qp._KKT_REG, qp._POLISH_EPS}
+        for kkt in kkts:
+            assert sorted(k for k, v in vars(kkt).items() if sp.issparse(v)) == ["b", "b_t"]
+            assert np.shares_memory(kkt.b.data, kkt.b_t.data)
 
     def test_one_ordering_per_solve(self, monkeypatch):
         sites = _Sites(monkeypatch, RCM)
@@ -739,9 +757,11 @@ class TestKktFactorization:
         order, bw, n_c = kkt.pat.lay
         assert bw == 8 and bounded.all()
         # every row of r but the kept coupling rows is in the band, and
-        # r's rows are the matrix's rows behind them in the band order
-        assert len(pre.keep_rows) == n_c == 2 and len(order) == len(kkt.band_rows)
-        assert kkt.band_rows.tolist() == (p.n + order).tolist()
+        # the order puts each of B's rows at one band position, the
+        # coupling rows last
+        assert len(pre.keep_rows) == n_c == 2 and len(order) == kkt.pat.mb
+        assert np.array_equal(np.sort(order), np.arange(kkt.pat.mb))
+        assert order[-n_c:].tolist() == [kkt.pat.mb - 2, kkt.pat.mb - 1]
         # its store is the core's lower band and the border's columns
         assert kkt.pat.size == (bw + 1) * (len(order) - n_c) + len(order) * n_c
 
@@ -798,7 +818,8 @@ class TestKktFactorization:
             assert len(diagonals) == n_diag
             kkt = diagonals[0][0]
             # every column is eliminated: r is in the rows of B alone
-            assert kkt.band_rows.min() == kkt.pat.n and len(kkt.band_rows) == kkt.pat.mb
+            assert np.array_equal(np.sort(kkt.pat.lay[0]), np.arange(kkt.pat.mb))
+            assert len(diagonals[0][1]) == kkt.pat.n + kkt.pat.mb
             rhs = np.random.default_rng(0).standard_normal(len(diagonals[0][1]))
             no_reference = set()
             for k, (_, diag) in enumerate(diagonals, start=1):
@@ -1466,7 +1487,7 @@ class TestPatternReuse:
 
         pre = _presolve(p)
         kkt = qp._Kkt(pre, qp._KKT_REG)
-        want = sp.vstack([pre.a_ext, pre.g[pre.n_b:]], format="csr")
+        want = sp.vstack([pre.a_ext, pre.g[pre.n_b:]], format="csr").tocsc()
         assert p.a_eq.has_canonical_format is not repeated and pre.a_ext.has_canonical_format
         assert kkt.b.shape == want.shape
         for part in ("data", "indices", "indptr"):
