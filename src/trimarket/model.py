@@ -469,7 +469,7 @@ def _finite(value: float, what: str) -> float:
     """value, a coefficient assembled from validated parameters, if it is finite.
 
     Each parameter is finite on its own, but a product or an inverse of
-    them can still overflow, and neither the solver nor its LP probe
+    them can still overflow, and neither the solver nor its diagnosis LP
     takes an infinite coefficient: `what` names the parameters.
     """
     if not math.isfinite(value):

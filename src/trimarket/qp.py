@@ -110,8 +110,9 @@ polishes the last iterate (or, when the iteration stopped short, the best
 one), falls back to the iterate itself, if it converged, whenever the
 polished point fails, and lets the candidate out as "optimal" only when
 it passes kkt_residuals at the solver tolerances.  A start's active set
-(below) passes the same gate.  Anything else is settled by an LP
-feasibility probe as "infeasible" or "iteration_limit".
+(below) passes the same gate.  Anything else is settled by the
+infeasibility diagnosis (last paragraph) as "infeasible" or
+"iteration_limit".
 
 A solve may be given the optimal solution of a neighbouring problem as a
 start.  Its active set, predicted by the gate's rule, is polished on
@@ -122,14 +123,24 @@ move of a quota or a floor usually keeps the set (Bemporad, Morari, Dua &
 Pistikopoulos 2002, The explicit linear quadratic regulator for
 constrained systems).
 
-On an infeasible problem the primal residual stops falling after a few
-iterations while mu grows without bound or collapses to zero.  The first
-time the residual has stalled (still above tolerance and less than 10%
-below its value five iterations earlier) the same probe runs once, early;
-if it finds the problem infeasible the solve ends there with the usual
-diagnosis, and otherwise the iteration goes on unchanged, so the probe
-never alters a feasible answer (detect, then certify: Banjac et al. 2019,
-Infeasibility detection in the ADMM for convex optimization).
+The diagnosis is an elastic LP, solved by HiGHS's dual simplex
+(Chinneck, Feasibility and Infeasibility in Optimization, 2008; Huangfu
+& Hall, Math. Prog. Comp. 2018): one more column t >= 0 relaxes the REC
+retirement floor by t, and the LP minimizes t subject to the equalities,
+the bounds and the quota row.  No shortfall at the optimum means the
+problem is feasible, and a positive one that the floor is what it
+fails; if even the rows without the floor have no point, the same LP
+without the quota row tells the quota from the two jointly and from the
+balance equations.  One LP settles a feasible problem and names a floor
+conflict, and two name any other.  On an infeasible problem the primal
+residual stops falling after a few iterations while mu grows without
+bound or collapses to zero.  The first time the residual has stalled
+(still above tolerance and less than 10% below its value five
+iterations earlier) the diagnosis runs once, early; if it finds the
+problem infeasible the solve ends there with its message, and otherwise
+the iteration goes on unchanged, so it never alters a feasible answer
+(detect, then certify: Banjac et al. 2019, Infeasibility detection in
+the ADMM for convex optimization).
 """
 
 from __future__ import annotations
@@ -306,7 +317,7 @@ class _InfeasibleProblem(Exception):
 
 # HiGHS reads a bound or a right-hand side of 1e20 or more in magnitude as
 # infinite (its kHighsInf): presolve reads a bound so too, and the
-# feasibility probe hands HiGHS no right-hand side that large
+# diagnosis hands HiGHS no right-hand side that large
 _INF = 1e20
 
 
@@ -947,9 +958,11 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
 
     Returns a Solution with status "optimal", "infeasible" or
     "iteration_limit".  Deterministic: identical inputs produce identical
-    iterates.  Infeasibility is certified with an LP feasibility probe
+    iterates.  Infeasibility is certified, and its conflict named, by the
+    floor's elastic LP (one, or two when the floor is not what fails)
     rather than inferred from divergence alone; a stalled primal residual
-    runs that probe early, once, and ends the solve if it says infeasible.
+    runs that diagnosis early, once, and ends the solve if it says
+    infeasible.
 
     `start`, optional, is an optimal Solution of a problem of p's size,
     such as a neighbour with one right-hand side moved.  Its active set is
@@ -976,23 +989,24 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
             if sol is not None:
                 return sol  # iterations == 0: answered by the start's active set
 
-    point, w, iterations, converged, message, verdict = _interior_point(p, pre, s)
+    point, w, iterations, converged, message, diagnosis = _interior_point(p, pre, s)
     if point is not None:
         sol = _verified(p, pre, s, point, w, converged)
         if sol is not None:
             return replace(sol, iterations=iterations)
-    return _unsolved(p, iterations, message, verdict)
+    return _unsolved(p, iterations, message, diagnosis)
 
 
 def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
     """The interior-point iteration of solve_qp, from the least-squares start.
 
-    Returns its run, (point, w, iterations, converged, message, verdict):
+    Returns its run, (point, w, iterations, converged, message, diagnosis):
     the iterate (x, y, z) to verify, or None when there is none (the
-    start's factor failed, the stall probe found the problem infeasible,
-    or no iterate was finite); the slacks w of the inequality block that
-    predict its active set; whether the stopping test passed; why the
-    iteration stopped; and the stall probe's verdict, INFEASIBLE or None.
+    start's factor failed, the stall diagnosis found the problem
+    infeasible, or no iterate was finite); the slacks w of the inequality
+    block that predict its active set; whether the stopping test passed;
+    why the iteration stopped; and the stall's _diagnose answer,
+    (INFEASIBLE, the conflict's message), when it ended the run, else None.
     With no inequality row, every variable pinned or free, the run is the
     zero point with nothing active, whose polish is the one
     equality-constrained solve.  Every array of the iteration, the KKT
@@ -1099,8 +1113,9 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
             and primal_inf >= _STALL_RATIO * primal_hist[-1 - _STALL_WINDOW]
         ):
             probed = True
-            if _feasibility_probe(p) == INFEASIBLE:
-                return None, None, it, False, "", INFEASIBLE
+            diagnosis = _diagnose(p)
+            if diagnosis[0] == INFEASIBLE:
+                return None, None, it, False, "", diagnosis
 
         # clamp denominators: an underflowed slack or coupling multiplier
         # must read as a huge but finite diagonal entry, not an inf that
@@ -1221,19 +1236,18 @@ def _presolved_point(pre: _Presolved, sol: Solution):
 
 
 def _unsolved(p: QpProblem, iterations: int, message: str,
-              verdict: str | None = None) -> Solution:
-    """Non-optimal exit: the LP probe tells "infeasible" from "iteration_limit".
+              diagnosis: tuple[str, str] | None = None) -> Solution:
+    """Non-optimal exit: _diagnose tells "infeasible" from "iteration_limit".
 
-    `verdict` is the full-problem probe's answer when the caller already
-    has it (the interior point's stall exit), so the problem is not
-    probed twice; otherwise the probe runs here.  An infeasible problem always
-    carries the relaxation probes' diagnosis; `message`, why the iteration
-    stopped, only explains an iteration limit.
+    `diagnosis` is _diagnose's answer when the caller already has it
+    (the interior point's stall exit), so the problem is not diagnosed
+    twice; otherwise it runs here.  An infeasible problem always carries
+    the diagnosis's message, naming the conflict; `message`, why the
+    iteration stopped, only explains an iteration limit.
     """
-    if verdict is None:
-        verdict = _feasibility_probe(p)
+    verdict, conflict = diagnosis if diagnosis is not None else _diagnose(p)
     if verdict == INFEASIBLE:
-        return _empty_solution(p, INFEASIBLE, message=_name_conflict(p), iterations=iterations)
+        return _empty_solution(p, INFEASIBLE, message=conflict, iterations=iterations)
     return _empty_solution(p, ITERATION_LIMIT, message=message or "tolerances not reached",
                            iterations=iterations)
 
@@ -1337,74 +1351,97 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
 
 
 # ---------------------------------------------------------------------------
-# Feasibility probes
+# Infeasibility diagnosis
 
 
 def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported on first call.
 
-    Only the feasibility probes need it, and importing scipy.optimize up
-    front would add about 0.2 s to every start.
+    Only the diagnosis needs it, and importing scipy.optimize up front
+    would add about 0.2 s to every start.
     """
     from scipy.optimize import linprog as highs_linprog
 
     return highs_linprog(*args, **kwargs)
 
 
-def _feasibility_probe(p: QpProblem, drop_coupling: tuple[int, ...] = ()) -> str:
-    """HiGHS's verdict on p's constraints: "feasible", INFEASIBLE or "unknown".
+# HiGHS's default primal feasibility tolerance: a floor shortfall of at
+# most this times 1 + |the floor's right-hand side| is none
+_SHORTFALL_TOL = 1e-7
 
-    HiGHS rejects a coefficient or right-hand side that is not finite,
-    and a NaN bound, by raising.  It reads a right-hand side of _INF or
-    more in magnitude as infinite, and SciPy reports the model error that
-    can follow with the status of an infeasible one.  Such a problem is
-    not handed to it, and its feasibility is "unknown".
+
+def _floor_shortfall(p: QpProblem, rows: int) -> float:
+    """The REC floor's least shortfall t*, by HiGHS, with p's first `rows` coupling rows kept.
+
+    The elastic LP (Chinneck, Feasibility and Infeasibility in
+    Optimization, 2008): minimize t over x and t >= 0 subject to p's
+    equalities and bounds and the coupling rows kept, the floor's (row 0)
+    relaxed to coup[0] x - t <= coup_rhs[0].  `rows` is 2 to keep the
+    quota row hard, 1 to drop it.  Returns t*, inf when HiGHS proves no
+    x meets the rows the floor does not enter, and NaN when it decides
+    neither.  HiGHS rejects a coefficient or right-hand side that is not
+    finite, and a NaN bound, by raising.  It reads a right-hand side of
+    _INF or more in magnitude as infinite, and SciPy reports the model
+    error that can follow with the status of an infeasible one.  Such a
+    problem is not handed to it, and its shortfall is NaN.
     """
-    keep = [k for k in range(p.coup.shape[0]) if k not in drop_coupling]
-    a_ub = p.coup[keep, :] if keep else None
-    b_ub = p.coup_rhs[keep] if keep else None
+    coup, b_ub = p.coup[:rows].tocsc(), p.coup_rhs[:rows]
     # each array, and the bound its entries' magnitudes must stay below (NaN fails either)
-    limits = [(p.a_eq.data, np.inf), (p.b_eq, _INF)] + ([(a_ub.data, np.inf), (b_ub, _INF)]
-                                                       if keep else [])
+    limits = ((p.a_eq.data, np.inf), (p.b_eq, _INF), (coup.data, np.inf), (b_ub, _INF))
     if not all(np.all(np.abs(v) < top) for v, top in limits) or np.isnan([p.lb, p.ub]).any():
-        return "unknown"
-    res = linprog(
-        c=np.zeros(p.n),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=p.a_eq,
-        b_eq=p.b_eq,
-        bounds=np.column_stack([p.lb, p.ub]),
-        method="highs",
-    )
+        return np.nan
+    # t is column n: one -1 in the floor row, and none in the equalities
+    a_ub = sp.csc_matrix((np.append(coup.data, -1.0), np.append(coup.indices, 0),
+                          np.append(coup.indptr, coup.nnz + 1)), shape=(rows, p.n + 1))
+    a_eq = sp.csr_matrix((p.a_eq.data, p.a_eq.indices, p.a_eq.indptr), shape=(p.m_eq, p.n + 1))
+    res = linprog(np.append(np.zeros(p.n), 1.0), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=p.b_eq,
+                  bounds=np.column_stack([np.append(p.lb, 0.0), np.append(p.ub, np.inf)]),
+                  method="highs")
     if res.status == 2:
-        return INFEASIBLE
-    if res.status == 0:
-        return "feasible"
-    return "unknown"
+        return np.inf
+    return float(res.fun) if res.status == 0 else np.nan
+
+
+def _diagnose(p: QpProblem) -> tuple[str, str]:
+    """HiGHS's verdict on p, "feasible", INFEASIBLE or "unknown", and its message.
+
+    The floor's shortfall with the quota hard: none means p is feasible,
+    and a positive one means the floor alone conflicts.  When no x meets
+    even the rows without the floor, the quota is dropped too: then no
+    shortfall means the quota conflicts, a positive one that the two
+    conflict jointly, and no x at all that the balances and boxes already
+    clash.  One LP names an infeasible floor, two any other conflict.  A
+    first LP that HiGHS leaves undecided leaves the verdict so; a second
+    one keeps the model infeasible, with its conflict unnamed.
+    """
+    t = _floor_shortfall(p, 2)
+    if np.isnan(t):
+        return "unknown", "feasibility could not be decided"
+    tol = _SHORTFALL_TOL * (1.0 + abs(p.coup_rhs[0]))
+    if t <= tol:
+        return "feasible", "problem is feasible"
+    if t < np.inf:
+        conflict = "REC retirement floor conflicts with certificate supply and caps"
+    else:
+        t = _floor_shortfall(p, 1)
+        if np.isnan(t):
+            conflict = "the conflicting requirement could not be named"
+        elif t <= tol:
+            conflict = "CER quota ceiling conflicts with emission needs and caps"
+        elif t < np.inf:
+            conflict = "retirement floor and quota ceiling jointly conflict"
+        else:
+            conflict = "balance equations conflict with variable bounds"
+    return INFEASIBLE, f"infeasible: {conflict}"
 
 
 def diagnose_infeasibility(p: QpProblem) -> str:
-    """Name the constraint family that makes an infeasible problem so.
+    """Name the requirement that makes an infeasible problem so.
 
-    Relaxation probes: if dropping the retirement-floor row restores
-    feasibility the floor conflicts with the certificate supply; likewise
-    for the quota ceiling; otherwise the balances and boxes already clash.
-    A full probe that neither finds a point nor proves there is none
-    (HiGHS hit a limit or met numerical trouble) leaves it undecided.
+    "problem is feasible", "feasibility could not be decided", or
+    "infeasible: ..." naming the REC retirement floor, the CER quota
+    ceiling, the two jointly, or the balance equations against the
+    variable bounds; it is the message an infeasible solve_qp carries.
+    The floor's elastic LP decides it, once or twice (_diagnose).
     """
-    verdict = _feasibility_probe(p)
-    if verdict == INFEASIBLE:
-        return _name_conflict(p)
-    return "problem is feasible" if verdict == "feasible" else "feasibility could not be decided"
-
-
-def _name_conflict(p: QpProblem) -> str:
-    """Relaxation probes for a problem the full probe already found infeasible."""
-    if _feasibility_probe(p, drop_coupling=(0,)) == "feasible":
-        return "infeasible: REC retirement floor conflicts with certificate supply and caps"
-    if _feasibility_probe(p, drop_coupling=(1,)) == "feasible":
-        return "infeasible: CER quota ceiling conflicts with emission needs and caps"
-    if _feasibility_probe(p, drop_coupling=(0, 1)) == "feasible":
-        return "infeasible: retirement floor and quota ceiling jointly conflict"
-    return "infeasible: balance equations conflict with variable bounds"
+    return _diagnose(p)[1]

@@ -1,4 +1,8 @@
-"""The small-instance reference solver the tests check solve_qp against."""
+"""The references the tests check the solver against.
+
+oracle_solve, the small-instance reference solver, and oracle_diagnosis,
+the four-probe rule that names an infeasible model's conflict.
+"""
 
 import dataclasses
 
@@ -12,8 +16,8 @@ from trimarket.qp import (
     OPTIMAL,
     IneqDuals,
     Solution,
+    _INF,
     _empty_solution,
-    diagnose_infeasibility,
     kkt_residuals,
 )
 
@@ -53,7 +57,7 @@ def oracle_solve(p: QpProblem, max_iter: int = 2000) -> Solution:
         method="highs",
     )
     if start.status == 2:
-        return _empty_solution(p, INFEASIBLE, message=diagnose_infeasibility(p))
+        return _empty_solution(p, INFEASIBLE, message=oracle_diagnosis(p))
     if start.status != 0:
         raise RuntimeError(f"feasible-point search failed with status {start.status}")
     x = np.asarray(start.x, dtype=float)
@@ -149,3 +153,56 @@ def _oracle_solution(p, x, y_ls, work, nu, lo, up, iterations) -> Solution:
         residuals=None,
     )
     return dataclasses.replace(sol, residuals=kkt_residuals(p, sol))
+
+
+def _probe(p: QpProblem, drop_coupling: tuple[int, ...] = ()) -> str:
+    """HiGHS's verdict on p's constraints: "feasible", INFEASIBLE or "unknown".
+
+    A problem holding a coefficient or right-hand side that is not finite,
+    a right-hand side of _INF or more in magnitude (HiGHS reads it as
+    infinite) or a NaN bound is not handed to HiGHS: "unknown".
+    """
+    keep = [k for k in range(p.coup.shape[0]) if k not in drop_coupling]
+    a_ub = p.coup[keep, :] if keep else None
+    b_ub = p.coup_rhs[keep] if keep else None
+    # each array, and the bound its entries' magnitudes must stay below (NaN fails either)
+    limits = [(p.a_eq.data, np.inf), (p.b_eq, _INF)] + ([(a_ub.data, np.inf), (b_ub, _INF)]
+                                                       if keep else [])
+    if not all(np.all(np.abs(v) < top) for v, top in limits) or np.isnan([p.lb, p.ub]).any():
+        return "unknown"
+    res = linprog(
+        c=np.zeros(p.n),
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=p.a_eq,
+        b_eq=p.b_eq,
+        bounds=np.column_stack([p.lb, p.ub]),
+        method="highs",
+    )
+    if res.status == 2:
+        return INFEASIBLE
+    return "feasible" if res.status == 0 else "unknown"
+
+
+def oracle_diagnosis(p: QpProblem) -> str:
+    """diagnose_infeasibility's message by relaxation probes, one LP each.
+
+    The full problem first; if HiGHS proves it infeasible, the first of
+    these to restore feasibility names the conflict: dropping the
+    retirement floor (coupling row 0), dropping the quota ceiling (row 1),
+    dropping both; if none does, the balances and boxes already clash.
+    Up to four feasibility LPs, with no objective, where solve_qp's
+    diagnosis solves one or two elastic ones.
+    """
+    verdict = _probe(p)
+    if verdict == "feasible":
+        return "problem is feasible"
+    if verdict != INFEASIBLE:
+        return "feasibility could not be decided"
+    if _probe(p, drop_coupling=(0,)) == "feasible":
+        return "infeasible: REC retirement floor conflicts with certificate supply and caps"
+    if _probe(p, drop_coupling=(1,)) == "feasible":
+        return "infeasible: CER quota ceiling conflicts with emission needs and caps"
+    if _probe(p, drop_coupling=(0, 1)) == "feasible":
+        return "infeasible: retirement floor and quota ceiling jointly conflict"
+    return "infeasible: balance equations conflict with variable bounds"

@@ -55,10 +55,12 @@ site, the band factors with the largest and total band dimension, the
 largest bandwidth, the stored entries, the replaced pivots, the
 breakdowns, the band solves and refinement steps, the ``dtbtrs`` calls
 (columns), and the orderings, over every solve, neighbours included,
-then the orderings of the neighbour solves alone; and the largest
-primal residual of an optimal answer, and the orderings per solve:
-their total over every site divided by the solves, neighbours left
-out, and the most any one solve made.  Then the number of solves whose
+then the orderings of the neighbour solves alone; the probe totals
+by message, over the solves that are not optimal, with the solves
+that carry each message; and the largest primal residual of an
+optimal answer, and the orderings per solve: their total over every
+site divided by the solves, neighbours left out, and the most any one
+solve made.  Then the number of solves whose
 iteration count changed, by status; per status, a histogram of the
 change (B - A); and each solve that changed status or whose count rose.
 Then each solve whose probe count changed, A -> B.  Then both trees'
@@ -359,6 +361,13 @@ def compare(path_a: str, path_b: str) -> None:
                   f"{sum(b['orderings'] for b in bands)} orderings, "
                   f"{sum(b[site]['orderings'] for b in neighbours)} "
                   f"of them in {len(neighbours)} neighbour solves")
+        by_message = {}
+        for r in d.values():
+            if r["status"] != "optimal":
+                n, pr = by_message.get(r["message"], (0, 0))
+                by_message[r["message"]] = (n + 1, pr + r["linprog"])
+        print(f"{label} probes by message: " + "; ".join(
+            f"{msg!r} {pr} in {n} solves" for msg, (n, pr) in sorted(by_message.items())))
         worst = max((r["primal_inf"] for r in d.values() if r["status"] == "optimal"), default=0.0)
         print(f"{label}: largest optimal primal residual {worst:.3g}")
         orderings = [sum(s["orderings"] for s in r["band"].values()) for r in d.values()]

@@ -35,7 +35,7 @@ from trimarket.analysis import solve_for_param
 from trimarket.scenarios import SynthSpec, parameter_sweep, run_scenario, synth_data
 
 from _instances import build, hand_case, no_supply_case, random_instance, solve
-from _oracle import oracle_solve
+from _oracle import oracle_diagnosis, oracle_solve
 
 
 @pytest.fixture(scope="module")
@@ -309,13 +309,7 @@ class TestInfeasibility:
         data = type(data)(**{**data.__dict__, "e": np.array([1.0])})
         return cfg, data
 
-    def test_rec_floor_infeasible(self):
-        cfg, data = self._rec_starved()
-        _, p, sol = solve(cfg, data)
-        assert sol.status == INFEASIBLE
-        assert "retirement floor" in sol.message
-
-    def test_quota_infeasible(self):
+    def _quota_starved(self):
         # forced emissions, no quota, certificate market closed
         cfg, data = hand_case()
         cfg = type(cfg)(
@@ -326,17 +320,43 @@ class TestInfeasibility:
                 "caps": TradeCaps(c_cap=0.0),
             }
         ).with_policy(alpha=0.0)
-        _, p, sol = solve(cfg, data)
-        assert sol.status == INFEASIBLE
-        assert "quota" in sol.message
+        return cfg, data
 
-    def test_floor_and_quota_jointly_infeasible(self):
+    def _jointly_starved(self):
         # full retirement and a zero quota with no inventories and every
         # market capped at 0: dropping either coupling row still leaves the
         # other unmeetable, and only dropping both restores feasibility
         cfg = default_config(24).with_inventories(rec=False, cer=False)
         cfg = cfg.with_caps(g_cap=0.0, r_cap=0.0, c_cap=0.0).with_policy(r=1.0, alpha=0.0)
-        _, p, sol = solve(cfg, synth_data(SynthSpec(seed=7, horizon=24)))
+        return cfg, synth_data(SynthSpec(seed=7, horizon=24))
+
+    def _problem(self, case):
+        """The problem of a named case: a TestInfeasibility model, the
+        infeasible week, or random_instance's "seed/r_min"."""
+        cases = {"rec": self._rec_starved, "quota": self._quota_starved,
+                 "joint": self._jointly_starved, "no_supply": no_supply_case,
+                 "feasible": hand_case}
+        if case == "week":
+            return _infeasible_week()
+        if case in cases:
+            return build(*cases[case]())[1]
+        seed, r_min = case.split("/")
+        return build(*random_instance(int(seed), r_min=float(r_min)))[1]
+
+    def test_rec_floor_infeasible(self):
+        cfg, data = self._rec_starved()
+        _, p, sol = solve(cfg, data)
+        assert sol.status == INFEASIBLE
+        assert "retirement floor" in sol.message
+
+    def test_quota_infeasible(self):
+        cfg, data = self._quota_starved()
+        _, p, sol = solve(cfg, data)
+        assert sol.status == INFEASIBLE
+        assert "quota" in sol.message
+
+    def test_floor_and_quota_jointly_infeasible(self):
+        _, p, sol = solve(*self._jointly_starved())
         assert (sol.status, sol.iterations) == (INFEASIBLE, 12)
         assert sol.message == "infeasible: retirement floor and quota ceiling jointly conflict"
 
@@ -355,8 +375,9 @@ class TestInfeasibility:
         assert sol.message == (
             "infeasible: REC retirement floor conflicts with certificate supply and caps"
         )
-        # the full-problem probe, then dropping the floor restores feasibility
-        assert coupling_rows == [2, 1]
+        # one LP, with both coupling rows: the floor's shortfall is positive
+        # with the quota kept hard
+        assert coupling_rows == [2]
 
     def test_stalled_infeasible_week_ends_early(self, monkeypatch):
         # the primal residual freezes within a few iterations, so the stall
@@ -381,22 +402,22 @@ class TestInfeasibility:
         assert sol.iterations <= 15
 
     def test_feasible_stall_verdict_keeps_iterating(self, monkeypatch):
-        # a stall probe that does not answer "infeasible" leaves the
-        # iteration to run on; the probe runs once per solve, and the exit
-        # after the iteration limit probes again and names the conflict
-        calls, real = [], qp._feasibility_probe
+        # a stall diagnosis that does not answer "infeasible" leaves the
+        # iteration to run on; it runs once per solve, and the exit after
+        # the iteration limit diagnoses again and names the conflict
+        calls, real = [], qp._diagnose
 
-        def first_says_feasible(p, drop_coupling=()):
-            calls.append(drop_coupling)
-            return "feasible" if len(calls) == 1 else real(p, drop_coupling)
+        def first_says_feasible(p):
+            calls.append(p)
+            return ("feasible", "problem is feasible") if len(calls) == 1 else real(p)
 
-        monkeypatch.setattr(qp, "_feasibility_probe", first_says_feasible)
+        monkeypatch.setattr(qp, "_diagnose", first_says_feasible)
         sol = solve_qp(_infeasible_week(), SolverSettings(max_iter=30))
         assert sol.status == INFEASIBLE and sol.iterations == 30
         assert sol.message == (
             "infeasible: REC retirement floor conflicts with certificate supply and caps"
         )
-        assert calls == [(), (), (0,)]
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("horizon", [168, 672])
     def test_feasible_solve_runs_no_probe(self, monkeypatch, horizon):
@@ -432,7 +453,7 @@ class TestInfeasibility:
         # infinite, and SciPy reports the model error that can follow with
         # the status of an infeasible model: with the load at hour 6 of the
         # uncapped T=24 default at 1e20 (or the quota at -1e20), HiGHS is
-        # not called and the verdict is "unknown".  At 1e19 the load is
+        # not called and feasibility is undecided.  At 1e19 the load is
         # handed to it, and the problem is feasible
         cfg = default_config(24).with_caps(g_cap=np.inf, r_cap=np.inf, c_cap=np.inf)
         data = synth_data(SynthSpec(seed=7, horizon=24))
@@ -442,14 +463,14 @@ class TestInfeasibility:
             l[5] = value
             return build(cfg, dataclasses.replace(data, l=l))[1]
 
-        assert qp._feasibility_probe(loaded(1e19)) == "feasible"
+        assert diagnose_infeasibility(loaded(1e19)) == "problem is feasible"
         if row == "b_eq":
             p = loaded(1e20)
         else:
             p = build(cfg, data)[1]
             p = dataclasses.replace(p, coup_rhs=np.array([p.coup_rhs[0], -1e20]))
         monkeypatch.setattr(qp, "linprog", lambda *a, **k: pytest.fail("HiGHS called"))
-        assert qp._feasibility_probe(p) == "unknown"
+        assert diagnose_infeasibility(p) == "feasibility could not be decided"
 
     @pytest.mark.parametrize("status", [1, 4])
     def test_diagnose_when_the_probe_cannot_decide(self, monkeypatch, status):
@@ -461,6 +482,44 @@ class TestInfeasibility:
         _, p = build(*hand_case())
         assert diagnose_infeasibility(p) == "feasibility could not be decided"
         assert len(calls) == 1
+
+    def test_undecided_relaxation_names_no_conflict(self, monkeypatch):
+        # HiGHS proves the first LP infeasible (2) and leaves the quota-free
+        # one undecided (numerical trouble, 4): the model is infeasible,
+        # but no LP showed which requirement it fails
+        calls = []
+        monkeypatch.setattr(qp, "linprog", lambda *a, **k: calls.append(k) or
+                            types.SimpleNamespace(status=2 if len(calls) == 1 else 4))
+        _, p = build(default_config(24), synth_data(SynthSpec(horizon=24)))
+        assert diagnose_infeasibility(p) == (
+            "infeasible: the conflicting requirement could not be named"
+        )
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("case, lps", [("rec", 1), ("quota", 2), ("joint", 2),
+                                           ("no_supply", 2), ("feasible", 1)])
+    def test_diagnosis_solves_one_lp_or_two(self, monkeypatch, case, lps):
+        # the floor's elastic LP with the quota hard decides feasibility
+        # and names a floor conflict; any other conflict takes a second,
+        # quota-free one
+        calls, real = [], qp.linprog
+        monkeypatch.setattr(qp, "linprog", lambda *a, **k: calls.append(k) or real(*a, **k))
+        want = {"rec": "REC retirement floor", "quota": "CER quota ceiling",
+                "joint": "jointly conflict", "no_supply": "balance equations",
+                "feasible": "problem is feasible"}[case]
+        assert want in diagnose_infeasibility(self._problem(case))
+        assert len(calls) == lps
+
+    @pytest.mark.parametrize("case", ["rec", "quota", "joint", "no_supply", "week"]
+                             + [f"{seed}/{r_min}" for seed in (2, 29, 34, 210, 227)
+                                for r_min in (0.0, 0.95)] + ["74/0.95"])
+    def test_diagnosis_matches_the_four_probe_rule(self, case):
+        # the elastic LPs name the conflict that dropping one coupling row,
+        # then the other, then both would: the oracle's four probes
+        p = self._problem(case)
+        want = oracle_diagnosis(p)
+        assert want.startswith("infeasible:")
+        assert diagnose_infeasibility(p) == want
 
 
 # the two factor sites, by the method that makes each factor: the
