@@ -168,15 +168,30 @@ def _write_run(args, command: str, writes, charts) -> int:
     manifest.json with the SHA-256 of every file before it.
     """
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    files: dict[str, Path] = {}
-    for name, save, payload in writes:
-        save(out / name, payload)
-        files[name] = out / name
-    if not args.no_plots:
-        files.update(save_charts(out / "charts", charts()))
-    save_json(out / "manifest.json", manifest_payload(__version__, command, files))
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        files: dict[str, Path] = {}
+        for name, save, payload in writes:
+            save(out / name, payload)
+            files[name] = out / name
+        if not args.no_plots:
+            files.update(save_charts(out / "charts", charts()))
+        save_json(out / "manifest.json", manifest_payload(__version__, command, files))
     return len(files) + 1
+
+
+@contextmanager
+def _writing(path):
+    """Report an OSError raised while writing `path` as a ConfigError.
+
+    The message names the file the error names, else `path`, as the
+    loaders' "cannot read" messages do.
+    """
+    try:
+        yield
+    except OSError as exc:
+        where = exc.filename if exc.filename is not None else path
+        raise ConfigError(f"cannot write {where}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +206,8 @@ def _cmd_gen_data(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"--seed: {exc}") from None
     data = synth_data(synth)
-    save_market_csv(args.out, data)
+    with _writing(args.out):
+        save_market_csv(args.out, data)
     print(f"wrote {args.out}: {cfg.horizon} hours, seed {synth.seed}")
     return EXIT_OK
 
@@ -251,7 +267,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _manifest_holds(run_dir: Path) -> bool:
-    """Recompute every SHA-256 listed in the run's manifest.json."""
+    """Recompute every SHA-256 listed in the run's manifest.json.
+
+    A listed name that is absolute or has a ".." part fails unread, and
+    so does a listed file that cannot be read.
+    """
     path = run_dir / "manifest.json"
     if not path.is_file():
         print("[fail] manifest.json is missing")
@@ -263,11 +283,19 @@ def _manifest_holds(run_dir: Path) -> bool:
         return False
     ok = True
     for name, digest in sorted(listed.items()):
-        if not (run_dir / name).is_file():
-            print(f"[fail] {name} is listed in manifest.json but missing")
-            ok = False
-        elif file_sha256(run_dir / name) != digest:
-            print(f"[fail] {name} does not match its SHA-256 in manifest.json")
+        fault = None
+        if Path(name).is_absolute() or ".." in Path(name).parts:
+            fault = "lies outside the run directory"  # so it is not read
+        elif not (run_dir / name).is_file():
+            fault = "is listed in manifest.json but missing"
+        else:
+            try:
+                if file_sha256(run_dir / name) != digest:
+                    fault = "does not match its SHA-256 in manifest.json"
+            except OSError as exc:
+                fault = f"cannot be read: {exc.strerror or exc}"
+        if fault is not None:
+            print(f"[fail] {name} {fault}")
             ok = False
     if ok:
         print(f"[ok] all {len(listed)} files match manifest.json")

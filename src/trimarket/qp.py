@@ -106,13 +106,13 @@ keep their places with zero B entries and a diagonal of 1 (-1 on the
 dual side), so only the values differ, and building it is numeric work
 alone (Davis 2006).
 Every answer of a solve that gets past presolve passes one gate: it
-polishes the last iterate (or, when the iteration stopped short, the best
-one), falls back to the iterate itself, if it converged, whenever the
-polished point fails, and lets the candidate out as "optimal" only when
-it passes kkt_residuals at the solver tolerances.  A start's active set
-(below) passes the same gate.  Anything else is settled by the
-infeasibility diagnosis (last paragraph) as "infeasible" or
-"iteration_limit".
+polishes the last iterate, with its own slacks, whether or not the
+iteration converged, falls back to the iterate itself, if it converged,
+whenever the polished point fails, and lets the candidate out as
+"optimal" only when it passes kkt_residuals at the solver tolerances.
+A start's active set (below) passes the same gate.  Anything else is
+settled by the infeasibility diagnosis (last paragraph) as "infeasible"
+or "iteration_limit".
 
 A solve may be given the optimal solution of a neighbouring problem as a
 start.  Its active set, predicted by the gate's rule, is polished on
@@ -962,7 +962,7 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
     floor's elastic LP (one, or two when the floor is not what fails)
     rather than inferred from divergence alone; a stalled primal residual
     runs that diagnosis early, once, and ends the solve if it says
-    infeasible.
+    infeasible; otherwise its verdict settles a later failure too.
 
     `start`, optional, is an optimal Solution of a problem of p's size,
     such as a neighbour with one right-hand side moved.  Its active set is
@@ -1001,22 +1001,22 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
     """The interior-point iteration of solve_qp, from the least-squares start.
 
     Returns its run, (point, w, iterations, converged, message, diagnosis):
-    the iterate (x, y, z) to verify, or None when there is none (the
-    start's factor failed, the stall diagnosis found the problem
-    infeasible, or no iterate was finite); the slacks w of the inequality
-    block that predict its active set; whether the stopping test passed;
-    why the iteration stopped; and the stall's _diagnose answer,
-    (INFEASIBLE, the conflict's message), when it ended the run, else None.
+    the final iterate (x, y, z) to verify, whether or not the stopping
+    test passed, or None when there is none (the start's factor failed,
+    the stall diagnosis found the problem infeasible, or the iterates lost
+    finiteness); its own slacks w of the inequality block, which predict
+    its active set; whether the stopping test passed; why the iteration
+    stopped; and the stall's _diagnose answer, whatever its verdict, or
+    None when no stall was diagnosed.
     With no inequality row, every variable pinned or free, the run is the
     zero point with nothing active, whose polish is the one
     equality-constrained solve.  Every array of the iteration, the KKT
     matrix's values and its factor among them, is freed on return, before
     the polish makes its own factor (the solve's kkt_pattern_scope keeps
-    the pattern, which the polish refills), and the best-merit iterate
-    is kept in buffers allocated once: with nothing the iteration made
-    late left alive, the allocator can hand the memory back before the
-    polish (at T=8760 the peak resident size fell from about 315 to 240
-    MB).
+    the pattern, which the polish refills): with nothing the iteration
+    made late left alive, the allocator can hand the memory back before
+    the polish (at T=8760 the peak resident size fell from about 315 to
+    240 MB).
     """
     n = len(pre.q)
     q, c = pre.q, pre.c
@@ -1063,10 +1063,8 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
     # OpenBLAS spins up a second thread and doubles the CPU time of a
     # T=672 solve without saving wall time
     mu0 = float(np.sum(w * z)) / m_comp
-    best_merit: float | None = None
-    best = (np.empty_like(x), np.empty_like(y), np.empty_like(z))
     primal_hist: list[float] = []
-    probed = False
+    diagnosis = None
 
     converged, message = False, ""
     it = 0
@@ -1086,14 +1084,7 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
         dual_inf = float(np.max(np.abs(rd), initial=0.0))
         x_max = float(np.max(np.abs(x), initial=0.0))  # NaN or inf unless x is finite
         if not np.isfinite(mu) or not np.isfinite(x_max):
-            message = "iterates lost finiteness"
-            break
-        merit = (primal_inf / pre.scale_p, dual_inf / pre.scale_d, gap / (1.0 + abs(obj_min)))
-        if best_merit is None or max(merit) < best_merit:
-            best_merit = max(merit)
-            for kept, now in zip(best, (x, y, z)):
-                kept[:] = now
-
+            break  # iterates lost finiteness (below)
         if _meets_tolerances(pre, s, Residuals(primal_inf, dual_inf, gap), obj_min):
             converged = True
             break
@@ -1107,12 +1098,11 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
             break
         primal_hist.append(primal_inf)
         if (
-            not probed
+            diagnosis is None
             and len(primal_hist) > _STALL_WINDOW
             and primal_inf > s.tol * pre.scale_p
             and primal_inf >= _STALL_RATIO * primal_hist[-1 - _STALL_WINDOW]
         ):
-            probed = True
             diagnosis = _diagnose(p)
             if diagnosis[0] == INFEASIBLE:
                 return None, None, it, False, "", diagnosis
@@ -1185,29 +1175,23 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
         y += ad * dy
         z += ad * dz
 
-    if converged:
-        point = (x, y, z)
-    elif best_merit is not None:
-        # Rescue: the best-merit iterate may sit at the optimum with only
-        # complementarity unresolved (degenerate face).  Its duals are paired
-        # with the last iterate's slacks to predict the active set: with its
-        # own slacks, 1254 instead of 1398 of 2601 solves capped at 3, 5 and
-        # 8 iterations (867 mostly small random problems) came back optimal.
-        point = best
-    else:
-        point = None
-    return point, w, it, converged, message, None
+    # the loop's finiteness test, repeated for the last step, which an
+    # iteration cap leaves untested: a non-finite iterate has no polish
+    if not np.isfinite(np.sum(w * z)) or not np.isfinite(np.max(np.abs(x), initial=0.0)):
+        return None, None, it, False, "iterates lost finiteness", diagnosis
+    return (x, y, z), w, it, converged, message, diagnosis
 
 
 def _verified(p: QpProblem, pre: _Presolved, s: SolverSettings, point, w,
               converged: bool) -> Solution | None:
     """The gate every answer of solve_qp passes after presolve.
 
-    `point` is an iterate (x, y, z) and `w` the slacks of the inequality
-    block used to predict its active set.  The polish runs once on that
-    set; if its point fails the tolerances, or it gives none, and the
-    interior-point method converged, the iterate itself is the candidate.
-    Returns the candidate only if it meets the tolerances, else None.
+    `point` is an iterate (x, y, z), the interior point's final one or a
+    start's, and `w` its own slacks of the inequality block, used to
+    predict its active set.  The polish runs once on that set; if its
+    point fails the tolerances, or it gives none, and the interior-point
+    method converged, the iterate itself is the candidate.  Returns the
+    candidate only if it meets the tolerances, else None.
     """
     sol = _polish(p, pre, _active(pre, point[0], point[2], w), point)
     if sol is not None and _meets_tolerances(pre, s, sol.residuals, sol.objective):
@@ -1240,10 +1224,11 @@ def _unsolved(p: QpProblem, iterations: int, message: str,
     """Non-optimal exit: _diagnose tells "infeasible" from "iteration_limit".
 
     `diagnosis` is _diagnose's answer when the caller already has it
-    (the interior point's stall exit), so the problem is not diagnosed
-    twice; otherwise it runs here.  An infeasible problem always carries
-    the diagnosis's message, naming the conflict; `message`, why the
-    iteration stopped, only explains an iteration limit.
+    (the interior point's stall probe, whatever its verdict), so the
+    problem is not diagnosed twice; otherwise it runs here.  An
+    infeasible problem always carries the diagnosis's message, naming the
+    conflict; `message`, why the iteration stopped, only explains an
+    iteration limit.
     """
     verdict, conflict = diagnosis if diagnosis is not None else _diagnose(p)
     if verdict == INFEASIBLE:

@@ -3,7 +3,7 @@
     python tests/solver_corpus.py dump OUT.json
     python tests/solver_corpus.py compare A.json B.json
 
-``dump`` solves 2426 problems with the ``trimarket`` package found on the
+``dump`` solves 4826 problems with the ``trimarket`` package found on the
 import path (set ``PYTHONPATH`` to pick a checkout) and writes, per solve,
 the status, iteration count, message, objective and primal vector, the
 primal residual (``residuals.primal_inf``) of an optimal answer, and how
@@ -30,7 +30,7 @@ orderings, ``ipm_cholesky``, its factors, solves and sweeps, and
 ``polish``, every factor, solve, sweep and ordering of the polish.
 
 The corpus is ``random_instance`` seeds 0-599 x {default, ``r_min=0.95``} x
-``max_iter`` {200, 8}, plus 26 synth-data solves at T=168-672: default,
+``max_iter`` {200, 8, 5, 3}, plus 26 synth-data solves at T=168-672: default,
 uncapped, r = 0.995, an unmeetable REC floor, and two with lossy storage.
 For each synth case with an optimal answer it also solves the neighbours
 ``run_scenario`` solves in full mode (quota + 1, and r + 0.01 where r
@@ -40,7 +40,7 @@ start's active set (``iterations == 0``), its objective minus the cold
 one, and each solve's factor sites (``band_warm``, ``band_cold``).  The
 base and its neighbours are solved inside one ``qp.kkt_pattern_scope``,
 as ``run_scenario`` solves them, so their KKT systems share patterns.
-It takes about 15 s on a 2-core VM.
+It takes about 21 s on a 2-core VM.
 
 ``compare`` prints the status, iteration, message and objective (1e-8
 relative) mismatch counts and the largest |dx| over solves with the same
@@ -263,7 +263,7 @@ def dump(out: str) -> None:
             for r_min in (0.0, 0.95):
                 cfg, data = random_instance(seed, r_min=r_min)
                 _, problem = build(cfg, data)
-                for max_iter in (200, 8):
+                for max_iter in (200, 8, 5, 3):
                     key = f"random/{seed}/r_min={r_min}/max_iter={max_iter}"
                     _, records[key] = _record(cfg, problem, qp.SolverSettings(max_iter=max_iter),
                                               band, probes)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import trimarket.analysis
+import trimarket.cli as cli
 from trimarket import __version__
 from trimarket.analysis import PropertyReport
 from trimarket.cli import _model_warnings_on_stderr, main
@@ -644,6 +645,56 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert any(row.startswith(line) for row in out), out
         assert out[-1] == "CHECK FAILED"
+
+    @pytest.mark.parametrize("name", ["/proc/self/mem", "../market.csv", "charts/../../market.csv"])
+    def test_check_reads_no_file_outside_the_run(self, workdir, capsys, monkeypatch, name):
+        run = workdir / "run"
+        base = ["--config", str(workdir / "model.cfg"), "--data", str(workdir / "market.csv")]
+        assert main(["solve", *base, "--out", str(run), "--no-plots"]) == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["files"][name] = hashlib.sha256((workdir / "market.csv").read_bytes()).hexdigest()
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        read, real = [], cli.file_sha256
+        monkeypatch.setattr(cli, "file_sha256", lambda path: read.append(path) or real(path))
+        capsys.readouterr()
+        assert main(["check", *base, "--run", str(run)]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert f"[fail] {name} lies outside the run directory" in out, out
+        assert out[-1] == "CHECK FAILED"
+        assert all(Path(path).parent == run for path in read), read
+
+    def test_check_fails_on_an_unreadable_listed_file(self, workdir, capsys, monkeypatch):
+        run = workdir / "run"
+        base = ["--config", str(workdir / "model.cfg"), "--data", str(workdir / "market.csv")]
+        assert main(["solve", *base, "--out", str(run), "--no-plots"]) == 0
+        real = cli.file_sha256
+
+        def unreadable_plan(path):
+            if Path(path).name == "plan.csv":
+                raise PermissionError(13, "Permission denied", str(path))
+            return real(path)
+
+        monkeypatch.setattr(cli, "file_sha256", unreadable_plan)
+        capsys.readouterr()
+        assert main(["check", *base, "--run", str(run)]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert "[fail] plan.csv cannot be read: Permission denied" in out, out
+        assert out[-1] == "CHECK FAILED"
+
+    def test_unwritable_run_directory_is_an_input_error(self, workdir, capsys):
+        taken = workdir / "taken"
+        taken.write_text("")
+        base = ["--config", str(workdir / "model.cfg"), "--data", str(workdir / "market.csv")]
+        assert main(["solve", *base, "--out", str(taken), "--no-plots"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {taken}: ") and err.count("\n") == 1, err
+
+    def test_unwritable_market_file_is_an_input_error(self, workdir, capsys):
+        (workdir / "file").write_text("")
+        out = workdir / "file" / "x.csv"
+        assert main(["gen-data", "--config", str(workdir / "model.cfg"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: Not a directory\n", err
 
     def test_check_short_plan_is_not_reported_as_matching(self, workdir, capsys):
         # every plan.csv column is one row short, so none is compared

@@ -151,6 +151,42 @@ class TestSolverBehaviour:
         inf = solved(np.inf)
         assert inf.status == OPTIMAL and _same_answer(solved(value), inf)
 
+    @pytest.mark.parametrize("max_iter", [3, 200])
+    def test_lost_finiteness_polishes_nothing(self, monkeypatch, max_iter):
+        # every band solve from the 7th on (iteration 3's) answers NaN: the
+        # next iterate is not finite, so nothing is polished, also when it
+        # is the last step, which an iteration cap of 3 leaves untested
+        _, p = build(default_config(24), synth_data(SynthSpec(horizon=24)))
+        calls, real = [], qp._Kkt.solve
+
+        def nan_from_7th(kkt, *args, **kwargs):
+            calls.append(1)
+            step = real(kkt, *args, **kwargs)
+            return np.full_like(step, np.nan) if len(calls) >= 7 else step
+
+        monkeypatch.setattr(qp._Kkt, "solve", nan_from_7th)
+        monkeypatch.setattr(qp, "_polish", lambda *a: pytest.fail("polished"))
+        sol = solve_qp(p, SolverSettings(max_iter=max_iter))
+        assert sol.status == ITERATION_LIMIT and sol.message == "iterates lost finiteness"
+        assert sol.iterations == min(max_iter, 4)
+
+    @pytest.mark.parametrize("seed, max_iter", [(511, 8), (5, 5), (16, 3)])
+    def test_capped_solve_answers_from_its_final_iterate(self, seed, max_iter):
+        # stopped at the cap, the final iterate's polish passes the gate
+        _, p = build(*random_instance(seed))
+        sol = solve_qp(p, SolverSettings(max_iter=max_iter))
+        assert sol.status == OPTIMAL
+        assert sol.objective == pytest.approx(solve_qp(p).objective, rel=1e-9)
+
+    def test_capped_optimal_answers_match_the_uncapped(self):
+        for seed in range(60):
+            _, p = build(*random_instance(seed))
+            full = solve_qp(p)
+            for max_iter in (3, 5):
+                sol = solve_qp(p, SolverSettings(max_iter=max_iter))
+                if sol.status == OPTIMAL:
+                    assert sol.objective == pytest.approx(full.objective, rel=1e-9), seed
+
     def test_unbounded_problem_ends_diverging(self):
         # retiring a certificate pays more than buying one costs, and no
         # cap limits the trade, so the objective grows without bound
@@ -404,20 +440,18 @@ class TestInfeasibility:
     def test_feasible_stall_verdict_keeps_iterating(self, monkeypatch):
         # a stall diagnosis that does not answer "infeasible" leaves the
         # iteration to run on; it runs once per solve, and the exit after
-        # the iteration limit diagnoses again and names the conflict
-        calls, real = [], qp._diagnose
+        # the iteration limit reads its verdict instead of diagnosing again
+        calls = []
 
-        def first_says_feasible(p):
+        def says_feasible(p):
             calls.append(p)
-            return ("feasible", "problem is feasible") if len(calls) == 1 else real(p)
+            return "feasible", "problem is feasible"
 
-        monkeypatch.setattr(qp, "_diagnose", first_says_feasible)
+        monkeypatch.setattr(qp, "_diagnose", says_feasible)
         sol = solve_qp(_infeasible_week(), SolverSettings(max_iter=30))
-        assert sol.status == INFEASIBLE and sol.iterations == 30
-        assert sol.message == (
-            "infeasible: REC retirement floor conflicts with certificate supply and caps"
-        )
-        assert len(calls) == 2
+        assert sol.status == ITERATION_LIMIT and sol.iterations == 30
+        assert sol.message == "tolerances not reached"
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("horizon", [168, 672])
     def test_feasible_solve_runs_no_probe(self, monkeypatch, horizon):
