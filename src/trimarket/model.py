@@ -423,7 +423,7 @@ class QpProblem:
 
     @property
     def n(self) -> int:
-        return self.layout.n
+        return len(self.f)
 
     @property
     def horizon(self) -> int:

@@ -123,24 +123,28 @@ move of a quota or a floor usually keeps the set (Bemporad, Morari, Dua &
 Pistikopoulos 2002, The explicit linear quadratic regulator for
 constrained systems).
 
-The diagnosis is an elastic LP, solved by HiGHS's dual simplex
-(Chinneck, Feasibility and Infeasibility in Optimization, 2008; Huangfu
-& Hall, Math. Prog. Comp. 2018): one more column t >= 0 relaxes the REC
-retirement floor by t, and the LP minimizes t subject to the equalities,
-the bounds and the quota row.  No shortfall at the optimum means the
-problem is feasible, and a positive one that the floor is what it
-fails; if even the rows without the floor have no point, the same LP
-without the quota row tells the quota from the two jointly and from the
-balance equations.  One LP settles a feasible problem and names a floor
-conflict, and two name any other.  On an infeasible problem the primal
-residual stops falling after a few iterations while mu grows without
-bound or collapses to zero.  The first time the residual has stalled
-(still above tolerance and less than 10% below its value five
-iterations earlier) the diagnosis runs once, early; if it finds the
-problem infeasible the solve ends there with its message, and otherwise
-the iteration goes on unchanged, so it never alters a feasible answer
-(detect, then certify: Banjac et al. 2019, Infeasibility detection in
-the ADMM for convex optimization).
+The diagnosis solves elastic LPs with this module's own presolve,
+interior point and gate (Chinneck, Feasibility and Infeasibility in
+Optimization, 2008): columns t >= 0 relax a row by t, and the LP
+minimizes their sum.  The first relaxes the REC retirement floor, with
+the quota row kept: no shortfall at its optimum means the problem is
+feasible, and a positive one that the floor is what it fails.  Each LP
+has a point whenever its rows without a t column have one, so every
+verdict is read off an optimal, gate-verified answer, never off a run
+that failed to converge.  If the first has no optimum, the quota's
+shortfall with the floor dropped and the floor's with the quota dropped
+tell the quota from the two jointly, and one LP with elastic columns on
+every equality row tells the balance equations.  One LP settles a
+feasible problem and names a floor conflict, and three name any other.
+On an infeasible problem the primal residual stops falling after a few
+iterations while mu grows without bound or collapses to zero.  The
+first time the residual has stalled (still above tolerance and less
+than 10% below its value five iterations earlier) the diagnosis runs
+once, early; if it finds the problem infeasible the solve ends there
+with its message, and otherwise the iteration goes on unchanged, so it
+never alters a feasible answer (detect, then certify: Banjac et al.
+2019, Infeasibility detection in the ADMM for convex optimization).  An
+elastic LP's own stall ends its run undiagnosed.
 """
 
 from __future__ import annotations
@@ -206,8 +210,8 @@ class IneqDuals:
 
     lower[j] prices x_j >= lb_j, upper[j] prices x_j <= ub_j (zero where the
     bound is infinite, or 1e20 or more in magnitude, which the solver
-    reads as infinite, as HiGHS does), coupling[k] prices coupling row k
-    in the order of QpProblem.coup ("rps" then "quota").
+    reads as infinite), coupling[k] prices coupling row k in the order of
+    QpProblem.coup ("rps" then "quota").
     """
 
     lower: np.ndarray
@@ -249,17 +253,9 @@ class Solution:
 
 
 def _empty_solution(p: QpProblem, status: str, message: str = "", iterations: int = 0) -> Solution:
-    n = p.n
-    return Solution(
-        status=status,
-        x=np.zeros(n),
-        objective=float("nan"),
-        eq_duals=np.zeros(p.m_eq),
-        ineq_duals=IneqDuals(np.zeros(n), np.zeros(n), np.zeros(2)),
-        iterations=iterations,
-        residuals=None,
-        message=message,
-    )
+    duals = IneqDuals(np.zeros(p.n), np.zeros(p.n), np.zeros(2))
+    return Solution(status, np.zeros(p.n), float("nan"), np.zeros(p.m_eq), duals, iterations,
+                    message=message)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +311,8 @@ class _InfeasibleProblem(Exception):
     pass
 
 
-# HiGHS reads a bound or a right-hand side of 1e20 or more in magnitude as
-# infinite (its kHighsInf): presolve reads a bound so too, and the
-# diagnosis hands HiGHS no right-hand side that large
+# presolve reads a bound of 1e20 or more in magnitude as infinite, the
+# infinity of common LP solvers' input
 _INF = 1e20
 
 
@@ -368,7 +363,7 @@ class _Presolved:
     g.data[i] its sign.
 
     A bound of _INF or more in magnitude is read as infinite, with its
-    sign, as HiGHS reads it.
+    sign.
 
     The stopping test's scales are set here, once per problem, from its
     own data: scale_p = 1 + max |(b_eq, pinned values, kept coupling
@@ -958,11 +953,14 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
 
     Returns a Solution with status "optimal", "infeasible" or
     "iteration_limit".  Deterministic: identical inputs produce identical
-    iterates.  Infeasibility is certified, and its conflict named, by the
-    floor's elastic LP (one, or two when the floor is not what fails)
-    rather than inferred from divergence alone; a stalled primal residual
-    runs that diagnosis early, once, and ends the solve if it says
-    infeasible; otherwise its verdict settles a later failure too.
+    iterates.  Infeasibility is certified, and its conflict named, by
+    elastic LPs solved with this module's own interior point (one, or
+    three when the floor is not what fails) rather than inferred from
+    divergence alone; a stalled primal residual runs that diagnosis
+    early, once, and ends the solve if it says infeasible; otherwise its
+    verdict settles a later failure too.  Data that is not finite, a NaN
+    bound included, is answered "iteration_limit" before presolve, with
+    no iteration and the message "problem data is not finite".
 
     `start`, optional, is an optimal Solution of a problem of p's size,
     such as a neighbour with one right-hand side moved.  Its active set is
@@ -973,6 +971,8 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
     Every KKT system of the solve shares one pattern (kkt_pattern_scope).
     """
     s = settings if settings is not None else SolverSettings()
+    if not _finite(p):
+        return _empty_solution(p, ITERATION_LIMIT, message="problem data is not finite")
     try:
         pre = _presolve(p)
     except _InfeasibleProblem as exc:
@@ -994,10 +994,16 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
         sol = _verified(p, pre, s, point, w, converged)
         if sol is not None:
             return replace(sol, iterations=iterations)
-    return _unsolved(p, iterations, message, diagnosis)
+    # no answer: the diagnosis tells "infeasible", with the conflict it
+    # names, from "iteration_limit", with why the iteration stopped.  The
+    # stall's diagnosis, whatever its verdict, is not made twice
+    verdict, conflict = diagnosis or _diagnose(p)
+    if verdict == INFEASIBLE:
+        return _empty_solution(p, INFEASIBLE, conflict, iterations)
+    return _empty_solution(p, ITERATION_LIMIT, message or "tolerances not reached", iterations)
 
 
-def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
+def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings, diagnose: bool = True):
     """The interior-point iteration of solve_qp, from the least-squares start.
 
     Returns its run, (point, w, iterations, converged, message, diagnosis):
@@ -1007,7 +1013,8 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
     finiteness); its own slacks w of the inequality block, which predict
     its active set; whether the stopping test passed; why the iteration
     stopped; and the stall's _diagnose answer, whatever its verdict, or
-    None when no stall was diagnosed.
+    None when no stall was diagnosed.  With `diagnose` False, an elastic
+    LP's run (linprog), a stall ends the run with no point, undiagnosed.
     With no inequality row, every variable pinned or free, the run is the
     zero point with nothing active, whose polish is the one
     equality-constrained solve.  Every array of the iteration, the KKT
@@ -1103,8 +1110,8 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings):
             and primal_inf > s.tol * pre.scale_p
             and primal_inf >= _STALL_RATIO * primal_hist[-1 - _STALL_WINDOW]
         ):
-            diagnosis = _diagnose(p)
-            if diagnosis[0] == INFEASIBLE:
+            # an elastic LP's run (linprog) is not diagnosed: its stall ends it
+            if not diagnose or (diagnosis := _diagnose(p))[0] == INFEASIBLE:
                 return None, None, it, False, "", diagnosis
 
         # clamp denominators: an underflowed slack or coupling multiplier
@@ -1219,24 +1226,6 @@ def _presolved_point(pre: _Presolved, sol: Solution):
     return sol.x[pre.unpinned], -sol.eq_duals, z
 
 
-def _unsolved(p: QpProblem, iterations: int, message: str,
-              diagnosis: tuple[str, str] | None = None) -> Solution:
-    """Non-optimal exit: _diagnose tells "infeasible" from "iteration_limit".
-
-    `diagnosis` is _diagnose's answer when the caller already has it
-    (the interior point's stall probe, whatever its verdict), so the
-    problem is not diagnosed twice; otherwise it runs here.  An
-    infeasible problem always carries the diagnosis's message, naming the
-    conflict; `message`, why the iteration stopped, only explains an
-    iteration limit.
-    """
-    verdict, conflict = diagnosis if diagnosis is not None else _diagnose(p)
-    if verdict == INFEASIBLE:
-        return _empty_solution(p, INFEASIBLE, message=conflict, iterations=iterations)
-    return _empty_solution(p, ITERATION_LIMIT, message=message or "tolerances not reached",
-                           iterations=iterations)
-
-
 def _meets_tolerances(pre: _Presolved, s: SolverSettings, r: Residuals,
                       objective: float) -> bool:
     """The one stopping test: the interior point's iterate and the gate's answer pass it.
@@ -1339,85 +1328,117 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
 # Infeasibility diagnosis
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on first call.
+# the diagnosis's message when no verdict is read
+_UNDECIDED = "feasibility could not be decided"
 
-    Only the diagnosis needs it, and importing scipy.optimize up front
-    would add about 0.2 s to every start.
+
+def _finite(p: QpProblem) -> bool:
+    """Whether p's data is finite: every coefficient and right-hand side, and no NaN bound.
+
+    A bound may be infinite, and one of _INF or more in magnitude reads so
+    (_presolve); a NaN one would read as no bound at all.
     """
-    from scipy.optimize import linprog as highs_linprog
-
-    return highs_linprog(*args, **kwargs)
-
-
-# HiGHS's default primal feasibility tolerance: a floor shortfall of at
-# most this times 1 + |the floor's right-hand side| is none
-_SHORTFALL_TOL = 1e-7
+    arrays = (p.h_diag, p.f, p.a_eq.data, p.b_eq, p.coup.data, p.coup_rhs)
+    return all(np.isfinite(v).all() for v in arrays) and not np.isnan([p.lb, p.ub]).any()
 
 
-def _floor_shortfall(p: QpProblem, rows: int) -> float:
-    """The REC floor's least shortfall t*, by HiGHS, with p's first `rows` coupling rows kept.
+def _elastic(p: QpProblem, keep: tuple[int, ...], relax: int | None) -> QpProblem:
+    """p's elastic LP: p's rows, its coupling rows in `keep` alone, plus columns t >= 0.
 
-    The elastic LP (Chinneck, Feasibility and Infeasibility in
-    Optimization, 2008): minimize t over x and t >= 0 subject to p's
-    equalities and bounds and the coupling rows kept, the floor's (row 0)
-    relaxed to coup[0] x - t <= coup_rhs[0].  `rows` is 2 to keep the
-    quota row hard, 1 to drop it.  Returns t*, inf when HiGHS proves no
-    x meets the rows the floor does not enter, and NaN when it decides
-    neither.  HiGHS rejects a coefficient or right-hand side that is not
-    finite, and a NaN bound, by raising.  It reads a right-hand side of
-    _INF or more in magnitude as infinite, and SciPy reports the model
-    error that can follow with the status of an infeasible one.  Such a
-    problem is not handed to it, and its shortfall is NaN.
+    The LP minimizes the sum of the t columns, so p's own objective is
+    dropped.  relax=k appends one column to coupling row k, which then
+    reads coup[k] x - t <= coup_rhs[k]; relax=None appends a + and a -
+    column to every equality row, which then reads a_eq x + t+ - t- = b_eq.
+    A dropped coupling row is empty with right-hand side 0, which presolve
+    drops.  Every such LP has a point once its kept rows that hold no t
+    have one (Chinneck, Feasibility and Infeasibility in Optimization,
+    2008).
     """
-    coup, b_ub = p.coup[:rows].tocsc(), p.coup_rhs[:rows]
-    # each array, and the bound its entries' magnitudes must stay below (NaN fails either)
-    limits = ((p.a_eq.data, np.inf), (p.b_eq, _INF), (coup.data, np.inf), (b_ub, _INF))
-    if not all(np.all(np.abs(v) < top) for v, top in limits) or np.isnan([p.lb, p.ub]).any():
-        return np.nan
-    # t is column n: one -1 in the floor row, and none in the equalities
-    a_ub = sp.csc_matrix((np.append(coup.data, -1.0), np.append(coup.indices, 0),
-                          np.append(coup.indptr, coup.nnz + 1)), shape=(rows, p.n + 1))
-    a_eq = sp.csr_matrix((p.a_eq.data, p.a_eq.indices, p.a_eq.indptr), shape=(p.m_eq, p.n + 1))
-    res = linprog(np.append(np.zeros(p.n), 1.0), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=p.b_eq,
-                  bounds=np.column_stack([np.append(p.lb, 0.0), np.append(p.ub, np.inf)]),
-                  method="highs")
-    if res.status == 2:
+    n, m, k = p.n, p.m_eq, p.coup.shape[0]
+    a, coup = p.a_eq.tocoo(), p.coup.tocoo()
+    kept = np.isin(coup.row, keep)
+    a_parts = [(a.row, a.col, a.data)]
+    c_parts = [(coup.row[kept], coup.col[kept], coup.data[kept])]
+    if relax is None:
+        n_t, rows = 2 * m, np.arange(m)
+        a_parts += [(rows, n + rows, np.ones(m)), (rows, n + m + rows, -np.ones(m))]
+    else:
+        n_t = 1
+        c_parts.append(([relax], [n], [-1.0]))
+
+    def stacked(parts, rows):
+        r, c, v = (np.concatenate(part) for part in zip(*parts))
+        return sp.csr_matrix((v, (r, c)), shape=(rows, n + n_t))
+
+    return replace(p, h_diag=np.zeros(n + n_t), f=np.repeat([0.0, -1.0], [n, n_t]),
+                   a_eq=stacked(a_parts, m), lb=np.append(p.lb, np.zeros(n_t)),
+                   ub=np.append(p.ub, np.full(n_t, np.inf)), coup=stacked(c_parts, k),
+                   coup_rhs=np.where(np.isin(np.arange(k), keep), p.coup_rhs, 0.0))
+
+
+def linprog(p: QpProblem) -> float | None:
+    """The least elastic sum of the elastic LP p (_elastic), by solve_qp's own method.
+
+    The LP is presolved, run by the interior point and let out by the
+    gate (_verified) at the default settings, in a KKT pattern scope of
+    its own, so the one an enclosing solve holds is kept.  A stall ends
+    the run undiagnosed: the LP does not diagnose itself.  Returns the
+    sum of the t columns at the gate's answer; inf, the least sum over
+    no point, when presolve finds that the boxes and the rows without a
+    t column have none; and None when the gate lets no point out.
+    """
+    s, token = SolverSettings(), _PATTERN.set([])
+    try:
+        pre = _presolve(p)
+        point, w, _, converged, _, _ = _interior_point(p, pre, s, diagnose=False)
+        sol = None if point is None else _verified(p, pre, s, point, w, converged)
+    except _InfeasibleProblem:
         return np.inf
-    return float(res.fun) if res.status == 0 else np.nan
+    finally:
+        _PATTERN.reset(token)
+    return None if sol is None else -sol.objective
 
 
 def _diagnose(p: QpProblem) -> tuple[str, str]:
-    """HiGHS's verdict on p, "feasible", INFEASIBLE or "unknown", and its message.
+    """The elastic LPs' verdict on p, "feasible", INFEASIBLE or "unknown", and its message.
 
-    The floor's shortfall with the quota hard: none means p is feasible,
-    and a positive one means the floor alone conflicts.  When no x meets
-    even the rows without the floor, the quota is dropped too: then no
-    shortfall means the quota conflicts, a positive one that the two
-    conflict jointly, and no x at all that the balances and boxes already
-    clash.  One LP names an infeasible floor, two any other conflict.  A
-    first LP that HiGHS leaves undecided leaves the verdict so; a second
-    one keeps the model infeasible, with its conflict unnamed.
+    An LP is optimal when linprog returns a finite least sum, and each
+    has a point by construction once its rows without a t column have
+    one (_elastic), so a verdict is read off gate-verified optima.  The
+    floor's shortfall with the quota hard, if optimal: none means p is
+    feasible, and a positive one that the floor alone conflicts.
+    Otherwise the quota's shortfall with the floor dropped: if it is
+    positive, the floor's shortfall with the quota dropped names the
+    quota (none) or the two jointly (positive), or, if not optimal,
+    leaves the conflict unnamed.  If the quota's LP is not optimal
+    either, a positive least sum of elastic columns on every equality
+    row, both coupling rows dropped, names the balances and boxes (an
+    infinite one, an empty box).  Any other outcome leaves the verdict
+    undecided.  A shortfall is none at most the solver tolerance times 1
+    + p's largest |right-hand side|.  One LP settles a feasible problem
+    and names a floor conflict, and three any other.  p's data must be
+    finite (_finite).
     """
-    t = _floor_shortfall(p, 2)
-    if np.isnan(t):
-        return "unknown", "feasibility could not be decided"
-    tol = _SHORTFALL_TOL * (1.0 + abs(p.coup_rhs[0]))
-    if t <= tol:
-        return "feasible", "problem is feasible"
-    if t < np.inf:
-        conflict = "REC retirement floor conflicts with certificate supply and caps"
-    else:
-        t = _floor_shortfall(p, 1)
-        if np.isnan(t):
-            conflict = "the conflicting requirement could not be named"
-        elif t <= tol:
-            conflict = "CER quota ceiling conflicts with emission needs and caps"
-        elif t < np.inf:
-            conflict = "retirement floor and quota ceiling jointly conflict"
-        else:
-            conflict = "balance equations conflict with variable bounds"
-    return INFEASIBLE, f"infeasible: {conflict}"
+    tol = SolverSettings().tol * (1.0 + float(np.max(np.abs(np.append(p.b_eq, p.coup_rhs)))))
+
+    def short(keep, relax):
+        """Whether the elastic LP's least sum is positive; None when it has no optimum."""
+        t = linprog(_elastic(p, keep, relax))
+        return None if t is None or t == np.inf else bool(t > tol)
+
+    floor = short((0, 1), 0)  # the quota hard
+    if floor is not None:
+        return ((INFEASIBLE, "infeasible: REC retirement floor conflicts with certificate supply "
+                 "and caps") if floor else ("feasible", "problem is feasible"))
+    quota = short((1,), 1)  # the floor dropped
+    if quota:  # the floor's shortfall with the quota dropped names the conflict
+        return INFEASIBLE, "infeasible: " + {
+            None: "the conflicting requirement could not be named",
+            False: "CER quota ceiling conflicts with emission needs and caps",
+            True: "retirement floor and quota ceiling jointly conflict"}[short((0,), 0)]
+    if quota is None and (linprog(_elastic(p, (), None)) or 0.0) > tol:
+        return INFEASIBLE, "infeasible: balance equations conflict with variable bounds"
+    return "unknown", _UNDECIDED
 
 
 def diagnose_infeasibility(p: QpProblem) -> str:
@@ -1427,6 +1448,8 @@ def diagnose_infeasibility(p: QpProblem) -> str:
     "infeasible: ..." naming the REC retirement floor, the CER quota
     ceiling, the two jointly, or the balance equations against the
     variable bounds; it is the message an infeasible solve_qp carries.
-    The floor's elastic LP decides it, once or twice (_diagnose).
+    One elastic LP decides it, or three name a conflict other than the
+    floor's (_diagnose), each solved by solve_qp's own interior point.
+    Data that is not finite (_finite) is not diagnosed.
     """
-    return _diagnose(p)[1]
+    return _diagnose(p)[1] if _finite(p) else _UNDECIDED

@@ -7,10 +7,11 @@
 import path (set ``PYTHONPATH`` to pick a checkout) and writes, per solve,
 the status, iteration count, message, objective and primal vector, the
 primal residual (``residuals.primal_inf``) of an optimal answer, and how
-many ``qp.linprog`` probes it ran.  Per factor site it records the band
-Cholesky factors made (``qp.dpbtrf`` calls, the one after a replaced
-pivot included), the largest band dimension (a factored matrix's rows
-less its bordered coupling rows) and bandwidth among them (0 when none),
+many ``qp.linprog`` probes, the diagnosis's elastic LPs, it ran.  Per
+factor site it records the band Cholesky factors made (``qp.dpbtrf``
+calls, the one after a replaced pivot included), the largest band
+dimension (a factored matrix's rows less its bordered coupling rows) and
+bandwidth among them (0 when none),
 the total band dimension, the stored band entries (bw + 1 per row of the
 band) summed over the factors, the pivots replaced (``qp.dpbtrf`` calls
 that report ``info > 0``, a pivot that is not positive, which
@@ -24,10 +25,13 @@ solve plus its refinement steps), with the refinement steps among them
 sweeps behind them (``qp.dtbtrs``: the forward sweep of the border's
 columns, once per factor, and the two sweeps of each solve), the calls
 and the right-hand-side columns they took.  A factor, an ordering and a
-sweep are the polish's whenever ``_polish`` is running, and the interior
-point's otherwise.  The sites are ``ipm``, the interior point's
-orderings, ``ipm_cholesky``, its factors, solves and sweeps, and
-``polish``, every factor, solve, sweep and ordering of the polish.
+sweep are a probe's whenever ``qp.linprog`` is running (an elastic LP
+is solved by the same interior point and polish), else the polish's
+whenever ``_polish`` is running, and the interior point's otherwise.
+The sites are ``ipm``, the interior point's orderings,
+``ipm_cholesky``, its factors, solves and sweeps, ``polish``, every
+factor, solve, sweep and ordering of the polish, and ``probe``, every
+one of the probes.
 
 The corpus is ``random_instance`` seeds 0-599 x {default, ``r_min=0.95``} x
 ``max_iter`` {200, 8, 5, 3}, plus 26 synth-data solves at T=168-672: default,
@@ -108,7 +112,7 @@ def _synth_cases():
     return cases
 
 
-SITES = ("ipm", "ipm_cholesky", "polish")
+SITES = ("ipm", "ipm_cholesky", "polish", "probe")
 BAND_KEYS = ("factors", "dim", "bw", "total_dim", "stored", "replaced", "breakdowns",
              "orderings", "solves", "refinements", "dtbtrs", "dtbtrs_cols")
 NO_BAND = dict.fromkeys(BAND_KEYS, 0)
@@ -173,33 +177,38 @@ def _count_band(qp) -> dict:
     """Wrap qp's band factors, solves and orderings: count per site.
 
     The wrapped calls are qp.dpbtrf, qp.dtbtrs, qp._Kkt.factor,
-    qp._Kkt.shifted_solve, qp._Kkt.solve and qp.reverse_cuthill_mckee.
+    qp._Kkt.shifted_solve, qp._Kkt.solve and qp.reverse_cuthill_mckee,
+    and qp._polish and qp.linprog, which mark the sites.
 
-    A call is the polish's whenever _polish is running (it factors through
-    _Kkt.factor, as the interior point does), and the interior point's
-    otherwise; the interior point's factors, solves and sweeps count
-    under "ipm_cholesky" and its orderings under "ipm", and every call of
-    the polish under "polish".  Each factor is counted with its
-    dimensions, its store and whether it reported a pivot that is not
-    positive; each _Kkt.factor that raises RuntimeError is a breakdown.
+    A call is a probe's whenever qp.linprog is running, else the polish's
+    whenever _polish is running (it factors through _Kkt.factor, as the
+    interior point does), and the interior point's otherwise; the
+    interior point's factors, solves and sweeps count under
+    "ipm_cholesky" and its orderings under "ipm", every call of the
+    polish under "polish" and every call of a probe under "probe".  Each
+    factor is counted with its dimensions, its store and whether it
+    reported a pivot that is not positive; each _Kkt.factor that raises
+    RuntimeError is a breakdown.
     Each band solve counts once, and a _Kkt.solve's band solves past its
     first as refinement steps.  Each dtbtrs call counts with its
     right-hand side's columns.
     """
-    band, depth, order = {}, [0], qp.reverse_cuthill_mckee
-    polish, cholesky, sweep = qp._polish, qp.dpbtrf, qp.dtbtrs
+    band, depth, order = {}, {"polish": 0, "probe": 0}, qp.reverse_cuthill_mckee
+    cholesky, sweep = qp.dpbtrf, qp.dtbtrs
     factor, shifted, refined = qp._Kkt.factor, qp._Kkt.shifted_solve, qp._Kkt.solve
 
     def site(kind="_cholesky"):
-        return band.setdefault("polish" if depth[0] else "ipm" + kind,
-                               dict.fromkeys(BAND_KEYS, 0))
+        name = next((name for name in ("probe", "polish") if depth[name]), "ipm" + kind)
+        return band.setdefault(name, dict.fromkeys(BAND_KEYS, 0))
 
-    def wrapped(*args, **kwargs):
-        depth[0] += 1
-        try:
-            return polish(*args, **kwargs)
-        finally:
-            depth[0] -= 1
+    def entered(name, real):
+        def wrapped(*args, **kwargs):
+            depth[name] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[name] -= 1
+        return wrapped
 
     def cholesky_counted(ab, **kwargs):
         counts, out = site(), cholesky(ab, **kwargs)
@@ -240,7 +249,8 @@ def _count_band(qp) -> dict:
         counts["dtbtrs_cols"] += b.shape[1] if b.ndim == 2 else 1
         return sweep(ab, b, **kwargs)
 
-    qp._polish = wrapped
+    qp._polish = entered("polish", qp._polish)
+    qp.linprog = entered("probe", qp.linprog)
     qp._Kkt.factor = factor_counted
     qp.dpbtrf = cholesky_counted
     qp.dtbtrs = swept
@@ -348,7 +358,8 @@ def compare(path_a: str, path_b: str) -> None:
               f"refinement steps); triangular sweeps (right-hand-side columns): "
               + _sweeps([s for b in every for s in b.values()]))
         for site in SITES:
-            bands = [b[site] for b in every]
+            # a dump made before the probe site was added has none
+            bands = [b.get(site, NO_BAND) for b in every]
             print(f"{label} {site}: {sum(b['factors'] for b in bands)} band factors; "
                   f"dimension largest {max(b['dim'] for b in bands)}, total "
                   f"{sum(b['total_dim'] for b in bands)}; largest bandwidth "
@@ -359,7 +370,7 @@ def compare(path_a: str, path_b: str) -> None:
                   f"({sum(b['refinements'] for b in bands)} refinement steps; "
                   f"{_sweeps(bands)}); "
                   f"{sum(b['orderings'] for b in bands)} orderings, "
-                  f"{sum(b[site]['orderings'] for b in neighbours)} "
+                  f"{sum(b.get(site, NO_BAND)['orderings'] for b in neighbours)} "
                   f"of them in {len(neighbours)} neighbour solves")
         by_message = {}
         for r in d.values():

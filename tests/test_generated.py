@@ -12,6 +12,11 @@ disabled inventories.  The draws lean toward feasible instances, since
 those exercise the solver's optimal path; infeasible ones still come up
 often.
 
+The diagnosis test draws random instances, feasible ones mostly, and
+checks diagnose_infeasibility's message against the oracle's four
+HiGHS probes; two explicit examples fail the REC floor and the balance
+equations.
+
 The warm-start test nudges the coupling right-hand sides of a small
 random instance and solves it from the unnudged solution, which is how
 `run_scenario` solves its neighbouring problems; most draws are answered
@@ -68,12 +73,13 @@ from trimarket.qp import (  # noqa: E402
     Solution,
     SolverSettings,
     _presolve,
+    diagnose_infeasibility,
     kkt_residuals,
     solve_qp,
 )
 
 from _instances import build, no_supply_case, random_instance  # noqa: E402
-from _oracle import oracle_solve  # noqa: E402
+from _oracle import oracle_diagnosis, oracle_solve  # noqa: E402
 
 
 # a trade cap of inf or 50 leaves the market open, which keeps most draws
@@ -123,6 +129,16 @@ def test_agrees_with_oracle(case):
         assert abs(sol.objective - ref.objective) <= 1e-8 * max(1.0, abs(ref.objective))
     if sol.status == INFEASIBLE:
         assert sol.message.startswith("infeasible:"), sol.message
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 599), st.sampled_from([0.0, 0.95]))
+@example(2, 0.95)
+@example(29, 0.0)
+def test_diagnosis_agrees_with_the_four_probe_rule(seed, r_min):
+    _, p = build(*random_instance(seed, r_min=r_min))
+    assert diagnose_infeasibility(p) == oracle_diagnosis(p)
 
 
 _nudge = st.sampled_from([-5.0, -0.5, 0.0, 0.5, 5.0])

@@ -494,11 +494,12 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_huge_load_is_not_read_as_infeasible(self, workdir, capsys):
-        # HiGHS reads the balance row's right-hand side of 1e20 as
-        # infinite, and SciPy reported the model error that followed as an
-        # infeasible model, so this feasible model once exited 2 with
-        # "balance equations conflict with variable bounds"; the probe now
-        # leaves it undecided, and the solve ends as an iteration limit
+        # this feasible model once exited 2 with "balance equations
+        # conflict with variable bounds", when an LP solver that read the
+        # balance row's right-hand side of 1e20 as infinite diagnosed it.
+        # The diagnosis's elastic LPs diverge with the load as the solve
+        # does and leave it undecided, and the solve ends as an iteration
+        # limit
         cfg = workdir / "model.cfg"
         cfg.write_text(re.sub(r"(caps\.\w_cap) = 400", r"\1 = inf", cfg.read_text()))
         data = load_market_csv(workdir / "market.csv")
@@ -980,11 +981,20 @@ class TestCli:
         assert __version__ in out.stdout
 
     def test_cli_import_leaves_scipy_optimize_out(self):
-        # only the LP probes need it; they import it on use
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, trimarket.cli; print('scipy.optimize' in sys.modules)"],
-            capture_output=True, text=True,
+        # nothing needs it: the infeasibility diagnosis solves its elastic
+        # LPs with the package's own interior point, so an infeasible
+        # solve, diagnosed, does not import it either
+        script = (
+            "import sys, trimarket.cli\n"
+            "from trimarket.model import assemble_qp, default_config, validate_config\n"
+            "from trimarket.qp import solve_qp\n"
+            "from trimarket.scenarios import SynthSpec, synth_data\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "cfg = default_config(24).with_inventories(rec=False, cer=True)\n"
+            "cfg = cfg.with_caps(r_cap=0.0).with_policy(r=1.0)\n"
+            "model = validate_config(cfg, synth_data(SynthSpec(seed=7, horizon=24)))\n"
+            "print(solve_qp(assemble_qp(model)).status, 'scipy.optimize' in sys.modules)\n"
         )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split("\n") == ["False", "infeasible False", ""]

@@ -4,7 +4,6 @@ import json
 import resource
 import subprocess
 import sys
-import types
 import weakref
 
 import numpy as np
@@ -368,12 +367,20 @@ class TestInfeasibility:
 
     def _problem(self, case):
         """The problem of a named case: a TestInfeasibility model, the
-        infeasible week, or random_instance's "seed/r_min"."""
+        infeasible week, the hand case with an empty box or a quota below
+        its box minimum, which presolve finds infeasible, or
+        random_instance's "seed/r_min"."""
         cases = {"rec": self._rec_starved, "quota": self._quota_starved,
                  "joint": self._jointly_starved, "no_supply": no_supply_case,
                  "feasible": hand_case}
         if case == "week":
             return _infeasible_week()
+        if case == "empty_box":
+            p = build(*hand_case())[1]
+            return dataclasses.replace(p, lb=np.where(np.arange(p.n) == 0, p.ub[0] + 5.0, p.lb))
+        if case == "quota_below_box":
+            p = build(*hand_case())[1]
+            return dataclasses.replace(p, coup_rhs=np.array([p.coup_rhs[0], -100.0]))
         if case in cases:
             return build(*cases[case]())[1]
         seed, r_min = case.split("/")
@@ -400,10 +407,10 @@ class TestInfeasibility:
         coupling_rows = []
         real = qp.linprog
 
-        def counting(*args, **kwargs):
-            a_ub = kwargs["A_ub"]
-            coupling_rows.append(0 if a_ub is None else a_ub.shape[0])
-            return real(*args, **kwargs)
+        def counting(lp):
+            # a dropped coupling row is an empty one
+            coupling_rows.append(int(np.count_nonzero(np.diff(lp.coup.tocsr().indptr))))
+            return real(lp)
 
         monkeypatch.setattr(qp, "linprog", counting)
         cfg, data = self._rec_starved()
@@ -425,8 +432,12 @@ class TestInfeasibility:
             "infeasible: REC retirement floor conflicts with certificate supply and caps"
         )
         assert sol.iterations <= 15
-        # every factorization is an interior-point one: no polish runs
-        assert len(sites.factors()) <= 20 and POLISH not in sites.factors()
+        # every factorization of the solve is an interior-point one: no
+        # polish runs.  The floor's one elastic LP makes 9, its interior
+        # point's 8 and its polish's one
+        own = sites.factors(exclude=(PROBE,))
+        assert len(own) <= 20 and POLISH not in own
+        assert sites.factors().count(PROBE) == 9
 
     def test_stall_with_collapsing_mu_ends_early(self):
         # here mu falls toward zero instead of growing; the primal residual
@@ -464,31 +475,44 @@ class TestInfeasibility:
         _, p = build(cfg, data)
         assert diagnose_infeasibility(p) == "problem is feasible"
 
-    @pytest.mark.parametrize("field", ["a_eq", "coup_rhs", "lb"])
-    def test_probe_never_hands_highs_non_finite_data(self, monkeypatch, field):
-        # HiGHS's input check raises on an infinite coefficient or
-        # right-hand side and on a NaN bound; a problem holding one is not
-        # handed to it, and its feasibility is undecided
-        monkeypatch.setattr(qp, "linprog", lambda *a, **k: pytest.fail("HiGHS called"))
+    @staticmethod
+    def _non_finite(field):
+        """The hand case with one infinite coefficient of a_eq, an infinite
+        quota or a NaN lower bound."""
         _, p = build(*hand_case())
         if field == "a_eq":
             a_eq = p.a_eq.copy()
             a_eq.data[0] = np.inf
-            p = dataclasses.replace(p, a_eq=a_eq)
-        elif field == "coup_rhs":
-            p = dataclasses.replace(p, coup_rhs=np.array([p.coup_rhs[0], np.inf]))
-        else:
-            p = dataclasses.replace(p, lb=np.where(np.arange(p.n) == 0, np.nan, p.lb))
-        assert diagnose_infeasibility(p) == "feasibility could not be decided"
+            return dataclasses.replace(p, a_eq=a_eq)
+        if field == "coup_rhs":
+            return dataclasses.replace(p, coup_rhs=np.array([p.coup_rhs[0], np.inf]))
+        return dataclasses.replace(p, lb=np.where(np.arange(p.n) == 0, np.nan, p.lb))
 
-    @pytest.mark.parametrize("row", ["b_eq", "coup_rhs"])
-    def test_probe_hands_highs_no_right_hand_side_it_reads_as_infinite(self, monkeypatch, row):
-        # HiGHS reads a right-hand side of 1e20 or more in magnitude as
-        # infinite, and SciPy reports the model error that can follow with
-        # the status of an infeasible model: with the load at hour 6 of the
-        # uncapped T=24 default at 1e20 (or the quota at -1e20), HiGHS is
-        # not called and feasibility is undecided.  At 1e19 the load is
-        # handed to it, and the problem is feasible
+    @pytest.mark.parametrize("field", ["a_eq", "coup_rhs", "lb"])
+    def test_probe_never_hands_highs_non_finite_data(self, monkeypatch, field):
+        # a problem holding an infinite coefficient or right-hand side, or
+        # a NaN bound, runs no elastic LP, and its feasibility is undecided
+        monkeypatch.setattr(qp, "linprog", lambda lp: pytest.fail("elastic LP run"))
+        assert diagnose_infeasibility(self._non_finite(field)) == (
+            "feasibility could not be decided")
+
+    @pytest.mark.parametrize("field", ["a_eq", "coup_rhs", "lb"])
+    def test_non_finite_data_is_not_solved(self, monkeypatch, field):
+        # the same problems are answered before presolve, with no
+        # iteration and no factor: a NaN bound would otherwise read as no
+        # bound, and the hand case would come out optimal
+        sites = _Sites(monkeypatch)
+        sol = solve_qp(self._non_finite(field))
+        assert (sol.status, sol.message, sol.iterations) == (
+            ITERATION_LIMIT, "problem data is not finite", 0)
+        assert sites.calls == []
+
+    def test_huge_load_leaves_feasibility_undecided(self):
+        # with the load at hour 6 of the uncapped T=24 default at 1e13 or
+        # more, the interior point's iterates diverge, and so do the
+        # elastic LPs': none is optimal, feasibility is undecided, and the
+        # solve ends as an iteration limit on the diverging iterates.  At
+        # 1e12 the floor's LP is optimal and finds the model feasible
         cfg = default_config(24).with_caps(g_cap=np.inf, r_cap=np.inf, c_cap=np.inf)
         data = synth_data(SynthSpec(seed=7, horizon=24))
 
@@ -497,69 +521,93 @@ class TestInfeasibility:
             l[5] = value
             return build(cfg, dataclasses.replace(data, l=l))[1]
 
-        assert diagnose_infeasibility(loaded(1e19)) == "problem is feasible"
-        if row == "b_eq":
-            p = loaded(1e20)
-        else:
-            p = build(cfg, data)[1]
-            p = dataclasses.replace(p, coup_rhs=np.array([p.coup_rhs[0], -1e20]))
-        monkeypatch.setattr(qp, "linprog", lambda *a, **k: pytest.fail("HiGHS called"))
+        assert diagnose_infeasibility(loaded(1e12)) == "problem is feasible"
+        for value in (1e13, 1e19):
+            p = loaded(value)
+            assert diagnose_infeasibility(p) == "feasibility could not be decided"
+            sol = solve_qp(p)
+            assert (sol.status, sol.message) == (ITERATION_LIMIT, "diverging iterates")
+
+    @pytest.mark.parametrize("answers, lps", [([None] * 3, 3), ([None, 0.0], 2),
+                                              ([None, None, 0.0], 3)],
+                             ids=["none_optimal", "quota_met", "balances_met"])
+    def test_diagnose_when_no_lp_decides(self, monkeypatch, answers, lps):
+        # the rule reads a verdict off optimal LPs alone: with none
+        # optimal, with the quota met once the floor is dropped although
+        # the floor's LP had no optimum, or with the balances met by the
+        # fully elastic LP, the verdict is undecided
+        calls = []
+        monkeypatch.setattr(qp, "linprog", lambda lp: calls.append(lp) or answers[len(calls) - 1])
+        _, p = build(*hand_case())
         assert diagnose_infeasibility(p) == "feasibility could not be decided"
+        assert len(calls) == lps
 
     @pytest.mark.parametrize("status", [1, 4])
     def test_diagnose_when_the_probe_cannot_decide(self, monkeypatch, status):
-        # HiGHS stopped at a limit (1) or on numerical trouble (4): the
-        # probe found no point and proved none missing
-        calls = []
-        monkeypatch.setattr(qp, "linprog", lambda *a, **k: calls.append(k) or
-                            types.SimpleNamespace(status=status))
+        # each elastic LP stops without an optimum, by scipy's linprog
+        # status codes: at a limit with no point (1), or on numerical
+        # trouble, a point the gate does not let out (4).  linprog answers
+        # None for each, and the three LPs leave feasibility undecided
+        calls, real = [], qp.linprog
+        monkeypatch.setattr(qp, "linprog", lambda lp: calls.append(lp) or real(lp))
+        if status == 1:
+            monkeypatch.setattr(qp, "_interior_point", lambda *a, **k: (
+                None, None, 200, False, "iteration limit", None))
+        else:
+            monkeypatch.setattr(qp, "_verified", lambda *a, **k: None)
         _, p = build(*hand_case())
         assert diagnose_infeasibility(p) == "feasibility could not be decided"
-        assert len(calls) == 1
+        assert len(calls) == 3
 
     def test_undecided_relaxation_names_no_conflict(self, monkeypatch):
-        # HiGHS proves the first LP infeasible (2) and leaves the quota-free
-        # one undecided (numerical trouble, 4): the model is infeasible,
-        # but no LP showed which requirement it fails
+        # the floor's LP with the quota hard has no optimum, the quota's
+        # shortfall with the floor dropped is positive, and the floor's
+        # LP with the quota dropped has no optimum either: the model is
+        # infeasible, but no LP showed which requirement it fails
         calls = []
-        monkeypatch.setattr(qp, "linprog", lambda *a, **k: calls.append(k) or
-                            types.SimpleNamespace(status=2 if len(calls) == 1 else 4))
+        monkeypatch.setattr(qp, "linprog", lambda lp: calls.append(lp) or
+                            [None, 1.0, None][len(calls) - 1])
         _, p = build(default_config(24), synth_data(SynthSpec(horizon=24)))
         assert diagnose_infeasibility(p) == (
             "infeasible: the conflicting requirement could not be named"
         )
-        assert len(calls) == 2
+        assert len(calls) == 3
 
-    @pytest.mark.parametrize("case, lps", [("rec", 1), ("quota", 2), ("joint", 2),
-                                           ("no_supply", 2), ("feasible", 1)])
+    @pytest.mark.parametrize("case, lps", [("rec", 1), ("quota", 3), ("joint", 3),
+                                           ("no_supply", 3), ("feasible", 1)])
     def test_diagnosis_solves_one_lp_or_two(self, monkeypatch, case, lps):
         # the floor's elastic LP with the quota hard decides feasibility
-        # and names a floor conflict; any other conflict takes a second,
-        # quota-free one
+        # and names a floor conflict; any other conflict takes two more:
+        # the quota's with the floor dropped and the floor's with the
+        # quota dropped, or the fully elastic one
         calls, real = [], qp.linprog
-        monkeypatch.setattr(qp, "linprog", lambda *a, **k: calls.append(k) or real(*a, **k))
+        monkeypatch.setattr(qp, "linprog", lambda lp: calls.append(lp) or real(lp))
         want = {"rec": "REC retirement floor", "quota": "CER quota ceiling",
                 "joint": "jointly conflict", "no_supply": "balance equations",
                 "feasible": "problem is feasible"}[case]
         assert want in diagnose_infeasibility(self._problem(case))
         assert len(calls) == lps
 
-    @pytest.mark.parametrize("case", ["rec", "quota", "joint", "no_supply", "week"]
+    @pytest.mark.parametrize("case", ["rec", "quota", "joint", "no_supply", "week", "empty_box",
+                                      "quota_below_box"]
                              + [f"{seed}/{r_min}" for seed in (2, 29, 34, 210, 227)
                                 for r_min in (0.0, 0.95)] + ["74/0.95"])
     def test_diagnosis_matches_the_four_probe_rule(self, case):
         # the elastic LPs name the conflict that dropping one coupling row,
-        # then the other, then both would: the oracle's four probes
+        # then the other, then both would: the oracle's four probes.  An
+        # LP that presolve finds without a point has an infinite least
+        # sum: an empty box names the balances and bounds, and a quota
+        # below its box minimum the quota
         p = self._problem(case)
         want = oracle_diagnosis(p)
         assert want.startswith("infeasible:")
         assert diagnose_infeasibility(p) == want
 
 
-# the two factor sites, by the method that makes each factor: the
-# interior point's band factor of the reduced system and the active-set
-# polish
-BAND, POLISH = "factor", "_polish"
+# the factor sites: the interior point's band factor of the reduced
+# system and the active-set polish, each named by the method that makes
+# its factors, and every factor an elastic LP of the diagnosis makes
+BAND, POLISH, PROBE = "factor", "_polish", "probe"
 # the band Cholesky, by the LAPACK routine that makes it, and the ordering
 DPBTRF, RCM = "dpbtrf", "reverse_cuthill_mckee"
 
@@ -567,29 +615,35 @@ DPBTRF, RCM = "dpbtrf", "reverse_cuthill_mckee"
 class _Sites:
     """Record each factor (a call of qp.dpbtrf) and call of module.<attr>, by site.
 
-    The site of a call is qp._polish whenever it is running (the polish
-    factors through _Kkt.factor too), else _Kkt.factor if that is, else
-    None.  `calls` holds one (site, attr) per call; clearing it
-    starts a new solve.
+    The site of a call is PROBE whenever qp.linprog is running (an
+    elastic LP's interior point and polish factor as a solve's do), else
+    qp._polish whenever it is running (the polish factors through
+    _Kkt.factor too), else _Kkt.factor if that is, else None.  `calls`
+    holds one (site, attr) per call; clearing it starts a new solve.
     """
 
     def __init__(self, monkeypatch, *attrs, module=qp):
         self.calls, self.stack = [], []
-        for owner, name in ((qp._Kkt, BAND), (qp, POLISH)):
-            monkeypatch.setattr(owner, name, self._entered(name, getattr(owner, name)))
+        for owner, name, site in ((qp._Kkt, "factor", BAND), (qp, "_polish", POLISH),
+                                  (qp, "linprog", PROBE)):
+            monkeypatch.setattr(owner, name, self._entered(site, getattr(owner, name)))
         for owner, attr in [(qp, DPBTRF)] + [(module, attr) for attr in attrs]:
             monkeypatch.setattr(owner, attr, self._recorded(attr, getattr(owner, attr)))
 
     @property
     def site(self):
-        return POLISH if POLISH in self.stack else self.stack[-1] if self.stack else None
+        for site in (PROBE, POLISH):
+            if site in self.stack:
+                return site
+        return self.stack[-1] if self.stack else None
 
-    def factors(self, exclude=None):
-        return [site for site, attr in self.calls if attr == DPBTRF and site != exclude]
+    def factors(self, exclude=()):
+        """The site of each factor, in order, those at the sites in `exclude` left out."""
+        return [site for site, attr in self.calls if attr == DPBTRF and site not in exclude]
 
-    def _entered(self, name, real):
+    def _entered(self, site, real):
         def entered(*args, **kwargs):
-            self.stack.append(name)
+            self.stack.append(site)
             try:
                 return real(*args, **kwargs)
             finally:
@@ -703,7 +757,8 @@ class TestKktFactorization:
         infeasible = solve_qp(_infeasible_week())
         assert (base.status, warm.status, warm.iterations) == (OPTIMAL, OPTIMAL, 0)
         assert infeasible.status == INFEASIBLE
-        assert sites.factors() == [BAND] * 8 + [POLISH, POLISH] + [BAND] * 11
+        assert sites.factors(exclude=(PROBE,)) == [BAND] * 8 + [POLISH, POLISH] + [BAND] * 11
+        assert sites.factors().count(PROBE) == 9  # the floor's elastic LP
         assert [attr for _, attr in sites.calls if attr != DPBTRF] == []
 
     def test_presolve_builds_no_block_matrix(self, monkeypatch):
@@ -837,7 +892,7 @@ class TestKktFactorization:
             # the start and each iteration that takes a step factor with it,
             # and the polish refills the same pattern, so makes no order
             assert ipm[0] == (None, RCM) and ipm.count((None, RCM)) == 1
-            assert sites.factors(exclude=POLISH) == [BAND] * sol.iterations
+            assert sites.factors(exclude=(POLISH,)) == [BAND] * sol.iterations
             assert (POLISH, RCM) not in sites.calls and POLISH in sites.factors()
 
     @pytest.mark.parametrize("horizon", [168, 672, 2688])
@@ -962,12 +1017,14 @@ class TestKktFactorization:
         # presolve substitutes out the 504 pinned variables: the start and
         # each of the 10 iterations that take a step make one band factor,
         # all in the one order made from the fixed pattern, and no polish
-        # runs
+        # runs.  The floor's elastic LP makes its own 9 factors, in an
+        # order of its own pattern
         sites = _Sites(monkeypatch, RCM)
         sol = solve_qp(_infeasible_week())
         assert sol.status == INFEASIBLE and sol.iterations == 11
-        assert sites.factors() == [BAND] * 11
-        assert [site for site, attr in sites.calls if attr == RCM] == [None]
+        assert sites.factors(exclude=(PROBE,)) == [BAND] * 11
+        assert sites.factors().count(PROBE) == 9
+        assert [site for site, attr in sites.calls if attr == RCM] == [None, PROBE]
 
     def test_polish_rejects_non_finite_solve(self, monkeypatch):
         # every polish factor solves to NaN; the gate rejects that
@@ -1056,7 +1113,7 @@ class TestKktFactorization:
         monkeypatch.setattr(qp, "_finalize", recorded_finalize)
         sites = _Sites(monkeypatch)
         sol = solve_qp(build(default_config(168), synth_data(SynthSpec(seed=16, horizon=168)))[1])
-        assert polished == [None] and sites.factors(exclude=BAND) == [POLISH] * 8
+        assert polished == [None] and sites.factors(exclude=(BAND,)) == [POLISH] * 8
         assert sol.status == OPTIMAL and sol.iterations == 8
         assert len(finalized) == 1 and sol.x is finalized[0].x
 
@@ -1134,7 +1191,8 @@ class TestKktFactorization:
                 sol = solve_qp(week())
             assert (sol.status, sol.message, sol.iterations) == (
                 ITERATION_LIMIT, "KKT factorization failed", 0), week
-            assert sites.factors() == [BAND] * 2
+            assert sites.factors(exclude=(PROBE,)) == [BAND] * 2
+            assert sites.factors().count(PROBE) == 9  # the diagnosis's one LP
 
     def test_static_factor_error_falls_back_in_same_iteration(self, monkeypatch):
         # iteration 1's band factor, the second after the start's, reports
@@ -1147,7 +1205,8 @@ class TestKktFactorization:
                 sol = solve_qp(week())
             assert (sol.status, sol.message, sol.iterations) == (
                 ITERATION_LIMIT, "KKT factorization failed", 1), week
-            assert sites.factors(exclude=POLISH) == [BAND] * 3
+            assert sites.factors(exclude=(POLISH, PROBE)) == [BAND] * 3
+            assert sites.factors().count(PROBE) == 9  # the diagnosis's one LP
 
     def test_singular_border_falls_back_in_same_iteration(self, monkeypatch):
         # the coupling rows' Schur complement, after the band factor,
@@ -1162,7 +1221,8 @@ class TestKktFactorization:
                     sol = solve_qp(week())
                 assert (sol.status, sol.message, sol.iterations) == (
                     ITERATION_LIMIT, "KKT factorization failed", n - 1), (week, n)
-                assert sites.factors(exclude=POLISH) == [BAND] * n
+                assert sites.factors(exclude=(POLISH, PROBE)) == [BAND] * n
+                assert sites.factors().count(PROBE) == 9  # the diagnosis's one LP
 
     def test_factor_error_at_start_ends_as_in_iteration_one(self, monkeypatch):
         # a MemoryError from every call of the band factor from the n-th
@@ -1502,6 +1562,16 @@ class TestPatternReuse:
         assert all(point.status == OPTIMAL for point in sweep.points)
         assert len(patterns.built) == 1 + changes
         assert patterns.alive() == []
+
+    def test_elastic_lp_keeps_the_enclosing_pattern(self, monkeypatch):
+        # the stall's elastic LP builds its pattern in a scope of its own:
+        # the scope a command holds keeps the infeasible week's, which
+        # the second solve reuses, and each LP orders its own
+        sites = _Sites(monkeypatch, RCM)
+        with qp.kkt_pattern_scope():
+            for _ in range(2):
+                assert solve_qp(_infeasible_week()).status == INFEASIBLE
+        assert [site for site, attr in sites.calls if attr == RCM] == [None, PROBE, PROBE]
 
     def test_solve_outside_any_scope_holds_no_pattern(self, monkeypatch):
         # a solve opens its own scope: its interior point and polish share
