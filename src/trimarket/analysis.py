@@ -90,8 +90,8 @@ def named_duals(problem: QpProblem, sol: Solution) -> NamedDuals:
     if eq.shape != (problem.m_eq,):
         raise ValueError("equality dual vector does not match the problem")
 
-    base = 6 * np.arange(T)
-    series = {kind: eq[base + pos] for pos, kind in enumerate(EQ_KINDS)}
+    hours = np.arange(T)
+    series = {kind: eq[problem.eq_row_index(kind, hours)] for kind in EQ_KINDS}
     lower = {role: problem.layout.gather(sol.ineq_duals.lower, role) for role in ROLES}
     upper = {role: problem.layout.gather(sol.ineq_duals.upper, role) for role in ROLES}
     return NamedDuals(
@@ -173,12 +173,16 @@ class CaseTable:
         }
 
 
+def trade_at_cap(trade: np.ndarray, cap: float) -> np.ndarray:
+    """Hours whose |trade| reaches a finite cap, to IDENT_RTOL of the cap (1e-12 at 0)."""
+    if not np.isfinite(cap):
+        return np.zeros(len(trade), dtype=bool)
+    tol = IDENT_RTOL * cap if cap > 0 else 1e-12
+    return np.abs(trade) >= cap - tol
+
+
 def _classify(trade: np.ndarray, cap: float, mult: float) -> tuple[np.ndarray, np.ndarray]:
-    if np.isfinite(cap):
-        tol = IDENT_RTOL * cap if cap > 0 else 1e-12
-        at_cap = np.abs(trade) >= cap - tol
-    else:
-        at_cap = np.zeros(len(trade), dtype=bool)
+    at_cap = trade_at_cap(trade, cap)
     pos = mult > MULT_EPS
     cases = np.where(at_cap, 3, 1) + (1 if pos else 0)
     return cases, at_cap
@@ -198,12 +202,12 @@ def _biconditional_report(
         return PropertyReport(
             prop_id, True, skipped=True, note="trade cap is 0; biconditional not applicable"
         )
-    slack = cap - np.abs(trade)
-    has_slack = bool(np.any(slack > IDENT_RTOL * cap))
+    has_slack = not bool(np.all(trade_at_cap(trade, cap)))
     positive = mult > MULT_EPS
     if positive == has_slack:
         return PropertyReport(prop_id, True, residual=float(mult))
     side = "positive multiplier but no slack hour" if positive else "slack hour but zero multiplier"
+    slack = cap - np.abs(trade)
     t = int(np.argmax(slack))
     return PropertyReport(
         prop_id,
@@ -508,9 +512,24 @@ def solve_grid(
 ) -> list[tuple[QpProblem, Solution]]:
     """``solve_for_param`` at every grid value, in grid order.
 
-    Every value is moved and validated before the first solve, so a bad
-    value fails fast.
+    ``param`` is "r" or "alpha".  The grid is checked, and every value
+    moved and validated, before the first solve, so a bad grid fails
+    fast.  A grid that repeats a value, or is otherwise not strictly
+    increasing, raises ValidationError: slopes are taken between
+    neighbouring points (see ``slope_changes``).
     """
+    if param not in ("r", "alpha"):
+        raise ValueError(f"unknown sweep parameter {param!r}")
+    grid = [float(v) for v in np.asarray(grid, dtype=float).ravel()]
+    if not grid:
+        raise ValueError("sweep grid is empty")
+    repeated = [v for i, v in enumerate(grid) if v in grid[:i]]
+    if repeated:  # two points at one value leave no slope between them
+        raise ValidationError(f"sweep grid repeats {param}={repeated[0]:.6g}")
+    behind = [b for a, b in zip(grid, grid[1:]) if b < a]
+    if behind:
+        raise ValidationError(f"sweep grid must be strictly increasing: "
+                              f"{param}={behind[0]:.6g} is out of order")
     moved = [_moved(model, param, v) for v in grid]
     return [_solve_moved(m, settings) for m in moved]
 
@@ -533,10 +552,6 @@ def affine_sensitivity(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 3:
         raise ValueError("grid must be one-dimensional with at least 3 points")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    if param not in ("alpha", "r"):
-        raise ValueError(f"unknown parameter {param!r}; expected 'alpha' or 'r'")
 
     xs, prints, mults = [], [], []
     intern: dict[bytes, int] = {}
@@ -587,14 +602,23 @@ def affine_sensitivity(
     )
 
 
+def slope_changes(v, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Slopes of ``rows`` between neighbouring grid values ``v``, and their changes.
+
+    ``rows`` holds one row per grid value.  slopes[i] is
+    (rows[i+1] - rows[i]) / (v[i+1] - v[i]), and changes[i] is
+    slopes[i+1] - slopes[i], the change at grid point i + 1.
+    """
+    rows = np.asarray(rows, dtype=float)
+    slopes = np.diff(rows, axis=0) / np.diff(np.asarray(v, dtype=float))[:, None]
+    return slopes, np.diff(slopes, axis=0)
+
+
 def _max_second_diff(v: np.ndarray, rows: np.ndarray) -> float:
     # second divided difference scaled back to plain-second-difference units
-    worst = 0.0
-    for i in range(1, len(v) - 1):
-        h1, h2 = v[i] - v[i - 1], v[i + 1] - v[i]
-        d2 = (rows[i + 1] - rows[i]) / h2 - (rows[i] - rows[i - 1]) / h1
-        worst = max(worst, float(np.max(np.abs(d2))) * 0.5 * (h1 + h2))
-    return worst
+    h = np.diff(v)
+    d2 = np.max(np.abs(slope_changes(v, rows)[1]), axis=1) * 0.5 * (h[:-1] + h[1:])
+    return float(np.max(d2, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -433,8 +433,8 @@ class QpProblem:
     def m_eq(self) -> int:
         return self.a_eq.shape[0]
 
-    def eq_row_index(self, kind: str, t: int) -> int:
-        """Row index of equality `kind` at 0-based hour t."""
+    def eq_row_index(self, kind: str, t):
+        """Row index of equality `kind` at 0-based hour t, or the rows at an array of hours."""
         return 6 * t + _EQ_POS[kind]
 
     def eq_row_name(self, i: int) -> str:

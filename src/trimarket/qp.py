@@ -197,11 +197,11 @@ class SolverSettings:
 
     def __post_init__(self):
         if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+            raise ValueError("tol must be positive")
         if not self.tol < 1:  # NaN and inf too: no iterate would be judged
             raise ValueError("tol must be finite and below 1")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -946,6 +946,11 @@ class _Kkt:
         return step
 
 
+# Data near the float limit (a price, tg.b or tg.k of 1e100 or more) can
+# overflow the interior point's start or a step, or a polish's system.  The
+# iterate then loses finiteness, which the loop's test reports, and a
+# polished point fails the gate, whose NaN residual passes no comparison.
+@np.errstate(over="ignore", invalid="ignore")
 @kkt_pattern_scope()
 def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
              start: Solution | None = None) -> Solution:
@@ -1251,12 +1256,14 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
     rows of a_ext and the active coupling rows (bounds in reduced space:
     Nocedal & Wright 2006, ch. 16).  The regularized system is biased toward the hint
     so that on a degenerate optimal face the solve selects a sign-feasible
-    multiplier set instead of the minimal-norm one.  An active row that
-    still gets a negative multiplier is released and the system re-solved,
-    crossover-style.  A variable marked active at both of its bounds keeps
-    only the side with the larger hint multiplier.  Returns the KKT point
-    for the caller to verify, or None when the factorization raises or 8
-    rounds leave a negative one.
+    multiplier set instead of the minimal-norm one.  The rounds then
+    cross over: an inactive row that the point violates by more than
+    1e-9 * scale_p is made active, and only when none is, an active row
+    with a negative multiplier is released, and the system is re-solved.
+    A variable marked active at both of its bounds keeps only the side
+    with the larger hint multiplier.  Returns the KKT point for the caller
+    to verify, once a round has nothing to fix and nothing to release, or
+    None when the factorization raises or 8 rounds leave something.
 
     Each round's system is the interior point's _Kkt, on its pattern,
     with B whole but for its entries in the fixed columns and the
@@ -1316,10 +1323,16 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
         # g' z sums only the coupling rows: z is still zero on the bound rows
         z[fixed] = 0.0 + sign * (a.T @ y - g.T @ z - pre.q * x - pre.c)[var]
 
+        # fix the inactive rows the point violates first; only a point
+        # that violates none releases its negative multipliers
+        violated = ~act & (g @ x - pre.h > 1e-9 * pre.scale_p)
         bad = act & (z < -dual_tol)
-        if not bad.any():
+        if violated.any():
+            act[violated] = True
+        elif bad.any():
+            act[bad] = False
+        else:
             return _finalize(p, pre, x, y, z)
-        act[bad] = False  # release the offending rows and try again
 
     return None
 
@@ -1376,6 +1389,7 @@ def _elastic(p: QpProblem, keep: tuple[int, ...], relax: int | None) -> QpProble
                    coup_rhs=np.where(np.isin(np.arange(k), keep), p.coup_rhs, 0.0))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as solve_qp
 def linprog(p: QpProblem) -> float | None:
     """The least elastic sum of the elastic LP p (_elastic), by solve_qp's own method.
 
@@ -1447,9 +1461,14 @@ def diagnose_infeasibility(p: QpProblem) -> str:
     "problem is feasible", "feasibility could not be decided", or
     "infeasible: ..." naming the REC retirement floor, the CER quota
     ceiling, the two jointly, or the balance equations against the
-    variable bounds; it is the message an infeasible solve_qp carries.
-    One elastic LP decides it, or three name a conflict other than the
-    floor's (_diagnose), each solved by solve_qp's own interior point.
+    variable bounds.  It is the message an infeasible solve_qp carries
+    when the interior point finds the conflict.  When presolve finds it
+    first, solve_qp names what presolve saw instead: an empty bound
+    interval (diagnosed here as the balances against the bounds), a
+    coupling row below its box minimum (diagnosed as its requirement) or
+    conflicting pins.  One elastic LP decides it, or three name a
+    conflict other than the floor's (_diagnose), each solved by
+    solve_qp's own interior point.
     Data that is not finite (_finite) is not diagnosed.
     """
     return _diagnose(p)[1] if _finite(p) else _UNDECIDED

@@ -31,8 +31,10 @@ from .analysis import (
     envelope_check,
     named_duals,
     rps_priority_check,
+    slope_changes,
     solve_for_param,
     solve_grid,
+    trade_at_cap,
 )
 from .model import (
     DispatchPlan,
@@ -306,10 +308,8 @@ class InventoryMatrixResult:
 
 
 def _cap_slack(plan: DispatchPlan, cfg: VppConfig) -> bool:
-    for series, cap in ((plan.G, cfg.caps.g_cap), (plan.R, cfg.caps.r_cap), (plan.C, cfg.caps.c_cap)):
-        if np.isfinite(cap) and np.max(np.abs(series)) >= cap * (1.0 - 1e-6):
-            return False
-    return True
+    caps = ((plan.G, cfg.caps.g_cap), (plan.R, cfg.caps.r_cap), (plan.C, cfg.caps.c_cap))
+    return not any(np.any(trade_at_cap(series, cap)) for series, cap in caps)
 
 
 def _consistent(values: list[float]) -> bool:
@@ -412,22 +412,9 @@ def parameter_sweep(
     """Re-solve along a policy-parameter grid; one row per grid value.
 
     Failed points are recorded with their status and the sweep moves on.
-    The points are solved by ``solve_grid``.  A grid that repeats a value,
-    or is otherwise not strictly increasing, raises ValidationError before
-    any solve: the trend breaks take slopes between neighbouring points.
+    The points are solved, and the grid checked, by ``solve_grid``.
     """
-    if param not in ("r", "alpha"):
-        raise ValueError(f"unknown sweep parameter {param!r}")
     grid = [float(v) for v in np.asarray(grid, dtype=float).ravel()]
-    if not grid:
-        raise ValueError("sweep grid is empty")
-    repeated = [v for i, v in enumerate(grid) if v in grid[:i]]
-    if repeated:  # two points at one value leave no slope between them
-        raise ValidationError(f"sweep grid repeats {param}={repeated[0]:.6g}")
-    behind = [b for a, b in zip(grid, grid[1:]) if b < a]
-    if behind:
-        raise ValidationError(f"sweep grid must be strictly increasing: "
-                              f"{param}={behind[0]:.6g} is out of order")
     model = validate_config(cfg, data)
 
     points = []
@@ -444,18 +431,10 @@ def parameter_sweep(
 
 def _trend_breaks(grid: list[float], points: list[SweepPoint]) -> dict[str, list[int]]:
     """Grid indices where a revenue component's slope changes materially."""
-    out: dict[str, list[int]] = {}
     comps = ("rev_g", "rev_r", "rev_c", "cost_g", "profit")
     ok = [i for i, p in enumerate(points) if p.breakdown is not None]
-    for comp in comps:
-        vals = {i: getattr(points[i].breakdown, comp) for i in ok}
-        slopes = []
-        for a, b in zip(ok, ok[1:]):
-            slopes.append((a, b, (vals[b] - vals[a]) / (grid[b] - grid[a])))
-        marks = []
-        for (_, mid, s1), (_, _, s2) in zip(slopes, slopes[1:]):
-            scale = 1.0 + max(abs(s1), abs(s2))
-            if abs(s2 - s1) > 1e-6 * scale:
-                marks.append(mid)
-        out[comp] = marks
-    return out
+    rows = [[getattr(points[i].breakdown, comp) for comp in comps] for i in ok]
+    slopes, changes = slope_changes([grid[i] for i in ok], np.reshape(rows, (len(ok), len(comps))))
+    scale = 1.0 + np.maximum(np.abs(slopes[:-1]), np.abs(slopes[1:]))
+    marked = np.abs(changes) > 1e-6 * scale
+    return {comp: [ok[k + 1] for k in np.flatnonzero(marked[:, j])] for j, comp in enumerate(comps)}

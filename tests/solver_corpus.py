@@ -51,7 +51,9 @@ relative) mismatch counts and the largest |dx| over solves with the same
 status, for all solves and for the lossless-storage ones (eta_c = eta_d =
 1) alone; then how many solves optimal in both trees moved x at all and
 beyond 1e-9 (largest |dx|), with the five largest moves by name; then
-each status transition from A to B with its count.  Then,
+each status transition from A to B with its count; then, per
+``max_iter`` (200, 8, 5, 3), the ``random_instance`` solves optimal in
+A and in B, with the answers B gained and lost.  Then,
 for each tree, the iteration and probe totals by status, the total
 factorizations and the total band solves with the refinement steps
 among them, then the ``dtbtrs`` calls and right-hand-side columns; per
@@ -342,6 +344,15 @@ def compare(path_a: str, path_b: str) -> None:
             transitions[t] = transitions.get(t, 0) + 1
     print("status transitions: "
           + (", ".join(f"{t}: {n}" for t, n in sorted(transitions.items())) or "none"))
+    capped = {}  # max_iter: [optimal in A, optimal in B, gained, lost]
+    for k in a:
+        if k.startswith("random/"):
+            row = capped.setdefault(int(k.rsplit("=", 1)[1]), [0, 0, 0, 0])
+            in_a, in_b = a[k]["status"] == "optimal", b[k]["status"] == "optimal"
+            for i, hit in enumerate((in_a, in_b, in_b and not in_a, in_a and not in_b)):
+                row[i] += hit
+    print("random_instance optimal answers by max_iter, A -> B (+gained, -lost): " + ", ".join(
+        f"{mi}: {u} -> {v} (+{g}, -{n})" for mi, (u, v, g, n) in sorted(capped.items())[::-1]))
     for label, d in (("A", a), ("B", b)):
         by_status = {}
         for r in d.values():

@@ -354,6 +354,47 @@ class TestAffineSensitivity:
             affine_sensitivity(model, "r", np.array([0.9, 0.95, 1.05]))
 
 
+def _loop_second_diff(v, rows):
+    worst = 0.0
+    for i in range(1, len(v) - 1):
+        h1, h2 = v[i] - v[i - 1], v[i + 1] - v[i]
+        d2 = (rows[i + 1] - rows[i]) / h2 - (rows[i] - rows[i - 1]) / h1
+        worst = max(worst, float(np.max(np.abs(d2))) * 0.5 * (h1 + h2))
+    return worst
+
+
+def _loop_trend_breaks(grid, points):
+    out = {}
+    ok = [i for i, p in enumerate(points) if p.breakdown is not None]
+    for comp in ("rev_g", "rev_r", "rev_c", "cost_g", "profit"):
+        vals = {i: getattr(points[i].breakdown, comp) for i in ok}
+        slopes = [(b, (vals[b] - vals[a]) / (grid[b] - grid[a])) for a, b in zip(ok, ok[1:])]
+        out[comp] = [mid for (mid, s1), (_, s2) in zip(slopes, slopes[1:])
+                     if abs(s2 - s1) > 1e-6 * (1.0 + max(abs(s1), abs(s2)))]
+    return out
+
+
+def test_slope_changes_match_the_loops():
+    # the affine check's second differences and the sweep's trend breaks
+    # share slope_changes; both give, bit for bit, what their per-point
+    # loops gave, on piecewise-linear rows with some kinks below the
+    # threshold and some failed sweep points
+    from types import SimpleNamespace
+
+    from trimarket.scenarios import _trend_breaks
+
+    rng = np.random.default_rng(0)
+    for n in rng.integers(1, 12, 20):
+        grid = np.cumsum(rng.uniform(1e-3, 0.3, n))
+        kinks = rng.choice([0.0, 1e-9, 1e-3, 5.0], size=(n, 5)) * rng.standard_normal((n, 5))
+        rows = rng.standard_normal(5) * 1e5 + np.cumsum(np.cumsum(kinks, axis=0), axis=0)
+        assert trimarket.analysis._max_second_diff(grid, rows) == _loop_second_diff(grid, rows)
+        points = [SimpleNamespace(breakdown=None if rng.random() < 0.2 else SimpleNamespace(
+            **dict(zip(("rev_g", "rev_r", "rev_c", "cost_g", "profit"), map(float, row)))))
+            for row in rows]
+        assert _trend_breaks(list(grid), points) == _loop_trend_breaks(list(grid), points)
+
+
 class TestExtraSolveChecks:
     def test_quota_envelope_on_small_instance(self):
         model, p, sol = solve(*rec_priority_case())

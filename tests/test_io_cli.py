@@ -5,12 +5,14 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import trimarket.analysis
 import trimarket.cli as cli
@@ -998,3 +1000,42 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.split("\n") == ["False", "infeasible False", ""]
+
+
+# ---------------------------------------------------------------------------
+# Generated inputs
+
+#: the numeric model keys (the synth block only feeds gen-data, and
+#: horizon.T would need data of another length)
+_MODEL_KEYS = [k for k in ACCEPTED if not k.startswith(("horizon.", "synth."))
+               and not k.endswith(".enabled")]
+_EXTREMES = [0.0, -0.0, -1.0, 5e-324, 1e-320, 1e-300, 1e13, 1e15, 1e100, 1e150, 1e300,
+             1e308, -1e308, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(target=st.one_of(st.sampled_from(_MODEL_KEYS),
+                        st.tuples(st.integers(1, 24), st.integers(1, 5))),
+       value=st.one_of(st.sampled_from(_EXTREMES), st.floats()))
+@example(target="ess.eta_d", value=1e-320)
+@example(target="tg.g_max", value=1e308)
+@example(target="tg.b", value=1e150)
+def test_extreme_input_exits_cleanly(target, value):
+    # one config key, or one cell (row, column) of the market CSV, of the
+    # T=24 default set to an extreme value: solve answers with an exit
+    # code, never an exception or a RuntimeWarning
+    synth = SynthSpec(horizon=24)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        save_config(work / "model.cfg", default_config(24), synth)
+        save_market_csv(work / "market.csv", synth_data(synth))
+        if isinstance(target, str):
+            cfg = work / "model.cfg"
+            cfg.write_text("\n".join(f"{target} = {value!r}" if row.startswith(target + " ")
+                                     else row for row in cfg.read_text().splitlines()) + "\n")
+        else:
+            TestCli._rewrite_cell(work / "market.csv", *target, lambda _: repr(value))
+        rc = main(["solve", "--config", str(work / "model.cfg"), "--data",
+                   str(work / "market.csv"), "--out", str(work / "run"),
+                   "--properties", "none", "--no-plots"])
+    assert rc in (0, 1, 2)

@@ -282,23 +282,32 @@ class TestSolverBehaviour:
     @pytest.mark.parametrize("lo, hi", [(np.inf, -np.inf), (np.inf, np.inf), (-np.inf, -np.inf)])
     def test_infinite_empty_box_is_infeasible(self, lo, hi):
         # a box with lb = +inf or ub = -inf holds no point, although the
-        # tolerance of the lb > ub test is inf - inf there
+        # tolerance of the lb > ub test is inf - inf there.  Presolve names
+        # the box; the diagnosis, whose LPs presolve the same box, names
+        # the balances
         _, p = build(*hand_case())
         lb, ub = p.lb.copy(), p.ub.copy()
         lb[p.layout.indices("G")], ub[p.layout.indices("G")] = lo, hi
-        sol = solve_qp(dataclasses.replace(p, lb=lb, ub=ub))
+        p = dataclasses.replace(p, lb=lb, ub=ub)
+        sol = solve_qp(p)
         assert sol.status == INFEASIBLE
         assert "empty bound interval" in sol.message
+        assert diagnose_infeasibility(p) == (
+            "infeasible: balance equations conflict with variable bounds")
 
     def test_presolve_rejects_unmeetable_coupling_rows(self):
         # a quota below its row's box minimum, then two rows that each hold
-        # only at one end of the TG output's box [0, 80]
+        # only at one end of the TG output's box [0, 80].  Presolve names
+        # the row; the diagnosis names the requirement
         _, p = build(*hand_case())
-        sol = solve_qp(dataclasses.replace(p, coup_rhs=np.array([p.coup_rhs[0], -1.0])))
+        below = dataclasses.replace(p, coup_rhs=np.array([p.coup_rhs[0], -1.0]))
+        sol = solve_qp(below)
         assert sol.status == INFEASIBLE
         assert sol.message == (
             "infeasible: coupling row 1 requires value below its box minimum (-1.0 < 0.0)"
         )
+        assert diagnose_infeasibility(below) == (
+            "infeasible: CER quota ceiling conflicts with emission needs and caps")
         # the same quota row with c0's coefficient 1 stored as two
         # entries, 2 and -1, which presolve sums before it takes the box
         # minimum
@@ -316,9 +325,12 @@ class TestSolverBehaviour:
         )
         g = p.layout.indices("g")[0]
         coup = sp.csr_matrix(([1.0, -1.0], ([0, 1], [g, g])), shape=(2, p.n))
-        sol = solve_qp(dataclasses.replace(p, coup=coup, coup_rhs=np.array([0.0, -80.0])))
+        pins = dataclasses.replace(p, coup=coup, coup_rhs=np.array([0.0, -80.0]))
+        sol = solve_qp(pins)
         assert sol.status == INFEASIBLE
         assert sol.message == f"infeasible: conflicting pins on variable {g}"
+        assert diagnose_infeasibility(pins) == (
+            "infeasible: REC retirement floor conflicts with certificate supply and caps")
 
     def test_degenerate_coupling_rows(self):
         # r = 0 and alpha = 0 zero out both coupling rows
@@ -575,7 +587,7 @@ class TestInfeasibility:
 
     @pytest.mark.parametrize("case, lps", [("rec", 1), ("quota", 3), ("joint", 3),
                                            ("no_supply", 3), ("feasible", 1)])
-    def test_diagnosis_solves_one_lp_or_two(self, monkeypatch, case, lps):
+    def test_diagnosis_solves_one_lp_or_three(self, monkeypatch, case, lps):
         # the floor's elastic LP with the quota hard decides feasibility
         # and names a floor conflict; any other conflict takes two more:
         # the quota's with the floor dropped and the floor's with the
@@ -1682,6 +1694,25 @@ def test_polish_keeps_one_bound_per_variable(monkeypatch):
     assert polished is not None and sites.factors() == [POLISH]
     assert np.all(polished.x >= p.lb - 1e-9) and np.all(polished.x <= p.ub + 1e-9)
     assert polished.x[j] == pytest.approx(10.0)
+    assert polished.objective == pytest.approx(sol.objective, rel=1e-12)
+
+
+def test_polish_fixes_the_rows_its_point_violates(monkeypatch):
+    # the week's predicted set with bound row 0 dropped: the first round's
+    # point leaves that bound by 30.9, so the next round fixes the row
+    # again before any release, and the point passes the gate at the
+    # interior point's objective
+    p = _synth_week()
+    pre = _presolve(p)
+    sol = solve_qp(p)
+    x, y, z = qp._presolved_point(pre, sol)
+    act = qp._active(pre, x, z, pre.h - pre.g @ x)
+    assert act[0]
+    act[0] = False
+    sites = _Sites(monkeypatch)
+    polished = qp._polish(p, pre, act, (x, y, z))
+    assert polished is not None and sites.factors() == [POLISH, POLISH]
+    assert qp._meets_tolerances(pre, SolverSettings(), polished.residuals, polished.objective)
     assert polished.objective == pytest.approx(sol.objective, rel=1e-12)
 
 
