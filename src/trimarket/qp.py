@@ -946,11 +946,6 @@ class _Kkt:
         return step
 
 
-# Data near the float limit (a price, tg.b or tg.k of 1e100 or more) can
-# overflow the interior point's start or a step, or a polish's system.  The
-# iterate then loses finiteness, which the loop's test reports, and a
-# polished point fails the gate, whose NaN residual passes no comparison.
-@np.errstate(over="ignore", invalid="ignore")
 @kkt_pattern_scope()
 def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
              start: Solution | None = None) -> Solution:
@@ -1050,45 +1045,52 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings, diagnose: 
     # right-hand side, rewritten in place
     diag, rhs = np.zeros(n + m + m_comp - n_b), np.empty(n + m + m_comp - n_b)
 
+    # Data near the float limit (a load of 1e308, tg.b of 1e150, ess.eta_d
+    # of 1e-300) overflows the start, the residuals, a direction or a step;
+    # the iterate then loses finiteness, which the loop tests for.  The
+    # iterate's arithmetic alone is guarded: the stall diagnosis and the
+    # polish still warn.
     # start (module docstring): the KKT matrix with every w / z at 1 gives
     # least-squares primal and dual points, each shifted into w, z > 0
-    try:  # the ordering, not only the factor, can run out of memory
-        kkt = _Kkt(pre, _KKT_REG)
-        kkt.set_diagonal(np.concatenate([q + n_bound, np.zeros(m), -np.ones(m_comp - n_b)]))
-        kkt.factor()
-        # a copy: as a view, x would keep the whole solution alive through
-        # the iteration, above memory the allocator could otherwise hand
-        # back before the polish (T=8760 then peaked at 191 MB, not 178)
-        x = kkt.solve(np.concatenate([gb_t @ h[:n_b], b, h[n_b:]]), _KKT_RTOL)[:n].copy()
-        dual = kkt.solve(np.concatenate([-c, np.zeros(m + m_comp - n_b)]), _KKT_RTOL)
-    except _FACTOR_ERRORS:
-        return None, None, 0, False, "KKT factorization failed", None
-    y = -dual[n : n + m]
-    w, z = h - g @ x, np.concatenate([gb_t.T @ dual[:n], dual[n + m :]])
-    for v in (w, z):
-        shift = float(np.max(-v, initial=-1.0))
-        if shift >= 0.0:
-            v += 1.0 + shift
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:  # the ordering, not only the factor, can run out of memory
+            kkt = _Kkt(pre, _KKT_REG)
+            kkt.set_diagonal(np.concatenate([q + n_bound, np.zeros(m), -np.ones(m_comp - n_b)]))
+            kkt.factor()
+            # a copy: as a view, x would keep the whole solution alive through
+            # the iteration, above memory the allocator could otherwise hand
+            # back before the polish (T=8760 then peaked at 191 MB, not 178)
+            x = kkt.solve(np.concatenate([gb_t @ h[:n_b], b, h[n_b:]]), _KKT_RTOL)[:n].copy()
+            dual = kkt.solve(np.concatenate([-c, np.zeros(m + m_comp - n_b)]), _KKT_RTOL)
+        except _FACTOR_ERRORS:
+            return None, None, 0, False, "KKT factorization failed", None
+        y = -dual[n : n + m]
+        w, z = h - g @ x, np.concatenate([gb_t.T @ dual[:n], dual[n + m :]])
+        for v in (w, z):
+            shift = float(np.max(-v, initial=-1.0))
+            if shift >= 0.0:
+                v += 1.0 + shift
 
-    # complementarity sums are np.sum(w * z), not w @ z: a 1-D product of
-    # more than about 10,000 elements goes to the BLAS ddot, which in
-    # OpenBLAS spins up a second thread and doubles the CPU time of a
-    # T=672 solve without saving wall time
-    mu0 = float(np.sum(w * z)) / m_comp
+        # complementarity sums are np.sum(w * z), not w @ z: a 1-D product of
+        # more than about 10,000 elements goes to the BLAS ddot, which in
+        # OpenBLAS spins up a second thread and doubles the CPU time of a
+        # T=672 solve without saving wall time
+        mu0 = float(np.sum(w * z)) / m_comp
     primal_hist: list[float] = []
     diagnosis = None
 
     converged, message = False, ""
     it = 0
     for it in range(1, s.max_iter + 1):
-        qx, wz = q * x, w * z  # each used twice below
-        rd = qx + c - a_t @ y + g_t @ z
-        rp_eq = a @ x - b
-        rp_in = g @ x + w - h
-        gap = float(np.sum(wz))
-        mu = gap / m_comp
+        with np.errstate(over="ignore", invalid="ignore"):
+            qx, wz = q * x, w * z  # each used twice below
+            rd = qx + c - a_t @ y + g_t @ z
+            rp_eq = a @ x - b
+            rp_in = g @ x + w - h
+            gap = float(np.sum(wz))
+            mu = gap / m_comp
+            obj_min = float(0.5 * qx @ x + c @ x)
 
-        obj_min = float(0.5 * qx @ x + c @ x)
         primal_inf = max(
             float(np.max(np.abs(rp_eq), initial=0.0)),
             float(np.max(np.abs(rp_in), initial=0.0)),
@@ -1175,21 +1177,24 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings, diagnose: 
                     direction, ap, ad, mu_next = centered, ap2, ad2, mu_next2
             return direction, ap, ad
 
-        try:  # a solve, not only the factor, can run out of memory
-            kkt.factor()  # the last factor is freed before the next is made
-            direction, ap, ad = newton_step()
-        except _FACTOR_ERRORS:
-            message = "KKT factorization failed"
-            break
-        dx, dy, dz, dw = direction
-        x += ap * dx
-        w += ap * dw
-        y += ad * dy
-        z += ad * dz
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:  # a solve, not only the factor, can run out of memory
+                kkt.factor()  # the last factor is freed before the next is made
+                direction, ap, ad = newton_step()
+            except _FACTOR_ERRORS:
+                message = "KKT factorization failed"
+                break
+            dx, dy, dz, dw = direction
+            x += ap * dx
+            w += ap * dw
+            y += ad * dy
+            z += ad * dz
 
     # the loop's finiteness test, repeated for the last step, which an
     # iteration cap leaves untested: a non-finite iterate has no polish
-    if not np.isfinite(np.sum(w * z)) or not np.isfinite(np.max(np.abs(x), initial=0.0)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = float(np.sum(w * z))
+    if not np.isfinite(gap) or not np.isfinite(np.max(np.abs(x), initial=0.0)):
         return None, None, it, False, "iterates lost finiteness", diagnosis
     return (x, y, z), w, it, converged, message, diagnosis
 
@@ -1286,7 +1291,11 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
     act[up_row[both & lower_wins]] = False
     act[lo_row[both & ~lower_wins]] = False
 
+    seen = set()  # the active sets solved: a repeated one would cycle
     for _ in range(8):
+        if act.tobytes() in seen:
+            return None
+        seen.add(act.tobytes())
         fixed = np.nonzero(act[:n_b])[0]
         on = act[n_b:]
         # bound row i is sign_i e_j' x <= h_i, so its variable sits at
@@ -1389,7 +1398,6 @@ def _elastic(p: QpProblem, keep: tuple[int, ...], relax: int | None) -> QpProble
                    coup_rhs=np.where(np.isin(np.arange(k), keep), p.coup_rhs, 0.0))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as solve_qp
 def linprog(p: QpProblem) -> float | None:
     """The least elastic sum of the elastic LP p (_elastic), by solve_qp's own method.
 

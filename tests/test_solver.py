@@ -1716,6 +1716,31 @@ def test_polish_fixes_the_rows_its_point_violates(monkeypatch):
     assert polished.objective == pytest.approx(sol.objective, rel=1e-12)
 
 
+def test_polish_stops_at_a_repeated_active_set(monkeypatch):
+    # seed 33 stopped after 3 iterations: the polish's rounds solve 4
+    # distinct active sets, and the 5th round's set is the one an earlier
+    # round solved, so every later round would repeat; the polish gives
+    # up there instead of spending its other 4 rounds.  (The diagnosis's
+    # elastic LPs polish too; each polish's sets are kept apart.)
+    polishes, real_polish, real_kkt = [], qp._polish, qp._Kkt
+
+    def recorded_polish(*args):
+        polishes.append([])
+        return real_polish(*args)
+
+    def recorded_kkt(pre, eps, cols=None, coup=None):
+        if cols is not None:
+            polishes[-1].append((cols.tobytes(), coup.tobytes()))
+        return real_kkt(pre, eps, cols, coup)
+
+    monkeypatch.setattr(qp, "_polish", recorded_polish)
+    monkeypatch.setattr(qp, "_Kkt", recorded_kkt)
+    _, p = build(*random_instance(33))
+    sol = solve_qp(p, SolverSettings(max_iter=3))
+    assert len(polishes[0]) == len(set(polishes[0])) == 4
+    assert sol.status == ITERATION_LIMIT and sol.message == "tolerances not reached"
+
+
 def test_max_step_matches_masked_ratio_test():
     # the ratio test against its masked form, min(-v[neg] / dv[neg]) over
     # dv < 0 (inf when nothing binds): the same bits, with zero slacks,
