@@ -229,6 +229,39 @@ def _no_case1_report(prop_id: str, cases: np.ndarray) -> PropertyReport:
     )
 
 
+def _market_reports(
+    market: str, ids: tuple[str, str, str], trade: np.ndarray, cap: float, mult: float,
+    mult_name: str, prices: np.ndarray, predicted: np.ndarray,
+) -> tuple[CaseTable, list[PropertyReport]]:
+    """One market's case table and its shared reports: the price identity
+    prices = predicted, the multiplier/slack biconditional and no case 1."""
+    cases, at_cap = _classify(trade, cap, mult)
+    resid = prices - predicted
+    reports = [
+        _identity_report(ids[0], resid, prices),
+        _biconditional_report(ids[1], mult, trade, cap, mult_name),
+        _no_case1_report(ids[2], cases),
+    ]
+    return CaseTable(market, cases, at_cap, mult > MULT_EPS, resid), reports
+
+
+def _extremal_report(
+    prop_id: str, cap: float, mult: float, mult_name: str, side: str, extreme: float, note: str
+) -> PropertyReport:
+    """Under uncapped trading a positive multiplier equals the `side`
+    ("max" or "min") price `extreme`; otherwise skipped with `note`."""
+    if not np.isfinite(cap) and mult > MULT_EPS:
+        gap = abs(mult - extreme)
+        ok = gap <= IDENT_RTOL * (1.0 + extreme)
+        return PropertyReport(
+            prop_id,
+            ok,
+            residual=gap,
+            witness=None if ok else f"{mult_name}={mult:.9g} vs {side} price {extreme:.9g}",
+        )
+    return PropertyReport(prop_id, True, skipped=True, note=note)
+
+
 def classify_cer_trading(
     plan: DispatchPlan, duals: NamedDuals, model: ValidatedModel
 ) -> tuple[CaseTable, list[PropertyReport]]:
@@ -243,19 +276,17 @@ def classify_cer_trading(
     cap = model.config.caps.c_cap
     pi_c = model.data.pi_c
     delta = duals.delta
-    cases, at_cap = _classify(plan.C, cap, delta)
-
-    predicted = delta - duals.lower["c0"] + duals.upper["C"] - duals.lower["C"]
-    resid = pi_c - predicted
-    reports = [
-        _identity_report("cer_price_identity", resid, pi_c),
-        _biconditional_report("cer_multiplier_iff_trade_slack", delta, plan.C, cap, "delta"),
-        _no_case1_report("cer_no_slack_trade_with_zero_multiplier", cases),
-    ]
+    table, reports = _market_reports(
+        "cer",
+        ("cer_price_identity", "cer_multiplier_iff_trade_slack",
+         "cer_no_slack_trade_with_zero_multiplier"),
+        plan.C, cap, delta, "delta", pi_c,
+        delta - duals.lower["c0"] + duals.upper["C"] - duals.lower["C"],
+    )
 
     # every hour capped with zero multiplier is only sustainable when the
     # quota can cover cap-level sales for the whole horizon
-    if np.isfinite(cap) and bool(np.all(cases == 3)):
+    if np.isfinite(cap) and bool(np.all(table.cases == 3)):
         total = cap * plan.horizon
         ok = total <= model.quota + IDENT_RTOL * (1.0 + model.quota)
         reports.append(
@@ -276,29 +307,9 @@ def classify_cer_trading(
             )
         )
 
-    if not np.isfinite(cap) and delta > MULT_EPS:
-        peak = float(np.max(pi_c))
-        gap = abs(delta - peak)
-        ok = gap <= IDENT_RTOL * (1.0 + peak)
-        reports.append(
-            PropertyReport(
-                "cer_shadow_price_is_max_price",
-                ok,
-                residual=gap,
-                witness=None if ok else f"delta={delta:.9g} vs max price {peak:.9g}",
-            )
-        )
-    else:
-        reports.append(
-            PropertyReport(
-                "cer_shadow_price_is_max_price",
-                True,
-                skipped=True,
-                note="needs uncapped CER trading and a positive quota multiplier",
-            )
-        )
-
-    table = CaseTable("cer", cases, at_cap, delta > MULT_EPS, resid)
+    reports.append(_extremal_report(
+        "cer_shadow_price_is_max_price", cap, delta, "delta", "max", float(np.max(pi_c)),
+        "needs uncapped CER trading and a positive quota multiplier"))
     return table, reports
 
 
@@ -316,64 +327,41 @@ def classify_rec_trading(
     cap = model.config.caps.r_cap
     pi_r = model.data.pi_r
     mu = duals.mu
-    cases, at_cap = _classify(plan.R, cap, mu)
+    floor = float(np.min(pi_r))
+    table, reports = _market_reports(
+        "rec",
+        ("rec_price_identity", "rps_multiplier_iff_rec_trade_slack",
+         "rec_no_slack_trade_with_zero_multiplier"),
+        plan.R, cap, mu, "mu", pi_r,
+        mu + duals.lower["r0"] + duals.upper["R"] - duals.lower["R"],
+    )
+    extremal = _extremal_report(
+        "rps_shadow_price_is_min_rec_price", cap, mu, "mu", "min", floor,
+        "needs uncapped REC trading and a positive RPS multiplier")
+    reports.append(extremal)
 
-    predicted = mu + duals.lower["r0"] + duals.upper["R"] - duals.lower["R"]
-    resid = pi_r - predicted
-    reports = [
-        _identity_report("rec_price_identity", resid, pi_r),
-        _biconditional_report("rps_multiplier_iff_rec_trade_slack", mu, plan.R, cap, "mu"),
-        _no_case1_report("rec_no_slack_trade_with_zero_multiplier", cases),
-    ]
-
-    if not np.isfinite(cap) and mu > MULT_EPS:
-        floor = float(np.min(pi_r))
-        gap = abs(mu - floor)
-        ok = gap <= IDENT_RTOL * (1.0 + floor)
+    if extremal.skipped or model.config.rec_inventory.i_max > 0:
+        # a live inventory buys above the floor whenever a pricier day
+        # is still ahead, so only the floor-driven case is decidable
+        note = extremal.note if extremal.skipped else (
+            "certificate arbitrage through the inventory can buy above the floor")
+        reports.append(PropertyReport("rec_purchases_at_min_price", True, skipped=True, note=note))
+    else:
+        buy_tol = IDENT_RTOL * (1.0 + float(np.max(np.abs(plan.R))))
+        buying = np.nonzero(plan.R < -buy_tol)[0]
+        off_floor = buying[pi_r[buying] > floor + IDENT_RTOL * (1.0 + floor)]
+        ok = len(off_floor) == 0
         reports.append(
             PropertyReport(
-                "rps_shadow_price_is_min_rec_price",
+                "rec_purchases_at_min_price",
                 ok,
-                residual=gap,
-                witness=None if ok else f"mu={mu:.9g} vs min price {floor:.9g}",
+                residual=0.0 if ok else float(pi_r[off_floor[0]] - floor),
+                witness=None
+                if ok
+                else f"bought {-plan.R[off_floor[0]]:.6g} at hour {off_floor[0] + 1} "
+                f"price {pi_r[off_floor[0]]:.6g} > floor {floor:.6g}",
             )
         )
-
-        if model.config.rec_inventory.i_max > 0:
-            # a live inventory buys above the floor whenever a pricier day
-            # is still ahead, so only the floor-driven case is decidable
-            reports.append(
-                PropertyReport(
-                    "rec_purchases_at_min_price",
-                    True,
-                    skipped=True,
-                    note="certificate arbitrage through the inventory can buy above the floor",
-                )
-            )
-        else:
-            buy_tol = IDENT_RTOL * (1.0 + float(np.max(np.abs(plan.R))))
-            buying = np.nonzero(plan.R < -buy_tol)[0]
-            off_floor = buying[pi_r[buying] > floor + IDENT_RTOL * (1.0 + floor)]
-            ok = len(off_floor) == 0
-            reports.append(
-                PropertyReport(
-                    "rec_purchases_at_min_price",
-                    ok,
-                    residual=0.0 if ok else float(pi_r[off_floor[0]] - floor),
-                    witness=None
-                    if ok
-                    else f"bought {-plan.R[off_floor[0]]:.6g} at hour {off_floor[0] + 1} "
-                    f"price {pi_r[off_floor[0]]:.6g} > floor {floor:.6g}",
-                )
-            )
-    else:
-        note = "needs uncapped REC trading and a positive RPS multiplier"
-        reports.append(
-            PropertyReport("rps_shadow_price_is_min_rec_price", True, skipped=True, note=note)
-        )
-        reports.append(PropertyReport("rec_purchases_at_min_price", True, skipped=True, note=note))
-
-    table = CaseTable("rec", cases, at_cap, mu > MULT_EPS, resid)
     return table, reports
 
 

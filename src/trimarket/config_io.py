@@ -156,8 +156,6 @@ def load_config(path) -> tuple[VppConfig, SynthSpec]:
 
 
 def _fmt(v: float) -> str:
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
     return format(float(v), ".17g")
 
 

@@ -960,7 +960,9 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
     early, once, and ends the solve if it says infeasible; otherwise its
     verdict settles a later failure too.  Data that is not finite, a NaN
     bound included, is answered "iteration_limit" before presolve, with
-    no iteration and the message "problem data is not finite".
+    no iteration and the message "problem data is not finite"; so is a
+    coefficient too large for the polish's KKT system (_refusal), with
+    the message "problem coefficients overflow the KKT system".
 
     `start`, optional, is an optimal Solution of a problem of p's size,
     such as a neighbour with one right-hand side moved.  Its active set is
@@ -971,8 +973,8 @@ def solve_qp(p: QpProblem, settings: SolverSettings | None = None,
     Every KKT system of the solve shares one pattern (kkt_pattern_scope).
     """
     s = settings if settings is not None else SolverSettings()
-    if not _finite(p):
-        return _empty_solution(p, ITERATION_LIMIT, message="problem data is not finite")
+    if refused := _refusal(p):
+        return _empty_solution(p, ITERATION_LIMIT, message=refused)
     try:
         pre = _presolve(p)
     except _InfeasibleProblem as exc:
@@ -1354,14 +1356,23 @@ def _polish(p: QpProblem, pre: _Presolved, act, hint) -> Solution | None:
 _UNDECIDED = "feasibility could not be decided"
 
 
-def _finite(p: QpProblem) -> bool:
-    """Whether p's data is finite: every coefficient and right-hand side, and no NaN bound.
+def _refusal(p: QpProblem) -> str | None:
+    """Why p's data is not solved, or None when it is.
 
-    A bound may be infinite, and one of _INF or more in magnitude reads so
-    (_presolve); a NaN one would read as no bound at all.
+    Data that is not finite is refused: every coefficient and right-hand
+    side must be, and no bound may be NaN.  A bound may be infinite, and
+    one of _INF or more in magnitude reads so (_presolve); a NaN one would
+    read as no bound at all.  So is a coefficient of a_eq or coup whose
+    square over _POLISH_EPS overflows: the polish's KKT system weighs each
+    product of two coefficients in one column by up to 1 / _POLISH_EPS.
     """
     arrays = (p.h_diag, p.f, p.a_eq.data, p.b_eq, p.coup.data, p.coup_rhs)
-    return all(np.isfinite(v).all() for v in arrays) and not np.isnan([p.lb, p.ub]).any()
+    if not all(np.isfinite(v).all() for v in arrays) or np.isnan([p.lb, p.ub]).any():
+        return "problem data is not finite"
+    big = float(max(np.max(np.abs(a.data), initial=0.0) for a in (p.a_eq, p.coup)))
+    if big * big / _POLISH_EPS == np.inf:  # a Python float overflows to inf silently
+        return "problem coefficients overflow the KKT system"
+    return None
 
 
 def _elastic(p: QpProblem, keep: tuple[int, ...], relax: int | None) -> QpProblem:
@@ -1438,8 +1449,8 @@ def _diagnose(p: QpProblem) -> tuple[str, str]:
     infinite one, an empty box).  Any other outcome leaves the verdict
     undecided.  A shortfall is none at most the solver tolerance times 1
     + p's largest |right-hand side|.  One LP settles a feasible problem
-    and names a floor conflict, and three any other.  p's data must be
-    finite (_finite).
+    and names a floor conflict, and three any other.  p's data must not
+    be refused (_refusal).
     """
     tol = SolverSettings().tol * (1.0 + float(np.max(np.abs(np.append(p.b_eq, p.coup_rhs)))))
 
@@ -1477,6 +1488,6 @@ def diagnose_infeasibility(p: QpProblem) -> str:
     conflicting pins.  One elastic LP decides it, or three name a
     conflict other than the floor's (_diagnose), each solved by
     solve_qp's own interior point.
-    Data that is not finite (_finite) is not diagnosed.
+    Data that solve_qp refuses (_refusal) is not diagnosed.
     """
-    return _diagnose(p)[1] if _finite(p) else _UNDECIDED
+    return _UNDECIDED if _refusal(p) else _diagnose(p)[1]

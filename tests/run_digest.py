@@ -6,6 +6,9 @@ The runs are the ones whose outputs must stay byte-identical across a
 change that is not meant to move them:
 
 - ``solve --properties full`` on a synthetic week (T=168);
+- ``solve --properties full`` on the same week with every trade cap
+  infinite and the REC inventory off, where the extremal price identities
+  and the REC purchase-timing check are live, not skipped;
 - ``solve --properties none`` on a synthetic four weeks (T=672);
 - ``inventory-matrix`` on the week;
 - ``sweep --param alpha --grid 0:0.4:5`` on the week.
@@ -45,8 +48,14 @@ def _runs(work: Path, seed: int) -> list[list[str]]:
         save_config(cfg, default_config(horizon), SynthSpec(seed=seed, horizon=horizon))
         runs.append(["gen-data", "--config", str(cfg), "--out", str(data)])
         inputs[horizon] = ["--config", str(cfg), "--data", str(data)]
+    uncapped = work / f"model_{WEEK}_uncapped.cfg"
+    inf = float("inf")
+    save_config(uncapped, default_config(WEEK).with_caps(g_cap=inf, r_cap=inf, c_cap=inf)
+                .with_inventories(rec=False, cer=True), SynthSpec(seed=seed, horizon=WEEK))
     return runs + [
         ["solve", *inputs[WEEK], "--out", str(work / "solve_full"), "--properties", "full"],
+        ["solve", "--config", str(uncapped), "--data", str(work / f"market_{WEEK}.csv"),
+         "--out", str(work / "solve_uncapped"), "--properties", "full"],
         ["solve", *inputs[MONTH], "--out", str(work / "solve_none"), "--properties", "none"],
         ["inventory-matrix", *inputs[WEEK], "--out", str(work / "matrix")],
         ["sweep", *inputs[WEEK], "--out", str(work / "sweep"),

@@ -213,7 +213,8 @@ class TestFailingWitnesses:
 
     Both cases trade at the cap every hour with a zero multiplier (REC cap
     50, CER cap 10); each doctored copy breaks one side of the
-    multiplier/slack link.
+    multiplier/slack link.  The uncapped week's multipliers, moved off
+    their extreme prices, break the extremal identities.
     """
 
     def test_positive_multiplier_without_slack_hour(self, market):
@@ -240,6 +241,36 @@ class TestFailingWitnesses:
         assert not rep[case1_id].holds and rep[case1_id].residual == 1.0
         assert rep[case1_id].witness == "slack trade with zero multiplier at hour 3 (1 hours total)"
         assert table.counts() == {1: 1, 2: 0, 3: 5, 4: 0}
+
+    def test_extremal_identity_off_by_one(self, market, uncapped_result):
+        # the uncapped week's multiplier moved one above its extreme price
+        # (delta above max pi_C, mu above min pi_R): the extremal identity
+        # fails by 1, and its witness names both sides
+        _, classify, mult, *_ = market
+        prop_id, prices, witness = {
+            "delta": ("cer_shadow_price_is_max_price", uncapped_result.model.data.pi_c.max(),
+                      "delta=42.0892258 vs max price 41.0892258"),
+            "mu": ("rps_shadow_price_is_min_rec_price", uncapped_result.model.data.pi_r.min(),
+                   "mu=14.1241704 vs min price 13.1241704"),
+        }[mult]
+        duals = dataclasses.replace(uncapped_result.duals, **{mult: float(prices) + 1.0})
+        _, reports = classify(uncapped_result.plan, duals, uncapped_result.model)
+        rep = _by_id(reports)[prop_id]
+        assert not rep.skipped and not rep.holds
+        assert rep.residual == 1.0
+        assert rep.witness == witness
+
+
+def test_quota_cover_failure_is_witnessed():
+    # the capped-sale case's plan judged against a quota a hundredth the
+    # size: six hours at the cap of 10 no longer fit inside it
+    model, p, sol, plan = _scenario(cer_sale_capped_case)
+    small = dataclasses.replace(
+        model, config=model.config.with_policy(alpha=model.config.policy.alpha / 100))
+    _, reports = classify_cer_trading(plan, named_duals(p, sol), small)
+    rep = _by_id(reports)["cer_always_capped_needs_quota_cover"]
+    assert not rep.skipped and not rep.holds
+    assert rep.witness == "cap*T=60 exceeds quota 0.864"
 
 
 def _jittered_data(T=168):

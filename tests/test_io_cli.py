@@ -81,6 +81,11 @@ class TestConfigFormat:
         cfg2, synth2 = parse_config_text(config_text(cfg, synth))
         assert cfg2 == cfg
         assert synth2 == synth
+        # an uncapped config writes and reads back its infinite caps
+        uncapped = cfg.with_caps(g_cap=np.inf, r_cap=np.inf, c_cap=np.inf)
+        text = config_text(uncapped, synth)
+        assert "caps.g_cap = inf\ncaps.r_cap = inf\ncaps.c_cap = inf\n" in text
+        assert parse_config_text(text) == (uncapped, synth)
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match=r"cfg:3: unknown key 'tg\.z'"):
@@ -1020,6 +1025,8 @@ _EXTREMES = [0.0, -0.0, -1.0, 5e-324, 1e-320, 1e-300, 1e13, 1e15, 1e100, 1e150, 
 @example(target="ess.eta_d", value=1e-320)
 @example(target="tg.g_max", value=1e308)
 @example(target="tg.b", value=1e150)
+@example(target="tg.k", value=1e200)
+@example(target="tg.k", value=1e300)
 def test_extreme_input_exits_cleanly(target, value):
     # one config key, or one cell (row, column) of the market CSV, of the
     # T=24 default set to an extreme value: solve answers with an exit

@@ -519,6 +519,28 @@ class TestInfeasibility:
             ITERATION_LIMIT, "problem data is not finite", 0)
         assert sites.calls == []
 
+    def test_coefficients_that_overflow_the_polish_are_not_solved(self):
+        # the polish weighs each product of two coefficients in one column
+        # by up to 1 / 1e-6, so tg.k of the T=24 default is solvable up to
+        # sqrt(float max * 1e-6) ~ 1.34e151: just below it the solve runs
+        # and diverges, just above it the data is refused before presolve
+        # and its feasibility is undecided (pyproject turns any overflow
+        # RuntimeWarning into an error)
+        cfg = default_config(24)
+        data = synth_data(SynthSpec(seed=7, horizon=24))
+
+        def scaled(k):
+            return build(dataclasses.replace(cfg, tg=dataclasses.replace(cfg.tg, k=k)), data)[1]
+
+        sol = solve_qp(scaled(1.34e151))
+        assert (sol.status, sol.message, sol.iterations) == (
+            ITERATION_LIMIT, "diverging iterates", 1)
+        p = scaled(1.5e151)
+        sol = solve_qp(p)
+        assert (sol.status, sol.message, sol.iterations) == (
+            ITERATION_LIMIT, "problem coefficients overflow the KKT system", 0)
+        assert diagnose_infeasibility(p) == "feasibility could not be decided"
+
     def test_huge_load_leaves_feasibility_undecided(self):
         # with the load at hour 6 of the uncapped T=24 default at 1e13 or
         # more, the interior point's iterates diverge, and so do the
