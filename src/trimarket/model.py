@@ -52,7 +52,8 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
+
+from ._kernels import Csr
 
 __all__ = [
     "ModelWarning",
@@ -408,16 +409,18 @@ class QpProblem:
 
     The only curvature is -2a on the TG-output diagonal.  Every equality row
     and the two coupling rows are named so dual multipliers can be recovered
-    by constraint, not by position.
+    by constraint, not by position.  a_eq and coup are trimarket's own
+    CSR matrices (trimarket._kernels.Csr: data, indices, indptr, shape,
+    ``@`` and ``.T @``); solve_qp also takes SciPy sparse matrices there.
     """
 
     h_diag: np.ndarray
     f: np.ndarray
-    a_eq: sp.csr_matrix
+    a_eq: Csr
     b_eq: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    coup: sp.csr_matrix
+    coup: Csr
     coup_rhs: np.ndarray
     layout: VariableLayout
 
@@ -445,7 +448,7 @@ class QpProblem:
         return float(0.5 * np.dot(self.h_diag, x * x) + np.dot(self.f, x))
 
 
-def _stencil(terms, row_pos: dict[str, int], row_step: int, shape: tuple[int, int]) -> sp.csr_matrix:
+def _stencil(terms, row_pos: dict[str, int], row_step: int, shape: tuple[int, int]) -> Csr:
     """Sparse matrix holding every (row, role, offset, coefficient) term at each hour.
 
     At hour t a term lands in row ``row_step*t + row_pos[row]`` and column
@@ -460,9 +463,7 @@ def _stencil(terms, row_pos: dict[str, int], row_step: int, shape: tuple[int, in
     t = np.arange(T)[:, None]
     r = row_step * t + [row_pos[row] for row in rows]
     c = 13 * ((t + offsets) % T) + [_ROLE_POS[role] for role in roles]
-    m = sp.csr_matrix((np.tile(coefs, T), (r.ravel(), c.ravel())), shape=shape)
-    m.eliminate_zeros()
-    return m
+    return Csr.from_coo(np.tile(coefs, T), r.ravel(), c.ravel(), shape)
 
 
 def _finite(value: float, what: str) -> float:

@@ -149,17 +149,14 @@ elastic LP's own stall ends its run undiagnosed.
 
 from __future__ import annotations
 
+import importlib
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dgetrf, dgetrs, dpbtrf, dtbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
-# never called: kept only for the benchmark's tracer until ROADMAP item 4 re-points it
-from scipy.sparse.linalg import splu  # noqa: F401
 
+from ._kernels import Csr, dgetrf, dgetrs, dpbtrf, dtbtrs
 from .model import QpProblem
 
 __all__ = [
@@ -171,6 +168,18 @@ __all__ = [
     "kkt_residuals",
     "diagnose_infeasibility",
 ]
+
+
+def __getattr__(name: str):
+    """SciPy's splu, imported only when something asks for qp.splu (PEP 562).
+
+    No solve calls it; perfbench/tracing.py wraps it by name, so a traced
+    run imports scipy.sparse.linalg and an untraced command imports nothing.
+    """
+    if name == "splu":
+        return importlib.import_module("scipy.sparse.linalg").splu
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # statuses a Solution can carry
 OPTIMAL = "optimal"
@@ -316,27 +325,30 @@ class _InfeasibleProblem(Exception):
 _INF = 1e20
 
 
-def _csr(data: np.ndarray, cols: np.ndarray, counts: np.ndarray, n: int) -> sp.csr_matrix:
+def _csr(data: np.ndarray, cols: np.ndarray, counts: np.ndarray, n: int) -> Csr:
     """The CSR matrix with n columns whose row i holds the next counts[i] entries of data, cols."""
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return sp.csr_matrix((data, cols, indptr), shape=(len(counts), n))
+    return Csr(data, cols, np.concatenate([[0], np.cumsum(counts)]), (len(counts), n))
 
 
-def _canonical(m) -> sp.csr_matrix:
-    """m in CSR with each row's columns distinct and ascending, m itself left as it is."""
-    m = m.tocsr()
-    if not m.has_canonical_format:
-        m = m.copy()  # tocsr() hands a CSR matrix back itself
-        m.sum_duplicates()
-    return m
+def _as_csr(m) -> Csr:
+    """m as a Csr: m itself, or a SciPy sparse matrix's CSR arrays, not copied."""
+    if isinstance(m, Csr):
+        return m
+    m = m.tocsr()  # SciPy hands a CSR matrix back itself
+    return Csr(m.data, m.indices, m.indptr, m.shape)
 
 
-def _without_pins(m: sp.csr_matrix, rows: np.ndarray, pinned: np.ndarray, col: np.ndarray):
+def _entry_rows(m: Csr) -> np.ndarray:
+    """The row of each of m's stored entries."""
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+
+
+def _without_pins(m: Csr, rows: np.ndarray, pinned: np.ndarray, col: np.ndarray):
     """The entries of m's rows marked in `rows` outside the pinned columns, as _csr takes them.
 
     Each kept entry's column is renumbered by col; returns (data, cols, counts).
     """
-    row = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    row = _entry_rows(m)
     keep = rows[row] & ~pinned[m.indices]
     return m.data[keep], col[m.indices[keep]], np.bincount(row[keep], minlength=m.shape[0])[rows]
 
@@ -353,14 +365,14 @@ class _Presolved:
     sides absorb the pinned values, so the barrier only ever sees strictly
     widenable intervals.  a_ext has one row per equality row, and both
     blocks are canonical, an entry that a_eq or coup stores twice being
-    summed once here; with nothing pinned, a_ext is a canonical CSR a_eq
-    itself.  Every remaining inequality sits in one block g x <=
-    h, read by the solver as g x + w = h with one slack w >= 0 and one
-    multiplier z >= 0 per row: first -x_j <= -lb_j for each column in
-    lo_idx, then x_j <= ub_j for each in up_idx, then the kept coupling
-    rows.  Both blocks are written as CSR arrays: each bound row of g
-    holds one +-1 entry, so g.indices[i] is bound row i's column and
-    g.data[i] its sign.
+    summed once here; with nothing pinned, a_ext is a canonical a_eq
+    itself (its arrays in a Csr when a_eq is a SciPy matrix).  Every
+    remaining inequality sits in one block g x <= h, read by the solver
+    as g x + w = h with one slack w >= 0 and one multiplier z >= 0 per
+    row: first -x_j <= -lb_j for each column in lo_idx, then x_j <= ub_j
+    for each in up_idx, then the kept coupling rows.  Both blocks are
+    written as CSR arrays: each bound row of g holds one +-1 entry, so
+    g.indices[i] is bound row i's column and g.data[i] its sign.
 
     A bound of _INF or more in magnitude is read as infinite, with its
     sign.
@@ -373,7 +385,7 @@ class _Presolved:
 
     q: np.ndarray              # diagonal of the (PSD) minimization Hessian
     c: np.ndarray
-    a_ext: sp.csr_matrix       # the equalities in the unpinned columns
+    a_ext: Csr                 # the equalities in the unpinned columns
     b_ext: np.ndarray          # b_eq less the pinned values' part
     unpinned: np.ndarray       # the variable of each column
     pin_idx: np.ndarray        # the pinned variables
@@ -381,12 +393,12 @@ class _Presolved:
     lo_idx: np.ndarray         # columns with a finite lower bound
     up_idx: np.ndarray
     both: np.ndarray           # the (lower, upper) bound rows of g of each column with both
-    g: sp.csr_matrix           # inequality block: lower bounds, upper bounds, coupling
+    g: Csr                     # inequality block: lower bounds, upper bounds, coupling
     h: np.ndarray
     n_b: int                   # bound rows of g, which lead the block
     keep_rows: list[int]
     dropped_rows: list[int]    # coupling rows absorbed into pins
-    coup: sp.csr_matrix        # the coupling rows, canonical, in every column
+    coup: Csr                  # the coupling rows, canonical, in every column
     scale_p: float             # primal and dual scales of _meets_tolerances
     scale_d: float
 
@@ -403,7 +415,8 @@ def _presolve(p: QpProblem) -> _Presolved:
     x_pin = np.where(pinned, lb, 0.0)
 
     keep_rows, dropped_rows = [], []
-    a, coup = _canonical(p.a_eq), _canonical(p.coup)
+    # the caller's blocks, a Csr or a SciPy matrix, are read as Csr once, here
+    a, coup = _as_csr(p.a_eq).canonical(), _as_csr(p.coup).canonical()
     for k in range(coup.shape[0]):
         cols = coup.indices[coup.indptr[k] : coup.indptr[k + 1]]
         vals = coup.data[coup.indptr[k] : coup.indptr[k + 1]]
@@ -514,10 +527,14 @@ def _finalize(p: QpProblem, pre: _Presolved, x, y, z) -> Solution:
     zl[pre.pin_idx] = np.maximum(w[pre.pin_idx], 0.0)
     zu[pre.pin_idx] = np.maximum(-w[pre.pin_idx], 0.0)
 
+    # a point of data near the float limit (a load of 1e200) can square to
+    # inf; its objective is then inf or NaN, which the gate's test rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        objective = p.objective(x_full)
     sol = Solution(
         status=OPTIMAL,
         x=x_full,
-        objective=p.objective(x_full),
+        objective=objective,
         eq_duals=lam,
         ineq_duals=IneqDuals(lower=zl, upper=zu, coupling=coupling),
     )
@@ -588,6 +605,45 @@ _FACTOR_ERRORS = (RuntimeError, MemoryError)
 _HUGE_PIVOT = 1e128
 
 
+def reverse_cuthill_mckee(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """A reverse Cuthill-McKee order of a symmetric n x n pattern.
+
+    The pattern has an entry at each (rows[t], cols[t]), duplicates
+    allowed.  The order is node for node SciPy's
+    csgraph.reverse_cuthill_mckee(..., symmetric_mode=True) of the
+    pattern's canonical CSR matrix (Cuthill & McKee 1969; George & Liu,
+    Computer Solution of Large Sparse Positive Definite Systems, 1981).
+    A node's degree counts its distinct neighbours, itself twice.  Each
+    breadth-first search starts from the first unvisited node in
+    np.argsort's order of the int32 degrees, and each node it visits
+    appends its unvisited neighbours by degree, ties in column order, so
+    each row's neighbours are sorted so once.  The order found is
+    reversed.  Returns int32 node numbers.
+    """
+    key = np.sort(np.asarray(rows, dtype=np.int64) * n + cols)  # row-major, columns ascending
+    key = key[np.diff(key, prepend=-1) != 0]  # each entry once (np.unique sorts no faster)
+    r, c = np.divmod(key, n)
+    degree = np.bincount(r, minlength=n).astype(np.int32)
+    degree[r[r == c]] += 1
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=n))]).tolist()
+    nbr = c[np.lexsort((degree[c], r))].tolist()  # stable: ties keep column order
+    seen, order = [False] * n, []
+    for seed in np.argsort(degree).tolist():
+        if seen[seed]:
+            continue
+        seen[seed] = True
+        order.append(seed)
+        head = len(order) - 1
+        while head < len(order):
+            i = order[head]
+            head += 1
+            for j in nbr[ptr[i] : ptr[i + 1]]:
+                if not seen[j]:
+                    seen[j] = True
+                    order.append(j)
+    return np.array(order[::-1], dtype=np.int32)
+
+
 def _layout(rows: np.ndarray, cols: np.ndarray, nr: int, n_c: int):
     """Band-plus-border layout of a symmetric nr x nr matrix for the band Cholesky.
 
@@ -596,7 +652,7 @@ def _layout(rows: np.ndarray, cols: np.ndarray, nr: int, n_c: int):
     columns, chosen by role (the coupling rows), never by density: one
     sparse coupling row left in the core widened a polish's band from 7
     to 48-120.  The core goes in a reverse Cuthill-McKee order of its own
-    pattern, a CSR matrix made from the entries inside it.  The store is
+    pattern, the entries inside it.  The store is
     LAPACK band storage of the core's lower band, (i, j) at [i - j, j] of
     a column-major (bw + 1) x core array, then, column-major, the last
     n_c columns; the border's rows are its columns transposed and are not
@@ -606,9 +662,7 @@ def _layout(rows: np.ndarray, cols: np.ndarray, nr: int, n_c: int):
     """
     core = nr - n_c
     in_core = (rows < core) & (cols < core)
-    pattern = sp.csr_matrix((np.ones(int(in_core.sum())), (rows[in_core], cols[in_core])),
-                            shape=(core, core))
-    order = np.concatenate([reverse_cuthill_mckee(pattern, symmetric_mode=True),
+    order = np.concatenate([reverse_cuthill_mckee(rows[in_core], cols[in_core], core),
                             np.arange(core, nr)])  # the matrix's row at each position
     where = np.empty(nr, dtype=np.int64)
     where[order] = np.arange(nr)
@@ -819,8 +873,8 @@ class _Kkt:
     B stacks the rows of a_ext and the kept coupling rows, in every
     column, read straight from the CSR arrays of a_ext and g.  k_true,
     the unshifted matrix every solve is refined against, is held as its
-    blocks and never assembled: `b`, B in CSC, with `b_t`, its transpose,
-    a CSR view of the same arrays, and `diag`, the whole diagonal, which
+    blocks and never assembled: `b_t`, B' in CSR, which is B's CSC arrays,
+    with `b`, B, its transpose view, and `diag`, the whole diagonal, which
     set_diagonal gets.  The factor adds `eps` to the primal diagonal and
     subtracts it from the dual one, which makes the matrix quasi-definite
     (Vanderbei 1995).  The interior point uses _KKT_REG with B whole.
@@ -860,8 +914,8 @@ class _Kkt:
         if cols is not None:  # the polish's system: B outside cols and coup is 0
             on = np.concatenate([np.ones(pre.a_ext.shape[0], dtype=bool), coup])
             vals[~(np.repeat(cols, np.diff(pat.e_ptr)) & on[pat.e_row])] = 0.0
-        self.b = sp.csc_matrix((vals, pat.e_row, pat.e_ptr), shape=(pat.mb, n))
-        self.b_t = self.b.T  # a CSR view of b's arrays, made once: each .T costs a constructor
+        self.b_t = Csr(vals, pat.e_row, pat.e_ptr, (n, pat.mb))  # B' in CSR: B's CSC arrays
+        self.b = self.b_t.T
         self.shift = np.full(n + pat.mb, eps)
         self.shift[n:] = -eps
         self.pair_val = -np.take(vals, pat.pair_t) * np.take(vals, pat.pair_s)
@@ -1039,9 +1093,15 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings, diagnose: 
     # the bound rows of the inequality block fold into the primal diagonal
     # D1 of the KKT matrix, and the band factor eliminates every
     # variable; its coupling rows stay bordered next to A
-    bound_var = np.concatenate([pre.lo_idx, pre.up_idx])  # variable of each bound row
+    bound_var, sign = g.indices[:n_b], g.data[:n_b]  # each bound row's variable and sign
     n_bound = np.bincount(bound_var, minlength=n)  # bound rows per variable
-    a_t, g_t, gb_t = a.T, g.T, g[:n_b].T.tocsr()
+    a_t, g_t = a.T, g.T
+
+    def bound_t(v):
+        # the bound rows' part of g' v, v holding one entry per bound row;
+        # a variable's two rows add in row order from 0.0, as in g' v
+        return np.bincount(bound_var, sign * v, minlength=n)
+
     ratio = np.empty(m_comp)  # _max_step's scratch
     # the KKT diagonal (its equality rows stay 0) and each direction's
     # right-hand side, rewritten in place
@@ -1062,12 +1122,14 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings, diagnose: 
             # a copy: as a view, x would keep the whole solution alive through
             # the iteration, above memory the allocator could otherwise hand
             # back before the polish (T=8760 then peaked at 191 MB, not 178)
-            x = kkt.solve(np.concatenate([gb_t @ h[:n_b], b, h[n_b:]]), _KKT_RTOL)[:n].copy()
+            x = kkt.solve(np.concatenate([bound_t(h[:n_b]), b, h[n_b:]]), _KKT_RTOL)[:n].copy()
             dual = kkt.solve(np.concatenate([-c, np.zeros(m + m_comp - n_b)]), _KKT_RTOL)
         except _FACTOR_ERRORS:
             return None, None, 0, False, "KKT factorization failed", None
         y = -dual[n : n + m]
-        w, z = h - g @ x, np.concatenate([gb_t.T @ dual[:n], dual[n + m :]])
+        # each bound row's multiplier is its sign times its variable's entry,
+        # added to 0.0 as a sparse product adds it (no -0.0)
+        w, z = h - g @ x, np.concatenate([0.0 + sign * dual[:n][bound_var], dual[n + m :]])
         for v in (w, z):
             shift = float(np.max(-v, initial=-1.0))
             if shift >= 0.0:
@@ -1141,7 +1203,7 @@ def _interior_point(p: QpProblem, pre: _Presolved, s: SolverSettings, diagnose: 
         def solve_direction(rc, rtol):
             # Newton direction whose linearized complementarity change
             # z*dw + w*dz equals rc, refined to rtol
-            np.subtract(neg_rd, gb_t @ ((rc[:n_b] + zrp_b) / w_b), out=rhs[:n])
+            np.subtract(neg_rd, bound_t((rc[:n_b] + zrp_b) / w_b), out=rhs[:n])
             np.subtract(neg_rp_c, rc[n_b:] / z_c, out=rhs[n + m :])
             step = kkt.solve(rhs, rtol)
             dx = step[:n]
@@ -1388,10 +1450,11 @@ def _elastic(p: QpProblem, keep: tuple[int, ...], relax: int | None) -> QpProble
     2008).
     """
     n, m, k = p.n, p.m_eq, p.coup.shape[0]
-    a, coup = p.a_eq.tocoo(), p.coup.tocoo()
-    kept = np.isin(coup.row, keep)
-    a_parts = [(a.row, a.col, a.data)]
-    c_parts = [(coup.row[kept], coup.col[kept], coup.data[kept])]
+    a, coup = _as_csr(p.a_eq), _as_csr(p.coup)
+    c_row = _entry_rows(coup)
+    kept = np.isin(c_row, keep)
+    a_parts = [(_entry_rows(a), a.indices, a.data)]
+    c_parts = [(c_row[kept], coup.indices[kept], coup.data[kept])]
     if relax is None:
         n_t, rows = 2 * m, np.arange(m)
         a_parts += [(rows, n + rows, np.ones(m)), (rows, n + m + rows, -np.ones(m))]
@@ -1401,7 +1464,7 @@ def _elastic(p: QpProblem, keep: tuple[int, ...], relax: int | None) -> QpProble
 
     def stacked(parts, rows):
         r, c, v = (np.concatenate(part) for part in zip(*parts))
-        return sp.csr_matrix((v, (r, c)), shape=(rows, n + n_t))
+        return Csr.from_coo(v, r, c, (rows, n + n_t))
 
     return replace(p, h_diag=np.zeros(n + n_t), f=np.repeat([0.0, -1.0], [n, n_t]),
                    a_eq=stacked(a_parts, m), lb=np.append(p.lb, np.zeros(n_t)),

@@ -10,6 +10,7 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 
+from _sparse import scipy_csr
 from trimarket.model import QpProblem
 from trimarket.qp import (
     INFEASIBLE,
@@ -35,7 +36,7 @@ def oracle_solve(p: QpProblem, max_iter: int = 2000) -> Solution:
     if n > 40:
         raise ValueError(f"oracle_solve is restricted to 13*T <= 40 variables, got {n}")
 
-    a_eq = p.a_eq.toarray()
+    a_eq = scipy_csr(p.a_eq).toarray()
     b_eq = p.b_eq
     q = -p.h_diag
     c = -p.f
@@ -44,7 +45,7 @@ def oracle_solve(p: QpProblem, max_iter: int = 2000) -> Solution:
     lo = np.nonzero(np.isfinite(p.lb))[0]
     up = np.nonzero(np.isfinite(p.ub))[0]
     eye = np.eye(n)
-    g_mat = np.vstack([0.0 - eye[lo], eye[up], p.coup.toarray()])
+    g_mat = np.vstack([0.0 - eye[lo], eye[up], scipy_csr(p.coup).toarray()])
     h_vec = np.concatenate([-p.lb[lo], p.ub[up], p.coup_rhs])
 
     start = linprog(
@@ -163,7 +164,7 @@ def _probe(p: QpProblem, drop_coupling: tuple[int, ...] = ()) -> str:
     infinite) or a NaN bound is not handed to HiGHS: "unknown".
     """
     keep = [k for k in range(p.coup.shape[0]) if k not in drop_coupling]
-    a_ub = p.coup[keep, :] if keep else None
+    a_ub = scipy_csr(p.coup)[keep, :] if keep else None
     b_ub = p.coup_rhs[keep] if keep else None
     # each array, and the bound its entries' magnitudes must stay below (NaN fails either)
     limits = [(p.a_eq.data, np.inf), (p.b_eq, _INF)] + ([(a_ub.data, np.inf), (b_ub, _INF)]
@@ -174,7 +175,7 @@ def _probe(p: QpProblem, drop_coupling: tuple[int, ...] = ()) -> str:
         c=np.zeros(p.n),
         A_ub=a_ub,
         b_ub=b_ub,
-        A_eq=p.a_eq,
+        A_eq=scipy_csr(p.a_eq),
         b_eq=p.b_eq,
         bounds=np.column_stack([p.lb, p.ub]),
         method="highs",

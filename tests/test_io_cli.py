@@ -987,24 +987,48 @@ class TestCli:
         assert out.returncode == 0
         assert __version__ in out.stdout
 
-    def test_cli_import_leaves_scipy_optimize_out(self):
-        # nothing needs it: the infeasibility diagnosis solves its elastic
-        # LPs with the package's own interior point, so an infeasible
-        # solve, diagnosed, does not import it either
+    def test_cli_commands_import_no_scipy_package(self, tmp_path):
+        # a cold command loads two of SciPy's compiled modules, straight
+        # from their files, and no SciPy package: not at import, and not
+        # later in a command either, so the import time saved is not just
+        # moved into the first solve.  The commands: solve with every
+        # property and its charts, an infeasible solve, whose diagnosis
+        # solves its elastic LPs with the package's own interior point,
+        # and a sweep
         script = (
-            "import sys, trimarket.cli\n"
-            "from trimarket.model import assemble_qp, default_config, validate_config\n"
-            "from trimarket.qp import solve_qp\n"
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from trimarket.cli import main\n"
+            "from trimarket.config_io import save_config, save_market_csv\n"
+            "from trimarket.model import default_config\n"
             "from trimarket.scenarios import SynthSpec, synth_data\n"
-            "print('scipy.optimize' in sys.modules)\n"
-            "cfg = default_config(24).with_inventories(rec=False, cer=True)\n"
-            "cfg = cfg.with_caps(r_cap=0.0).with_policy(r=1.0)\n"
-            "model = validate_config(cfg, synth_data(SynthSpec(seed=7, horizon=24)))\n"
-            "print(solve_qp(assemble_qp(model)).status, 'scipy.optimize' in sys.modules)\n"
+            "def scipy():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print('@', scipy())\n"
+            "work = Path(sys.argv[1])\n"
+            "synth = SynthSpec(seed=7, horizon=24)\n"
+            "save_market_csv(work / 'market.csv', synth_data(synth))\n"
+            "cfg = default_config(24)\n"
+            "infeasible = cfg.with_inventories(rec=False, cer=True)\n"
+            "infeasible = infeasible.with_caps(r_cap=0.0).with_policy(r=1.0)\n"
+            "for name, c in (('model.cfg', cfg), ('infeasible.cfg', infeasible)):\n"
+            "    save_config(work / name, c, synth)\n"
+            "data = ['--data', str(work / 'market.csv')]\n"
+            "for argv in (['solve', '--config', str(work / 'model.cfg'), *data,\n"
+            "              '--out', str(work / 'full'), '--properties', 'full'],\n"
+            "             ['solve', '--config', str(work / 'infeasible.cfg'), *data,\n"
+            "              '--out', str(work / 'infeasible')],\n"
+            "             ['sweep', '--config', str(work / 'model.cfg'), *data,\n"
+            "              '--out', str(work / 'sweep'), '--param', 'r', '--grid', '0.2:0.4:3']):\n"
+            "    print('@', argv[0], main(argv), scipy())\n"
         )
-        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                             text=True)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split("\n") == ["False", "infeasible False", ""]
+        kernels = "['scipy.linalg._flapack', 'scipy.sparse._sparsetools']"
+        assert [line for line in out.stdout.split("\n") if line.startswith("@")] == [
+            f"@ {kernels}", f"@ solve 0 {kernels}", f"@ solve 2 {kernels}", f"@ sweep 0 {kernels}"]
+        assert (tmp_path / "full" / "charts" / "tg_output.svg").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1027,6 +1051,7 @@ _EXTREMES = [0.0, -0.0, -1.0, 5e-324, 1e-320, 1e-300, 1e13, 1e15, 1e100, 1e150, 
 @example(target="tg.b", value=1e150)
 @example(target="tg.k", value=1e200)
 @example(target="tg.k", value=1e300)
+@example(target=(11, 5), value=1e200)
 def test_extreme_input_exits_cleanly(target, value):
     # one config key, or one cell (row, column) of the market CSV, of the
     # T=24 default set to an extreme value: solve answers with an exit

@@ -22,6 +22,7 @@ from trimarket.model import (
 )
 
 from _instances import build, hand_case, random_instance
+from _sparse import scipy_csr
 
 
 def _series(T, v):
@@ -193,7 +194,7 @@ class TestAssembly:
         cfg, data = random_instance(11, horizon=3)
         _, p = build(cfg, data)
         lay = p.layout
-        row = p.a_eq[p.eq_row_index("ess_dyn", 0)].toarray().ravel()
+        row = scipy_csr(p.a_eq)[p.eq_row_index("ess_dyn", 0)].toarray().ravel()
         # hour 1 references the final hour's state of charge
         q_last = lay.indices("q")[-1]
         assert row[q_last] != 0.0
@@ -211,7 +212,7 @@ class TestAssembly:
                 warnings.simplefilter("ignore", ModelWarning)  # k and r out of their usual range
                 _, p = build(c, d)
             for m in (p.a_eq, p.coup):
-                assert np.all(m.data != 0.0) and m.has_canonical_format
+                assert np.all(m.data != 0.0) and scipy_csr(m).has_canonical_format
 
     def test_quota_override_changes_only_quota_row(self):
         cfg, data = hand_case()

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import trimarket.qp as qp
+from trimarket._kernels import Csr, _Transpose
 from trimarket.model import (
     EssParams,
     InventoryParams,
@@ -35,6 +36,7 @@ from trimarket.scenarios import SynthSpec, parameter_sweep, run_scenario, synth_
 
 from _instances import build, hand_case, no_supply_case, random_instance, solve
 from _oracle import oracle_diagnosis, oracle_solve
+from _sparse import scipy_csr
 
 
 @pytest.fixture(scope="module")
@@ -311,7 +313,7 @@ class TestSolverBehaviour:
         # the same quota row with c0's coefficient 1 stored as two
         # entries, 2 and -1, which presolve sums before it takes the box
         # minimum
-        coup = p.coup.tocsr()
+        coup = scipy_csr(p.coup)
         c0 = p.layout.indices("c0")[0]
         assert coup.indptr[1:].tolist() == [2, 3] and coup.indices[2] == c0
         twice = sp.csr_matrix((np.concatenate([coup.data[:2], [2.0, -1.0]]),
@@ -421,7 +423,7 @@ class TestInfeasibility:
 
         def counting(lp):
             # a dropped coupling row is an empty one
-            coupling_rows.append(int(np.count_nonzero(np.diff(lp.coup.tocsr().indptr))))
+            coupling_rows.append(int(np.count_nonzero(np.diff(lp.coup.indptr))))
             return real(lp)
 
         monkeypatch.setattr(qp, "linprog", counting)
@@ -493,7 +495,7 @@ class TestInfeasibility:
         quota or a NaN lower bound."""
         _, p = build(*hand_case())
         if field == "a_eq":
-            a_eq = p.a_eq.copy()
+            a_eq = scipy_csr(p.a_eq).copy()
             a_eq.data[0] = np.inf
             return dataclasses.replace(p, a_eq=a_eq)
         if field == "coup_rhs":
@@ -783,8 +785,9 @@ class TestKktFactorization:
     def test_solve_builds_no_block_matrix(self, monkeypatch):
         # both KKT systems, the interior point's and the polish's, are
         # written from index arrays: no block constructor runs anywhere in
-        # a cold solve, in a warm neighbour's or in an infeasible one
-        sites = _Sites(monkeypatch, *self.BLOCK_CONSTRUCTORS, module=qp.sp)
+        # a cold solve, in a warm neighbour's or in an infeasible one (qp
+        # imports no SciPy module, so none could reach them but through scipy.sparse)
+        sites = _Sites(monkeypatch, *self.BLOCK_CONSTRUCTORS, module=sp)
         model, p = build(default_config(168), synth_data(SynthSpec(horizon=168)))
         base = solve_qp(p)
         _, warm = solve_for_param(model, "quota", model.quota + 1.0, start=base)
@@ -814,17 +817,17 @@ class TestKktFactorization:
         for p in (_synth_week(), _infeasible_week(), no_quota):
             with monkeypatch.context() as patched:
                 for name in self.BLOCK_CONSTRUCTORS:
-                    patched.setattr(qp.sp, name, forbidden(name))
+                    patched.setattr(sp, name, forbidden(name))
                 pre = _presolve(p)
             seen.append((len(pre.pin_idx), pre.keep_rows))
             assert (pre.a_ext is p.a_eq) == (len(pre.pin_idx) == 0)  # handed through unpinned
             cols, n = pre.unpinned, len(pre.unpinned)
             assert np.array_equal(np.sort(np.concatenate([cols, pre.pin_idx])), np.arange(p.n))
-            a_ext = p.a_eq.tocsr()[:, cols]
+            a_ext = scipy_csr(p.a_eq)[:, cols]
             g = sp.vstack([-selector(pre.lo_idx, n), selector(pre.up_idx, n),
-                           p.coup.tocsr()[pre.keep_rows][:, cols]]).tocsr()
+                           scipy_csr(p.coup)[pre.keep_rows][:, cols]]).tocsr()
             for got, want in ((pre.a_ext, a_ext), (pre.g, g)):
-                assert got.shape == want.shape and got.has_canonical_format
+                assert got.shape == want.shape and scipy_csr(got).has_canonical_format
                 for part in ("data", "indices", "indptr"):
                     assert getattr(got, part).dtype == getattr(want, part).dtype
                     assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
@@ -853,7 +856,8 @@ class TestKktFactorization:
         def recorded(kkt, vec, rtol, rhs0=None):
             vecs = rng.standard_normal((3, len(kkt.diag)))
             systems[POLISH if sites.site == POLISH else BAND].append(
-                (kkt.pat, kkt.b.copy(), kkt.diag.copy(), vecs, [kkt.matvec(v) for v in vecs]))
+                (kkt.pat, scipy_csr(kkt.b_t).T.copy(), kkt.diag.copy(), vecs,
+                 [kkt.matvec(v) for v in vecs]))
             return real(kkt, vec, rtol, rhs0)
 
         monkeypatch.setattr(qp._Kkt, "solve", recorded)
@@ -861,7 +865,7 @@ class TestKktFactorization:
         p = _synth_week()
         pre = _presolve(p)
         n_b, m = pre.n_b, pre.a_ext.shape[0]
-        b = sp.vstack([pre.a_ext, pre.g[n_b:]], format="csr")
+        b = sp.vstack([scipy_csr(pre.a_ext), scipy_csr(pre.g)[n_b:]], format="csr")
         d = pre.q + np.bincount(np.concatenate([pre.lo_idx, pre.up_idx]), minlength=p.n)
         wanted = [(b, np.concatenate([d, np.zeros(m), -np.ones(len(pre.keep_rows))]))]
         with qp.kkt_pattern_scope():
@@ -876,7 +880,7 @@ class TestKktFactorization:
                 assert qp._polish(p, pre, act, (x, y, z)) is not None
                 seen.append(systems[POLISH][0])  # its first round's
                 free = np.ones(p.n, dtype=bool)
-                free[pre.g[np.nonzero(act[:n_b])[0]].indices] = False
+                free[scipy_csr(pre.g)[np.nonzero(act[:n_b])[0]].indices] = False
                 row_on = np.r_[np.ones(m, dtype=bool), act[n_b:]]
                 rows = np.repeat(np.arange(b.shape[0]), np.diff(b.indptr))
                 want = b.copy()
@@ -900,7 +904,7 @@ class TestKktFactorization:
 
     def test_each_system_holds_b_once(self, monkeypatch):
         # the interior point's system and each polish's hold one sparse
-        # matrix, B, and its transpose as a view of the same values
+        # matrix, B', in CSR (B's CSC arrays), and B as its transpose view
         systems, real = {}, qp._Kkt.set_diagonal
 
         def recorded(kkt, diag):
@@ -912,8 +916,9 @@ class TestKktFactorization:
         kkts = list(systems.values())
         assert {float(kkt.shift[0]) for kkt in kkts} == {qp._KKT_REG, qp._POLISH_EPS}
         for kkt in kkts:
-            assert sorted(k for k, v in vars(kkt).items() if sp.issparse(v)) == ["b", "b_t"]
-            assert np.shares_memory(kkt.b.data, kkt.b_t.data)
+            sparse = {k: v for k, v in vars(kkt).items() if isinstance(v, (Csr, _Transpose))}
+            assert sorted(sparse) == ["b", "b_t"] and isinstance(kkt.b_t, Csr)
+            assert kkt.b.csr is kkt.b_t  # the same arrays
 
     def test_one_ordering_per_solve(self, monkeypatch):
         sites = _Sites(monkeypatch, RCM)
@@ -1007,7 +1012,8 @@ class TestKktFactorization:
             for k, (_, diag) in enumerate(diagonals, start=1):
                 real(kkt, diag)
                 kkt.factor()
-                shifted = (sp.bmat([[None, kkt.b.T], [kkt.b, None]])
+                b = scipy_csr(kkt.b_t).T
+                shifted = (sp.bmat([[None, b.T], [b, None]])
                            + sp.diags(diag + kkt.shift)).tocsc()
                 want = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                             options=dict(SymmetricMode=True)).solve(rhs)
@@ -1541,7 +1547,7 @@ class _Patterns:
 def _with_repeated_entry(p):
     """p with the first coefficient of a_eq's row 10 stored as two entries,
     three quarters in place and a quarter at the end of the row."""
-    a = p.a_eq.tocsr()
+    a = scipy_csr(p.a_eq)
     start, end = a.indptr[10], a.indptr[11]
     data = np.insert(a.data, end, 0.25 * a.data[start])
     data[start] *= 0.75
@@ -1633,7 +1639,7 @@ class TestPatternReuse:
         _, p = build(default_config(24), synth_data(SynthSpec(horizon=24)))
         blocks = {}
         for name in ("a_eq", "coup"):
-            m = getattr(p, name).tocsr().copy()
+            m = scipy_csr(getattr(p, name)).copy()
             m.data[m.indices == p.n - 1] = 0.0
             m.eliminate_zeros()
             blocks[name] = m
@@ -1660,7 +1666,7 @@ class TestPatternReuse:
         # the caller's a_eq and coup stay as they were.
         p = _with_repeated_entry(_synth_week()) if repeated else _synth_week()
         q = dataclasses.replace(p, coup_rhs=p.coup_rhs + np.array([0.0, 1.0]))
-        blocks = [(m, m.copy()) for m in (p.a_eq, p.coup)]
+        blocks = [(m, scipy_csr(m).copy()) for m in (p.a_eq, p.coup)]
 
         def solves():
             base = solve_qp(p)
@@ -1684,11 +1690,12 @@ class TestPatternReuse:
 
         pre = _presolve(p)
         kkt = qp._Kkt(pre, qp._KKT_REG)
-        want = sp.vstack([pre.a_ext, pre.g[pre.n_b:]], format="csr").tocsc()
-        assert p.a_eq.has_canonical_format is not repeated and pre.a_ext.has_canonical_format
+        want = sp.vstack([scipy_csr(pre.a_ext), scipy_csr(pre.g)[pre.n_b:]], format="csr").tocsc()
+        assert scipy_csr(p.a_eq).has_canonical_format is not repeated
+        assert scipy_csr(pre.a_ext).has_canonical_format
         assert kkt.b.shape == want.shape
-        for part in ("data", "indices", "indptr"):
-            assert getattr(kkt.b, part).tobytes() == getattr(want, part).tobytes()
+        for part in ("data", "indices", "indptr"):  # B's CSC arrays are B' in CSR
+            assert getattr(kkt.b_t, part).tobytes() == getattr(want, part).tobytes()
 
 
 def test_polish_keeps_one_bound_per_variable(monkeypatch):
